@@ -310,10 +310,16 @@ def eigenlevels(h: np.ndarray, basis: ProductBasis, v: int | None = None) -> lis
     if not np.array_equal(h, h.T):
         raise ValueError("Hamiltonian must be symmetric")
     fz, f2 = basis.f_z(), basis.f_squared()
+    h_scale = max(np.max(np.abs(h)), 1.0)
     for name, op in (("F_z", fz), ("F^2", f2)):
         comm = np.max(np.abs(h @ op - op @ h))
-        if comm > 1e-9:
-            raise ValueError(f"Hamiltonian does not commute with {name}: |[H, {name}]| = {comm:.3e} kHz")
+        # roundoff in the products grows with the entries of H and of op
+        limit = 1e-12 * h_scale * np.max(np.abs(op))
+        if comm > limit:
+            raise ValueError(
+                f"Hamiltonian does not commute with {name}: |[H, {name}]| = {comm:.3e} kHz"
+                f" (limit {limit:.3e} kHz)"
+            )
 
     evals, evecs = np.linalg.eigh(h)
     scale = max(np.max(np.abs(evals)), 1.0)

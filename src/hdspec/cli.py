@@ -64,7 +64,11 @@ def _run(fn, *args, **kwargs):
 def _write_json(out_dir: Path, stem: str, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity reached the report
+        raise DataFailure(f"{stem} report: {exc}") from exc
+    path.write_text(text + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return path
 
@@ -91,6 +95,17 @@ def _quantity_dict(q: Quantity) -> dict:
 
 # ---------------------------------------------------------------------------
 # argument helpers
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for every float flag: NaN and infinities are config errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigFailure(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigFailure(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _floats_arg(text: str, flag: str) -> list[float]:
@@ -848,18 +863,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-line", parents=[common], help="spectrum build + Lorentzian fit + line frequency")
     p.add_argument("--input", type=Path, required=True, help="CSV with detuning_khz,run_id,laser_on,depletion")
-    p.add_argument("--absolute-offset-khz", type=float, help="absolute frequency of zero detuning")
+    p.add_argument("--absolute-offset-khz", type=_finite_float, help="absolute frequency of zero detuning")
     p.set_defaults(handler=_cmd_fit_line)
 
     p = sub.add_parser("extrapolate-rf", parents=[common], help="zero-RF-amplitude extrapolation + ledger entry")
     p.add_argument("--input", type=Path, required=True, help="CSV with amplitude,f_khz,u_khz")
-    p.add_argument("--nominal-amplitude", type=float, required=True)
+    p.add_argument("--nominal-amplitude", type=_finite_float, required=True)
     p.add_argument("--linear", action="store_true", help="linear-in-amplitude model instead of quadratic")
     p.set_defaults(handler=_cmd_extrapolate_rf)
 
     p = sub.add_parser("ledger", parents=[common], help="apply a systematic-shift ledger to a raw frequency")
-    p.add_argument("--raw-khz", type=float, required=True)
-    p.add_argument("--raw-u-khz", type=float, required=True)
+    p.add_argument("--raw-khz", type=_finite_float, required=True)
+    p.add_argument("--raw-u-khz", type=_finite_float, required=True)
     p.add_argument(
         "--entries",
         type=Path,
@@ -869,12 +884,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ledger)
 
     p = sub.add_parser("composite", parents=[common, coeffs, lines_src], help="weighted spin-averaged frequency")
-    p.add_argument("--b12", type=float, default=0.5, help="weight of line 12 (default 0.5)")
+    p.add_argument("--b12", type=_finite_float, default=0.5, help="weight of line 12 (default 0.5)")
     p.add_argument("--optimize", action="store_true", help="minimize the spin uncertainty over b12 (needs tables)")
     p.set_defaults(handler=_cmd_composite)
 
     p = sub.add_parser("extract", parents=[common, coeffs, lines_src], help="mass-ratio extraction with budgets")
-    p.add_argument("--b12", type=float, default=0.5, help="composite weight of line 12 (default 0.5)")
+    p.add_argument("--b12", type=_finite_float, default=0.5, help="composite weight of line 12 (default 0.5)")
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser("compare", parents=[common], help="pulls of independent determinations against a reference")
@@ -884,27 +899,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adev", parents=[common], help="overlapping Allan deviation of a counter log")
     p.add_argument("--input", type=Path, required=True, help="CSV with t_s,f_hz")
-    p.add_argument("--carrier-hz", type=float, help="carrier for fractional conversion")
+    p.add_argument("--carrier-hz", type=_finite_float, help="carrier for fractional conversion")
     p.add_argument("--tau-list", help="comma-separated averaging times in s (default: octaves)")
     p.set_defaults(handler=_cmd_adev)
 
     p = sub.add_parser("dfg", parents=[common], help="difference-frequency arithmetic of two comb locks")
-    p.add_argument("--f-rep-hz", type=float, required=True)
-    p.add_argument("--f-ceo-hz", type=float, default=0.0)
+    p.add_argument("--f-rep-hz", type=_finite_float, required=True)
+    p.add_argument("--f-ceo-hz", type=_finite_float, default=0.0)
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--beat1-hz", type=float, required=True)
-    p.add_argument("--beat2-hz", type=float, required=True)
+    p.add_argument("--beat1-hz", type=_finite_float, required=True)
+    p.add_argument("--beat2-hz", type=_finite_float, required=True)
     p.add_argument("--beat-sign1", type=int, choices=(-1, 1), default=1)
     p.add_argument("--beat-sign2", type=int, choices=(-1, 1), default=1)
     p.add_argument("--ceo-sign1", type=int, choices=(-1, 1), default=1)
     p.add_argument("--ceo-sign2", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--maser-fractional-offset", type=float, default=0.0)
+    p.add_argument("--maser-fractional-offset", type=_finite_float, default=0.0)
     p.set_defaults(handler=_cmd_dfg)
 
     p = sub.add_parser("carrier", parents=[common], help="recoil-free carrier strength vs wavelength")
-    p.add_argument("--delta-rho-um", type=float, required=True, help="thermal radial spread in um")
-    p.add_argument("--lambda-um", type=float, help="wavelength to evaluate in um")
+    p.add_argument("--delta-rho-um", type=_finite_float, required=True, help="thermal radial spread in um")
+    p.add_argument("--lambda-um", type=_finite_float, help="wavelength to evaluate in um")
     p.add_argument("--sweep", help="MIN:MAX:COUNT wavelength sweep written as CSV")
     p.set_defaults(handler=_cmd_carrier)
 
@@ -918,8 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except _Failure as exc:
         kind = "config error" if exc.exit_code == 2 else "data error"

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,10 @@ def allan_deviation(
     averaging bins).  The confidence interval scales the estimate by
     chi-squared quantiles at the white-FM equivalent degrees of freedom.
     """
+    # imported here, and scipy.special rather than scipy.stats, so that no
+    # other command and no other function pays scipy's import time
+    from scipy.special import gammaincinv
+
     y = series.fractional
     n = len(y)
     cum = np.concatenate([[0.0], np.cumsum(y)])
@@ -140,8 +143,9 @@ def allan_deviation(
         avar = 0.5 * float(np.mean(diffs ** 2))
         adev = math.sqrt(avar)
         edf = max(_white_fm_edf(n, m), 1e-12)
-        ci_low = adev * math.sqrt(edf / stats.chi2.ppf(0.84, edf))
-        ci_high = adev * math.sqrt(edf / stats.chi2.ppf(0.16, edf))
+        # chi-squared quantile with edf degrees of freedom: 2 P^-1(edf / 2, p)
+        ci_low = adev * math.sqrt(edf / (2.0 * gammaincinv(edf / 2.0, 0.84)))
+        ci_high = adev * math.sqrt(edf / (2.0 * gammaincinv(edf / 2.0, 0.16)))
         out.append((float(tau), adev, ci_low, ci_high))
     return out
 

@@ -16,15 +16,20 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import constants as sc
 
 from .quantity import Quantity
 
 ENTRY_BASES = ("measured-extrapolation", "theoretical-bound", "set-to-zero")
 
+# CODATA 2018 (Tiesinga et al., Rev. Mod. Phys. 93, 025010 (2021)), pinned
+# so the chain does not follow the constants release of an installed library
+_AU_POLARIZABILITY = 1.64877727436e-41  # C^2 m^2 / J
+_EPSILON_0 = 8.8541878128e-12  # F / m
+_C = 299792458.0  # m / s, exact
+_H = 6.62607015e-34  # J s, exact
+
 # light shift per intensity per unit polarizability: alpha_au * I / (2 eps0 c h)
-_AU_POLARIZABILITY = sc.value("atomic unit of electric polarizability")
-LIGHT_SHIFT_KHZ_PER_AU_W_M2 = _AU_POLARIZABILITY / (2 * sc.epsilon_0 * sc.c * sc.h) / 1e3
+LIGHT_SHIFT_KHZ_PER_AU_W_M2 = _AU_POLARIZABILITY / (2 * _EPSILON_0 * _C * _H) / 1e3
 
 
 @dataclass(frozen=True)

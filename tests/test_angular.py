@@ -243,6 +243,19 @@ def test_eigenlevels_rejects_symmetry_breaking(basis0):
         eigenlevels(h, basis0)
 
 
+@pytest.mark.parametrize("n_rot", [4, 5])
+def test_high_n_demo_levels_pass_commutator_check(n_rot, demo_sets):
+    # roundoff in [H, F^2] grows with the entries: 1.9e-9 kHz at N=4 and
+    # 3.7e-9 kHz at N=5 on the demo (1,1) coefficients, both far below one
+    # ulp of |H| |F^2|, so the check must not reject these Hamiltonians
+    coeffs = HyperfineCoefficients(v=1, n_rot=n_rot, values=dict(demo_sets[(1, 1)].values))
+    basis = ProductBasis(n_rot)
+    levels = level_structure(coeffs, basis)
+    assert len(levels) == 12
+    assert all(lv.degeneracy == 2 * lv.f + 1 for lv in levels)
+    assert sum(lv.degeneracy for lv in levels) == basis.dim
+
+
 def test_ambiguous_labels_raise(basis1):
     # a dominant tensor term leaves G2 badly mixed
     values = {1: 0.0, 2: 0.0, 3: 0.0, 4: 1.0, 5: 1.0, 6: 1e6, 7: 0.0, 8: 0.0, 9: 0.0}

@@ -1,11 +1,18 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hdspec
 from hdspec import bundled
 from hdspec.cli import main
+
+SRC = str(Path(hdspec.__file__).resolve().parents[1])
 
 SUBCOMMANDS = (
     "spin-structure",
@@ -31,6 +38,19 @@ def run(tmp_path, *argv):
 
 def load_json(tmp_path, stem):
     return json.loads((tmp_path / f"{stem}.json").read_text())
+
+
+def run_python(*argv):
+    """Run a fresh interpreter with this checkout's package on the path."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_one_line_error(proc):
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
@@ -69,6 +89,37 @@ def test_unfittable_data_is_data_error(tmp_path, capsys):
     scan.write_text("\n".join(rows) + "\n")
     assert run(tmp_path, "fit-line", "--input", str(scan)) == 1
     assert "data error" in capsys.readouterr().err
+
+
+def test_nan_flag_is_one_line_config_error(tmp_path):
+    proc = run_python("-m", "hdspec.cli", "carrier", "--delta-rho-um", "nan", "--lambda-um", "5.1",
+                      "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+
+
+def test_nan_raw_frequency_is_one_line_error(tmp_path):
+    proc = run_python("-m", "hdspec.cli", "ledger", "--raw-khz", "nan", "--raw-u-khz", "0.1",
+                      "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+
+
+def test_nan_counter_row_is_one_line_error(tmp_path):
+    lines = bundled.data_path("demo_counter.csv").read_text().splitlines()
+    lines[3] = lines[3].split(",")[0] + ",nan"
+    log = tmp_path / "counter.csv"
+    log.write_text("\n".join(lines) + "\n")
+    proc = run_python("-m", "hdspec.cli", "adev", "--input", str(log), "--carrier-hz", "58605052164255.0",
+                      "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert not (tmp_path / "adev.json").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = run_python("-c", "import sys, hdspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_successful_command_returns_zero(tmp_path):

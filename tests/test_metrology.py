@@ -146,6 +146,23 @@ def test_confidence_interval_brackets_estimate():
         assert lo < adev < hi
 
 
+# chi-squared quantiles at the white-FM edf of 500 samples, m = 1 and m = 10,
+# computed once with scipy.stats.chi2.ppf: (edf, ppf(0.84), ppf(0.16))
+CHI2_QUANTILES = {
+    1.0: (331.78133333333335, 357.36521443437414, 306.1828973197086),
+    10.0: (71.95851851851852, 83.82622510991497, 60.07692202168057),
+}
+
+
+def test_confidence_interval_uses_chi2_quantiles():
+    rng = np.random.default_rng(9)
+    series = FrequencyTimeSeries(1.0, rng.normal(0.0, 1e-13, 500))
+    for tau, adev, lo, hi in allan_deviation(series, sorted(CHI2_QUANTILES)):
+        edf, q84, q16 = CHI2_QUANTILES[tau]
+        assert lo == pytest.approx(adev * math.sqrt(edf / q84), rel=1e-13)
+        assert hi == pytest.approx(adev * math.sqrt(edf / q16), rel=1e-13)
+
+
 def test_tau_must_be_integer_multiple():
     series = FrequencyTimeSeries(1.0, np.zeros(100) + 1e-13)
     with pytest.raises(ValueError, match="integer multiple"):

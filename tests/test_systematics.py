@@ -154,6 +154,12 @@ def test_light_shift_constant_value():
     assert LIGHT_SHIFT_KHZ_PER_AU_W_M2 == pytest.approx(4.684e-9, rel=1e-3)
 
 
+def test_light_shift_constant_is_codata_2018():
+    # alpha_au / (2 eps0 c h) in kHz per (a.u. W/m^2), CODATA 2018 values
+    alpha_au, eps0, c, h = 1.64877727436e-41, 8.8541878128e-12, 299792458.0, 6.62607015e-34
+    assert LIGHT_SHIFT_KHZ_PER_AU_W_M2 == pytest.approx(alpha_au / (2 * eps0 * c * h) / 1e3, rel=1e-15)
+
+
 def test_light_shift_below_threshold_is_zero():
     e = light_shift_entry(**{
         "alpha_s_upper": bundled.LIGHT_SHIFT_INPUTS["alpha_s_upper"],
