@@ -25,11 +25,8 @@ class CarrierModel:
     """Gaussian carrier-strength model S(lambda) in (0, 1]."""
 
     delta_rho: float
-    kind: str = "gaussian-debye-waller"
 
     def __post_init__(self) -> None:
-        if self.kind != "gaussian-debye-waller":
-            raise ValueError(f"unknown carrier model kind {self.kind!r}")
         if self.delta_rho <= 0:
             raise ValueError("radial spread must be positive")
 

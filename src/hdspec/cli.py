@@ -126,13 +126,18 @@ def _parse_level(text: str) -> tuple[int, int]:
     return v, n
 
 
-def _coefficient_sets(args) -> dict:
-    """Resolve the hyperfine-coefficient file, failing fast when absent."""
+def _resolve_coefficients(args) -> dict | None:
+    """Coefficient sets from --coefficients, else --demo, else the bundled file (None if absent)."""
     if args.coefficients is not None:
         return _load(angular.read_coefficient_file, args.coefficients)
     if getattr(args, "demo", False):
         return _load(bundled.load_demo_coefficients)
-    sets = _load(bundled.load_coefficients)
+    return _load(bundled.load_coefficients)
+
+
+def _coefficient_sets(args) -> dict:
+    """Resolve the hyperfine-coefficient file, failing fast when absent."""
+    sets = _resolve_coefficients(args)
     if sets is None:
         raise ConfigFailure(
             "no evaluated hyperfine coefficients are bundled (data/hfs_coefficients.conf "
@@ -156,11 +161,7 @@ def _standard_table(sets: dict) -> angular.SensitivityTable:
 
 def _optional_tables(args) -> angular.SensitivityTable | None:
     """Sensitivity table when a coefficient source is available, else None."""
-    if args.coefficients is not None:
-        return _standard_table(_load(angular.read_coefficient_file, args.coefficients))
-    if getattr(args, "demo", False):
-        return _standard_table(_load(bundled.load_demo_coefficients))
-    sets = _load(bundled.load_coefficients)
+    sets = _resolve_coefficients(args)
     return None if sets is None else _standard_table(sets)
 
 

@@ -112,16 +112,14 @@ def theory_frequency(table: ContributionTable) -> Quantity:
 class ScalingModel:
     """Log-linear response of the theory frequency to mu_p = m_p/m_e.
 
-    beta = d ln f / d ln mu_p at constant m_d/m_p.  u_spin is
-    informational here; extraction reads the spin-theory uncertainty
-    from the measured frequency's own component.
+    beta = d ln f / d ln mu_p at constant m_d/m_p.  Extraction reads the
+    spin-theory uncertainty from the measured frequency's own component.
     """
 
     f_ref: float
     mu_p_ref: float
     beta: float = -0.4846
     u_qed: float = 0.5
-    u_spin: float = 0.0
     u_codata_other: float = 0.07
 
     def __post_init__(self) -> None:
@@ -317,7 +315,7 @@ def read_contribution_csv(path: str | Path) -> ContributionTable:
     return ContributionTable(tuple(rows))
 
 
-def read_scaling_file(path: str | Path, u_spin: float = 0.0) -> ScalingModel:
+def read_scaling_file(path: str | Path) -> ScalingModel:
     """Parse the scaling-model reference data (key = value lines)."""
     keys = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -342,6 +340,5 @@ def read_scaling_file(path: str | Path, u_spin: float = 0.0) -> ScalingModel:
         mu_p_ref=keys["mu_p_ref"],
         beta=keys["beta"],
         u_qed=keys["u_qed_khz"],
-        u_spin=u_spin,
         u_codata_other=keys["u_codata_other_khz"],
     )

@@ -154,9 +154,12 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
     """Read a `t_s, f_hz` counter log into a uniform time series."""
     t, f = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
             t.append(float(row["t_s"]))
             f.append(float(row["f_hz"]))
+            if not (math.isfinite(t[-1]) and math.isfinite(f[-1])):
+                raise ValueError(f"{path}:{reader.line_num}: t_s and f_hz must be finite")
     if len(t) < 2:
         raise ValueError(f"{path}: need at least 2 counter samples")
     dt = np.diff(t)

@@ -14,6 +14,7 @@ weighted fit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +24,6 @@ import numpy as np
 from .angular import (
     HyperfineCoefficients,
     ProductBasis,
-    TrackingError,
     build_hfs,
     eigenlevels,
 )
@@ -104,26 +104,6 @@ class ZeemanMap:
         raise LookupError(f"no Zeeman state with label {label}")
 
 
-def _zero_field_states(
-    coeffs: HyperfineCoefficients, basis: ProductBasis
-) -> list[tuple[tuple[int, int, int, int], float, np.ndarray]]:
-    """Field-free eigenstates with m_F resolved inside each multiplet."""
-    fz = basis.f_z()
-    out = []
-    for level in eigenlevels(build_hfs(coeffs, basis), basis):
-        if level.label is None:
-            raise ValueError("Zeeman mapping needs fully labeled field-free levels")
-        sub = level.vectors.T @ fz @ level.vectors
-        mvals, rot = np.linalg.eigh(sub)
-        vecs = level.vectors @ rot
-        for col, m in enumerate(mvals):
-            m_f = int(round(m))
-            if abs(m - m_f) > 1e-9:
-                raise ValueError(f"non-integer m_F = {m} in level {level.label}")
-            out.append(((level.g1, level.g2, level.f, m_f), level.energy, vecs[:, col]))
-    return out
-
-
 def zeeman_map(
     coeffs: HyperfineCoefficients,
     couplings: ZeemanCouplings,
@@ -132,9 +112,12 @@ def zeeman_map(
 ) -> ZeemanMap:
     """Energies of every magnetic sublevel over an ascending field grid.
 
-    States are followed from one field value to the next by maximum
-    eigenvector overlap; an overlap of 0.9 or less means the adiabatic
-    assignment is no longer trustworthy and raises TrackingError.  At
+    H0 + H_Z commutes with F_z, which is diagonal in the product basis,
+    so each m_F block is solved on its own, for the whole grid in one
+    stacked call.  Levels inside one block do not cross (von
+    Neumann-Wigner), so at every B the k-th lowest energy of block m_F
+    belongs to the k-th lowest field-free level with F >= |m_F|
+    (Bakalov, Korobov & Schiller, J. Phys. B 44, 025003 (2011)).  At
     B = 0 the energies are the field-free ones exactly.
     """
     b_values = np.asarray(b_values, dtype=float)
@@ -145,34 +128,25 @@ def zeeman_map(
     if b_values[0] < 0:
         raise ValueError("b_values must be non-negative")
 
-    grid = b_values if b_values[0] == 0.0 else np.concatenate(([0.0], b_values))
-    start = _zero_field_states(coeffs, basis)
-    labels = [s[0] for s in start]
-    tracked = np.column_stack([s[2] for s in start])
-    energies = np.zeros((len(labels), len(grid)))
-    energies[:, 0] = [s[1] for s in start]
-
     h0 = build_hfs(coeffs, basis)
-    for j, b in enumerate(grid[1:], start=1):
-        evals, evecs = np.linalg.eigh(h0 + build_zeeman(couplings, basis, b))
-        overlaps = np.abs(evecs.T @ tracked)
-        cols = np.argmax(overlaps, axis=0)
-        best = overlaps[cols, np.arange(len(labels))]
-        if np.min(best) <= 0.9 or len(set(cols.tolist())) != len(labels):
-            worst = labels[int(np.argmin(best))]
-            raise TrackingError(
-                f"state tracking lost at B = {b:g} G "
-                f"(overlap {np.min(best):.3f} for state {worst})"
-            )
-        energies[:, j] = evals[cols]
-        signs = np.sign(np.sum(evecs[:, cols] * tracked, axis=0))
-        tracked = evecs[:, cols] * signs
+    levels = eigenlevels(h0, basis)
+    if any(level.label is None for level in levels):
+        raise ValueError("Zeeman mapping needs fully labeled field-free levels")
+    labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
+    index = {label: i for i, label in enumerate(labels)}
 
-    keep = slice(None) if b_values[0] == 0.0 else slice(1, None)
-    states = tuple(
-        ZeemanState(*label, energies=energies[i, keep].copy())
-        for i, label in enumerate(labels)
-    )
+    m_f = np.rint(np.diag(basis.f_z())).astype(int)
+    z = np.diag(build_zeeman(couplings, basis, 1.0))
+    energies = np.empty((len(labels), len(b_values)))
+    for m in np.unique(m_f):
+        block = np.flatnonzero(m_f == m)
+        stack = h0[np.ix_(block, block)] + b_values[:, None, None] * np.diag(z[block])
+        rows = [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)]
+        energies[rows] = np.linalg.eigvalsh(stack).T
+    if b_values[0] == 0.0:
+        energies[:, 0] = [lv.energy for lv in levels for _ in range(2 * lv.f + 1)]
+
+    states = tuple(ZeemanState(*label, energies=energies[i]) for i, label in enumerate(labels))
     return ZeemanMap(b_values.copy(), states)
 
 
@@ -274,10 +248,15 @@ def read_field_scan_csv(path: str | Path) -> tuple[list[float], list[float], lis
     """Read `B_gauss, f_khz, u_khz` rows of a field-extrapolation scan."""
     b, f, u = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
             b.append(float(row["B_gauss"]))
             f.append(float(row["f_khz"]))
             u.append(float(row["u_khz"]))
+            if not (math.isfinite(b[-1]) and math.isfinite(f[-1])):
+                raise ValueError(f"{path}:{reader.line_num}: B_gauss and f_khz must be finite")
+            if not (math.isfinite(u[-1]) and u[-1] > 0):
+                raise ValueError(f"{path}:{reader.line_num}: u_khz must be finite and positive")
     if not b:
         raise ValueError(f"{path}: no field-scan rows")
     return b, f, u

@@ -71,8 +71,6 @@ def test_validation():
         critical_wavelength(0.0)
     with pytest.raises(ValueError, match="radial spread"):
         CarrierModel(-1.0)
-    with pytest.raises(ValueError, match="unknown carrier model"):
-        CarrierModel(2.0, kind="boxcar")
     with pytest.raises(ValueError, match="wavelength"):
         carrier_strength(0.0, CarrierModel(2.0))
     with pytest.raises(ValueError, match="fwhm"):

@@ -113,7 +113,34 @@ def test_nan_counter_row_is_one_line_error(tmp_path):
     proc = run_python("-m", "hdspec.cli", "adev", "--input", str(log), "--carrier-hz", "58605052164255.0",
                       "--out-dir", str(tmp_path))
     assert_one_line_error(proc)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {log}:4:")
     assert not (tmp_path / "adev.json").exists()
+
+
+@pytest.mark.parametrize("column, value", [("f_khz", "nan"), ("B_gauss", "nan"), ("u_khz", "inf"), ("u_khz", "nan")])
+def test_non_finite_field_scan_row_is_one_line_config_error(tmp_path, column, value):
+    lines = bundled.data_path("line12_zeeman.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[2].split(",")
+    cells[header.index(column)] = value
+    lines[2] = ",".join(cells)
+    scan = tmp_path / "field.csv"
+    scan.write_text("\n".join(lines) + "\n")
+    proc = run_python("-m", "hdspec.cli", "extrapolate-b", "--input", str(scan), "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {scan}:3:")
+    assert not (tmp_path / "extrapolate_b.json").exists()
+
+
+def test_zeeman_map_on_coarse_grid(tmp_path):
+    grid = ",".join(str(5 * i) for i in range(41))
+    assert run(tmp_path, "zeeman-map", "--demo", "--b-values", grid) == 0
+    payload = load_json(tmp_path, "zeeman_map")
+    assert len(payload["b_gauss"]) == 41
+    assert len(payload["states"]) == 36
+    assert all(len(st["energies_khz"]) == 41 for st in payload["states"])
 
 
 def test_cli_import_does_not_load_scipy():

@@ -11,7 +11,6 @@ from hdspec import bundled
 from hdspec.angular import (
     HyperfineCoefficients,
     ProductBasis,
-    TrackingError,
     build_hfs,
     find_level,
     level_structure,
@@ -122,10 +121,42 @@ def test_small_field_curvature_matches_perturbation_theory(basis0, demo_sets):
     assert coef[2] == pytest.approx(curv_pt, rel=1e-3)
 
 
-def test_tracking_error_on_coarse_grid_with_huge_coupling(basis0, demo_sets):
-    cpl = ZeemanCouplings(c_e=1e9)
-    with pytest.raises(TrackingError, match="B = "):
-        zeeman_map(demo_sets[(0, 0)], cpl, basis0, (0.0, 1.0))
+def _overlap_tracker(coeffs, couplings, basis, grid):
+    """Reference: follow each sublevel from B = 0 (grid[0]) by maximum eigenvector overlap."""
+    h0 = build_hfs(coeffs, basis)
+    fz = basis.f_z()
+    labels, energies0, columns = [], [], []
+    for level in level_structure(coeffs, basis):
+        mvals, rot = np.linalg.eigh(level.vectors.T @ fz @ level.vectors)
+        labels += [(*level.label, int(round(m))) for m in mvals]
+        energies0 += [level.energy] * len(mvals)
+        columns.append(level.vectors @ rot)
+    tracked = np.hstack(columns)
+    energies = np.empty((len(labels), len(grid)))
+    energies[:, 0] = energies0
+    for j, b in enumerate(grid[1:], start=1):
+        evals, evecs = np.linalg.eigh(h0 + build_zeeman(couplings, basis, b))
+        overlaps = np.abs(evecs.T @ tracked)
+        cols = np.argmax(overlaps, axis=0)
+        assert np.min(overlaps[cols, np.arange(len(labels))]) > 0.9, f"tracking lost at B = {b} G"
+        assert len(set(cols.tolist())) == len(labels)
+        energies[:, j] = evals[cols]
+        tracked = evecs[:, cols] * np.sign(np.sum(evecs[:, cols] * tracked, axis=0))
+    return labels, energies
+
+
+@pytest.mark.parametrize("key", [(0, 0), (1, 1)])
+def test_coarse_grid_matches_fine_overlap_tracking(key, demo_sets):
+    coeffs = demo_sets[key]
+    basis = ProductBasis(key[1])
+    cpl = ZeemanCouplings()
+    fine = np.arange(2001) / 10.0  # 0-200 G in 0.1 G steps
+    coarse = fine[::50]  # 0-200 G in 5 G steps
+    labels, ref = _overlap_tracker(coeffs, cpl, basis, fine)
+    zmap = zeeman_map(coeffs, cpl, basis, coarse)
+    assert [st_.label for st_ in zmap.states] == labels
+    got = np.array([st_.energies for st_ in zmap.states])
+    assert np.allclose(got, ref[:, ::50], rtol=0, atol=1e-8)
 
 
 def test_grid_not_starting_at_zero_matches_sliced_full_grid(basis0, demo_sets):
