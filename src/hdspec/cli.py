@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -584,218 +585,157 @@ def _cmd_carrier(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# full-chain reproduction
+# full-chain reproduction: one table of published anchors
+
+
+def _anchors(sets: dict | None) -> list[tuple]:
+    """(name, compute) per anchor; compute() returns (quantity, value, target, tol) checks, or is None (skip)."""
+    lines = _load(bundled.load_measured_lines)
+    theory = constants.theory_frequency(_load(bundled.load_contributions, "codata2018")).value
+    model = _load(bundled.load_scaling_model, "codata2018")
+    consts = _load(bundled.load_constants, "codata2018")
+    fspin = {tid: lines[tid]["f_spin"] for tid in ("12", "16")}
+
+    @functools.cache  # the line chain runs once per line; a failure re-raises in every row that needs it
+    def corrected(tid):  # zero-field extrapolation, then the systematic ledger
+        return bundled.corrected_line(tid)[1].corrected
+
+    def composite_half():
+        inp = composite.CompositeInput(corrected("12"), corrected("16"), fspin["12"], fspin["16"])
+        return composite.composite_frequency(inp, 0.5)
+
+    def c_chain(tid):
+        f, target = corrected(tid), lines[tid]["f_exp"]
+        return [
+            ("f_khz", f.value, target.value, 0.005),
+            ("u_exp_khz", f.component("exp"), target.component("exp"), 0.005),
+        ]
+
+    def c_composite():
+        q = composite_half()
+        return [
+            ("f_khz", q.value, 58605052164.255, 0.005),
+            ("u_exp_khz", q.component("exp"), 0.16, 0.005),
+            ("u_spin_khz", q.component("theor_spin"), 0.85, 0.005),
+        ]
+
+    def c_splitting():
+        cmp_ = composite.splitting_comparison(corrected("12"), corrected("16"), lines["splitting_theory_khz"])
+        return [
+            ("f16_minus_f12_khz", cmp_.difference_exp.value, 41294.05, 0.01),
+            ("u_exp_khz", cmp_.difference_exp.component("exp"), 0.32, 0.005),
+            ("sigma_vs_theory", cmp_.agreement_sigma, 0.0, 1.0),
+        ]
+
+    def c_extraction(res, target, tol, components):  # components within 15 %
+        return [(res.name, res.value, target, tol)] + [
+            (f"u_{k}", res.components[k], t, 0.15 * t) for k, t in components.items()
+        ]
+
+    def c_mu():
+        mu = constants.extract_mu_over_me(composite_half(), model, consts)
+        return c_extraction(mu, 1223.899228668, 1e-8, {"exp": 7e-9, "theor_QED": 20e-9, "theor_spin": 37e-9})
+
+    def c_mp():
+        mp = constants.extract_mp_over_me(composite_half(), model, consts, _md_over_mp_quantity(consts))
+        return c_extraction(mp, 1836.152673384, 1.5e-8, {"exp": 11e-9, "theor_QED": 31e-9, "theor_spin": 55e-9})
+
+    def c_case2():
+        shift = constants.scaled_theory(model, model.mu_p_ref * (1.0 - 5.28e-11)) - model.f_ref
+        table_shift = constants.theory_frequency(bundled.load_contributions("penning")).value - theory
+        return [
+            ("scaling_shift_khz", shift, 1.50, 0.02),
+            ("table_shift_khz", table_shift, 1.50, 0.02),
+            ("penning_mu_p_ref", bundled.load_scaling_model("penning").mu_p_ref,
+             bundled.load_constants("penning").mp_over_me.value, 2e-9),
+        ]
+
+    def c_carrier():
+        model_c = carrier.CarrierModel(2.0)
+        return [
+            ("S_lambda_c", carrier.carrier_strength(carrier.critical_wavelength(2.0), model_c), 0.5, 1e-12),
+            ("S_5.1um", carrier.carrier_strength(5.1, model_c), 0.0149, 0.0005),
+        ]
+
+    def c_demo_fit():  # synthetic data with truth 0.037 / 0.195 kHz, not a published number
+        records = lineshape.read_decay_csv(bundled.data_path("line12_depletion.csv"))
+        fit = lineshape.fit_lorentzian(lineshape.build_spectrum(records))
+        return [("center_khz", fit.center, 0.037, 0.05), ("fwhm_khz", fit.fwhm, 0.195, 0.05)]
+
+    def c_spin_freqs():
+        lower, upper = _transition_sets(sets)
+        table = angular.transition_table(lower, upper, bundled.TRANSITION_LEVELS)
+        checks = []
+        for tid, f_target, u_target in (("12", -38686.1, 0.8), ("16", 2607.7, 0.9)):
+            lo, up = bundled.TRANSITION_LEVELS[tid]
+            checks.append((f"f_spin_{tid}_khz", angular.spin_frequency((upper, up), (lower, lo)), f_target, 0.5))
+            checks.append((f"u_spin_{tid}_khz", angular.spin_uncertainty(tid, table), u_target, 0.1))
+        wp = composite.optimize_weight(table, angular.SpinUncertaintyParams())
+        flat = [u for b, u in wp.profile if 0.2 <= b <= 0.8]
+        return checks + [
+            ("u_spin_min_khz", wp.u_star, 0.85, 0.1),
+            ("u_spin_max_over_min_b12_0.2_0.8", max(flat) / min(flat), 1.0, 0.1),
+        ]
+
+    def c_zeeman_coeffs():
+        lower, upper = _transition_sets(sets)
+        couplings = bundled.load_couplings()
+
+        def coeffs(tid, lower_mf, upper_mf):
+            lo, up = bundled.TRANSITION_LEVELS[tid]
+            return zeeman.transition_coeffs((lower, (*lo, lower_mf)), (upper, (*up, upper_mf)), couplings)
+
+        return [
+            ("quadratic_12_khz_per_g2", coeffs("12", 0, 0).quadratic, -2.9, 0.05 * 2.9),
+            ("quadratic_16_khz_per_g2", coeffs("16", 0, 0).quadratic, -117.0, 0.05 * 117.0),
+            ("linear_16_mf+2_khz_per_g", coeffs("16", 2, 3).linear, -0.55, 0.05 * 0.55),
+            ("linear_16_mf-2_khz_per_g", coeffs("16", -2, -3).linear, 0.55, 0.05 * 0.55),
+        ]
+
+    return [
+        ("theory: spin-averaged contribution sum", lambda: [("f_khz", theory, 58605052163.9, 0.05)]),
+        ("theory: spin-corrected line 12", lambda: [("f_khz", theory + fspin["12"].value, 58605013477.8, 0.1)]),
+        ("theory: spin-corrected line 16", lambda: [("f_khz", theory + fspin["16"].value, 58605054771.6, 0.1)]),
+        ("line 12: zero-field extrapolation + systematic ledger", lambda: c_chain("12")),
+        ("line 16: zero-field extrapolation + systematic ledger", lambda: c_chain("16")),
+        ("composite spin-averaged frequency (b12 = 0.5)", c_composite),
+        ("hyperfine splitting f16 - f12 vs theory", c_splitting),
+        ("extraction: mu/m_e", c_mu),
+        ("extraction: m_p/m_e", c_mp),
+        ("case-II mass scenario: -5.28e-11 input shift", c_case2),
+        ("carrier strength model", c_carrier),
+        (
+            "line resolution at 0.195 kHz FWHM",
+            lambda: [("resolution", carrier.resolution(58605052164.255, 0.195), 3.0e11, 0.05e11)],
+        ),
+        ("demo depletion spectrum fit", c_demo_fit),
+        ("spin frequencies and uncertainties from evaluated coefficients", c_spin_freqs if sets else None),
+        ("Zeeman transition coefficients from evaluated coefficients", c_zeeman_coeffs if sets else None),
+    ]
 
 
 def _cmd_reproduce_paper(args) -> int:
     rows: list[dict] = []
-
-    def check(name: str, fn) -> None:
+    for name, compute in _anchors(_load(bundled.load_coefficients)):
+        if compute is None:
+            detail = "needs data/hfs_coefficients.conf, which ships as a template only (see README, 'Data sources')"
+            rows.append({"name": name, "status": "skip", "detail": detail, "checks": []})
+            continue
         try:
-            ok, detail = fn()
+            checks = [
+                {"quantity": q, "value": float(v), "target": float(t), "tol": float(tol)}
+                for q, v, t, tol in compute()
+            ]
+            if not all(math.isfinite(c[k]) for c in checks for k in ("value", "target", "tol")):
+                raise ValueError("a check is not finite")
         except Exception as exc:  # a failing row must not abort the table
-            rows.append({"name": name, "status": "fail", "detail": f"error: {exc}"})
-        else:
-            rows.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
+            rows.append({"name": name, "status": "fail", "detail": f"error: {exc}", "checks": []})
+            continue
+        ok = all(abs(c["value"] - c["target"]) <= c["tol"] for c in checks)
+        detail = "; ".join(f"{c['quantity']} {c['value']!r} (target {c['target']!r} +- {c['tol']!r})" for c in checks)
+        rows.append({"name": name, "status": "pass" if ok else "fail", "detail": detail, "checks": checks})
 
-    def skip(name: str, reason: str) -> None:
-        rows.append({"name": name, "status": "skip", "detail": reason})
-
-    lines = _load(bundled.load_measured_lines)
-    contributions = _load(bundled.load_contributions, "codata2018")
-    theory = constants.theory_frequency(contributions)
-
-    def c_theory_sum():
-        return abs(theory.value - 58605052163.9) <= 0.05, (
-            f"{theory.value:.2f} kHz (target 58605052163.9 +- 0.05)"
-        )
-
-    check("theory: spin-averaged contribution sum", c_theory_sum)
-
-    for tid, target in (("12", 58605013477.8), ("16", 58605054771.6)):
-        def c_line_theory(tid=tid, target=target):
-            value = theory.value + lines[tid]["f_spin"].value
-            return abs(value - target) <= 0.1, f"{value:.2f} kHz (target {target} +- 0.1)"
-
-        check(f"theory: spin-corrected line {tid}", c_line_theory)
-
-    ledgers = {}
-
-    for tid in ("12", "16"):
-        def c_chain(tid=tid):
-            ext, ledger = bundled.corrected_line(tid)
-            ledgers[tid] = ledger
-            corrected = ledger.corrected
-            target = lines[tid]["f_exp"]
-            ok = (
-                abs(corrected.value - target.value) <= 0.005
-                and abs(corrected.component("exp") - target.component("exp")) <= 0.005
-            )
-            return ok, (
-                f"{parenthetical(corrected)} after {parenthetical(ext.intercept)} at B=0 "
-                f"(target {parenthetical(target)})"
-            )
-
-        check(f"line {tid}: zero-field extrapolation + systematic ledger", c_chain)
-
-    def composite_input() -> composite.CompositeInput:
-        f12 = ledgers["12"].corrected if "12" in ledgers else lines["12"]["f_exp"]
-        f16 = ledgers["16"].corrected if "16" in ledgers else lines["16"]["f_exp"]
-        return composite.CompositeInput(
-            f12=f12, f16=f16, fspin12=lines["12"]["f_spin"], fspin16=lines["16"]["f_spin"]
-        )
-
-    state = {}
-
-    def c_composite():
-        q = composite.composite_frequency(composite_input(), 0.5)
-        state["composite"] = q
-        ok = (
-            abs(q.value - 58605052164.255) <= 0.005
-            and abs(q.value - 58605052164.24) <= 0.05
-            and abs(q.component("exp") - 0.16) <= 0.005
-            and abs(q.component("theor_spin") - 0.85) <= 0.005
-        )
-        return ok, f"{parenthetical(q)} at b12 = 0.5 (target 58605052164.255, u_exp 0.16, u_spin 0.85)"
-
-    check("composite spin-averaged frequency (b12 = 0.5)", c_composite)
-
-    def c_splitting():
-        inp = composite_input()
-        cmp_ = composite.splitting_comparison(inp.f12, inp.f16, lines["splitting_theory_khz"])
-        d = cmp_.difference_exp
-        ok = (
-            abs(d.value - 41294.05) <= 0.01
-            and abs(d.component("exp") - 0.32) <= 0.005
-            and cmp_.agreement_sigma < 1.0
-        )
-        return ok, (
-            f"{parenthetical(d)} vs theory {parenthetical(cmp_.difference_theory)}: "
-            f"{cmp_.agreement_sigma:.2f} sigma (target 41294.05(32), < 1 sigma)"
-        )
-
-    check("hyperfine splitting f16 - f12 vs theory", c_splitting)
-
-    model = _load(bundled.load_scaling_model, "codata2018")
-    consts = _load(bundled.load_constants, "codata2018")
-
-    def within(components: dict, targets: dict, rel: float) -> bool:
-        return all(abs(components[k] - t) <= rel * t for k, t in targets.items())
-
-    def c_mu():
-        mu = constants.extract_mu_over_me(state["composite"], model, consts)
-        state["mu"] = mu
-        targets = {"exp": 7e-9, "theor_QED": 20e-9, "theor_spin": 37e-9}
-        ok = abs(mu.value - 1223.899228668) <= 1e-8 and within(mu.components, targets, 0.15)
-        comps = ", ".join(f"{k} {mu.components[k] * 1e9:.1f}" for k in sorted(targets))
-        return ok, f"{mu.value:.9f} (target 1223.899228668 +- 1e-8); components 1e-9: {comps} (7, 20, 37 +- 15%)"
-
-    check("extraction: mu/m_e", c_mu)
-
-    def c_mp():
-        mp = constants.extract_mp_over_me(state["composite"], model, consts, _md_over_mp_quantity(consts))
-        targets = {"exp": 11e-9, "theor_QED": 31e-9, "theor_spin": 55e-9}
-        ok = abs(mp.value - 1836.152673384) <= 1.5e-8 and within(mp.components, targets, 0.15)
-        comps = ", ".join(f"{k} {mp.components[k] * 1e9:.1f}" for k in sorted(targets))
-        return ok, f"{mp.value:.9f} (target 1836.152673384 +- 1.5e-8); components 1e-9: {comps} (11, 31, 55 +- 15%)"
-
-    check("extraction: m_p/m_e", c_mp)
-
-    def c_case2():
-        shift = constants.scaled_theory(model, model.mu_p_ref * (1.0 - 5.28e-11)) - model.f_ref
-        table2 = bundled.load_contributions("penning")
-        table_shift = constants.theory_frequency(table2).value - theory.value
-        model2 = bundled.load_scaling_model("penning")
-        consts2 = bundled.load_constants("penning")
-        ok = (
-            abs(shift - 1.50) <= 0.02
-            and abs(table_shift - 1.50) <= 0.02
-            and abs(model2.mu_p_ref - consts2.mp_over_me.value) <= 2e-9
-        )
-        return ok, (
-            f"scaling {shift:+.3f} kHz, contribution table {table_shift:+.3f} kHz "
-            f"(target +1.50 +- 0.02); penning reference mass consistent"
-        )
-
-    check("case-II mass scenario: -5.28e-11 input shift", c_case2)
-
-    def c_carrier():
-        model_c = carrier.CarrierModel(2.0)
-        s_crit = carrier.carrier_strength(carrier.critical_wavelength(2.0), model_c)
-        s_51 = carrier.carrier_strength(5.1, model_c)
-        ok = abs(s_crit - 0.5) <= 1e-12 and abs(s_51 - 0.0149) <= 0.0005 and s_51 < 0.02
-        return ok, f"S(lambda_c) = {s_crit}, S(5.1 um) = {s_51:.4f} (target 0.5 exactly, 0.0149 +- 0.0005, < 0.02)"
-
-    check("carrier strength model", c_carrier)
-
-    def c_resolution():
-        r = carrier.resolution(58605052164.255, 0.195)
-        return r >= 3.0e11, f"{r:.3e} (target >= 3.0e11)"
-
-    check("line resolution at 0.195 kHz FWHM", c_resolution)
-
-    def c_demo_fit():
-        records = lineshape.read_decay_csv(bundled.data_path("line12_depletion.csv"))
-        fit = lineshape.fit_lorentzian(lineshape.build_spectrum(records))
-        ok = fit.converged and abs(fit.center - 0.037) < 0.05 and abs(fit.fwhm - 0.195) < 0.05
-        return ok, (
-            f"center {fit.center:+.4f} kHz, fwhm {fit.fwhm:.4f} kHz "
-            f"(synthetic demo data, truth 0.037 / 0.195; not a published number)"
-        )
-
-    check("demo depletion spectrum fit", c_demo_fit)
-
-    sets = _load(bundled.load_coefficients)
-    needs = (
-        "needs the evaluated hyperfine coefficients: data/hfs_coefficients.conf ships "
-        "as a template only (see README, 'Data sources')"
-    )
-    if sets is None:
-        skip("spin frequencies and uncertainties from evaluated coefficients", needs)
-        skip("Zeeman transition coefficients from evaluated coefficients", needs)
-    else:
-        def c_spin_freqs():
-            lower, upper = _transition_sets(sets)
-            table = angular.transition_table(lower, upper, bundled.TRANSITION_LEVELS)
-            results, ok = {}, True
-            for tid, f_target, u_target in (("12", -38686.1, 0.8), ("16", 2607.7, 0.9)):
-                lo, up = bundled.TRANSITION_LEVELS[tid]
-                f_spin = angular.spin_frequency((upper, up), (lower, lo))
-                u_spin = angular.spin_uncertainty(tid, table)
-                results[tid] = (f_spin, u_spin)
-                ok = ok and abs(f_spin - f_target) <= 0.5 and abs(u_spin - u_target) <= 0.1
-            wp = composite.optimize_weight(table, angular.SpinUncertaintyParams())
-            flat = [u for b, u in wp.profile if 0.2 <= b <= 0.8]
-            ok = ok and abs(wp.u_star - 0.85) <= 0.1 and max(flat) <= 1.1 * min(flat)
-            return ok, (
-                f"f_spin 12/16 = {results['12'][0]:.1f}/{results['16'][0]:.1f} kHz, "
-                f"u = {results['12'][1]:.2f}/{results['16'][1]:.2f} kHz, "
-                f"composite minimum {wp.u_star:.2f} kHz at b12 = {wp.b_star:.2f}"
-            )
-
-        check("spin frequencies and uncertainties from evaluated coefficients", c_spin_freqs)
-
-        def c_zeeman_coeffs():
-            lower, upper = _transition_sets(sets)
-            couplings = bundled.load_couplings()
-            msgs, ok = [], True
-            for tid, target in (("12", -2.9), ("16", -117.0)):
-                lo, up = bundled.TRANSITION_LEVELS[tid]
-                m = zeeman.transition_coeffs((lower, (*lo, 0)), (upper, (*up, 0)), couplings)
-                msgs.append(f"line {tid}: {m.quadratic:+.3g} kHz/G^2")
-                ok = ok and abs(m.quadratic - target) <= 0.05 * abs(target)
-            lo, up = bundled.TRANSITION_LEVELS["16"]
-            for sign in (+1, -1):
-                m = zeeman.transition_coeffs((lower, (*lo, sign * 2)), (upper, (*up, sign * 3)), couplings)
-                msgs.append(f"stretched m_F {sign * 2:+d} -> {sign * 3:+d}: {m.linear:+.3g} kHz/G")
-                ok = ok and abs(m.linear - (-sign * 0.55)) <= 0.05 * 0.55
-            return ok, "; ".join(msgs) + " (targets -2.9, -117 kHz/G^2, -+0.55 kHz/G, 5%)"
-
-        check("Zeeman transition coefficients from evaluated coefficients", c_zeeman_coeffs)
-
-    n_pass = sum(r["status"] == "pass" for r in rows)
-    n_fail = sum(r["status"] == "fail" for r in rows)
-    n_skip = sum(r["status"] == "skip" for r in rows)
+    n_pass, n_fail, n_skip = (sum(r["status"] == s for r in rows) for s in ("pass", "fail", "skip"))
     width = max(len(r["name"]) for r in rows)
     for r in rows:
         print(f"{r['status'].upper():4s}  {r['name']:{width}s}  {r['detail']}")

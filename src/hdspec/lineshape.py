@@ -242,15 +242,17 @@ def read_decay_csv(path: str | Path) -> list[DecayRecord]:
     """Read `detuning_khz, run_id, laser_on(0|1), depletion` rows."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                DecayRecord(
-                    detuning=float(row["detuning_khz"]),
-                    run_id=row["run_id"].strip(),
-                    laser_on=bool(int(row["laser_on"])),
-                    depletion=float(row["depletion"]),
-                )
-            )
+        reader = csv.DictReader(fh)
+        for row in reader:
+            detuning, depletion = float(row["detuning_khz"]), float(row["depletion"])
+            if not math.isfinite(detuning):
+                raise ValueError(f"{path}:{reader.line_num}: detuning_khz must be finite")
+            if not 0.0 <= depletion <= 1.0:  # NaN fails this too
+                raise ValueError(f"{path}:{reader.line_num}: depletion must be in [0, 1], got {depletion}")
+            laser_on = row["laser_on"].strip()
+            if laser_on not in ("0", "1"):
+                raise ValueError(f"{path}:{reader.line_num}: laser_on must be 0 or 1, got {laser_on!r}")
+            records.append(DecayRecord(detuning, row["run_id"].strip(), laser_on == "1", depletion))
     if not records:
         raise ValueError(f"{path}: no decay records")
     return records

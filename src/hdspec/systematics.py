@@ -195,11 +195,18 @@ def read_amplitude_csv(path: str | Path) -> list[tuple[float, Quantity]]:
     """Read `amplitude, f_khz, u_khz` extrapolation rows."""
     points = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
+            amplitude, f = float(row["amplitude"]), float(row["f_khz"])
+            if not (math.isfinite(amplitude) and math.isfinite(f)):
+                raise ValueError(f"{path}:{reader.line_num}: amplitude and f_khz must be finite")
             comp = {}
-            if row.get("u_khz", "").strip():
-                comp = {"exp": float(row["u_khz"])}
-            points.append((float(row["amplitude"]), Quantity(float(row["f_khz"]), "kHz", comp)))
+            if (row.get("u_khz") or "").strip():
+                u = float(row["u_khz"])
+                if not (math.isfinite(u) and u >= 0):
+                    raise ValueError(f"{path}:{reader.line_num}: u_khz must be finite and >= 0")
+                comp = {"exp": u}
+            points.append((amplitude, Quantity(f, "kHz", comp)))
     if not points:
         raise ValueError(f"{path}: no extrapolation points")
     return points

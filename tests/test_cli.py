@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -118,20 +119,42 @@ def test_nan_counter_row_is_one_line_error(tmp_path):
     assert not (tmp_path / "adev.json").exists()
 
 
-@pytest.mark.parametrize("column, value", [("f_khz", "nan"), ("B_gauss", "nan"), ("u_khz", "inf"), ("u_khz", "nan")])
-def test_non_finite_field_scan_row_is_one_line_config_error(tmp_path, column, value):
-    lines = bundled.data_path("line12_zeeman.csv").read_text().splitlines()
+BAD_CSV_CELLS = [
+    ("extrapolate-b", "line12_zeeman.csv", "f_khz", "nan"),
+    ("extrapolate-b", "line12_zeeman.csv", "B_gauss", "nan"),
+    ("extrapolate-b", "line12_zeeman.csv", "u_khz", "inf"),
+    ("extrapolate-b", "line12_zeeman.csv", "u_khz", "nan"),
+    ("extrapolate-rf --nominal-amplitude 1.0", "line12_rf.csv", "amplitude", "nan"),
+    ("extrapolate-rf --nominal-amplitude 1.0", "line12_rf.csv", "f_khz", "inf"),
+    ("extrapolate-rf --nominal-amplitude 1.0", "line12_rf.csv", "u_khz", "nan"),
+    ("extrapolate-rf --nominal-amplitude 1.0", "line12_rf.csv", "u_khz", "-1"),
+    ("fit-line", "line12_depletion.csv", "detuning_khz", "nan"),
+    ("fit-line", "line12_depletion.csv", "depletion", "nan"),
+    ("fit-line", "line12_depletion.csv", "depletion", "1.5"),
+    ("fit-line", "line12_depletion.csv", "laser_on", "2"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, data, column, value",
+    BAD_CSV_CELLS,
+    ids=[f"{c}-{v}" if cmd == "extrapolate-b" else f"{cmd.split()[0]}-{c}-{v}" for cmd, _, c, v in BAD_CSV_CELLS],
+)
+def test_non_finite_field_scan_row_is_one_line_config_error(tmp_path, command, data, column, value):
+    """One bad cell in a bundled input CSV (field scan, RF scan, depletion log) is rejected at the read."""
+    lines = bundled.data_path(data).read_text().splitlines()
     header = lines[0].split(",")
     cells = lines[2].split(",")
     cells[header.index(column)] = value
     lines[2] = ",".join(cells)
-    scan = tmp_path / "field.csv"
-    scan.write_text("\n".join(lines) + "\n")
-    proc = run_python("-m", "hdspec.cli", "extrapolate-b", "--input", str(scan), "--out-dir", str(tmp_path))
+    edited = tmp_path / data
+    edited.write_text("\n".join(lines) + "\n")
+    argv = command.split()
+    proc = run_python("-m", "hdspec.cli", *argv, "--input", str(edited), "--out-dir", str(tmp_path))
     assert_one_line_error(proc)
     assert proc.returncode == 2
-    assert proc.stderr.startswith(f"config error: {scan}:3:")
-    assert not (tmp_path / "extrapolate_b.json").exists()
+    assert proc.stderr.startswith(f"config error: {edited}:3:")
+    assert not (tmp_path / f"{argv[0].replace('-', '_')}.json").exists()
 
 
 def test_zeeman_map_on_coarse_grid(tmp_path):
@@ -320,6 +343,18 @@ def test_carrier_point_and_sweep(tmp_path):
     assert (tmp_path / "carrier_sweep.csv").exists()
 
 
+def assert_status_follows_checks(rows):
+    """Each evaluated row carries finite numeric checks, and its status follows from them alone."""
+    for row in rows:
+        if row["status"] == "skip":
+            continue
+        assert row["checks"], row["name"]
+        for c in row["checks"]:
+            assert all(type(c[k]) is float and math.isfinite(c[k]) for k in ("value", "target", "tol")), c
+        ok = all(abs(c["value"] - c["target"]) <= c["tol"] for c in row["checks"])
+        assert row["status"] == ("pass" if ok else "fail"), row["name"]
+
+
 def test_reproduce_paper_passes_with_two_skips(tmp_path, capsys):
     assert run(tmp_path, "reproduce-paper") == 0
     payload = load_json(tmp_path, "reproduce_paper")
@@ -327,6 +362,19 @@ def test_reproduce_paper_passes_with_two_skips(tmp_path, capsys):
     assert statuses.count("fail") == 0
     expected_skips = 0 if bundled.load_coefficients() is not None else 2
     assert statuses.count("skip") == expected_skips
-    assert statuses.count("pass") >= 12
+    assert statuses.count("pass") == 15 - expected_skips
+    assert_status_follows_checks(payload["rows"])
     out = capsys.readouterr().out
     assert "0 failed" in out
+
+
+def test_reproduce_paper_evaluates_coefficient_anchors(tmp_path, monkeypatch):
+    # the demo coefficients are not the evaluated ones, so both anchors run and miss their targets
+    monkeypatch.setattr(bundled, "load_coefficients", bundled.load_demo_coefficients)
+    assert run(tmp_path, "reproduce-paper") == 1
+    rows = load_json(tmp_path, "reproduce_paper")["rows"]
+    assert_status_follows_checks(rows)
+    assert [r["status"] for r in rows] == ["pass"] * 13 + ["fail"] * 2
+    for row in rows[13:]:
+        assert row["checks"]
+        assert not row["detail"].startswith("error:")

@@ -215,7 +215,7 @@ def test_entry_bases_frozen():
 def test_amplitude_csv_roundtrip(tmp_path):
     path = tmp_path / "rf.csv"
     path.write_text(
-        "amplitude,f_khz,u_khz\n0.5,478.105,0.1667\n1.0,478.330,\n",
+        "amplitude,f_khz,u_khz\n0.5,478.105,0.1667\n1.0,478.330,\n1.5,478.705\n",
         encoding="utf-8",
     )
     points = read_amplitude_csv(path)
@@ -223,6 +223,7 @@ def test_amplitude_csv_roundtrip(tmp_path):
     assert points[0][1].value == 478.105
     assert points[0][1].component("exp") == 0.1667
     assert points[1][1].components == {}
+    assert points[2][1].components == {}
 
 
 def test_amplitude_csv_rejects_empty(tmp_path):
