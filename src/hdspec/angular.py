@@ -17,6 +17,7 @@ Coupled quantum numbers: G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -109,6 +110,11 @@ class ProductBasis:
             idx = idx * self._single[name].dim + i
         return idx
 
+    def _outer_dims(self, slot: str) -> tuple[int, int]:
+        """Dimensions of the slots before and after `slot`."""
+        pos = SLOT_NAMES.index(slot)
+        return int(np.prod(self.dims[:pos], initial=1)), int(np.prod(self.dims[pos + 1:], initial=1))
+
     def embed(self, op: np.ndarray, slot: str) -> np.ndarray:
         """Tensor-embed a single-slot operator, identity elsewhere."""
         pos = SLOT_NAMES.index(slot)
@@ -116,8 +122,7 @@ class ProductBasis:
             raise ValueError(
                 f"operator shape {op.shape} does not match slot {slot} dimension {self.dims[pos]}"
             )
-        pre = int(np.prod(self.dims[:pos], initial=1))
-        post = int(np.prod(self.dims[pos + 1:], initial=1))
+        pre, post = self._outer_dims(slot)
         return np.kron(np.kron(np.eye(pre), op), np.eye(post))
 
     def triple(self, slot: str) -> Triple:
@@ -135,6 +140,11 @@ class ProductBasis:
         """Componentwise sum of slot momenta, e.g. G1 = s_e + I_p."""
         zs, ps, ms = zip(*(self.triple(s) for s in slots))
         return sum(zs), sum(ps), sum(ms)
+
+    def m_values(self, slot: str) -> np.ndarray:
+        """Diagonal of the embedded J_z of one slot, as a vector."""
+        pre, post = self._outer_dims(slot)
+        return np.kron(np.kron(np.ones(pre), np.diag(self._single[slot].jz)), np.ones(post))
 
     def f_z(self) -> np.ndarray:
         return self.combined_triple(SLOT_NAMES)[0]
@@ -226,11 +236,13 @@ class HyperfineCoefficients:
     eps_overrides: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for k in self.values:
+        for k, e in self.values.items():
             if k not in COEFF_INDICES:
                 raise ValueError(f"coefficient index must be 1..9, got {k}")
+            if not math.isfinite(e):
+                raise ValueError(f"coefficient E{k} must be finite, got {e}")
         for k, eps in self.eps_overrides.items():
-            if k not in COEFF_INDICES or eps <= 0:
+            if k not in COEFF_INDICES or not (math.isfinite(eps) and eps > 0):
                 raise ValueError(f"bad fractional-uncertainty override eps_E{k} = {eps}")
         if self.n_rot == 0:
             bad = [k for k in ROTATIONAL_COEFFS if self.values.get(k, 0.0) != 0.0]
@@ -243,12 +255,16 @@ class HyperfineCoefficients:
         return self.values.get(k, 0.0)
 
 
-def build_hfs(coeffs: HyperfineCoefficients, basis: ProductBasis) -> np.ndarray:
-    """Assemble the effective spin Hamiltonian (kHz) on the product basis."""
+def _check_basis(coeffs: HyperfineCoefficients, basis: ProductBasis) -> None:
     if coeffs.n_rot != basis.n_rot:
         raise ValueError(
             f"coefficient set is for N={coeffs.n_rot}, basis has N={basis.n_rot}"
         )
+
+
+def build_hfs(coeffs: HyperfineCoefficients, basis: ProductBasis) -> np.ndarray:
+    """Assemble the effective spin Hamiltonian (kHz) on the product basis."""
+    _check_basis(coeffs, basis)
     h = np.zeros((basis.dim, basis.dim))
     for k in COEFF_INDICES:
         e = coeffs.coefficient(k)
@@ -371,15 +387,66 @@ def eigenlevels(h: np.ndarray, basis: ProductBasis, v: int | None = None) -> lis
     return levels
 
 
-def level_structure(coeffs: HyperfineCoefficients, basis: ProductBasis) -> list[SpinLevel]:
-    return eigenlevels(build_hfs(coeffs, basis), basis, v=coeffs.v)
-
-
 def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> SpinLevel:
     matches = [lv for lv in levels if lv.label == tuple(label)]
     if len(matches) != 1:
         raise LookupError(f"label {tuple(label)} resolves to {len(matches)} levels")
     return matches[0]
+
+
+# ---------------------------------------------------------------------------
+# level sets, solved once per coefficient content
+
+
+class _LevelSet:
+    """The Hamiltonian and labelled levels of one coefficient set.
+
+    H and every level's vectors are read-only, because one instance is
+    shared by every caller that asks for the same coefficients.  The
+    sensitivities gamma_k of all levels are computed on first use; the
+    term operators they need are built then and not kept.
+    """
+
+    def __init__(self, coeffs: HyperfineCoefficients):
+        basis = ProductBasis(coeffs.n_rot)
+        self.n_rot = coeffs.n_rot
+        self.h = build_hfs(coeffs, basis)
+        self.h.flags.writeable = False
+        self.levels = tuple(eigenlevels(self.h, basis, v=coeffs.v))
+        for lv in self.levels:
+            lv.vectors.flags.writeable = False
+        self._gammas: dict | None = None
+
+    def sensitivities(self, label: tuple[int, int, int]) -> dict[int, float]:
+        level = find_level(self.levels, label)
+        if self._gammas is None:
+            basis = ProductBasis(self.n_rot)
+            ops = {k: term_operator(k, basis) for k in COEFF_INDICES}
+            self._gammas = {
+                lv.label: {k: float(np.trace(lv.vectors.T @ op @ lv.vectors)) / lv.degeneracy
+                           for k, op in ops.items()}
+                for lv in self.levels
+            }
+        return dict(self._gammas[level.label])
+
+
+def _level_set(coeffs: HyperfineCoefficients) -> _LevelSet:
+    """The cached level set of `coeffs`, keyed by (v, N, E1..E9).
+
+    ``eps_overrides`` do not move the levels and are not part of the key.
+    """
+    return _solve(coeffs.v, coeffs.n_rot, *(float(coeffs.coefficient(k)) for k in COEFF_INDICES))
+
+
+@functools.lru_cache(maxsize=16)
+def _solve(v: int, n_rot: int, *values: float) -> _LevelSet:
+    return _LevelSet(HyperfineCoefficients(v, n_rot, dict(zip(COEFF_INDICES, values))))
+
+
+def level_structure(coeffs: HyperfineCoefficients, basis: ProductBasis) -> list[SpinLevel]:
+    """Labelled levels of `coeffs`, solved once per coefficient content (read-only vectors)."""
+    _check_basis(coeffs, basis)
+    return list(_level_set(coeffs).levels)
 
 
 def spin_frequency(
@@ -395,7 +462,7 @@ def spin_frequency(
     """
     energies = []
     for coeffs, label in (upper, lower):
-        levels = level_structure(coeffs, ProductBasis(coeffs.n_rot))
+        levels = _level_set(coeffs).levels
         origin = sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
         energies.append(find_level(levels, label).energy - origin)
     return energies[0] - energies[1]
@@ -413,12 +480,8 @@ def sensitivities(
     For a degenerate multiplet the eigenspace-averaged expectation value
     is used, which equals the derivative of the multiplet mean.
     """
-    level = find_level(level_structure(coeffs, basis), label)
-    out = {}
-    for k in COEFF_INDICES:
-        op = term_operator(k, basis)
-        out[k] = float(np.trace(level.vectors.T @ op @ level.vectors)) / level.degeneracy
-    return out
+    _check_basis(coeffs, basis)
+    return _level_set(coeffs).sensitivities(label)
 
 
 def sensitivities_fd(
@@ -434,7 +497,9 @@ def sensitivities_fd(
     eigensolver's backward error (eps times the matrix norm) stays well
     below the difference quotient. Levels are re-identified by label
     after each perturbation; a label that fails to resolve (level
-    crossing at the perturbed point) raises TrackingError.
+    crossing at the perturbed point) raises TrackingError.  The
+    perturbed sets are solved directly, past the level-set cache, so
+    they do not push useful entries out of it.
     """
     if ks is None:
         ks = CONTACT_COEFFS if basis.n_rot == 0 else COEFF_INDICES
@@ -447,7 +512,7 @@ def sensitivities_fd(
             values[k] = values.get(k, 0.0) + sign * h
             perturbed = HyperfineCoefficients(coeffs.v, coeffs.n_rot, values, coeffs.eps_overrides)
             try:
-                level = find_level(level_structure(perturbed, basis), label)
+                level = find_level(eigenlevels(build_hfs(perturbed, basis), basis), label)
             except LookupError as exc:
                 raise TrackingError(f"level {label} lost while perturbing E{k}") from exc
             energies.append(level.energy)
@@ -507,14 +572,10 @@ def transition_table(
     transitions: Mapping[str, tuple[tuple[int, int, int], tuple[int, int, int]]],
 ) -> SensitivityTable:
     """Build sensitivity rows for (lower_label, upper_label) pairs."""
-    lower_basis, upper_basis = ProductBasis(lower_coeffs.n_rot), ProductBasis(upper_coeffs.n_rot)
+    lower, upper = _level_set(lower_coeffs), _level_set(upper_coeffs)
     rows = {}
     for name, (lo_label, up_label) in transitions.items():
-        rows[name] = TransitionSensitivities(
-            name,
-            sensitivities(lower_coeffs, lower_basis, lo_label),
-            sensitivities(upper_coeffs, upper_basis, up_label),
-        )
+        rows[name] = TransitionSensitivities(name, lower.sensitivities(lo_label), upper.sensitivities(up_label))
     return SensitivityTable(lower_coeffs, upper_coeffs, rows)
 
 
@@ -605,10 +666,14 @@ def read_coefficient_file(path: str | Path) -> dict[tuple[int, int], HyperfineCo
         if key in _VALUE_KEYS:
             if _VALUE_KEYS[key] in values:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key}")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: {key} must be finite, got {text!r}")
             values[_VALUE_KEYS[key]] = value
         elif key in _EPS_KEYS:
             if _EPS_KEYS[key] in eps:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{path}:{lineno}: {key} must be finite and positive, got {text!r}")
             eps[_EPS_KEYS[key]] = value
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")

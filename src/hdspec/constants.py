@@ -301,15 +301,20 @@ def read_contribution_csv(path: str | Path) -> ContributionTable:
     """Read `name, value_khz, u_khz, bookkeeping(0|1)` rows, order kept."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                Contribution(
-                    name=row["name"].strip(),
-                    value=float(row["value_khz"]),
-                    uncertainty=float(row["u_khz"]) if row.get("u_khz", "").strip() else 0.0,
-                    bookkeeping=bool(int(row["bookkeeping"])),
-                )
-            )
+        reader = csv.DictReader(fh)
+        for row in reader:
+            value = float(row["value_khz"])
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{reader.line_num}: value_khz must be finite")
+            u = 0.0
+            if (row.get("u_khz") or "").strip():
+                u = float(row["u_khz"])
+                if not (math.isfinite(u) and u >= 0):
+                    raise ValueError(f"{path}:{reader.line_num}: u_khz must be finite and >= 0")
+            bookkeeping = (row["bookkeeping"] or "").strip()
+            if bookkeeping not in ("0", "1"):
+                raise ValueError(f"{path}:{reader.line_num}: bookkeeping must be 0 or 1, got {bookkeeping!r}")
+            rows.append(Contribution(row["name"].strip(), value, u, bookkeeping == "1"))
     if not rows:
         raise ValueError(f"{path}: empty contribution table")
     return ContributionTable(tuple(rows))

@@ -21,12 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import (
-    HyperfineCoefficients,
-    ProductBasis,
-    build_hfs,
-    eigenlevels,
-)
+from .angular import SLOT_NAMES, HyperfineCoefficients, ProductBasis, _check_basis, _level_set
 from .quantity import Quantity
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
@@ -65,15 +60,19 @@ def read_couplings_file(path: str | Path) -> ZeemanCouplings:
     return ZeemanCouplings(found["c_e"], found["c_p"], found["c_d"], found["c_N"])
 
 
+def _zeeman_diagonal(couplings: ZeemanCouplings, basis: ProductBasis) -> np.ndarray:
+    """Diagonal of H_Z at 1 G (kHz), as a vector: H_Z is diagonal in the product basis."""
+    return (
+        couplings.c_e * basis.m_values("s_e")
+        + couplings.c_p * basis.m_values("I_p")
+        + couplings.c_d * basis.m_values("I_d")
+        + couplings.c_n * basis.m_values("N")
+    )
+
+
 def build_zeeman(couplings: ZeemanCouplings, basis: ProductBasis, b_field: float) -> np.ndarray:
     """Zeeman Hamiltonian (kHz) at field b_field in gauss."""
-    terms = (
-        couplings.c_e * basis.triple("s_e")[0]
-        + couplings.c_p * basis.triple("I_p")[0]
-        + couplings.c_d * basis.triple("I_d")[0]
-        + couplings.c_n * basis.triple("N")[0]
-    )
-    return b_field * terms
+    return np.diag(b_field * _zeeman_diagonal(couplings, basis))
 
 
 @dataclass(frozen=True)
@@ -128,15 +127,16 @@ def zeeman_map(
     if b_values[0] < 0:
         raise ValueError("b_values must be non-negative")
 
-    h0 = build_hfs(coeffs, basis)
-    levels = eigenlevels(h0, basis)
+    _check_basis(coeffs, basis)
+    level_set = _level_set(coeffs)
+    h0, levels = level_set.h, level_set.levels
     if any(level.label is None for level in levels):
         raise ValueError("Zeeman mapping needs fully labeled field-free levels")
     labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
     index = {label: i for i, label in enumerate(labels)}
 
-    m_f = np.rint(np.diag(basis.f_z())).astype(int)
-    z = np.diag(build_zeeman(couplings, basis, 1.0))
+    m_f = np.rint(sum(basis.m_values(slot) for slot in SLOT_NAMES)).astype(int)
+    z = _zeeman_diagonal(couplings, basis)
     energies = np.empty((len(labels), len(b_values)))
     for m in np.unique(m_f):
         block = np.flatnonzero(m_f == m)

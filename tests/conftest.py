@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -30,3 +31,18 @@ def demo_sets():
 @pytest.fixture(scope="session")
 def demo_table(demo_sets):
     return angular.transition_table(demo_sets[(0, 0)], demo_sets[(1, 1)], bundled.TRANSITION_LEVELS)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Dimensions of the matrices passed to numpy.linalg.eigh, with the level-set cache emptied first."""
+    angular._solve.cache_clear()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls

@@ -32,6 +32,7 @@ from hdspec.angular import (
     term_operator,
     transition_table,
 )
+from hdspec.zeeman import transition_coeffs
 
 coeff_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -330,6 +331,89 @@ def test_hellmann_feynman_vs_finite_differences(basis0, basis1, demo_sets):
 
 
 # ---------------------------------------------------------------------------
+# level sets: one solve per coefficient content
+
+
+def scaled(coeffs, factor, eps_overrides=None):
+    values = {k: e * factor for k, e in coeffs.values.items()}
+    return HyperfineCoefficients(coeffs.v, coeffs.n_rot, values, eps_overrides or {})
+
+
+def test_spin_mc_style_draw_solves_each_hamiltonian_once(eigh_calls, demo_sets):
+    lower, upper = scaled(demo_sets[(0, 0)], 1.01), scaled(demo_sets[(1, 1)], 0.99)
+    lines = bundled.TRANSITION_LEVELS
+    level_structure(lower, ProductBasis(0))
+    level_structure(upper, ProductBasis(1))
+    transition_table(lower, upper, lines)
+    for tid in ("12", "16"):
+        spin_frequency((upper, lines[tid][1]), (lower, lines[tid][0]))
+    for lower_mf, upper_mf in ((0, 0), (2, 3), (-2, -3)):
+        transition_coeffs((lower, (1, 2, 2, lower_mf)), (upper, (1, 2, 3, upper_mf)))
+    assert eigh_calls == [12, 36]
+
+
+def test_changed_coefficient_gives_fresh_solve(eigh_calls, demo_sets, basis1):
+    coeffs = scaled(demo_sets[(1, 1)], 1.0)
+    before = [lv.energy for lv in level_structure(coeffs, basis1)]
+    # eps_overrides do not move the levels, so they share the solve
+    level_structure(scaled(coeffs, 1.0, {1: 1e-3}), basis1)
+    assert eigh_calls == [36]
+    coeffs.values[4] *= 1.001
+    after = [lv.energy for lv in level_structure(coeffs, basis1)]
+    assert eigh_calls == [36, 36]
+    assert after != before
+    assert after == [lv.energy for lv in eigenlevels(build_hfs(coeffs, basis1), basis1)]
+
+
+def test_cached_level_set_is_read_only(demo_sets, basis1):
+    coeffs = demo_sets[(1, 1)]
+    level = level_structure(coeffs, basis1)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        level.vectors[0, 0] = 1.0
+    h = angular._level_set(coeffs).h
+    assert not h.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        h[0, 0] = 1.0
+
+
+def test_level_set_cache_is_bounded(demo_sets, basis0):
+    angular._solve.cache_clear()
+    for i in range(20):
+        level_structure(scaled(demo_sets[(0, 0)], 1.0 + i / 100), basis0)
+    assert angular._solve.cache_info().currsize == 16
+
+
+def test_cached_sensitivities_equal_the_direct_trace(demo_sets):
+    angular._solve.cache_clear()
+    for coeffs in demo_sets.values():
+        basis = ProductBasis(coeffs.n_rot)
+        for lv in eigenlevels(build_hfs(coeffs, basis), basis, v=coeffs.v):
+            want = {
+                k: float(np.trace(lv.vectors.T @ term_operator(k, basis) @ lv.vectors)) / lv.degeneracy
+                for k in angular.COEFF_INDICES
+            }
+            got = sensitivities(coeffs, basis, lv.label)
+            assert {k: repr(g) for k, g in got.items()} == {k: repr(g) for k, g in want.items()}
+
+
+def test_sensitivities_fd_bypasses_the_cache(demo_sets, basis1):
+    angular._solve.cache_clear()
+    coeffs = demo_sets[(1, 1)]
+    sensitivities(coeffs, basis1, (1, 2, 3))
+    before = angular._solve.cache_info()
+    sensitivities_fd(coeffs, basis1, (1, 2, 3), ks=(1, 4))
+    after = angular._solve.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses) == (1, 1)
+
+
+@pytest.mark.parametrize("n_rot", [0, 1, 3])
+def test_m_values_are_the_embedded_jz_diagonal(n_rot):
+    basis = ProductBasis(n_rot)
+    for slot in angular.SLOT_NAMES:
+        assert np.array_equal(basis.m_values(slot), np.diag(basis.triple(slot)[0]))
+
+
+# ---------------------------------------------------------------------------
 # spin-theory uncertainty model
 
 
@@ -427,6 +511,30 @@ def test_coefficient_file_errors(tmp_path):
     stray.write_text("E4 = 1.0\n")
     with pytest.raises(ValueError):
         read_coefficient_file(stray)
+
+
+@pytest.mark.parametrize(
+    "line, msg",
+    [
+        ("E5 = inf", "E5 must be finite"),
+        ("E5 = nan", "E5 must be finite"),
+        ("eps_E4 = 0", "eps_E4 must be finite and positive"),
+        ("eps_E4 = -1e-6", "eps_E4 must be finite and positive"),
+        ("eps_E4 = nan", "eps_E4 must be finite and positive"),
+        ("eps_E4 = inf", "eps_E4 must be finite and positive"),
+    ],
+)
+def test_coefficient_file_rejects_non_finite_values(tmp_path, line, msg):
+    path = tmp_path / "c.conf"
+    path.write_text(f"[v=0,N=0]\n{line}\nE4 = 1.0\nE5 = 2.0\n")
+    with pytest.raises(ValueError, match=f"c.conf:2: {msg}"):
+        read_coefficient_file(path)
+
+
+@pytest.mark.parametrize("values, eps", [({4: math.inf, 5: 1.0}, {}), ({4: 1.0, 5: math.nan}, {}), ({4: 1.0, 5: 1.0}, {4: math.nan})])
+def test_coefficients_must_be_finite(values, eps):
+    with pytest.raises(ValueError):
+        HyperfineCoefficients(0, 0, values, eps)
 
 
 def test_template_parses_to_empty(tmp_path):

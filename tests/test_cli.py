@@ -157,6 +157,24 @@ def test_non_finite_field_scan_row_is_one_line_config_error(tmp_path, command, d
     assert not (tmp_path / f"{argv[0].replace('-', '_')}.json").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_coefficient_is_one_line_config_error(tmp_path, value):
+    lines = bundled.data_path("demo_coefficients.conf").read_text().splitlines()
+    assert lines[15] == "E4 = 900000.0"
+    lines[15] = f"E4 = {value}"
+    edited = tmp_path / "coefficients.conf"
+    edited.write_text("\n".join(lines) + "\n")
+    proc = run_python("-m", "hdspec.cli", "spin-structure", "--coefficients", str(edited), "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {edited}:16: E4 must be finite")
+
+
+def test_spin_structure_demo_solves_each_hamiltonian_once(tmp_path, eigh_calls):
+    assert run(tmp_path, "spin-structure", "--demo") == 0
+    assert eigh_calls == [12, 36]
+
+
 def test_zeeman_map_on_coarse_grid(tmp_path):
     grid = ",".join(str(5 * i) for i in range(41))
     assert run(tmp_path, "zeeman-map", "--demo", "--b-values", grid) == 0

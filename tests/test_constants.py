@@ -292,6 +292,27 @@ def test_contribution_csv_roundtrip(tmp_path):
     assert table.rows[1] == Contribution("proton size", -17.17, 0.0, True)
 
 
+@pytest.mark.parametrize(
+    "row, msg",
+    [
+        ("x,nan,0.1,0", "value_khz must be finite"),
+        ("x,inf,0.1,0", "value_khz must be finite"),
+        ("x,1.0,nan,0", "u_khz must be finite and >= 0"),
+        ("x,1.0,inf,0", "u_khz must be finite and >= 0"),
+        ("x,1.0,-0.1,0", "u_khz must be finite and >= 0"),
+        ("x,1.0,0.1,2", "bookkeeping must be 0 or 1"),
+        ("x,1.0,0.1,-1", "bookkeeping must be 0 or 1"),
+        ("x,1.0,0.1,", "bookkeeping must be 0 or 1"),
+        ("x,1.0,0.1", "bookkeeping must be 0 or 1"),
+    ],
+)
+def test_contribution_csv_rejects_bad_cells(tmp_path, row, msg):
+    path = tmp_path / "t.csv"
+    path.write_text(f"name,value_khz,u_khz,bookkeeping\nalpha^0,100.0,1.3,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"t.csv:3: {msg}"):
+        read_contribution_csv(path)
+
+
 def test_contribution_csv_rejects_empty(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("name,value_khz,u_khz,bookkeeping\n", encoding="utf-8")

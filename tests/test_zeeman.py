@@ -57,6 +57,17 @@ def test_zero_field_column_is_exactly_field_free(basis0, demo_sets):
         assert st_.energies[0] == lv.energy
 
 
+def test_build_zeeman_matches_embedded_projections(basis1):
+    cpl = ZeemanCouplings()
+    dense = 0.3 * (
+        cpl.c_e * basis1.triple("s_e")[0]
+        + cpl.c_p * basis1.triple("I_p")[0]
+        + cpl.c_d * basis1.triple("I_d")[0]
+        + cpl.c_n * basis1.triple("N")[0]
+    )
+    assert np.array_equal(build_zeeman(cpl, basis1, 0.3), dense)
+
+
 def test_stretched_state_is_exactly_linear(basis1, demo_sets):
     cpl = ZeemanCouplings()
     zmap = zeeman_map(demo_sets[(1, 1)], cpl, basis1, (0.0, 0.25, 0.5, 0.75, 1.0))
