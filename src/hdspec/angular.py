@@ -443,10 +443,20 @@ def _solve(v: int, n_rot: int, *values: float) -> _LevelSet:
     return _LevelSet(HyperfineCoefficients(v, n_rot, dict(zip(COEFF_INDICES, values))))
 
 
-def level_structure(coeffs: HyperfineCoefficients, basis: ProductBasis) -> list[SpinLevel]:
-    """Labelled levels of `coeffs`, solved once per coefficient content (read-only vectors)."""
+def solved(coeffs: HyperfineCoefficients, basis: ProductBasis) -> tuple[np.ndarray, tuple[SpinLevel, ...]]:
+    """The Hamiltonian and labelled levels of `coeffs`, solved once per coefficient content.
+
+    Both are shared with every other caller and read-only.  `basis` is
+    only checked against N; the level set builds its own.
+    """
     _check_basis(coeffs, basis)
-    return list(_level_set(coeffs).levels)
+    level_set = _level_set(coeffs)
+    return level_set.h, level_set.levels
+
+
+def level_structure(coeffs: HyperfineCoefficients, basis: ProductBasis) -> list[SpinLevel]:
+    """Labelled levels of `coeffs` (read-only vectors); see :func:`solved`."""
+    return list(solved(coeffs, basis)[1])
 
 
 def spin_frequency(
@@ -478,7 +488,9 @@ def sensitivities(
     """gamma_k = dE_level/dE_k by the Hellmann-Feynman identity.
 
     For a degenerate multiplet the eigenspace-averaged expectation value
-    is used, which equals the derivative of the multiplet mean.
+    is used, which equals the derivative of the multiplet mean.  `basis`
+    is only checked against N; the values come from the level set of
+    `coeffs` (see :func:`solved`).
     """
     _check_basis(coeffs, basis)
     return _level_set(coeffs).sensitivities(label)

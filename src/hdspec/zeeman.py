@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import SLOT_NAMES, HyperfineCoefficients, ProductBasis, _check_basis, _level_set
+from .angular import SLOT_NAMES, HyperfineCoefficients, ProductBasis, solved
 from .quantity import Quantity
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
@@ -127,9 +127,7 @@ def zeeman_map(
     if b_values[0] < 0:
         raise ValueError("b_values must be non-negative")
 
-    _check_basis(coeffs, basis)
-    level_set = _level_set(coeffs)
-    h0, levels = level_set.h, level_set.levels
+    h0, levels = solved(coeffs, basis)
     if any(level.label is None for level in levels):
         raise ValueError("Zeeman mapping needs fully labeled field-free levels")
     labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]

@@ -370,7 +370,8 @@ def test_cached_level_set_is_read_only(demo_sets, basis1):
     level = level_structure(coeffs, basis1)[0]
     with pytest.raises(ValueError, match="read-only"):
         level.vectors[0, 0] = 1.0
-    h = angular._level_set(coeffs).h
+    h, levels = angular.solved(coeffs, basis1)
+    assert all(not lv.vectors.flags.writeable for lv in levels)
     assert not h.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         h[0, 0] = 1.0
