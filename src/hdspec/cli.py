@@ -2,7 +2,8 @@
 
 Every command writes a deterministic JSON report into --out-dir (sorted
 keys, shortest-roundtrip floats, so reruns on identical inputs are
-byte-identical), plus CSV tables for anything meant to be plotted.
+byte-identical), plus CSV tables for anything meant to be plotted.  Each
+report is rendered whole and published as a new file by `_publish`.
 
 Exit codes: 0 success, 1 data error (a computation failed on inputs
 that parsed fine), 2 configuration error (bad flags, missing or invalid
@@ -13,10 +14,13 @@ computation starts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -62,28 +66,44 @@ def _run(fn, *args, **kwargs):
 # output helpers
 
 
+def _publish(path: Path, text: str) -> Path:
+    """Write a fully rendered report to `path` as a new file.
+
+    The text goes to a temp file next to `path`; the old report is then
+    unlinked and the temp file renamed onto the free name.  Nothing is
+    truncated in place (a rerun never stalls on writeback of the report it
+    replaces, and a failed write leaves the old report whole), and a
+    symlink at `path` is replaced, not followed.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "x", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        path.unlink(missing_ok=True)  # first: renaming onto an existing name stalls like a truncate
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigFailure(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {path}")
+    return path
+
+
 def _write_json(out_dir: Path, stem: str, payload: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}.json"
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:  # a NaN or infinity reached the report
         raise DataFailure(f"{stem} report: {exc}") from exc
-    path.write_text(text + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-    return path
+    return _publish(out_dir / f"{stem}.json", text + "\n")
 
 
-def _write_csv(out_dir: Path, stem: str, header: list[str], rows: list[list]) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row])
-    print(f"wrote {path}")
-    return path
+def _write_csv(out_dir: Path, stem: str, header: list[str], rows: list) -> Path:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row] for row in rows)
+    return _publish(out_dir / f"{stem}.csv", buf.getvalue())
 
 
 def _quantity_dict(q: Quantity) -> dict:
@@ -313,11 +333,12 @@ def _cmd_extrapolate_b(args) -> int:
 def _cmd_fit_line(args) -> int:
     records = _load(lineshape.read_decay_csv, args.input)
     points = _run(lineshape.build_spectrum, records)
-    out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    spectrum_path = out_dir / "fit_line_spectrum.csv"
-    lineshape.write_spectrum_csv(points, spectrum_path)
-    print(f"wrote {spectrum_path}")
+    _write_csv(
+        args.out_dir,
+        "fit_line_spectrum",
+        ["detuning_khz", "signal", "sem"],
+        [[pt.detuning, pt.signal, pt.sem] for pt in points],  # a missing sem is an empty cell
+    )
 
     fit = _run(lineshape.fit_lorentzian, points)
     payload = {"n_records": len(records), "n_points": len(points), "fit": lineshape.fit_report(fit)}
@@ -518,10 +539,7 @@ def _cmd_adev(args) -> int:
     for t, a, *_ in rows:
         print(f"tau = {t:8g} s  adev = {a:.3e}")
     _write_json(args.out_dir, "adev", payload)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    adev_path = args.out_dir / "adev.csv"
-    metrology.write_adev_csv(rows, adev_path)
-    print(f"wrote {adev_path}")
+    _write_csv(args.out_dir, "adev", ["tau_s", "adev", "ci_low", "ci_high"], rows)
     return 0
 
 

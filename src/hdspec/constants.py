@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .quantity import Quantity
+from .quantity import Quantity, parse_field
 
 MANDATORY_CONTRIBUTIONS = (
     "alpha^0",
@@ -303,12 +303,12 @@ def read_contribution_csv(path: str | Path) -> ContributionTable:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            value = float(row["value_khz"])
+            value = parse_field(row["value_khz"], path, reader.line_num, "value_khz")
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{reader.line_num}: value_khz must be finite")
             u = 0.0
             if (row.get("u_khz") or "").strip():
-                u = float(row["u_khz"])
+                u = parse_field(row["u_khz"], path, reader.line_num, "u_khz")
                 if not (math.isfinite(u) and u >= 0):
                     raise ValueError(f"{path}:{reader.line_num}: u_khz must be finite and >= 0")
             bookkeeping = (row["bookkeeping"] or "").strip()

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantity import Quantity
+from .quantity import Quantity, parse_field
 
 
 class FitError(RuntimeError):
@@ -244,7 +244,8 @@ def read_decay_csv(path: str | Path) -> list[DecayRecord]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            detuning, depletion = float(row["detuning_khz"]), float(row["depletion"])
+            detuning = parse_field(row["detuning_khz"], path, reader.line_num, "detuning_khz")
+            depletion = parse_field(row["depletion"], path, reader.line_num, "depletion")
             if not math.isfinite(detuning):
                 raise ValueError(f"{path}:{reader.line_num}: detuning_khz must be finite")
             if not 0.0 <= depletion <= 1.0:  # NaN fails this too
@@ -256,14 +257,6 @@ def read_decay_csv(path: str | Path) -> list[DecayRecord]:
     if not records:
         raise ValueError(f"{path}: no decay records")
     return records
-
-
-def write_spectrum_csv(points: Sequence[SpectrumPoint], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detuning_khz", "signal", "sem"])
-        for pt in points:
-            writer.writerow([repr(pt.detuning), repr(pt.signal), "" if pt.sem is None else repr(pt.sem)])
 
 
 def fit_report(fit: LineFit) -> dict:

@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .quantity import parse_field
+
 
 @dataclass(frozen=True)
 class LaserLock:
@@ -156,8 +158,8 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            t.append(float(row["t_s"]))
-            f.append(float(row["f_hz"]))
+            t.append(parse_field(row["t_s"], path, reader.line_num, "t_s"))
+            f.append(parse_field(row["f_hz"], path, reader.line_num, "f_hz"))
             if not (math.isfinite(t[-1]) and math.isfinite(f[-1])):
                 raise ValueError(f"{path}:{reader.line_num}: t_s and f_hz must be finite")
     if len(t) < 2:
@@ -168,10 +170,3 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
         raise ValueError(f"{path}: sampling is not uniform")
     return FrequencyTimeSeries(tau0, np.asarray(f), carrier_hz=carrier_hz)
 
-
-def write_adev_csv(rows: Sequence[tuple[float, float, float, float]], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_s", "adev", "ci_low", "ci_high"])
-        for tau, adev, lo, hi in rows:
-            writer.writerow([repr(tau), repr(adev), repr(lo), repr(hi)])

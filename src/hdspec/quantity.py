@@ -130,3 +130,11 @@ def parenthetical(q: Quantity, digits: int = 2) -> str:
         f"({max(1, round(u * scale))})_{name}" for name, u in sorted(q.components.items())
     )
     return f"{q.value:.{decimals}f}{parts} {q.unit}"
+
+
+def parse_field(text: str | None, path, lineno: int, name: str) -> float:
+    """One numeric field of an input file; a missing or unparseable one names `path:line` and the field."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}:{lineno}: {name} has a bad numeric value {text!r}") from None

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantity import Quantity
+from .quantity import Quantity, parse_field
 
 ENTRY_BASES = ("measured-extrapolation", "theoretical-bound", "set-to-zero")
 
@@ -197,12 +197,13 @@ def read_amplitude_csv(path: str | Path) -> list[tuple[float, Quantity]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            amplitude, f = float(row["amplitude"]), float(row["f_khz"])
+            amplitude = parse_field(row["amplitude"], path, reader.line_num, "amplitude")
+            f = parse_field(row["f_khz"], path, reader.line_num, "f_khz")
             if not (math.isfinite(amplitude) and math.isfinite(f)):
                 raise ValueError(f"{path}:{reader.line_num}: amplitude and f_khz must be finite")
             comp = {}
             if (row.get("u_khz") or "").strip():
-                u = float(row["u_khz"])
+                u = parse_field(row["u_khz"], path, reader.line_num, "u_khz")
                 if not (math.isfinite(u) and u >= 0):
                     raise ValueError(f"{path}:{reader.line_num}: u_khz must be finite and >= 0")
                 comp = {"exp": u}

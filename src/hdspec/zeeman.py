@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .angular import SLOT_NAMES, HyperfineCoefficients, ProductBasis, solved
-from .quantity import Quantity
+from .quantity import Quantity, parse_field
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
@@ -53,7 +53,7 @@ def read_couplings_file(path: str | Path) -> ZeemanCouplings:
             raise ValueError(f"{path}:{lineno}: expected one of {sorted(DEFAULT_COUPLINGS)} = value")
         if key in found:
             raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-        found[key] = float(text)
+        found[key] = parse_field(text, path, lineno, key)
     missing = sorted(set(DEFAULT_COUPLINGS) - set(found))
     if missing:
         raise ValueError(f"{path}: missing coupling {missing[0]}")
@@ -248,9 +248,9 @@ def read_field_scan_csv(path: str | Path) -> tuple[list[float], list[float], lis
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            b.append(float(row["B_gauss"]))
-            f.append(float(row["f_khz"]))
-            u.append(float(row["u_khz"]))
+            b.append(parse_field(row["B_gauss"], path, reader.line_num, "B_gauss"))
+            f.append(parse_field(row["f_khz"], path, reader.line_num, "f_khz"))
+            u.append(parse_field(row["u_khz"], path, reader.line_num, "u_khz"))
             if not (math.isfinite(b[-1]) and math.isfinite(f[-1])):
                 raise ValueError(f"{path}:{reader.line_num}: B_gauss and f_khz must be finite")
             if not (math.isfinite(u[-1]) and u[-1] > 0):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hdspec
-from hdspec import bundled
+from hdspec import bundled, lineshape, metrology
 from hdspec.cli import main
 
 SRC = str(Path(hdspec.__file__).resolve().parents[1])
@@ -132,6 +133,10 @@ BAD_CSV_CELLS = [
     ("fit-line", "line12_depletion.csv", "depletion", "nan"),
     ("fit-line", "line12_depletion.csv", "depletion", "1.5"),
     ("fit-line", "line12_depletion.csv", "laser_on", "2"),
+    ("extrapolate-b", "line12_zeeman.csv", "f_khz", "abc"),
+    ("extrapolate-rf --nominal-amplitude 1.0", "line12_rf.csv", "amplitude", "abc"),
+    ("fit-line", "line12_depletion.csv", "depletion", "abc"),
+    ("adev", "demo_counter.csv", "f_hz", "abc"),
 ]
 
 
@@ -154,6 +159,8 @@ def test_non_finite_field_scan_row_is_one_line_config_error(tmp_path, command, d
     assert_one_line_error(proc)
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"config error: {edited}:3:")
+    if value == "abc":
+        assert proc.stderr.strip() == f"config error: {edited}:3: {column} has a bad numeric value 'abc'"
     assert not (tmp_path / f"{argv[0].replace('-', '_')}.json").exists()
 
 
@@ -188,6 +195,112 @@ def test_cli_import_does_not_load_scipy():
     proc = run_python("-c", "import sys, hdspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# --- report writer ------------------------------------------------------------
+
+
+def report_files(out_dir):
+    return {p.name: p for p in out_dir.iterdir()}
+
+
+def test_rerun_replaces_each_report_with_a_new_file(tmp_path, capsys):
+    argv = ("spin-structure", "--demo", "--format", "csv")
+    assert run(tmp_path, *argv) == 0
+    first = {name: (p.read_bytes(), p.stat().st_ino) for name, p in report_files(tmp_path).items()}
+    assert sorted(first) == ["spin_structure.csv", "spin_structure.json"]
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == 0
+    assert capsys.readouterr().out.count("wrote ") == 2
+    again = report_files(tmp_path)
+    assert sorted(again) == sorted(first)  # no temp file left behind
+    for name, (data, inode) in first.items():
+        assert again[name].read_bytes() == data
+        assert again[name].stat().st_ino != inode  # published anew, never truncated in place
+
+
+def test_failed_report_leaves_the_previous_one(tmp_path, monkeypatch, capsys):
+    args = ["dfg", "--f-rep-hz", "80e6", "--n1", "3521728", "--n2", "2789120", "--beat1-hz", "20e6", "--beat2-hz=-10e6"]
+    assert run(tmp_path, *args) == 0
+    before = (tmp_path / "dfg.json").read_bytes()
+    monkeypatch.setattr(metrology, "maser_correct", lambda f, offset: math.nan)
+    assert run(tmp_path, *args) == 1
+    assert capsys.readouterr().err.startswith("data error: dfg report:")
+    assert (tmp_path / "dfg.json").read_bytes() == before
+    assert list(report_files(tmp_path)) == ["dfg.json"]
+
+
+def test_report_mode_bits_match_a_first_time_report(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(first, "compare") == 0
+    assert run(again, "compare") == 0
+    assert run(again, "compare") == 0
+    plain = tmp_path / "plain.json"
+    plain.write_text("{}\n", encoding="utf-8")
+    for name in ("compare.json", "compare.csv"):
+        assert (again / name).stat().st_mode == (first / name).stat().st_mode == plain.stat().st_mode
+
+
+def test_symlink_at_a_report_path_is_replaced_not_followed(tmp_path):
+    target = tmp_path / "elsewhere.json"
+    target.write_text("keep\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "compare.json").symlink_to(target)
+    assert run(out, "compare") == 0
+    assert not (out / "compare.json").is_symlink()
+    assert target.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_out_dir_that_is_a_file_is_one_line_config_error(tmp_path):
+    not_a_dir = tmp_path / "reports"
+    not_a_dir.write_text("", encoding="utf-8")
+    proc = run_python("-m", "hdspec.cli", "compare", "--out-dir", str(not_a_dir))
+    assert_one_line_error(proc)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: cannot write {not_a_dir / 'compare.json'}:")
+    assert not_a_dir.read_text(encoding="utf-8") == ""
+
+
+def test_report_path_that_is_a_directory_is_one_line_config_error(tmp_path):
+    (tmp_path / "compare.json").mkdir()
+    proc = run_python("-m", "hdspec.cli", "compare", "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: cannot write {tmp_path / 'compare.json'}:")
+    assert sorted(report_files(tmp_path)) == ["compare.json"]  # no temp file left behind
+    assert (tmp_path / "compare.json").is_dir()
+
+
+def test_fit_line_spectrum_csv_roundtrips(tmp_path):
+    """The spectrum table holds every point of the fitted spectrum; a point without an sem has an empty cell."""
+    lines = bundled.data_path("line12_depletion.csv").read_text().splitlines()
+    lines += ["0.55,wing_on,1,0.0291", "0.55,wing_off,0,0.0188"]  # one record per class: no sem
+    scan = tmp_path / "depletion.csv"
+    scan.write_text("\n".join(lines) + "\n")
+    assert run(tmp_path, "fit-line", "--input", str(scan)) == 0
+    points = lineshape.build_spectrum(lineshape.read_decay_csv(scan))
+    with open(tmp_path / "fit_line_spectrum.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(points) == load_json(tmp_path, "fit_line")["n_points"]
+    for row, pt in zip(rows, points):
+        assert float(row["detuning_khz"]) == pt.detuning
+        assert float(row["signal"]) == pt.signal
+        assert row["sem"] == "" if pt.sem is None else float(row["sem"]) == pt.sem
+    assert rows[-1]["detuning_khz"] == "0.55"
+    assert rows[-1]["sem"] == ""
+
+
+def test_adev_csv_roundtrip(tmp_path):
+    src = bundled.data_path("demo_counter.csv")
+    assert run(tmp_path, "adev", "--input", str(src), "--tau-list", "1,2") == 0
+    with open(tmp_path / "adev.csv", newline="") as fh:
+        got = [
+            (float(r["tau_s"]), float(r["adev"]), float(r["ci_low"]), float(r["ci_high"]))
+            for r in csv.DictReader(fh)
+        ]
+    assert got == metrology.allan_deviation(metrology.read_counter_csv(src), [1.0, 2.0])
+    assert [r["adev"] for r in load_json(tmp_path, "adev")["rows"]] == [g[1] for g in got]
 
 
 def test_successful_command_returns_zero(tmp_path):

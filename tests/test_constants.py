@@ -304,6 +304,8 @@ def test_contribution_csv_roundtrip(tmp_path):
         ("x,1.0,0.1,-1", "bookkeeping must be 0 or 1"),
         ("x,1.0,0.1,", "bookkeeping must be 0 or 1"),
         ("x,1.0,0.1", "bookkeeping must be 0 or 1"),
+        ("x,abc,0.1,0", "value_khz has a bad numeric value 'abc'$"),
+        ("x,1.0,abc,0", "u_khz has a bad numeric value 'abc'$"),
     ],
 )
 def test_contribution_csv_rejects_bad_cells(tmp_path, row, msg):

@@ -18,7 +18,6 @@ from hdspec.lineshape import (
     fit_report,
     line_frequency,
     read_decay_csv,
-    write_spectrum_csv,
 )
 
 TRUTH = dict(center=0.37, fwhm=0.8, amplitude=0.25, offset=0.02)
@@ -217,18 +216,6 @@ def test_decay_csv_rejects_empty(tmp_path):
     path.write_text("detuning_khz,run_id,laser_on,depletion\n")
     with pytest.raises(ValueError, match="no decay records"):
         read_decay_csv(path)
-
-
-def test_spectrum_csv_writer_roundtrips(tmp_path):
-    points = [SpectrumPoint(-0.5, 0.21, 0.01), SpectrumPoint(0.5, 0.19, None)]
-    path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(points, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert float(rows[0]["detuning_khz"]) == -0.5
-    assert float(rows[0]["signal"]) == 0.21
-    assert float(rows[0]["sem"]) == 0.01
-    assert rows[1]["sem"] == ""
 
 
 def test_fit_report_is_json_ready():

@@ -1,6 +1,5 @@
 """Comb arithmetic, maser correction, and Allan-deviation statistics."""
 
-import csv
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from hdspec.metrology import (
     laser_frequency,
     maser_correct,
     read_counter_csv,
-    write_adev_csv,
 )
 
 
@@ -220,14 +218,3 @@ def test_bundled_counter_demo_parses_and_behaves():
     # 3 Hz white noise on a 58.6 THz carrier
     assert adev == pytest.approx(3.0 / carrier, rel=0.2)
 
-
-def test_adev_csv_roundtrip(tmp_path):
-    rows = [(1.0, 5.1e-14, 4.9e-14, 5.4e-14), (2.0, 3.6e-14, 3.4e-14, 3.9e-14)]
-    path = tmp_path / "adev.csv"
-    write_adev_csv(rows, path)
-    with open(path, newline="") as fh:
-        got = [
-            (float(r["tau_s"]), float(r["adev"]), float(r["ci_low"]), float(r["ci_high"]))
-            for r in csv.DictReader(fh)
-        ]
-    assert got == rows

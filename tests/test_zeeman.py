@@ -300,6 +300,14 @@ def test_field_scan_csv_rejects_empty(tmp_path):
         read_field_scan_csv(path)
 
 
+def test_field_scan_csv_names_a_non_numeric_cell(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_text("B_gauss,f_khz,u_khz\n0.2,478.214,0.15\n0.4,abc,0.15\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_field_scan_csv(path)
+    assert str(exc.value) == f"{path}:3: f_khz has a bad numeric value 'abc'"
+
+
 # --- couplings file ---------------------------------------------------------
 
 
@@ -321,6 +329,14 @@ def test_couplings_file_duplicate_key(tmp_path):
     path.write_text("c_e = 1\nc_e = 2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         read_couplings_file(path)
+
+
+def test_couplings_file_names_a_non_numeric_value(tmp_path):
+    path = tmp_path / "cpl.txt"
+    path.write_text("c_e = 2802.5\nc_p = abc\nc_d = -0.6536\nc_N = -0.55\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_couplings_file(path)
+    assert str(exc.value) == f"{path}:2: c_p has a bad numeric value 'abc'"
 
 
 def test_couplings_file_unknown_key(tmp_path):
