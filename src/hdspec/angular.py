@@ -13,6 +13,17 @@ Everything here is built from real ladder-operator matrices; no complex
 arithmetic is used anywhere in this module.
 
 Coupled quantum numbers: G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N.
+
+Levels are solved one F at a time (Bakalov, Korobov & Schiller, PRL 97,
+243001 (2006); J. Phys. B 44, 025003 (2011)).  Every term operator T_k
+commutes with F_z and F_+, so once per N the T_k are projected onto the
+highest-weight states of each F (the kernel of F_+ on the m_F = F block,
+at most 4 of them).  A coefficient set then costs one eigh of at most
+4 x 4 per F: F is exact, each level is a (2F + 1)-fold multiplet, G1 and
+G2 are read from <G1^2> and <G2^2>, and gamma_k = x^T T_k x.  No
+full-basis Hamiltonian is built to solve or to map a level; a level's
+product-basis `vectors` are built on first use, by lowering its
+highest-weight state with F_-.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -274,27 +285,150 @@ def build_hfs(coeffs: HyperfineCoefficients, basis: ProductBasis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# per-N block data
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _FBlock:
+    """The highest-weight states of one F: the kernel of F_+ on the m_F = F block.
+
+    Every level of total angular momentum F has exactly one state in
+    this kernel, so H restricted to it (at most 4 x 4) gives the levels
+    of that F, each a (2F + 1)-fold multiplet.
+    """
+
+    f: int
+    kernel: np.ndarray  # (d, n): orthonormal columns over the m_F = F block
+    terms: np.ndarray  # (9, n, n): the term operators T_k projected onto the kernel
+    g1_sq: np.ndarray  # (n, n): G1^2 projected onto the kernel
+    g2_sq: np.ndarray  # (n, n): G2^2 projected onto the kernel
+
+
+class _Blocks:
+    """The term operators of one rotational level N, cut by symmetry.
+
+    Each T_k commutes with F_z and F_+, so it is kept only as its m_F
+    blocks (for the Zeeman map) and as its projection onto the
+    highest-weight states of each F (for the level solve); F_- is kept
+    as maps between neighbouring m_F blocks, to build multiplet vectors
+    on request.  Built once per N; every array is read-only.
+    """
+
+    def __init__(self, n_rot: int):
+        basis = ProductBasis(n_rot)
+        self.dim = basis.dim
+        f_max = n_rot + 2
+        slot_m = np.stack([basis.m_values(slot) for slot in SLOT_NAMES])
+        m_f = np.rint(slot_m.sum(axis=0)).astype(int)
+        self.index = {m: _read_only(np.flatnonzero(m_f == m)) for m in range(-f_max, f_max + 1)}
+        ops = np.stack([term_operator(k, basis) for k in COEFF_INDICES])
+        _, f_plus, f_minus = basis.combined_triple(SLOT_NAMES)
+        g1_sq = casimir(basis.combined_triple(("s_e", "I_p")))
+        g2_sq = casimir(basis.combined_triple(("s_e", "I_p", "I_d")))
+
+        self.terms = {m: _read_only(ops[:, i[:, None], i]) for m, i in self.index.items()}
+        self.slot_m = {m: _read_only(slot_m[:, i]) for m, i in self.index.items()}
+        self.lowering = {
+            m: _read_only(f_minus[self.index[m - 1][:, None], self.index[m]]) for m in range(-f_max + 1, f_max + 1)
+        }
+
+        def project(op, block, kernel):
+            return _read_only(kernel.T @ op[..., block[:, None], block] @ kernel)
+
+        self.f_blocks: list[_FBlock] = []
+        for f in range(f_max + 1):
+            top, above = self.index[f], self.index.get(f + 1, np.empty(0, dtype=int))
+            if len(top) == len(above):
+                continue  # F_+ is one-to-one here: no level has this F
+            if len(above):
+                # F_+ maps the m_F = F block onto the m_F = F + 1 block, so the
+                # right-singular vectors past its rank len(above) span its kernel
+                kernel = np.linalg.svd(f_plus[above[:, None], top])[2][len(above):].T
+            else:
+                kernel = np.eye(len(top))
+            self.f_blocks.append(
+                _FBlock(f, _read_only(kernel), project(ops, top, kernel), project(g1_sq, top, kernel),
+                        project(g2_sq, top, kernel))
+            )
+
+    def multiplet(self, block: _FBlock, x: np.ndarray) -> np.ndarray:
+        """Product-basis vectors of the multiplet whose highest-weight state is `kernel @ x`.
+
+        Columns run m_F = F, F - 1, ..., -F, each reached from the one
+        before by F_- |F, m> = sqrt(F(F+1) - m(m-1)) |F, m-1>.
+        """
+        f = block.f
+        out = np.zeros((self.dim, 2 * f + 1))
+        col = block.kernel @ x
+        out[self.index[f], 0] = col
+        for i, m in enumerate(range(f, -f, -1), start=1):
+            col = self.lowering[m] @ col / math.sqrt(f * (f + 1) - m * (m - 1))
+            out[self.index[m - 1], i] = col
+        return _read_only(out)
+
+
+@functools.lru_cache(maxsize=8)
+def _blocks(n_rot: int) -> _Blocks:
+    """The block data of N, kept for the 8 most recent N (about 0.4 MB for N = 0..5)."""
+    return _Blocks(n_rot)
+
+
+def _coefficient_vector(coeffs: HyperfineCoefficients) -> np.ndarray:
+    return np.array([coeffs.coefficient(k) for k in COEFF_INDICES], dtype=float)
+
+
+def m_blocks(coeffs: HyperfineCoefficients) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(m_F, H block, slot projections) for every m_F block of the level of `coeffs`.
+
+    The H block is sum_k E_k T_k (kHz) on the product states with total
+    projection m_F; the slot projections are the m values of s_e, I_p,
+    I_d and N of those states, one row per slot (SLOT_NAMES order).
+    """
+    blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
+    return [(m, np.tensordot(e, blocks.terms[m], 1), blocks.slot_m[m]) for m in blocks.index]
+
+
+# ---------------------------------------------------------------------------
 # levels
+
+# Levels closer than this (kHz) coincide: their order goes by F, and
+# those of one F cannot be told apart by their vectors, so they come back
+# unlabelled.
+COINCIDENT_KHZ = 1e-6
 
 
 @dataclass(frozen=True)
 class SpinLevel:
-    """One hyperfine level: energy in kHz relative to the level set's origin."""
+    """One hyperfine level: energy in kHz relative to the level set's origin.
+
+    F is exact and the degeneracy is 2F + 1.  G1 and G2 are None for a
+    level that coincides with another level of the same F.
+    """
 
     energy: float
     degeneracy: int
     g1: int | None
     g2: int | None
-    f: int | None
-    vectors: np.ndarray
+    f: int
     v: int | None = None
     n_rot: int | None = None
+    build_vectors: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def label(self) -> tuple[int, int, int] | None:
-        if self.f is None:
+        if self.g1 is None:
             return None
         return (self.g1, self.g2, self.f)
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """The 2F + 1 product-basis states (m_F = F .. -F) as read-only columns, built on first use."""
+        return self.build_vectors()
 
 
 def _round_to_j(x: float, window: float = 0.05) -> float | None:
@@ -308,83 +442,13 @@ def _round_to_j(x: float, window: float = 0.05) -> float | None:
     return jr
 
 
-def _as_int(j: float) -> int:
-    if abs(j - round(j)) > 1e-9:
-        raise ClassificationError(f"expected integer quantum number, got {j}")
-    return int(round(j))
-
-
-def eigenlevels(h: np.ndarray, basis: ProductBasis, v: int | None = None) -> list[SpinLevel]:
-    """Diagonalize, group degenerate eigenvalues, label by (G1, G2, F).
-
-    Eigenvalues within 1e-6 kHz are grouped into one level.  Labels come
-    from rounding the <G1^2>, <G2^2>, <F^2> expectation values of each
-    eigenvector to j(j+1) (window 0.05).  A group too large to be a
-    single F multiplet (possible only for degenerate corner cases such
-    as H = 0) is returned unlabeled instead of raising.
-    """
-    if not np.array_equal(h, h.T):
-        raise ValueError("Hamiltonian must be symmetric")
-    fz, f2 = basis.f_z(), basis.f_squared()
-    h_scale = max(np.max(np.abs(h)), 1.0)
-    for name, op in (("F_z", fz), ("F^2", f2)):
-        comm = np.max(np.abs(h @ op - op @ h))
-        # roundoff in the products grows with the entries of H and of op
-        limit = 1e-12 * h_scale * np.max(np.abs(op))
-        if comm > limit:
-            raise ValueError(
-                f"Hamiltonian does not commute with {name}: |[H, {name}]| = {comm:.3e} kHz"
-                f" (limit {limit:.3e} kHz)"
-            )
-
-    evals, evecs = np.linalg.eigh(h)
-    scale = max(np.max(np.abs(evals)), 1.0)
-    residual = np.max(np.abs(h @ evecs - evecs * evals))
-    if residual > 1e-10 * scale:
-        raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds 1e-10 * ||H||")
-
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(evals)):
-        if evals[i] - evals[groups[-1][0]] <= 1e-6:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    casimirs = {
-        "g1": casimir(basis.combined_triple(("s_e", "I_p"))),
-        "g2": casimir(basis.combined_triple(("s_e", "I_p", "I_d"))),
-        "f": f2,
-    }
-    max_multiplet = 2 * (2 + basis.n_rot) + 1
-
-    levels = []
-    for idx in groups:
-        vecs = evecs[:, idx]
-        if len(idx) > max_multiplet:
-            levels.append(SpinLevel(float(np.mean(evals[idx])), len(idx), None, None, None,
-                                    vecs, v, basis.n_rot))
-            continue
-        labels = []
-        for col in range(vecs.shape[1]):
-            vec = vecs[:, col]
-            one = {}
-            for name, op in casimirs.items():
-                j = _round_to_j(float(vec @ op @ vec))
-                if j is None:
-                    raise ClassificationError(
-                        f"ambiguous {name} label for eigenvector {idx[col]} "
-                        f"(<{name}^2> = {float(vec @ op @ vec):.6f})"
-                    )
-                one[name] = j
-            labels.append((one["g1"], one["g2"], one["f"]))
-        if len(set(labels)) != 1:
-            raise ClassificationError(
-                f"eigenvectors {idx} are degenerate but carry mixed labels {sorted(set(labels))}"
-            )
-        g1, g2, f = labels[0]
-        levels.append(SpinLevel(float(np.mean(evals[idx])), len(idx),
-                                _as_int(g1), _as_int(g2), _as_int(f), vecs, v, basis.n_rot))
-    return levels
+def _label(name: str, x: np.ndarray, op: np.ndarray, f: int) -> int:
+    """G1 or G2 of the F-block eigenvector x, from <op> = j(j+1)."""
+    value = float(x @ op @ x)
+    j = _round_to_j(value)
+    if j is None or j != round(j):
+        raise ClassificationError(f"ambiguous {name} label for a level with F={f} (<{name}^2> = {value:.6f})")
+    return int(j)
 
 
 def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> SpinLevel:
@@ -399,35 +463,44 @@ def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> Spin
 
 
 class _LevelSet:
-    """The Hamiltonian and labelled levels of one coefficient set.
+    """The labelled levels of one coefficient set and their gamma_k.
 
-    H and every level's vectors are read-only, because one instance is
-    shared by every caller that asks for the same coefficients.  The
-    sensitivities gamma_k of all levels are computed on first use; the
-    term operators they need are built then and not kept.
+    One eigh of at most 4 x 4 per F, on H projected onto the
+    highest-weight states of that F; gamma_k = x^T T_k x for each
+    eigenvector x.  The levels are shared by every caller that asks for
+    the same coefficients, so their vectors are read-only.
     """
 
     def __init__(self, coeffs: HyperfineCoefficients):
-        basis = ProductBasis(coeffs.n_rot)
-        self.n_rot = coeffs.n_rot
-        self.h = build_hfs(coeffs, basis)
-        self.h.flags.writeable = False
-        self.levels = tuple(eigenlevels(self.h, basis, v=coeffs.v))
-        for lv in self.levels:
-            lv.vectors.flags.writeable = False
-        self._gammas: dict | None = None
+        blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
+        found = []
+        for block in blocks.f_blocks:
+            evals, x = np.linalg.eigh(np.tensordot(e, block.terms, 1))
+            gammas = np.sum(x * (block.terms @ x), axis=1).T
+            n = len(evals)
+            for a in range(n):
+                alone = (a == 0 or evals[a] - evals[a - 1] > COINCIDENT_KHZ) and (
+                    a == n - 1 or evals[a + 1] - evals[a] > COINCIDENT_KHZ
+                )
+                g1 = _label("G1", x[:, a], block.g1_sq, block.f) if alone else None
+                g2 = _label("G2", x[:, a], block.g2_sq, block.f) if alone else None
+                vectors = functools.partial(blocks.multiplet, block, x[:, a])
+                level = SpinLevel(float(evals[a]), 2 * block.f + 1, g1, g2, block.f, coeffs.v, coeffs.n_rot, vectors)
+                found.append((level, gammas[a]))
+        # ascending energy; levels that coincide go by F
+        found.sort(key=lambda item: item[0].energy)
+        cluster, keys = 0, []
+        for i, (level, _) in enumerate(found):
+            if i and level.energy - found[i - 1][0].energy > COINCIDENT_KHZ:
+                cluster += 1
+            keys.append((cluster, level.f))
+        found = [item for _, item in sorted(zip(keys, found), key=lambda pair: pair[0])]
+        self.levels = tuple(level for level, _ in found)
+        self._gammas = {level.label: gamma for level, gamma in found if level.label is not None}
 
     def sensitivities(self, label: tuple[int, int, int]) -> dict[int, float]:
         level = find_level(self.levels, label)
-        if self._gammas is None:
-            basis = ProductBasis(self.n_rot)
-            ops = {k: term_operator(k, basis) for k in COEFF_INDICES}
-            self._gammas = {
-                lv.label: {k: float(np.trace(lv.vectors.T @ op @ lv.vectors)) / lv.degeneracy
-                           for k, op in ops.items()}
-                for lv in self.levels
-            }
-        return dict(self._gammas[level.label])
+        return dict(zip(COEFF_INDICES, self._gammas[level.label].tolist()))
 
 
 def _level_set(coeffs: HyperfineCoefficients) -> _LevelSet:
@@ -443,20 +516,14 @@ def _solve(v: int, n_rot: int, *values: float) -> _LevelSet:
     return _LevelSet(HyperfineCoefficients(v, n_rot, dict(zip(COEFF_INDICES, values))))
 
 
-def solved(coeffs: HyperfineCoefficients, basis: ProductBasis) -> tuple[np.ndarray, tuple[SpinLevel, ...]]:
-    """The Hamiltonian and labelled levels of `coeffs`, solved once per coefficient content.
+def level_structure(coeffs: HyperfineCoefficients, basis: ProductBasis) -> list[SpinLevel]:
+    """Labelled levels of `coeffs` in ascending energy, ties by F.
 
-    Both are shared with every other caller and read-only.  `basis` is
-    only checked against N; the level set builds its own.
+    Solved once per coefficient content and shared (read-only vectors);
+    `basis` is only checked against N.
     """
     _check_basis(coeffs, basis)
-    level_set = _level_set(coeffs)
-    return level_set.h, level_set.levels
-
-
-def level_structure(coeffs: HyperfineCoefficients, basis: ProductBasis) -> list[SpinLevel]:
-    """Labelled levels of `coeffs` (read-only vectors); see :func:`solved`."""
-    return list(solved(coeffs, basis)[1])
+    return list(_level_set(coeffs).levels)
 
 
 def spin_frequency(
@@ -487,10 +554,10 @@ def sensitivities(
 ) -> dict[int, float]:
     """gamma_k = dE_level/dE_k by the Hellmann-Feynman identity.
 
-    For a degenerate multiplet the eigenspace-averaged expectation value
-    is used, which equals the derivative of the multiplet mean.  `basis`
-    is only checked against N; the values come from the level set of
-    `coeffs` (see :func:`solved`).
+    Every state of a multiplet gives the same expectation value, so the
+    highest-weight eigenvector of the F block gives it.  `basis` is only
+    checked against N; the values come from the cached level set of
+    `coeffs`.
     """
     _check_basis(coeffs, basis)
     return _level_set(coeffs).sensitivities(label)
@@ -513,6 +580,7 @@ def sensitivities_fd(
     perturbed sets are solved directly, past the level-set cache, so
     they do not push useful entries out of it.
     """
+    _check_basis(coeffs, basis)
     if ks is None:
         ks = CONTACT_COEFFS if basis.n_rot == 0 else COEFF_INDICES
     h = step * max(1.0, max((abs(v) for v in coeffs.values.values()), default=1.0))
@@ -524,7 +592,7 @@ def sensitivities_fd(
             values[k] = values.get(k, 0.0) + sign * h
             perturbed = HyperfineCoefficients(coeffs.v, coeffs.n_rot, values, coeffs.eps_overrides)
             try:
-                level = find_level(eigenlevels(build_hfs(perturbed, basis), basis), label)
+                level = find_level(_LevelSet(perturbed).levels, label)
             except LookupError as exc:
                 raise TrackingError(f"level {label} lost while perturbing E{k}") from exc
             energies.append(level.energy)

@@ -131,8 +131,8 @@ def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # from it sets the center and the sign of the line
     order = np.argsort(x)
     k = max(1, len(x) // 4)
-    edges = np.concatenate([y[order[:k]], y[order[-k:]]])
-    offset = float(np.median(edges))
+    edges = np.sort(np.concatenate([y[order[:k]], y[order[-k:]]]))
+    offset = float((edges[k - 1] + edges[k]) / 2.0)  # the median of the 2k edge points
     extremal = int(np.argmax(np.abs(y - offset)))
     sign = 1.0 if y[extremal] >= offset else -1.0
     amplitude = sign * float(np.max(y) - np.min(y))

@@ -105,7 +105,7 @@ def rf_extrapolate(
     if len(points) < 3:
         raise ValueError(f"need at least 3 amplitude points, got {len(points)}")
     amps = np.array([float(a) for a, _ in points])
-    if len(np.unique(amps)) < 2:
+    if amps.min() == amps.max():
         raise ValueError("singular fit: all amplitudes are identical")
     f = np.array([q.value for _, q in points])
     basis = amps if linear_in_amplitude else amps ** 2

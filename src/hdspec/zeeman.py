@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import SLOT_NAMES, HyperfineCoefficients, ProductBasis, solved
+from .angular import COINCIDENT_KHZ, HyperfineCoefficients, ProductBasis, level_structure, m_blocks
 from .quantity import Quantity, parse_field
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
@@ -42,7 +42,7 @@ class ZeemanCouplings:
 
 
 def read_couplings_file(path: str | Path) -> ZeemanCouplings:
-    """Parse a `c_X = value` file; all four couplings must be present."""
+    """Parse a `c_X = value` file; all four couplings must be present and finite."""
     found: dict[str, float] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -54,25 +54,12 @@ def read_couplings_file(path: str | Path) -> ZeemanCouplings:
         if key in found:
             raise ValueError(f"{path}:{lineno}: duplicate key {key}")
         found[key] = parse_field(text, path, lineno, key)
+        if not math.isfinite(found[key]):
+            raise ValueError(f"{path}:{lineno}: {key} must be finite")
     missing = sorted(set(DEFAULT_COUPLINGS) - set(found))
     if missing:
         raise ValueError(f"{path}: missing coupling {missing[0]}")
     return ZeemanCouplings(found["c_e"], found["c_p"], found["c_d"], found["c_N"])
-
-
-def _zeeman_diagonal(couplings: ZeemanCouplings, basis: ProductBasis) -> np.ndarray:
-    """Diagonal of H_Z at 1 G (kHz), as a vector: H_Z is diagonal in the product basis."""
-    return (
-        couplings.c_e * basis.m_values("s_e")
-        + couplings.c_p * basis.m_values("I_p")
-        + couplings.c_d * basis.m_values("I_d")
-        + couplings.c_n * basis.m_values("N")
-    )
-
-
-def build_zeeman(couplings: ZeemanCouplings, basis: ProductBasis, b_field: float) -> np.ndarray:
-    """Zeeman Hamiltonian (kHz) at field b_field in gauss."""
-    return np.diag(b_field * _zeeman_diagonal(couplings, basis))
 
 
 @dataclass(frozen=True)
@@ -127,18 +114,18 @@ def zeeman_map(
     if b_values[0] < 0:
         raise ValueError("b_values must be non-negative")
 
-    h0, levels = solved(coeffs, basis)
-    if any(level.label is None for level in levels):
-        raise ValueError("Zeeman mapping needs fully labeled field-free levels")
+    levels = level_structure(coeffs, basis)
+    # coincident levels have no order to follow into the field (and those
+    # of one F have no label)
+    if any(hi.energy - lo.energy <= COINCIDENT_KHZ for lo, hi in zip(levels, levels[1:])):
+        raise ValueError("Zeeman mapping needs field-free levels that do not coincide")
     labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
     index = {label: i for i, label in enumerate(labels)}
 
-    m_f = np.rint(sum(basis.m_values(slot) for slot in SLOT_NAMES)).astype(int)
-    z = _zeeman_diagonal(couplings, basis)
+    c = np.array([couplings.c_e, couplings.c_p, couplings.c_d, couplings.c_n])
     energies = np.empty((len(labels), len(b_values)))
-    for m in np.unique(m_f):
-        block = np.flatnonzero(m_f == m)
-        stack = h0[np.ix_(block, block)] + b_values[:, None, None] * np.diag(z[block])
+    for m, h0, slot_m in m_blocks(coeffs):
+        stack = h0 + b_values[:, None, None] * np.diag(c @ slot_m)
         rows = [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)]
         energies[rows] = np.linalg.eigvalsh(stack).T
     if b_values[0] == 0.0:
@@ -213,7 +200,7 @@ def extrapolate_to_zero_field(
     f = np.asarray(frequencies, dtype=float)
     if b.shape != f.shape or b.ndim != 1:
         raise ValueError("b_values and frequencies must be 1-d and the same length")
-    if len(np.unique(b ** 2)) < 2:
+    if b.size == 0 or np.min(b ** 2) == np.max(b ** 2):
         raise ValueError("need at least two distinct field magnitudes")
     design = np.column_stack([np.ones_like(b), b ** 2])
 

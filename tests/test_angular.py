@@ -18,7 +18,6 @@ from hdspec.angular import (
     build_hfs,
     casimir,
     dot,
-    eigenlevels,
     find_level,
     jmatrices,
     level_structure,
@@ -32,7 +31,9 @@ from hdspec.angular import (
     term_operator,
     transition_table,
 )
-from hdspec.zeeman import transition_coeffs
+from hdspec.zeeman import ZeemanCouplings, transition_coeffs, zeeman_map
+
+from dense_oracle import eigenlevels
 
 coeff_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -246,9 +247,8 @@ def test_eigenlevels_rejects_symmetry_breaking(basis0):
 
 @pytest.mark.parametrize("n_rot", [4, 5])
 def test_high_n_demo_levels_pass_commutator_check(n_rot, demo_sets):
-    # roundoff in [H, F^2] grows with the entries: 1.9e-9 kHz at N=4 and
-    # 3.7e-9 kHz at N=5 on the demo (1,1) coefficients, both far below one
-    # ulp of |H| |F^2|, so the check must not reject these Hamiltonians
+    # roundoff in [H, F^2] reaches 1.9e-9 kHz at N=4 and 3.7e-9 kHz at N=5 on
+    # these sets; no level solve may reject them for it
     coeffs = HyperfineCoefficients(v=1, n_rot=n_rot, values=dict(demo_sets[(1, 1)].values))
     basis = ProductBasis(n_rot)
     levels = level_structure(coeffs, basis)
@@ -339,6 +339,11 @@ def scaled(coeffs, factor, eps_overrides=None):
     return HyperfineCoefficients(coeffs.v, coeffs.n_rot, values, eps_overrides or {})
 
 
+# one eigh per F, of the number of levels with that F: N = 0 has F = 0, 1, 2
+# with 1, 2, 1 levels, N = 1 has F = 0, 1, 2, 3 with 2, 4, 3, 1
+F_BLOCK_SIZES = {0: [1, 2, 1], 1: [2, 4, 3, 1]}
+
+
 def test_spin_mc_style_draw_solves_each_hamiltonian_once(eigh_calls, demo_sets):
     lower, upper = scaled(demo_sets[(0, 0)], 1.01), scaled(demo_sets[(1, 1)], 0.99)
     lines = bundled.TRANSITION_LEVELS
@@ -349,7 +354,7 @@ def test_spin_mc_style_draw_solves_each_hamiltonian_once(eigh_calls, demo_sets):
         spin_frequency((upper, lines[tid][1]), (lower, lines[tid][0]))
     for lower_mf, upper_mf in ((0, 0), (2, 3), (-2, -3)):
         transition_coeffs((lower, (1, 2, 2, lower_mf)), (upper, (1, 2, 3, upper_mf)))
-    assert eigh_calls == [12, 36]
+    assert eigh_calls == F_BLOCK_SIZES[0] + F_BLOCK_SIZES[1]
 
 
 def test_changed_coefficient_gives_fresh_solve(eigh_calls, demo_sets, basis1):
@@ -357,24 +362,36 @@ def test_changed_coefficient_gives_fresh_solve(eigh_calls, demo_sets, basis1):
     before = [lv.energy for lv in level_structure(coeffs, basis1)]
     # eps_overrides do not move the levels, so they share the solve
     level_structure(scaled(coeffs, 1.0, {1: 1e-3}), basis1)
-    assert eigh_calls == [36]
+    assert eigh_calls == F_BLOCK_SIZES[1]
     coeffs.values[4] *= 1.001
     after = [lv.energy for lv in level_structure(coeffs, basis1)]
-    assert eigh_calls == [36, 36]
+    assert eigh_calls == F_BLOCK_SIZES[1] * 2
     assert after != before
-    assert after == [lv.energy for lv in eigenlevels(build_hfs(coeffs, basis1), basis1)]
+    assert after == [lv.energy for lv in angular._LevelSet(coeffs).levels]
+    dense = [lv.energy for lv in eigenlevels(build_hfs(coeffs, basis1), basis1)]
+    assert np.allclose(after, dense, rtol=0, atol=1e-8)
 
 
 def test_cached_level_set_is_read_only(demo_sets, basis1):
     coeffs = demo_sets[(1, 1)]
-    level = level_structure(coeffs, basis1)[0]
+    levels = level_structure(coeffs, basis1)
     with pytest.raises(ValueError, match="read-only"):
-        level.vectors[0, 0] = 1.0
-    h, levels = angular.solved(coeffs, basis1)
+        levels[0].vectors[0, 0] = 1.0
+    levels.clear()  # the caller's list, not the shared one
+    levels = level_structure(coeffs, basis1)
+    assert len(levels) == 10
     assert all(not lv.vectors.flags.writeable for lv in levels)
-    assert not h.flags.writeable
+    assert all(lv.vectors is level_structure(coeffs, basis1)[i].vectors for i, lv in enumerate(levels))
+    # the per-N data every set of this N shares
+    blocks = angular._blocks(1)
+    shared = [*blocks.index.values(), *blocks.terms.values(), *blocks.slot_m.values(), *blocks.lowering.values()]
+    for fb in blocks.f_blocks:
+        shared += [fb.kernel, fb.terms, fb.g1_sq, fb.g2_sq]
+    assert all(not a.flags.writeable for a in shared)
     with pytest.raises(ValueError, match="read-only"):
-        h[0, 0] = 1.0
+        blocks.terms[0][0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        blocks.f_blocks[0].terms[0, 0, 0] = 1.0
 
 
 def test_level_set_cache_is_bounded(demo_sets, basis0):
@@ -388,13 +405,13 @@ def test_cached_sensitivities_equal_the_direct_trace(demo_sets):
     angular._solve.cache_clear()
     for coeffs in demo_sets.values():
         basis = ProductBasis(coeffs.n_rot)
-        for lv in eigenlevels(build_hfs(coeffs, basis), basis, v=coeffs.v):
-            want = {
-                k: float(np.trace(lv.vectors.T @ term_operator(k, basis) @ lv.vectors)) / lv.degeneracy
-                for k in angular.COEFF_INDICES
-            }
+        uncached = angular._LevelSet(coeffs)
+        ops = [term_operator(k, basis) for k in angular.COEFF_INDICES]
+        for lv in eigenlevels(build_hfs(coeffs, basis), basis):
             got = sensitivities(coeffs, basis, lv.label)
-            assert {k: repr(g) for k, g in got.items()} == {k: repr(g) for k, g in want.items()}
+            assert {k: repr(g) for k, g in got.items()} == {k: repr(g) for k, g in uncached.sensitivities(lv.label).items()}
+            dense = [float(np.trace(lv.vectors.T @ op @ lv.vectors)) / lv.degeneracy for op in ops]
+            assert np.allclose(list(got.values()), dense, rtol=0, atol=1e-12)
 
 
 def test_sensitivities_fd_bypasses_the_cache(demo_sets, basis1):
@@ -550,3 +567,167 @@ def test_transition_table_rows(demo_table):
     row = demo_table.row("16")
     assert set(row.lower) == set(angular.COEFF_INDICES)
     assert set(row.upper) == set(angular.COEFF_INDICES)
+
+
+# ---------------------------------------------------------------------------
+# degenerate sets: coincident levels inside one F block stay unlabelled
+
+
+def zero_coeffs(n_rot):
+    keys = angular.CONTACT_COEFFS if n_rot == 0 else angular.COEFF_INDICES
+    return HyperfineCoefficients(v=0, n_rot=n_rot, values=dict.fromkeys(keys, 0.0))
+
+
+def test_zero_hamiltonian_at_n0_labels_only_the_one_state_blocks():
+    levels = level_structure(zero_coeffs(0), ProductBasis(0))
+    # F = 0 and F = 2 hold one highest-weight state each, F = 1 holds two
+    assert [(lv.f, lv.degeneracy, lv.label) for lv in levels] == [
+        (0, 1, (1, 0, 0)),
+        (1, 3, None),
+        (1, 3, None),
+        (2, 5, (1, 2, 2)),
+    ]
+    assert all(lv.energy == 0.0 for lv in levels)
+    assert all(lv.g1 is None and lv.g2 is None for lv in levels if lv.label is None)
+
+
+def test_zero_hamiltonian_at_n1_never_guesses_a_g_label():
+    levels = level_structure(zero_coeffs(1), ProductBasis(1))
+    assert [(lv.f, lv.label) for lv in levels] == [
+        (0, None), (0, None),
+        (1, None), (1, None), (1, None), (1, None),
+        (2, None), (2, None), (2, None),
+        (3, (1, 2, 3)),
+    ]
+    assert all(lv.degeneracy == 2 * lv.f + 1 for lv in levels)
+
+
+def test_levels_that_coincide_only_up_to_roundoff_stay_unlabelled():
+    # with E4 alone every G1 = 1 state sits at E4/4, so inside one F block
+    # the G1 = 1 levels coincide but for roundoff in the projected H
+    values = {**dict.fromkeys(angular.COEFF_INDICES, 0.0), 4: 925000.0}
+    levels = level_structure(HyperfineCoefficients(1, 1, values), ProductBasis(1))
+    assert sorted((lv.f, lv.label or ()) for lv in levels) == [
+        (0, (0, 1, 0)), (0, (1, 1, 0)),
+        (1, ()), (1, ()), (1, ()), (1, (0, 1, 1)),
+        (2, ()), (2, ()), (2, (0, 1, 2)),
+        (3, (1, 2, 3)),
+    ]
+    for lv in levels:
+        assert lv.energy == pytest.approx(-0.75 * 925000.0 if lv.g1 == 0 else 0.25 * 925000.0, abs=1e-8)
+
+
+def test_contact_only_levels_of_different_f_are_labelled_per_f(demo_sets):
+    e4, e5 = demo_sets[(0, 0)].coefficient(4), demo_sets[(0, 0)].coefficient(5)
+    values = {**dict.fromkeys(angular.COEFF_INDICES, 0.0), 4: e4, 5: e5}
+    levels = level_structure(HyperfineCoefficients(1, 1, values), ProductBasis(1))
+    assert sorted(lv.label for lv in levels) == [
+        (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+    ]
+    # without rotational terms each (G1, G2) energy is that of N = 0; ties go by F
+    n0 = {lv.label[:2]: lv.energy for lv in level_structure(demo_sets[(0, 0)], ProductBasis(0))}
+    for lv in levels:
+        assert lv.energy == pytest.approx(n0[lv.label[:2]], abs=1e-8)
+    assert [lv.label for lv in levels] == sorted(
+        (lv.label for lv in levels), key=lambda label: (n0[label[:2]], label[2])
+    )
+
+
+def test_zeeman_map_refuses_coincident_levels(demo_sets):
+    with pytest.raises(ValueError, match="coincide"):
+        zeeman_map(zero_coeffs(1), ZeemanCouplings(), ProductBasis(1))
+    values = {**dict.fromkeys(angular.COEFF_INDICES, 0.0), 4: 925000.0, 5: 142000.0}
+    with pytest.raises(ValueError, match="coincide"):
+        zeeman_map(HyperfineCoefficients(1, 1, values), ZeemanCouplings(), ProductBasis(1))
+
+
+# ---------------------------------------------------------------------------
+# the F-block solve against the dense Hamiltonian, N = 0..5
+
+DEMO = bundled.load_demo_coefficients()
+
+
+@st.composite
+def coefficient_sets(draw):
+    """Random sets that keep the hyperfine hierarchy the (G1, G2) labels need.
+
+    Each demo coefficient moves by up to 10 % and the whole set by a
+    random scale and sign; the degenerate kinds are contact-only sets
+    (levels of different F coincide) and all-zero sets (levels of one F
+    coincide).
+    """
+    n_rot = draw(st.integers(0, 5))
+    base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
+    kind = draw(st.sampled_from(["perturbed", "contact-only", "zero"]))
+    scale = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-3, 1e3))
+    values = {}
+    for k, e in base.values.items():
+        keep = kind == "perturbed" or (kind == "contact-only" and k in angular.CONTACT_COEFFS)
+        values[k] = scale * e * draw(st.floats(0.9, 1.1)) if keep else 0.0
+    return HyperfineCoefficients(v=1, n_rot=n_rot, values=values)
+
+
+@given(coefficient_sets())
+def test_f_block_levels_match_the_dense_hamiltonian(coeffs):
+    n_rot = coeffs.n_rot
+    basis = ProductBasis(n_rot)
+    levels = angular._LevelSet(coeffs).levels
+    h = build_hfs(coeffs, basis)
+    h_scale = max(float(np.max(np.abs(h))), 1.0)
+    weight = sum(lv.degeneracy * abs(lv.energy) for lv in levels)
+
+    assert all(lv.degeneracy == 2 * lv.f + 1 for lv in levels)
+    assert sum(2 * lv.f + 1 for lv in levels) == 12 * (2 * n_rot + 1)
+    for lo, hi in zip(levels, levels[1:]):
+        # ascending; levels that coincide go by F
+        assert hi.energy >= lo.energy - angular.COINCIDENT_KHZ * len(levels)
+        assert hi.energy >= lo.energy or lo.f < hi.f
+    assert sum(lv.degeneracy * lv.energy for lv in levels) == pytest.approx(np.trace(h), abs=1e-12 * weight + 1e-9)
+    for lv in levels:
+        v = lv.vectors
+        assert v.shape == (basis.dim, 2 * lv.f + 1) and not v.flags.writeable
+        assert np.allclose(v.T @ v, np.eye(2 * lv.f + 1), rtol=0, atol=1e-12)
+        assert np.allclose(h @ v, lv.energy * v, rtol=0, atol=1e-12 * h_scale)
+        if lv.label is not None:
+            gamma = sensitivities(coeffs, basis, lv.label)
+            terms = [gamma[k] * coeffs.coefficient(k) for k in angular.COEFF_INDICES]
+            assert lv.energy == pytest.approx(sum(terms), abs=1e-12 * sum(map(abs, terms)) + 1e-12)
+
+
+@pytest.mark.parametrize("n_rot", range(6))
+def test_term_operators_commute_with_f_z_and_f_plus(n_rot):
+    # the symmetry the F-block solve rests on, checked once per N in place
+    # of a commutator check on every Hamiltonian
+    basis = ProductBasis(n_rot)
+    f_z, f_plus, _ = basis.combined_triple(angular.SLOT_NAMES)
+    blocks = angular._blocks(n_rot)
+    for i, k in enumerate(angular.COEFF_INDICES):
+        t = term_operator(k, basis)
+        scale = max(float(np.max(np.abs(t))), 1.0)
+        assert np.max(np.abs(t @ f_z - f_z @ t)) <= 1e-12 * scale
+        assert np.max(np.abs(t @ f_plus - f_plus @ t)) <= 1e-12 * scale * np.max(f_plus)
+        # T_k is block-diagonal in m_F, and the kept blocks are its blocks
+        rebuilt = np.zeros_like(t)
+        for m, index in blocks.index.items():
+            rebuilt[np.ix_(index, index)] = blocks.terms[m][i]
+        assert np.array_equal(rebuilt, t)
+
+
+def perturbed(base, n_rot, rng, spread=0.01):
+    values = {k: e * (1.0 + spread * rng.standard_normal()) for k, e in base.values.items()}
+    return HyperfineCoefficients(v=1, n_rot=n_rot, values=values)
+
+
+@pytest.mark.parametrize("n_rot", range(6))
+def test_f_block_solve_agrees_with_the_dense_oracle(n_rot):
+    rng = np.random.default_rng(7 + n_rot)
+    basis = ProductBasis(n_rot)
+    base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
+    worst = 0.0
+    for _ in range(100):
+        coeffs = perturbed(base, n_rot, rng)
+        dense = eigenlevels(build_hfs(coeffs, basis), basis)
+        levels = angular._LevelSet(coeffs).levels
+        assert [(lv.label, lv.degeneracy) for lv in levels] == [(lv.label, lv.degeneracy) for lv in dense]
+        worst = max(worst, max(abs(a.energy - b.energy) for a, b in zip(levels, dense)))
+    assert worst <= 1e-8

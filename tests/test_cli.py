@@ -177,9 +177,25 @@ def test_non_finite_coefficient_is_one_line_config_error(tmp_path, value):
     assert proc.stderr.startswith(f"config error: {edited}:16: E4 must be finite")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["zeeman-map", "--demo"], ["zeeman-coeffs", "--demo", "--transition", "12", "--lower-mf", "0", "--upper-mf", "0"]],
+    ids=["zeeman-map", "zeeman-coeffs"],
+)
+def test_non_finite_coupling_is_one_line_config_error(tmp_path, command):
+    couplings = tmp_path / "couplings.txt"
+    couplings.write_text("c_e = nan\nc_p = -4.2577\nc_d = -0.6536\nc_N = -0.55\n")
+    proc = run_python("-m", "hdspec.cli", *command, "--couplings", str(couplings), "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == f"config error: {couplings}:1: c_e must be finite"
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_spin_structure_demo_solves_each_hamiltonian_once(tmp_path, eigh_calls):
     assert run(tmp_path, "spin-structure", "--demo") == 0
-    assert eigh_calls == [12, 36]
+    # one eigh per F block: F = 0, 1, 2 at N = 0, then F = 0, 1, 2, 3 at N = 1
+    assert eigh_calls == [1, 2, 1, 2, 4, 3, 1]
 
 
 def test_zeeman_map_on_coarse_grid(tmp_path):
@@ -195,6 +211,20 @@ def test_cli_import_does_not_load_scipy():
     proc = run_python("-c", "import sys, hdspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_do_not_load_numpy_ma(tmp_path):
+    # numpy.ma costs about 5 ms to import and no command needs it
+    script = (
+        "import sys\n"
+        "from hdspec.cli import main\n"
+        f"for argv in ({['reproduce-paper']!r}, {['zeeman-map', '--demo']!r}, {['spin-structure', '--demo']!r}):\n"
+        f"    assert main([*argv, '--out-dir', {str(tmp_path)!r}]) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 # --- report writer ------------------------------------------------------------

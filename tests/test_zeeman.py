@@ -18,13 +18,14 @@ from hdspec.angular import (
 from hdspec.zeeman import (
     DEFAULT_B_GRID,
     ZeemanCouplings,
-    build_zeeman,
     extrapolate_to_zero_field,
     read_couplings_file,
     read_field_scan_csv,
     transition_coeffs,
     zeeman_map,
 )
+
+from dense_oracle import build_zeeman
 
 STRETCHED_12 = (1, 2, 2)
 STRETCHED_16 = (1, 2, 3)
@@ -337,6 +338,15 @@ def test_couplings_file_names_a_non_numeric_value(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_couplings_file(path)
     assert str(exc.value) == f"{path}:2: c_p has a bad numeric value 'abc'"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_couplings_file_rejects_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "cpl.txt"
+    path.write_text(f"c_e = 2802.5\nc_p = -4.2577\nc_d = {value}\nc_N = -0.55\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_couplings_file(path)
+    assert str(exc.value) == f"{path}:3: c_d must be finite"
 
 
 def test_couplings_file_unknown_key(tmp_path):
