@@ -20,10 +20,10 @@ commutes with F_z and F_+, so once per N the T_k are projected onto the
 highest-weight states of each F (the kernel of F_+ on the m_F = F block,
 at most 4 of them).  A coefficient set then costs one eigh of at most
 4 x 4 per F: F is exact, each level is a (2F + 1)-fold multiplet, G1 and
-G2 are read from <G1^2> and <G2^2>, and gamma_k = x^T T_k x.  No
-full-basis Hamiltonian is built to solve or to map a level; a level's
-product-basis `vectors` are built on first use, by lowering its
-highest-weight state with F_-.
+G2 go by rank of <G1^2> and <G2^2> inside the F block, and gamma_k =
+x^T T_k x.  No full-basis Hamiltonian is built to solve or to map a
+level; a level's product-basis `vectors` are built on first use, by
+lowering its highest-weight state with F_-.
 """
 
 from __future__ import annotations
@@ -307,6 +307,7 @@ class _FBlock:
     terms: np.ndarray  # (9, n, n): the term operators T_k projected onto the kernel
     g1_sq: np.ndarray  # (n, n): G1^2 projected onto the kernel
     g2_sq: np.ndarray  # (n, n): G2^2 projected onto the kernel
+    pairs: tuple[tuple[int, int], ...]  # (G1, G2) of the n levels, ascending
 
 
 class _Blocks:
@@ -351,9 +352,13 @@ class _Blocks:
                 kernel = np.linalg.svd(f_plus[above[:, None], top])[2][len(above):].T
             else:
                 kernel = np.eye(len(top))
+            # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N
+            pairs = tuple(
+                (g1, g2) for g1 in (0, 1) for g2 in range(abs(g1 - 1), g1 + 2) if abs(g2 - n_rot) <= f <= g2 + n_rot
+            )
             self.f_blocks.append(
                 _FBlock(f, _read_only(kernel), project(ops, top, kernel), project(g1_sq, top, kernel),
-                        project(g2_sq, top, kernel))
+                        project(g2_sq, top, kernel), pairs)
             )
 
     def multiplet(self, block: _FBlock, x: np.ndarray) -> np.ndarray:
@@ -382,15 +387,15 @@ def _coefficient_vector(coeffs: HyperfineCoefficients) -> np.ndarray:
     return np.array([coeffs.coefficient(k) for k in COEFF_INDICES], dtype=float)
 
 
-def m_blocks(coeffs: HyperfineCoefficients) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(m_F, H block, slot projections) for every m_F block of the level of `coeffs`.
+def m_block(coeffs: HyperfineCoefficients, m_f: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H block, slot projections) of the m_F block of the level of `coeffs`.
 
     The H block is sum_k E_k T_k (kHz) on the product states with total
     projection m_F; the slot projections are the m values of s_e, I_p,
     I_d and N of those states, one row per slot (SLOT_NAMES order).
     """
-    blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
-    return [(m, np.tensordot(e, blocks.terms[m], 1), blocks.slot_m[m]) for m in blocks.index]
+    blocks = _blocks(coeffs.n_rot)
+    return np.tensordot(_coefficient_vector(coeffs), blocks.terms[m_f], 1), blocks.slot_m[m_f]
 
 
 # ---------------------------------------------------------------------------
@@ -431,24 +436,44 @@ class SpinLevel:
         return self.build_vectors()
 
 
-def _round_to_j(x: float, window: float = 0.05) -> float | None:
-    """Nearest half-integer j with j(j+1) within `window` of x, else None."""
-    if x < -window:
-        return None
-    j = 0.5 * (-1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * x)))
-    jr = round(2.0 * j) / 2.0
-    if abs(x - jr * (jr + 1.0)) > window:
-        return None
-    return jr
+def _by_rank(
+    name: str, values: Sequence[float], members: Sequence[int], js: Sequence[int], alone: Sequence[bool], f: int
+) -> dict[int, int]:
+    """Give the ascending quantum numbers `js` to `members` in ascending order of <name^2> = values.
+
+    Two members on either side of a step in j tie when their values lie
+    less than half the step of j(j+1) apart (two states that mixed by
+    more than a quarter); a tie that touches a level of its own (not a
+    coincident one) raises ClassificationError.
+    """
+    order = sorted(members, key=values.__getitem__)
+    for lo, hi, j_lo, j_hi in zip(order, order[1:], js, js[1:]):
+        step = j_hi * (j_hi + 1) - j_lo * (j_lo + 1)
+        if step and (alone[lo] or alone[hi]) and values[hi] - values[lo] < 0.5 * step:
+            raise ClassificationError(
+                f"ambiguous {name} label for a level with F={f} "
+                f"(<{name}^2> = {values[lo]:.6f} and {values[hi]:.6f} for {name} = {j_lo} and {j_hi})"
+            )
+    return dict(zip(order, js))
 
 
-def _label(name: str, x: np.ndarray, op: np.ndarray, f: int) -> int:
-    """G1 or G2 of the F-block eigenvector x, from <op> = j(j+1)."""
-    value = float(x @ op @ x)
-    j = _round_to_j(value)
-    if j is None or j != round(j):
-        raise ClassificationError(f"ambiguous {name} label for a level with F={f} (<{name}^2> = {value:.6f})")
-    return int(j)
+def _labels(block: _FBlock, x: np.ndarray, alone: Sequence[bool]) -> list[tuple[int, int]]:
+    """(G1, G2) of each F-block eigenvector column of x, by rank.
+
+    The lowest <G1^2> take G1 = 0, as many as the coupling scheme puts
+    in this F block, and the rest G1 = 1; inside each G1 group the G2 go
+    by rank of <G2^2> the same way.  The traces of G1^2 and G2^2 over
+    the block fix these counts, so labels hold however far mixing moves
+    each expectation value from j(j+1), short of a tie (see `_by_rank`).
+    """
+    g1_sq, g2_sq = ((x * (op @ x)).sum(axis=0).tolist() for op in (block.g1_sq, block.g2_sq))
+    n = x.shape[1]
+    g1 = _by_rank("G1", g1_sq, range(n), [g1 for g1, _ in block.pairs], alone, block.f)
+    g2: dict[int, int] = {}
+    for group in (0, 1):
+        members = [a for a in range(n) if g1[a] == group]
+        g2.update(_by_rank("G2", g2_sq, members, [g2 for g1, g2 in block.pairs if g1 == group], alone, block.f))
+    return [(g1[a], g2[a]) for a in range(n)]
 
 
 def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> SpinLevel:
@@ -478,12 +503,14 @@ class _LevelSet:
             evals, x = np.linalg.eigh(np.tensordot(e, block.terms, 1))
             gammas = np.sum(x * (block.terms @ x), axis=1).T
             n = len(evals)
+            alone = [
+                (a == 0 or evals[a] - evals[a - 1] > COINCIDENT_KHZ)
+                and (a == n - 1 or evals[a + 1] - evals[a] > COINCIDENT_KHZ)
+                for a in range(n)
+            ]
+            labels = _labels(block, x, alone)
             for a in range(n):
-                alone = (a == 0 or evals[a] - evals[a - 1] > COINCIDENT_KHZ) and (
-                    a == n - 1 or evals[a + 1] - evals[a] > COINCIDENT_KHZ
-                )
-                g1 = _label("G1", x[:, a], block.g1_sq, block.f) if alone else None
-                g2 = _label("G2", x[:, a], block.g2_sq, block.f) if alone else None
+                g1, g2 = labels[a] if alone[a] else (None, None)
                 vectors = functools.partial(blocks.multiplet, block, x[:, a])
                 level = SpinLevel(float(evals[a]), 2 * block.f + 1, g1, g2, block.f, coeffs.v, coeffs.n_rot, vectors)
                 found.append((level, gammas[a]))
@@ -662,15 +689,18 @@ def transition_table(
 def _weighted_spin_terms(
     table: SensitivityTable,
     params: SpinUncertaintyParams,
-    weights: Mapping[str, float],
-) -> float:
+    weights: Mapping[str, float | np.ndarray],
+) -> float | np.ndarray:
     """Shared absolute-sum error model over weighted transitions.
 
     With a single transition at weight 1 this is the per-line estimate;
     with weights (b, 1-b) it is the composite one.  Sums over transitions
     happen inside each absolute value (coefficient errors are common to
     all transitions), and the k-terms add as absolute values, not in
-    quadrature.
+    quadrature.  The weights may be float arrays of one shape: the
+    result is then the array of estimates, each reached by the same
+    operations in the same order as with float weights, so bit for bit
+    equal to the float call.
     """
     for name in weights:
         table.row(name)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+
+import numpy as np
 
 from .angular import (
     SensitivityTable,
@@ -47,13 +48,14 @@ class CompositeInput:
 
 
 def composite_spin_uncertainty(
-    tables: SensitivityTable, params: SpinUncertaintyParams, b12: float
-) -> float:
+    tables: SensitivityTable, params: SpinUncertaintyParams, b12: float | np.ndarray
+) -> float | np.ndarray:
     """Spin-theory uncertainty of the weighted combination, in kHz.
 
     Coefficient errors are common to both transitions, so the weighted
     sensitivity sums sit inside each absolute value; setting b12 to 0 or
-    1 reduces exactly to the single-transition estimate.
+    1 reduces exactly to the single-transition estimate.  An array of
+    b12 gives the array of uncertainties, each equal to the float call.
     """
     return _weighted_spin_terms(tables, params, {"12": b12, "16": 1.0 - b12})
 
@@ -84,23 +86,28 @@ def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> 
 
     The objective is a sum of absolute values of functions affine in
     b12, hence convex piecewise-linear; the exact minimum sits at a
-    breakpoint (a zero crossing of one affine term) or an endpoint.  A
-    0.01-spaced grid is returned as the flatness profile.
+    breakpoint (a zero crossing of one affine term) or an endpoint, and
+    the first of the sorted candidates with the least uncertainty wins.
+    A 0.01-spaced grid is returned as the flatness profile.  Grid and
+    candidates are each evaluated in one array pass of the shared error
+    model, elementwise the same arithmetic as one call per b12.
     """
+    row12, row16 = tables.row("12"), tables.row("16")
     candidates = {0.0, 1.0}
-    for row12, row16 in ((tables.row("12"), tables.row("16")),):
-        for which in ("lower", "upper"):
-            g12, g16 = getattr(row12, which), getattr(row16, which)
-            for k in g12:
-                denom = g16[k] - g12[k]
-                if denom != 0.0:
-                    b = g16[k] / denom
-                    if 0.0 < b < 1.0:
-                        candidates.add(b)
+    for which in ("lower", "upper"):
+        g12, g16 = getattr(row12, which), getattr(row16, which)
+        for k in g12:
+            denom = g16[k] - g12[k]
+            if denom != 0.0:
+                b = g16[k] / denom
+                if 0.0 < b < 1.0:
+                    candidates.add(b)
     grid = [round(0.01 * i, 2) for i in range(101)]
-    profile = tuple((b, composite_spin_uncertainty(tables, params, b)) for b in grid)
-    best = min(sorted(candidates), key=lambda b: composite_spin_uncertainty(tables, params, b))
-    return WeightProfile(best, composite_spin_uncertainty(tables, params, best), profile)
+    profile = tuple(zip(grid, composite_spin_uncertainty(tables, params, np.array(grid)).tolist()))
+    candidates = np.array(sorted(candidates))
+    u = composite_spin_uncertainty(tables, params, candidates)
+    best = int(np.argmin(u))
+    return WeightProfile(float(candidates[best]), float(u[best]), profile)
 
 
 @dataclass(frozen=True)

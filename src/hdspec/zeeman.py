@@ -21,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import COINCIDENT_KHZ, HyperfineCoefficients, ProductBasis, level_structure, m_blocks
+from .angular import (
+    COINCIDENT_KHZ,
+    HyperfineCoefficients,
+    ProductBasis,
+    SpinLevel,
+    _level_set,
+    level_structure,
+    m_block,
+)
 from .quantity import Quantity, parse_field
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
@@ -90,6 +98,51 @@ class ZeemanMap:
         raise LookupError(f"no Zeeman state with label {label}")
 
 
+def _field_grid(b_values: Sequence[float]) -> np.ndarray:
+    b_values = np.asarray(b_values, dtype=float)
+    if b_values.ndim != 1 or len(b_values) == 0:
+        raise ValueError("b_values must be a non-empty 1-d sequence")
+    if np.any(np.diff(b_values) <= 0):
+        raise ValueError("b_values must be strictly ascending")
+    if b_values[0] < 0:
+        raise ValueError("b_values must be non-negative")
+    return b_values
+
+
+def _mappable(levels: Sequence[SpinLevel]) -> Sequence[SpinLevel]:
+    # coincident levels have no order to follow into the field (and those
+    # of one F have no label)
+    if any(hi.energy - lo.energy <= COINCIDENT_KHZ for lo, hi in zip(levels, levels[1:])):
+        raise ValueError("Zeeman mapping needs field-free levels that do not coincide")
+    return levels
+
+
+def _sublevels(
+    coeffs: HyperfineCoefficients,
+    couplings: ZeemanCouplings,
+    levels: Sequence[SpinLevel],
+    m_f: int,
+    b_values: np.ndarray,
+) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
+    """Labels and energies (one row each, over the grid) of the sublevels with projection m_F.
+
+    H0 + H_Z commutes with F_z, which is diagonal in the product basis,
+    so the m_F block is solved on its own, for the whole grid in one
+    stacked call.  Levels inside one block do not cross (von
+    Neumann-Wigner), so at every B the k-th lowest energy of the block
+    belongs to the k-th lowest field-free level with F >= |m_F|
+    (Bakalov, Korobov & Schiller, J. Phys. B 44, 025003 (2011)).  At
+    B = 0 the energies are the field-free ones exactly.
+    """
+    h0, slot_m = m_block(coeffs, m_f)
+    c = np.array([couplings.c_e, couplings.c_p, couplings.c_d, couplings.c_n])
+    energies = np.linalg.eigvalsh(h0 + b_values[:, None, None] * np.diag(c @ slot_m)).T
+    members = [lv for lv in levels if lv.f >= abs(m_f)]
+    if b_values[0] == 0.0:
+        energies[:, 0] = [lv.energy for lv in members]
+    return [(lv.g1, lv.g2, lv.f, m_f) for lv in members], energies
+
+
 def zeeman_map(
     coeffs: HyperfineCoefficients,
     couplings: ZeemanCouplings,
@@ -98,38 +151,21 @@ def zeeman_map(
 ) -> ZeemanMap:
     """Energies of every magnetic sublevel over an ascending field grid.
 
-    H0 + H_Z commutes with F_z, which is diagonal in the product basis,
-    so each m_F block is solved on its own, for the whole grid in one
-    stacked call.  Levels inside one block do not cross (von
-    Neumann-Wigner), so at every B the k-th lowest energy of block m_F
-    belongs to the k-th lowest field-free level with F >= |m_F|
-    (Bakalov, Korobov & Schiller, J. Phys. B 44, 025003 (2011)).  At
-    B = 0 the energies are the field-free ones exactly.
+    Each m_F block is solved on its own over the whole grid (see
+    `_sublevels`); the states come level by level in field-free order,
+    m_F ascending within a level.  The field-free levels must not
+    coincide.
     """
-    b_values = np.asarray(b_values, dtype=float)
-    if b_values.ndim != 1 or len(b_values) == 0:
-        raise ValueError("b_values must be a non-empty 1-d sequence")
-    if np.any(np.diff(b_values) <= 0):
-        raise ValueError("b_values must be strictly ascending")
-    if b_values[0] < 0:
-        raise ValueError("b_values must be non-negative")
-
-    levels = level_structure(coeffs, basis)
-    # coincident levels have no order to follow into the field (and those
-    # of one F have no label)
-    if any(hi.energy - lo.energy <= COINCIDENT_KHZ for lo, hi in zip(levels, levels[1:])):
-        raise ValueError("Zeeman mapping needs field-free levels that do not coincide")
+    b_values = _field_grid(b_values)
+    levels = _mappable(level_structure(coeffs, basis))
     labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
     index = {label: i for i, label in enumerate(labels)}
+    f_max = max(lv.f for lv in levels)
 
-    c = np.array([couplings.c_e, couplings.c_p, couplings.c_d, couplings.c_n])
     energies = np.empty((len(labels), len(b_values)))
-    for m, h0, slot_m in m_blocks(coeffs):
-        stack = h0 + b_values[:, None, None] * np.diag(c @ slot_m)
-        rows = [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)]
-        energies[rows] = np.linalg.eigvalsh(stack).T
-    if b_values[0] == 0.0:
-        energies[:, 0] = [lv.energy for lv in levels for _ in range(2 * lv.f + 1)]
+    for m in range(-f_max, f_max + 1):
+        block_labels, block = _sublevels(coeffs, couplings, levels, m, b_values)
+        energies[[index[label] for label in block_labels]] = block
 
     states = tuple(ZeemanState(*label, energies=energies[i]) for i, label in enumerate(labels))
     return ZeemanMap(b_values.copy(), states)
@@ -156,18 +192,24 @@ def transition_coeffs(
     """Linear and quadratic Zeeman coefficients of one transition.
 
     Each argument pairs a coefficient set with a (G1, G2, F, m_F) state
-    label.  The shift relative to zero field is fit by least squares to
-    a B + c B^2 over the grid.
+    label.  Only the m_F block of each label is solved, with the same
+    energies `zeeman_map` gives that state.  The shift relative to zero
+    field is fit by least squares to a B + c B^2 over the grid, which
+    must start at B = 0.
     """
     couplings = couplings or ZeemanCouplings()
+    b = _field_grid(b_values)
+    if b[0] != 0.0:
+        raise ValueError("transition_coeffs needs B = 0 in the grid to reference the shift")
     energies = []
     for coeffs, label in (lower, upper):
-        zmap = zeeman_map(coeffs, couplings, ProductBasis(coeffs.n_rot), b_values)
-        energies.append(zmap.state(label).energies)
-    b = np.asarray(b_values, dtype=float)
-    shift = (energies[1] - energies[0]) - (energies[1][0] - energies[0][0]) if b[0] == 0.0 else None
-    if shift is None:
-        raise ValueError("transition_coeffs needs B = 0 in the grid to reference the shift")
+        label = tuple(label)
+        levels = _mappable(_level_set(coeffs).levels)
+        if len(label) != 4 or not any(lv.label == label[:3] and lv.f >= abs(label[3]) for lv in levels):
+            raise LookupError(f"no Zeeman state with label {label}")
+        labels, block = _sublevels(coeffs, couplings, levels, label[3], b)
+        energies.append(block[labels.index(label)])
+    shift = (energies[1] - energies[0]) - (energies[1][0] - energies[0][0])
     design = np.column_stack([b, b ** 2])
     params, *_ = np.linalg.lstsq(design, shift, rcond=None)
     resid = shift - design @ params

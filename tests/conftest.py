@@ -46,3 +46,17 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the (stacked) matrices passed to numpy.linalg.eigvalsh."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls

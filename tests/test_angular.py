@@ -33,7 +33,7 @@ from hdspec.angular import (
 )
 from hdspec.zeeman import ZeemanCouplings, transition_coeffs, zeeman_map
 
-from dense_oracle import eigenlevels
+from dense_oracle import eigenlevels, round_to_j
 
 coeff_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -263,6 +263,76 @@ def test_ambiguous_labels_raise(basis1):
     coeffs = HyperfineCoefficients(v=1, n_rot=1, values=values)
     with pytest.raises(ClassificationError):
         level_structure(coeffs, basis1)
+
+
+@pytest.mark.parametrize("n_rot", range(6))
+def test_coupling_scheme_names_every_highest_weight_state(n_rot):
+    # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N: one (G1, G2) per level of each F
+    for block in angular._blocks(n_rot).f_blocks:
+        assert len(block.pairs) == block.kernel.shape[1]
+        assert list(block.pairs) == sorted(set(block.pairs))
+
+
+@pytest.mark.parametrize(
+    "alone, raises",
+    [
+        ([True, False, False], True),  # the tie touches a level of its own
+        ([False, True, False], True),
+        ([False, False, True], False),  # the tie lies between two coincident levels
+    ],
+)
+def test_a_tie_at_a_group_boundary_raises_only_for_a_level_of_its_own(alone, raises):
+    # <G1^2> of 0.9 and 1.1 lie 0.2 apart across the G1 = 0 / 1 step of 2
+    values = [0.9, 1.1, 2.0]
+    if raises:
+        with pytest.raises(ClassificationError, match="ambiguous G1"):
+            angular._by_rank("G1", values, range(3), [0, 1, 1], alone, 1)
+    else:
+        assert angular._by_rank("G1", values, range(3), [0, 1, 1], alone, 1) == {0: 0, 1: 1, 2: 1}
+
+
+def window_labels(coeffs):
+    """(F, energy, label) of the levels of `coeffs` by the fixed-window rule, or None where it fails.
+
+    Each level of its own takes the G1 and G2 whose j(j+1) lie within
+    0.05 of <G1^2> and <G2^2>, each on its own.
+    """
+    blocks, e = angular._blocks(coeffs.n_rot), angular._coefficient_vector(coeffs)
+    out = set()
+    for block in blocks.f_blocks:
+        evals, x = np.linalg.eigh(np.tensordot(e, block.terms, 1))
+        for a in range(len(evals)):
+            alone = all(abs(evals[a] - evals[b]) > angular.COINCIDENT_KHZ for b in range(len(evals)) if b != a)
+            label = None
+            if alone:
+                g = [round_to_j(float(x[:, a] @ op @ x[:, a])) for op in (block.g1_sq, block.g2_sq)]
+                if None in g or any(j != round(j) for j in g):
+                    return None
+                label = (int(g[0]), int(g[1]), block.f)
+            out.add((block.f, float(evals[a]), label))
+    return out
+
+
+@pytest.mark.parametrize("key", [(0, 0), (1, 1)])
+def test_labels_by_rank_hold_where_a_fixed_window_fails(key, demo_sets):
+    # each demo coefficient scaled by U(0.8, 1.25): mixing moves some
+    # <G^2> more than 0.05 from j(j+1), and the rank inside the F block
+    # still labels every level; where the window rule labels a set, the
+    # labels agree
+    rng = np.random.default_rng(2024 + key[1])
+    base = demo_sets[key]
+    window_failed = 0
+    for _ in range(300):
+        coeffs = HyperfineCoefficients(base.v, base.n_rot, {k: e * rng.uniform(0.8, 1.25) for k, e in base.values.items()})
+        levels = angular._LevelSet(coeffs).levels
+        assert all(lv.label is not None for lv in levels)
+        assert len({lv.label for lv in levels}) == len(levels)
+        reference = window_labels(coeffs)
+        if reference is None:
+            window_failed += 1
+        else:
+            assert {(lv.f, lv.energy, lv.label) for lv in levels} == reference
+    assert window_failed > 0
 
 
 def test_find_level_unresolved(basis0, demo_sets):

@@ -1,7 +1,9 @@
 """Weighted combination of the two measured hyperfine components."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from hdspec.angular import (
     SpinUncertaintyParams,
     TransitionSensitivities,
     spin_uncertainty,
+    transition_table,
 )
 from hdspec.composite import (
     CompositeInput,
@@ -128,6 +131,48 @@ def test_optimize_weight_finds_interior_crossing():
     profile = optimize_weight(table, SpinUncertaintyParams())
     assert profile.b_star == pytest.approx(0.5, abs=1e-9)
     assert profile.u_star == pytest.approx(0.0, abs=1e-12)
+
+
+def perturbed_tables():
+    """Sensitivity tables of perturbed demo levels, with and without eps overrides on the upper level."""
+    demo = bundled.load_demo_coefficients()
+    rng = np.random.default_rng(17)
+    overrides = [{}, {1: 1e-3}, {2: 3e-5, 4: 2e-6, 9: 1e-4}, {1: 5e-4, 5: 4e-6}]
+    for i in range(40):
+        lower, upper = (
+            HyperfineCoefficients(
+                base.v, base.n_rot, {k: e * rng.uniform(0.9, 1.1) for k, e in base.values.items()},
+                overrides[i % 4] if base.n_rot else {},
+            )
+            for base in (demo[(0, 0)], demo[(1, 1)])
+        )
+        yield transition_table(lower, upper, bundled.TRANSITION_LEVELS)
+
+
+@pytest.mark.parametrize("params", [SpinUncertaintyParams(), SpinUncertaintyParams(3e-6, 2e-5, 0.2)])
+def test_optimize_weight_equals_one_call_per_weight(params):
+    # the array pass over the grid and the candidates gives, bit for bit,
+    # what one float call of the error model per b12 gives
+    eps1_branches = set()
+    # the last two: one interior minimum, and identical rows (every b12 ties)
+    ties = [two_line_table({}, {1: 1.0}, {}, {1: -1.0}), two_line_table({4: 0.5}, {1: 1.0}, {4: 0.5}, {1: 1.0})]
+    for table in itertools.chain(perturbed_tables(), ties):
+        eps1_branches.add(1 in table.upper_coeffs.eps_overrides)
+        got = optimize_weight(table, params)
+        grid = [round(0.01 * i, 2) for i in range(101)]
+        assert got.profile == tuple((b, composite_spin_uncertainty(table, params, b)) for b in grid)
+        assert all(type(b) is float and type(u) is float for b, u in got.profile)
+
+        candidates = {0.0, 1.0}
+        for which in ("lower", "upper"):
+            g12, g16 = getattr(table.row("12"), which), getattr(table.row("16"), which)
+            for k in g12:
+                if g16[k] != g12[k] and 0.0 < g16[k] / (g16[k] - g12[k]) < 1.0:
+                    candidates.add(g16[k] / (g16[k] - g12[k]))
+        best = min(sorted(candidates), key=lambda b: composite_spin_uncertainty(table, params, b))
+        assert got.b_star == best and type(got.b_star) is float
+        assert got.u_star == composite_spin_uncertainty(table, params, best) and type(got.u_star) is float
+    assert eps1_branches == {False, True}
 
 
 def test_composite_rejects_weight_outside_unit_interval(bundled_input):

@@ -210,6 +210,80 @@ def test_transition_coeffs_requires_zero_field_point(demo_sets):
         )
 
 
+FINE_GRID = np.arange(2001) / 10000.0  # 0-0.2 G in 0.1 mG steps
+COARSE_GRID = np.arange(41) * 5.0  # 0-200 G in 5 G steps
+
+
+def _shift_model(lower_energies, upper_energies, grid):
+    """The a B + c B^2 fit of transition_coeffs, from energies taken elsewhere."""
+    b = np.asarray(grid, dtype=float)
+    shift = (upper_energies - lower_energies) - (upper_energies[0] - lower_energies[0])
+    design = np.column_stack([b, b ** 2])
+    params, *_ = np.linalg.lstsq(design, shift, rcond=None)
+    resid = shift - design @ params
+    return (float(params[0]), float(params[1]), float(np.sqrt(np.mean(resid ** 2))))
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_B_GRID, FINE_GRID, COARSE_GRID], ids=["default", "fine", "coarse"])
+def test_transition_coeffs_solves_the_sublevels_zeeman_map_gives(grid, demo_sets):
+    # every label of both demo levels: each solved alone in its m_F block,
+    # its energies are those of the full map, bit for bit
+    cpl = ZeemanCouplings()
+    lower, upper = demo_sets[(0, 0)], demo_sets[(1, 1)]
+    maps = [zeeman_map(c, cpl, ProductBasis(c.n_rot), grid).states for c in (lower, upper)]
+    pairs = [(lo, maps[1][0]) for lo in maps[0]] + [(maps[0][0], up) for up in maps[1]]
+    assert len(pairs) == 12 + 36
+    for lo, up in pairs:
+        model = transition_coeffs((lower, lo.label), (upper, up.label), cpl, grid)
+        assert (model.linear, model.quadratic, model.rms_residual) == _shift_model(lo.energies, up.energies, grid)
+
+
+def test_transition_coeffs_solves_two_m_f_blocks(eigvalsh_calls, demo_sets):
+    transition_coeffs((demo_sets[(0, 0)], (1, 2, 2, 2)), (demo_sets[(1, 1)], (1, 2, 3, 3)))
+    # m_F = 2 of N = 0 holds 1 state (F = 2), m_F = 3 of N = 1 holds 1 (F = 3)
+    assert eigvalsh_calls == [(len(DEFAULT_B_GRID), 1, 1)] * 2
+    eigvalsh_calls.clear()
+    transition_coeffs((demo_sets[(0, 0)], (1, 1, 1, 0)), (demo_sets[(1, 1)], (1, 1, 1, 0)), b_values=COARSE_GRID)
+    assert eigvalsh_calls == [(41, 4, 4), (41, 10, 10)]
+
+
+@pytest.mark.parametrize(
+    "lower_label, upper_label",
+    [
+        ((1, 2, 2, 3), (1, 2, 3, 3)),  # |m_F| > F of the lower level
+        ((1, 2, 2, 5), (1, 2, 3, 3)),  # |m_F| past every F of N = 0
+        ((1, 2, 2, 2), (0, 1, 0, 1)),  # |m_F| > F of the upper level
+        ((1, 2, 1, 0), (1, 2, 3, 0)),  # no such level
+        ((1, 2, 2), (1, 2, 3, 0)),  # no m_F
+    ],
+)
+def test_transition_coeffs_rejects_a_label_the_level_lacks(lower_label, upper_label, demo_sets):
+    with pytest.raises(LookupError, match="no Zeeman state"):
+        transition_coeffs((demo_sets[(0, 0)], lower_label), (demo_sets[(1, 1)], upper_label))
+
+
+def test_transition_coeffs_refuses_coincident_levels(demo_sets):
+    values = dict.fromkeys(range(1, 10), 0.0)
+    with pytest.raises(ValueError, match="coincide"):
+        transition_coeffs((demo_sets[(0, 0)], (1, 2, 2, 0)), (HyperfineCoefficients(1, 1, values), (1, 2, 3, 0)))
+
+
+@pytest.mark.parametrize(
+    "grid, msg",
+    [
+        ((0.0, 0.2, 0.1), "ascending"),
+        ((0.0, 0.1, 0.1), "ascending"),
+        ((-0.1, 0.1), "non-negative"),
+        ((), "non-empty"),
+        ((0.1, 0.2), "B = 0"),
+    ],
+)
+def test_transition_coeffs_checks_the_grid_before_any_solve(grid, msg, eigh_calls, eigvalsh_calls, demo_sets):
+    with pytest.raises(ValueError, match=msg):
+        transition_coeffs((demo_sets[(0, 0)], (1, 2, 2, 2)), (demo_sets[(1, 1)], (1, 2, 3, 3)), b_values=grid)
+    assert eigh_calls == [] and eigvalsh_calls == []
+
+
 # --- zero-field extrapolation ---------------------------------------------
 
 
