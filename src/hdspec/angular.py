@@ -387,6 +387,11 @@ def _coefficient_vector(coeffs: HyperfineCoefficients) -> np.ndarray:
     return np.array([coeffs.coefficient(k) for k in COEFF_INDICES], dtype=float)
 
 
+def _contract(e: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_k e_k terms[k]: the same array as `np.tensordot(e, terms, 1)`, without its Python wrapper."""
+    return (e @ terms.reshape(len(terms), -1)).reshape(terms.shape[1:])
+
+
 def m_block(coeffs: HyperfineCoefficients, m_f: int) -> tuple[np.ndarray, np.ndarray]:
     """(H block, slot projections) of the m_F block of the level of `coeffs`.
 
@@ -395,7 +400,7 @@ def m_block(coeffs: HyperfineCoefficients, m_f: int) -> tuple[np.ndarray, np.nda
     I_d and N of those states, one row per slot (SLOT_NAMES order).
     """
     blocks = _blocks(coeffs.n_rot)
-    return np.tensordot(_coefficient_vector(coeffs), blocks.terms[m_f], 1), blocks.slot_m[m_f]
+    return _contract(_coefficient_vector(coeffs), blocks.terms[m_f]), blocks.slot_m[m_f]
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +505,7 @@ class _LevelSet:
         blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
         found = []
         for block in blocks.f_blocks:
-            evals, x = np.linalg.eigh(np.tensordot(e, block.terms, 1))
+            evals, x = np.linalg.eigh(_contract(e, block.terms))
             gammas = np.sum(x * (block.terms @ x), axis=1).T
             n = len(evals)
             alone = [

@@ -98,11 +98,25 @@ def _write_json(out_dir: Path, stem: str, payload: dict) -> Path:
     return _publish(out_dir / f"{stem}.json", text + "\n")
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _write_csv(out_dir: Path, stem: str, header: list[str], rows: list) -> Path:
+    """Publish `header` and `rows` as `<stem>.csv`, with CRLF line ends as `csv.writer` writes them.
+
+    A row of Python ints and floats is rendered with `repr` and joined by
+    commas: a number never needs quoting.  Any other row goes through
+    `csv.writer` (its quoting rules for str cells, None as an empty cell),
+    with numpy floats rendered as `repr(float(x))`.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row] for row in rows)
+    for row in rows:
+        if _NUMBER_TYPES.issuperset(map(type, row)):
+            buf.write(",".join(map(repr, row)) + "\r\n")
+        else:
+            writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row])
     return _publish(out_dir / f"{stem}.csv", buf.getvalue())
 
 
@@ -130,10 +144,11 @@ def _finite_float(text: str) -> float:
 
 
 def _floats_arg(text: str, flag: str) -> list[float]:
+    """A comma-separated list flag; every entry passes the check of `_finite_float`."""
     try:
-        values = [float(tok) for tok in text.replace(" ", "").split(",") if tok]
-    except ValueError as exc:
-        raise ConfigFailure(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+        values = [_finite_float(tok) for tok in text.replace(" ", "").split(",") if tok]
+    except ConfigFailure:
+        raise ConfigFailure(f"{flag} expects comma-separated finite numbers, got {text!r}") from None
     if not values:
         raise ConfigFailure(f"{flag} is empty")
     return values
@@ -262,24 +277,20 @@ def _cmd_zeeman_map(args) -> int:
     b_values = _floats_arg(args.b_values, "--b-values") if args.b_values else list(zeeman.DEFAULT_B_GRID)
     zmap = _run(zeeman.zeeman_map, sets[key], _couplings(args), angular.ProductBasis(key[1]), b_values)
 
+    b_gauss = zmap.b_values.tolist()
+    energies = [st.energies.tolist() for st in zmap.states]
     payload = {
         "level": {"v": key[0], "n": key[1]},
-        "b_gauss": [float(b) for b in zmap.b_values],
+        "b_gauss": b_gauss,
         "states": [
-            {
-                "g1": st.g1,
-                "g2": st.g2,
-                "f": st.f,
-                "m_f": st.m_f,
-                "energies_khz": [float(e) for e in st.energies],
-            }
-            for st in zmap.states
+            {"g1": st.g1, "g2": st.g2, "f": st.f, "m_f": st.m_f, "energies_khz": e}
+            for st, e in zip(zmap.states, energies)
         ],
     }
     rows = [
-        [st.g1, st.g2, st.f, st.m_f, float(b), float(e)]
-        for st in zmap.states
-        for b, e in zip(zmap.b_values, st.energies)
+        [st.g1, st.g2, st.f, st.m_f, b, e]
+        for st, state_energies in zip(zmap.states, energies)
+        for b, e in zip(b_gauss, state_energies)
     ]
     print(f"{len(zmap.states)} sublevels over {len(zmap.b_values)} field values")
     _write_json(args.out_dir, "zeeman_map", payload)

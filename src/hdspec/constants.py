@@ -10,7 +10,6 @@ inverted for mu/m_e and m_p/m_e with a four-component error budget.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import re
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .quantity import Quantity, parse_field
+from .quantity import FINITE, FLAG, OPTIONAL_NON_NEGATIVE, TEXT, Quantity, read_table
 
 MANDATORY_CONTRIBUTIONS = (
     "alpha^0",
@@ -298,23 +297,24 @@ def read_constants_file(path: str | Path) -> ConstantSet:
 
 
 def read_contribution_csv(path: str | Path) -> ContributionTable:
-    """Read `name, value_khz, u_khz, bookkeeping(0|1)` rows, order kept."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            value = parse_field(row["value_khz"], path, reader.line_num, "value_khz")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{reader.line_num}: value_khz must be finite")
-            u = 0.0
-            if (row.get("u_khz") or "").strip():
-                u = parse_field(row["u_khz"], path, reader.line_num, "u_khz")
-                if not (math.isfinite(u) and u >= 0):
-                    raise ValueError(f"{path}:{reader.line_num}: u_khz must be finite and >= 0")
-            bookkeeping = (row["bookkeeping"] or "").strip()
-            if bookkeeping not in ("0", "1"):
-                raise ValueError(f"{path}:{reader.line_num}: bookkeeping must be 0 or 1, got {bookkeeping!r}")
-            rows.append(Contribution(row["name"].strip(), value, u, bookkeeping == "1"))
+    """Read `name, value_khz, u_khz, bookkeeping(0|1)` rows, order kept.
+
+    value_khz must be finite; u_khz, if the column and the cell are there,
+    finite and >= 0 (else 0); bookkeeping 0 or 1.  `quantity.read_table`
+    parses a large plain-ASCII file a whole column at a time with
+    `np.loadtxt`; any other file, and any fault, it reads row by row, and
+    that row path is the authority on values and on the `path:line`
+    message.
+    """
+    cols = read_table(
+        path, [("value_khz", FINITE), ("u_khz", OPTIONAL_NON_NEGATIVE), ("bookkeeping", FLAG), ("name", TEXT)]
+    )
+    rows = [
+        Contribution(name, value, 0.0 if math.isnan(u) else u, bookkeeping == "1")
+        for name, value, u, bookkeeping in zip(
+            cols["name"], cols["value_khz"].tolist(), cols["u_khz"].tolist(), cols["bookkeeping"]
+        )
+    ]
     if not rows:
         raise ValueError(f"{path}: empty contribution table")
     return ContributionTable(tuple(rows))

@@ -12,7 +12,6 @@ center error.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantity import Quantity, parse_field
+from .quantity import FINITE, FLAG, TEXT, UNIT_INTERVAL, Quantity, read_table
 
 
 class FitError(RuntimeError):
@@ -239,21 +238,23 @@ def line_frequency(fit: LineFit, absolute_offset: float) -> Quantity:
 
 
 def read_decay_csv(path: str | Path) -> list[DecayRecord]:
-    """Read `detuning_khz, run_id, laser_on(0|1), depletion` rows."""
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            detuning = parse_field(row["detuning_khz"], path, reader.line_num, "detuning_khz")
-            depletion = parse_field(row["depletion"], path, reader.line_num, "depletion")
-            if not math.isfinite(detuning):
-                raise ValueError(f"{path}:{reader.line_num}: detuning_khz must be finite")
-            if not 0.0 <= depletion <= 1.0:  # NaN fails this too
-                raise ValueError(f"{path}:{reader.line_num}: depletion must be in [0, 1], got {depletion}")
-            laser_on = row["laser_on"].strip()
-            if laser_on not in ("0", "1"):
-                raise ValueError(f"{path}:{reader.line_num}: laser_on must be 0 or 1, got {laser_on!r}")
-            records.append(DecayRecord(detuning, row["run_id"].strip(), laser_on == "1", depletion))
+    """Read `detuning_khz, run_id, laser_on(0|1), depletion` rows.
+
+    detuning_khz must be finite, depletion in [0, 1] and laser_on 0 or 1;
+    run_id is any text.  `quantity.read_table` parses a large plain-ASCII
+    file a whole column at a time with `np.loadtxt`; any other file, and
+    any fault, it reads row by row, and that row path is the authority on
+    values and on the `path:line` message.
+    """
+    cols = read_table(
+        path, [("detuning_khz", FINITE), ("depletion", UNIT_INTERVAL), ("laser_on", FLAG), ("run_id", TEXT)]
+    )
+    records = [
+        DecayRecord(detuning, run_id, laser_on == "1", depletion)
+        for detuning, run_id, laser_on, depletion in zip(
+            cols["detuning_khz"].tolist(), cols["run_id"], cols["laser_on"], cols["depletion"].tolist()
+        )
+    ]
     if not records:
         raise ValueError(f"{path}: no decay records")
     return records

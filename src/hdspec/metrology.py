@@ -9,7 +9,6 @@ with the overlapping Allan deviation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantity import parse_field
+from .quantity import FINITE, read_table
 
 
 @dataclass(frozen=True)
@@ -153,20 +152,20 @@ def allan_deviation(
 
 
 def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> FrequencyTimeSeries:
-    """Read a `t_s, f_hz` counter log into a uniform time series."""
-    t, f = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            t.append(parse_field(row["t_s"], path, reader.line_num, "t_s"))
-            f.append(parse_field(row["f_hz"], path, reader.line_num, "f_hz"))
-            if not (math.isfinite(t[-1]) and math.isfinite(f[-1])):
-                raise ValueError(f"{path}:{reader.line_num}: t_s and f_hz must be finite")
+    """Read a `t_s, f_hz` counter log into a uniform time series.
+
+    Both columns must be finite.  `quantity.read_table` parses a large
+    plain-ASCII file a whole column at a time with `np.loadtxt`; any other
+    file, and any fault, it reads row by row, and that row path is the
+    authority on values and on the `path:line` message.
+    """
+    cols = read_table(path, [(("t_s", "f_hz"), FINITE)])
+    t, f = cols["t_s"], cols["f_hz"]
     if len(t) < 2:
         raise ValueError(f"{path}: need at least 2 counter samples")
     dt = np.diff(t)
     tau0 = float(np.median(dt))
     if np.any(np.abs(dt - tau0) > 1e-6 * tau0):
         raise ValueError(f"{path}: sampling is not uniform")
-    return FrequencyTimeSeries(tau0, np.asarray(f), carrier_hz=carrier_hz)
+    return FrequencyTimeSeries(tau0, f, carrier_hz=carrier_hz)
 

@@ -9,7 +9,6 @@ unlike the spin-theory budget which sums absolute values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantity import Quantity, parse_field
+from .quantity import FINITE, OPTIONAL_NON_NEGATIVE, Quantity, read_table
 
 ENTRY_BASES = ("measured-extrapolation", "theoretical-bound", "set-to-zero")
 
@@ -192,22 +191,20 @@ def negligible_entries() -> tuple[ShiftEntry, ShiftEntry, ShiftEntry]:
 
 
 def read_amplitude_csv(path: str | Path) -> list[tuple[float, Quantity]]:
-    """Read `amplitude, f_khz, u_khz` extrapolation rows."""
-    points = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            amplitude = parse_field(row["amplitude"], path, reader.line_num, "amplitude")
-            f = parse_field(row["f_khz"], path, reader.line_num, "f_khz")
-            if not (math.isfinite(amplitude) and math.isfinite(f)):
-                raise ValueError(f"{path}:{reader.line_num}: amplitude and f_khz must be finite")
-            comp = {}
-            if (row.get("u_khz") or "").strip():
-                u = parse_field(row["u_khz"], path, reader.line_num, "u_khz")
-                if not (math.isfinite(u) and u >= 0):
-                    raise ValueError(f"{path}:{reader.line_num}: u_khz must be finite and >= 0")
-                comp = {"exp": u}
-            points.append((amplitude, Quantity(f, "kHz", comp)))
+    """Read `amplitude, f_khz, u_khz` extrapolation rows.
+
+    amplitude and f_khz must be finite; u_khz, if the column and the cell
+    are there, finite and >= 0 (an empty one gives no `exp` component).
+    `quantity.read_table` parses a large plain-ASCII file a whole column
+    at a time with `np.loadtxt`; any other file, and any fault, it reads
+    row by row, and that row path is the authority on values and on the
+    `path:line` message.
+    """
+    cols = read_table(path, [(("amplitude", "f_khz"), FINITE), ("u_khz", OPTIONAL_NON_NEGATIVE)])
+    points = [
+        (amplitude, Quantity(f, "kHz", {} if math.isnan(u) else {"exp": u}))
+        for amplitude, f, u in zip(cols["amplitude"].tolist(), cols["f_khz"].tolist(), cols["u_khz"].tolist())
+    ]
     if not points:
         raise ValueError(f"{path}: no extrapolation points")
     return points

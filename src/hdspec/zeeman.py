@@ -13,7 +13,6 @@ weighted fit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ from .angular import (
     level_structure,
     m_block,
 )
-from .quantity import Quantity, parse_field
+from .quantity import FINITE, POSITIVE, Quantity, parse_field, read_table
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
@@ -272,18 +271,15 @@ def extrapolate_to_zero_field(
 
 
 def read_field_scan_csv(path: str | Path) -> tuple[list[float], list[float], list[float]]:
-    """Read `B_gauss, f_khz, u_khz` rows of a field-extrapolation scan."""
-    b, f, u = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            b.append(parse_field(row["B_gauss"], path, reader.line_num, "B_gauss"))
-            f.append(parse_field(row["f_khz"], path, reader.line_num, "f_khz"))
-            u.append(parse_field(row["u_khz"], path, reader.line_num, "u_khz"))
-            if not (math.isfinite(b[-1]) and math.isfinite(f[-1])):
-                raise ValueError(f"{path}:{reader.line_num}: B_gauss and f_khz must be finite")
-            if not (math.isfinite(u[-1]) and u[-1] > 0):
-                raise ValueError(f"{path}:{reader.line_num}: u_khz must be finite and positive")
-    if not b:
+    """Read `B_gauss, f_khz, u_khz` rows of a field-extrapolation scan.
+
+    B_gauss and f_khz must be finite and u_khz finite and positive.
+    `quantity.read_table` parses a large plain-ASCII file a whole column
+    at a time with `np.loadtxt`; any other file, and any fault, it reads
+    row by row, and that row path is the authority on values and on the
+    `path:line` message.
+    """
+    cols = read_table(path, [(("B_gauss", "f_khz"), FINITE), ("u_khz", POSITIVE)])
+    if not len(cols["B_gauss"]):
         raise ValueError(f"{path}: no field-scan rows")
-    return b, f, u
+    return cols["B_gauss"].tolist(), cols["f_khz"].tolist(), cols["u_khz"].tolist()

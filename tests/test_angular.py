@@ -801,3 +801,21 @@ def test_f_block_solve_agrees_with_the_dense_oracle(n_rot):
         assert [(lv.label, lv.degeneracy) for lv in levels] == [(lv.label, lv.degeneracy) for lv in dense]
         worst = max(worst, max(abs(a.energy - b.energy) for a, b in zip(levels, dense)))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("n_rot", range(6))
+def test_term_contraction_equals_tensordot(n_rot):
+    # the F blocks of _LevelSet and the m_F blocks of m_block contract the
+    # nine term operators with one matmul; it must give tensordot's array
+    # bit for bit, on the demo set and on 1 %-perturbed ones
+    rng = np.random.default_rng(31 + n_rot)
+    base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
+    blocks = angular._blocks(n_rot)
+    sets = [HyperfineCoefficients(v=1, n_rot=n_rot, values=dict(base.values))]
+    sets += [perturbed(base, n_rot, rng) for _ in range(20)]
+    for coeffs in sets:
+        e = angular._coefficient_vector(coeffs)
+        for terms in [block.terms for block in blocks.f_blocks] + list(blocks.terms.values()):
+            assert np.array_equal(angular._contract(e, terms), np.tensordot(e, terms, 1))
+        for m_f, terms in blocks.terms.items():
+            assert np.array_equal(angular.m_block(coeffs, m_f)[0], np.tensordot(e, terms, 1))

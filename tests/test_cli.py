@@ -1,18 +1,24 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hdspec
 from hdspec import bundled, lineshape, metrology
-from hdspec.cli import main
+from hdspec.cli import _write_csv, main
 
 SRC = str(Path(hdspec.__file__).resolve().parents[1])
 
@@ -196,6 +202,51 @@ def test_spin_structure_demo_solves_each_hamiltonian_once(tmp_path, eigh_calls):
     assert run(tmp_path, "spin-structure", "--demo") == 0
     # one eigh per F block: F = 0, 1, 2 at N = 0, then F = 0, 1, 2, 3 at N = 1
     assert eigh_calls == [1, 2, 1, 2, 4, 3, 1]
+
+
+CSV_CELLS = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.floats(width=64),
+    st.floats(width=64).map(np.float64),
+    st.integers(-5, 5).map(np.int64),
+    st.text(st.sampled_from('ab ,"\r\n\t'), max_size=4),
+    st.none(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200)
+@given(rows=st.lists(st.lists(CSV_CELLS, max_size=5), max_size=6))
+def test_csv_writer_renders_what_csv_writer_renders(rows):
+    """Numeric rows by repr and a comma join; every row as csv.writer with repr(float(x)) cells writes it."""
+    header = ["a", "b,c", 'd"e']
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row] for row in rows)
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+        path = _write_csv(Path(d), "t", header, rows)
+        got = path.read_bytes().decode("utf-8")
+    assert got == want.getvalue()
+
+
+NON_FINITE_LIST_FLAGS = [
+    (["adev", "--input", str(bundled.data_path("demo_counter.csv")), "--tau-list", "1,inf"], "--tau-list", "1,inf"),
+    (["zeeman-map", "--demo", "--b-values", "0,nan"], "--b-values", "0,nan"),
+    (
+        ["zeeman-coeffs", "--demo", "--transition", "16", "--lower-mf", "2", "--upper-mf", "3", "--b-values", "0,0.1,nan"],
+        "--b-values",
+        "0,0.1,nan",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, flag, text", NON_FINITE_LIST_FLAGS, ids=["adev", "zeeman-map", "zeeman-coeffs"])
+def test_non_finite_list_flag_is_one_line_config_error(tmp_path, capsys, argv, flag, text):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {flag} expects comma-separated finite numbers, got {text!r}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_zeeman_map_on_coarse_grid(tmp_path):
