@@ -10,6 +10,7 @@ parenthetical style of precision spectroscopy.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -114,6 +115,21 @@ def combine_linear(terms: Sequence[tuple[float, Quantity]]) -> Quantity:
         for name in names
     }
     return Quantity(value, terms[0][1].unit, comps)
+
+
+@contextlib.contextmanager
+def overflow_as_value_error(what: str):
+    """Turn float64 overflow inside the block into one ValueError that names `what`.
+
+    numpy would otherwise print a RuntimeWarning for each overflow,
+    division by zero or invalid operation on finite but huge inputs, and
+    leave an infinity or NaN for a later, less telling check.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{what} overflows float64 ({exc})") from None
 
 
 def parenthetical(q: Quantity, digits: int = 2) -> str:

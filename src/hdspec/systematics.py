@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantity import FINITE, OPTIONAL_NON_NEGATIVE, Quantity, read_table
+from .quantity import FINITE, OPTIONAL_NON_NEGATIVE, Quantity, overflow_as_value_error, read_table
 
 ENTRY_BASES = ("measured-extrapolation", "theoretical-bound", "set-to-zero")
 
@@ -107,27 +107,30 @@ def rf_extrapolate(
     if amps.min() == amps.max():
         raise ValueError("singular fit: all amplitudes are identical")
     f = np.array([q.value for _, q in points])
-    basis = amps if linear_in_amplitude else amps ** 2
-
     u = np.array([q.component("exp") for _, q in points])
-    w = 1.0 / u ** 2 if np.all(u > 0) else np.ones_like(f)
+    with overflow_as_value_error("RF extrapolation fit"):
+        basis = amps if linear_in_amplitude else amps ** 2
+        w = 1.0 / u ** 2 if np.all(u > 0) else np.ones_like(f)
 
-    design = np.column_stack([np.ones_like(basis), basis])
-    xtw = design.T * w
-    try:
-        cov = np.linalg.inv(xtw @ design)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular RF extrapolation fit") from exc
-    f0, k = cov @ (xtw @ f)
+        design = np.column_stack([np.ones_like(basis), basis])
+        xtw = design.T * w
+        try:
+            cov = np.linalg.inv(xtw @ design)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("singular RF extrapolation fit") from exc
+        f0, k = cov @ (xtw @ f)
+        x_nom = np.float64(nominal_amplitude)  # numpy arithmetic, so an overflow raises here
+        if not linear_in_amplitude:
+            x_nom = x_nom ** 2
+        correction = float(-k * x_nom)
+        u_corr = float(math.sqrt(cov[1, 1]) * x_nom) if np.all(u > 0) else 0.0
 
-    x_nom = nominal_amplitude if linear_in_amplitude else nominal_amplitude ** 2
     comp = {"exp": float(math.sqrt(cov[0, 0]))} if np.all(u > 0) else {}
     f_zero = Quantity(float(f0), points[0][1].unit, comp)
-    u_corr = float(math.sqrt(cov[1, 1])) * x_nom if np.all(u > 0) else 0.0
     model = "A" if linear_in_amplitude else "A^2"
     entry = ShiftEntry(
         name="trap RF field (Stark)",
-        correction=float(-k * x_nom),
+        correction=correction,
         uncertainty=u_corr,
         basis="measured-extrapolation",
         note=f"extrapolation f = f0 + k*{model} over {len(points)} amplitudes; "

@@ -29,7 +29,7 @@ from .angular import (
     level_structure,
     m_block,
 )
-from .quantity import FINITE, POSITIVE, Quantity, parse_field, read_table
+from .quantity import FINITE, POSITIVE, Quantity, overflow_as_value_error, parse_field, read_table
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
@@ -241,22 +241,23 @@ def extrapolate_to_zero_field(
     f = np.asarray(frequencies, dtype=float)
     if b.shape != f.shape or b.ndim != 1:
         raise ValueError("b_values and frequencies must be 1-d and the same length")
-    if b.size == 0 or np.min(b ** 2) == np.max(b ** 2):
-        raise ValueError("need at least two distinct field magnitudes")
-    design = np.column_stack([np.ones_like(b), b ** 2])
+    with overflow_as_value_error("zero-field extrapolation fit"):
+        if b.size == 0 or np.min(b ** 2) == np.max(b ** 2):
+            raise ValueError("need at least two distinct field magnitudes")
+        design = np.column_stack([np.ones_like(b), b ** 2])
 
-    if uncertainties is not None:
-        u = np.asarray(uncertainties, dtype=float)
-        if u.shape != b.shape or np.any(u <= 0):
-            raise ValueError("uncertainties must be positive and match b_values")
-        w = 1.0 / u ** 2
-    else:
-        w = np.ones_like(b)
+        if uncertainties is not None:
+            u = np.asarray(uncertainties, dtype=float)
+            if u.shape != b.shape or np.any(u <= 0):
+                raise ValueError("uncertainties must be positive and match b_values")
+            w = 1.0 / u ** 2
+        else:
+            w = np.ones_like(b)
 
-    xtw = design.T * w
-    cov = np.linalg.inv(xtw @ design)
-    params = cov @ (xtw @ f)
-    resid = f - design @ params
+        xtw = design.T * w
+        cov = np.linalg.inv(xtw @ design)
+        params = cov @ (xtw @ f)
+        resid = f - design @ params
 
     if uncertainties is not None:
         comp0 = {"exp": float(np.sqrt(cov[0, 0]))}

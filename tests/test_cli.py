@@ -126,6 +126,30 @@ def test_nan_counter_row_is_one_line_error(tmp_path):
     assert not (tmp_path / "adev.json").exists()
 
 
+def huge_value_table(tmp_path, header, rows):
+    path = tmp_path / f"{header.split(',')[0]}.csv"
+    path.write_text(header + "\n" + "".join(f"{row}\n" for row in rows))
+    return str(path)
+
+
+def test_overflowing_fits_are_one_line_data_errors(tmp_path):
+    """Finite inputs whose arithmetic overflows float64: no RuntimeWarning, one line naming the overflow."""
+    rf = huge_value_table(tmp_path, "amplitude,f_khz,u_khz", ["1e200,1.0,0.1", "2e200,2.0,0.1", "3e200,3.0,0.1"])
+    field = huge_value_table(tmp_path, "B_gauss,f_khz,u_khz", ["1e200,1.0,0.1", "2e200,2.0,0.1", "3e200,3.0,0.1"])
+    counter = huge_value_table(tmp_path, "t_s,f_hz", [f"{i}.0,{(-1) ** i}e300" for i in range(20)])
+    cases = [
+        (["extrapolate-rf", "--input", rf, "--nominal-amplitude", "1.0"], "RF extrapolation fit"),
+        (["extrapolate-b", "--input", field], "zero-field extrapolation fit"),
+        (["adev", "--input", counter], "Allan deviation"),
+    ]
+    for argv, what in cases:
+        proc = run_python("-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1, argv
+        assert proc.stderr == f"data error: {what} overflows float64 (overflow encountered in square)\n"
+        assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 BAD_CSV_CELLS = [
     ("extrapolate-b", "line12_zeeman.csv", "f_khz", "nan"),
     ("extrapolate-b", "line12_zeeman.csv", "B_gauss", "nan"),
@@ -258,10 +282,39 @@ def test_zeeman_map_on_coarse_grid(tmp_path):
     assert all(len(st["energies_khz"]) == 41 for st in payload["states"])
 
 
-def test_cli_import_does_not_load_scipy():
-    proc = run_python("-c", "import sys, hdspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+# every subcommand once, on the bundled inputs
+BUNDLED_RUNS = {
+    "spin-structure": ["--demo"],
+    "zeeman-map": ["--demo"],
+    "zeeman-coeffs": ["--demo", "--transition", "16", "--lower-mf", "2", "--upper-mf", "3"],
+    "extrapolate-b": ["--input", str(bundled.data_path("line12_zeeman.csv"))],
+    "fit-line": ["--input", str(bundled.data_path("line12_depletion.csv"))],
+    "extrapolate-rf": ["--input", str(bundled.data_path("line12_rf.csv")), "--nominal-amplitude", "1.0"],
+    "ledger": ["--raw-khz", "58605013478.33", "--raw-u-khz", "0.15", "--include-negligible"],
+    "composite": ["--optimize", "--demo"],
+    "extract": [],
+    "compare": [],
+    "adev": ["--input", str(bundled.data_path("demo_counter.csv")), "--carrier-hz", "58605052164258.0"],
+    "dfg": ["--f-rep-hz", "80e6", "--n1", "3521728", "--n2", "2789120", "--beat1-hz", "20e6", "--beat2-hz=-10e6"],
+    "carrier": ["--delta-rho-um", "2.0", "--lambda-um", "5.1", "--sweep", "1:12:23"],
+    "reproduce-paper": [],
+}
+
+
+def test_commands_do_not_load_scipy(tmp_path):
+    # numpy is the only runtime dependency
+    assert sorted(BUNDLED_RUNS) == sorted(SUBCOMMANDS)
+    script = (
+        "import sys\n"
+        "from hdspec.cli import main\n"
+        f"for name, argv in {BUNDLED_RUNS!r}.items():\n"
+        f"    assert main([name, *argv, '--out-dir', {str(tmp_path)!r}]) == 0, name\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "adev.json").exists()
 
 
 def test_commands_do_not_load_numpy_ma(tmp_path):

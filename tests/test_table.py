@@ -298,10 +298,11 @@ CLI_TABLES = {
 
 
 @pytest.mark.parametrize("command", sorted(CLI_TABLES))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60)
 @given(data=st.data())
 def test_cli_on_any_table_exits_cleanly(command, data):
-    """Exit 0, 1 or 2; a failure is one line on stderr and never a traceback."""
+    """Exit 0, 1 or 2; a failure is one line on stderr, never a traceback or a numpy warning."""
     extra, columns = CLI_TABLES[command]
     text = data.draw(table_text(columns))
     err = io.StringIO()
