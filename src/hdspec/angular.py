@@ -266,8 +266,8 @@ class HyperfineCoefficients:
         return self.values.get(k, 0.0)
 
 
-def _check_basis(coeffs: HyperfineCoefficients, basis: ProductBasis) -> None:
-    if coeffs.n_rot != basis.n_rot:
+def _check_basis(coeffs: HyperfineCoefficients, basis: ProductBasis | None) -> None:
+    if basis is not None and coeffs.n_rot != basis.n_rot:
         raise ValueError(
             f"coefficient set is for N={coeffs.n_rot}, basis has N={basis.n_rot}"
         )
@@ -548,11 +548,11 @@ def _solve(v: int, n_rot: int, *values: float) -> _LevelSet:
     return _LevelSet(HyperfineCoefficients(v, n_rot, dict(zip(COEFF_INDICES, values))))
 
 
-def level_structure(coeffs: HyperfineCoefficients, basis: ProductBasis) -> list[SpinLevel]:
+def level_structure(coeffs: HyperfineCoefficients, basis: ProductBasis | None = None) -> list[SpinLevel]:
     """Labelled levels of `coeffs` in ascending energy, ties by F.
 
     Solved once per coefficient content and shared (read-only vectors);
-    `basis` is only checked against N.
+    a `basis`, if given, is only checked against N.
     """
     _check_basis(coeffs, basis)
     return list(_level_set(coeffs).levels)
@@ -582,15 +582,18 @@ def spin_frequency(
 
 
 def sensitivities(
-    coeffs: HyperfineCoefficients, basis: ProductBasis, label: tuple[int, int, int]
+    coeffs: HyperfineCoefficients, basis: ProductBasis | None = None, label: tuple[int, int, int] | None = None
 ) -> dict[int, float]:
     """gamma_k = dE_level/dE_k by the Hellmann-Feynman identity.
 
     Every state of a multiplet gives the same expectation value, so the
-    highest-weight eigenvector of the F block gives it.  `basis` is only
-    checked against N; the values come from the cached level set of
+    highest-weight eigenvector of the F block gives it.  Call it as
+    `sensitivities(coeffs, label=...)`; a `basis`, if given, is only
+    checked against N.  The values come from the cached level set of
     `coeffs`.
     """
+    if label is None:
+        raise TypeError("sensitivities() needs the level label")
     _check_basis(coeffs, basis)
     return _level_set(coeffs).sensitivities(label)
 

@@ -11,32 +11,17 @@ from __future__ import annotations
 import json
 from importlib.resources import files
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .angular import HyperfineCoefficients, read_coefficient_file
-from .constants import (
-    ConstantSet,
-    ContributionTable,
-    ScalingModel,
-    read_constants_file,
-    read_contribution_csv,
-    read_scaling_file,
-)
 from .quantity import Quantity
-from .systematics import (
-    ShiftLedger,
-    apply_ledger,
-    light_shift_entry,
-    negligible_entries,
-    read_amplitude_csv,
-    rf_extrapolate,
-)
-from .zeeman import (
-    FieldExtrapolation,
-    ZeemanCouplings,
-    extrapolate_to_zero_field,
-    read_couplings_file,
-    read_field_scan_csv,
-)
+
+# The loaders import the modules they read with, so that `import hdspec.cli`
+# (parser defaults, --help) and the commands that need no arrays stay cheap.
+if TYPE_CHECKING:
+    from .angular import HyperfineCoefficients
+    from .constants import ConstantSet, ContributionTable, ScalingModel
+    from .systematics import ShiftLedger
+    from .zeeman import FieldExtrapolation, ZeemanCouplings
 
 CONSTANT_PROFILES = ("codata2018", "penning")
 
@@ -67,10 +52,14 @@ def data_path(name: str) -> Path:
 def load_constants(profile: str = "codata2018") -> ConstantSet:
     if profile not in CONSTANT_PROFILES:
         raise ValueError(f"unknown constants profile {profile!r}")
+    from .constants import read_constants_file
+
     return read_constants_file(data_path(f"constants_{profile}.txt"))
 
 
 def load_contributions(profile: str = "codata2018") -> ContributionTable:
+    from .constants import read_contribution_csv
+
     case = {"codata2018": "case1", "penning": "case2"}[profile]
     return read_contribution_csv(data_path(f"contributions_{case}.csv"))
 
@@ -81,15 +70,17 @@ def load_scaling_model(profile: str = "codata2018") -> ScalingModel:
     The penning profile moves the reference along the scaling curve to
     the case-II contribution sum, which leaves extractions invariant.
     """
+    from .constants import read_scaling_file, theory_frequency
+
     base = read_scaling_file(data_path("analysis_reference.txt"))
     if profile == "codata2018":
         return base
-    from .constants import theory_frequency
-
     return base.at_reference(theory_frequency(load_contributions(profile)).value)
 
 
 def load_couplings() -> ZeemanCouplings:
+    from .zeeman import read_couplings_file
+
     return read_couplings_file(data_path("zeeman_couplings.txt"))
 
 
@@ -114,6 +105,8 @@ def load_measured_lines(path: str | Path | None = None) -> dict:
 
 def load_coefficients(name: str = "hfs_coefficients.conf") -> dict[tuple[int, int], HyperfineCoefficients] | None:
     """The evaluated coefficient file, or None while only the template ships."""
+    from .angular import read_coefficient_file
+
     try:
         path = data_path(name)
     except FileNotFoundError:
@@ -123,6 +116,8 @@ def load_coefficients(name: str = "hfs_coefficients.conf") -> dict[tuple[int, in
 
 
 def load_demo_coefficients() -> dict[tuple[int, int], HyperfineCoefficients]:
+    from .angular import read_coefficient_file
+
     return read_coefficient_file(data_path("demo_coefficients.conf"))
 
 
@@ -132,6 +127,9 @@ def corrected_line(line: str) -> tuple[FieldExtrapolation, ShiftLedger]:
     ledger.corrected carries the corrected line frequency with the full
     `exp` uncertainty (statistical and systematic in quadrature).
     """
+    from .systematics import apply_ledger, light_shift_entry, negligible_entries, read_amplitude_csv, rf_extrapolate
+    from .zeeman import extrapolate_to_zero_field, read_field_scan_csv
+
     if line not in TRANSITION_LEVELS:
         raise ValueError(f"unknown line {line!r}")
     b, f, u = read_field_scan_csv(data_path(f"line{line}_zeeman.csv"))

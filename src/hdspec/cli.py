@@ -9,6 +9,11 @@ Exit codes: 0 success, 1 data error (a computation failed on inputs
 that parsed fine), 2 configuration error (bad flags, missing or invalid
 input files).  All referenced files are read and validated before any
 computation starts.
+
+The commands are one table, `COMMANDS`.  A handler, and each helper it
+calls, imports the analysis modules it runs, so a command loads only
+those (and numpy only if one of them builds arrays); `--help` and the
+parser defaults read nothing beyond `bundled` and `quantity`.
 """
 
 from __future__ import annotations
@@ -23,11 +28,13 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import angular, bundled, carrier, composite, constants, lineshape, metrology, systematics, zeeman
+from . import bundled
 from .quantity import Quantity, parenthetical
+
+if TYPE_CHECKING:
+    from . import angular, composite, constants, metrology, systematics, zeeman
 
 
 class _Failure(Exception):
@@ -58,7 +65,7 @@ def _run(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except _Failure:
         raise
-    except (ValueError, LookupError, RuntimeError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+    except (ValueError, LookupError, RuntimeError, ZeroDivisionError) as exc:  # numpy's LinAlgError is a ValueError
         raise DataFailure(str(exc)) from exc
 
 
@@ -107,7 +114,7 @@ def _write_csv(out_dir: Path, stem: str, header: list[str], rows: list) -> Path:
     A row of Python ints and floats is rendered with `repr` and joined by
     commas: a number never needs quoting.  Any other row goes through
     `csv.writer` (its quoting rules for str cells, None as an empty cell),
-    with numpy floats rendered as `repr(float(x))`.
+    with floats, numpy's float64 among them, rendered as `repr(float(x))`.
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -116,7 +123,7 @@ def _write_csv(out_dir: Path, stem: str, header: list[str], rows: list) -> Path:
         if _NUMBER_TYPES.issuperset(map(type, row)):
             buf.write(",".join(map(repr, row)) + "\r\n")
         else:
-            writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row])
+            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
     return _publish(out_dir / f"{stem}.csv", buf.getvalue())
 
 
@@ -164,6 +171,8 @@ def _parse_level(text: str) -> tuple[int, int]:
 
 def _resolve_coefficients(args) -> dict | None:
     """Coefficient sets from --coefficients, else --demo, else the bundled file (None if absent)."""
+    from . import angular
+
     if args.coefficients is not None:
         return _load(angular.read_coefficient_file, args.coefficients)
     if getattr(args, "demo", False):
@@ -191,6 +200,8 @@ def _transition_sets(sets: dict):
 
 
 def _standard_table(sets: dict) -> angular.SensitivityTable:
+    from . import angular
+
     lower, upper = _transition_sets(sets)
     return _run(angular.transition_table, lower, upper, bundled.TRANSITION_LEVELS)
 
@@ -202,12 +213,16 @@ def _optional_tables(args) -> angular.SensitivityTable | None:
 
 
 def _couplings(args) -> zeeman.ZeemanCouplings:
+    from . import zeeman
+
     if getattr(args, "couplings", None) is not None:
         return _load(zeeman.read_couplings_file, args.couplings)
     return _load(bundled.load_couplings)
 
 
 def _composite_input(args) -> tuple[dict, composite.CompositeInput]:
+    from . import composite
+
     lines = _load(bundled.load_measured_lines, getattr(args, "lines", None))
     inp = composite.CompositeInput(
         f12=lines["12"]["f_exp"],
@@ -224,11 +239,13 @@ def _composite_input(args) -> tuple[dict, composite.CompositeInput]:
 
 
 def _cmd_spin_structure(args) -> int:
+    from . import angular
+
     sets = _coefficient_sets(args)
     payload: dict = {"sections": {}}
     csv_rows = []
     for (v, n), coeffs in sorted(sets.items()):
-        levels = _run(angular.level_structure, coeffs, angular.ProductBasis(n))
+        levels = _run(angular.level_structure, coeffs)
         name = f"v={v},N={n}"
         payload["sections"][name] = [
             {
@@ -270,12 +287,14 @@ def _cmd_spin_structure(args) -> int:
 
 
 def _cmd_zeeman_map(args) -> int:
+    from . import zeeman
+
     sets = _coefficient_sets(args)
     key = _parse_level(args.level)
     if key not in sets:
         raise ConfigFailure(f"coefficient file has no [v={key[0]},N={key[1]}] section")
     b_values = _floats_arg(args.b_values, "--b-values") if args.b_values else list(zeeman.DEFAULT_B_GRID)
-    zmap = _run(zeeman.zeeman_map, sets[key], _couplings(args), angular.ProductBasis(key[1]), b_values)
+    zmap = _run(zeeman.zeeman_map, sets[key], _couplings(args), b_values=b_values)
 
     b_gauss = zmap.b_values.tolist()
     energies = [st.energies.tolist() for st in zmap.states]
@@ -299,6 +318,8 @@ def _cmd_zeeman_map(args) -> int:
 
 
 def _cmd_zeeman_coeffs(args) -> int:
+    from . import zeeman
+
     sets = _coefficient_sets(args)
     lower, upper = _transition_sets(sets)
     lo, up = bundled.TRANSITION_LEVELS[args.transition]
@@ -328,6 +349,8 @@ def _cmd_zeeman_coeffs(args) -> int:
 
 
 def _cmd_extrapolate_b(args) -> int:
+    from . import zeeman
+
     b, f, u = _load(zeeman.read_field_scan_csv, args.input)
     ext = _run(zeeman.extrapolate_to_zero_field, b, f, u)
     payload = {
@@ -342,6 +365,8 @@ def _cmd_extrapolate_b(args) -> int:
 
 
 def _cmd_fit_line(args) -> int:
+    from . import lineshape
+
     records = _load(lineshape.read_decay_csv, args.input)
     points = _run(lineshape.build_spectrum, records)
     _write_csv(
@@ -366,6 +391,8 @@ def _cmd_fit_line(args) -> int:
 
 
 def _cmd_extrapolate_rf(args) -> int:
+    from . import systematics
+
     points = _load(systematics.read_amplitude_csv, args.input)
     f_zero, entry = _run(systematics.rf_extrapolate, points, args.nominal_amplitude, args.linear)
     payload = {
@@ -385,6 +412,8 @@ def _cmd_extrapolate_rf(args) -> int:
 
 
 def _entries_from_file(path: Path) -> list[systematics.ShiftEntry]:
+    from . import systematics
+
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON list of ledger entries")
@@ -401,6 +430,8 @@ def _entries_from_file(path: Path) -> list[systematics.ShiftEntry]:
 
 
 def _cmd_ledger(args) -> int:
+    from . import systematics
+
     entries = _load(_entries_from_file, args.entries) if args.entries else []
     if args.include_negligible:
         entries.extend(systematics.negligible_entries())
@@ -417,6 +448,8 @@ def _cmd_ledger(args) -> int:
 
 def _spin_profile(inp: composite.CompositeInput) -> list[tuple[float, float]]:
     """Spin uncertainty vs b12, from tables if present else the linear fallback."""
+    from . import composite
+
     if inp.tables is not None:
         return list(composite.optimize_weight(inp.tables, inp.params).profile)
     u12 = inp.fspin12.component("theor_spin")
@@ -426,6 +459,8 @@ def _spin_profile(inp: composite.CompositeInput) -> list[tuple[float, float]]:
 
 
 def _cmd_composite(args) -> int:
+    from . import composite
+
     lines, inp = _composite_input(args)
     if args.optimize:
         if inp.tables is None:
@@ -462,6 +497,8 @@ def _md_over_mp_quantity(consts: constants.ConstantSet) -> Quantity:
 
 
 def _cmd_extract(args) -> int:
+    from . import composite, constants
+
     model = _load(bundled.load_scaling_model, args.constants_profile)
     consts = _load(bundled.load_constants, args.constants_profile)
     _, inp = _composite_input(args)
@@ -501,6 +538,8 @@ def _read_determinations(path: Path) -> tuple[str, str | None, list[tuple[str, f
 
 
 def _cmd_compare(args) -> int:
+    from . import constants
+
     source = args.input if args.input is not None else bundled.data_path("determinations_mp_over_me.json")
     quantity_name, file_ref, rows = _load(_read_determinations, source)
     reference = args.reference if args.reference is not None else file_ref
@@ -535,6 +574,8 @@ def _default_taus(series: metrology.FrequencyTimeSeries) -> list[float]:
 
 
 def _cmd_adev(args) -> int:
+    from . import metrology
+
     series = _load(metrology.read_counter_csv, args.input, args.carrier_hz)
     taus = _floats_arg(args.tau_list, "--tau-list") if args.tau_list else _default_taus(series)
     rows = _run(metrology.allan_deviation, series, taus)
@@ -555,6 +596,8 @@ def _cmd_adev(args) -> int:
 
 
 def _cmd_dfg(args) -> int:
+    from . import metrology
+
     comb = _load(
         metrology.CombParams,
         args.f_rep_hz,
@@ -593,7 +636,23 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _sweep_grid(lo: float, hi: float, n: int) -> list[float]:
+    """`np.linspace(lo, hi, n).tolist()`, bit for bit, by numpy's own arithmetic.
+
+    numpy scales the index by the step and adds `lo`, and sets the last
+    point to `hi`; where the step underflows to 0 it divides the index by
+    `n - 1` and scales by the span instead.
+    """
+    span, div = hi - lo, n - 1
+    step = span / div
+    if step == 0:
+        return [i / div * span + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
 def _cmd_carrier(args) -> int:
+    from . import carrier
+
     if args.lambda_um is None and args.sweep is None:
         raise ConfigFailure("pass --lambda-um and/or --sweep MIN:MAX:COUNT")
     model = _load(carrier.CarrierModel, args.delta_rho_um)
@@ -606,8 +665,7 @@ def _cmd_carrier(args) -> int:
         print(f"S({args.lambda_um:g} um) = {strength:.4f}  (lambda_c = {lam_c:.3f} um)")
     if args.sweep is not None:
         lo, hi, n = _parse_sweep(args.sweep)
-        lams = np.linspace(lo, hi, n)
-        rows = [[float(lam), float(carrier.carrier_strength(float(lam), model))] for lam in lams]
+        rows = [[lam, float(carrier.carrier_strength(lam, model))] for lam in _sweep_grid(lo, hi, n)]
         _write_csv(args.out_dir, "carrier_sweep", ["lambda_um", "strength"], rows)
     _write_json(args.out_dir, "carrier", payload)
     return 0
@@ -619,6 +677,8 @@ def _cmd_carrier(args) -> int:
 
 def _anchors(sets: dict | None) -> list[tuple]:
     """(name, compute) per anchor; compute() returns (quantity, value, target, tol) checks, or is None (skip)."""
+    from . import angular, carrier, composite, constants, lineshape, zeeman
+
     lines = _load(bundled.load_measured_lines)
     theory = constants.theory_frequency(_load(bundled.load_contributions, "codata2018")).value
     model = _load(bundled.load_scaling_model, "codata2018")
@@ -776,10 +836,111 @@ def _cmd_reproduce_paper(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
+
+
+def _field_args(p):
+    p.add_argument("--couplings", type=Path, help="Zeeman couplings file (default: bundled)")
+    p.add_argument("--b-values", help="comma-separated fields in gauss (default 0,0.05,...,0.2)")
+
+
+def _zeeman_map_args(p):
+    p.add_argument("--level", default="1,1", help="'v,N' section to map (default 1,1)")
+    _field_args(p)
+
+
+def _zeeman_coeffs_args(p):
+    p.add_argument("--transition", choices=sorted(bundled.TRANSITION_LEVELS), required=True)
+    p.add_argument("--lower-mf", type=int, required=True)
+    p.add_argument("--upper-mf", type=int, required=True)
+    _field_args(p)
+
+
+def _extrapolate_b_args(p):
+    p.add_argument("--input", type=Path, required=True, help="CSV with B_gauss,f_khz,u_khz")
+
+
+def _fit_line_args(p):
+    p.add_argument("--input", type=Path, required=True, help="CSV with detuning_khz,run_id,laser_on,depletion")
+    p.add_argument("--absolute-offset-khz", type=_finite_float, help="absolute frequency of zero detuning")
+
+
+def _extrapolate_rf_args(p):
+    p.add_argument("--input", type=Path, required=True, help="CSV with amplitude,f_khz,u_khz")
+    p.add_argument("--nominal-amplitude", type=_finite_float, required=True)
+    p.add_argument("--linear", action="store_true", help="linear-in-amplitude model instead of quadratic")
+
+
+def _ledger_args(p):
+    p.add_argument("--raw-khz", type=_finite_float, required=True)
+    p.add_argument("--raw-u-khz", type=_finite_float, required=True)
+    p.add_argument(
+        "--entries",
+        type=Path,
+        help="JSON list of {name, correction_khz, uncertainty_khz, basis, note}",
+    )
+    p.add_argument("--include-negligible", action="store_true", help="append the standard negligible-shift rows")
+
+
+def _composite_args(p):
+    p.add_argument("--b12", type=_finite_float, default=0.5, help="weight of line 12 (default 0.5)")
+    p.add_argument("--optimize", action="store_true", help="minimize the spin uncertainty over b12 (needs tables)")
+
+
+def _extract_args(p):
+    p.add_argument("--b12", type=_finite_float, default=0.5, help="composite weight of line 12 (default 0.5)")
+
+
+def _compare_args(p):
+    p.add_argument("--input", type=Path, help="determinations JSON (default: bundled mass-ratio table)")
+    p.add_argument("--reference", help="label of the reference determination")
+
+
+def _adev_args(p):
+    p.add_argument("--input", type=Path, required=True, help="CSV with t_s,f_hz")
+    p.add_argument("--carrier-hz", type=_finite_float, help="carrier for fractional conversion")
+    p.add_argument("--tau-list", help="comma-separated averaging times in s (default: octaves)")
+
+
+def _dfg_args(p):
+    p.add_argument("--f-rep-hz", type=_finite_float, required=True)
+    p.add_argument("--f-ceo-hz", type=_finite_float, default=0.0)
+    p.add_argument("--n1", type=int, required=True)
+    p.add_argument("--n2", type=int, required=True)
+    p.add_argument("--beat1-hz", type=_finite_float, required=True)
+    p.add_argument("--beat2-hz", type=_finite_float, required=True)
+    for flag in ("--beat-sign1", "--beat-sign2", "--ceo-sign1", "--ceo-sign2"):
+        p.add_argument(flag, type=int, choices=(-1, 1), default=1)
+    p.add_argument("--maser-fractional-offset", type=_finite_float, default=0.0)
+
+
+def _carrier_args(p):
+    p.add_argument("--delta-rho-um", type=_finite_float, required=True, help="thermal radial spread in um")
+    p.add_argument("--lambda-um", type=_finite_float, help="wavelength to evaluate in um")
+    p.add_argument("--sweep", help="MIN:MAX:COUNT wavelength sweep written as CSV")
+
+
+# name, help, shared option groups (see `build_parser`), builder of the command's own arguments, handler
+COMMANDS = (
+    ("spin-structure", "hyperfine levels, spin frequencies, sensitivities", ("coeffs",), None, _cmd_spin_structure),
+    ("zeeman-map", "magnetic sublevel energies over a field grid", ("coeffs",), _zeeman_map_args, _cmd_zeeman_map),
+    ("zeeman-coeffs", "linear/quadratic shift of one transition", ("coeffs",), _zeeman_coeffs_args, _cmd_zeeman_coeffs),
+    ("extrapolate-b", "zero-field extrapolation of line positions", (), _extrapolate_b_args, _cmd_extrapolate_b),
+    ("fit-line", "spectrum build + Lorentzian fit + line frequency", (), _fit_line_args, _cmd_fit_line),
+    ("extrapolate-rf", "zero-RF-amplitude extrapolation + ledger entry", (), _extrapolate_rf_args, _cmd_extrapolate_rf),
+    ("ledger", "apply a systematic-shift ledger to a raw frequency", (), _ledger_args, _cmd_ledger),
+    ("composite", "weighted spin-averaged frequency", ("coeffs", "lines"), _composite_args, _cmd_composite),
+    ("extract", "mass-ratio extraction with budgets", ("coeffs", "lines"), _extract_args, _cmd_extract),
+    ("compare", "pulls of independent determinations against a reference", (), _compare_args, _cmd_compare),
+    ("adev", "overlapping Allan deviation of a counter log", (), _adev_args, _cmd_adev),
+    ("dfg", "difference-frequency arithmetic of two comb locks", (), _dfg_args, _cmd_dfg),
+    ("carrier", "recoil-free carrier strength vs wavelength", (), _carrier_args, _cmd_carrier),
+    ("reproduce-paper", "run the full chain on bundled inputs; pass/fail per anchor", (), None, _cmd_reproduce_paper),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # shared option groups, copied into each subparser as argparse parents
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", type=Path, default=Path("."), help="directory for JSON/CSV reports")
     common.add_argument(
@@ -804,100 +965,18 @@ def build_parser() -> argparse.ArgumentParser:
     lines_src = argparse.ArgumentParser(add_help=False)
     lines_src.add_argument("--lines", type=Path, help="measured-lines JSON (default: bundled values)")
 
+    groups = {"coeffs": coeffs, "lines": lines_src}
     parser = argparse.ArgumentParser(
         prog="hdspec",
-        description="Analysis chain for two-photon vibrational spectroscopy of a trapped molecular ion",
+        description="Analysis chain for one-photon mid-infrared spectroscopy of the fundamental vibrational "
+        "transition of about 100 HD+ ions in a Coulomb cluster of laser-cooled atomic ions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spin-structure", parents=[common, coeffs], help="hyperfine levels, spin frequencies, sensitivities")
-    p.set_defaults(handler=_cmd_spin_structure)
-
-    p = sub.add_parser("zeeman-map", parents=[common, coeffs], help="magnetic sublevel energies over a field grid")
-    p.add_argument("--level", default="1,1", help="'v,N' section to map (default 1,1)")
-    p.add_argument("--couplings", type=Path, help="Zeeman couplings file (default: bundled)")
-    p.add_argument("--b-values", help="comma-separated fields in gauss (default 0,0.05,...,0.2)")
-    p.set_defaults(handler=_cmd_zeeman_map)
-
-    p = sub.add_parser("zeeman-coeffs", parents=[common, coeffs], help="linear/quadratic shift of one transition")
-    p.add_argument("--transition", choices=sorted(bundled.TRANSITION_LEVELS), required=True)
-    p.add_argument("--lower-mf", type=int, required=True)
-    p.add_argument("--upper-mf", type=int, required=True)
-    p.add_argument("--couplings", type=Path, help="Zeeman couplings file (default: bundled)")
-    p.add_argument("--b-values", help="comma-separated fields in gauss (default 0,0.05,...,0.2)")
-    p.set_defaults(handler=_cmd_zeeman_coeffs)
-
-    p = sub.add_parser("extrapolate-b", parents=[common], help="zero-field extrapolation of line positions")
-    p.add_argument("--input", type=Path, required=True, help="CSV with B_gauss,f_khz,u_khz")
-    p.set_defaults(handler=_cmd_extrapolate_b)
-
-    p = sub.add_parser("fit-line", parents=[common], help="spectrum build + Lorentzian fit + line frequency")
-    p.add_argument("--input", type=Path, required=True, help="CSV with detuning_khz,run_id,laser_on,depletion")
-    p.add_argument("--absolute-offset-khz", type=_finite_float, help="absolute frequency of zero detuning")
-    p.set_defaults(handler=_cmd_fit_line)
-
-    p = sub.add_parser("extrapolate-rf", parents=[common], help="zero-RF-amplitude extrapolation + ledger entry")
-    p.add_argument("--input", type=Path, required=True, help="CSV with amplitude,f_khz,u_khz")
-    p.add_argument("--nominal-amplitude", type=_finite_float, required=True)
-    p.add_argument("--linear", action="store_true", help="linear-in-amplitude model instead of quadratic")
-    p.set_defaults(handler=_cmd_extrapolate_rf)
-
-    p = sub.add_parser("ledger", parents=[common], help="apply a systematic-shift ledger to a raw frequency")
-    p.add_argument("--raw-khz", type=_finite_float, required=True)
-    p.add_argument("--raw-u-khz", type=_finite_float, required=True)
-    p.add_argument(
-        "--entries",
-        type=Path,
-        help="JSON list of {name, correction_khz, uncertainty_khz, basis, note}",
-    )
-    p.add_argument("--include-negligible", action="store_true", help="append the standard negligible-shift rows")
-    p.set_defaults(handler=_cmd_ledger)
-
-    p = sub.add_parser("composite", parents=[common, coeffs, lines_src], help="weighted spin-averaged frequency")
-    p.add_argument("--b12", type=_finite_float, default=0.5, help="weight of line 12 (default 0.5)")
-    p.add_argument("--optimize", action="store_true", help="minimize the spin uncertainty over b12 (needs tables)")
-    p.set_defaults(handler=_cmd_composite)
-
-    p = sub.add_parser("extract", parents=[common, coeffs, lines_src], help="mass-ratio extraction with budgets")
-    p.add_argument("--b12", type=_finite_float, default=0.5, help="composite weight of line 12 (default 0.5)")
-    p.set_defaults(handler=_cmd_extract)
-
-    p = sub.add_parser("compare", parents=[common], help="pulls of independent determinations against a reference")
-    p.add_argument("--input", type=Path, help="determinations JSON (default: bundled mass-ratio table)")
-    p.add_argument("--reference", help="label of the reference determination")
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("adev", parents=[common], help="overlapping Allan deviation of a counter log")
-    p.add_argument("--input", type=Path, required=True, help="CSV with t_s,f_hz")
-    p.add_argument("--carrier-hz", type=_finite_float, help="carrier for fractional conversion")
-    p.add_argument("--tau-list", help="comma-separated averaging times in s (default: octaves)")
-    p.set_defaults(handler=_cmd_adev)
-
-    p = sub.add_parser("dfg", parents=[common], help="difference-frequency arithmetic of two comb locks")
-    p.add_argument("--f-rep-hz", type=_finite_float, required=True)
-    p.add_argument("--f-ceo-hz", type=_finite_float, default=0.0)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--beat1-hz", type=_finite_float, required=True)
-    p.add_argument("--beat2-hz", type=_finite_float, required=True)
-    p.add_argument("--beat-sign1", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--beat-sign2", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--ceo-sign1", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--ceo-sign2", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--maser-fractional-offset", type=_finite_float, default=0.0)
-    p.set_defaults(handler=_cmd_dfg)
-
-    p = sub.add_parser("carrier", parents=[common], help="recoil-free carrier strength vs wavelength")
-    p.add_argument("--delta-rho-um", type=_finite_float, required=True, help="thermal radial spread in um")
-    p.add_argument("--lambda-um", type=_finite_float, help="wavelength to evaluate in um")
-    p.add_argument("--sweep", help="MIN:MAX:COUNT wavelength sweep written as CSV")
-    p.set_defaults(handler=_cmd_carrier)
-
-    p = sub.add_parser(
-        "reproduce-paper", parents=[common], help="run the full chain on bundled inputs; pass/fail per anchor"
-    )
-    p.set_defaults(handler=_cmd_reproduce_paper)
-
+    for name, help_text, shared, add_arguments, handler in COMMANDS:
+        p = sub.add_parser(name, parents=[common, *(groups[g] for g in shared)], help=help_text)
+        if add_arguments is not None:
+            add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .quantity import FINITE, overflow_as_value_error, read_table
+
+# numpy is imported inside the functions that build arrays (see `quantity`)
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,8 @@ class FrequencyTimeSeries:
 
     @property
     def fractional(self) -> np.ndarray:
+        import numpy as np
+
         y = np.asarray(self.samples, dtype=float)
         if self.carrier_hz is not None:
             return (y - self.carrier_hz) / self.carrier_hz
@@ -124,6 +126,8 @@ def allan_deviation(
     which are at least 2/3 (n = 2, m = 1).  Samples so large that the
     variance overflows float64 raise ValueError.
     """
+    import numpy as np
+
     with overflow_as_value_error("Allan deviation"):
         y = series.fractional
         n = len(y)
@@ -333,6 +337,8 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
     file, and any fault, it reads row by row, and that row path is the
     authority on values and on the `path:line` message.
     """
+    import numpy as np
+
     cols = read_table(path, [(("t_s", "f_hz"), FINITE)])
     t, f = cols["t_s"], cols["f_hz"]
     if len(t) < 2:

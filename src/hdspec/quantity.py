@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
+# numpy is imported inside the functions that build arrays: the commands that
+# build none (carrier, dfg, ledger, compare) then start without it
 
 KNOWN_COMPONENTS = ("exp", "theor_QED", "theor_spin", "CODATA")
 
@@ -125,6 +126,8 @@ def overflow_as_value_error(what: str):
     division by zero or invalid operation on finite but huge inputs, and
     leave an infinity or NaN for a later, less telling check.
     """
+    import numpy as np
+
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
@@ -241,6 +244,8 @@ def _read_fast(path, steps) -> dict | None:
         return None
     if header is None:
         return None
+    import numpy as np
+
     index = {name: i for i, name in enumerate(header.split(","))}
     numeric = [n for names, rule in steps if rule.accepts is not None for n in names if n in index or not rule.optional]
     texts = [n for names, rule in steps if rule.accepts is None for n in names]
@@ -299,12 +304,16 @@ def _plain_header(path) -> str | None:
 
 
 def _accepted(rule: Rule, values: np.ndarray) -> bool:
+    import numpy as np
+
     with np.errstate(invalid="ignore"):  # NaN compares False, quietly
         return bool(rule.accepts(values).all())
 
 
 def _read_rows(path, steps) -> dict:
     """The table row by row; the first fault raises `path:line: <column> ...`."""
+    import numpy as np
+
     required = [n for names, rule in steps if rule.accepts is not None and not rule.optional for n in names]
     texts = {names[0] for names, rule in steps if rule.accepts is None}
     out: dict = {n: [] for names, _ in steps for n in names}

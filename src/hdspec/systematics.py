@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .quantity import FINITE, OPTIONAL_NON_NEGATIVE, Quantity, overflow_as_value_error, read_table
+
+# numpy is imported inside the functions that build arrays (see `quantity`)
 
 ENTRY_BASES = ("measured-extrapolation", "theoretical-bound", "set-to-zero")
 
@@ -101,6 +101,8 @@ def rf_extrapolate(
     rescaled by the reduced chi-square.  The ledger entry's correction
     moves a measurement at the nominal amplitude to zero amplitude.
     """
+    import numpy as np
+
     if len(points) < 3:
         raise ValueError(f"need at least 3 amplitude points, got {len(points)}")
     amps = np.array([float(a) for a, _ in points])

@@ -145,7 +145,7 @@ def _sublevels(
 def zeeman_map(
     coeffs: HyperfineCoefficients,
     couplings: ZeemanCouplings,
-    basis: ProductBasis,
+    basis: ProductBasis | None = None,
     b_values: Sequence[float] = DEFAULT_B_GRID,
 ) -> ZeemanMap:
     """Energies of every magnetic sublevel over an ascending field grid.
@@ -153,7 +153,7 @@ def zeeman_map(
     Each m_F block is solved on its own over the whole grid (see
     `_sublevels`); the states come level by level in field-free order,
     m_F ascending within a level.  The field-free levels must not
-    coincide.
+    coincide.  A `basis`, if given, is only checked against N.
     """
     b_values = _field_grid(b_values)
     levels = _mappable(level_structure(coeffs, basis))

@@ -703,6 +703,31 @@ def test_contact_only_levels_of_different_f_are_labelled_per_f(demo_sets):
     )
 
 
+def test_basis_is_optional_and_checked_when_given(demo_sets):
+    coeffs = demo_sets[(1, 1)]
+    levels = level_structure(coeffs)
+    assert [(lv.label, lv.energy) for lv in levels] == [
+        (lv.label, lv.energy) for lv in level_structure(coeffs, ProductBasis(1))
+    ]
+    for lv in levels:
+        assert sensitivities(coeffs, label=lv.label) == sensitivities(coeffs, ProductBasis(1), lv.label)
+    grid = (0.0, 0.1, 0.2)
+    bare = zeeman_map(coeffs, ZeemanCouplings(), b_values=grid)
+    given_basis = zeeman_map(coeffs, ZeemanCouplings(), ProductBasis(1), grid)
+    assert [st.energies.tolist() for st in bare.states] == [st.energies.tolist() for st in given_basis.states]
+
+    wrong = ProductBasis(0)
+    for call in (
+        lambda: level_structure(coeffs, wrong),
+        lambda: sensitivities(coeffs, wrong, levels[0].label),
+        lambda: zeeman_map(coeffs, ZeemanCouplings(), wrong, grid),
+    ):
+        with pytest.raises(ValueError, match="coefficient set is for N=1, basis has N=0"):
+            call()
+    with pytest.raises(TypeError, match="label"):
+        sensitivities(coeffs)
+
+
 def test_zeeman_map_refuses_coincident_levels(demo_sets):
     with pytest.raises(ValueError, match="coincide"):
         zeeman_map(zero_coeffs(1), ZeemanCouplings(), ProductBasis(1))

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hdspec
 from hdspec import bundled, lineshape, metrology
-from hdspec.cli import _write_csv, main
+from hdspec.cli import _sweep_grid, _write_csv, main
 
 SRC = str(Path(hdspec.__file__).resolve().parents[1])
 
@@ -317,6 +317,35 @@ def test_commands_do_not_load_scipy(tmp_path):
     assert (tmp_path / "adev.json").exists()
 
 
+ARRAY_FREE_COMMANDS = ("carrier", "dfg", "ledger", "compare")
+
+
+def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
+    # each command imports only the modules it runs, and these four build no array
+    script = (
+        "import contextlib, sys\n"
+        "import hdspec.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hdspec'))\n"
+        f"for name in {ARRAY_FREE_COMMANDS!r}:\n"
+        f"    argv = [name, *{BUNDLED_RUNS!r}[name], '--format', 'csv', '--out-dir', {str(tmp_path)!r}]\n"
+        "    assert hdspec.cli.main(argv) == 0, name\n"
+        "for argv in (['--help'], ['ledger', '--help']):\n"
+        "    with contextlib.redirect_stdout(sys.stderr):\n"
+        "        try:\n"
+        "            hdspec.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == str(["hdspec", "hdspec.bundled", "hdspec.cli", "hdspec.quantity"])
+    assert lines[-1] == "[]"
+    for stem in ("carrier_sweep.csv", "dfg.json", "ledger.csv", "compare.csv"):
+        assert (tmp_path / stem).exists(), stem
+
+
 def test_commands_do_not_load_numpy_ma(tmp_path):
     # numpy.ma costs about 5 ms to import and no command needs it
     script = (
@@ -606,6 +635,21 @@ def test_carrier_point_and_sweep(tmp_path):
     payload = load_json(tmp_path, "carrier")
     assert payload["strength"] == pytest.approx(0.0149, abs=5e-4)
     assert (tmp_path / "carrier_sweep.csv").exists()
+
+
+@settings(max_examples=200)
+@given(
+    ends=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=2, max_size=2, unique=True)
+    .map(sorted),
+    n=st.integers(2, 5000),
+)
+@example(ends=[5e-324, 2e-323], n=8)  # the step underflows to 0
+@example(ends=[1.0, 12.0], n=23)
+def test_sweep_grid_is_numpy_linspace_bit_for_bit(ends, n):
+    lo, hi = ends
+    with np.errstate(over="ignore"):  # numpy may overflow on the last point before it sets it to hi
+        expected = np.linspace(lo, hi, n).tolist()
+    assert [x.hex() for x in _sweep_grid(lo, hi, n)] == [x.hex() for x in expected]
 
 
 def assert_status_follows_checks(rows):

@@ -109,7 +109,7 @@ def test_linear_drift_gives_exact_tau_over_sqrt2():
     t = np.arange(200.0)
     series = FrequencyTimeSeries(1.0, d * t)
     for tau, adev, _, _ in allan_deviation(series, [1.0, 2.0, 5.0, 10.0]):
-        assert adev == pytest.approx(d * tau / math.sqrt(2.0), rel=1e-10)
+        assert adev == pytest.approx(d * tau / math.sqrt(2.0), rel=1e-10, abs=0)
 
 
 def test_white_fm_slope_is_minus_half_over_a_decade():
@@ -137,9 +137,9 @@ def test_adev_scale_equivariance():
     a = allan_deviation(FrequencyTimeSeries(1.0, y), [1.0, 5.0])
     b = allan_deviation(FrequencyTimeSeries(1.0, 3.0 * y), [1.0, 5.0])
     for (_, ya, la, ha), (_, yb, lb, hb) in zip(a, b):
-        assert yb == pytest.approx(3.0 * ya, rel=1e-12)
-        assert lb == pytest.approx(3.0 * la, rel=1e-12)
-        assert hb == pytest.approx(3.0 * ha, rel=1e-12)
+        assert yb == pytest.approx(3.0 * ya, rel=1e-12, abs=0)
+        assert lb == pytest.approx(3.0 * la, rel=1e-12, abs=0)
+        assert hb == pytest.approx(3.0 * ha, rel=1e-12, abs=0)
 
 
 def test_confidence_interval_brackets_estimate():
@@ -162,13 +162,12 @@ def test_confidence_interval_uses_chi2_quantiles():
     series = FrequencyTimeSeries(1.0, rng.normal(0.0, 1e-13, 500))
     for tau, adev, lo, hi in allan_deviation(series, sorted(CHI2_QUANTILES)):
         edf, q84, q16 = CHI2_QUANTILES[tau]
-        assert lo == pytest.approx(adev * math.sqrt(edf / q84), rel=1e-13)
-        assert hi == pytest.approx(adev * math.sqrt(edf / q16), rel=1e-13)
+        assert lo == pytest.approx(adev * math.sqrt(edf / q84), rel=1e-13, abs=0)
+        assert hi == pytest.approx(adev * math.sqrt(edf / q16), rel=1e-13, abs=0)
 
 
 def test_confidence_interval_scale_matches_chi2_quantiles():
-    # the test above compares numbers of order 1e-13, inside pytest.approx's
-    # default abs=1e-12; the ratios to the estimate are checked here
+    # the ratios to the estimate, apart from the estimate itself
     rng = np.random.default_rng(9)
     series = FrequencyTimeSeries(1.0, rng.normal(0.0, 1e-13, 500))
     for tau, adev, lo, hi in allan_deviation(series, sorted(CHI2_QUANTILES)):
@@ -285,13 +284,15 @@ def test_tau_needs_two_bins():
 def test_carrier_conversion_matches_prescaled_fractional():
     rng = np.random.default_rng(17)
     carrier = 58605052164255.0
-    y = rng.normal(0.0, 5e-14, 400)
-    absolute = FrequencyTimeSeries(1.0, carrier * (1.0 + y), carrier_hz=carrier)
-    fractional = FrequencyTimeSeries(1.0, y)
+    # absolute samples carrier + k * ulp(carrier) (2^-7 Hz) are exact, and so is
+    # their difference to the carrier: both series then hold the same fractions
+    offsets = np.round(carrier * rng.normal(0.0, 5e-14, 400) / math.ulp(carrier)) * math.ulp(carrier)
+    absolute = FrequencyTimeSeries(1.0, carrier + offsets, carrier_hz=carrier)
+    fractional = FrequencyTimeSeries(1.0, offsets / carrier)
     a = allan_deviation(absolute, [1.0, 4.0])
     b = allan_deviation(fractional, [1.0, 4.0])
     for (_, ya, _, _), (_, yb, _, _) in zip(a, b):
-        assert ya == pytest.approx(yb, rel=1e-9)
+        assert ya == pytest.approx(yb, rel=1e-12, abs=0)
 
 
 def test_series_validation():
