@@ -5,6 +5,18 @@ keys, shortest-roundtrip floats, so reruns on identical inputs are
 byte-identical), plus CSV tables for anything meant to be plotted.  Each
 report is rendered whole and published as a new file by `_publish`.
 
+A JSON report is the text of `json.dumps(payload, sort_keys=True,
+indent=2, allow_nan=False)` plus a newline.  With an indent, `json.dumps`
+encodes in pure Python, value by value, so `_render_json` lays the
+payload out itself: dicts with str keys and lists (or tuples) by a short
+recursion, a list of exact ints and floats with one `repr` map and one
+join (a `_Floats` list with the texts it carries, which a CSV table can
+share), strings by `json.encoder.encode_basestring_ascii`, and floats
+(numpy's float64 among them) by `float.__repr__`.  `json.dumps` of the
+whole payload stays the authority: wherever the renderer stops (a NaN or
+infinity, a non-str key, any other type), the report is its text, or its
+error.
+
 Exit codes: 0 success, 1 data error (a computation failed on inputs
 that parsed fine), 2 configuration error (bad flags, missing or invalid
 input files).  All referenced files are read and validated before any
@@ -27,6 +39,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -97,19 +110,75 @@ def _publish(path: Path, text: str) -> Path:
     return path
 
 
-def _write_json(out_dir: Path, stem: str, payload: dict) -> Path:
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:  # a NaN or infinity reached the report
-        raise DataFailure(f"{stem} report: {exc}") from exc
-    return _publish(out_dir / f"{stem}.json", text + "\n")
-
-
 _NUMBER_TYPES = frozenset({int, float})
 
 
-def _write_csv(out_dir: Path, stem: str, header: list[str], rows: list) -> Path:
-    """Publish `header` and `rows` as `<stem>.csv`, with CRLF line ends as `csv.writer` writes them.
+class _Floats(list):
+    """A list of floats that carries their `float.__repr__` texts, made once for every report that shows them.
+
+    To `json.dumps`, the authority, it is a plain list.
+    """
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.texts = list(map(float.__repr__, self))
+
+
+class _Unrendered(Exception):
+    """A value that `_render_json` leaves to `json.dumps`."""
+
+
+def _render_json(value, indent: str) -> str:
+    """`value` as `json.dumps(..., sort_keys=True, indent=2, allow_nan=False)` writes it at `indent`."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _Unrendered
+        return float.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _NUMBER_TYPES.issuperset(map(type, value)):  # bool is not int here
+            body = sep.join(value.texts if isinstance(value, _Floats) else map(repr, value))
+            if "n" in body:  # nan or inf
+                raise _Unrendered
+        else:
+            body = sep.join([_render_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not {str}.issuperset(map(type, value)):
+            raise _Unrendered
+        body = sep.join([f"{_json_string(k)}: {_render_json(value[k], inner)}" for k in sorted(value)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise _Unrendered
+
+
+def _write_json(out_dir: Path, stem: str, payload: dict) -> Path:
+    try:
+        text = _render_json(payload, "")
+    except (_Unrendered, ValueError, RecursionError):  # what the renderer does not finish, json.dumps decides
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:  # a NaN or infinity reached the report
+            raise DataFailure(f"{stem} report: {exc}") from exc
+    return _publish(out_dir / f"{stem}.json", text + "\n")
+
+
+def _csv_text(rows) -> str:
+    """`rows` as CSV lines with CRLF ends, as `csv.writer` writes them.
 
     A row of Python ints and floats is rendered with `repr` and joined by
     commas: a number never needs quoting.  Any other row goes through
@@ -118,13 +187,35 @@ def _write_csv(out_dir: Path, stem: str, header: list[str], rows: list) -> Path:
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(header)
     for row in rows:
         if _NUMBER_TYPES.issuperset(map(type, row)):
             buf.write(",".join(map(repr, row)) + "\r\n")
         else:
             writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
-    return _publish(out_dir / f"{stem}.csv", buf.getvalue())
+    return buf.getvalue()
+
+
+def _write_csv(out_dir: Path, stem: str, header: list[str], rows: list) -> Path:
+    """Publish `header` and `rows` as `<stem>.csv` (see `_csv_text`)."""
+    return _publish(out_dir / f"{stem}.csv", _csv_text([header, *rows]))
+
+
+def _write_csv_grid(
+    out_dir: Path, stem: str, header: list[str], leads: list, xs: _Floats, columns: list[_Floats]
+) -> Path:
+    """`_write_csv` of the rows `[*lead, x, y]`, x and y running over `xs` and that lead's column.
+
+    Each lead is rendered once, and each x and y is its `_Floats` text;
+    the lines are joined without a row list.
+    """
+    x_cells = [f"{x}," for x in xs.texts]
+    parts = [_csv_text([header])]
+    for lead, ys in zip(leads, columns):
+        start = _csv_text([[*lead, 0.0]])[: -len("0.0\r\n")]  # the lead's cells and a comma
+        lines = list(map(str.__add__, x_cells, ys.texts))
+        if lines:
+            parts.append(start + ("\r\n" + start).join(lines) + "\r\n")
+    return _publish(out_dir / f"{stem}.csv", "".join(parts))
 
 
 def _quantity_dict(q: Quantity) -> dict:
@@ -296,8 +387,8 @@ def _cmd_zeeman_map(args) -> int:
     b_values = _floats_arg(args.b_values, "--b-values") if args.b_values else list(zeeman.DEFAULT_B_GRID)
     zmap = _run(zeeman.zeeman_map, sets[key], _couplings(args), b_values=b_values)
 
-    b_gauss = zmap.b_values.tolist()
-    energies = [st.energies.tolist() for st in zmap.states]
+    b_gauss = _Floats(zmap.b_values.tolist())  # each field and each energy rendered once, for both reports
+    energies = [_Floats(st.energies.tolist()) for st in zmap.states]
     payload = {
         "level": {"v": key[0], "n": key[1]},
         "b_gauss": b_gauss,
@@ -306,14 +397,16 @@ def _cmd_zeeman_map(args) -> int:
             for st, e in zip(zmap.states, energies)
         ],
     }
-    rows = [
-        [st.g1, st.g2, st.f, st.m_f, b, e]
-        for st, state_energies in zip(zmap.states, energies)
-        for b, e in zip(b_gauss, state_energies)
-    ]
     print(f"{len(zmap.states)} sublevels over {len(zmap.b_values)} field values")
     _write_json(args.out_dir, "zeeman_map", payload)
-    _write_csv(args.out_dir, "zeeman_map", ["g1", "g2", "f", "m_f", "B_gauss", "energy_khz"], rows)
+    _write_csv_grid(
+        args.out_dir,
+        "zeeman_map",
+        ["g1", "g2", "f", "m_f", "B_gauss", "energy_khz"],
+        [st.label for st in zmap.states],
+        b_gauss,
+        energies,
+    )
     return 0
 
 
@@ -367,8 +460,8 @@ def _cmd_extrapolate_b(args) -> int:
 def _cmd_fit_line(args) -> int:
     from . import lineshape
 
-    records = _load(lineshape.read_decay_csv, args.input)
-    points = _run(lineshape.build_spectrum, records)
+    scan = _load(lineshape.read_decay_csv, args.input)
+    points = _run(lineshape.build_spectrum, scan)
     _write_csv(
         args.out_dir,
         "fit_line_spectrum",
@@ -377,7 +470,7 @@ def _cmd_fit_line(args) -> int:
     )
 
     fit = _run(lineshape.fit_lorentzian, points)
-    payload = {"n_records": len(records), "n_points": len(points), "fit": lineshape.fit_report(fit)}
+    payload = {"n_records": len(scan), "n_points": len(points), "fit": lineshape.fit_report(fit)}
     print(
         f"center = {fit.center:+.4f} kHz, fwhm = {fit.fwhm:.4f} kHz, "
         f"amplitude = {fit.amplitude:.4f} in {fit.n_iter} iterations"
@@ -747,8 +840,8 @@ def _anchors(sets: dict | None) -> list[tuple]:
         ]
 
     def c_demo_fit():  # synthetic data with truth 0.037 / 0.195 kHz, not a published number
-        records = lineshape.read_decay_csv(bundled.data_path("line12_depletion.csv"))
-        fit = lineshape.fit_lorentzian(lineshape.build_spectrum(records))
+        scan = lineshape.read_decay_csv(bundled.data_path("line12_depletion.csv"))
+        fit = lineshape.fit_lorentzian(lineshape.build_spectrum(scan))
         return [("center_khz", fit.center, 0.037, 0.05), ("fwhm_khz", fit.fwhm, 0.195, 0.05)]
 
     def c_spin_freqs():

@@ -1,7 +1,9 @@
 """Depletion spectra and Lorentzian line fits.
 
 Raw data are per-detuning decay records taken with and without the
-spectroscopy radiation.  The background-subtracted signal is fit to
+spectroscopy radiation, held as columns (`DecayScan`: one array each of
+detuning, laser on/off and depletion, in file order).  The
+background-subtracted signal is fit to
 
     s(delta) = offset + amplitude * (G^2/4) / ((delta - center)^2 + G^2/4)
 
@@ -34,16 +36,34 @@ class LowSignalError(FitError):
     """Fitted amplitude is consistent with zero."""
 
 
-@dataclass(frozen=True)
-class DecayRecord:
-    detuning: float
-    run_id: str
-    laser_on: bool
-    depletion: float
+@dataclass(frozen=True, eq=False)
+class DecayScan:
+    """Decay records as columns, one entry per record in file order.
+
+    `detuning` (kHz, finite), `laser_on` (True with the spectroscopy
+    radiation, False for background) and `depletion` (in [0, 1]) are 1-d
+    arrays of one length, the number of records, which `len` gives.  The
+    constructor takes any sequences and converts them.
+    """
+
+    detuning: np.ndarray
+    laser_on: np.ndarray
+    depletion: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.depletion <= 1.0:
-            raise ValueError(f"depletion must be in [0, 1], got {self.depletion}")
+        for name, dtype in (("detuning", float), ("laser_on", bool), ("depletion", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not (self.detuning.ndim == 1 and self.detuning.shape == self.laser_on.shape == self.depletion.shape):
+            raise ValueError("decay columns must be 1-d and of one length")
+        with np.errstate(invalid="ignore"):  # NaN fails a rule quietly
+            for name, rule in (("detuning", FINITE), ("depletion", UNIT_INTERVAL)):
+                column = getattr(self, name)
+                outside = ~rule.accepts(column)
+                if outside.any():
+                    raise ValueError(f"{name} {rule.requirement}, got {float(column[outside][0])}")
+
+    def __len__(self) -> int:
+        return len(self.detuning)
 
 
 @dataclass(frozen=True)
@@ -69,26 +89,32 @@ def _sem(values: np.ndarray) -> float | None:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def build_spectrum(records: Sequence[DecayRecord]) -> list[SpectrumPoint]:
-    """Difference the on/off record classes per detuning.
+def build_spectrum(scan: DecayScan) -> list[SpectrumPoint]:
+    """Difference the on/off record classes per detuning, in ascending detuning.
 
-    signal = mean(on) - mean(off), sem = sqrt(sem_on^2 + sem_off^2).
+    signal = mean(on) - mean(off), sem = sqrt(sem_on^2 + sem_off^2).  One
+    stable sort groups the records by detuning, so each class keeps file
+    order and its mean and standard deviation sum its values in that
+    order.  -0.0 and 0.0 are one detuning, reported as the one the file
+    has first.
     """
-    by_detuning: dict[float, tuple[list[float], list[float]]] = {}
-    for rec in records:
-        on, off = by_detuning.setdefault(rec.detuning, ([], []))
-        (on if rec.laser_on else off).append(rec.depletion)
+    if not len(scan):
+        return []
+    order = np.argsort(scan.detuning, kind="stable")
+    detuning, laser_on, depletion = scan.detuning[order], scan.laser_on[order], scan.depletion[order]
+    bounds = (np.flatnonzero(detuning[1:] != detuning[:-1]) + 1).tolist()
     points = []
-    for detuning in sorted(by_detuning):
-        on, off = by_detuning[detuning]
-        if not on or not off:
-            missing = "laser-on" if not on else "background"
-            raise ValueError(f"detuning {detuning} kHz has no {missing} records")
-        sem_on, sem_off = _sem(np.asarray(on)), _sem(np.asarray(off))
+    for start, end in zip([0, *bounds], [*bounds, len(order)]):
+        key, values, on_mask = float(detuning[start]), depletion[start:end], laser_on[start:end]
+        on, off = values[on_mask], values[~on_mask]
+        if not on.size or not off.size:
+            missing = "laser-on" if not on.size else "background"
+            raise ValueError(f"detuning {key} kHz has no {missing} records")
+        sem_on, sem_off = _sem(on), _sem(off)
         sem = None
         if sem_on is not None and sem_off is not None:
             sem = math.sqrt(sem_on ** 2 + sem_off ** 2)
-        points.append(SpectrumPoint(detuning, float(np.mean(on) - np.mean(off)), sem))
+        points.append(SpectrumPoint(key, float(np.mean(on) - np.mean(off)), sem))
     return points
 
 
@@ -237,27 +263,23 @@ def line_frequency(fit: LineFit, absolute_offset: float) -> Quantity:
 # file interfaces
 
 
-def read_decay_csv(path: str | Path) -> list[DecayRecord]:
-    """Read `detuning_khz, run_id, laser_on(0|1), depletion` rows.
+def read_decay_csv(path: str | Path) -> DecayScan:
+    """Read `detuning_khz, run_id, laser_on(0|1), depletion` rows as a `DecayScan`.
 
     detuning_khz must be finite, depletion in [0, 1] and laser_on 0 or 1;
-    run_id is any text.  `quantity.read_table` parses a large plain-ASCII
-    file a whole column at a time with `np.loadtxt`; any other file, and
-    any fault, it reads row by row, and that row path is the authority on
-    values and on the `path:line` message.
+    run_id is any text, required in every row and not kept.
+    `quantity.read_table` parses a large plain-ASCII file a whole column
+    at a time with `np.loadtxt`; any other file, and any fault, it reads
+    row by row, and that row path is the authority on values and on the
+    `path:line` message.
     """
     cols = read_table(
         path, [("detuning_khz", FINITE), ("depletion", UNIT_INTERVAL), ("laser_on", FLAG), ("run_id", TEXT)]
     )
-    records = [
-        DecayRecord(detuning, run_id, laser_on == "1", depletion)
-        for detuning, run_id, laser_on, depletion in zip(
-            cols["detuning_khz"].tolist(), cols["run_id"], cols["laser_on"], cols["depletion"].tolist()
-        )
-    ]
-    if not records:
+    if not cols["run_id"]:
         raise ValueError(f"{path}: no decay records")
-    return records
+    laser_on = np.fromiter(map("1".__eq__, cols["laser_on"]), bool, len(cols["laser_on"]))
+    return DecayScan(cols["detuning_khz"], laser_on, cols["depletion"])
 
 
 def fit_report(fit: LineFit) -> dict:

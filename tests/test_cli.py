@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import hdspec
 from hdspec import bundled, lineshape, metrology
-from hdspec.cli import _sweep_grid, _write_csv, main
+from hdspec.cli import DataFailure, _Floats, _sweep_grid, _write_csv, _write_csv_grid, _write_json, main
 
 SRC = str(Path(hdspec.__file__).resolve().parents[1])
 
@@ -252,6 +253,94 @@ def test_csv_writer_renders_what_csv_writer_renders(rows):
         path = _write_csv(Path(d), "t", header, rows)
         got = path.read_bytes().decode("utf-8")
     assert got == want.getvalue()
+
+
+NUMBERS = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e22, 1e16, 0.1, -1.5e-308]),
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    NUMBERS,
+    NUMBERS.map(float).map(np.float64),
+    st.text(max_size=6),  # non-ASCII, quotes, backslashes and control characters among them
+    st.lists(st.one_of(NUMBERS, st.booleans()), max_size=6),  # bool is an int subclass
+    st.lists(st.floats(), max_size=6).map(_Floats),  # NaN and infinities among them
+    st.integers(0, 10).flatmap(lambda i: NON_FINITE if i == 0 else st.just(1.0)),
+)
+JSON_KEYS = st.integers(0, 20).flatmap(lambda i: st.sampled_from([1, 2.5, None, True]) if i == 0 else st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def json_outcome(write, payload):
+    try:
+        with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+            return "ok", write(Path(d), "t", payload).read_text(encoding="utf-8")
+    except Exception as exc:  # the type and message of a failure must agree as well
+        return type(exc).__name__, str(exc)
+
+
+def stdlib_json(out_dir, stem, payload):
+    """The report as `json.dumps` renders it, and its failure: the authority for `_write_json`."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DataFailure(f"{stem} report: {exc}") from exc
+    path = out_dir / f"{stem}.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    return path
+
+
+@settings(max_examples=400)
+@given(payload=st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=5))
+@example(payload={"a": [], "b": {}, "c": (), "d": [[]], "é\n\"\\": ["\x00\u2028", "\ud800"]})
+@example(payload={"n": [1, 2.5, True, -0.0, 5e-324, 1e22, np.float64(0.1)], "t": (1.0, 2)})
+@example(payload={"x": [0.5, math.nan], "y": {1: 2}})
+@example(payload={"x": {"y": np.float64("nan")}})
+def test_json_reports_are_what_json_dumps_writes(payload):
+    """Text, or failure type and message, of json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)."""
+    assert json_outcome(_write_json, payload) == json_outcome(stdlib_json, payload)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_report_value_is_one_line_data_error(tmp_path, capsys, value):
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps([value], sort_keys=True, indent=2, allow_nan=False)
+    with mock.patch.object(metrology, "dfg_frequency", return_value=value):
+        code = run(tmp_path, "dfg", "--f-rep-hz", "1e8", "--n1", "2", "--n2", "1", "--beat1-hz", "0", "--beat2-hz", "0")
+    assert code == 1
+    assert capsys.readouterr().err == f"data error: dfg report: {stdlib.value}\n"
+    assert not list(tmp_path.iterdir())
+
+
+FLOAT_CELLS = st.one_of(st.floats(width=64), st.floats(width=64).map(np.float64))
+
+
+@settings(max_examples=200)
+@given(
+    leads=st.lists(st.lists(CSV_CELLS, max_size=4), max_size=4),
+    xs=st.lists(FLOAT_CELLS, max_size=5),
+    data=st.data(),
+)
+def test_csv_grid_renders_what_write_csv_renders(leads, xs, data):
+    columns = [data.draw(st.lists(FLOAT_CELLS, max_size=len(xs) + 1)) for _ in leads]
+    header = ["a", "b,c"]
+    rows = [[*lead, x, y] for lead, ys in zip(leads, columns) for x, y in zip(xs, ys)]
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+        want = _write_csv(Path(d) / "rows", "t", header, rows).read_bytes()
+        got = _write_csv_grid(Path(d) / "grid", "t", header, leads, _Floats(xs), list(map(_Floats, columns))).read_bytes()
+    assert got == want
 
 
 NON_FINITE_LIST_FLAGS = [

@@ -1,14 +1,19 @@
 """Lorentzian depletion-line fitting."""
 
 import csv
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdspec import bundled
+from hdspec import bundled, quantity
+from hdspec.cli import main
 from hdspec.lineshape import (
-    DecayRecord,
+    DecayScan,
     FitError,
     LineFit,
     LowSignalError,
@@ -130,45 +135,134 @@ def test_downward_line_fits_with_negative_amplitude():
 # --- spectrum assembly ------------------------------------------------------
 
 
+def scan_of(records):
+    """A DecayScan of (detuning, laser_on, depletion) records in file order."""
+    return DecayScan(*zip(*records)) if records else DecayScan([], [], [])
+
+
 def records_at(detuning, on_values, off_values):
-    recs = [DecayRecord(detuning, f"on{i}", True, v) for i, v in enumerate(on_values)]
-    recs += [DecayRecord(detuning, f"off{i}", False, v) for i, v in enumerate(off_values)]
-    return recs
+    return [(detuning, True, v) for v in on_values] + [(detuning, False, v) for v in off_values]
+
+
+def dict_spectrum(records):
+    """(detuning, signal, sem) per detuning, by the row-by-row dict regroup: the reference for build_spectrum."""
+    by_detuning = {}
+    for detuning, laser_on, depletion in records:
+        on, off = by_detuning.setdefault(detuning, ([], []))
+        (on if laser_on else off).append(depletion)
+    points = []
+    for detuning in sorted(by_detuning):
+        on, off = by_detuning[detuning]
+        if not on or not off:
+            missing = "laser-on" if not on else "background"
+            raise ValueError(f"detuning {detuning} kHz has no {missing} records")
+        sems = [float(np.std(v, ddof=1) / math.sqrt(len(v))) for v in (on, off) if len(v) > 1]
+        sem = math.sqrt(sems[0] ** 2 + sems[1] ** 2) if len(sems) == 2 else None
+        points.append((detuning, float(np.mean(on) - np.mean(off)), sem))
+    return points
+
+
+def spectrum_outcome(build, records):
+    # repr tells -0.0 from 0.0 and compares every float bit for bit
+    try:
+        return "ok", repr(build(records))
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def columnar_spectrum(records):
+    return [(pt.detuning, pt.signal, pt.sem) for pt in build_spectrum(scan_of(records))]
 
 
 def test_build_spectrum_differences_classes():
-    recs = records_at(0.0, [0.30, 0.34], [0.10, 0.12])
-    (pt,) = build_spectrum(recs)
+    records = records_at(0.0, [0.30, 0.34], [0.10, 0.12])
+    (pt,) = build_spectrum(scan_of(records))
     assert pt.signal == pytest.approx(0.21)
     sem_on = np.std([0.30, 0.34], ddof=1) / math.sqrt(2)
     sem_off = np.std([0.10, 0.12], ddof=1) / math.sqrt(2)
     assert pt.sem == pytest.approx(math.hypot(sem_on, sem_off))
+    assert [(pt.detuning, pt.signal, pt.sem)] == dict_spectrum(records)
 
 
 def test_build_spectrum_single_sample_has_no_sem():
-    (pt,) = build_spectrum(records_at(0.5, [0.3], [0.1, 0.12]))
+    records = records_at(0.5, [0.3], [0.1, 0.12])
+    (pt,) = build_spectrum(scan_of(records))
     assert pt.sem is None
     assert pt.signal == pytest.approx(0.3 - 0.11)
+    assert [(pt.detuning, pt.signal, pt.sem)] == dict_spectrum(records)
 
 
 def test_build_spectrum_missing_class_names_it():
     with pytest.raises(ValueError, match="background"):
-        build_spectrum([DecayRecord(0.0, "a", True, 0.3)])
+        build_spectrum(scan_of([(0.0, True, 0.3)]))
     with pytest.raises(ValueError, match="laser-on"):
-        build_spectrum([DecayRecord(0.0, "a", False, 0.3)])
+        build_spectrum(scan_of([(0.0, False, 0.3)]))
+    # the lowest detuning that lacks a class is named, wherever it is in the file
+    records = records_at(1.0, [0.2], [0.1]) + [(0.5, False, 0.1)] + records_at(-1.0, [0.2], [0.1]) + [(0.25, True, 0.2)]
+    with pytest.raises(ValueError) as exc:
+        build_spectrum(scan_of(records))
+    assert str(exc.value) == "detuning 0.25 kHz has no background records"
+    assert spectrum_outcome(columnar_spectrum, records) == spectrum_outcome(dict_spectrum, records)
 
 
 def test_build_spectrum_sorts_detunings():
-    recs = records_at(1.0, [0.2], [0.1]) + records_at(-1.0, [0.3], [0.1])
-    points = build_spectrum(recs)
+    records = records_at(1.0, [0.2], [0.1]) + records_at(-1.0, [0.3], [0.1])
+    points = build_spectrum(scan_of(records))
     assert [pt.detuning for pt in points] == [-1.0, 1.0]
+
+
+def test_build_spectrum_groups_interleaved_unsorted_detunings_in_file_order():
+    rng = np.random.default_rng(5)
+    detunings = rng.permutation(np.linspace(-1.0, 1.0, 9)).tolist()
+    # 40 records per detuning and class, shuffled together: each class is summed in file order
+    records = [(d, bool(on), float(v)) for d in detunings for on in (0, 1) for v in rng.random(40)]
+    records = [records[i] for i in rng.permutation(len(records))]
+    got = build_spectrum(scan_of(records))
+    assert [pt.detuning for pt in got] == sorted(detunings)
+    assert repr(columnar_spectrum(records)) == repr(dict_spectrum(records))
+
+
+@pytest.mark.parametrize("first", [-0.0, 0.0])
+def test_build_spectrum_merges_signed_zeros_under_the_first_seen(first):
+    second = -first
+    records = [(first, True, 0.30), (second, False, 0.10), (second, True, 0.34), (first, False, 0.12), (second, False, 0.11)]
+    (pt,) = build_spectrum(scan_of(records))
+    assert math.copysign(1.0, pt.detuning) == math.copysign(1.0, first)
+    assert pt.signal == float(np.mean([0.30, 0.34]) - np.mean([0.10, 0.12, 0.11]))
+    assert repr(columnar_spectrum(records)) == repr(dict_spectrum(records))
+
+
+RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 3).flatmap(lambda i: st.floats(-1e3, 1e3) if i == 0 else st.sampled_from([-0.0, 0.0, 0.5])),
+        st.booleans(),
+        st.floats(0.0, 1.0),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=300)
+@given(records=RECORDS)
+def test_build_spectrum_matches_the_dict_regroup(records):
+    """Signals and sems bit for bit, the same detuning keys, or the same error."""
+    assert spectrum_outcome(columnar_spectrum, records) == spectrum_outcome(dict_spectrum, records)
 
 
 def test_depletion_range_validated():
     with pytest.raises(ValueError, match="depletion"):
-        DecayRecord(0.0, "x", True, 1.2)
+        DecayScan([0.0], [True], [1.2])
     with pytest.raises(ValueError, match="depletion"):
-        DecayRecord(0.0, "x", True, -0.01)
+        DecayScan([0.0], [True], [-0.01])
+    with pytest.raises(ValueError, match="depletion"):
+        DecayScan([0.0, 0.1], [True, False], [0.5, math.nan])
+
+
+def test_decay_columns_validated():
+    with pytest.raises(ValueError, match="one length"):
+        DecayScan([0.0, 1.0], [True], [0.5])
+    with pytest.raises(ValueError, match="detuning must be finite"):
+        DecayScan([math.inf], [True], [0.5])
 
 
 def test_negative_sem_rejected():
@@ -204,11 +298,39 @@ def test_decay_csv_roundtrip(tmp_path):
         writer.writerow(["detuning_khz", "run_id", "laser_on", "depletion"])
         writer.writerow(["-0.5", "r1", "1", "0.31"])
         writer.writerow(["-0.5", "r2", "0", "0.10"])
-    recs = read_decay_csv(path)
-    assert recs == [
-        DecayRecord(-0.5, "r1", True, 0.31),
-        DecayRecord(-0.5, "r2", False, 0.10),
-    ]
+    scan = read_decay_csv(path)
+    assert len(scan) == 2
+    assert scan.detuning.tolist() == [-0.5, -0.5]
+    assert scan.laser_on.tolist() == [True, False]
+    assert scan.depletion.tolist() == [0.31, 0.10]
+
+
+@pytest.mark.parametrize("min_bytes", [0, 1 << 30], ids=["columns", "rows"])
+def test_record_count_is_the_number_of_data_rows(tmp_path, capsys, min_bytes):
+    """len() of the scan counts records, as the benchmark's trace does; fit-line reports it as n_records."""
+    lines = bundled.data_path("line12_depletion.csv").read_text().splitlines()
+    path = tmp_path / "decay.csv"
+    path.write_text("\n".join(lines[:1] + lines[1:] * 3 + [""]))  # a blank line is no record
+    with mock.patch.object(quantity, "_FAST_MIN_BYTES", min_bytes):
+        scan = read_decay_csv(path)
+        assert main(["fit-line", "--input", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert len(scan) == (len(lines) - 1) * 3
+    assert json.loads((tmp_path / "fit_line.json").read_text())["n_records"] == len(scan)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("detuning_khz,laser_on,depletion,run_id\n0.1,1,0.3,a\n0.2,0,0.3\n", "{path}:3: run_id is missing"),
+        ("detuning_khz,laser_on,depletion\n0.1,1,0.3\n", "'run_id'"),
+    ],
+    ids=["cell", "column"],
+)
+def test_run_id_is_required_though_unused(tmp_path, capsys, text, message):
+    path = tmp_path / "decay.csv"
+    path.write_text(text)
+    assert main(["fit-line", "--input", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
 
 
 def test_decay_csv_rejects_empty(tmp_path):
@@ -219,8 +341,6 @@ def test_decay_csv_rejects_empty(tmp_path):
 
 
 def test_fit_report_is_json_ready():
-    import json
-
     x = np.linspace(-2.0, 2.0, 21)
     fit = fit_lorentzian(make_points(x, lorentz(x, **TRUTH)))
     payload = fit_report(fit)
@@ -230,8 +350,8 @@ def test_fit_report_is_json_ready():
 
 
 def test_bundled_depletion_scan_fits_near_truth():
-    recs = read_decay_csv(bundled.data_path("line12_depletion.csv"))
-    fit = fit_lorentzian(build_spectrum(recs))
+    scan = read_decay_csv(bundled.data_path("line12_depletion.csv"))
+    fit = fit_lorentzian(build_spectrum(scan))
     assert fit.center == pytest.approx(0.037, abs=0.01)
     assert fit.fwhm == pytest.approx(0.195, abs=0.02)
     assert fit.amplitude == pytest.approx(0.35, abs=0.05)

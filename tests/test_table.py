@@ -22,10 +22,15 @@ def _counter(path):
     return (s.tau0, s.samples.tolist(), s.carrier_hz)
 
 
+def _decay(path):
+    s = lineshape.read_decay_csv(path)
+    return (s.detuning.tolist(), s.laser_on.tolist(), s.depletion.tolist())
+
+
 # reader, its columns, and a cell strategy key per column
 READERS = {
     "counter": (_counter, {"t_s": "time", "f_hz": "number"}),
-    "decay": (lineshape.read_decay_csv, {"detuning_khz": "number", "run_id": "text", "laser_on": "flag", "depletion": "unit"}),
+    "decay": (_decay, {"detuning_khz": "number", "run_id": "text", "laser_on": "flag", "depletion": "unit"}),
     "field": (zeeman.read_field_scan_csv, {"B_gauss": "number", "f_khz": "number", "u_khz": "positive"}),
     "rf": (systematics.read_amplitude_csv, {"amplitude": "number", "f_khz": "number", "u_khz": "non_negative"}),
     "contribution": (
