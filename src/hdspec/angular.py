@@ -176,31 +176,26 @@ def casimir(a: Triple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Hamiltonian terms
 
-# Each tensor-type term lives behind one constructor carrying its own
-# normalization, so an alternative convention is a one-line change.
-
 
 def _rank2_norm(n_rot: int) -> float:
     return 1.0 / ((2 * n_rot - 1) * (2 * n_rot + 3))
 
 
-def tensor_coupling(basis: ProductBasis, slot_a: str, slot_b: str, norm: float | None = None) -> np.ndarray:
+def tensor_coupling(basis: ProductBasis, slot_a: str, slot_b: str) -> np.ndarray:
     """T(N, A, B) = [2 N^2 (A.B) - 3((N.A)(N.B) + (N.B)(N.A))] * norm."""
-    if norm is None:
-        norm = _rank2_norm(basis.n_rot)
+    norm = _rank2_norm(basis.n_rot)
     n, a, b = basis.triple("N"), basis.triple(slot_a), basis.triple(slot_b)
     na, nb = dot(n, a), dot(n, b)
     return norm * (2.0 * casimir(n) @ dot(a, b) - 3.0 * (na @ nb + nb @ na))
 
 
-def quadrupole_coupling(basis: ProductBasis, norm: float | None = None) -> np.ndarray:
+def quadrupole_coupling(basis: ProductBasis) -> np.ndarray:
     """Q(N, I_d) = [N^2 I_d^2 - 3/2 (N.I_d) - 3 (N.I_d)^2] * norm.
 
     Deuteron electric-quadrupole scalar; this form is traceless over the
     product space, so it does not move the spin-averaged origin.
     """
-    if norm is None:
-        norm = _rank2_norm(basis.n_rot)
+    norm = _rank2_norm(basis.n_rot)
     n, d = basis.triple("N"), basis.triple("I_d")
     nd = dot(n, d)
     return norm * (casimir(n) @ casimir(d) - 1.5 * nd - 3.0 * (nd @ nd))
@@ -425,8 +420,6 @@ class SpinLevel:
     g1: int | None
     g2: int | None
     f: int
-    v: int | None = None
-    n_rot: int | None = None
     build_vectors: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -517,7 +510,7 @@ class _LevelSet:
             for a in range(n):
                 g1, g2 = labels[a] if alone[a] else (None, None)
                 vectors = functools.partial(blocks.multiplet, block, x[:, a])
-                level = SpinLevel(float(evals[a]), 2 * block.f + 1, g1, g2, block.f, coeffs.v, coeffs.n_rot, vectors)
+                level = SpinLevel(float(evals[a]), 2 * block.f + 1, g1, g2, block.f, vectors)
                 found.append((level, gammas[a]))
         # ascending energy; levels that coincide go by F
         found.sort(key=lambda item: item[0].energy)

@@ -103,12 +103,12 @@ def load_measured_lines(path: str | Path | None = None) -> dict:
     return out
 
 
-def load_coefficients(name: str = "hfs_coefficients.conf") -> dict[tuple[int, int], HyperfineCoefficients] | None:
+def load_coefficients() -> dict[tuple[int, int], HyperfineCoefficients] | None:
     """The evaluated coefficient file, or None while only the template ships."""
     from .angular import read_coefficient_file
 
     try:
-        path = data_path(name)
+        path = data_path("hfs_coefficients.conf")
     except FileNotFoundError:
         return None
     parsed = read_coefficient_file(path)

@@ -541,10 +541,10 @@ def _cmd_ledger(args) -> int:
 
 def _spin_profile(inp: composite.CompositeInput) -> list[tuple[float, float]]:
     """Spin uncertainty vs b12, from tables if present else the linear fallback."""
-    from . import composite
+    from . import angular, composite
 
     if inp.tables is not None:
-        return list(composite.optimize_weight(inp.tables, inp.params).profile)
+        return list(composite.optimize_weight(inp.tables, angular.SpinUncertaintyParams()).profile)
     u12 = inp.fspin12.component("theor_spin")
     u16 = inp.fspin16.component("theor_spin")
     grid = [round(0.01 * i, 2) for i in range(101)]
@@ -552,13 +552,13 @@ def _spin_profile(inp: composite.CompositeInput) -> list[tuple[float, float]]:
 
 
 def _cmd_composite(args) -> int:
-    from . import composite
+    from . import angular, composite
 
     lines, inp = _composite_input(args)
     if args.optimize:
         if inp.tables is None:
             raise ConfigFailure("--optimize needs a sensitivity table; pass --coefficients FILE or --demo")
-        b12 = _run(composite.optimize_weight, inp.tables, inp.params).b_star
+        b12 = _run(composite.optimize_weight, inp.tables, angular.SpinUncertaintyParams()).b_star
     else:
         b12 = args.b12
     q = _run(composite.composite_frequency, inp, b12)
@@ -692,13 +692,14 @@ def _cmd_dfg(args) -> int:
     from . import metrology
 
     comb = _load(
-        metrology.CombParams,
-        args.f_rep_hz,
-        args.f_ceo_hz,
-        (
-            metrology.LaserLock(args.n1, args.beat1_hz, args.beat_sign1, args.ceo_sign1),
-            metrology.LaserLock(args.n2, args.beat2_hz, args.beat_sign2, args.ceo_sign2),
-        ),
+        lambda: metrology.CombParams(
+            args.f_rep_hz,
+            args.f_ceo_hz,
+            (
+                metrology.LaserLock(args.n1, args.beat1_hz, args.beat_sign1, args.ceo_sign1),
+                metrology.LaserLock(args.n2, args.beat2_hz, args.beat_sign2, args.ceo_sign2),
+            ),
+        )
     )
     f1 = _run(metrology.laser_frequency, comb, 0)
     f2 = _run(metrology.laser_frequency, comb, 1)
@@ -982,6 +983,12 @@ def _composite_args(p):
 
 def _extract_args(p):
     p.add_argument("--b12", type=_finite_float, default=0.5, help="composite weight of line 12 (default 0.5)")
+    p.add_argument(
+        "--constants-profile",
+        choices=bundled.CONSTANT_PROFILES,
+        default="codata2018",
+        help="fundamental-constant set and matching theory reference",
+    )
 
 
 def _compare_args(p):
@@ -1015,15 +1022,15 @@ def _carrier_args(p):
 
 # name, help, shared option groups (see `build_parser`), builder of the command's own arguments, handler
 COMMANDS = (
-    ("spin-structure", "hyperfine levels, spin frequencies, sensitivities", ("coeffs",), None, _cmd_spin_structure),
+    ("spin-structure", "hyperfine levels, spin frequencies, sensitivities", ("coeffs", "table"), None, _cmd_spin_structure),
     ("zeeman-map", "magnetic sublevel energies over a field grid", ("coeffs",), _zeeman_map_args, _cmd_zeeman_map),
     ("zeeman-coeffs", "linear/quadratic shift of one transition", ("coeffs",), _zeeman_coeffs_args, _cmd_zeeman_coeffs),
     ("extrapolate-b", "zero-field extrapolation of line positions", (), _extrapolate_b_args, _cmd_extrapolate_b),
     ("fit-line", "spectrum build + Lorentzian fit + line frequency", (), _fit_line_args, _cmd_fit_line),
     ("extrapolate-rf", "zero-RF-amplitude extrapolation + ledger entry", (), _extrapolate_rf_args, _cmd_extrapolate_rf),
-    ("ledger", "apply a systematic-shift ledger to a raw frequency", (), _ledger_args, _cmd_ledger),
+    ("ledger", "apply a systematic-shift ledger to a raw frequency", ("table",), _ledger_args, _cmd_ledger),
     ("composite", "weighted spin-averaged frequency", ("coeffs", "lines"), _composite_args, _cmd_composite),
-    ("extract", "mass-ratio extraction with budgets", ("coeffs", "lines"), _extract_args, _cmd_extract),
+    ("extract", "mass-ratio extraction with budgets", ("coeffs", "lines", "table"), _extract_args, _cmd_extract),
     ("compare", "pulls of independent determinations against a reference", (), _compare_args, _cmd_compare),
     ("adev", "overlapping Allan deviation of a counter log", (), _adev_args, _cmd_adev),
     ("dfg", "difference-frequency arithmetic of two comb locks", (), _dfg_args, _cmd_dfg),
@@ -1036,17 +1043,10 @@ def build_parser() -> argparse.ArgumentParser:
     # shared option groups, copied into each subparser as argparse parents
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", type=Path, default=Path("."), help="directory for JSON/CSV reports")
-    common.add_argument(
-        "--constants-profile",
-        choices=bundled.CONSTANT_PROFILES,
-        default="codata2018",
-        help="fundamental-constant set and matching theory reference",
-    )
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="'csv' additionally writes flat tables for reports that have one",
+
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="'csv' additionally writes a flat table"
     )
 
     coeffs = argparse.ArgumentParser(add_help=False)
@@ -1058,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
     lines_src = argparse.ArgumentParser(add_help=False)
     lines_src.add_argument("--lines", type=Path, help="measured-lines JSON (default: bundled values)")
 
-    groups = {"coeffs": coeffs, "lines": lines_src}
+    groups = {"coeffs": coeffs, "lines": lines_src, "table": table}
     parser = argparse.ArgumentParser(
         prog="hdspec",
         description="Analysis chain for one-photon mid-infrared spectroscopy of the fundamental vibrational "

@@ -9,7 +9,7 @@ experimental parts combine in quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class CompositeInput:
     fspin12: Quantity
     fspin16: Quantity
     tables: SensitivityTable | None = None
-    params: SpinUncertaintyParams = field(default_factory=SpinUncertaintyParams)
 
     def __post_init__(self) -> None:
         if self.tables is not None:
@@ -68,7 +67,7 @@ def composite_frequency(inp: CompositeInput, b12: float) -> Quantity:
     value = b12 * (inp.f12.value - inp.fspin12.value) + b16 * (inp.f16.value - inp.fspin16.value)
     u_exp = math.hypot(b12 * inp.f12.component("exp"), b16 * inp.f16.component("exp"))
     if inp.tables is not None:
-        u_spin = composite_spin_uncertainty(inp.tables, inp.params, b12)
+        u_spin = composite_spin_uncertainty(inp.tables, SpinUncertaintyParams(), b12)
     else:
         u_spin = b12 * inp.fspin12.component("theor_spin") + b16 * inp.fspin16.component("theor_spin")
     return Quantity(value, "kHz", {"exp": u_exp, "theor_spin": u_spin})

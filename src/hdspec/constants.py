@@ -177,13 +177,20 @@ def _require_components(f_exp: Quantity) -> None:
             raise ValueError(f"measured frequency must carry an {name!r} component")
 
 
-def _frequency_channels(f_exp: Quantity, model: ScalingModel) -> dict[str, float]:
-    return {
+def _invert(f_exp: Quantity, model: ScalingModel, value_ref: float) -> tuple[float, dict[str, float]]:
+    """value_ref * (f_exp/f_ref)^(1/beta), and each frequency channel u mapped to |1/beta| * (u/f_ref) * value."""
+    ratio = f_exp.value / model.f_ref
+    if abs(math.log(ratio)) >= 1e-6:
+        raise ValueError("measured frequency is outside the linearization range")
+    value = value_ref * ratio ** (1.0 / model.beta)
+    scale = abs(1.0 / model.beta) * value / model.f_ref
+    channels = {
         "exp": f_exp.component("exp"),
         "theor_QED": model.u_qed,
         "theor_spin": f_exp.component("theor_spin"),
         "CODATA": model.u_codata_other,
     }
+    return value, {k: u * scale for k, u in channels.items()}
 
 
 def extract_mu_over_me(f_exp: Quantity, model: ScalingModel, constants: ConstantSet) -> ExtractionResult:
@@ -194,13 +201,7 @@ def extract_mu_over_me(f_exp: Quantity, model: ScalingModel, constants: Constant
     """
     _require_components(f_exp)
     r = constants.md_over_mp.value
-    mu_ref = model.mu_p_ref * r / (1.0 + r)
-    ratio = f_exp.value / model.f_ref
-    if abs(math.log(ratio)) >= 1e-6:
-        raise ValueError("measured frequency is outside the linearization range")
-    value = mu_ref * ratio ** (1.0 / model.beta)
-    scale = abs(1.0 / model.beta) * value / model.f_ref
-    components = {k: u * scale for k, u in _frequency_channels(f_exp, model).items()}
+    value, components = _invert(f_exp, model, model.mu_p_ref * r / (1.0 + r))
     return ExtractionResult("mu_over_me", value, components)
 
 
@@ -217,14 +218,8 @@ def extract_mp_over_me(
     _require_components(f_exp)
     if md_over_mp.value <= 0:
         raise ValueError("md_over_mp must be positive")
-    ratio = f_exp.value / model.f_ref
-    if abs(math.log(ratio)) >= 1e-6:
-        raise ValueError("measured frequency is outside the linearization range")
-    value = model.mu_p_ref * ratio ** (1.0 / model.beta)
-    scale = abs(1.0 / model.beta) * value / model.f_ref
-    channels = _frequency_channels(f_exp, model)
+    value, components = _invert(f_exp, model, model.mu_p_ref)
     r, u_r = md_over_mp.value, md_over_mp.total_uncertainty()
-    components = {k: u * scale for k, u in channels.items()}
     components["CODATA"] = math.hypot(components["CODATA"], value * u_r / (r * (1.0 + r)))
     return ExtractionResult("mp_over_me", value, components)
 

@@ -132,9 +132,6 @@ class LineFit:
 
     PARAM_NAMES = ("center", "fwhm", "amplitude", "offset")
 
-    def params(self) -> np.ndarray:
-        return np.array([self.center, self.fwhm, self.amplitude, self.offset])
-
 
 def _model_and_jacobian(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     center, gamma, amp, offset = p
@@ -165,7 +162,7 @@ def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([x[extremal], span / 2.0, amplitude, offset])
 
 
-def fit_lorentzian(points: Sequence[SpectrumPoint], init: LineFit | None = None) -> LineFit:
+def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
     """Damped Gauss-Newton fit of a single Lorentzian.
 
     The damping factor starts at 1e-3, shrinks by 10 on each accepted
@@ -187,7 +184,7 @@ def fit_lorentzian(points: Sequence[SpectrumPoint], init: LineFit | None = None)
     else:
         w = np.ones_like(y)
 
-    p = init.params() if init is not None else _initial_guess(x, y)
+    p = _initial_guess(x, y)
     span = float(np.max(x) - np.min(x))
     if span <= abs(p[1]):
         raise ValueError(f"detuning span {span} kHz does not cover one initial FWHM {p[1]} kHz")

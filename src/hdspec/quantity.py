@@ -23,11 +23,9 @@ from typing import Callable, Mapping, Sequence
 # numpy is imported inside the functions that build arrays: the commands that
 # build none (carrier, dfg, ledger, compare) then start without it
 
-KNOWN_COMPONENTS = ("exp", "theor_QED", "theor_spin", "CODATA")
-
 
 def _validated_components(components: Mapping[str, float]) -> dict[str, float]:
-    # canonical names are reserved; any other non-empty name flows through
+    # any non-empty name is a component
     out: dict[str, float] = {}
     for name, u in components.items():
         if not isinstance(name, str) or not name:
@@ -88,11 +86,6 @@ class Quantity:
         raw = json.loads(text)
         return cls(raw["value"], raw.get("unit", "kHz"), raw.get("components", {}))
 
-    def __format__(self, spec: str) -> str:
-        if spec:
-            return format(self.value, spec) + f" {self.unit}"
-        return parenthetical(self)
-
 
 def combine_linear(terms: Sequence[tuple[float, Quantity]]) -> Quantity:
     """Linear combination sum(c_i * q_i) with per-component propagation.
@@ -133,6 +126,20 @@ def overflow_as_value_error(what: str):
             yield
     except FloatingPointError as exc:
         raise ValueError(f"{what} overflows float64 ({exc})") from None
+
+
+def weighted_least_squares(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters and covariance of the fit of `y` on the columns of `design` with weights `w`.
+
+    The weights are a priori inverse variances, so the covariance is
+    (X^T W X)^-1 without rescaling by the reduced chi-square.  A singular
+    normal matrix raises numpy's LinAlgError.
+    """
+    import numpy as np
+
+    xtw = design.T * w
+    cov = np.linalg.inv(xtw @ design)
+    return cov @ (xtw @ y), cov
 
 
 def parenthetical(q: Quantity, digits: int = 2) -> str:

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .quantity import FINITE, OPTIONAL_NON_NEGATIVE, Quantity, overflow_as_value_error, read_table
+from .quantity import (
+    FINITE,
+    OPTIONAL_NON_NEGATIVE,
+    Quantity,
+    overflow_as_value_error,
+    read_table,
+    weighted_least_squares,
+)
 
 # numpy is imported inside the functions that build arrays (see `quantity`)
 
@@ -115,12 +122,10 @@ def rf_extrapolate(
         w = 1.0 / u ** 2 if np.all(u > 0) else np.ones_like(f)
 
         design = np.column_stack([np.ones_like(basis), basis])
-        xtw = design.T * w
         try:
-            cov = np.linalg.inv(xtw @ design)
+            (f0, k), cov = weighted_least_squares(design, f, w)
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular RF extrapolation fit") from exc
-        f0, k = cov @ (xtw @ f)
         x_nom = np.float64(nominal_amplitude)  # numpy arithmetic, so an overflow raises here
         if not linear_in_amplitude:
             x_nom = x_nom ** 2

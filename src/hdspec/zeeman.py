@@ -29,7 +29,15 @@ from .angular import (
     level_structure,
     m_block,
 )
-from .quantity import FINITE, POSITIVE, Quantity, overflow_as_value_error, parse_field, read_table
+from .quantity import (
+    FINITE,
+    POSITIVE,
+    Quantity,
+    overflow_as_value_error,
+    parse_field,
+    read_table,
+    weighted_least_squares,
+)
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
@@ -178,9 +186,6 @@ class TransitionShiftModel:
     quadratic: float
     rms_residual: float
 
-    def shift(self, b_field: float) -> float:
-        return self.linear * b_field + self.quadratic * b_field ** 2
-
 
 def transition_coeffs(
     lower: tuple[HyperfineCoefficients, Sequence[int]],
@@ -254,9 +259,7 @@ def extrapolate_to_zero_field(
         else:
             w = np.ones_like(b)
 
-        xtw = design.T * w
-        cov = np.linalg.inv(xtw @ design)
-        params = cov @ (xtw @ f)
+        params, cov = weighted_least_squares(design, f, w)
         resid = f - design @ params
 
     if uncertainties is not None:

@@ -27,7 +27,6 @@ from hdspec.angular import (
     sensitivities_fd,
     spin_frequency,
     spin_uncertainty,
-    tensor_coupling,
     term_operator,
     transition_table,
 )
@@ -107,13 +106,6 @@ def test_quadrupole_traceless_n0_and_n1(basis0, basis1):
     assert np.allclose(quadrupole_coupling(basis0), 0.0, atol=1e-12)
     q = quadrupole_coupling(basis1)
     assert abs(np.trace(q)) < 1e-9
-
-
-def test_tensor_coupling_custom_norm_scales(basis1):
-    t_default = tensor_coupling(basis1, "I_p", "s_e")
-    t_unit = tensor_coupling(basis1, "I_p", "s_e", norm=1.0)
-    scale = 1.0 / ((2 * 1 - 1) * (2 * 1 + 3))
-    assert np.allclose(t_default, scale * t_unit, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

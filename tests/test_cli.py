@@ -108,6 +108,14 @@ def test_nan_flag_is_one_line_config_error(tmp_path):
     assert proc.stderr.startswith("config error:")
 
 
+def test_bad_mode_number_is_one_line_config_error(tmp_path):
+    proc = run_python("-m", "hdspec.cli", "dfg", "--f-rep-hz", "1e8", "--n1", "-10", "--n2", "1",
+                      "--beat1-hz", "0", "--beat2-hz", "0", "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: mode number must be a positive integer")
+
+
 def test_nan_raw_frequency_is_one_line_error(tmp_path):
     proc = run_python("-m", "hdspec.cli", "ledger", "--raw-khz", "nan", "--raw-u-khz", "0.1",
                       "--out-dir", str(tmp_path))
@@ -390,6 +398,29 @@ BUNDLED_RUNS = {
 }
 
 
+FLAG_READERS = {"--constants-profile": ("extract",), "--format": ("spin-structure", "ledger", "extract")}
+
+
+@pytest.mark.parametrize("flag, value", [("--constants-profile", "penning"), ("--format", "csv")])
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_profile_and_format_are_options_only_of_their_readers(tmp_path, capsys, name, flag, value):
+    argv = [name, *BUNDLED_RUNS[name], flag, value]
+    if name in FLAG_READERS[flag]:
+        assert run(tmp_path, *argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error, before the command runs
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_extract_takes_the_profile_and_the_csv_format_together(tmp_path):
+    assert run(tmp_path, "extract", "--constants-profile", "penning", "--format", "csv") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["extract.json", "extract_components.csv"]
+    assert load_json(tmp_path, "extract")["constants_profile"] == "penning"
+
+
 def test_commands_do_not_load_scipy(tmp_path):
     # numpy is the only runtime dependency
     assert sorted(BUNDLED_RUNS) == sorted(SUBCOMMANDS)
@@ -416,7 +447,8 @@ def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
         "import hdspec.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hdspec'))\n"
         f"for name in {ARRAY_FREE_COMMANDS!r}:\n"
-        f"    argv = [name, *{BUNDLED_RUNS!r}[name], '--format', 'csv', '--out-dir', {str(tmp_path)!r}]\n"
+        f"    argv = [name, *{BUNDLED_RUNS!r}[name], '--out-dir', {str(tmp_path)!r}]\n"
+        "    argv += ['--format', 'csv'] if name == 'ledger' else []\n"
         "    assert hdspec.cli.main(argv) == 0, name\n"
         "for argv in (['--help'], ['ledger', '--help']):\n"
         "    with contextlib.redirect_stdout(sys.stderr):\n"

@@ -117,11 +117,10 @@ def test_too_few_points_rejected():
 
 
 def test_span_must_cover_initial_width():
-    x = np.linspace(-2.0, 2.0, 21)
-    y = lorentz(x, **TRUTH)
-    wide = LineFit(0.0, 10.0, 0.25, 0.02, np.eye(4), 0.0, converged=True)
+    # every point at one detuning: the span is 0, and so is the initial FWHM
+    x = np.full(5, 0.3)
     with pytest.raises(ValueError, match="does not cover"):
-        fit_lorentzian(make_points(x, y), init=wide)
+        fit_lorentzian(make_points(x, lorentz(x, **TRUTH)))
 
 
 def test_downward_line_fits_with_negative_amplitude():

@@ -122,9 +122,3 @@ def test_parenthetical_orders_components_by_name():
     q = Quantity(1.0, "kHz", {"theor_spin": 0.85, "exp": 0.16})
     text = parenthetical(q)
     assert text.index("_exp") < text.index("_theor_spin")
-
-
-def test_format_protocol():
-    q = Quantity(1.5, "kHz", {"exp": 0.1})
-    assert f"{q:.1f}" == "1.5 kHz"
-    assert f"{q}" == parenthetical(q)
