@@ -19,8 +19,9 @@ Levels are solved one F at a time (Bakalov, Korobov & Schiller, PRL 97,
 commutes with F_z and F_+, so once per N the T_k are projected onto the
 highest-weight states of each F (the kernel of F_+ on the m_F = F block,
 at most 4 of them).  A coefficient set then costs one eigh of at most
-4 x 4 per F: F is exact, each level is a (2F + 1)-fold multiplet, G1 and
-G2 go by rank of <G1^2> and <G2^2> inside the F block, and gamma_k =
+4 x 4 per F that holds two or more levels, and none for an F that holds
+one: F is exact, each level is a (2F + 1)-fold multiplet, G1 and G2 go
+by rank of <G1^2> and <G2^2> inside the F block, and gamma_k =
 x^T T_k x.  No full-basis Hamiltonian is built to solve or to map a
 level; a level's product-basis `vectors` are built on first use, by
 lowering its highest-weight state with F_-.
@@ -52,6 +53,11 @@ class TrackingError(RuntimeError):
     """A perturbed spectrum could not be matched level-by-level."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 # single-momentum matrices
 
@@ -71,10 +77,16 @@ class AngularMomentumSet:
 
 
 def jmatrices(j: float) -> AngularMomentumSet:
-    """Ladder-operator matrices in the |j, m> basis, m = j, j-1, ..., -j."""
+    """Ladder-operator matrices in the |j, m> basis, m = j, j-1, ..., -j (shared, read-only)."""
     twoj = round(2 * j)
     if twoj < 0 or abs(2 * j - twoj) > 1e-12:
         raise ValueError(f"j must be a non-negative half-integer, got {j}")
+    return _jmatrices(twoj)
+
+
+@functools.lru_cache(maxsize=16)
+def _jmatrices(twoj: int) -> AngularMomentumSet:
+    """The matrices of j = twoj / 2, kept for the 16 most recent j."""
     j = twoj / 2.0
     dim = twoj + 1
     m = j - np.arange(dim)
@@ -83,7 +95,7 @@ def jmatrices(j: float) -> AngularMomentumSet:
     for i in range(1, dim):
         # raises |j, m[i]> to |j, m[i] + 1> = row i-1
         jplus[i - 1, i] = math.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
-    return AngularMomentumSet(j, jz, jplus, jplus.T.copy())
+    return AngularMomentumSet(j, _read_only(jz), _read_only(jplus), _read_only(jplus.T.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +119,7 @@ class ProductBasis:
         self.js = {"s_e": 0.5, "I_p": 0.5, "I_d": 1.0, "N": float(n_rot)}
         self._single = {name: jmatrices(j) for name, j in self.js.items()}
         self.dims = tuple(self._single[name].dim for name in SLOT_NAMES)
-        self.dim = int(np.prod(self.dims))
+        self.dim = math.prod(self.dims)
         self._triples: dict[str, Triple] = {}
 
     def index(self, m_se: float, m_sp: float, m_sd: float, m_n: float) -> int:
@@ -124,7 +136,7 @@ class ProductBasis:
     def _outer_dims(self, slot: str) -> tuple[int, int]:
         """Dimensions of the slots before and after `slot`."""
         pos = SLOT_NAMES.index(slot)
-        return int(np.prod(self.dims[:pos], initial=1)), int(np.prod(self.dims[pos + 1:], initial=1))
+        return math.prod(self.dims[:pos]), math.prod(self.dims[pos + 1:])
 
     def embed(self, op: np.ndarray, slot: str) -> np.ndarray:
         """Tensor-embed a single-slot operator, identity elsewhere."""
@@ -283,26 +295,37 @@ def build_hfs(coeffs: HyperfineCoefficients, basis: ProductBasis) -> np.ndarray:
 # per-N block data
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+# the eigenvector LAPACK's eigh returns for a 1 x 1 matrix, exactly
+_UNIT = _read_only(np.ones((1, 1)))
 
 
-@dataclass(frozen=True)
+def _expectations(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_a^T O x_a of every operator O of the stack `ops` and every column x_a of x, shape (len(ops), n)."""
+    return (x * (ops @ x)).sum(axis=1)
+
+
 class _FBlock:
     """The highest-weight states of one F: the kernel of F_+ on the m_F = F block.
 
     Every level of total angular momentum F has exactly one state in
     this kernel, so H restricted to it (at most 4 x 4) gives the levels
-    of that F, each a (2F + 1)-fold multiplet.
+    of that F, each a (2F + 1)-fold multiplet.  Every array is read-only.
     """
 
-    f: int
-    kernel: np.ndarray  # (d, n): orthonormal columns over the m_F = F block
-    terms: np.ndarray  # (9, n, n): the term operators T_k projected onto the kernel
-    g1_sq: np.ndarray  # (n, n): G1^2 projected onto the kernel
-    g2_sq: np.ndarray  # (n, n): G2^2 projected onto the kernel
-    pairs: tuple[tuple[int, int], ...]  # (G1, G2) of the n levels, ascending
+    def __init__(self, f: int, kernel: np.ndarray, terms: np.ndarray, g1_sq: np.ndarray, g2_sq: np.ndarray,
+                 pairs: tuple[tuple[int, int], ...]):
+        self.f = f
+        self.kernel = kernel  # (d, n): orthonormal columns over the m_F = F block
+        self.terms = terms  # (9, n, n): the term operators T_k projected onto the kernel
+        self.flat_terms = terms.reshape(len(terms), -1)  # (9, n * n): a view, for `_contract` without reshaping
+        self.g1_sq, self.g2_sq = g1_sq, g2_sq  # (n, n): G1^2 and G2^2 projected onto the kernel
+        self.pairs = pairs  # (G1, G2) of the n levels, ascending
+        self.g1s = tuple(g1 for g1, _ in pairs)  # the G1 of the n levels, ascending
+        self.g2s = tuple(tuple(g2 for g1, g2 in pairs if g1 == group) for group in (0, 1))  # the G2 with G1 = 0, 1
+        # T_1..T_9, G1^2, G2^2: one matmul gives every gamma_k and <G^2> of an eigenvector
+        self.ops = _read_only(np.concatenate([terms, g1_sq[None], g2_sq[None]]))
+        # one level: its eigenvector is 1.0 whatever H is, so its expectation values are fixed
+        self.unit = _read_only(_expectations(self.ops, _UNIT)) if len(pairs) == 1 else None
 
 
 class _Blocks:
@@ -356,15 +379,15 @@ class _Blocks:
                         project(g2_sq, top, kernel), pairs)
             )
 
-    def multiplet(self, block: _FBlock, x: np.ndarray) -> np.ndarray:
-        """Product-basis vectors of the multiplet whose highest-weight state is `kernel @ x`.
+    def multiplet(self, block: _FBlock, x: np.ndarray, a: int) -> np.ndarray:
+        """Product-basis vectors of the multiplet whose highest-weight state is `kernel @ x[:, a]`.
 
         Columns run m_F = F, F - 1, ..., -F, each reached from the one
         before by F_- |F, m> = sqrt(F(F+1) - m(m-1)) |F, m-1>.
         """
         f = block.f
         out = np.zeros((self.dim, 2 * f + 1))
-        col = block.kernel @ x
+        col = block.kernel @ x[:, a]
         out[self.index[f], 0] = col
         for i, m in enumerate(range(f, -f, -1), start=1):
             col = self.lowering[m] @ col / math.sqrt(f * (f + 1) - m * (m - 1))
@@ -379,7 +402,8 @@ def _blocks(n_rot: int) -> _Blocks:
 
 
 def _coefficient_vector(coeffs: HyperfineCoefficients) -> np.ndarray:
-    return np.array([coeffs.coefficient(k) for k in COEFF_INDICES], dtype=float)
+    values = coeffs.values
+    return np.array([values.get(k, 0.0) for k in COEFF_INDICES], dtype=float)
 
 
 def _contract(e: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -455,29 +479,40 @@ def _by_rank(
     return dict(zip(order, js))
 
 
-def _labels(block: _FBlock, x: np.ndarray, alone: Sequence[bool]) -> list[tuple[int, int]]:
-    """(G1, G2) of each F-block eigenvector column of x, by rank.
+def _labels(
+    block: _FBlock, evals: Sequence[float], g1_sq: Sequence[float], g2_sq: Sequence[float]
+) -> list[tuple[int | None, int | None]]:
+    """(G1, G2) of each eigenvector of an F block, by rank; (None, None) for a level that coincides.
 
-    The lowest <G1^2> take G1 = 0, as many as the coupling scheme puts
-    in this F block, and the rest G1 = 1; inside each G1 group the G2 go
-    by rank of <G2^2> the same way.  The traces of G1^2 and G2^2 over
-    the block fix these counts, so labels hold however far mixing moves
-    each expectation value from j(j+1), short of a tie (see `_by_rank`).
+    `evals` ascend, and g1_sq, g2_sq hold <G1^2>, <G2^2> of each
+    eigenvector.  The lowest <G1^2> take G1 = 0, as many as the coupling
+    scheme puts in this F block, and the rest G1 = 1; inside each G1
+    group the G2 go by rank of <G2^2> the same way.  The traces of G1^2
+    and G2^2 over the block fix these counts, so labels hold however far
+    mixing moves each expectation value from j(j+1), short of a tie (see
+    `_by_rank`).
     """
-    g1_sq, g2_sq = ((x * (op @ x)).sum(axis=0).tolist() for op in (block.g1_sq, block.g2_sq))
-    n = x.shape[1]
-    g1 = _by_rank("G1", g1_sq, range(n), [g1 for g1, _ in block.pairs], alone, block.f)
-    g2: dict[int, int] = {}
-    for group in (0, 1):
+    n = len(evals)
+    alone = [
+        (a == 0 or evals[a] - evals[a - 1] > COINCIDENT_KHZ)
+        and (a == n - 1 or evals[a + 1] - evals[a] > COINCIDENT_KHZ)
+        for a in range(n)
+    ]
+    g1 = _by_rank("G1", g1_sq, range(n), block.g1s, alone, block.f)
+    labels: list[tuple[int | None, int | None]] = [(None, None)] * n
+    for group, js in enumerate(block.g2s):
         members = [a for a in range(n) if g1[a] == group]
-        g2.update(_by_rank("G2", g2_sq, members, [g2 for g1, g2 in block.pairs if g1 == group], alone, block.f))
-    return [(g1[a], g2[a]) for a in range(n)]
+        for a, g2 in _by_rank("G2", g2_sq, members, js, alone, block.f).items():
+            if alone[a]:
+                labels[a] = (group, g2)
+    return labels
 
 
 def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> SpinLevel:
-    matches = [lv for lv in levels if lv.label == tuple(label)]
+    label = tuple(label)
+    matches = [lv for lv in levels if lv.label == label]
     if len(matches) != 1:
-        raise LookupError(f"label {tuple(label)} resolves to {len(matches)} levels")
+        raise LookupError(f"label {label} resolves to {len(matches)} levels")
     return matches[0]
 
 
@@ -488,44 +523,51 @@ def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> Spin
 class _LevelSet:
     """The labelled levels of one coefficient set and their gamma_k.
 
-    One eigh of at most 4 x 4 per F, on H projected onto the
-    highest-weight states of that F; gamma_k = x^T T_k x for each
-    eigenvector x.  The levels are shared by every caller that asks for
-    the same coefficients, so their vectors are read-only.
+    One eigh of at most 4 x 4 per F that holds two or more levels, on H
+    projected onto the highest-weight states of that F, and none for an
+    F that holds one; gamma_k = x^T T_k x for each eigenvector x.  The
+    levels are shared by every caller that asks for the same
+    coefficients, so their vectors are read-only.
     """
 
     def __init__(self, coeffs: HyperfineCoefficients):
         blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
+        # per level: energy, F, (G1, G2), and the eigenvector column a of x with its expectation values y
         found = []
         for block in blocks.f_blocks:
-            evals, x = np.linalg.eigh(_contract(e, block.terms))
-            gammas = np.sum(x * (block.terms @ x), axis=1).T
-            n = len(evals)
-            alone = [
-                (a == 0 or evals[a] - evals[a - 1] > COINCIDENT_KHZ)
-                and (a == n - 1 or evals[a + 1] - evals[a] > COINCIDENT_KHZ)
-                for a in range(n)
-            ]
-            labels = _labels(block, x, alone)
-            for a in range(n):
-                g1, g2 = labels[a] if alone[a] else (None, None)
-                vectors = functools.partial(blocks.multiplet, block, x[:, a])
-                level = SpinLevel(float(evals[a]), 2 * block.f + 1, g1, g2, block.f, vectors)
-                found.append((level, gammas[a]))
+            h = e @ block.flat_terms  # H on the kernel, flattened; the array `_contract` gives
+            if block.unit is not None:
+                # LAPACK's eigh returns the entry of a 1 x 1 matrix and the eigenvector 1.0
+                evals, x, y, labels = h.tolist(), _UNIT, block.unit, block.pairs
+            else:
+                evals, x = np.linalg.eigh(h.reshape(block.terms.shape[1:]))
+                evals, y = evals.tolist(), _expectations(block.ops, x)
+                labels = _labels(block, evals, *y[9:].tolist())
+            found += [(energy, block.f, labels[a], block, x, y, a) for a, energy in enumerate(evals)]
         # ascending energy; levels that coincide go by F
-        found.sort(key=lambda item: item[0].energy)
-        cluster, keys = 0, []
-        for i, (level, _) in enumerate(found):
-            if i and level.energy - found[i - 1][0].energy > COINCIDENT_KHZ:
+        order = sorted(range(len(found)), key=lambda i: found[i][0])
+        cluster, keys = 0, [None] * len(found)
+        for rank, i in enumerate(order):
+            if rank and found[i][0] - found[order[rank - 1]][0] > COINCIDENT_KHZ:
                 cluster += 1
-            keys.append((cluster, level.f))
-        found = [item for _, item in sorted(zip(keys, found), key=lambda pair: pair[0])]
-        self.levels = tuple(level for level, _ in found)
-        self._gammas = {level.label: gamma for level, gamma in found if level.label is not None}
+            keys[i] = (cluster, found[i][1])
+        order.sort(key=keys.__getitem__)
+        self.levels = tuple(
+            SpinLevel(energy, 2 * f + 1, g1, g2, f, functools.partial(blocks.multiplet, block, x, a))
+            for energy, f, (g1, g2), block, x, y, a in map(found.__getitem__, order)
+        )
+        self._gammas = {(g1, g2, f): (y, a) for _, f, (g1, g2), _, _, y, a in found if g1 is not None}
+
+    @functools.cached_property
+    def origin(self) -> float:
+        """The spin-averaged origin: the degeneracy-weighted mean level energy."""
+        levels = self.levels
+        return sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
 
     def sensitivities(self, label: tuple[int, int, int]) -> dict[int, float]:
         level = find_level(self.levels, label)
-        return dict(zip(COEFF_INDICES, self._gammas[level.label].tolist()))
+        y, a = self._gammas[level.label]
+        return dict(zip(COEFF_INDICES, y[:9, a].tolist()))
 
 
 def _level_set(coeffs: HyperfineCoefficients) -> _LevelSet:
@@ -533,7 +575,8 @@ def _level_set(coeffs: HyperfineCoefficients) -> _LevelSet:
 
     ``eps_overrides`` do not move the levels and are not part of the key.
     """
-    return _solve(coeffs.v, coeffs.n_rot, *(float(coeffs.coefficient(k)) for k in COEFF_INDICES))
+    values = coeffs.values
+    return _solve(coeffs.v, coeffs.n_rot, *[float(values.get(k, 0.0)) for k in COEFF_INDICES])
 
 
 @functools.lru_cache(maxsize=16)
@@ -564,9 +607,8 @@ def spin_frequency(
     """
     energies = []
     for coeffs, label in (upper, lower):
-        levels = _level_set(coeffs).levels
-        origin = sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
-        energies.append(find_level(levels, label).energy - origin)
+        level_set = _level_set(coeffs)
+        energies.append(find_level(level_set.levels, label).energy - level_set.origin)
     return energies[0] - energies[1]
 
 
@@ -703,26 +745,25 @@ def _weighted_spin_terms(
     operations in the same order as with float weights, so bit for bit
     equal to the float call.
     """
-    for name in weights:
-        table.row(name)
+    rows = [(table.row(name), w) for name, w in weights.items()]
+    upper_rows = [(row.upper, w) for row, w in rows]
+    lower_rows = [(row.lower, w) for row, w in rows]
     lower, upper = table.lower_coeffs, table.upper_coeffs
 
-    def wsum(which: str, k: int) -> float:
-        return sum(
-            w * getattr(table.row(name), which)[k] for name, w in weights.items()
-        )
+    def wsum(gammas: list[tuple[dict[int, float], float | np.ndarray]], k: int) -> float:
+        return sum(w * gamma[k] for gamma, w in gammas)
 
     eps1 = upper.eps_overrides.get(1)
     if eps1 is None:
-        u = abs(wsum("upper", 1)) * params.u1_prime
+        u = abs(wsum(upper_rows, 1)) * params.u1_prime
     else:
-        u = abs(wsum("upper", 1) * eps1 * upper.coefficient(1))
+        u = abs(wsum(upper_rows, 1) * eps1 * upper.coefficient(1))
     for k in (2, 3, 6, 7, 8, 9):
         eps = upper.eps_overrides.get(k, params.eps_bp)
-        u += eps * abs(wsum("upper", k) * upper.coefficient(k))
+        u += eps * abs(wsum(upper_rows, k) * upper.coefficient(k))
     for k in CONTACT_COEFFS:
-        u += upper.eps_overrides.get(k, params.eps_fermi) * abs(wsum("upper", k) * upper.coefficient(k))
-        u += lower.eps_overrides.get(k, params.eps_fermi) * abs(wsum("lower", k) * lower.coefficient(k))
+        u += upper.eps_overrides.get(k, params.eps_fermi) * abs(wsum(upper_rows, k) * upper.coefficient(k))
+        u += lower.eps_overrides.get(k, params.eps_fermi) * abs(wsum(lower_rows, k) * lower.coefficient(k))
     return u
 
 

@@ -1020,7 +1020,7 @@ def _carrier_args(p):
     p.add_argument("--sweep", help="MIN:MAX:COUNT wavelength sweep written as CSV")
 
 
-# name, help, shared option groups (see `build_parser`), builder of the command's own arguments, handler
+# name, help, shared option groups (see `_option_groups`), builder of the command's own arguments, handler
 COMMANDS = (
     ("spin-structure", "hyperfine levels, spin frequencies, sensitivities", ("coeffs", "table"), None, _cmd_spin_structure),
     ("zeeman-map", "magnetic sublevel energies over a field grid", ("coeffs",), _zeeman_map_args, _cmd_zeeman_map),
@@ -1039,8 +1039,8 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # shared option groups, copied into each subparser as argparse parents
+def _option_groups() -> dict[str, argparse.ArgumentParser]:
+    """The option groups commands share, copied into a command's parser as argparse parents."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", type=Path, default=Path("."), help="directory for JSON/CSV reports")
 
@@ -1058,7 +1058,17 @@ def build_parser() -> argparse.ArgumentParser:
     lines_src = argparse.ArgumentParser(add_help=False)
     lines_src.add_argument("--lines", type=Path, help="measured-lines JSON (default: bundled values)")
 
-    groups = {"coeffs": coeffs, "lines": lines_src, "table": table}
+    return {"common": common, "coeffs": coeffs, "lines": lines_src, "table": table}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every command, with the options of `command` alone.
+
+    Each command is registered by name and help line, which is all the
+    top-level help, the usage line and an invalid-choice error show.
+    argparse hands the arguments after the command to the parser of that
+    command only, so no other command's parser needs its options.
+    """
     parser = argparse.ArgumentParser(
         prog="hdspec",
         description="Analysis chain for one-photon mid-infrared spectroscopy of the fundamental vibrational "
@@ -1066,15 +1076,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, shared, add_arguments, handler in COMMANDS:
-        p = sub.add_parser(name, parents=[common, *(groups[g] for g in shared)], help=help_text)
+        if name != command:
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
+        groups = _option_groups()
+        p = sub.add_parser(name, parents=[groups["common"], *(groups[g] for g in shared)], help=help_text)
         if add_arguments is not None:
             add_arguments(p)
         p.set_defaults(handler=handler)
     return parser
 
 
+def _named_command(argv: list[str]) -> str | None:
+    """The first argument that does not start with '-': the command argparse runs, if it names one.
+
+    The top-level parser has no option that takes a value, so no other
+    argument can be the command.
+    """
+    return next((arg for arg in argv if not arg.startswith("-")), None)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(_named_command(argv))
     try:
         args = parser.parse_args(argv)
         return args.handler(args)

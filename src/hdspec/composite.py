@@ -16,6 +16,7 @@ import numpy as np
 from .angular import (
     SensitivityTable,
     SpinUncertaintyParams,
+    _read_only,
     _weighted_spin_terms,
 )
 from .quantity import Quantity
@@ -73,6 +74,11 @@ def composite_frequency(inp: CompositeInput, b12: float) -> Quantity:
     return Quantity(value, "kHz", {"exp": u_exp, "theor_spin": u_spin})
 
 
+# b12 of the flatness profile of `optimize_weight`: 0, 0.01, ..., 1
+_PROFILE_GRID = tuple(round(0.01 * i, 2) for i in range(101))
+_PROFILE_B12 = _read_only(np.array(_PROFILE_GRID))
+
+
 @dataclass(frozen=True)
 class WeightProfile:
     b_star: float
@@ -88,8 +94,8 @@ def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> 
     breakpoint (a zero crossing of one affine term) or an endpoint, and
     the first of the sorted candidates with the least uncertainty wins.
     A 0.01-spaced grid is returned as the flatness profile.  Grid and
-    candidates are each evaluated in one array pass of the shared error
-    model, elementwise the same arithmetic as one call per b12.
+    candidates are evaluated together in one array pass of the shared
+    error model, elementwise the same arithmetic as one call per b12.
     """
     row12, row16 = tables.row("12"), tables.row("16")
     candidates = {0.0, 1.0}
@@ -101,12 +107,11 @@ def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> 
                 b = g16[k] / denom
                 if 0.0 < b < 1.0:
                     candidates.add(b)
-    grid = [round(0.01 * i, 2) for i in range(101)]
-    profile = tuple(zip(grid, composite_spin_uncertainty(tables, params, np.array(grid)).tolist()))
-    candidates = np.array(sorted(candidates))
-    u = composite_spin_uncertainty(tables, params, candidates)
-    best = int(np.argmin(u))
-    return WeightProfile(float(candidates[best]), float(u[best]), profile)
+    n = len(_PROFILE_GRID)
+    b12 = np.concatenate([_PROFILE_B12, sorted(candidates)])
+    u = composite_spin_uncertainty(tables, params, b12)
+    best = n + int(np.argmin(u[n:]))
+    return WeightProfile(float(b12[best]), float(u[best]), tuple(zip(_PROFILE_GRID, u[:n].tolist())))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .angular import (
     ProductBasis,
     SpinLevel,
     _level_set,
+    _read_only,
     level_structure,
     m_block,
 )
@@ -124,30 +125,24 @@ def _mappable(levels: Sequence[SpinLevel]) -> Sequence[SpinLevel]:
     return levels
 
 
-def _sublevels(
-    coeffs: HyperfineCoefficients,
-    couplings: ZeemanCouplings,
-    levels: Sequence[SpinLevel],
-    m_f: int,
-    b_values: np.ndarray,
-) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
-    """Labels and energies (one row each, over the grid) of the sublevels with projection m_F.
+def _coupling_vector(couplings: ZeemanCouplings) -> np.ndarray:
+    return np.array([couplings.c_e, couplings.c_p, couplings.c_d, couplings.c_n])
+
+
+def _sublevels(coeffs: HyperfineCoefficients, c: np.ndarray, m_f: int, b_values: np.ndarray) -> np.ndarray:
+    """Energies (one row each, over the grid) of the sublevels with projection m_F.
 
     H0 + H_Z commutes with F_z, which is diagonal in the product basis,
     so the m_F block is solved on its own, for the whole grid in one
     stacked call.  Levels inside one block do not cross (von
     Neumann-Wigner), so at every B the k-th lowest energy of the block
     belongs to the k-th lowest field-free level with F >= |m_F|
-    (Bakalov, Korobov & Schiller, J. Phys. B 44, 025003 (2011)).  At
-    B = 0 the energies are the field-free ones exactly.
+    (Bakalov, Korobov & Schiller, J. Phys. B 44, 025003 (2011)); the
+    rows come in that order.  At B = 0 a caller puts in the field-free
+    energies exactly.  `c` holds the couplings in SLOT_NAMES order.
     """
     h0, slot_m = m_block(coeffs, m_f)
-    c = np.array([couplings.c_e, couplings.c_p, couplings.c_d, couplings.c_n])
-    energies = np.linalg.eigvalsh(h0 + b_values[:, None, None] * np.diag(c @ slot_m)).T
-    members = [lv for lv in levels if lv.f >= abs(m_f)]
-    if b_values[0] == 0.0:
-        energies[:, 0] = [lv.energy for lv in members]
-    return [(lv.g1, lv.g2, lv.f, m_f) for lv in members], energies
+    return np.linalg.eigvalsh(h0 + b_values[:, None, None] * np.diag(c @ slot_m)).T
 
 
 def zeeman_map(
@@ -168,14 +163,28 @@ def zeeman_map(
     labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
     index = {label: i for i, label in enumerate(labels)}
     f_max = max(lv.f for lv in levels)
+    c = _coupling_vector(couplings)
 
     energies = np.empty((len(labels), len(b_values)))
     for m in range(-f_max, f_max + 1):
-        block_labels, block = _sublevels(coeffs, couplings, levels, m, b_values)
-        energies[[index[label] for label in block_labels]] = block
+        rows = [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)]
+        energies[rows] = _sublevels(coeffs, c, m, b_values)
+    if b_values[0] == 0.0:
+        energies[:, 0] = [lv.energy for lv in levels for _ in range(2 * lv.f + 1)]
 
     states = tuple(ZeemanState(*label, energies=energies[i]) for i, label in enumerate(labels))
     return ZeemanMap(b_values.copy(), states)
+
+
+def _fit_grid(b_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The field grid of `transition_coeffs`, checked, and its design matrix [B, B^2]."""
+    b = _field_grid(b_values)
+    if b[0] != 0.0:
+        raise ValueError("transition_coeffs needs B = 0 in the grid to reference the shift")
+    return b, np.column_stack([b, b ** 2])
+
+
+_DEFAULT_FIT = tuple(map(_read_only, _fit_grid(DEFAULT_B_GRID)))
 
 
 @dataclass(frozen=True)
@@ -201,23 +210,24 @@ def transition_coeffs(
     field is fit by least squares to a B + c B^2 over the grid, which
     must start at B = 0.
     """
-    couplings = couplings or ZeemanCouplings()
-    b = _field_grid(b_values)
-    if b[0] != 0.0:
-        raise ValueError("transition_coeffs needs B = 0 in the grid to reference the shift")
+    c = _coupling_vector(couplings or ZeemanCouplings())
+    b, design = _DEFAULT_FIT if b_values is DEFAULT_B_GRID else _fit_grid(b_values)
     energies = []
     for coeffs, label in (lower, upper):
         label = tuple(label)
         levels = _mappable(_level_set(coeffs).levels)
-        if len(label) != 4 or not any(lv.label == label[:3] and lv.f >= abs(label[3]) for lv in levels):
+        members = [lv for lv in levels if lv.f >= abs(label[3])] if len(label) == 4 else []
+        row = next((i for i, lv in enumerate(members) if lv.label == label[:3]), None)
+        if row is None:
             raise LookupError(f"no Zeeman state with label {label}")
-        labels, block = _sublevels(coeffs, couplings, levels, label[3], b)
-        energies.append(block[labels.index(label)])
+        energy = _sublevels(coeffs, c, label[3], b)[row]
+        energy[0] = members[row].energy  # the grid starts at B = 0
+        energies.append(energy)
     shift = (energies[1] - energies[0]) - (energies[1][0] - energies[0][0])
-    design = np.column_stack([b, b ** 2])
     params, *_ = np.linalg.lstsq(design, shift, rcond=None)
     resid = shift - design @ params
-    return TransitionShiftModel(float(params[0]), float(params[1]), float(np.sqrt(np.mean(resid ** 2))))
+    # np.sqrt(np.mean(resid ** 2)): the same sum, division and correctly rounded root
+    return TransitionShiftModel(float(params[0]), float(params[1]), math.sqrt(float((resid ** 2).sum()) / len(resid)))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from hdspec.angular import (
 from hdspec.zeeman import ZeemanCouplings, transition_coeffs, zeeman_map
 
 from dense_oracle import eigenlevels, round_to_j
+from eigh_reference import reference_levels
 
 coeff_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -401,9 +402,10 @@ def scaled(coeffs, factor, eps_overrides=None):
     return HyperfineCoefficients(coeffs.v, coeffs.n_rot, values, eps_overrides or {})
 
 
-# one eigh per F, of the number of levels with that F: N = 0 has F = 0, 1, 2
-# with 1, 2, 1 levels, N = 1 has F = 0, 1, 2, 3 with 2, 4, 3, 1
-F_BLOCK_SIZES = {0: [1, 2, 1], 1: [2, 4, 3, 1]}
+# one eigh per F of two or more levels, of the number of levels with that F:
+# N = 0 has F = 0, 1, 2 with 1, 2, 1 levels, N = 1 has F = 0, 1, 2, 3 with
+# 2, 4, 3, 1; a one-level F needs no eigh
+F_BLOCK_SIZES = {0: [2], 1: [2, 4, 3]}
 
 
 def test_spin_mc_style_draw_solves_each_hamiltonian_once(eigh_calls, demo_sets):
@@ -448,7 +450,7 @@ def test_cached_level_set_is_read_only(demo_sets, basis1):
     blocks = angular._blocks(1)
     shared = [*blocks.index.values(), *blocks.terms.values(), *blocks.slot_m.values(), *blocks.lowering.values()]
     for fb in blocks.f_blocks:
-        shared += [fb.kernel, fb.terms, fb.g1_sq, fb.g2_sq]
+        shared += [fb.kernel, fb.terms, fb.flat_terms, fb.g1_sq, fb.g2_sq, fb.ops, *([] if fb.unit is None else [fb.unit])]
     assert all(not a.flags.writeable for a in shared)
     with pytest.raises(ValueError, match="read-only"):
         blocks.terms[0][0, 0, 0] = 1.0
@@ -528,19 +530,19 @@ def test_spin_uncertainty_contact_terms_both_levels():
     # upper contributes eps_F * |gamma' E'| = 1e-6 * 1, lower 1e-6 * 2e5
     params = SpinUncertaintyParams()
     u = spin_uncertainty("t", table, params)
-    assert u == pytest.approx(1e-6 * 1.0 + 1e-6 * 2.0e5, rel=1e-12)
+    assert u == pytest.approx(1e-6 * 1.0 + 1e-6 * 2.0e5, rel=1e-12, abs=0)
 
 
 def test_spin_uncertainty_breit_pauli_scale():
     table = synthetic_table({}, {6: 0.5}, upper_values={**{k: 0.0 for k in angular.COEFF_INDICES}, 6: 100.0})
     alpha2 = 0.0072973525693 ** 2
-    assert spin_uncertainty("t", table) == pytest.approx(alpha2 * 0.5 * 100.0, rel=1e-12)
+    assert spin_uncertainty("t", table) == pytest.approx(alpha2 * 0.5 * 100.0, rel=1e-12, abs=0)
 
 
 def test_eps_override_replaces_u1_prime():
     table = synthetic_table({}, {1: 1.0}, upper_values={**{k: 1.0 for k in angular.COEFF_INDICES}, 1: 200.0},
                             upper_eps={1: 1e-4})
-    assert spin_uncertainty("t", table) == pytest.approx(1e-4 * 200.0, rel=1e-12)
+    assert spin_uncertainty("t", table) == pytest.approx(1e-4 * 200.0, rel=1e-12, abs=0)
 
 
 def test_spin_uncertainty_missing_row(demo_table):
@@ -557,7 +559,7 @@ def test_params_validation():
 def test_spin_uncertainty_scales_with_u1(u1):
     table = synthetic_table({}, {1: -2.0})
     params = SpinUncertaintyParams(u1_prime=u1)
-    assert spin_uncertainty("t", table, params) == pytest.approx(2.0 * u1, rel=1e-12)
+    assert spin_uncertainty("t", table, params) == pytest.approx(2.0 * u1, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +781,63 @@ def test_f_block_levels_match_the_dense_hamiltonian(coeffs):
             gamma = sensitivities(coeffs, basis, lv.label)
             terms = [gamma[k] * coeffs.coefficient(k) for k in angular.COEFF_INDICES]
             assert lv.energy == pytest.approx(sum(terms), abs=1e-12 * sum(map(abs, terms)) + 1e-12)
+
+
+def solve_outcome(solve, coeffs):
+    """The repr of (energy, degeneracy, label, gamma_1..9) of each level, or the ClassificationError raised."""
+    try:
+        return solve(coeffs)
+    except ClassificationError as exc:
+        return f"ClassificationError: {exc}"
+
+
+def program_solve(coeffs):
+    level_set = angular._LevelSet(coeffs)
+    gammas = lambda lv: None if lv.label is None else tuple(level_set.sensitivities(lv.label).values())
+    return repr([(lv.energy, lv.degeneracy, lv.label, gammas(lv)) for lv in level_set.levels])
+
+
+def reference_solve(coeffs):
+    levels = reference_levels(coeffs)
+    return repr([(lv.energy, lv.degeneracy, lv.label, None if lv.label is None else lv.gammas) for lv in levels])
+
+
+@given(n_rot=st.integers(0, 5), z=st.lists(st.floats(-4.0, 4.0), min_size=9, max_size=9))
+def test_level_solve_is_bit_for_bit_an_eigh_on_every_f_block(n_rot, z):
+    # spin-mc-style draws: each demo coefficient moves by 1 % times a
+    # standard-normal-sized factor; a one-level F takes no eigh, every
+    # level, label and gamma_k must still be the one eigh gives
+    base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
+    coeffs = HyperfineCoefficients(1, n_rot, {k: e * (1.0 + 0.01 * z[k - 1]) for k, e in base.values.items()})
+    assert solve_outcome(program_solve, coeffs) == solve_outcome(reference_solve, coeffs)
+
+
+@given(coefficient_sets())
+def test_level_solve_of_wide_and_degenerate_sets_is_an_eigh_on_every_f_block(coeffs):
+    # coincident levels (contact-only and all-zero sets) included
+    assert solve_outcome(program_solve, coeffs) == solve_outcome(reference_solve, coeffs)
+
+
+@given(h=st.floats(allow_nan=False, allow_infinity=False))
+def test_eigh_of_a_one_by_one_matrix_is_its_entry_and_one(h):
+    # what the level solve assumes of LAPACK when it skips a one-level F
+    evals, x = np.linalg.eigh(np.array([[h]]))
+    assert repr((evals.tolist(), x.tolist())) == repr(([h], [[1.0]]))
+
+
+@pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 1.5, 2.0, 5.0])
+def test_cached_single_momentum_matrices_equal_fresh_builds(j):
+    cached = jmatrices(j)
+    assert jmatrices(j) is cached
+    fresh = angular._jmatrices.__wrapped__(round(2 * j))
+    m = j - np.arange(cached.dim)
+    for name in ("jz", "jplus", "jminus"):
+        a = getattr(cached, name)
+        assert a.dtype == getattr(fresh, name).dtype and a.tobytes() == getattr(fresh, name).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    assert np.array_equal(cached.jz, np.diag(m))
+    assert np.allclose(np.diag(cached.jplus, 1), np.sqrt((j - m[1:]) * (j + m[1:] + 1)), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n_rot", range(6))

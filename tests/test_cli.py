@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hdspec
-from hdspec import bundled, lineshape, metrology
+from hdspec import bundled, cli, lineshape, metrology
 from hdspec.cli import DataFailure, _Floats, _sweep_grid, _write_csv, _write_csv_grid, _write_json, main
 
 SRC = str(Path(hdspec.__file__).resolve().parents[1])
@@ -73,6 +74,66 @@ def test_top_level_help():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def parser_with_every_command():
+    """Every command's parser with its options, as `hdspec` would be parsed if it filled them all."""
+    top = cli._build_parser(None)
+    parser = argparse.ArgumentParser(prog=top.prog, description=top.description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups = cli._option_groups()
+    for name, help_text, shared, add_arguments, handler in cli.COMMANDS:
+        p = sub.add_parser(name, parents=[groups["common"], *(groups[g] for g in shared)], help=help_text)
+        if add_arguments is not None:
+            add_arguments(p)
+        p.set_defaults(handler=handler)
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """(namespace or exit code, stdout, stderr) of one parse_args call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in SUBCOMMANDS)])
+def test_help_is_the_text_of_a_parser_with_every_command(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == parse_outcome(parser_with_every_command().parse_args, argv)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_flag_of_another_command_is_a_usage_error(name, capsys):
+    full = parser_with_every_command()
+    commands = full._subparsers._group_actions[0].choices
+    own = set(commands[name]._option_string_actions)
+    foreign = sorted({flag for p in commands.values() for flag in p._option_string_actions} - own)
+    assert foreign
+    for flag in foreign:
+        argv = [name, *BUNDLED_RUNS[name], flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (2, *capsys.readouterr()) == parse_outcome(full.parse_args, argv)
+
+
+ARGV_TOKENS = st.sampled_from(
+    [*SUBCOMMANDS, "bogus", "-", "--", "-1", "-x y", "-h", "--help", "--demo", "--out-dir", ".", "--format", "csv",
+     "--input", "--b12", "0.3", "--n1", "3"]
+)
+
+
+@given(argv=st.lists(ARGV_TOKENS, max_size=5))
+def test_parsing_matches_a_parser_with_every_command(argv):
+    # the command argparse runs is the one `main` fills, whatever the arguments
+    lean = cli._build_parser(cli._named_command(argv))
+    assert parse_outcome(lean.parse_args, argv) == parse_outcome(parser_with_every_command().parse_args, argv)
 
 
 # --- exit-code contract -------------------------------------------------------
@@ -233,8 +294,8 @@ def test_non_finite_coupling_is_one_line_config_error(tmp_path, command):
 
 def test_spin_structure_demo_solves_each_hamiltonian_once(tmp_path, eigh_calls):
     assert run(tmp_path, "spin-structure", "--demo") == 0
-    # one eigh per F block: F = 0, 1, 2 at N = 0, then F = 0, 1, 2, 3 at N = 1
-    assert eigh_calls == [1, 2, 1, 2, 4, 3, 1]
+    # one eigh per F block of two or more levels: F = 1 at N = 0, then F = 0, 1, 2 at N = 1
+    assert eigh_calls == [2, 2, 4, 3]
 
 
 CSV_CELLS = st.one_of(

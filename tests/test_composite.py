@@ -71,22 +71,22 @@ def test_composite_experimental_budget_is_quadrature(bundled_input):
     q = composite_frequency(bundled_input, 0.5)
     u12 = bundled_input.f12.component("exp")
     u16 = bundled_input.f16.component("exp")
-    assert q.component("exp") == pytest.approx(math.hypot(0.5 * u12, 0.5 * u16), rel=1e-12)
+    assert q.component("exp") == pytest.approx(math.hypot(0.5 * u12, 0.5 * u16), rel=1e-12, abs=0)
     assert q.component("exp") == pytest.approx(0.16101, abs=1e-4)
 
 
 def test_tableless_spin_budget_is_weighted_absolute_sum(bundled_input):
     q = composite_frequency(bundled_input, 0.5)
-    assert q.component("theor_spin") == pytest.approx(0.5 * 0.8 + 0.5 * 0.9, rel=1e-12)
+    assert q.component("theor_spin") == pytest.approx(0.5 * 0.8 + 0.5 * 0.9, rel=1e-12, abs=0)
 
 
 def test_endpoints_reduce_to_single_line_uncertainty(demo_table):
     params = SpinUncertaintyParams()
     assert composite_spin_uncertainty(demo_table, params, 1.0) == pytest.approx(
-        spin_uncertainty("12", demo_table, params), rel=1e-14
+        spin_uncertainty("12", demo_table, params), rel=1e-14, abs=0
     )
     assert composite_spin_uncertainty(demo_table, params, 0.0) == pytest.approx(
-        spin_uncertainty("16", demo_table, params), rel=1e-14
+        spin_uncertainty("16", demo_table, params), rel=1e-14, abs=0
     )
 
 
@@ -112,7 +112,35 @@ def test_constant_profile_when_rows_are_identical():
     table = two_line_table({4: 0.5}, {1: 1.0, 6: 0.3}, {4: 0.5}, {1: 1.0, 6: 0.3})
     params = SpinUncertaintyParams()
     values = [composite_spin_uncertainty(table, params, 0.01 * i) for i in range(101)]
-    assert max(values) == pytest.approx(min(values), rel=1e-12)
+    assert max(values) == pytest.approx(min(values), rel=1e-12, abs=0)
+
+
+@given(
+    z=st.lists(st.floats(-4.0, 4.0), min_size=11, max_size=11),
+    overrides=st.sampled_from([{}, {1: 1e-3, 4: 2e-6}]),
+)
+def test_weight_profile_and_optimum_equal_one_float_call_per_b12(z, overrides):
+    # spin-mc-style draws (each demo coefficient moved by 1 % times z);
+    # optimize_weight evaluates grid and candidates in one array pass,
+    # which must give each value bit for bit as a float call does
+    demo = bundled.load_demo_coefficients()
+    moved = lambda c, zs, eps: HyperfineCoefficients(
+        c.v, c.n_rot, {k: e * (1.0 + 0.01 * zk) for (k, e), zk in zip(sorted(c.values.items()), zs)}, eps
+    )
+    lower, upper = moved(demo[(0, 0)], z[:2], {}), moved(demo[(1, 1)], z[2:], overrides)
+    table = transition_table(lower, upper, bundled.TRANSITION_LEVELS)
+    params = SpinUncertaintyParams()
+    u = lambda b: composite_spin_uncertainty(table, params, b)
+    weight = optimize_weight(table, params)
+    grid = [round(0.01 * i, 2) for i in range(101)]
+    assert repr(weight.profile) == repr(tuple((b, u(b)) for b in grid))
+    # the optimum: the first of the sorted breakpoints and endpoints with the least uncertainty
+    candidates = {0.0, 1.0}
+    for which in ("lower", "upper"):
+        g12, g16 = getattr(table.row("12"), which), getattr(table.row("16"), which)
+        candidates |= {g16[k] / (g16[k] - g12[k]) for k in g12 if g16[k] != g12[k]}
+    best = min(sorted(b for b in candidates if 0.0 <= b <= 1.0), key=u)
+    assert repr((weight.b_star, weight.u_star)) == repr((best, u(best)))
 
 
 def test_optimize_weight_beats_grid(demo_table):

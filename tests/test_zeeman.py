@@ -302,7 +302,7 @@ def test_design_of_bundled_grid_passes_point_uncertainty_through():
     # (X^T X)^-1[0, 0] = 1, so u(f0) equals the per-point uncertainty
     b = [0.2, 0.4, 0.6]
     fit = extrapolate_to_zero_field(b, [1.0, 2.0, 3.0], [0.15] * 3)
-    assert fit.intercept.component("exp") == pytest.approx(0.15, rel=1e-12)
+    assert fit.intercept.component("exp") == pytest.approx(0.15, rel=1e-12, abs=0)
 
 
 def test_no_chi_square_rescaling():
