@@ -24,7 +24,9 @@ one: F is exact, each level is a (2F + 1)-fold multiplet, G1 and G2 go
 by rank of <G1^2> and <G2^2> inside the F block, and gamma_k =
 x^T T_k x.  No full-basis Hamiltonian is built to solve or to map a
 level; a level's product-basis `vectors` are built on first use, by
-lowering its highest-weight state with F_-.
+lowering its highest-weight state with F_-, and so are the field-free
+states of one m_F block (`m_states`), from which `zeeman` takes its
+exact Zeeman coefficients.
 """
 
 from __future__ import annotations
@@ -378,6 +380,7 @@ class _Blocks:
                 _FBlock(f, _read_only(kernel), project(ops, top, kernel), project(g1_sq, top, kernel),
                         project(g2_sq, top, kernel), pairs)
             )
+        self._lowered: dict[int, np.ndarray] = {}  # m_F -> `lowered(m_F)`
 
     def multiplet(self, block: _FBlock, x: np.ndarray, a: int) -> np.ndarray:
         """Product-basis vectors of the multiplet whose highest-weight state is `kernel @ x[:, a]`.
@@ -393,6 +396,25 @@ class _Blocks:
             col = self.lowering[m] @ col / math.sqrt(f * (f + 1) - m * (m - 1))
             out[self.index[m - 1], i] = col
         return _read_only(out)
+
+    def lowered(self, m_f: int) -> np.ndarray:
+        """The kernels of the F blocks with F >= |m_F| (the last ones), lowered by F_- to the m_F block.
+
+        Columns come block by block as in `f_blocks`, normalized; the
+        matrix is square, since every state of the m_F block belongs to
+        one multiplet with F >= |m_F|.  Built on first use, read-only.
+        """
+        if m_f not in self._lowered:
+            cols = []
+            for block in self.f_blocks:
+                col, f = block.kernel, block.f
+                if f < abs(m_f):
+                    continue
+                for m in range(f, m_f, -1):
+                    col = self.lowering[m] @ col / math.sqrt(f * (f + 1) - m * (m - 1))
+                cols.append(col)
+            self._lowered[m_f] = _read_only(np.hstack(cols))
+        return self._lowered[m_f]
 
 
 @functools.lru_cache(maxsize=8)
@@ -534,6 +556,7 @@ class _LevelSet:
         blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
         # per level: energy, F, (G1, G2), and the eigenvector column a of x with its expectation values y
         found = []
+        self._eigenvectors: list[np.ndarray] = []  # x of each F block, as in `blocks.f_blocks`
         for block in blocks.f_blocks:
             h = e @ block.flat_terms  # H on the kernel, flattened; the array `_contract` gives
             if block.unit is not None:
@@ -544,6 +567,7 @@ class _LevelSet:
                 evals, y = evals.tolist(), _expectations(block.ops, x)
                 labels = _labels(block, evals, *y[9:].tolist())
             found += [(energy, block.f, labels[a], block, x, y, a) for a, energy in enumerate(evals)]
+            self._eigenvectors.append(x)
         # ascending energy; levels that coincide go by F
         order = sorted(range(len(found)), key=lambda i: found[i][0])
         cluster, keys = 0, [None] * len(found)
@@ -552,6 +576,8 @@ class _LevelSet:
                 cluster += 1
             keys[i] = (cluster, found[i][1])
         order.sort(key=keys.__getitem__)
+        self._blocks = blocks
+        self._order = order  # the index into `found` of each level
         self.levels = tuple(
             SpinLevel(energy, 2 * f + 1, g1, g2, f, functools.partial(blocks.multiplet, block, x, a))
             for energy, f, (g1, g2), block, x, y, a in map(found.__getitem__, order)
@@ -563,6 +589,23 @@ class _LevelSet:
         """The spin-averaged origin: the degeneracy-weighted mean level energy."""
         levels = self.levels
         return sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
+
+    @functools.cached_property
+    def _block_vectors(self) -> np.ndarray:
+        """The eigenvectors of every F block on the diagonal of one matrix, one column per level in `found` order."""
+        n = len(self._order)
+        out, i = np.zeros((n, n)), 0
+        for x in self._eigenvectors:
+            out[i:i + len(x), i:i + len(x)] = x
+            i += len(x)
+        return _read_only(out)
+
+    def m_states(self, m_f: int) -> np.ndarray:
+        """The state with projection m_F of each level with F >= |m_F|, as columns in level order (see `m_states`)."""
+        lowered = self._blocks.lowered(m_f)
+        skip = len(self._order) - lowered.shape[1]  # the levels of the F blocks with F < |m_F| come first
+        states = lowered @ self._block_vectors[skip:, skip:]
+        return states[:, [i - skip for i in self._order if i >= skip]]
 
     def sensitivities(self, label: tuple[int, int, int]) -> dict[int, float]:
         level = find_level(self.levels, label)
@@ -610,6 +653,17 @@ def spin_frequency(
         level_set = _level_set(coeffs)
         energies.append(find_level(level_set.levels, label).energy - level_set.origin)
     return energies[0] - energies[1]
+
+
+def m_states(coeffs: HyperfineCoefficients, m_f: int) -> np.ndarray:
+    """The field-free eigenstates of the m_F block of `m_block`, one column per level with F >= |m_F|.
+
+    Columns come in level order (ascending energy, as `level_structure`
+    gives the levels).  Each is the highest-weight eigenvector of its F
+    block lowered by F_- to m_F, so the cached level set gives them
+    without another eigen-solve.
+    """
+    return _level_set(coeffs).m_states(m_f)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +783,33 @@ def transition_table(
     return SensitivityTable(lower_coeffs, upper_coeffs, rows)
 
 
+# (level, k) of each term of the spin-theory error model, in the order the terms add
+_SPIN_TERMS = (
+    *(("upper", k) for k in (1, 2, 3, 6, 7, 8, 9)),
+    *((level, k) for k in CONTACT_COEFFS for level in ("upper", "lower")),
+)
+
+
+def _spin_term_scales(table: SensitivityTable, params: SpinUncertaintyParams) -> list[tuple[float, float, float]]:
+    """(p, q, r) of each term of `_SPIN_TERMS`: the term of weighted sensitivity sum s is |(s p) q| r.
+
+    k = 1 of the upper level is |s| u1' or, with an eps_E1 override,
+    |s eps E1|; every other term is eps |s E_k|, with eps the override
+    or the Breit-Pauli (rotational) or Fermi-contact default.
+    """
+    levels = {"upper": table.upper_coeffs, "lower": table.lower_coeffs}
+    scales = []
+    for level, k in _SPIN_TERMS:
+        coeffs = levels[level]
+        eps = coeffs.eps_overrides.get(k)
+        if k == 1:
+            scales.append((1.0, 1.0, params.u1_prime) if eps is None else (eps, coeffs.values.get(1, 0.0), 1.0))
+        else:
+            default = params.eps_fermi if k in CONTACT_COEFFS else params.eps_bp
+            scales.append((coeffs.values.get(k, 0.0), 1.0, default if eps is None else eps))
+    return scales
+
+
 def _weighted_spin_terms(
     table: SensitivityTable,
     params: SpinUncertaintyParams,
@@ -740,30 +821,29 @@ def _weighted_spin_terms(
     with weights (b, 1-b) it is the composite one.  Sums over transitions
     happen inside each absolute value (coefficient errors are common to
     all transitions), and the k-terms add as absolute values, not in
-    quadrature.  The weights may be float arrays of one shape: the
-    result is then the array of estimates, each reached by the same
-    operations in the same order as with float weights, so bit for bit
-    equal to the float call.
+    quadrature.  The weights may be 1-d float arrays of one length: the
+    result is then the array of estimates, from one (11, n) pass over
+    every term, each element reached by the same operations in the same
+    order as with float weights, so bit for bit equal to the float call.
     """
-    rows = [(table.row(name), w) for name, w in weights.items()]
-    upper_rows = [(row.upper, w) for row, w in rows]
-    lower_rows = [(row.lower, w) for row, w in rows]
-    lower, upper = table.lower_coeffs, table.upper_coeffs
-
-    def wsum(gammas: list[tuple[dict[int, float], float | np.ndarray]], k: int) -> float:
-        return sum(w * gamma[k] for gamma, w in gammas)
-
-    eps1 = upper.eps_overrides.get(1)
-    if eps1 is None:
-        u = abs(wsum(upper_rows, 1)) * params.u1_prime
-    else:
-        u = abs(wsum(upper_rows, 1) * eps1 * upper.coefficient(1))
-    for k in (2, 3, 6, 7, 8, 9):
-        eps = upper.eps_overrides.get(k, params.eps_bp)
-        u += eps * abs(wsum(upper_rows, k) * upper.coefficient(k))
-    for k in CONTACT_COEFFS:
-        u += upper.eps_overrides.get(k, params.eps_fermi) * abs(wsum(upper_rows, k) * upper.coefficient(k))
-        u += lower.eps_overrides.get(k, params.eps_fermi) * abs(wsum(lower_rows, k) * lower.coefficient(k))
+    rows = []
+    for name, w in weights.items():
+        row = table.row(name)
+        levels = {"upper": row.upper, "lower": row.lower}
+        rows.append(([levels[level][k] for level, k in _SPIN_TERMS], w))
+    scales = _spin_term_scales(table, params)
+    if any(isinstance(w, np.ndarray) for _, w in rows):
+        # sum() starts from 0 as the float path does; the products commute exactly
+        s = sum(np.array(gammas)[:, None] * w for gammas, w in rows)
+        p, q, r = (np.array(col)[:, None] for col in zip(*scales))
+        # a running sum over the terms adds them one by one, in order
+        return np.cumsum(np.abs(s * p * q) * r, axis=0)[-1]
+    s = [0] * len(_SPIN_TERMS)
+    for gammas, w in rows:
+        s = [acc + w * g for acc, g in zip(s, gammas)]
+    u = 0.0
+    for x, (p, q, r) in zip(s, scales):
+        u += abs(x * p * q) * r
     return u
 
 

@@ -418,8 +418,8 @@ def _cmd_zeeman_coeffs(args) -> int:
     lo, up = bundled.TRANSITION_LEVELS[args.transition]
     lo_state, up_state = (*lo, args.lower_mf), (*up, args.upper_mf)
     b_values = _floats_arg(args.b_values, "--b-values") if args.b_values else list(zeeman.DEFAULT_B_GRID)
-    model = _run(
-        zeeman.transition_coeffs,
+    model, truncation = _run(
+        zeeman.transition_truncation,
         (lower, lo_state),
         (upper, up_state),
         _couplings(args),
@@ -431,7 +431,7 @@ def _cmd_zeeman_coeffs(args) -> int:
         "upper_state": list(up_state),
         "linear_khz_per_gauss": float(model.linear),
         "quadratic_khz_per_gauss2": float(model.quadratic),
-        "rms_residual_khz": float(model.rms_residual),
+        "truncation_khz": truncation,
     }
     print(
         f"line {args.transition} (m_F {args.lower_mf} -> {args.upper_mf}): "
@@ -623,10 +623,17 @@ def _cmd_extract(args) -> int:
 
 
 def _read_determinations(path: Path) -> tuple[str, str | None, list[tuple[str, float, float]]]:
+    """The determinations of a `compare` input; a value or u that is not finite, or a u <= 0, is a data error."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     rows = [(str(d["label"]), float(d["value"]), float(d["u"])) for d in raw["determinations"]]
     if not rows:
         raise ValueError(f"{path}: no determinations")
+    for i, (_, value, u) in enumerate(rows):
+        for name, x in (("value", value), ("u", u)):
+            if not math.isfinite(x):
+                raise DataFailure(f"{path}: determinations[{i}].{name} must be finite")
+        if u <= 0:
+            raise DataFailure(f"{path}: determinations[{i}].u must be > 0")
     return str(raw.get("quantity", "")), raw.get("reference"), rows
 
 
@@ -1024,7 +1031,7 @@ def _carrier_args(p):
 COMMANDS = (
     ("spin-structure", "hyperfine levels, spin frequencies, sensitivities", ("coeffs", "table"), None, _cmd_spin_structure),
     ("zeeman-map", "magnetic sublevel energies over a field grid", ("coeffs",), _zeeman_map_args, _cmd_zeeman_map),
-    ("zeeman-coeffs", "linear/quadratic shift of one transition", ("coeffs",), _zeeman_coeffs_args, _cmd_zeeman_coeffs),
+    ("zeeman-coeffs", "exact Zeeman coefficients of one transition at B = 0, truncation over --b-values", ("coeffs",), _zeeman_coeffs_args, _cmd_zeeman_coeffs),
     ("extrapolate-b", "zero-field extrapolation of line positions", (), _extrapolate_b_args, _cmd_extrapolate_b),
     ("fit-line", "spectrum build + Lorentzian fit + line frequency", (), _fit_line_args, _cmd_fit_line),
     ("extrapolate-rf", "zero-RF-amplitude extrapolation + ledger entry", (), _extrapolate_rf_args, _cmd_extrapolate_rf),

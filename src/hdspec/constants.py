@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .quantity import FINITE, FLAG, OPTIONAL_NON_NEGATIVE, TEXT, Quantity, read_table
+from .quantity import FINITE, FLAG, OPTIONAL_NON_NEGATIVE, TEXT, Quantity, parse_field, read_table
 
 MANDATORY_CONTRIBUTIONS = (
     "alpha^0",
@@ -327,7 +327,9 @@ def read_scaling_file(path: str | Path) -> ScalingModel:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         if key in keys:
             raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-        keys[key] = float(text)
+        keys[key] = parse_field(text, path, lineno, key)
+        if not math.isfinite(keys[key]):
+            raise ValueError(f"{path}:{lineno}: {key} must be finite")
     required = ("f_ref_khz", "mu_p_ref", "beta", "u_qed_khz", "u_codata_other_khz")
     missing = [k for k in required if k not in keys]
     if missing:

@@ -5,10 +5,15 @@ magnetic projections:
 
     H_Z = B (c_e s_ez + c_p I_pz + c_d I_dz + c_N N_z)
 
-with per-momentum couplings in kHz/G.  Transition shifts over a field
-grid are reduced to a linear + quadratic coefficient pair, and measured
-line positions are extrapolated to zero field with a pure-quadratic
-weighted fit.
+with per-momentum couplings in kHz/G.  Sublevel energies are mapped over
+a field grid.  The linear and quadratic Zeeman coefficients of a
+transition are exact at B = 0: Hellmann-Feynman gives the linear term
+and second-order perturbation theory the quadratic one, over the
+field-free states of each sublevel's m_F block (Bakalov, Korobov &
+Schiller, J. Phys. B 44, 025003 (2011)); their truncation over a field
+grid is the largest deviation of the solved shift from that quadratic
+model.  Measured line positions are extrapolated to zero field with a
+pure-quadratic weighted fit.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from .angular import (
     HyperfineCoefficients,
     ProductBasis,
     SpinLevel,
+    _blocks,
     _level_set,
-    _read_only,
     level_structure,
     m_block,
+    m_states,
 )
 from .quantity import (
     FINITE,
@@ -176,58 +182,90 @@ def zeeman_map(
     return ZeemanMap(b_values.copy(), states)
 
 
-def _fit_grid(b_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The field grid of `transition_coeffs`, checked, and its design matrix [B, B^2]."""
-    b = _field_grid(b_values)
-    if b[0] != 0.0:
-        raise ValueError("transition_coeffs needs B = 0 in the grid to reference the shift")
-    return b, np.column_stack([b, b ** 2])
-
-
-_DEFAULT_FIT = tuple(map(_read_only, _fit_grid(DEFAULT_B_GRID)))
-
-
 @dataclass(frozen=True)
 class TransitionShiftModel:
     """Transition Zeeman shift df(B) = a B + c B^2, in kHz, B in gauss."""
 
     linear: float
     quadratic: float
-    rms_residual: float
+
+
+def _member(coeffs: HyperfineCoefficients, label: Sequence[int]) -> tuple[list[SpinLevel], int]:
+    """The levels whose m_F block holds `label` (F >= |m_F|, level order) and the row of `label` among them."""
+    label = tuple(label)
+    levels = _mappable(_level_set(coeffs).levels)
+    members = [lv for lv in levels if lv.f >= abs(label[3])] if len(label) == 4 else []
+    row = next((i for i, lv in enumerate(members) if lv.label == label[:3]), None)
+    if row is None:
+        raise LookupError(f"no Zeeman state with label {label}")
+    return members, row
+
+
+def _state_coeffs(coeffs: HyperfineCoefficients, label: Sequence[int], c: np.ndarray) -> tuple[float, float]:
+    """Linear and quadratic Zeeman coefficients of one sublevel at B = 0.
+
+    With V = diag(c . slot_m) on the m_F block, Hellmann-Feynman gives
+    a = <i|V|i> and second-order perturbation theory gives
+    c = sum_{j != i} |<j|V|i>|^2 / (E_i - E_j), over the field-free
+    eigenstates `m_states` gives.  A block of one state is exactly
+    linear (c = 0); under m_F -> -m_F, V changes sign, so in an m_F = 0
+    block E(B) is even and a = 0.
+    """
+    members, row = _member(coeffs, label)
+    m_f = label[3]
+    v = c @ _blocks(coeffs.n_rot).slot_m[m_f]  # the diagonal of V, kHz/G
+    if len(members) == 1:
+        return float(v[0]), 0.0
+    u = m_states(coeffs, m_f)
+    w = u.T @ (v * u[:, row])  # <j|V|i>
+    gaps = members[row].energy - np.array([lv.energy for lv in members])
+    gaps[row] = math.inf
+    return (0.0 if m_f == 0 else float(w[row])), float(w @ (w / gaps))
 
 
 def transition_coeffs(
     lower: tuple[HyperfineCoefficients, Sequence[int]],
     upper: tuple[HyperfineCoefficients, Sequence[int]],
     couplings: ZeemanCouplings | None = None,
-    b_values: Sequence[float] = DEFAULT_B_GRID,
 ) -> TransitionShiftModel:
-    """Linear and quadratic Zeeman coefficients of one transition.
+    """Exact linear and quadratic Zeeman coefficients of one transition at B = 0.
 
     Each argument pairs a coefficient set with a (G1, G2, F, m_F) state
-    label.  Only the m_F block of each label is solved, with the same
-    energies `zeeman_map` gives that state.  The shift relative to zero
-    field is fit by least squares to a B + c B^2 over the grid, which
-    must start at B = 0.
+    label.  Each side's coefficients come from the field-free
+    eigenstates of its m_F block (see `_state_coeffs`), which the cached
+    level solve already gives: no field grid and no further eigen-solve.
     """
     c = _coupling_vector(couplings or ZeemanCouplings())
-    b, design = _DEFAULT_FIT if b_values is DEFAULT_B_GRID else _fit_grid(b_values)
+    (a_lo, c_lo), (a_up, c_up) = (_state_coeffs(coeffs, label, c) for coeffs, label in (lower, upper))
+    return TransitionShiftModel(a_up - a_lo, c_up - c_lo)
+
+
+def transition_truncation(
+    lower: tuple[HyperfineCoefficients, Sequence[int]],
+    upper: tuple[HyperfineCoefficients, Sequence[int]],
+    couplings: ZeemanCouplings | None = None,
+    b_values: Sequence[float] = DEFAULT_B_GRID,
+) -> tuple[TransitionShiftModel, float]:
+    """`transition_coeffs` and the truncation of its quadratic model over a field grid.
+
+    The truncation is the largest |df(B) - (a B + c B^2)| in kHz, with
+    the shift df(B) relative to zero field taken from the stacked
+    `eigvalsh` of `_sublevels`.  The grid is checked before any solve
+    and must start at B = 0.
+    """
+    b = _field_grid(b_values)
+    if b[0] != 0.0:
+        raise ValueError("transition_truncation needs B = 0 in the grid to reference the shift")
+    model = transition_coeffs(lower, upper, couplings)
+    c = _coupling_vector(couplings or ZeemanCouplings())
     energies = []
     for coeffs, label in (lower, upper):
-        label = tuple(label)
-        levels = _mappable(_level_set(coeffs).levels)
-        members = [lv for lv in levels if lv.f >= abs(label[3])] if len(label) == 4 else []
-        row = next((i for i, lv in enumerate(members) if lv.label == label[:3]), None)
-        if row is None:
-            raise LookupError(f"no Zeeman state with label {label}")
+        members, row = _member(coeffs, label)
         energy = _sublevels(coeffs, c, label[3], b)[row]
         energy[0] = members[row].energy  # the grid starts at B = 0
         energies.append(energy)
     shift = (energies[1] - energies[0]) - (energies[1][0] - energies[0][0])
-    params, *_ = np.linalg.lstsq(design, shift, rcond=None)
-    resid = shift - design @ params
-    # np.sqrt(np.mean(resid ** 2)): the same sum, division and correctly rounded root
-    return TransitionShiftModel(float(params[0]), float(params[1]), math.sqrt(float((resid ** 2).sum()) / len(resid)))
+    return model, float(np.max(np.abs(shift - (model.linear * b + model.quadratic * b ** 2))))
 
 
 @dataclass(frozen=True)

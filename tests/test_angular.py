@@ -895,3 +895,21 @@ def test_term_contraction_equals_tensordot(n_rot):
             assert np.array_equal(angular._contract(e, terms), np.tensordot(e, terms, 1))
         for m_f, terms in blocks.terms.items():
             assert np.array_equal(angular.m_block(coeffs, m_f)[0], np.tensordot(e, terms, 1))
+
+
+@pytest.mark.parametrize("n_rot", range(6))
+def test_m_states_are_the_field_free_eigenstates_of_each_m_block(n_rot):
+    # lowered from the F-block eigenvectors, one column per level with
+    # F >= |m_F| in level order: orthonormal, and H u = E u on the m_F block
+    rng = np.random.default_rng(53 + n_rot)
+    base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
+    for coeffs in [perturbed(base, n_rot, rng) for _ in range(5)]:
+        levels = level_structure(coeffs)
+        for m_f in range(-(n_rot + 2), n_rot + 3):
+            states = angular.m_states(coeffs, m_f)
+            h, _ = angular.m_block(coeffs, m_f)
+            energies = np.array([lv.energy for lv in levels if lv.f >= abs(m_f)])
+            assert states.shape == (len(h), len(energies))
+            assert np.allclose(states.T @ states, np.eye(len(energies)), rtol=0, atol=1e-12)
+            scale = max(1.0, float(np.max(np.abs(energies))))
+            assert np.allclose(h @ states, states * energies, rtol=0, atol=1e-12 * scale)

@@ -704,8 +704,10 @@ def test_zeeman_coeffs_demo_stretched_transition(tmp_path):
         == 0
     )
     payload = load_json(tmp_path, "zeeman_coeffs")
-    assert payload["linear_khz_per_gauss"] == pytest.approx(-0.55, abs=1e-6)
-    assert payload["quadratic_khz_per_gauss2"] == pytest.approx(0.0, abs=1e-4)
+    assert payload["linear_khz_per_gauss"] == pytest.approx(-0.55, abs=1e-9)
+    # both stretched states are alone in their m_F blocks: exactly linear
+    assert payload["quadratic_khz_per_gauss2"] == 0.0
+    assert 0.0 <= payload["truncation_khz"] < 1e-9
 
 
 def test_extrapolate_b_on_bundled_scan(tmp_path):
@@ -764,6 +766,27 @@ def test_compare_uses_bundled_table(tmp_path):
     assert len(payload["rows"]) >= 3
     ref_rows = [r for r in payload["rows"] if r["pull"] == 0.0]
     assert ref_rows
+
+
+@pytest.mark.parametrize(
+    "entry, index, message",
+    [
+        ('{"label": "b", "value": 2.0, "u": -7.8e-08}', 1, "u must be > 0"),
+        ('{"label": "b", "value": 2.0, "u": 0}', 1, "u must be > 0"),
+        ('{"label": "b", "value": 2.0, "u": NaN}', 1, "u must be finite"),
+        ('{"label": "b", "value": Infinity, "u": 1.0}', 1, "value must be finite"),
+        ('{"label": "b", "value": "nan", "u": 1.0}', 1, "value must be finite"),
+    ],
+    ids=["negative-u", "zero-u", "nan-u", "inf-value", "nan-text-value"],
+)
+def test_compare_rejects_a_bad_determination_at_the_read(tmp_path, entry, index, message):
+    path = tmp_path / "determinations.json"
+    path.write_text('{"determinations": [{"label": "a", "value": 1.0, "u": 0.5}, ' + entry + "]}", encoding="utf-8")
+    proc = run_python("-m", "hdspec.cli", "compare", "--input", str(path), "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == f"data error: {path}: determinations[{index}].{message}"
+    assert not list(tmp_path.glob("compare.*"))
 
 
 def test_adev_default_taus(tmp_path):

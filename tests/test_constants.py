@@ -281,6 +281,29 @@ def test_scaling_file_validation(tmp_path, content, msg):
         read_scaling_file(path)
 
 
+SCALING_TEXT = (
+    "f_ref_khz = 58605052163.91\nmu_p_ref = 1836.152673406\nbeta = {beta}\n"
+    "u_qed_khz = 0.5\nu_codata_other_khz = 0.07\n"
+)
+
+
+def test_scaling_file_names_a_non_numeric_value(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text(SCALING_TEXT.format(beta="abc"), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_scaling_file(path)
+    assert str(exc.value) == f"{path}:3: beta has a bad numeric value 'abc'"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_scaling_file_rejects_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "s.txt"
+    path.write_text(SCALING_TEXT.format(beta=value), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_scaling_file(path)
+    assert str(exc.value) == f"{path}:3: beta must be finite"
+
+
 def test_contribution_csv_roundtrip(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(

@@ -18,14 +18,19 @@ from hdspec.angular import (
 from hdspec.zeeman import (
     DEFAULT_B_GRID,
     ZeemanCouplings,
+    _coupling_vector,
+    _member,
+    _state_coeffs,
+    _sublevels,
     extrapolate_to_zero_field,
     read_couplings_file,
     read_field_scan_csv,
     transition_coeffs,
+    transition_truncation,
     zeeman_map,
 )
 
-from dense_oracle import build_zeeman
+from dense_oracle import build_zeeman, eigenlevels
 
 STRETCHED_12 = (1, 2, 2)
 STRETCHED_16 = (1, 2, 3)
@@ -97,10 +102,10 @@ def test_stretched_transition_slope_is_rotational_coupling(c_e, c_p, c_d, c_n):
             (sets[(1, 1)], (*STRETCHED_16, sign * 3)),
             couplings=cpl,
         )
-        # the fit differences ~1e6 kHz eigenvalues, so the slope carries
-        # an eigensolver noise floor of order 1e-8 kHz/G
-        assert model.linear == pytest.approx(sign * c_n, abs=1e-6)
-        assert model.quadratic == pytest.approx(0.0, abs=1e-4)
+        # each slope is c . m of one product state, ~1e3 kHz/G, so their
+        # difference carries only the rounding of that sum
+        assert model.linear == pytest.approx(sign * c_n, abs=1e-9)
+        assert model.quadratic == 0.0
 
 
 def test_default_couplings_give_published_linear_coefficient(demo_sets):
@@ -203,7 +208,7 @@ def test_state_lookup_error(basis0, demo_sets):
 
 def test_transition_coeffs_requires_zero_field_point(demo_sets):
     with pytest.raises(ValueError, match="B = 0"):
-        transition_coeffs(
+        transition_truncation(
             (demo_sets[(0, 0)], (1, 2, 2, 2)),
             (demo_sets[(1, 1)], (1, 2, 3, 3)),
             b_values=(0.1, 0.2),
@@ -214,37 +219,124 @@ FINE_GRID = np.arange(2001) / 10000.0  # 0-0.2 G in 0.1 mG steps
 COARSE_GRID = np.arange(41) * 5.0  # 0-200 G in 5 G steps
 
 
-def _shift_model(lower_energies, upper_energies, grid):
-    """The a B + c B^2 fit of transition_coeffs, from energies taken elsewhere."""
-    b = np.asarray(grid, dtype=float)
-    shift = (upper_energies - lower_energies) - (upper_energies[0] - lower_energies[0])
-    design = np.column_stack([b, b ** 2])
-    params, *_ = np.linalg.lstsq(design, shift, rcond=None)
-    resid = shift - design @ params
-    return (float(params[0]), float(params[1]), float(np.sqrt(np.mean(resid ** 2))))
-
-
 @pytest.mark.parametrize("grid", [DEFAULT_B_GRID, FINE_GRID, COARSE_GRID], ids=["default", "fine", "coarse"])
 def test_transition_coeffs_solves_the_sublevels_zeeman_map_gives(grid, demo_sets):
-    # every label of both demo levels: each solved alone in its m_F block,
-    # its energies are those of the full map, bit for bit
+    # every label of both demo levels: the truncation solves each state
+    # alone in its m_F block, and its energies are those of the full map,
+    # bit for bit
     cpl = ZeemanCouplings()
     lower, upper = demo_sets[(0, 0)], demo_sets[(1, 1)]
+    b = np.asarray(grid, dtype=float)
     maps = [zeeman_map(c, cpl, ProductBasis(c.n_rot), grid).states for c in (lower, upper)]
     pairs = [(lo, maps[1][0]) for lo in maps[0]] + [(maps[0][0], up) for up in maps[1]]
     assert len(pairs) == 12 + 36
     for lo, up in pairs:
-        model = transition_coeffs((lower, lo.label), (upper, up.label), cpl, grid)
-        assert (model.linear, model.quadratic, model.rms_residual) == _shift_model(lo.energies, up.energies, grid)
+        model, truncation = transition_truncation((lower, lo.label), (upper, up.label), cpl, grid)
+        assert model == transition_coeffs((lower, lo.label), (upper, up.label), cpl)
+        shift = (up.energies - lo.energies) - (up.energies[0] - lo.energies[0])
+        assert truncation == float(np.max(np.abs(shift - (model.linear * b + model.quadratic * b ** 2))))
 
 
 def test_transition_coeffs_solves_two_m_f_blocks(eigvalsh_calls, demo_sets):
-    transition_coeffs((demo_sets[(0, 0)], (1, 2, 2, 2)), (demo_sets[(1, 1)], (1, 2, 3, 3)))
+    # the truncation grid is solved one m_F block per state, in one stacked call
+    transition_truncation((demo_sets[(0, 0)], (1, 2, 2, 2)), (demo_sets[(1, 1)], (1, 2, 3, 3)))
     # m_F = 2 of N = 0 holds 1 state (F = 2), m_F = 3 of N = 1 holds 1 (F = 3)
     assert eigvalsh_calls == [(len(DEFAULT_B_GRID), 1, 1)] * 2
     eigvalsh_calls.clear()
-    transition_coeffs((demo_sets[(0, 0)], (1, 1, 1, 0)), (demo_sets[(1, 1)], (1, 1, 1, 0)), b_values=COARSE_GRID)
+    transition_truncation((demo_sets[(0, 0)], (1, 1, 1, 0)), (demo_sets[(1, 1)], (1, 1, 1, 0)), b_values=COARSE_GRID)
     assert eigvalsh_calls == [(41, 4, 4), (41, 10, 10)]
+
+
+@pytest.mark.parametrize("lower_mf, upper_mf", [(2, 3), (-2, -3), (0, 0), (1, 1)])
+def test_exact_coefficients_make_no_eigen_solve_past_the_level_solve(lower_mf, upper_mf, eigh_calls, eigvalsh_calls, demo_sets):
+    # one-state blocks (the stretched pairs) need no solve at all, and the
+    # other blocks take their field-free states from the cached F-block solve
+    lower, upper = demo_sets[(0, 0)], demo_sets[(1, 1)]
+    level_structure(lower), level_structure(upper)
+    eigh_calls.clear()
+    transition_coeffs((lower, (1, 2, 2, lower_mf)), (upper, (1, 2, 3, upper_mf)))
+    assert eigh_calls == [] and eigvalsh_calls == []
+
+
+def test_a_one_state_block_is_exactly_linear(demo_sets):
+    # a stretched sublevel is the product state with every projection at
+    # its largest (or smallest) value, alone in its m_F block
+    cpl = ZeemanCouplings()
+    for coeffs in (demo_sets[(0, 0)], demo_sets[(1, 1)]):
+        f = coeffs.n_rot + 2
+        for sign in (+1, -1):
+            linear, quadratic = _state_coeffs(coeffs, (1, 2, f, sign * f), _coupling_vector(cpl))
+            slope = sign * (0.5 * cpl.c_e + 0.5 * cpl.c_p + cpl.c_d + coeffs.n_rot * cpl.c_n)
+            assert linear == pytest.approx(slope, rel=1e-15, abs=0)
+            assert quadratic == 0.0
+
+
+def test_m_f_zero_has_no_linear_term(demo_sets):
+    # V changes sign under m_F -> -m_F, so E(B) of an m_F = 0 state is even in B
+    lower, upper = demo_sets[(0, 0)], demo_sets[(1, 1)]
+    for lo, up in itertools.product(level_structure(lower), level_structure(upper)):
+        model = transition_coeffs((lower, (*lo.label, 0)), (upper, (*up.label, 0)))
+        assert model.linear == 0.0
+        assert model.quadratic != 0.0
+
+
+def _dense_coeffs(coeffs, cpl, label):
+    """(a, c) of one sublevel by perturbation theory on the full dense Hamiltonian of `dense_oracle`."""
+    basis = ProductBasis(coeffs.n_rot)
+    h0 = build_hfs(coeffs, basis)
+    level = next(lv for lv in eigenlevels(h0, basis) if lv.label == tuple(label[:3]))
+    # the state of the multiplet with projection m_F
+    m_vals, rot = np.linalg.eigh(level.vectors.T @ basis.f_z() @ level.vectors)
+    state = level.vectors @ rot[:, int(np.argmin(np.abs(m_vals - label[3])))]
+    z = build_zeeman(cpl, basis, 1.0)
+    evals, evecs = np.linalg.eigh(h0)
+    amp = evecs.T @ (z @ state)
+    far = np.abs(evals - level.energy) > 1e-6
+    return float(state @ z @ state), float(np.sum(amp[far] ** 2 / (level.energy - evals[far])))
+
+
+# every component of lines 12 and 16 with |m_F| <= F on both sides and |Delta m_F| <= 1
+LINE_COMPONENTS = [
+    ((1, 2, 2, m_lo), (1, 2, f_up, m_up))
+    for f_up in (1, 3)
+    for m_lo in range(-2, 3)
+    for m_up in (m_lo - 1, m_lo, m_lo + 1)
+    if abs(m_up) <= f_up
+]
+
+
+@settings(max_examples=25)
+@given(
+    factors=st.lists(st.floats(0.99, 1.01), min_size=11, max_size=11),
+    component=st.sampled_from(LINE_COMPONENTS),
+)
+def test_exact_coefficients_match_central_differences_and_the_dense_oracle(factors, component, demo_sets):
+    lower, upper = (
+        HyperfineCoefficients(base.v, base.n_rot, {k: e * f for (k, e), f in zip(base.values.items(), fs)})
+        for base, fs in ((demo_sets[(0, 0)], factors[:2]), (demo_sets[(1, 1)], factors[2:]))
+    )
+    cpl = ZeemanCouplings()
+    model = transition_coeffs((lower, component[0]), (upper, component[1]), cpl)
+
+    # central differences of the stacked eigvalsh at B = -h, 0, h
+    h = 1e-3
+    c = _coupling_vector(cpl)
+    shift = []
+    for coeffs, label in zip((lower, upper), component):
+        members, row = _member(coeffs, label)
+        shift.append(_sublevels(coeffs, c, label[3], np.array([-h, 0.0, h]))[row])
+    shift = shift[1] - shift[0]
+    # eigenvalues of up to ~1e6 kHz round to ~1e-10 kHz, which the second
+    # difference over h^2 = 1e-6 G^2 lifts to ~1e-4 kHz/G^2
+    assert model.linear == pytest.approx((shift[2] - shift[0]) / (2 * h), rel=1e-4, abs=1e-5)
+    assert model.quadratic == pytest.approx((shift[2] + shift[0] - 2 * shift[1]) / (2 * h * h), rel=1e-4, abs=1e-3)
+
+    # perturbation theory on the dense Hamiltonian, labelled from outside
+    (a_lo, c_lo), (a_up, c_up) = (_dense_coeffs(co, cpl, label) for co, label in zip((lower, upper), component))
+    assert model.linear == pytest.approx(a_up - a_lo, rel=1e-9, abs=1e-9)
+    assert model.quadratic == pytest.approx(c_up - c_lo, rel=1e-9, abs=1e-9)
+    if component[0][3] == component[1][3] == 0:
+        assert model.linear == 0.0
 
 
 @pytest.mark.parametrize(
@@ -279,8 +371,9 @@ def test_transition_coeffs_refuses_coincident_levels(demo_sets):
     ],
 )
 def test_transition_coeffs_checks_the_grid_before_any_solve(grid, msg, eigh_calls, eigvalsh_calls, demo_sets):
+    # the truncation grid is checked before the coefficients or the grid are solved
     with pytest.raises(ValueError, match=msg):
-        transition_coeffs((demo_sets[(0, 0)], (1, 2, 2, 2)), (demo_sets[(1, 1)], (1, 2, 3, 3)), b_values=grid)
+        transition_truncation((demo_sets[(0, 0)], (1, 2, 2, 2)), (demo_sets[(1, 1)], (1, 2, 3, 3)), b_values=grid)
     assert eigh_calls == [] and eigvalsh_calls == []
 
 
