@@ -9,7 +9,6 @@ shipped only as a template (see README, "Data sources").
 from __future__ import annotations
 
 import json
-from importlib.resources import files
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -24,6 +23,9 @@ if TYPE_CHECKING:
     from .zeeman import FieldExtrapolation, ZeemanCouplings
 
 CONSTANT_PROFILES = ("codata2018", "penning")
+
+# the package's data directory, resolved once: `data_path` then costs one stat
+_DATA = Path(__file__).parent / "data"
 
 # transition id -> ((G1, G2, F) lower, (G1, G2, F) upper)
 TRANSITION_LEVELS = {
@@ -43,7 +45,7 @@ LIGHT_SHIFT_INPUTS = {
 
 
 def data_path(name: str) -> Path:
-    path = Path(str(files(__package__).joinpath("data", name)))
+    path = _DATA / name
     if not path.exists():
         raise FileNotFoundError(f"no bundled data file {name!r}")
     return path

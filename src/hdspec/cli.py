@@ -832,11 +832,12 @@ def _anchors(sets: dict | None) -> list[tuple]:
 
     def c_case2():
         shift = constants.scaled_theory(model, model.mu_p_ref * (1.0 - 5.28e-11)) - model.f_ref
-        table_shift = constants.theory_frequency(bundled.load_contributions("penning")).value - theory
+        penning = constants.theory_frequency(bundled.load_contributions("penning")).value
         return [
             ("scaling_shift_khz", shift, 1.50, 0.02),
-            ("table_shift_khz", table_shift, 1.50, 0.02),
-            ("penning_mu_p_ref", bundled.load_scaling_model("penning").mu_p_ref,
+            ("table_shift_khz", penning - theory, 1.50, 0.02),
+            # `bundled.load_scaling_model("penning")`, from the files read above
+            ("penning_mu_p_ref", model.at_reference(penning).mu_p_ref,
              bundled.load_constants("penning").mp_over_me.value, 2e-9),
         ]
 
@@ -1027,7 +1028,25 @@ def _carrier_args(p):
     p.add_argument("--sweep", help="MIN:MAX:COUNT wavelength sweep written as CSV")
 
 
-# name, help, shared option groups (see `_option_groups`), builder of the command's own arguments, handler
+def _table_options(p):
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="'csv' additionally writes a flat table")
+
+
+def _coeffs_options(p):
+    p.add_argument("--coefficients", type=Path, help="hyperfine coefficient file (sectioned [v=..,N=..])")
+    p.add_argument(
+        "--demo", action="store_true", help="use the bundled illustrative coefficients (not evaluated values)"
+    )
+
+
+def _lines_options(p):
+    p.add_argument("--lines", type=Path, help="measured-lines JSON (default: bundled values)")
+
+
+# the option groups commands share, by the name COMMANDS gives them
+_SHARED_OPTIONS = {"coeffs": _coeffs_options, "lines": _lines_options, "table": _table_options}
+
+# name, help, shared option groups (see `_SHARED_OPTIONS`), builder of the command's own arguments, handler
 COMMANDS = (
     ("spin-structure", "hyperfine levels, spin frequencies, sensitivities", ("coeffs", "table"), None, _cmd_spin_structure),
     ("zeeman-map", "magnetic sublevel energies over a field grid", ("coeffs",), _zeeman_map_args, _cmd_zeeman_map),
@@ -1046,26 +1065,23 @@ COMMANDS = (
 )
 
 
-def _option_groups() -> dict[str, argparse.ArgumentParser]:
-    """The option groups commands share, copied into a command's parser as argparse parents."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", type=Path, default=Path("."), help="directory for JSON/CSV reports")
+def _fill_command_parser(p: argparse.ArgumentParser, shared, add_arguments, handler) -> None:
+    """Give a command's parser its options: --out-dir, the `shared` groups in order, then its own."""
+    p.add_argument("--out-dir", type=Path, default=Path("."), help="directory for JSON/CSV reports")
+    for group in shared:
+        _SHARED_OPTIONS[group](p)
+    if add_arguments is not None:
+        add_arguments(p)
+    p.set_defaults(handler=handler)
 
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="'csv' additionally writes a flat table"
-    )
 
-    coeffs = argparse.ArgumentParser(add_help=False)
-    coeffs.add_argument("--coefficients", type=Path, help="hyperfine coefficient file (sectioned [v=..,N=..])")
-    coeffs.add_argument(
-        "--demo", action="store_true", help="use the bundled illustrative coefficients (not evaluated values)"
-    )
+def _command_parser(*, unfilled: bool = False, **kwargs) -> argparse.ArgumentParser | None:
+    """argparse's `parser_class` for the commands: a parser, or None for a command that is not run.
 
-    lines_src = argparse.ArgumentParser(add_help=False)
-    lines_src.add_argument("--lines", type=Path, help="measured-lines JSON (default: bundled values)")
-
-    return {"common": common, "coeffs": coeffs, "lines": lines_src, "table": table}
+    A command registered with `unfilled=True` is a name and a help line in
+    the top-level parser; argparse never runs its parser (see `_build_parser`).
+    """
+    return None if unfilled else argparse.ArgumentParser(**kwargs)
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
@@ -1074,23 +1090,20 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     Each command is registered by name and help line, which is all the
     top-level help, the usage line and an invalid-choice error show.
     argparse hands the arguments after the command to the parser of that
-    command only, so no other command's parser needs its options.
+    command only, so only `command` gets a parser: two `ArgumentParser`s
+    in all.
     """
     parser = argparse.ArgumentParser(
         prog="hdspec",
         description="Analysis chain for one-photon mid-infrared spectroscopy of the fundamental vibrational "
         "transition of about 100 HD+ ions in a Coulomb cluster of laser-cooled atomic ions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_command_parser)
     for name, help_text, shared, add_arguments, handler in COMMANDS:
-        if name != command:
-            sub.add_parser(name, help=help_text, add_help=False)
-            continue
-        groups = _option_groups()
-        p = sub.add_parser(name, parents=[groups["common"], *(groups[g] for g in shared)], help=help_text)
-        if add_arguments is not None:
-            add_arguments(p)
-        p.set_defaults(handler=handler)
+        if name == command:
+            _fill_command_parser(sub.add_parser(name, help=help_text), shared, add_arguments, handler)
+        else:
+            sub.add_parser(name, help=help_text, unfilled=True)
     return parser
 
 

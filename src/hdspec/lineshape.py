@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantity import FINITE, FLAG, TEXT, UNIT_INTERVAL, Quantity, read_table
+from .quantity import FINITE, FLAG, PRESENT, UNIT_INTERVAL, Quantity, read_table
 
 
 class FitError(RuntimeError):
@@ -83,10 +83,22 @@ class SpectrumPoint:
             raise ValueError("sem must be >= 0")
 
 
-def _sem(values: np.ndarray) -> float | None:
-    if len(values) < 2:
-        return None
-    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
+def _class_stats(values: np.ndarray) -> tuple[np.float64, float | None]:
+    """Mean and SEM of one record class, by the steps of `np.mean` and `np.std(ddof=1)`.
+
+    The mean is `np.add.reduce` over n.  The standard deviation subtracts
+    that mean, squares the deviations in place, sums them with
+    `np.add.reduce`, divides by n - 1 and takes the square root; the SEM is
+    it over sqrt(n), None for a single record.  The same operations in the
+    same order give the same bits without numpy's wrapper stack.
+    """
+    n = len(values)
+    mean = np.add.reduce(values) / n
+    if n < 2:
+        return mean, None
+    dev = values - mean
+    np.multiply(dev, dev, out=dev)
+    return mean, math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
 
 
 def build_spectrum(scan: DecayScan) -> list[SpectrumPoint]:
@@ -110,11 +122,11 @@ def build_spectrum(scan: DecayScan) -> list[SpectrumPoint]:
         if not on.size or not off.size:
             missing = "laser-on" if not on.size else "background"
             raise ValueError(f"detuning {key} kHz has no {missing} records")
-        sem_on, sem_off = _sem(on), _sem(off)
+        (mean_on, sem_on), (mean_off, sem_off) = _class_stats(on), _class_stats(off)
         sem = None
         if sem_on is not None and sem_off is not None:
             sem = math.sqrt(sem_on ** 2 + sem_off ** 2)
-        points.append(SpectrumPoint(key, float(np.mean(on) - np.mean(off)), sem))
+        points.append(SpectrumPoint(key, float(mean_on - mean_off), sem))
     return points
 
 
@@ -271,9 +283,9 @@ def read_decay_csv(path: str | Path) -> DecayScan:
     `path:line` message.
     """
     cols = read_table(
-        path, [("detuning_khz", FINITE), ("depletion", UNIT_INTERVAL), ("laser_on", FLAG), ("run_id", TEXT)]
+        path, [("detuning_khz", FINITE), ("depletion", UNIT_INTERVAL), ("laser_on", FLAG), ("run_id", PRESENT)]
     )
-    if not cols["run_id"]:
+    if not len(cols["detuning_khz"]):
         raise ValueError(f"{path}: no decay records")
     laser_on = np.fromiter(map("1".__eq__, cols["laser_on"]), bool, len(cols["laser_on"]))
     return DecayScan(cols["detuning_khz"], laser_on, cols["depletion"])

@@ -81,12 +81,8 @@ def parser_with_every_command():
     top = cli._build_parser(None)
     parser = argparse.ArgumentParser(prog=top.prog, description=top.description)
     sub = parser.add_subparsers(dest="command", required=True)
-    groups = cli._option_groups()
     for name, help_text, shared, add_arguments, handler in cli.COMMANDS:
-        p = sub.add_parser(name, parents=[groups["common"], *(groups[g] for g in shared)], help=help_text)
-        if add_arguments is not None:
-            add_arguments(p)
-        p.set_defaults(handler=handler)
+        cli._fill_command_parser(sub.add_parser(name, help=help_text), shared, add_arguments, handler)
     return parser
 
 
@@ -121,6 +117,38 @@ def test_a_flag_of_another_command_is_a_usage_error(name, capsys):
             main(argv)
         assert exc.value.code == 2
         assert (2, *capsys.readouterr()) == parse_outcome(full.parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [["reproduce-paper", "--out-dir", "."], ["carrier", "--help"], ["extract", "--bogus"], ["bogus"], ["--help"]]
+)
+def test_main_constructs_the_parser_of_the_named_command_only(argv, tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    named = argv[0] if argv[0] in SUBCOMMANDS else None
+    assert built == ["hdspec", *([f"hdspec {named}"] if named else [])]
+
+
+def test_reproduce_paper_looks_up_each_bundled_file_once(tmp_path, monkeypatch, capsys):
+    names = []
+    data_path = bundled.data_path
+
+    def counted(name):
+        names.append(name)
+        return data_path(name)
+
+    monkeypatch.setattr(bundled, "data_path", counted)
+    assert main(["reproduce-paper", "--out-dir", str(tmp_path)]) == 0
+    assert len(names) == len(set(names)) == 12  # 11 shipped files and the absent hfs_coefficients.conf
 
 
 ARGV_TOKENS = st.sampled_from(

@@ -248,6 +248,31 @@ def test_build_spectrum_matches_the_dict_regroup(records):
     assert spectrum_outcome(columnar_spectrum, records) == spectrum_outcome(dict_spectrum, records)
 
 
+# numpy's pairwise summation unrolls by 8 and splits blocks above 128 values
+CLASS_SIZES = st.one_of(st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 256, 257, 300]), st.integers(1, 300))
+
+
+@st.composite
+def uneven_scans(draw):
+    """Records of 1-4 detunings, each class 1-300 records of depletions in [1e-3, 1], shuffled together."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for detuning in draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4, unique=True)):
+        for laser_on in (True, False):
+            lo = draw(st.sampled_from([1e-3, 0.1, 0.5, 0.999]))
+            n = draw(CLASS_SIZES)
+            values = np.exp(rng.uniform(math.log(lo), 0.0, n)) if draw(st.booleans()) else rng.uniform(lo, 1.0, n)
+            records += [(detuning, laser_on, float(v)) for v in np.clip(values, 1e-3, 1.0)]
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=uneven_scans())
+def test_build_spectrum_is_np_mean_and_np_std_bit_for_bit(records):
+    """Per class mean(on) - mean(off) and np.std(ddof=1) / sqrt(n), in file order, whatever the class sizes."""
+    assert repr(columnar_spectrum(records)) == repr(dict_spectrum(records))
+
+
 def test_depletion_range_validated():
     with pytest.raises(ValueError, match="depletion"):
         DecayScan([0.0], [True], [1.2])
