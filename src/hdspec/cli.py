@@ -832,13 +832,11 @@ def _anchors(sets: dict | None) -> list[tuple]:
 
     def c_case2():
         shift = constants.scaled_theory(model, model.mu_p_ref * (1.0 - 5.28e-11)) - model.f_ref
-        penning = constants.theory_frequency(bundled.load_contributions("penning")).value
+        penning = bundled.load_scaling_model("penning")  # its f_ref is the case-II contribution sum
         return [
             ("scaling_shift_khz", shift, 1.50, 0.02),
-            ("table_shift_khz", penning - theory, 1.50, 0.02),
-            # `bundled.load_scaling_model("penning")`, from the files read above
-            ("penning_mu_p_ref", model.at_reference(penning).mu_p_ref,
-             bundled.load_constants("penning").mp_over_me.value, 2e-9),
+            ("table_shift_khz", penning.f_ref - theory, 1.50, 0.02),
+            ("penning_mu_p_ref", penning.mu_p_ref, bundled.load_constants("penning").mp_over_me.value, 2e-9),
         ]
 
     def c_carrier():
@@ -1075,35 +1073,25 @@ def _fill_command_parser(p: argparse.ArgumentParser, shared, add_arguments, hand
     p.set_defaults(handler=handler)
 
 
-def _command_parser(*, unfilled: bool = False, **kwargs) -> argparse.ArgumentParser | None:
-    """argparse's `parser_class` for the commands: a parser, or None for a command that is not run.
-
-    A command registered with `unfilled=True` is a name and a help line in
-    the top-level parser; argparse never runs its parser (see `_build_parser`).
-    """
-    return None if unfilled else argparse.ArgumentParser(**kwargs)
-
-
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of every command, with the options of `command` alone.
 
     Each command is registered by name and help line, which is all the
     top-level help, the usage line and an invalid-choice error show.
     argparse hands the arguments after the command to the parser of that
-    command only, so only `command` gets a parser: two `ArgumentParser`s
-    in all.
+    command only, so only `command`'s parser gets options.
     """
     parser = argparse.ArgumentParser(
         prog="hdspec",
         description="Analysis chain for one-photon mid-infrared spectroscopy of the fundamental vibrational "
         "transition of about 100 HD+ ions in a Coulomb cluster of laser-cooled atomic ions",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_command_parser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, shared, add_arguments, handler in COMMANDS:
-        if name == command:
-            _fill_command_parser(sub.add_parser(name, help=help_text), shared, add_arguments, handler)
-        else:
-            sub.add_parser(name, help=help_text, unfilled=True)
+        if name != command:
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
+        _fill_command_parser(sub.add_parser(name, help=help_text), shared, add_arguments, handler)
     return parser
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantity import FINITE, FLAG, PRESENT, UNIT_INTERVAL, Quantity, read_table
+from .quantity import FINITE, FLAG, TEXT, UNIT_INTERVAL, Quantity, read_table
 
 
 class FitError(RuntimeError):
@@ -283,9 +283,9 @@ def read_decay_csv(path: str | Path) -> DecayScan:
     `path:line` message.
     """
     cols = read_table(
-        path, [("detuning_khz", FINITE), ("depletion", UNIT_INTERVAL), ("laser_on", FLAG), ("run_id", PRESENT)]
+        path, [("detuning_khz", FINITE), ("depletion", UNIT_INTERVAL), ("laser_on", FLAG), ("run_id", TEXT)]
     )
-    if not len(cols["detuning_khz"]):
+    if not cols["run_id"]:
         raise ValueError(f"{path}: no decay records")
     laser_on = np.fromiter(map("1".__eq__, cols["laser_on"]), bool, len(cols["laser_on"]))
     return DecayScan(cols["detuning_khz"], laser_on, cols["depletion"])

@@ -186,8 +186,6 @@ class Rule:
     `requirement` completes the row-path message `<columns> <requirement>`,
     and `shows_value` appends the offending cell.  An `optional` numeric
     column may be absent or hold an empty (or blank) cell, read as NaN.
-    A text column that is not `kept` must be there in every row, and
-    `read_table` returns no entry for it.
     """
 
     requirement: str
@@ -195,7 +193,6 @@ class Rule:
     choices: frozenset[str] | None = None
     shows_value: bool = False
     optional: bool = False
-    kept: bool = True
 
 
 FINITE = Rule("must be finite", lambda x: (x > -math.inf) & (x < math.inf))
@@ -204,7 +201,6 @@ NON_NEGATIVE = Rule("must be finite and >= 0", lambda x: (x >= 0) & (x < math.in
 UNIT_INTERVAL = Rule("must be in [0, 1]", lambda x: (x >= 0) & (x <= 1), shows_value=True)
 FLAG = Rule("must be 0 or 1", choices=frozenset({"0", "1"}), shows_value=True)
 TEXT = Rule("is missing")
-PRESENT = replace(TEXT, kept=False)
 
 OPTIONAL_NON_NEGATIVE = replace(NON_NEGATIVE, optional=True)
 
@@ -228,22 +224,19 @@ def read_table(path: str | Path, columns: Columns) -> dict[str, np.ndarray | lis
     """Read and check the named columns of a CSV file with a header row.
 
     `columns` is a sequence of (column name or names, Rule) steps.  Returns
-    each numeric column as a float array and each kept text column as a
-    list of stripped strings, one entry per data row; blank lines are
-    skipped.
+    each numeric column as a float array and each text column as a list
+    of stripped strings, one entry per data row; blank lines are skipped.
 
     Fast path: a pure-ASCII file of at least `_FAST_MIN_BYTES` without
     quotes, NUL or \\x1c-\\x1f is parsed with one `np.loadtxt` for the
     numeric columns (and one for the text columns), and the rules are
-    checked on whole arrays.  A `PRESENT` column is not parsed where a
-    column that is lies to its right in the header: a row too short to
-    hold it then fails `np.loadtxt` too.  Any other file, and any cell
-    that does not parse or breaks its rule, goes to the row path, which
-    reads the file with `csv.DictReader` and is the authority: it returns
-    the values the fast path would, or raises the first fault as
-    `path:line: <column> ...`.  The header is read as DictReader reads it
-    (names not stripped, the last of a duplicated name wins); a missing
-    required column raises KeyError with its name.
+    checked on whole arrays.  Any other file, and any cell that does not
+    parse or breaks its rule, goes to the row path, which reads the file
+    with `csv.DictReader` and is the authority: it returns the values the
+    fast path would, or raises the first fault as `path:line: <column>
+    ...`.  The header is read as DictReader reads it (names not stripped,
+    the last of a duplicated name wins); a missing required column raises
+    KeyError with its name.
     """
     steps = _steps(columns)
     fast = _read_fast(path, steps)
@@ -262,12 +255,9 @@ def _read_fast(path, steps) -> dict | None:
 
     index = {name: i for i, name in enumerate(header.split(","))}
     numeric = [n for names, rule in steps if rule.accepts is not None for n in names if n in index or not rule.optional]
-    texts = [n for names, rule in steps if rule.accepts is None and rule.kept for n in names]
-    present = [n for names, rule in steps if not rule.kept for n in names]
-    if not all(n in index for n in numeric + texts + present):
+    texts = [n for names, rule in steps if rule.accepts is None for n in names]
+    if not all(n in index for n in numeric + texts):
         return None
-    last = max([index[n] for n in numeric + texts], default=-1)
-    texts += [n for n in present if index[n] > last]  # no parsed column to its right: parse it, so short rows fail
 
     def load(usecols: list[int], dtype=float) -> np.ndarray:
         with open(path, encoding="utf-8") as fh:  # universal newlines: \r and \r\n end a line, as for csv
@@ -291,9 +281,7 @@ def _read_fast(path, steps) -> dict | None:
         return None
     for names, rule in steps:
         for n in names:
-            if not rule.kept:
-                out.pop(n, None)
-            elif n not in out:  # an optional column the header lacks
+            if n not in out:  # an optional column the header lacks
                 out[n] = np.full(n_rows, np.nan)
             elif rule.accepts is not None and not _accepted(rule, out[n]):
                 return None
@@ -335,7 +323,7 @@ def _read_rows(path, steps) -> dict:
 
     required = [n for names, rule in steps if rule.accepts is not None and not rule.optional for n in names]
     texts = {names[0] for names, rule in steps if rule.accepts is None}
-    out: dict = {n: [] for names, rule in steps if rule.kept for n in names}
+    out: dict = {n: [] for names, _ in steps for n in names}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -345,9 +333,7 @@ def _read_rows(path, steps) -> dict:
                 for names, rule in steps:
                     name = names[0]
                     if rule.accepts is None:
-                        cell = _text_cell(row[name], rule, path, line, name)
-                        if rule.kept:
-                            values[name] = cell
+                        values[name] = _text_cell(row[name], rule, path, line, name)
                     elif rule.optional and not (row.get(name) or "").strip():
                         values[name] = math.nan
                     else:

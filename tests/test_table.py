@@ -14,17 +14,7 @@ from hypothesis import strategies as st
 
 from hdspec import constants, lineshape, metrology, quantity, systematics, zeeman
 from hdspec.cli import main
-from hdspec.quantity import (
-    FINITE,
-    FLAG,
-    NON_NEGATIVE,
-    OPTIONAL_NON_NEGATIVE,
-    POSITIVE,
-    PRESENT,
-    TEXT,
-    UNIT_INTERVAL,
-    read_table,
-)
+from hdspec.quantity import FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, UNIT_INTERVAL, read_table
 
 
 def _counter(path):
@@ -240,32 +230,6 @@ def test_read_table_returns_arrays_and_stripped_text(tmp_path, min_bytes):
     assert cols["b"].tolist() == [2.0, 3.0]  # the last of a duplicated name
     assert cols["flag"] == ["1", "0"] and cols["name"] == ["x", "y"]
     assert np.isnan(cols["u"]).all() and len(cols["u"]) == 2
-
-
-@pytest.mark.parametrize("min_bytes", [0, 1 << 30], ids=["fast", "rows"])
-def test_a_present_column_is_checked_and_not_returned(tmp_path, min_bytes):
-    path = write(tmp_path, "a,id,b\n1,x,2\n3,,4\n")
-    with mock.patch.object(quantity, "_FAST_MIN_BYTES", min_bytes):
-        cols = read_table(path, [("a", FINITE), ("id", PRESENT), ("b", FINITE)])
-    assert sorted(cols) == ["a", "b"] and cols["b"].tolist() == [2.0, 4.0]
-
-
-@pytest.mark.parametrize("header, parsed", [("id,a,b", False), ("a,id,b", False), ("a,b,id", True)])
-def test_the_fast_path_parses_a_present_column_only_with_no_parsed_column_to_its_right(tmp_path, header, parsed):
-    columns = quantity._steps([("a", FINITE), ("id", PRESENT), ("b", FINITE)])
-    rows = "".join(",".join(f"r{i}" if name == "id" else str(i) for name in header.split(",")) + "\n" for i in range(5))
-    loaded = []
-    loadtxt = np.loadtxt
-
-    def spy(*args, **kwargs):
-        loaded.extend(kwargs["usecols"])
-        return loadtxt(*args, **kwargs)
-
-    with mock.patch.object(quantity, "_FAST_MIN_BYTES", 0), mock.patch.object(np, "loadtxt", spy):
-        assert quantity._read_fast(write(tmp_path, f"{header}\n{rows}"), columns) is not None
-        assert (header.split(",").index("id") in loaded) == parsed
-        # a row one cell short lacks a parsed column either way, so the row path decides
-        assert quantity._read_fast(write(tmp_path, f"{header}\n{rows}5,5\n"), columns) is None
 
 
 @pytest.mark.parametrize(
