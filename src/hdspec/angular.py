@@ -40,6 +40,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .quantity import OPTIONAL_FINITE, OPTIONAL_POSITIVE, overflow_as_value_error, read_keys
+
 COEFF_INDICES = tuple(range(1, 10))
 ROTATIONAL_COEFFS = (1, 2, 3, 6, 7, 8, 9)
 CONTACT_COEFFS = (4, 5)
@@ -552,6 +554,7 @@ class _LevelSet:
     coefficients, so their vectors are read-only.
     """
 
+    @overflow_as_value_error("level solve")
     def __init__(self, coeffs: HyperfineCoefficients):
         blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
         # per level: energy, F, (G1, G2), and the eigenvector column a of x with its expectation values y
@@ -860,8 +863,8 @@ def spin_uncertainty(
 
 
 _SECTION_RE = re.compile(r"^\[v=(\d+),\s*N=(\d+)\]$")
-_VALUE_KEYS = {f"E{k}": k for k in COEFF_INDICES}
-_EPS_KEYS = {f"eps_E{k}": k for k in COEFF_INDICES}
+_COEFF_RULES = {f"{prefix}E{k}": rule for prefix, rule in (("", OPTIONAL_FINITE), ("eps_", OPTIONAL_POSITIVE))
+                for k in COEFF_INDICES}
 
 
 def read_coefficient_file(path: str | Path) -> dict[tuple[int, int], HyperfineCoefficients]:
@@ -872,49 +875,15 @@ def read_coefficient_file(path: str | Path) -> dict[tuple[int, int], HyperfineCo
     Unknown keys are rejected.  Each section must define E4 and E5, and
     for N >= 1 the full E1..E9 set.
     """
-    sections: dict[tuple[int, int], tuple[dict[int, float], dict[int, float]]] = {}
-    current: tuple[int, int] | None = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        header = _SECTION_RE.match(line)
-        if header:
-            current = (int(header.group(1)), int(header.group(2)))
-            if current in sections:
-                raise ValueError(f"{path}:{lineno}: duplicate section {line}")
-            sections[current] = ({}, {})
-            continue
-        if current is None:
-            raise ValueError(f"{path}:{lineno}: key outside of a [v=..,N=..] section")
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, _, text = (t.strip() for t in line.partition("="))
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad numeric value {text!r}") from exc
-        values, eps = sections[current]
-        if key in _VALUE_KEYS:
-            if _VALUE_KEYS[key] in values:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: {key} must be finite, got {text!r}")
-            values[_VALUE_KEYS[key]] = value
-        elif key in _EPS_KEYS:
-            if _EPS_KEYS[key] in eps:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{path}:{lineno}: {key} must be finite and positive, got {text!r}")
-            eps[_EPS_KEYS[key]] = value
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-
     out = {}
-    for (v, n_rot), (values, eps) in sections.items():
-        required = set(CONTACT_COEFFS) if n_rot == 0 else set(COEFF_INDICES)
-        missing = sorted(required - set(values))
+    for header, lineno, keys in read_keys(path, _COEFF_RULES, _SECTION_RE):
+        v, n_rot = int(header.group(1)), int(header.group(2))
+        if (v, n_rot) in out:
+            raise ValueError(f"{path}:{lineno}: duplicate section {header.string}")
+        missing = [k for k in (CONTACT_COEFFS if n_rot == 0 else COEFF_INDICES) if f"E{k}" not in keys]
         if missing:
             raise ValueError(f"{path}: section [v={v},N={n_rot}] missing E{missing[0]}")
+        values = {int(key[1:]): x for key, x in keys.items() if key.startswith("E")}
+        eps = {int(key[5:]): x for key, x in keys.items() if key.startswith("eps_")}
         out[(v, n_rot)] = HyperfineCoefficients(v, n_rot, values, eps)
     return out

@@ -8,11 +8,10 @@ shipped only as a template (see README, "Data sources").
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .quantity import Quantity
+from .quantity import FINITE, NON_NEGATIVE, OPTIONAL_FINITE, OPTIONAL_NON_NEGATIVE, Quantity, Rule, read_json
 
 # The loaders import the modules they read with, so that `import hdspec.cli`
 # (parser defaults, --help) and the commands that need no arrays stay cheap.
@@ -86,22 +85,26 @@ def load_couplings() -> ZeemanCouplings:
     return read_couplings_file(data_path("zeeman_couplings.txt"))
 
 
+# measured_lines.json: per line f_exp and f_spin in kHz, and levels that must be those of TRANSITION_LEVELS
+_KHZ = Rule("must be kHz", choices=frozenset({"kHz"}), optional=True)
+_LINE = {"f_exp": {"value": FINITE, "unit": _KHZ, "components": {"exp": NON_NEGATIVE}},
+         "f_spin": {"value": FINITE, "unit": _KHZ, "components": {"theor_spin": NON_NEGATIVE}},
+         "lower_level": [FINITE], "upper_level": [FINITE]}
+_MEASURED_LINES = {**dict.fromkeys(TRANSITION_LEVELS, _LINE), "splitting_theory_khz": [OPTIONAL_FINITE, OPTIONAL_NON_NEGATIVE]}
+
+
 def load_measured_lines(path: str | Path | None = None) -> dict:
+    """f_exp and f_spin of each line as Quantity, and the optional (value, u) splitting theory in kHz."""
     src = Path(path) if path is not None else data_path("measured_lines.json")
-    raw = json.loads(src.read_text(encoding="utf-8"))
-    out = {}
-    for line in ("12", "16"):
-        if line not in raw:
-            raise ValueError(f"{src}: missing entry for line {line!r}")
-        entry = raw[line]
-        out[line] = {
-            "f_exp": Quantity(**entry["f_exp"]),
-            "f_spin": Quantity(**entry["f_spin"]),
-            "lower_level": tuple(entry["lower_level"]),
-            "upper_level": tuple(entry["upper_level"]),
-        }
+    raw = read_json(src, _MEASURED_LINES)
+    out: dict = {}
+    for line, levels in TRANSITION_LEVELS.items():
+        for key, level in zip(("lower_level", "upper_level"), levels):
+            if raw[line][key] != list(level):
+                raise ValueError(f"{src}: {line}.{key} must be {list(level)}")
+        out[line] = {"f_exp": Quantity(**raw[line]["f_exp"]), "f_spin": Quantity(**raw[line]["f_spin"])}
     split = raw.get("splitting_theory_khz")
-    out["splitting_theory_khz"] = None if split is None else (float(split[0]), float(split[1]))
+    out["splitting_theory_khz"] = None if split is None else tuple(split)
     return out
 
 

@@ -44,7 +44,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import bundled
-from .quantity import Quantity, parenthetical
+from .quantity import (
+    FINITE, OPTIONAL_FINITE, OPTIONAL_NON_NEGATIVE, OPTIONAL_TEXT, TEXT, Quantity, Rule, parenthetical, read_json,
+)
 
 if TYPE_CHECKING:
     from . import angular, composite, constants, metrology, systematics, zeeman
@@ -78,7 +80,7 @@ def _run(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except _Failure:
         raise
-    except (ValueError, LookupError, RuntimeError, ZeroDivisionError) as exc:  # numpy's LinAlgError is a ValueError
+    except (ValueError, LookupError, RuntimeError, ArithmeticError) as exc:  # numpy's LinAlgError is a ValueError
         raise DataFailure(str(exc)) from exc
 
 
@@ -507,19 +509,11 @@ def _cmd_extrapolate_rf(args) -> int:
 def _entries_from_file(path: Path) -> list[systematics.ShiftEntry]:
     from . import systematics
 
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: expected a JSON list of ledger entries")
-    return [
-        systematics.ShiftEntry(
-            name=str(e["name"]),
-            correction=float(e.get("correction_khz", 0.0)),
-            uncertainty=float(e.get("uncertainty_khz", 0.0)),
-            basis=str(e["basis"]),
-            note=str(e.get("note", "")),
-        )
-        for e in raw
-    ]
+    bases = systematics.ENTRY_BASES
+    entry = {"name": TEXT, "correction_khz": OPTIONAL_FINITE, "uncertainty_khz": OPTIONAL_NON_NEGATIVE,
+             "basis": Rule(f"must be one of {', '.join(bases)}", choices=frozenset(bases)), "note": OPTIONAL_TEXT}
+    return [systematics.ShiftEntry(e["name"], e.get("correction_khz", 0.0), e.get("uncertainty_khz", 0.0), e["basis"],
+                                   e.get("note", "")) for e in read_json(path, [entry])]
 
 
 def _cmd_ledger(args) -> int:
@@ -622,19 +616,17 @@ def _cmd_extract(args) -> int:
     return 0
 
 
+_DETERMINATIONS = {"quantity": OPTIONAL_TEXT, "reference": OPTIONAL_TEXT,
+                   "determinations": [{"label": TEXT, "value": FINITE, "u": Rule("must be > 0", lambda x: x > 0)}]}
+
+
 def _read_determinations(path: Path) -> tuple[str, str | None, list[tuple[str, float, float]]]:
-    """The determinations of a `compare` input; a value or u that is not finite, or a u <= 0, is a data error."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = [(str(d["label"]), float(d["value"]), float(d["u"])) for d in raw["determinations"]]
+    """The quantity, the reference and the (label, value, u) rows of a `compare` input."""
+    raw = read_json(path, _DETERMINATIONS)
+    rows = [(d["label"], d["value"], d["u"]) for d in raw["determinations"]]
     if not rows:
         raise ValueError(f"{path}: no determinations")
-    for i, (_, value, u) in enumerate(rows):
-        for name, x in (("value", value), ("u", u)):
-            if not math.isfinite(x):
-                raise DataFailure(f"{path}: determinations[{i}].{name} must be finite")
-        if u <= 0:
-            raise DataFailure(f"{path}: determinations[{i}].u must be > 0")
-    return str(raw.get("quantity", "")), raw.get("reference"), rows
+    return raw.get("quantity", ""), raw.get("reference"), rows
 
 
 def _cmd_compare(args) -> int:
@@ -974,11 +966,7 @@ def _extrapolate_rf_args(p):
 def _ledger_args(p):
     p.add_argument("--raw-khz", type=_finite_float, required=True)
     p.add_argument("--raw-u-khz", type=_finite_float, required=True)
-    p.add_argument(
-        "--entries",
-        type=Path,
-        help="JSON list of {name, correction_khz, uncertainty_khz, basis, note}",
-    )
+    p.add_argument("--entries", type=Path, help="JSON list of {name, correction_khz, uncertainty_khz, basis, note}")
     p.add_argument("--include-negligible", action="store_true", help="append the standard negligible-shift rows")
 
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .quantity import FINITE, FLAG, OPTIONAL_NON_NEGATIVE, TEXT, Quantity, parse_field, read_table
+from .quantity import (
+    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, Quantity, checked_field, read_keys, read_table,
+)
 
 MANDATORY_CONTRIBUTIONS = (
     "alpha^0",
@@ -29,7 +31,7 @@ MANDATORY_CONTRIBUTIONS = (
     "further corrections",
 )
 
-CONSTANT_NAMES = ("R_inf", "alpha", "mp_over_me", "md_over_mp", "r_p", "r_d")
+CONSTANT_NAMES = ("mp_over_me", "md_over_mp")
 
 
 @dataclass(frozen=True)
@@ -45,22 +47,10 @@ class Constant:
 
 @dataclass(frozen=True)
 class ConstantSet:
-    """Fundamental constants in conventional units.
+    """The two mass ratios the extraction reads (dimensionless)."""
 
-    R_inf in 1/m, alpha dimensionless, mass ratios dimensionless, charge
-    radii in fm.
-    """
-
-    r_inf: Constant
-    alpha: Constant
     mp_over_me: Constant
     md_over_mp: Constant
-    r_p: Constant
-    r_d: Constant
-
-    def __post_init__(self) -> None:
-        if not 0.00729 < self.alpha.value < 0.0073:
-            raise ValueError(f"alpha = {self.alpha.value} outside the plausible window")
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,7 @@ _CONSTANT_RE = re.compile(
 
 
 def read_constants_file(path: str | Path) -> ConstantSet:
-    """Parse `name = value ± uncertainty # source` lines."""
+    """Parse `name = value ± uncertainty # source` lines: a finite, positive value and a finite u >= 0."""
     found: dict[str, Constant] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -276,30 +266,21 @@ def read_constants_file(path: str | Path) -> ConstantSet:
         if name in found:
             raise ValueError(f"{path}:{lineno}: duplicate constant {name}")
         found[name] = Constant(
-            float(m.group("value")), float(m.group("u")), (m.group("source") or "").strip()
+            checked_field(m.group("value"), POSITIVE, path, lineno, name),
+            checked_field(m.group("u"), NON_NEGATIVE, path, lineno, f"{name} uncertainty"),
+            (m.group("source") or "").strip(),
         )
     missing = [n for n in CONSTANT_NAMES if n not in found]
     if missing:
         raise ValueError(f"{path}: missing constant {missing[0]}")
-    return ConstantSet(
-        r_inf=found["R_inf"],
-        alpha=found["alpha"],
-        mp_over_me=found["mp_over_me"],
-        md_over_mp=found["md_over_mp"],
-        r_p=found["r_p"],
-        r_d=found["r_d"],
-    )
+    return ConstantSet(found["mp_over_me"], found["md_over_mp"])
 
 
 def read_contribution_csv(path: str | Path) -> ContributionTable:
     """Read `name, value_khz, u_khz, bookkeeping(0|1)` rows, order kept.
 
     value_khz must be finite; u_khz, if the column and the cell are there,
-    finite and >= 0 (else 0); bookkeeping 0 or 1.  `quantity.read_table`
-    parses a large plain-ASCII file a whole column at a time with
-    `np.loadtxt`; any other file, and any fault, it reads row by row, and
-    that row path is the authority on values and on the `path:line`
-    message.
+    finite and >= 0 (else 0); bookkeeping 0 or 1.
     """
     cols = read_table(
         path, [("value_khz", FINITE), ("u_khz", OPTIONAL_NON_NEGATIVE), ("bookkeeping", FLAG), ("name", TEXT)]
@@ -317,30 +298,6 @@ def read_contribution_csv(path: str | Path) -> ContributionTable:
 
 def read_scaling_file(path: str | Path) -> ScalingModel:
     """Parse the scaling-model reference data (key = value lines)."""
-    keys = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, text = (t.strip() for t in line.partition("="))
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        if key in keys:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-        keys[key] = parse_field(text, path, lineno, key)
-        if not math.isfinite(keys[key]):
-            raise ValueError(f"{path}:{lineno}: {key} must be finite")
-    required = ("f_ref_khz", "mu_p_ref", "beta", "u_qed_khz", "u_codata_other_khz")
-    missing = [k for k in required if k not in keys]
-    if missing:
-        raise ValueError(f"{path}: missing scaling key {missing[0]!r}")
-    extra = sorted(set(keys) - set(required))
-    if extra:
-        raise ValueError(f"{path}: unknown scaling key {extra[0]!r}")
-    return ScalingModel(
-        f_ref=keys["f_ref_khz"],
-        mu_p_ref=keys["mu_p_ref"],
-        beta=keys["beta"],
-        u_qed=keys["u_qed_khz"],
-        u_codata_other=keys["u_codata_other_khz"],
-    )
+    keys = read_keys(path, {"f_ref_khz": POSITIVE, "mu_p_ref": POSITIVE, "beta": FINITE, "u_qed_khz": NON_NEGATIVE,
+                            "u_codata_other_khz": NON_NEGATIVE})
+    return ScalingModel(keys["f_ref_khz"], keys["mu_p_ref"], keys["beta"], keys["u_qed_khz"], keys["u_codata_other_khz"])

@@ -277,10 +277,6 @@ def read_decay_csv(path: str | Path) -> DecayScan:
 
     detuning_khz must be finite, depletion in [0, 1] and laser_on 0 or 1;
     run_id is any text, required in every row and not kept.
-    `quantity.read_table` parses a large plain-ASCII file a whole column
-    at a time with `np.loadtxt`; any other file, and any fault, it reads
-    row by row, and that row path is the authority on values and on the
-    `path:line` message.
     """
     cols = read_table(
         path, [("detuning_khz", FINITE), ("depletion", UNIT_INTERVAL), ("laser_on", FLAG), ("run_id", TEXT)]

@@ -332,10 +332,7 @@ def _gammaincinv(a: float, p: float) -> float:
 def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> FrequencyTimeSeries:
     """Read a `t_s, f_hz` counter log into a uniform time series.
 
-    Both columns must be finite.  `quantity.read_table` parses a large
-    plain-ASCII file a whole column at a time with `np.loadtxt`; any other
-    file, and any fault, it reads row by row, and that row path is the
-    authority on values and on the `path:line` message.
+    Both columns must be finite.
     """
     import numpy as np
 

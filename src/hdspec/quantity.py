@@ -1,11 +1,13 @@
-"""Physical quantities with named uncertainty components.
+"""Physical quantities with named uncertainty components, and the validated input readers.
 
 A measured or derived number in this package rarely carries a single
 error bar.  The analysis tracks statistical and systematic parts
 separately (``exp``, ``theor_QED``, ``theor_spin``, ``CODATA``, plus
 free-form ``other:<tag>`` entries) so that downstream propagation can
 treat them as independent channels, and reports can render them in the
-parenthetical style of precision spectroscopy.
+parenthetical style of precision spectroscopy.  Every input file is read
+by one reader per format, `read_table` (CSV), `read_keys` (`key = value`)
+or `read_json`, each checking its fields against a `Rule`.
 """
 
 from __future__ import annotations
@@ -172,20 +174,29 @@ def parse_field(text: str | None, path, lineno: int, name: str) -> float:
         raise ValueError(f"{path}:{lineno}: {name} has a bad numeric value {text!r}") from None
 
 
+def checked_field(text: str, rule: Rule, path, lineno: int, name: str) -> float:
+    """`parse_field`, then `rule`; a value the rule refuses names `path:line`, the field and the requirement."""
+    x = parse_field(text, path, lineno, name)
+    if not rule.accepts(x):
+        raise ValueError(_fault(path, lineno, (name,), rule, x))
+    return x
+
+
 # ---------------------------------------------------------------------------
 # validated CSV tables
 
 
 @dataclass(frozen=True)
 class Rule:
-    """What the cells of a CSV column must hold.
+    """What a CSV column, a `key = value` key or a JSON value must hold.
 
     A numeric rule has `accepts`, a predicate that takes a float array or
     one float (NaN fails every rule); a text rule has none, and `choices`
-    (if set) are the allowed stripped values.
-    `requirement` completes the row-path message `<columns> <requirement>`,
-    and `shows_value` appends the offending cell.  An `optional` numeric
-    column may be absent or hold an empty (or blank) cell, read as NaN.
+    (if set) are the allowed values, of a CSV cell once stripped.
+    `requirement` completes the message `<name> <requirement>`, and
+    `shows_value` appends the offending value.  An `optional` CSV column
+    may be absent or hold an empty (or blank) cell, read as NaN; an
+    optional key may be absent.
     """
 
     requirement: str
@@ -202,7 +213,10 @@ UNIT_INTERVAL = Rule("must be in [0, 1]", lambda x: (x >= 0) & (x <= 1), shows_v
 FLAG = Rule("must be 0 or 1", choices=frozenset({"0", "1"}), shows_value=True)
 TEXT = Rule("is missing")
 
+OPTIONAL_FINITE = replace(FINITE, optional=True)
+OPTIONAL_POSITIVE = replace(POSITIVE, optional=True)
 OPTIONAL_NON_NEGATIVE = replace(NON_NEGATIVE, optional=True)
+OPTIONAL_TEXT = replace(TEXT, optional=True)
 
 
 # Bytes on which np.loadtxt and csv + float() part ways: quotes (csv
@@ -362,3 +376,98 @@ def _text_cell(cell: str | None, rule: Rule, path, line: int, name: str) -> str:
 def _fault(path, line: int, names: tuple[str, ...], rule: Rule, value) -> str:
     got = f", got {value!r}" if rule.shows_value else ""
     return f"{path}:{line}: {' and '.join(names)} {rule.requirement}{got}"
+
+
+# ---------------------------------------------------------------------------
+# validated key = value files and JSON documents
+
+
+def read_keys(path: str | Path, rules: Mapping[str, Rule], section=None):
+    """{key: value} of a file of `key = value` lines, one numeric Rule per key; `#` starts a comment.
+
+    With a compiled pattern as `section`, a line it matches opens a section,
+    and the result is a list of (match, line number, {key: value}) in file
+    order.  A key whose rule is `optional` may be absent.  A fault raises
+    ValueError as `path:line: ...`, or `path: missing key x`.
+    """
+    sections = [] if section else [(None, 0, {})]
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        header = section and section.match(line)
+        if header:
+            sections.append((header, lineno, {}))
+        elif line:
+            key, sep, text = (t.strip() for t in line.partition("="))
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
+            if key not in rules:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if not sections:
+                raise ValueError(f"{path}:{lineno}: {key} is outside of a section")
+            if key in sections[-1][2]:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key}")
+            sections[-1][2][key] = checked_field(text, rules[key], path, lineno, key)
+    for header, _, values in sections:
+        for key, rule in rules.items():
+            if not (rule.optional or key in values):
+                raise ValueError(f"{path}: {f'{header.string} ' if header else ''}missing key {key}")
+    return sections if section else sections[0][2]
+
+
+def read_json(path: str | Path, shape):
+    """A JSON document checked against `shape`, each number as a float.
+
+    A shape is a Rule, a dict or a list.  A dict is an object with exactly
+    its keys; a key may be absent (and is then absent from the result) when
+    its shape is an `optional` Rule or a list of them.  A list of one shape
+    is an array of any length, a longer list an array of one item per
+    shape.  A numeric Rule takes a number, or a string that float() reads,
+    that is finite and passes it; a text Rule takes a string, one of its
+    `choices` if set.  A fault raises ValueError as `path: <key path> ...`.
+    """
+    try:  # an integer is read as float() reads its digits: no int beyond float64, no digit limit
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested past the parser's depth
+        raise ValueError(f"{path}: {exc}") from None
+    return _checked(doc, shape, path, "")
+
+
+def _optional(shape) -> bool:
+    return shape.optional if isinstance(shape, Rule) else isinstance(shape, list) and all(map(_optional, shape))
+
+
+def _checked(value, shape, path, where: str):
+    def fault(what: str) -> ValueError:
+        return ValueError(f"{path}: {where or 'the document'} {what}")
+
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise fault("must be an object")
+        prefix = f"{where}." if where else ""
+        for key in value:
+            if key not in shape:  # repr escapes a line break in the key: the message stays one line
+                raise ValueError(f"{path}: {prefix}{repr(key)[1:-1]} is not a known key")
+        for key, sub in shape.items():
+            if key not in value and not _optional(sub):
+                raise ValueError(f"{path}: {prefix}{key} is missing")
+        return {key: _checked(value[key], sub, path, prefix + key) for key, sub in shape.items() if key in value}
+    if isinstance(shape, list):
+        if not isinstance(value, list) or len(shape) > 1 and len(value) != len(shape):
+            raise fault("must be a list" if len(shape) == 1 else f"must be a list of {len(shape)}")
+        items = shape * len(value) if len(shape) == 1 else shape
+        return [_checked(v, s, path, f"{where}[{i}]") for i, (v, s) in enumerate(zip(value, items))]
+    if shape.accepts is None:
+        if not isinstance(value, str) or shape.choices is not None and value not in shape.choices:
+            raise fault("must be a string" if shape.choices is None else shape.requirement)
+        return value
+    if not isinstance(value, (float, str)):  # a boolean or null is no number
+        raise fault("must be a number")
+    try:
+        x = float(value)
+    except ValueError:
+        raise fault(f"has a bad numeric value {value!r}") from None
+    if not math.isfinite(x):
+        raise fault("must be finite")
+    if not shape.accepts(x):
+        raise fault(shape.requirement)
+    return x

@@ -205,10 +205,6 @@ def read_amplitude_csv(path: str | Path) -> list[tuple[float, Quantity]]:
 
     amplitude and f_khz must be finite; u_khz, if the column and the cell
     are there, finite and >= 0 (an empty one gives no `exp` component).
-    `quantity.read_table` parses a large plain-ASCII file a whole column
-    at a time with `np.loadtxt`; any other file, and any fault, it reads
-    row by row, and that row path is the authority on values and on the
-    `path:line` message.
     """
     cols = read_table(path, [(("amplitude", "f_khz"), FINITE), ("u_khz", OPTIONAL_NON_NEGATIVE)])
     points = [

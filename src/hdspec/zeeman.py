@@ -41,7 +41,7 @@ from .quantity import (
     POSITIVE,
     Quantity,
     overflow_as_value_error,
-    parse_field,
+    read_keys,
     read_table,
     weighted_least_squares,
 )
@@ -65,23 +65,8 @@ class ZeemanCouplings:
 
 def read_couplings_file(path: str | Path) -> ZeemanCouplings:
     """Parse a `c_X = value` file; all four couplings must be present and finite."""
-    found: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, text = (t.strip() for t in line.partition("="))
-        if not sep or key not in DEFAULT_COUPLINGS:
-            raise ValueError(f"{path}:{lineno}: expected one of {sorted(DEFAULT_COUPLINGS)} = value")
-        if key in found:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-        found[key] = parse_field(text, path, lineno, key)
-        if not math.isfinite(found[key]):
-            raise ValueError(f"{path}:{lineno}: {key} must be finite")
-    missing = sorted(set(DEFAULT_COUPLINGS) - set(found))
-    if missing:
-        raise ValueError(f"{path}: missing coupling {missing[0]}")
-    return ZeemanCouplings(found["c_e"], found["c_p"], found["c_d"], found["c_N"])
+    c = read_keys(path, dict.fromkeys(DEFAULT_COUPLINGS, FINITE))
+    return ZeemanCouplings(c["c_e"], c["c_p"], c["c_d"], c["c_N"])
 
 
 @dataclass(frozen=True)
@@ -151,6 +136,7 @@ def _sublevels(coeffs: HyperfineCoefficients, c: np.ndarray, m_f: int, b_values:
     return np.linalg.eigvalsh(h0 + b_values[:, None, None] * np.diag(c @ slot_m)).T
 
 
+@overflow_as_value_error("Zeeman map")
 def zeeman_map(
     coeffs: HyperfineCoefficients,
     couplings: ZeemanCouplings,
@@ -240,6 +226,7 @@ def transition_coeffs(
     return TransitionShiftModel(a_up - a_lo, c_up - c_lo)
 
 
+@overflow_as_value_error("Zeeman coefficient solve")
 def transition_truncation(
     lower: tuple[HyperfineCoefficients, Sequence[int]],
     upper: tuple[HyperfineCoefficients, Sequence[int]],
@@ -326,10 +313,6 @@ def read_field_scan_csv(path: str | Path) -> tuple[list[float], list[float], lis
     """Read `B_gauss, f_khz, u_khz` rows of a field-extrapolation scan.
 
     B_gauss and f_khz must be finite and u_khz finite and positive.
-    `quantity.read_table` parses a large plain-ASCII file a whole column
-    at a time with `np.loadtxt`; any other file, and any fault, it reads
-    row by row, and that row path is the authority on values and on the
-    `path:line` message.
     """
     cols = read_table(path, [(("B_gauss", "f_khz"), FINITE), ("u_khz", POSITIVE)])
     if not len(cols["B_gauss"]):

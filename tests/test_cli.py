@@ -821,9 +821,55 @@ def test_compare_rejects_a_bad_determination_at_the_read(tmp_path, entry, index,
     path.write_text('{"determinations": [{"label": "a", "value": 1.0, "u": 0.5}, ' + entry + "]}", encoding="utf-8")
     proc = run_python("-m", "hdspec.cli", "compare", "--input", str(path), "--out-dir", str(tmp_path))
     assert_one_line_error(proc)
-    assert proc.returncode == 1
-    assert proc.stderr.strip() == f"data error: {path}: determinations[{index}].{message}"
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == f"config error: {path}: determinations[{index}].{message}"
     assert not list(tmp_path.glob("compare.*"))
+
+
+def _lines_with(edit):
+    doc = json.loads(bundled.data_path("measured_lines.json").read_text(encoding="utf-8"))
+    edit(doc)
+    return doc
+
+
+RAW = ["--raw-khz", "58605013478.33", "--raw-u-khz", "0.15"]
+RF_ENTRY = {"name": "rf", "correction_khz": 0.1, "uncertainity_khz": 0.02, "basis": "measured-extrapolation"}
+MALFORMED_JSON = {
+    "split-pair-of-one": (
+        ["composite", "--lines"],
+        _lines_with(lambda d: d.update(splitting_theory_khz=[1])),
+        "splitting_theory_khz must be a list of 2",
+    ),
+    "f-exp-in-mhz": (
+        ["composite", "--lines"],
+        _lines_with(lambda d: d["12"]["f_exp"].update(unit="MHz")),
+        "12.f_exp.unit must be kHz",
+    ),
+    "short-level": (
+        ["composite", "--lines"],
+        _lines_with(lambda d: d["12"].update(lower_level=[1, 2])),
+        "12.lower_level must be [1, 2, 2]",
+    ),
+    "misspelt-key": (["ledger", *RAW, "--entries"], [RF_ENTRY], "[0].uncertainity_khz is not a known key"),
+    "entry-of-1": (["ledger", *RAW, "--entries"], [1], "[0] must be an object"),
+    "value-true": (
+        ["compare", "--input"],
+        {"determinations": [{"label": "a", "value": True, "u": 0.5}]},
+        "determinations[0].value must be a number",
+    ),
+    "empty-object": (["compare", "--input"], {}, "determinations is missing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_input_is_one_config_error_line(tmp_path, capsys, case):
+    """Each of these ended in a traceback, a silently wrong report or a data error before the readers checked them."""
+    argv, doc, message = MALFORMED_JSON[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([*argv, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_adev_default_taus(tmp_path):

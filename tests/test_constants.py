@@ -208,27 +208,24 @@ def test_bundled_constants_profiles_differ_in_mass_ratio():
 def test_constants_file_accepts_both_plus_minus_forms(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(
-        "R_inf = 10973731.568160 ± 0.000021 # a\n"
-        "alpha = 0.0072973525693 +/- 0.0000000000011\n"
-        "mp_over_me = 1836.15267343 ± 0.00000011\n"
-        "md_over_mp = 1.999007501274 +/- 0.000000000035 # mean\n"
-        "r_p = 0.8414 ± 0.0019\n"
-        "r_d = 2.12799 ± 0.00074\n",
+        "mp_over_me = 1836.15267343 ± 0.00000011 # a\n"
+        "md_over_mp = 1.999007501274 +/- 0.000000000035 # mean\n",
         encoding="utf-8",
     )
     cs = read_constants_file(path)
-    assert cs.alpha.uncertainty == pytest.approx(1.1e-12)
+    assert cs.mp_over_me.uncertainty == pytest.approx(1.1e-7, rel=1e-12, abs=0)
+    assert cs.md_over_mp.uncertainty == pytest.approx(3.5e-11, rel=1e-12, abs=0)
     assert cs.md_over_mp.source == "mean"
-    assert cs.r_inf.source == "a"
+    assert cs.mp_over_me.source == "a"
 
 
 @pytest.mark.parametrize(
     "lines, msg",
     [
-        ("R_inf = 1 ± 0.1\nR_inf = 2 ± 0.1\n", "duplicate"),
+        ("mp_over_me = 1 ± 0.1\nmp_over_me = 2 ± 0.1\n", "duplicate"),
         ("nonsense line\n", "expected"),
         ("bogus_name = 1 ± 0.1\n", "expected"),
-        ("R_inf = 10973731.57 ± 0.1\n", "missing constant"),
+        ("mp_over_me = 1836.15267343 ± 0.1\n", "missing constant md_over_mp"),
     ],
 )
 def test_constants_file_validation(tmp_path, lines, msg):
@@ -238,19 +235,22 @@ def test_constants_file_validation(tmp_path, lines, msg):
         read_constants_file(path)
 
 
-def test_alpha_window_validated(tmp_path):
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("md_over_mp = abc ± 0.1", "md_over_mp has a bad numeric value 'abc'"),
+        ("md_over_mp = 2 ± nan", "md_over_mp uncertainty must be finite and >= 0"),
+        ("md_over_mp = 2 ± -0.1", "md_over_mp uncertainty must be finite and >= 0"),
+        ("md_over_mp = 0 ± 0.1", "md_over_mp must be finite and positive"),
+        ("md_over_mp = inf ± 0.1", "md_over_mp must be finite and positive"),
+    ],
+)
+def test_constants_file_names_the_line_of_a_bad_value(tmp_path, line, message):
     path = tmp_path / "c.txt"
-    path.write_text(
-        "R_inf = 10973731.568160 ± 0.000021\n"
-        "alpha = 0.008 ± 0.0000000000011\n"
-        "mp_over_me = 1836.15267343 ± 0.00000011\n"
-        "md_over_mp = 1.999007501274 ± 0.000000000035\n"
-        "r_p = 0.8414 ± 0.0019\n"
-        "r_d = 2.12799 ± 0.00074\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match="plausible window"):
+    path.write_text(f"mp_over_me = 1836.15267343 ± 0.00000011\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
         read_constants_file(path)
+    assert str(exc.value) == f"{path}:2: {message}"
 
 
 def test_scaling_file_parses_bundled_reference(model):
@@ -264,11 +264,11 @@ def test_scaling_file_parses_bundled_reference(model):
 @pytest.mark.parametrize(
     "content, msg",
     [
-        ("f_ref_khz = 1\n", "missing scaling key"),
+        ("f_ref_khz = 1\n", "missing key mu_p_ref"),
         (
             "f_ref_khz = 58605052163.91\nmu_p_ref = 1836.152673406\nbeta = -0.4846\n"
             "u_qed_khz = 0.5\nu_codata_other_khz = 0.07\nsurprise = 1\n",
-            "unknown scaling key",
+            "unknown key 'surprise'",
         ),
         ("f_ref_khz = 1\nf_ref_khz = 2\n", "duplicate"),
         ("just text\n", "key = value"),

@@ -488,7 +488,7 @@ def test_bundled_couplings_file_parses():
 def test_couplings_file_missing_key(tmp_path):
     path = tmp_path / "cpl.txt"
     path.write_text("c_e = 2802.5\nc_p = -4.2577\nc_d = -0.6536\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="missing coupling"):
+    with pytest.raises(ValueError, match="missing key c_N"):
         read_couplings_file(path)
 
 
@@ -519,7 +519,7 @@ def test_couplings_file_rejects_a_non_finite_value(tmp_path, value):
 def test_couplings_file_unknown_key(tmp_path):
     path = tmp_path / "cpl.txt"
     path.write_text("c_x = 1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="expected one of"):
+    with pytest.raises(ValueError, match="unknown key 'c_x'"):
         read_couplings_file(path)
 
 
