@@ -142,7 +142,7 @@ def splitting_comparison(
     diff = f16.value - f12.value
     u_exp = math.hypot(f12.component("exp"), f16.component("exp"))
     theory, u_theory = fspin_diff_theory
-    metric = abs(diff - theory) / math.sqrt(u_exp ** 2 + u_theory ** 2)
+    metric = abs(diff - theory) / math.hypot(u_exp, u_theory)
     return SplittingComparison(
         Quantity(diff, "kHz", {"exp": u_exp}),
         Quantity(theory, "kHz", {"theor_spin": u_theory}),

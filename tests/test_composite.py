@@ -237,6 +237,15 @@ def test_splitting_comparison_matches_reference(measured):
     assert cmp_.agreement_sigma < 1.0
 
 
+def test_splitting_comparison_takes_uncertainties_whose_square_overflows():
+    f12 = Quantity(100.0, "kHz", {"exp": 1e200})
+    f16 = Quantity(300.0, "kHz", {"exp": 1e200})
+    cmp_ = splitting_comparison(f12, f16, (200.0, 1e200))
+    assert cmp_.agreement_sigma == 0.0
+    cmp_ = splitting_comparison(f12, f16, (-1e200, 1e200))
+    assert cmp_.agreement_sigma == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15, abs=0)
+
+
 def test_splitting_report_is_json_ready(measured):
     import json
 
