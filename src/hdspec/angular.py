@@ -23,10 +23,10 @@ at most 4 of them).  A coefficient set then costs one eigh of at most
 one: F is exact, each level is a (2F + 1)-fold multiplet, G1 and G2 go
 by rank of <G1^2> and <G2^2> inside the F block, and gamma_k =
 x^T T_k x.  No full-basis Hamiltonian is built to solve or to map a
-level; a level's product-basis `vectors` are built on first use, by
-lowering its highest-weight state with F_-, and so are the field-free
-states of one m_F block (`m_states`), from which `zeeman` takes its
-exact Zeeman coefficients.
+level.  The field-free eigenstates of one m_F block (`m_states`) are
+the highest-weight eigenvectors lowered by F_- to m_F, built once per
+level set and m_F on first use; a level's product-basis `vectors` are
+its columns of them, and `zeeman` solves each m_F block in them.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ class _FBlock:
         self.f = f
         self.kernel = kernel  # (d, n): orthonormal columns over the m_F = F block
         self.terms = terms  # (9, n, n): the term operators T_k projected onto the kernel
-        self.flat_terms = terms.reshape(len(terms), -1)  # (9, n * n): a view, for `_contract` without reshaping
+        self.flat_terms = terms.reshape(len(terms), -1)  # (9, n * n): a view, so one matmul contracts it with E
         self.g1_sq, self.g2_sq = g1_sq, g2_sq  # (n, n): G1^2 and G2^2 projected onto the kernel
         self.pairs = pairs  # (G1, G2) of the n levels, ascending
         self.g1s = tuple(g1 for g1, _ in pairs)  # the G1 of the n levels, ascending
@@ -335,11 +335,12 @@ class _FBlock:
 class _Blocks:
     """The term operators of one rotational level N, cut by symmetry.
 
-    Each T_k commutes with F_z and F_+, so it is kept only as its m_F
-    blocks (for the Zeeman map) and as its projection onto the
-    highest-weight states of each F (for the level solve); F_- is kept
-    as maps between neighbouring m_F blocks, to build multiplet vectors
-    on request.  Built once per N; every array is read-only.
+    Each T_k commutes with F_z and F_+, so it is kept only as its
+    projection onto the highest-weight states of each F (for the level
+    solve).  F_- is kept as maps between neighbouring m_F blocks, to
+    lower those states to any m_F on request, and the slot projections
+    as one array per m_F block (for the Zeeman interaction).  Built once
+    per N; every array is read-only.
     """
 
     def __init__(self, n_rot: int):
@@ -354,7 +355,6 @@ class _Blocks:
         g1_sq = casimir(basis.combined_triple(("s_e", "I_p")))
         g2_sq = casimir(basis.combined_triple(("s_e", "I_p", "I_d")))
 
-        self.terms = {m: _read_only(ops[:, i[:, None], i]) for m, i in self.index.items()}
         self.slot_m = {m: _read_only(slot_m[:, i]) for m, i in self.index.items()}
         self.lowering = {
             m: _read_only(f_minus[self.index[m - 1][:, None], self.index[m]]) for m in range(-f_max + 1, f_max + 1)
@@ -384,27 +384,13 @@ class _Blocks:
             )
         self._lowered: dict[int, np.ndarray] = {}  # m_F -> `lowered(m_F)`
 
-    def multiplet(self, block: _FBlock, x: np.ndarray, a: int) -> np.ndarray:
-        """Product-basis vectors of the multiplet whose highest-weight state is `kernel @ x[:, a]`.
-
-        Columns run m_F = F, F - 1, ..., -F, each reached from the one
-        before by F_- |F, m> = sqrt(F(F+1) - m(m-1)) |F, m-1>.
-        """
-        f = block.f
-        out = np.zeros((self.dim, 2 * f + 1))
-        col = block.kernel @ x[:, a]
-        out[self.index[f], 0] = col
-        for i, m in enumerate(range(f, -f, -1), start=1):
-            col = self.lowering[m] @ col / math.sqrt(f * (f + 1) - m * (m - 1))
-            out[self.index[m - 1], i] = col
-        return _read_only(out)
-
     def lowered(self, m_f: int) -> np.ndarray:
         """The kernels of the F blocks with F >= |m_F| (the last ones), lowered by F_- to the m_F block.
 
-        Columns come block by block as in `f_blocks`, normalized; the
-        matrix is square, since every state of the m_F block belongs to
-        one multiplet with F >= |m_F|.  Built on first use, read-only.
+        Columns come block by block as in `f_blocks`, each reached
+        from the kernel by F_- |F, m> = sqrt(F(F+1) - m(m-1)) |F, m-1>;
+        the matrix is square, since every state of the m_F block belongs
+        to one multiplet with F >= |m_F|.  Built on first use, read-only.
         """
         if m_f not in self._lowered:
             cols = []
@@ -428,22 +414,6 @@ def _blocks(n_rot: int) -> _Blocks:
 def _coefficient_vector(coeffs: HyperfineCoefficients) -> np.ndarray:
     values = coeffs.values
     return np.array([values.get(k, 0.0) for k in COEFF_INDICES], dtype=float)
-
-
-def _contract(e: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum_k e_k terms[k]: the same array as `np.tensordot(e, terms, 1)`, without its Python wrapper."""
-    return (e @ terms.reshape(len(terms), -1)).reshape(terms.shape[1:])
-
-
-def m_block(coeffs: HyperfineCoefficients, m_f: int) -> tuple[np.ndarray, np.ndarray]:
-    """(H block, slot projections) of the m_F block of the level of `coeffs`.
-
-    The H block is sum_k E_k T_k (kHz) on the product states with total
-    projection m_F; the slot projections are the m values of s_e, I_p,
-    I_d and N of those states, one row per slot (SLOT_NAMES order).
-    """
-    blocks = _blocks(coeffs.n_rot)
-    return _contract(_coefficient_vector(coeffs), blocks.terms[m_f]), blocks.slot_m[m_f]
 
 
 # ---------------------------------------------------------------------------
@@ -544,58 +514,22 @@ def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> Spin
 # level sets, solved once per coefficient content
 
 
-class _LevelSet:
-    """The labelled levels of one coefficient set and their gamma_k.
+class _States:
+    """The field-free states of one level set, lowered from its F-block eigenvectors on first use (read-only).
 
-    One eigh of at most 4 x 4 per F that holds two or more levels, on H
-    projected onto the highest-weight states of that F, and none for an
-    F that holds one; gamma_k = x^T T_k x for each eigenvector x.  The
-    levels are shared by every caller that asks for the same
-    coefficients, so their vectors are read-only.
+    Apart from `_LevelSet`, so that the level set and its levels form no reference cycle.
     """
 
-    @overflow_as_value_error("level solve")
-    def __init__(self, coeffs: HyperfineCoefficients):
-        blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
-        # per level: energy, F, (G1, G2), and the eigenvector column a of x with its expectation values y
-        found = []
-        self._eigenvectors: list[np.ndarray] = []  # x of each F block, as in `blocks.f_blocks`
-        for block in blocks.f_blocks:
-            h = e @ block.flat_terms  # H on the kernel, flattened; the array `_contract` gives
-            if block.unit is not None:
-                # LAPACK's eigh returns the entry of a 1 x 1 matrix and the eigenvector 1.0
-                evals, x, y, labels = h.tolist(), _UNIT, block.unit, block.pairs
-            else:
-                evals, x = np.linalg.eigh(h.reshape(block.terms.shape[1:]))
-                evals, y = evals.tolist(), _expectations(block.ops, x)
-                labels = _labels(block, evals, *y[9:].tolist())
-            found += [(energy, block.f, labels[a], block, x, y, a) for a, energy in enumerate(evals)]
-            self._eigenvectors.append(x)
-        # ascending energy; levels that coincide go by F
-        order = sorted(range(len(found)), key=lambda i: found[i][0])
-        cluster, keys = 0, [None] * len(found)
-        for rank, i in enumerate(order):
-            if rank and found[i][0] - found[order[rank - 1]][0] > COINCIDENT_KHZ:
-                cluster += 1
-            keys[i] = (cluster, found[i][1])
-        order.sort(key=keys.__getitem__)
+    def __init__(self, blocks: _Blocks, eigenvectors: list[np.ndarray], order: list[int], fs: list[int]):
         self._blocks = blocks
-        self._order = order  # the index into `found` of each level
-        self.levels = tuple(
-            SpinLevel(energy, 2 * f + 1, g1, g2, f, functools.partial(blocks.multiplet, block, x, a))
-            for energy, f, (g1, g2), block, x, y, a in map(found.__getitem__, order)
-        )
-        self._gammas = {(g1, g2, f): (y, a) for _, f, (g1, g2), _, _, y, a in found if g1 is not None}
-
-    @functools.cached_property
-    def origin(self) -> float:
-        """The spin-averaged origin: the degeneracy-weighted mean level energy."""
-        levels = self.levels
-        return sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
+        self._eigenvectors = eigenvectors  # x of each F block, as in `blocks.f_blocks`
+        self._order = order  # the index into the F-block levels of each level
+        self._fs = fs  # F of each level, in level order
+        self._m_states: dict[int, np.ndarray] = {}  # m_F -> `m_states(m_F)`
 
     @functools.cached_property
     def _block_vectors(self) -> np.ndarray:
-        """The eigenvectors of every F block on the diagonal of one matrix, one column per level in `found` order."""
+        """The eigenvectors of every F block on the diagonal of one matrix, one column per level in F-block order."""
         n = len(self._order)
         out, i = np.zeros((n, n)), 0
         for x in self._eigenvectors:
@@ -605,10 +539,70 @@ class _LevelSet:
 
     def m_states(self, m_f: int) -> np.ndarray:
         """The state with projection m_F of each level with F >= |m_F|, as columns in level order (see `m_states`)."""
-        lowered = self._blocks.lowered(m_f)
-        skip = len(self._order) - lowered.shape[1]  # the levels of the F blocks with F < |m_F| come first
-        states = lowered @ self._block_vectors[skip:, skip:]
-        return states[:, [i - skip for i in self._order if i >= skip]]
+        if m_f not in self._m_states:
+            lowered = self._blocks.lowered(m_f)
+            skip = len(self._order) - lowered.shape[1]  # the levels of the F blocks with F < |m_F| come first
+            states = lowered @ self._block_vectors[skip:, skip:]
+            self._m_states[m_f] = _read_only(states[:, [i - skip for i in self._order if i >= skip]])
+        return self._m_states[m_f]
+
+    def vectors(self, position: int) -> np.ndarray:
+        """The 2F + 1 product-basis states (m_F = F .. -F) of the level at `position`: its columns of `m_states`."""
+        f = self._fs[position]
+        out = np.zeros((self._blocks.dim, 2 * f + 1))
+        for i, m in enumerate(range(f, -f - 1, -1)):
+            column = sum(g >= abs(m) for g in self._fs[:position])
+            out[self._blocks.index[m], i] = self.m_states(m)[:, column]
+        return _read_only(out)
+
+
+class _LevelSet:
+    """The labelled levels of one coefficient set and their gamma_k.
+
+    One eigh of at most 4 x 4 per F that holds two or more levels, on H
+    projected onto the highest-weight states of that F, and none for an
+    F that holds one; gamma_k = x^T T_k x for each eigenvector x.  The
+    levels are shared by every caller that asks for the same
+    coefficients, so their vectors and `m_states` are read-only.
+    """
+
+    @overflow_as_value_error("level solve")
+    def __init__(self, coeffs: HyperfineCoefficients):
+        blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
+        # per level: energy, F, (G1, G2), and the eigenvector column a of its F block with its expectation values y
+        found, eigenvectors = [], []
+        for block in blocks.f_blocks:
+            h = e @ block.flat_terms  # H on the kernel, flattened
+            if block.unit is not None:
+                # LAPACK's eigh returns the entry of a 1 x 1 matrix and the eigenvector 1.0
+                evals, x, y, labels = h.tolist(), _UNIT, block.unit, block.pairs
+            else:
+                evals, x = np.linalg.eigh(h.reshape(block.terms.shape[1:]))
+                evals, y = evals.tolist(), _expectations(block.ops, x)
+                labels = _labels(block, evals, *y[9:].tolist())
+            found += [(energy, block.f, labels[a], y, a) for a, energy in enumerate(evals)]
+            eigenvectors.append(x)
+        # ascending energy; levels that coincide go by F
+        order = sorted(range(len(found)), key=lambda i: found[i][0])
+        cluster, keys = 0, [None] * len(found)
+        for rank, i in enumerate(order):
+            if rank and found[i][0] - found[order[rank - 1]][0] > COINCIDENT_KHZ:
+                cluster += 1
+            keys[i] = (cluster, found[i][1])
+        order.sort(key=keys.__getitem__)
+        states = _States(blocks, eigenvectors, order, [found[i][1] for i in order])
+        self.m_states = states.m_states  # the field-free states of one m_F block, as `m_states` gives them
+        self.levels = tuple(
+            SpinLevel(energy, 2 * f + 1, g1, g2, f, functools.partial(states.vectors, position))
+            for position, (energy, f, (g1, g2), _, _) in enumerate(map(found.__getitem__, order))
+        )
+        self._gammas = {(g1, g2, f): (y, a) for _, f, (g1, g2), y, a in found if g1 is not None}
+
+    @functools.cached_property
+    def origin(self) -> float:
+        """The spin-averaged origin: the degeneracy-weighted mean level energy."""
+        levels = self.levels
+        return sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
 
     def sensitivities(self, label: tuple[int, int, int]) -> dict[int, float]:
         level = find_level(self.levels, label)
@@ -659,12 +653,12 @@ def spin_frequency(
 
 
 def m_states(coeffs: HyperfineCoefficients, m_f: int) -> np.ndarray:
-    """The field-free eigenstates of the m_F block of `m_block`, one column per level with F >= |m_F|.
+    """The field-free eigenstates of the m_F block (rows: its product states), one column per level with F >= |m_F|.
 
     Columns come in level order (ascending energy, as `level_structure`
     gives the levels).  Each is the highest-weight eigenvector of its F
-    block lowered by F_- to m_F, so the cached level set gives them
-    without another eigen-solve.
+    block lowered by F_- to m_F, so the cached level set gives them, once
+    per m_F and read-only, without another eigen-solve.
     """
     return _level_set(coeffs).m_states(m_f)
 

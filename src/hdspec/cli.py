@@ -512,8 +512,12 @@ def _entries_from_file(path: Path) -> list[systematics.ShiftEntry]:
     bases = systematics.ENTRY_BASES
     entry = {"name": TEXT, "correction_khz": OPTIONAL_FINITE, "uncertainty_khz": OPTIONAL_NON_NEGATIVE,
              "basis": Rule(f"must be one of {', '.join(bases)}", choices=frozenset(bases)), "note": OPTIONAL_TEXT}
+    entries = read_json(path, [entry])
+    for i, e in enumerate(entries):
+        if e["basis"] == "set-to-zero" and e.get("correction_khz", 0.0) != 0.0:
+            raise ValueError(f"{path}: [{i}].correction_khz must be 0 for a set-to-zero entry")
     return [systematics.ShiftEntry(e["name"], e.get("correction_khz", 0.0), e.get("uncertainty_khz", 0.0), e["basis"],
-                                   e.get("note", "")) for e in read_json(path, [entry])]
+                                   e.get("note", "")) for e in entries]
 
 
 def _cmd_ledger(args) -> int:
@@ -533,31 +537,19 @@ def _cmd_ledger(args) -> int:
     return 0
 
 
-def _spin_profile(inp: composite.CompositeInput) -> list[tuple[float, float]]:
-    """Spin uncertainty vs b12, from tables if present else the linear fallback."""
-    from . import angular, composite
-
-    if inp.tables is not None:
-        return list(composite.optimize_weight(inp.tables, angular.SpinUncertaintyParams()).profile)
-    u12 = inp.fspin12.component("theor_spin")
-    u16 = inp.fspin16.component("theor_spin")
-    grid = [round(0.01 * i, 2) for i in range(101)]
-    return [(b, b * u12 + (1.0 - b) * u16) for b in grid]
-
-
 def _cmd_composite(args) -> int:
     from . import angular, composite
 
     lines, inp = _composite_input(args)
-    if args.optimize:
-        if inp.tables is None:
+    if inp.tables is None:
+        if args.optimize:
             raise ConfigFailure("--optimize needs a sensitivity table; pass --coefficients FILE or --demo")
-        b12 = _run(composite.optimize_weight, inp.tables, angular.SpinUncertaintyParams()).b_star
+        b12, profile = args.b12, composite.fallback_profile(inp)
     else:
-        b12 = args.b12
+        weights = _run(composite.optimize_weight, inp.tables, angular.SpinUncertaintyParams())
+        b12, profile = (weights.b_star if args.optimize else args.b12), weights.profile
     q = _run(composite.composite_frequency, inp, b12)
 
-    profile = _spin_profile(inp)
     payload = {
         "b12": float(b12),
         "value_khz": float(q.value),

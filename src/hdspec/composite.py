@@ -70,13 +70,23 @@ def composite_frequency(inp: CompositeInput, b12: float) -> Quantity:
     if inp.tables is not None:
         u_spin = composite_spin_uncertainty(inp.tables, SpinUncertaintyParams(), b12)
     else:
-        u_spin = b12 * inp.fspin12.component("theor_spin") + b16 * inp.fspin16.component("theor_spin")
+        u_spin = _fallback_spin_uncertainty(inp, b12)
     return Quantity(value, "kHz", {"exp": u_exp, "theor_spin": u_spin})
+
+
+def _fallback_spin_uncertainty(inp: CompositeInput, b12: float) -> float:
+    """The composite spin uncertainty without a sensitivity table: b12 u12 + (1 - b12) u16."""
+    return b12 * inp.fspin12.component("theor_spin") + (1.0 - b12) * inp.fspin16.component("theor_spin")
 
 
 # b12 of the flatness profile of `optimize_weight`: 0, 0.01, ..., 1
 _PROFILE_GRID = tuple(round(0.01 * i, 2) for i in range(101))
 _PROFILE_B12 = _read_only(np.array(_PROFILE_GRID))
+
+
+def fallback_profile(inp: CompositeInput) -> tuple[tuple[float, float], ...]:
+    """(b12, spin uncertainty) without a sensitivity table, over the grid of the `optimize_weight` profile."""
+    return tuple((b, _fallback_spin_uncertainty(inp, b)) for b in _PROFILE_GRID)
 
 
 @dataclass(frozen=True)

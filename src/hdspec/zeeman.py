@@ -6,14 +6,14 @@ magnetic projections:
     H_Z = B (c_e s_ez + c_p I_pz + c_d I_dz + c_N N_z)
 
 with per-momentum couplings in kHz/G.  Sublevel energies are mapped over
-a field grid.  The linear and quadratic Zeeman coefficients of a
-transition are exact at B = 0: Hellmann-Feynman gives the linear term
-and second-order perturbation theory the quadratic one, over the
-field-free states of each sublevel's m_F block (Bakalov, Korobov &
-Schiller, J. Phys. B 44, 025003 (2011)); their truncation over a field
-grid is the largest deviation of the solved shift from that quadratic
-model.  Measured line positions are extrapolated to zero field with a
-pure-quadratic weighted fit.
+a field grid, each m_F block solved in the field-free states that the
+level solve gives (`angular.m_states`).  The linear and quadratic Zeeman
+coefficients of a transition are exact at B = 0: Hellmann-Feynman gives
+the linear term and second-order perturbation theory the quadratic one,
+over the same states (Bakalov, Korobov & Schiller, J. Phys. B 44, 025003
+(2011)); their truncation over a field grid is the largest deviation of
+the solved shift from that quadratic model.  Measured line positions are
+extrapolated to zero field with a pure-quadratic weighted fit.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ import numpy as np
 from .angular import (
     COINCIDENT_KHZ,
     HyperfineCoefficients,
-    ProductBasis,
     SpinLevel,
     _blocks,
     _level_set,
-    level_structure,
-    m_block,
     m_states,
 )
 from .quantity import (
@@ -123,24 +120,26 @@ def _coupling_vector(couplings: ZeemanCouplings) -> np.ndarray:
 def _sublevels(coeffs: HyperfineCoefficients, c: np.ndarray, m_f: int, b_values: np.ndarray) -> np.ndarray:
     """Energies (one row each, over the grid) of the sublevels with projection m_F.
 
-    H0 + H_Z commutes with F_z, which is diagonal in the product basis,
-    so the m_F block is solved on its own, for the whole grid in one
-    stacked call.  Levels inside one block do not cross (von
-    Neumann-Wigner), so at every B the k-th lowest energy of the block
-    belongs to the k-th lowest field-free level with F >= |m_F|
-    (Bakalov, Korobov & Schiller, J. Phys. B 44, 025003 (2011)); the
-    rows come in that order.  At B = 0 a caller puts in the field-free
-    energies exactly.  `c` holds the couplings in SLOT_NAMES order.
+    H0 + H_Z commutes with F_z, so the m_F block is solved on its own,
+    over the whole grid in one stacked call, as diag(E) + B U^T V U: U =
+    `m_states` are its field-free states, E their energies (the levels
+    with F >= |m_F|, in level order) and V = diag(c . slot_m) the Zeeman
+    operator per gauss, `c` the couplings in SLOT_NAMES order.  Levels in
+    one block do not cross (von Neumann-Wigner; Bakalov, Korobov &
+    Schiller, J. Phys. B 44, 025003 (2011)), so at every B the k-th
+    lowest energy belongs to the k-th lowest of those levels; the rows
+    come in that order.  At B = 0 a caller puts in E exactly.
     """
-    h0, slot_m = m_block(coeffs, m_f)
-    return np.linalg.eigvalsh(h0 + b_values[:, None, None] * np.diag(c @ slot_m)).T
+    energies = [lv.energy for lv in _level_set(coeffs).levels if lv.f >= abs(m_f)]
+    u = m_states(coeffs, m_f)
+    w = u.T @ ((c @ _blocks(coeffs.n_rot).slot_m[m_f])[:, None] * u)
+    return np.linalg.eigvalsh(np.diag(energies) + b_values[:, None, None] * w).T
 
 
 @overflow_as_value_error("Zeeman map")
 def zeeman_map(
     coeffs: HyperfineCoefficients,
     couplings: ZeemanCouplings,
-    basis: ProductBasis | None = None,
     b_values: Sequence[float] = DEFAULT_B_GRID,
 ) -> ZeemanMap:
     """Energies of every magnetic sublevel over an ascending field grid.
@@ -148,10 +147,10 @@ def zeeman_map(
     Each m_F block is solved on its own over the whole grid (see
     `_sublevels`); the states come level by level in field-free order,
     m_F ascending within a level.  The field-free levels must not
-    coincide.  A `basis`, if given, is only checked against N.
+    coincide.
     """
     b_values = _field_grid(b_values)
-    levels = _mappable(level_structure(coeffs, basis))
+    levels = _mappable(_level_set(coeffs).levels)
     labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
     index = {label: i for i, label in enumerate(labels)}
     f_max = max(lv.f for lv in levels)

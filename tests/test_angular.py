@@ -448,12 +448,10 @@ def test_cached_level_set_is_read_only(demo_sets, basis1):
     assert all(lv.vectors is level_structure(coeffs, basis1)[i].vectors for i, lv in enumerate(levels))
     # the per-N data every set of this N shares
     blocks = angular._blocks(1)
-    shared = [*blocks.index.values(), *blocks.terms.values(), *blocks.slot_m.values(), *blocks.lowering.values()]
+    shared = [*blocks.index.values(), *blocks.slot_m.values(), *blocks.lowering.values()]
     for fb in blocks.f_blocks:
         shared += [fb.kernel, fb.terms, fb.flat_terms, fb.g1_sq, fb.g2_sq, fb.ops, *([] if fb.unit is None else [fb.unit])]
     assert all(not a.flags.writeable for a in shared)
-    with pytest.raises(ValueError, match="read-only"):
-        blocks.terms[0][0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         blocks.f_blocks[0].terms[0, 0, 0] = 1.0
 
@@ -705,16 +703,10 @@ def test_basis_is_optional_and_checked_when_given(demo_sets):
     ]
     for lv in levels:
         assert sensitivities(coeffs, label=lv.label) == sensitivities(coeffs, ProductBasis(1), lv.label)
-    grid = (0.0, 0.1, 0.2)
-    bare = zeeman_map(coeffs, ZeemanCouplings(), b_values=grid)
-    given_basis = zeeman_map(coeffs, ZeemanCouplings(), ProductBasis(1), grid)
-    assert [st.energies.tolist() for st in bare.states] == [st.energies.tolist() for st in given_basis.states]
-
     wrong = ProductBasis(0)
     for call in (
         lambda: level_structure(coeffs, wrong),
         lambda: sensitivities(coeffs, wrong, levels[0].label),
-        lambda: zeeman_map(coeffs, ZeemanCouplings(), wrong, grid),
     ):
         with pytest.raises(ValueError, match="coefficient set is for N=1, basis has N=0"):
             call()
@@ -724,10 +716,10 @@ def test_basis_is_optional_and_checked_when_given(demo_sets):
 
 def test_zeeman_map_refuses_coincident_levels(demo_sets):
     with pytest.raises(ValueError, match="coincide"):
-        zeeman_map(zero_coeffs(1), ZeemanCouplings(), ProductBasis(1))
+        zeeman_map(zero_coeffs(1), ZeemanCouplings())
     values = {**dict.fromkeys(angular.COEFF_INDICES, 0.0), 4: 925000.0, 5: 142000.0}
     with pytest.raises(ValueError, match="coincide"):
-        zeeman_map(HyperfineCoefficients(1, 1, values), ZeemanCouplings(), ProductBasis(1))
+        zeeman_map(HyperfineCoefficients(1, 1, values), ZeemanCouplings())
 
 
 # ---------------------------------------------------------------------------
@@ -846,17 +838,15 @@ def test_term_operators_commute_with_f_z_and_f_plus(n_rot):
     # of a commutator check on every Hamiltonian
     basis = ProductBasis(n_rot)
     f_z, f_plus, _ = basis.combined_triple(angular.SLOT_NAMES)
-    blocks = angular._blocks(n_rot)
-    for i, k in enumerate(angular.COEFF_INDICES):
+    m_f = np.rint(np.diag(f_z)).astype(int)
+    other_block = m_f[:, None] != m_f[None, :]
+    for k in angular.COEFF_INDICES:
         t = term_operator(k, basis)
         scale = max(float(np.max(np.abs(t))), 1.0)
         assert np.max(np.abs(t @ f_z - f_z @ t)) <= 1e-12 * scale
         assert np.max(np.abs(t @ f_plus - f_plus @ t)) <= 1e-12 * scale * np.max(f_plus)
-        # T_k is block-diagonal in m_F, and the kept blocks are its blocks
-        rebuilt = np.zeros_like(t)
-        for m, index in blocks.index.items():
-            rebuilt[np.ix_(index, index)] = blocks.terms[m][i]
-        assert np.array_equal(rebuilt, t)
+        # T_k is block-diagonal in m_F
+        assert np.max(np.abs(t[other_block]), initial=0.0) <= 1e-12 * scale
 
 
 def perturbed(base, n_rot, rng, spread=0.01):
@@ -880,34 +870,20 @@ def test_f_block_solve_agrees_with_the_dense_oracle(n_rot):
 
 
 @pytest.mark.parametrize("n_rot", range(6))
-def test_term_contraction_equals_tensordot(n_rot):
-    # the F blocks of _LevelSet and the m_F blocks of m_block contract the
-    # nine term operators with one matmul; it must give tensordot's array
-    # bit for bit, on the demo set and on 1 %-perturbed ones
-    rng = np.random.default_rng(31 + n_rot)
-    base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
-    blocks = angular._blocks(n_rot)
-    sets = [HyperfineCoefficients(v=1, n_rot=n_rot, values=dict(base.values))]
-    sets += [perturbed(base, n_rot, rng) for _ in range(20)]
-    for coeffs in sets:
-        e = angular._coefficient_vector(coeffs)
-        for terms in [block.terms for block in blocks.f_blocks] + list(blocks.terms.values()):
-            assert np.array_equal(angular._contract(e, terms), np.tensordot(e, terms, 1))
-        for m_f, terms in blocks.terms.items():
-            assert np.array_equal(angular.m_block(coeffs, m_f)[0], np.tensordot(e, terms, 1))
-
-
-@pytest.mark.parametrize("n_rot", range(6))
 def test_m_states_are_the_field_free_eigenstates_of_each_m_block(n_rot):
     # lowered from the F-block eigenvectors, one column per level with
     # F >= |m_F| in level order: orthonormal, and H u = E u on the m_F block
     rng = np.random.default_rng(53 + n_rot)
     base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
+    basis = ProductBasis(n_rot)
+    m_of_state = np.rint(np.diag(basis.f_z())).astype(int)
     for coeffs in [perturbed(base, n_rot, rng) for _ in range(5)]:
         levels = level_structure(coeffs)
+        dense = build_hfs(coeffs, basis)
         for m_f in range(-(n_rot + 2), n_rot + 3):
             states = angular.m_states(coeffs, m_f)
-            h, _ = angular.m_block(coeffs, m_f)
+            index = np.flatnonzero(m_of_state == m_f)
+            h = dense[np.ix_(index, index)]
             energies = np.array([lv.energy for lv in levels if lv.f >= abs(m_f)])
             assert states.shape == (len(h), len(energies))
             assert np.allclose(states.T @ states, np.eye(len(energies)), rtol=0, atol=1e-12)

@@ -852,6 +852,11 @@ MALFORMED_JSON = {
     ),
     "misspelt-key": (["ledger", *RAW, "--entries"], [RF_ENTRY], "[0].uncertainity_khz is not a known key"),
     "entry-of-1": (["ledger", *RAW, "--entries"], [1], "[0] must be an object"),
+    "set-to-zero-correction": (
+        ["ledger", *RAW, "--entries"],
+        [{"name": "z", "correction_khz": 0.1, "basis": "set-to-zero"}],
+        "[0].correction_khz must be 0 for a set-to-zero entry",
+    ),
     "value-true": (
         ["compare", "--input"],
         {"determinations": [{"label": "a", "value": True, "u": 0.5}]},
@@ -863,7 +868,8 @@ MALFORMED_JSON = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
 def test_malformed_json_input_is_one_config_error_line(tmp_path, capsys, case):
-    """Each of these ended in a traceback, a silently wrong report or a data error before the readers checked them."""
+    """Each of these ended in a traceback, a silently wrong report, a data error or a message without the path
+    before the readers checked them."""
     argv, doc, message = MALFORMED_JSON[case]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

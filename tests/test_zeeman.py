@@ -56,7 +56,7 @@ def test_build_zeeman_is_diagonal_with_projection_sums(basis1):
 
 def test_zero_field_column_is_exactly_field_free(basis0, demo_sets):
     coeffs = demo_sets[(0, 0)]
-    zmap = zeeman_map(coeffs, ZeemanCouplings(), basis0)
+    zmap = zeeman_map(coeffs, ZeemanCouplings())
     levels = level_structure(coeffs, basis0)
     for st_ in zmap.states:
         lv = find_level(levels, (st_.g1, st_.g2, st_.f))
@@ -74,9 +74,9 @@ def test_build_zeeman_matches_embedded_projections(basis1):
     assert np.array_equal(build_zeeman(cpl, basis1, 0.3), dense)
 
 
-def test_stretched_state_is_exactly_linear(basis1, demo_sets):
+def test_stretched_state_is_exactly_linear(demo_sets):
     cpl = ZeemanCouplings()
-    zmap = zeeman_map(demo_sets[(1, 1)], cpl, basis1, (0.0, 0.25, 0.5, 0.75, 1.0))
+    zmap = zeeman_map(demo_sets[(1, 1)], cpl, (0.0, 0.25, 0.5, 0.75, 1.0))
     st_ = zmap.state((1, 2, 3, 3))
     slope = 0.5 * cpl.c_e + 0.5 * cpl.c_p + cpl.c_d + cpl.c_n
     want = st_.energies[0] + slope * zmap.b_values
@@ -130,7 +130,7 @@ def test_small_field_curvature_matches_perturbation_theory(basis0, demo_sets):
     curv_pt = float(np.sum(amp[mask] ** 2 / (e0 - evals[mask])))
 
     grid = np.array([0.0, 5e-3, 1e-2])
-    en = zeeman_map(coeffs, cpl, basis0, grid).state((1, 0, 0, 0)).energies
+    en = zeeman_map(coeffs, cpl, grid).state((1, 0, 0, 0)).energies
     # exact parabola through three points; eigensolver noise on ~1e6 kHz
     # eigenvalues limits the slope to ~1e-7 kHz/G here
     coef = np.linalg.solve(np.column_stack([np.ones(3), grid, grid**2]), en)
@@ -170,17 +170,43 @@ def test_coarse_grid_matches_fine_overlap_tracking(key, demo_sets):
     fine = np.arange(2001) / 10.0  # 0-200 G in 0.1 G steps
     coarse = fine[::50]  # 0-200 G in 5 G steps
     labels, ref = _overlap_tracker(coeffs, cpl, basis, fine)
-    zmap = zeeman_map(coeffs, cpl, basis, coarse)
+    zmap = zeeman_map(coeffs, cpl, coarse)
     assert [st_.label for st_ in zmap.states] == labels
     got = np.array([st_.energies for st_ in zmap.states])
     assert np.allclose(got, ref[:, ::50], rtol=0, atol=1e-8)
 
 
-def test_grid_not_starting_at_zero_matches_sliced_full_grid(basis0, demo_sets):
+@pytest.mark.parametrize("n_rot", range(6))
+def test_map_is_the_spectrum_of_each_dense_m_f_block(n_rot, demo_sets):
+    # 1 %-perturbed sets of N = 0..5, from weak fields to past the
+    # hyperfine decoupling: at every B the sublevels of one m_F are the
+    # eigenvalues of that block of the dense H0 + H_Z
+    rng = np.random.default_rng(71 + n_rot)
+    base = demo_sets[(0, 0)] if n_rot == 0 else demo_sets[(1, 1)]
+    basis = ProductBasis(n_rot)
+    m_of_state = np.rint(np.diag(basis.f_z())).astype(int)
+    blocks = {m: np.flatnonzero(m_of_state == m) for m in range(-(n_rot + 2), n_rot + 3)}
+    cpl = ZeemanCouplings()
+    grid = (0.05, 1.0, 20.0, 200.0)
+    for _ in range(3):
+        values = {k: e * (1.0 + 0.01 * rng.standard_normal()) for k, e in base.values.items()}
+        coeffs = HyperfineCoefficients(1, n_rot, values)
+        h0 = build_hfs(coeffs, basis)
+        zmap = zeeman_map(coeffs, cpl, grid)
+        for j, b in enumerate(grid):
+            h = h0 + build_zeeman(cpl, basis, b)
+            dense = {m: np.linalg.eigvalsh(h[np.ix_(i, i)]) for m, i in blocks.items()}
+            scale = max(float(np.max(np.abs(e))) for e in dense.values())
+            for m, want in dense.items():
+                got = np.sort([st_.energies[j] for st_ in zmap.states if st_.m_f == m])
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_grid_not_starting_at_zero_matches_sliced_full_grid(demo_sets):
     coeffs = demo_sets[(0, 0)]
     cpl = ZeemanCouplings()
-    full = zeeman_map(coeffs, cpl, basis0, (0.0, 0.05, 0.10))
-    part = zeeman_map(coeffs, cpl, basis0, (0.05, 0.10))
+    full = zeeman_map(coeffs, cpl, (0.0, 0.05, 0.10))
+    part = zeeman_map(coeffs, cpl, (0.05, 0.10))
     for st_ in part.states:
         ref = full.state(st_.label)
         assert np.allclose(st_.energies, ref.energies[1:], rtol=0, atol=1e-9)
@@ -195,13 +221,13 @@ def test_grid_not_starting_at_zero_matches_sliced_full_grid(basis0, demo_sets):
         ((), "non-empty"),
     ],
 )
-def test_grid_validation(basis0, demo_sets, grid, msg):
+def test_grid_validation(demo_sets, grid, msg):
     with pytest.raises(ValueError, match=msg):
-        zeeman_map(demo_sets[(0, 0)], ZeemanCouplings(), basis0, grid)
+        zeeman_map(demo_sets[(0, 0)], ZeemanCouplings(), grid)
 
 
-def test_state_lookup_error(basis0, demo_sets):
-    zmap = zeeman_map(demo_sets[(0, 0)], ZeemanCouplings(), basis0)
+def test_state_lookup_error(demo_sets):
+    zmap = zeeman_map(demo_sets[(0, 0)], ZeemanCouplings())
     with pytest.raises(LookupError, match="no Zeeman state"):
         zmap.state((9, 9, 9, 9))
 
@@ -227,7 +253,7 @@ def test_transition_coeffs_solves_the_sublevels_zeeman_map_gives(grid, demo_sets
     cpl = ZeemanCouplings()
     lower, upper = demo_sets[(0, 0)], demo_sets[(1, 1)]
     b = np.asarray(grid, dtype=float)
-    maps = [zeeman_map(c, cpl, ProductBasis(c.n_rot), grid).states for c in (lower, upper)]
+    maps = [zeeman_map(c, cpl, grid).states for c in (lower, upper)]
     pairs = [(lo, maps[1][0]) for lo in maps[0]] + [(maps[0][0], up) for up in maps[1]]
     assert len(pairs) == 12 + 36
     for lo, up in pairs:
