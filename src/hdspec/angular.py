@@ -387,7 +387,7 @@ class _Blocks:
     def lowered(self, m_f: int) -> np.ndarray:
         """The kernels of the F blocks with F >= |m_F| (the last ones), lowered by F_- to the m_F block.
 
-        Columns come block by block as in `f_blocks`, each reached
+        The columns come block by block as in `f_blocks`, each reached
         from the kernel by F_- |F, m> = sqrt(F(F+1) - m(m-1)) |F, m-1>;
         the matrix is square, since every state of the m_F block belongs
         to one multiplet with F >= |m_F|.  Built on first use, read-only.
@@ -655,7 +655,7 @@ def spin_frequency(
 def m_states(coeffs: HyperfineCoefficients, m_f: int) -> np.ndarray:
     """The field-free eigenstates of the m_F block (rows: its product states), one column per level with F >= |m_F|.
 
-    Columns come in level order (ascending energy, as `level_structure`
+    The columns come in level order (ascending energy, as `level_structure`
     gives the levels).  Each is the highest-weight eigenvector of its F
     block lowered by F_- to m_F, so the cached level set gives them, once
     per m_F and read-only, without another eigen-solve.

@@ -618,7 +618,10 @@ def _read_determinations(path: Path) -> tuple[str, str | None, list[tuple[str, f
     rows = [(d["label"], d["value"], d["u"]) for d in raw["determinations"]]
     if not rows:
         raise ValueError(f"{path}: no determinations")
-    return raw.get("quantity", ""), raw.get("reference"), rows
+    reference = raw.get("reference")
+    if reference is not None and reference not in [r[0] for r in rows]:
+        raise ValueError(f"{path}: reference {reference!r} is not among the determinations")
+    return raw.get("quantity", ""), reference, rows
 
 
 def _cmd_compare(args) -> int:
@@ -626,6 +629,8 @@ def _cmd_compare(args) -> int:
 
     source = args.input if args.input is not None else bundled.data_path("determinations_mp_over_me.json")
     quantity_name, file_ref, rows = _load(_read_determinations, source)
+    if args.reference is not None and args.reference not in [r[0] for r in rows]:
+        raise ConfigFailure(f"--reference {args.reference!r} is not among the determinations")
     reference = args.reference if args.reference is not None else file_ref
     report = _run(constants.comparison_report, rows, reference)
     payload = {

@@ -280,20 +280,16 @@ def read_contribution_csv(path: str | Path) -> ContributionTable:
     """Read `name, value_khz, u_khz, bookkeeping(0|1)` rows, order kept.
 
     value_khz must be finite; u_khz, if the column and the cell are there,
-    finite and >= 0 (else 0); bookkeeping 0 or 1.
+    finite and >= 0 (else 0); bookkeeping a number equal to 0 or 1.
+    Faults are `read_table`'s.
     """
-    cols = read_table(
-        path, [("value_khz", FINITE), ("u_khz", OPTIONAL_NON_NEGATIVE), ("bookkeeping", FLAG), ("name", TEXT)]
-    )
-    rows = [
-        Contribution(name, value, 0.0 if math.isnan(u) else u, bookkeeping == "1")
+    cols = read_table(path, {"value_khz": FINITE, "u_khz": OPTIONAL_NON_NEGATIVE, "bookkeeping": FLAG, "name": TEXT})
+    return ContributionTable(tuple(
+        Contribution(name, value, 0.0 if math.isnan(u) else u, bookkeeping == 1)
         for name, value, u, bookkeeping in zip(
-            cols["name"], cols["value_khz"].tolist(), cols["u_khz"].tolist(), cols["bookkeeping"]
+            cols["name"], cols["value_khz"].tolist(), cols["u_khz"].tolist(), cols["bookkeeping"].tolist()
         )
-    ]
-    if not rows:
-        raise ValueError(f"{path}: empty contribution table")
-    return ContributionTable(tuple(rows))
+    ))
 
 
 def read_scaling_file(path: str | Path) -> ScalingModel:

@@ -275,16 +275,12 @@ def line_frequency(fit: LineFit, absolute_offset: float) -> Quantity:
 def read_decay_csv(path: str | Path) -> DecayScan:
     """Read `detuning_khz, run_id, laser_on(0|1), depletion` rows as a `DecayScan`.
 
-    detuning_khz must be finite, depletion in [0, 1] and laser_on 0 or 1;
-    run_id is any text, required in every row and not kept.
+    detuning_khz must be finite, depletion in [0, 1] and laser_on a number
+    equal to 0 or 1; run_id is any text, a required column and cell, not
+    kept.  Faults are `read_table`'s.
     """
-    cols = read_table(
-        path, [("detuning_khz", FINITE), ("depletion", UNIT_INTERVAL), ("laser_on", FLAG), ("run_id", TEXT)]
-    )
-    if not cols["run_id"]:
-        raise ValueError(f"{path}: no decay records")
-    laser_on = np.fromiter(map("1".__eq__, cols["laser_on"]), bool, len(cols["laser_on"]))
-    return DecayScan(cols["detuning_khz"], laser_on, cols["depletion"])
+    cols = read_table(path, {"detuning_khz": FINITE, "depletion": UNIT_INTERVAL, "laser_on": FLAG, "run_id": TEXT})
+    return DecayScan(cols["detuning_khz"], cols["laser_on"] == 1, cols["depletion"])
 
 
 def fit_report(fit: LineFit) -> dict:

@@ -332,15 +332,18 @@ def _gammaincinv(a: float, p: float) -> float:
 def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> FrequencyTimeSeries:
     """Read a `t_s, f_hz` counter log into a uniform time series.
 
-    Both columns must be finite.
+    Both columns must be finite, with at least 2 rows, and t_s must
+    increase in even steps.  Table faults are `read_table`'s.
     """
     import numpy as np
 
-    cols = read_table(path, [(("t_s", "f_hz"), FINITE)])
+    cols = read_table(path, {"t_s": FINITE, "f_hz": FINITE})
     t, f = cols["t_s"], cols["f_hz"]
     if len(t) < 2:
         raise ValueError(f"{path}: need at least 2 counter samples")
     dt = np.diff(t)
+    if not np.all(dt > 0):
+        raise ValueError(f"{path}: t_s must increase")
     tau0 = float(np.median(dt))
     if np.any(np.abs(dt - tau0) > 1e-6 * tau0):
         raise ValueError(f"{path}: sampling is not uniform")

@@ -7,7 +7,9 @@ free-form ``other:<tag>`` entries) so that downstream propagation can
 treat them as independent channels, and reports can render them in the
 parenthetical style of precision spectroscopy.  Every input file is read
 by one reader per format, `read_table` (CSV), `read_keys` (`key = value`)
-or `read_json`, each checking its fields against a `Rule`.
+or `read_json`.  The first two take a mapping from each column or key to
+its `Rule`, the third a shape built of Rules; a fault is one ValueError
+that names the file.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def checked_field(text: str, rule: Rule, path, lineno: int, name: str) -> float:
     """`parse_field`, then `rule`; a value the rule refuses names `path:line`, the field and the requirement."""
     x = parse_field(text, path, lineno, name)
     if not rule.accepts(x):
-        raise ValueError(_fault(path, lineno, (name,), rule, x))
+        raise ValueError(_fault(path, lineno, name, rule, x))
     return x
 
 
@@ -191,12 +193,13 @@ class Rule:
     """What a CSV column, a `key = value` key or a JSON value must hold.
 
     A numeric rule has `accepts`, a predicate that takes a float array or
-    one float (NaN fails every rule); a text rule has none, and `choices`
-    (if set) are the allowed values, of a CSV cell once stripped.
-    `requirement` completes the message `<name> <requirement>`, and
-    `shows_value` appends the offending value.  An `optional` CSV column
-    may be absent or hold an empty (or blank) cell, read as NaN; an
-    optional key may be absent.
+    one float (NaN fails every rule); a 0/1 flag is such a rule.  A text
+    rule has none, and `choices` (if set) are the values a JSON string may
+    take; a CSV text cell is any text.  `requirement` completes the
+    message `<name> <requirement>`, and `shows_value` appends the
+    offending value.  An `optional` numeric CSV column may be absent or
+    hold an empty (or blank) cell, read as NaN; an optional key may be
+    absent.
     """
 
     requirement: str
@@ -210,7 +213,7 @@ FINITE = Rule("must be finite", lambda x: (x > -math.inf) & (x < math.inf))
 POSITIVE = Rule("must be finite and positive", lambda x: (x > 0) & (x < math.inf))
 NON_NEGATIVE = Rule("must be finite and >= 0", lambda x: (x >= 0) & (x < math.inf))
 UNIT_INTERVAL = Rule("must be in [0, 1]", lambda x: (x >= 0) & (x <= 1), shows_value=True)
-FLAG = Rule("must be 0 or 1", choices=frozenset({"0", "1"}), shows_value=True)
+FLAG = Rule("must be 0 or 1", lambda x: (x == 0) | (x == 1), shows_value=True)
 TEXT = Rule("is missing")
 
 OPTIONAL_FINITE = replace(FINITE, optional=True)
@@ -227,19 +230,12 @@ _ROW_PATH_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _FAST_MIN_BYTES = 1024
 _SCAN_BYTES = 1 << 16
 
-Columns = Sequence[tuple[str | tuple[str, ...], Rule]]
-
-
-def _steps(columns: Columns) -> list[tuple[tuple[str, ...], Rule]]:
-    return [((names,) if isinstance(names, str) else tuple(names), rule) for names, rule in columns]
-
-
-def read_table(path: str | Path, columns: Columns) -> dict[str, np.ndarray | list[str]]:
+def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, np.ndarray | list[str]]:
     """Read and check the named columns of a CSV file with a header row.
 
-    `columns` is a sequence of (column name or names, Rule) steps.  Returns
-    each numeric column as a float array and each text column as a list
-    of stripped strings, one entry per data row; blank lines are skipped.
+    `columns` maps each column name to its Rule.  Returns each numeric
+    column as a float array and each text column as a list of stripped
+    strings, one entry per data row; blank lines are skipped.
 
     Fast path: a pure-ASCII file of at least `_FAST_MIN_BYTES` without
     quotes, NUL or \\x1c-\\x1f is parsed with one `np.loadtxt` for the
@@ -247,17 +243,17 @@ def read_table(path: str | Path, columns: Columns) -> dict[str, np.ndarray | lis
     checked on whole arrays.  Any other file, and any cell that does not
     parse or breaks its rule, goes to the row path, which reads the file
     with `csv.DictReader` and is the authority: it returns the values the
-    fast path would, or raises the first fault as `path:line: <column>
-    ...`.  The header is read as DictReader reads it (names not stripped,
-    the last of a duplicated name wins); a missing required column raises
-    KeyError with its name.
+    fast path would, or raises the first fault as ValueError.  The header
+    is read as DictReader reads it (names not stripped, the last of a
+    duplicated name wins); a required column it lacks is `path:1: missing
+    column <name>`, a bad cell `path:line: <column> ...`, and a file
+    without data rows `path: no data rows`.
     """
-    steps = _steps(columns)
-    fast = _read_fast(path, steps)
-    return fast if fast is not None else _read_rows(path, steps)
+    fast = _read_fast(path, columns)
+    return fast if fast is not None else _read_rows(path, columns)
 
 
-def _read_fast(path, steps) -> dict | None:
+def _read_fast(path, columns: Mapping[str, Rule]) -> dict | None:
     """The table by whole-column parsing, or None where the row path must decide."""
     try:
         header = _plain_header(path)
@@ -268,8 +264,8 @@ def _read_fast(path, steps) -> dict | None:
     import numpy as np
 
     index = {name: i for i, name in enumerate(header.split(","))}
-    numeric = [n for names, rule in steps if rule.accepts is not None for n in names if n in index or not rule.optional]
-    texts = [n for names, rule in steps if rule.accepts is None for n in names]
+    numeric = [n for n, rule in columns.items() if rule.accepts is not None and (n in index or not rule.optional)]
+    texts = [n for n, rule in columns.items() if rule.accepts is None]
     if not all(n in index for n in numeric + texts):
         return None
 
@@ -293,14 +289,11 @@ def _read_fast(path, steps) -> dict | None:
     n_rows = len(out[(numeric + texts)[0]])
     if not n_rows:  # no data rows: the row path says so
         return None
-    for names, rule in steps:
-        for n in names:
-            if n not in out:  # an optional column the header lacks
-                out[n] = np.full(n_rows, np.nan)
-            elif rule.accepts is not None and not _accepted(rule, out[n]):
-                return None
-            elif rule.choices is not None and not rule.choices.issuperset(out[n]):
-                return None
+    for name, rule in columns.items():
+        if name not in out:  # an optional column the header lacks
+            out[name] = np.full(n_rows, np.nan)
+        elif rule.accepts is not None and not _accepted(rule, out[name]):
+            return None
     return out
 
 
@@ -331,51 +324,47 @@ def _accepted(rule: Rule, values: np.ndarray) -> bool:
         return bool(rule.accepts(values).all())
 
 
-def _read_rows(path, steps) -> dict:
-    """The table row by row; the first fault raises `path:line: <column> ...`."""
+def _read_rows(path, columns: Mapping[str, Rule]) -> dict:
+    """The table row by row; the first fault raises ValueError as `read_table` describes."""
     import numpy as np
 
-    required = [n for names, rule in steps if rule.accepts is not None and not rule.optional for n in names]
-    texts = {names[0] for names, rule in steps if rule.accepts is None}
-    out: dict = {n: [] for names, _ in steps for n in names}
+    required = [n for n, rule in columns.items() if rule.accepts is not None and not rule.optional]
+    out: dict = {n: [] for n in columns}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
+            header = reader.fieldnames or ()
+            for name, rule in columns.items():
+                if not (rule.optional or name in header):
+                    raise ValueError(f"{path}:1: missing column {name}")
             for row in reader:
                 line = reader.line_num
                 values = {n: parse_field(row[n], path, line, n) for n in required}
-                for names, rule in steps:
-                    name = names[0]
+                for name, rule in columns.items():
+                    cell = row.get(name)
                     if rule.accepts is None:
-                        values[name] = _text_cell(row[name], rule, path, line, name)
-                    elif rule.optional and not (row.get(name) or "").strip():
+                        if cell is None:  # a short row
+                            raise ValueError(f"{path}:{line}: {name} {rule.requirement}")
+                        values[name] = cell.strip()
+                    elif rule.optional and not (cell or "").strip():
                         values[name] = math.nan
                     else:
                         if rule.optional:
-                            values[name] = parse_field(row[name], path, line, name)
-                        if not all([rule.accepts(values[n]) for n in names]):
-                            raise ValueError(_fault(path, line, names, rule, values[name]))
+                            values[name] = parse_field(cell, path, line, name)
+                        if not rule.accepts(values[name]):
+                            raise ValueError(_fault(path, line, name, rule, values[name]))
                 for n, v in values.items():
                     out[n].append(v)
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return {n: v if n in texts else np.array(v, dtype=float) for n, v in out.items()}
+    if not any(out.values()):
+        raise ValueError(f"{path}: no data rows")
+    return {n: v if columns[n].accepts is None else np.array(v, dtype=float) for n, v in out.items()}
 
 
-def _text_cell(cell: str | None, rule: Rule, path, line: int, name: str) -> str:
-    if rule.choices is None:
-        if cell is None:  # a short row
-            raise ValueError(f"{path}:{line}: {name} {rule.requirement}")
-        return cell.strip()
-    cell = (cell or "").strip()
-    if cell not in rule.choices:
-        raise ValueError(_fault(path, line, (name,), rule, cell))
-    return cell
-
-
-def _fault(path, line: int, names: tuple[str, ...], rule: Rule, value) -> str:
+def _fault(path, line: int, name: str, rule: Rule, value) -> str:
     got = f", got {value!r}" if rule.shows_value else ""
-    return f"{path}:{line}: {' and '.join(names)} {rule.requirement}{got}"
+    return f"{path}:{line}: {name} {rule.requirement}{got}"
 
 
 # ---------------------------------------------------------------------------

@@ -205,12 +205,10 @@ def read_amplitude_csv(path: str | Path) -> list[tuple[float, Quantity]]:
 
     amplitude and f_khz must be finite; u_khz, if the column and the cell
     are there, finite and >= 0 (an empty one gives no `exp` component).
+    Faults are `read_table`'s.
     """
-    cols = read_table(path, [(("amplitude", "f_khz"), FINITE), ("u_khz", OPTIONAL_NON_NEGATIVE)])
-    points = [
+    cols = read_table(path, {"amplitude": FINITE, "f_khz": FINITE, "u_khz": OPTIONAL_NON_NEGATIVE})
+    return [
         (amplitude, Quantity(f, "kHz", {} if math.isnan(u) else {"exp": u}))
         for amplitude, f, u in zip(cols["amplitude"].tolist(), cols["f_khz"].tolist(), cols["u_khz"].tolist())
     ]
-    if not points:
-        raise ValueError(f"{path}: no extrapolation points")
-    return points

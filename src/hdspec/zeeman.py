@@ -312,8 +312,7 @@ def read_field_scan_csv(path: str | Path) -> tuple[list[float], list[float], lis
     """Read `B_gauss, f_khz, u_khz` rows of a field-extrapolation scan.
 
     B_gauss and f_khz must be finite and u_khz finite and positive.
+    Faults are `read_table`'s.
     """
-    cols = read_table(path, [(("B_gauss", "f_khz"), FINITE), ("u_khz", POSITIVE)])
-    if not len(cols["B_gauss"]):
-        raise ValueError(f"{path}: no field-scan rows")
+    cols = read_table(path, {"B_gauss": FINITE, "f_khz": FINITE, "u_khz": POSITIVE})
     return cols["B_gauss"].tolist(), cols["f_khz"].tolist(), cols["u_khz"].tolist()

@@ -454,6 +454,12 @@ def test_cached_level_set_is_read_only(demo_sets, basis1):
     assert all(not a.flags.writeable for a in shared)
     with pytest.raises(ValueError, match="read-only"):
         blocks.f_blocks[0].terms[0, 0, 0] = 1.0
+    # the field-free m_F states each level set keeps, one array per m_F
+    for demo in demo_sets.values():
+        for m_f in range(-(demo.n_rot + 2), demo.n_rot + 3):
+            states = angular.m_states(demo, m_f)
+            assert not states.flags.writeable
+            assert angular.m_states(demo, m_f) is states
 
 
 def test_level_set_cache_is_bounded(demo_sets, basis0):

@@ -863,6 +863,11 @@ MALFORMED_JSON = {
         "determinations[0].value must be a number",
     ),
     "empty-object": (["compare", "--input"], {}, "determinations is missing"),
+    "unknown-reference": (
+        ["compare", "--input"],
+        {"reference": "nosuch", "determinations": [{"label": "a", "value": 1.0, "u": 0.5}]},
+        "reference 'nosuch' is not among the determinations",
+    ),
 }
 
 
@@ -981,3 +986,77 @@ def test_reproduce_paper_evaluates_coefficient_anchors(tmp_path, monkeypatch):
     for row in rows[13:]:
         assert row["checks"]
         assert not row["detail"].startswith("error:")
+
+
+# --- flags that select a model, a reference or a sign ---------------------------------
+# Each report is compared with the library call the flag selects.
+
+DFG = ["--f-rep-hz", "80e6", "--f-ceo-hz", "35e6", "--n1", "3521728", "--n2", "2789120",
+       "--beat1-hz", "20e6", "--beat2-hz=-10e6"]
+
+
+def test_compare_reference_flag_that_names_no_determination_is_a_config_error(tmp_path, capsys):
+    assert run(tmp_path, "compare", "--reference", "nosuch") == 2
+    assert capsys.readouterr().err == "config error: --reference 'nosuch' is not among the determinations\n"
+    assert not list(tmp_path.glob("compare.*"))
+
+
+def test_compare_reference_flag_sets_the_zero_pull(tmp_path):
+    from hdspec import constants
+
+    label = "Penning-trap masses"
+    assert run(tmp_path, "compare", "--reference", label) == 0
+    payload = load_json(tmp_path, "compare")
+    assert payload["reference"] == label
+    assert [r["pull"] for r in payload["rows"] if r["label"] == label] == [0.0]
+    rows = cli._read_determinations(bundled.data_path("determinations_mp_over_me.json"))[2]
+    assert [r["pull"] for r in payload["rows"]] == [r.pull for r in constants.comparison_report(rows, label)]
+
+
+def test_extrapolate_rf_linear_flag_is_the_linear_model(tmp_path):
+    from hdspec import systematics
+
+    src = bundled.data_path("line12_rf.csv")
+    assert run(tmp_path, "extrapolate-rf", "--input", str(src), "--nominal-amplitude", "1.0", "--linear") == 0
+    payload = load_json(tmp_path, "extrapolate_rf")
+    points = systematics.read_amplitude_csv(src)
+    f_zero, entry = systematics.rf_extrapolate(points, 1.0, linear_in_amplitude=True)
+    assert payload["f_zero"] == cli._quantity_dict(f_zero)
+    assert (payload["entry"]["correction_khz"], payload["entry"]["uncertainty_khz"]) == (
+        entry.correction, entry.uncertainty)
+    assert f_zero.value != systematics.rf_extrapolate(points, 1.0)[0].value  # the flag changes the model
+
+
+def test_fit_line_absolute_offset_gives_the_line_frequency(tmp_path):
+    offset = 58605013478.0
+    src = bundled.data_path("line12_depletion.csv")
+    assert run(tmp_path, "fit-line", "--input", str(src), "--absolute-offset-khz", str(offset)) == 0
+    payload = load_json(tmp_path, "fit_line")
+    fit = payload["fit"]
+    assert payload["line"] == {"value": offset + fit["center_khz"], "unit": "kHz",
+                               "components": {"exp": fit["fwhm_khz"] / 2}}
+
+
+@pytest.mark.parametrize("s1, s2", [(-1, 1), (1, -1), (-1, -1)])
+def test_dfg_beat_signs_enter_the_difference_frequency(tmp_path, s1, s2):
+    assert run(tmp_path, "dfg", *DFG, "--beat-sign1", str(s1), "--beat-sign2", str(s2)) == 0
+    f_rep, n1, n2, b1, b2 = 80e6, 3521728, 2789120, 20e6, -10e6
+    assert load_json(tmp_path, "dfg")["dfg_hz"] == (n1 - n2) * f_rep + s1 * b1 - s2 * b2
+
+
+def test_dfg_negative_ceo_signs_leave_the_difference_frequency(tmp_path):
+    plus, minus = tmp_path / "plus", tmp_path / "minus"
+    assert run(plus, "dfg", *DFG) == 0
+    assert run(minus, "dfg", *DFG, "--ceo-sign1", "-1", "--ceo-sign2", "-1") == 0
+    a, b = load_json(plus, "dfg"), load_json(minus, "dfg")
+    assert a["dfg_hz"] == b["dfg_hz"]
+    assert a["laser1_hz"] != b["laser1_hz"]  # the signs reached the locks
+
+
+def test_dfg_maser_offset_corrects_the_difference_frequency(tmp_path):
+    offset = 3e-13
+    assert run(tmp_path, "dfg", *DFG, "--maser-fractional-offset", str(offset)) == 0
+    payload = load_json(tmp_path, "dfg")
+    assert payload["maser_fractional_offset"] == offset
+    assert payload["dfg_corrected_hz"] == payload["dfg_hz"] * (1 - offset)
+    assert payload["dfg_corrected_hz"] != payload["dfg_hz"]

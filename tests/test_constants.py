@@ -325,8 +325,8 @@ def test_contribution_csv_roundtrip(tmp_path):
         ("x,1.0,-0.1,0", "u_khz must be finite and >= 0"),
         ("x,1.0,0.1,2", "bookkeeping must be 0 or 1"),
         ("x,1.0,0.1,-1", "bookkeeping must be 0 or 1"),
-        ("x,1.0,0.1,", "bookkeeping must be 0 or 1"),
-        ("x,1.0,0.1", "bookkeeping must be 0 or 1"),
+        ("x,1.0,0.1,", "bookkeeping has a bad numeric value ''$"),
+        ("x,1.0,0.1", "bookkeeping has a bad numeric value None$"),
         ("x,abc,0.1,0", "value_khz has a bad numeric value 'abc'$"),
         ("x,1.0,abc,0", "u_khz has a bad numeric value 'abc'$"),
     ],
@@ -341,7 +341,7 @@ def test_contribution_csv_rejects_bad_cells(tmp_path, row, msg):
 def test_contribution_csv_rejects_empty(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("name,value_khz,u_khz,bookkeeping\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="t.csv: no data rows$"):
         read_contribution_csv(path)
 
 

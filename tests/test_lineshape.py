@@ -346,7 +346,7 @@ def test_record_count_is_the_number_of_data_rows(tmp_path, capsys, min_bytes):
     "text, message",
     [
         ("detuning_khz,laser_on,depletion,run_id\n0.1,1,0.3,a\n0.2,0,0.3\n", "{path}:3: run_id is missing"),
-        ("detuning_khz,laser_on,depletion\n0.1,1,0.3\n", "'run_id'"),
+        ("detuning_khz,laser_on,depletion\n0.1,1,0.3\n", "{path}:1: missing column run_id"),
     ],
     ids=["cell", "column"],
 )
@@ -360,7 +360,7 @@ def test_run_id_is_required_though_unused(tmp_path, capsys, text, message):
 def test_decay_csv_rejects_empty(tmp_path):
     path = tmp_path / "decay.csv"
     path.write_text("detuning_khz,run_id,laser_on,depletion\n")
-    with pytest.raises(ValueError, match="no decay records"):
+    with pytest.raises(ValueError, match="decay.csv: no data rows$"):
         read_decay_csv(path)
 
 

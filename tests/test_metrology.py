@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdspec import bundled
+from hdspec.cli import main
 from hdspec.metrology import (
     CombParams,
     FrequencyTimeSeries,
@@ -317,6 +318,14 @@ def test_counter_csv_needs_two_samples(tmp_path):
     path.write_text("t_s,f_hz\n0.0,10.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="at least 2"):
         read_counter_csv(path)
+
+
+@pytest.mark.parametrize("times", [(1, 1, 1), (2, 1, 0)], ids=["repeated", "descending"])
+def test_counter_csv_times_must_increase(tmp_path, capsys, times):
+    path = tmp_path / "cnt.csv"
+    path.write_text("t_s,f_hz\n" + "".join(f"{t},10.0\n" for t in times), encoding="utf-8")
+    assert main(["adev", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: t_s must increase\n"
 
 
 def test_bundled_counter_demo_parses_and_behaves():

@@ -229,5 +229,5 @@ def test_amplitude_csv_roundtrip(tmp_path):
 def test_amplitude_csv_rejects_empty(tmp_path):
     path = tmp_path / "rf.csv"
     path.write_text("amplitude,f_khz,u_khz\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="no extrapolation points"):
+    with pytest.raises(ValueError, match="rf.csv: no data rows$"):
         read_amplitude_csv(path)

@@ -222,29 +222,29 @@ def test_fast_path_reads_clean_tables_as_the_row_path_does(tmp_path, name, varia
 @pytest.mark.parametrize("min_bytes", [0, 1 << 30], ids=["fast", "rows"])
 def test_read_table_returns_arrays_and_stripped_text(tmp_path, min_bytes):
     path = write(tmp_path, "b,a,flag,name,b\n9,1.5,1, x ,2\n9,-0.0,0,y,3\n")
-    columns = [(("a", "b"), FINITE), ("flag", FLAG), ("name", TEXT), ("u", OPTIONAL_NON_NEGATIVE)]
+    columns = {"a": FINITE, "b": FINITE, "flag": FLAG, "name": TEXT, "u": OPTIONAL_NON_NEGATIVE}
     with mock.patch.object(quantity, "_FAST_MIN_BYTES", min_bytes):
-        assert (quantity._read_fast(path, quantity._steps(columns)) is None) == bool(min_bytes)
+        assert (quantity._read_fast(path, columns) is None) == bool(min_bytes)
         cols = read_table(path, columns)
     assert cols["a"].tolist() == [1.5, -0.0] and math.copysign(1.0, cols["a"][1]) == -1.0
     assert cols["b"].tolist() == [2.0, 3.0]  # the last of a duplicated name
-    assert cols["flag"] == ["1", "0"] and cols["name"] == ["x", "y"]
+    assert cols["flag"].tolist() == [1.0, 0.0] and cols["name"] == ["x", "y"]
     assert np.isnan(cols["u"]).all() and len(cols["u"]) == 2
 
 
 @pytest.mark.parametrize(
     "text, columns, message",
     [
-        ("a,b\n1,2\n3,nan\n", [(("a", "b"), FINITE)], "t.csv:3: a and b must be finite"),
-        ("a\n1\n0\n", [("a", POSITIVE)], "t.csv:3: a must be finite and positive"),
-        ("a\n1\n-1\n", [("a", NON_NEGATIVE)], "t.csv:3: a must be finite and >= 0"),
-        ("a\n1\n1.5\n", [("a", UNIT_INTERVAL)], "t.csv:3: a must be in [0, 1], got 1.5"),
-        ("a\n1\n2\n", [("a", FLAG)], "t.csv:3: a must be 0 or 1, got '2'"),
-        ("a,b\n1,x\n2\n", [("a", FINITE), ("b", TEXT)], "t.csv:3: b is missing"),
-        ("a\n1\n1_0x\n", [("a", FINITE)], "t.csv:3: a has a bad numeric value '1_0x'"),
-        ("a,u\n1,\n2,-1\n", [("a", FINITE), ("u", OPTIONAL_NON_NEGATIVE)], "t.csv:3: u must be finite and >= 0"),
+        ("a,b\n1,2\n3,nan\n", {"a": FINITE, "b": FINITE}, "t.csv:3: b must be finite"),
+        ("a\n1\n0\n", {"a": POSITIVE}, "t.csv:3: a must be finite and positive"),
+        ("a\n1\n-1\n", {"a": NON_NEGATIVE}, "t.csv:3: a must be finite and >= 0"),
+        ("a\n1\n1.5\n", {"a": UNIT_INTERVAL}, "t.csv:3: a must be in [0, 1], got 1.5"),
+        ("a\n1\n2\n", {"a": FLAG}, "t.csv:3: a must be 0 or 1, got 2.0"),
+        ("a,b\n1,x\n2\n", {"a": FINITE, "b": TEXT}, "t.csv:3: b is missing"),
+        ("a\n1\n1_0x\n", {"a": FINITE}, "t.csv:3: a has a bad numeric value '1_0x'"),
+        ("a,u\n1,\n2,-1\n", {"a": FINITE, "u": OPTIONAL_NON_NEGATIVE}, "t.csv:3: u must be finite and >= 0"),
         # required numeric cells are parsed before any rule is checked
-        ("a,b\nnan,x\n", [("a", FINITE), ("b", POSITIVE)], "t.csv:2: b has a bad numeric value 'x'"),
+        ("a,b\nnan,x\n", {"a": FINITE, "b": POSITIVE}, "t.csv:2: b has a bad numeric value 'x'"),
     ],
 )
 def test_row_path_names_the_first_fault(tmp_path, text, columns, message):
@@ -256,40 +256,48 @@ def test_row_path_names_the_first_fault(tmp_path, text, columns, message):
 
 
 def test_small_files_are_read_row_by_row(tmp_path):
-    steps = quantity._steps([(("a", "b"), FINITE)])
+    columns = {"a": FINITE, "b": FINITE}
     small = write(tmp_path, "a,b\n" + "1,2\n" * ((quantity._FAST_MIN_BYTES - 5) // 4))
-    assert quantity._read_fast(small, steps) is None
+    assert quantity._read_fast(small, columns) is None
     with open(small, "a", encoding="utf-8") as fh:
         fh.write("3,4\n")
-    assert quantity._read_fast(small, steps)["b"].tolist()[-1] == 4.0
+    assert quantity._read_fast(small, columns)["b"].tolist()[-1] == 4.0
 
 
 def test_fast_path_scans_every_chunk_and_needs_the_whole_header_in_the_first(tmp_path):
-    steps = quantity._steps([(("a", "b"), FINITE)])
+    columns = {"a": FINITE, "b": FINITE}
     rows = "1,2\n" * 400
     with mock.patch.object(quantity, "_SCAN_BYTES", 256):
-        assert quantity._read_fast(write(tmp_path, "a,b\n" + rows), steps) is not None
+        assert quantity._read_fast(write(tmp_path, "a,b\n" + rows), columns) is not None
         # a quote or a non-ASCII byte far past the first chunk
-        assert quantity._read_fast(write(tmp_path, "a,b\n" + rows + '"3",4\n'), steps) is None
-        assert quantity._read_fast(write(tmp_path, "a,b\n" + rows + "５,4\n"), steps) is None
+        assert quantity._read_fast(write(tmp_path, "a,b\n" + rows + '"3",4\n'), columns) is None
+        assert quantity._read_fast(write(tmp_path, "a,b\n" + rows + "５,4\n"), columns) is None
         # a header that fills the first chunk may go on past it: here to a second b, the one that counts
         path = write(tmp_path, "a,b," + "x" * 300 + ",b\n" + "1,2,0,4\n" * 400)
-        assert quantity._read_fast(path, steps) is None
-        assert read_table(path, [(("a", "b"), FINITE)])["b"].tolist() == [4.0] * 400
+        assert quantity._read_fast(path, columns) is None
+        assert read_table(path, columns)["b"].tolist() == [4.0] * 400
 
 
 def test_row_path_accepts_what_float_accepts(tmp_path):
     path = write(tmp_path, "a,b\n1_0,１\n" + "1,2\n" * 300)
-    assert quantity._read_fast(path, quantity._steps([(("a", "b"), FINITE)])) is None
-    assert read_table(path, [(("a", "b"), FINITE)])["a"].tolist()[:2] == [10.0, 1.0]
+    columns = {"a": FINITE, "b": FINITE}
+    assert quantity._read_fast(path, columns) is None
+    assert read_table(path, columns)["a"].tolist()[:2] == [10.0, 1.0]
 
 
-def test_missing_column_raises_key_error_only_when_a_row_needs_it(tmp_path):
-    path = write(tmp_path, "a\n1\n")
-    with pytest.raises(KeyError, match="'b'"):
-        read_table(path, [(("a", "b"), FINITE)])
-    path = write(tmp_path, "a\n\n")
-    assert read_table(path, [(("a", "b"), FINITE)])["b"].tolist() == []
+@pytest.mark.parametrize(
+    "text, column", [("a\n1\n", "b"), ("a\n\n", "b"), ("a", "b"), ("", "a")], ids=["rows", "blank", "header", "empty"]
+)
+def test_missing_column_is_named_whether_or_not_rows_follow(tmp_path, text, column):
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError, match=rf"table\.csv:1: missing column {column}$"):
+        read_table(path, {"a": FINITE, "b": FINITE, "u": OPTIONAL_NON_NEGATIVE})
+
+
+def test_a_table_without_data_rows_is_a_fault(tmp_path):
+    path = write(tmp_path, "a,b\n\n")
+    with pytest.raises(ValueError, match=r"table\.csv: no data rows$"):
+        read_table(path, {"a": FINITE, "b": FINITE})
 
 
 # --- the CLI on malformed tables ------------------------------------------------

@@ -490,7 +490,7 @@ def test_field_scan_csv_roundtrip(tmp_path):
 def test_field_scan_csv_rejects_empty(tmp_path):
     path = tmp_path / "scan.csv"
     path.write_text("B_gauss,f_khz,u_khz\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="no field-scan rows"):
+    with pytest.raises(ValueError, match="scan.csv: no data rows$"):
         read_field_scan_csv(path)
 
 
