@@ -526,6 +526,8 @@ def _cmd_ledger(args) -> int:
     entries = _load(_entries_from_file, args.entries) if args.entries else []
     if args.include_negligible:
         entries.extend(systematics.negligible_entries())
+    if args.raw_u_khz < 0:
+        raise ConfigFailure(f"--raw-u-khz must be >= 0, got {args.raw_u_khz!r}")
     raw = Quantity(args.raw_khz, "kHz", {"exp": args.raw_u_khz})
     ledger = _run(systematics.apply_ledger, raw, entries)
     payload = ledger.report()

@@ -266,15 +266,13 @@ class FieldExtrapolation:
 def extrapolate_to_zero_field(
     b_values: Sequence[float],
     frequencies: Sequence[float],
-    uncertainties: Sequence[float] | None = None,
+    uncertainties: Sequence[float],
 ) -> FieldExtrapolation:
     """Weighted least squares of f(B) = f0 + c B^2 down to B = 0.
 
-    Weights are the inverse-variance of the supplied per-point
-    uncertainties and are treated as known a priori: the parameter
-    covariance is (X^T W X)^-1 without any rescaling by the reduced
-    chi-square.  With no uncertainties the fit is unweighted and the
-    intercept carries no uncertainty component.
+    Weights are the inverse-variance of the per-point uncertainties and
+    are treated as known a priori: the parameter covariance is
+    (X^T W X)^-1 without any rescaling by the reduced chi-square.
     """
     b = np.asarray(b_values, dtype=float)
     f = np.asarray(frequencies, dtype=float)
@@ -284,26 +282,15 @@ def extrapolate_to_zero_field(
         if b.size == 0 or np.min(b ** 2) == np.max(b ** 2):
             raise ValueError("need at least two distinct field magnitudes")
         design = np.column_stack([np.ones_like(b), b ** 2])
-
-        if uncertainties is not None:
-            u = np.asarray(uncertainties, dtype=float)
-            if u.shape != b.shape or np.any(u <= 0):
-                raise ValueError("uncertainties must be positive and match b_values")
-            w = 1.0 / u ** 2
-        else:
-            w = np.ones_like(b)
-
-        params, cov = weighted_least_squares(design, f, w)
+        u = np.asarray(uncertainties, dtype=float)
+        if u.shape != b.shape or np.any(u <= 0):
+            raise ValueError("uncertainties must be positive and match b_values")
+        params, cov = weighted_least_squares(design, f, 1.0 / u ** 2)
         resid = f - design @ params
 
-    if uncertainties is not None:
-        comp0 = {"exp": float(np.sqrt(cov[0, 0]))}
-        comp1 = {"exp": float(np.sqrt(cov[1, 1]))}
-    else:
-        comp0 = comp1 = {}
     return FieldExtrapolation(
-        Quantity(float(params[0]), "kHz", comp0),
-        Quantity(float(params[1]), "kHz/G^2", comp1),
+        Quantity(float(params[0]), "kHz", {"exp": float(np.sqrt(cov[0, 0]))}),
+        Quantity(float(params[1]), "kHz/G^2", {"exp": float(np.sqrt(cov[1, 1]))}),
         resid,
     )
 

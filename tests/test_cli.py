@@ -220,6 +220,14 @@ def test_nan_raw_frequency_is_one_line_error(tmp_path):
     assert_one_line_error(proc)
 
 
+def test_negative_raw_uncertainty_is_a_config_error_naming_the_flag(tmp_path):
+    proc = run_python("-m", "hdspec.cli", "ledger", "--raw-khz", "1", "--raw-u-khz=-1", "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: --raw-u-khz must be >= 0, got -1.0\n"
+    assert not (tmp_path / "ledger.json").exists()
+
+
 def test_nan_counter_row_is_one_line_error(tmp_path):
     lines = bundled.data_path("demo_counter.csv").read_text().splitlines()
     lines[3] = lines[3].split(",")[0] + ",nan"

@@ -1,5 +1,6 @@
 """Comb arithmetic, maser correction, and Allan-deviation statistics."""
 
+import decimal
 import math
 
 import numpy as np
@@ -16,8 +17,6 @@ from hdspec.metrology import (
     _gamma_p,
     _gammaincinv,
     _log1pmx,
-    _series_or_fraction_p,
-    _temme_p,
     allan_deviation,
     dfg_frequency,
     laser_frequency,
@@ -123,7 +122,7 @@ def test_white_fm_slope_is_minus_half_over_a_decade():
     loga = np.log([r[1] for r in rows])
     slope = np.polyfit(logt, loga, 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.05)
-    assert rows[0][1] == pytest.approx(sigma, rel=0.05)
+    assert rows[0][1] == pytest.approx(sigma, rel=0.05, abs=0)
 
 
 def test_constant_series_has_zero_deviation():
@@ -261,13 +260,32 @@ def test_log1pmx_keeps_its_digits_near_zero(s):
     assert _log1pmx(s) == pytest.approx(want, rel=2e-15, abs=0)
 
 
-@pytest.mark.parametrize("a", [20.0, 47.3, 200.0, 1e3])
-def test_temme_expansion_agrees_with_series_and_fraction(a):
-    # both evaluations are exact to rounding where the expansion is used, and
-    # the series and the continued fraction need no coefficient table
+def _decimal_gamma_p(a: int, x: float) -> float:
+    """P(a, x) = 1 - e^-x sum_{k < a} x^k / k! for integer a, at 300 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 300
+        xd = decimal.Decimal(x)
+        term = total = decimal.Decimal(1)
+        for k in range(1, a):
+            term = term * xd / k
+            total += term
+        return float(1 - (-xd).exp() * total)
+
+
+@pytest.mark.parametrize("a", [20, 200, 2000])
+def test_gamma_p_matches_a_decimal_oracle_at_integer_a(a):
+    # x from 0.7 a to 1.3 a: the series below a + 1 and the continued fraction above
     for s in (-0.3, -0.15, -0.03, 0.0, 0.06, 0.2, 0.3):
         x = a * (1.0 + s)
-        assert _temme_p(a, x) == pytest.approx(_series_or_fraction_p(a, x), rel=3e-14, abs=0)
+        assert _gamma_p(float(a), x) == pytest.approx(_decimal_gamma_p(a, x), rel=3e-14, abs=0)
+
+
+@pytest.mark.parametrize("a", [1e6, 1e7])
+@pytest.mark.parametrize("p", [0.16, 0.84])
+def test_gammaincinv_is_within_one_ulp_of_the_root_at_large_a(a, p):
+    # far beyond the committed table, where the series needs ~7.5 sqrt(a) terms
+    x = _gammaincinv(a, p)
+    assert _gamma_p(a, math.nextafter(x, 0.0)) <= p <= _gamma_p(a, math.nextafter(x, math.inf))
 
 
 def test_tau_must_be_integer_multiple():
@@ -301,6 +319,17 @@ def test_series_validation():
         FrequencyTimeSeries(0.0, np.zeros(10))
     with pytest.raises(ValueError, match="at least 2"):
         FrequencyTimeSeries(1.0, np.zeros(1))
+    for carrier in (0.0, -5e13, math.inf, math.nan):
+        with pytest.raises(ValueError, match="carrier_hz must be finite and positive"):
+            FrequencyTimeSeries(1.0, np.zeros(10), carrier_hz=carrier)
+
+
+@pytest.mark.parametrize("carrier", ["0", "-5e13"])
+def test_adev_with_a_non_positive_carrier_is_a_config_error(tmp_path, capsys, carrier):
+    argv = ["adev", "--input", str(bundled.data_path("demo_counter.csv")), f"--carrier-hz={carrier}"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: carrier_hz must be finite and positive, got {float(carrier)}\n"
+    assert not (tmp_path / "adev.json").exists()
 
 
 # --- counter files --------------------------------------------------------------
@@ -335,5 +364,5 @@ def test_bundled_counter_demo_parses_and_behaves():
     assert len(series.samples) == 400
     ((_, adev, _, _),) = allan_deviation(series, [1.0])
     # 3 Hz white noise on a 58.6 THz carrier
-    assert adev == pytest.approx(3.0 / carrier, rel=0.2)
+    assert adev == pytest.approx(3.0 / carrier, rel=0.2, abs=0)
 

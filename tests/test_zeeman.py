@@ -432,11 +432,6 @@ def test_no_chi_square_rescaling():
     assert np.max(np.abs(noisy.residuals)) > 1.0
 
 
-def test_unweighted_fit_has_no_uncertainty_component():
-    fit = extrapolate_to_zero_field([0.2, 0.4, 0.6], [1.0, 1.1, 1.3])
-    assert fit.intercept.components == {}
-
-
 def test_weight_pulls_intercept_toward_precise_points():
     b = [0.2, 0.4, 0.6]
     f = [10.0, 10.0, 20.0]
