@@ -27,24 +27,32 @@ level.  The field-free eigenstates of one m_F block (`m_states`) are
 the highest-weight eigenvectors lowered by F_- to m_F, built once per
 level set and m_F on first use; a level's product-basis `vectors` are
 its columns of them, and `zeeman` solves each m_F block in them.
+
+The coefficient sets, their file format and the spin-theory error model
+live in `coefficients`, which builds no arrays; their names are
+importable from here too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .quantity import OPTIONAL_FINITE, OPTIONAL_POSITIVE, overflow_as_value_error, read_keys
-
-COEFF_INDICES = tuple(range(1, 10))
-ROTATIONAL_COEFFS = (1, 2, 3, 6, 7, 8, 9)
-CONTACT_COEFFS = (4, 5)
+from .coefficients import (  # noqa: F401 (imported back: see the module docstring)
+    COEFF_INDICES,
+    CONTACT_COEFFS,
+    HyperfineCoefficients,
+    SensitivityTable,
+    SpinUncertaintyParams,
+    TransitionSensitivities,
+    read_coefficient_file,
+    spin_uncertainty,
+)
+from .quantity import overflow_as_value_error
 
 SLOT_NAMES = ("s_e", "I_p", "I_d", "N")
 
@@ -238,43 +246,6 @@ def term_operator(k: int, basis: ProductBasis) -> np.ndarray:
     if k == 9:
         return quadrupole_coupling(basis)
     raise ValueError(f"coefficient index must be 1..9, got {k}")
-
-
-# ---------------------------------------------------------------------------
-# coefficients
-
-
-@dataclass(frozen=True)
-class HyperfineCoefficients:
-    """E1..E9 in kHz for one level (v, N).
-
-    ``eps_overrides`` holds optional per-coefficient fractional
-    uncertainties that replace the defaults of SpinUncertaintyParams.
-    """
-
-    v: int
-    n_rot: int
-    values: dict[int, float]
-    eps_overrides: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for k, e in self.values.items():
-            if k not in COEFF_INDICES:
-                raise ValueError(f"coefficient index must be 1..9, got {k}")
-            if not math.isfinite(e):
-                raise ValueError(f"coefficient E{k} must be finite, got {e}")
-        for k, eps in self.eps_overrides.items():
-            if k not in COEFF_INDICES or not (math.isfinite(eps) and eps > 0):
-                raise ValueError(f"bad fractional-uncertainty override eps_E{k} = {eps}")
-        if self.n_rot == 0:
-            bad = [k for k in ROTATIONAL_COEFFS if self.values.get(k, 0.0) != 0.0]
-            if bad:
-                raise ValueError(
-                    f"N=0 level admits only E4, E5; got nonzero E{bad[0]}"
-                )
-
-    def coefficient(self, k: int) -> float:
-        return self.values.get(k, 0.0)
 
 
 def _check_basis(coeffs: HyperfineCoefficients, basis: ProductBasis | None) -> None:
@@ -722,49 +693,7 @@ def sensitivities_fd(
 
 
 # ---------------------------------------------------------------------------
-# spin-theory uncertainty model
-
-
-@dataclass(frozen=True)
-class SpinUncertaintyParams:
-    """Fractional/absolute theory uncertainties of the coefficient set.
-
-    eps_fermi applies to the Fermi-contact coefficients E4, E5 of both
-    levels; eps_bp to the remaining (Breit-Pauli order alpha^2) upper
-    coefficients; u1_prime is the absolute uncertainty assigned to the
-    upper spin-rotation coefficient E1'.
-    """
-
-    eps_fermi: float = 1e-6
-    eps_bp: float = 0.0072973525693 ** 2
-    u1_prime: float = 0.05
-
-    def __post_init__(self) -> None:
-        if min(self.eps_fermi, self.eps_bp, self.u1_prime) <= 0:
-            raise ValueError("spin-uncertainty parameters must be strictly positive")
-
-
-@dataclass(frozen=True)
-class TransitionSensitivities:
-    """Sensitivity rows gamma (lower level) and gamma' (upper level)."""
-
-    transition: str
-    lower: dict[int, float]
-    upper: dict[int, float]
-
-
-@dataclass(frozen=True)
-class SensitivityTable:
-    """Sensitivities for a set of transitions sharing one level pair."""
-
-    lower_coeffs: HyperfineCoefficients
-    upper_coeffs: HyperfineCoefficients
-    rows: dict[str, TransitionSensitivities]
-
-    def row(self, transition: str) -> TransitionSensitivities:
-        if transition not in self.rows:
-            raise KeyError(f"no sensitivity row for transition {transition!r}")
-        return self.rows[transition]
+# sensitivity tables
 
 
 def transition_table(
@@ -778,106 +707,3 @@ def transition_table(
     for name, (lo_label, up_label) in transitions.items():
         rows[name] = TransitionSensitivities(name, lower.sensitivities(lo_label), upper.sensitivities(up_label))
     return SensitivityTable(lower_coeffs, upper_coeffs, rows)
-
-
-# (level, k) of each term of the spin-theory error model, in the order the terms add
-_SPIN_TERMS = (
-    *(("upper", k) for k in (1, 2, 3, 6, 7, 8, 9)),
-    *((level, k) for k in CONTACT_COEFFS for level in ("upper", "lower")),
-)
-
-
-def _spin_term_scales(table: SensitivityTable, params: SpinUncertaintyParams) -> list[tuple[float, float, float]]:
-    """(p, q, r) of each term of `_SPIN_TERMS`: the term of weighted sensitivity sum s is |(s p) q| r.
-
-    k = 1 of the upper level is |s| u1' or, with an eps_E1 override,
-    |s eps E1|; every other term is eps |s E_k|, with eps the override
-    or the Breit-Pauli (rotational) or Fermi-contact default.
-    """
-    levels = {"upper": table.upper_coeffs, "lower": table.lower_coeffs}
-    scales = []
-    for level, k in _SPIN_TERMS:
-        coeffs = levels[level]
-        eps = coeffs.eps_overrides.get(k)
-        if k == 1:
-            scales.append((1.0, 1.0, params.u1_prime) if eps is None else (eps, coeffs.values.get(1, 0.0), 1.0))
-        else:
-            default = params.eps_fermi if k in CONTACT_COEFFS else params.eps_bp
-            scales.append((coeffs.values.get(k, 0.0), 1.0, default if eps is None else eps))
-    return scales
-
-
-def _weighted_spin_terms(
-    table: SensitivityTable,
-    params: SpinUncertaintyParams,
-    weights: Mapping[str, float | np.ndarray],
-) -> float | np.ndarray:
-    """Shared absolute-sum error model over weighted transitions.
-
-    With a single transition at weight 1 this is the per-line estimate;
-    with weights (b, 1-b) it is the composite one.  Sums over transitions
-    happen inside each absolute value (coefficient errors are common to
-    all transitions), and the k-terms add as absolute values, not in
-    quadrature.  The weights may be 1-d float arrays of one length: the
-    result is then the array of estimates, from one (11, n) pass over
-    every term, each element reached by the same operations in the same
-    order as with float weights, so bit for bit equal to the float call.
-    """
-    rows = []
-    for name, w in weights.items():
-        row = table.row(name)
-        levels = {"upper": row.upper, "lower": row.lower}
-        rows.append(([levels[level][k] for level, k in _SPIN_TERMS], w))
-    scales = _spin_term_scales(table, params)
-    if any(isinstance(w, np.ndarray) for _, w in rows):
-        # sum() starts from 0 as the float path does; the products commute exactly
-        s = sum(np.array(gammas)[:, None] * w for gammas, w in rows)
-        p, q, r = (np.array(col)[:, None] for col in zip(*scales))
-        # a running sum over the terms adds them one by one, in order
-        return np.cumsum(np.abs(s * p * q) * r, axis=0)[-1]
-    s = [0] * len(_SPIN_TERMS)
-    for gammas, w in rows:
-        s = [acc + w * g for acc, g in zip(s, gammas)]
-    u = 0.0
-    for x, (p, q, r) in zip(s, scales):
-        u += abs(x * p * q) * r
-    return u
-
-
-def spin_uncertainty(
-    transition: str, table: SensitivityTable, params: SpinUncertaintyParams | None = None
-) -> float:
-    """Theory uncertainty (kHz) of one transition's spin frequency."""
-    params = params or SpinUncertaintyParams()
-    return _weighted_spin_terms(table, params, {transition: 1.0})
-
-
-# ---------------------------------------------------------------------------
-# coefficient file
-
-
-_SECTION_RE = re.compile(r"^\[v=(\d+),\s*N=(\d+)\]$")
-_COEFF_RULES = {f"{prefix}E{k}": rule for prefix, rule in (("", OPTIONAL_FINITE), ("eps_", OPTIONAL_POSITIVE))
-                for k in COEFF_INDICES}
-
-
-def read_coefficient_file(path: str | Path) -> dict[tuple[int, int], HyperfineCoefficients]:
-    """Parse a sectioned key-value coefficient file.
-
-    Sections are headed ``[v=0,N=0]``; keys are ``E1``..``E9`` (kHz) and
-    optional ``eps_E1``..``eps_E9`` fractional-uncertainty overrides.
-    Unknown keys are rejected.  Each section must define E4 and E5, and
-    for N >= 1 the full E1..E9 set.
-    """
-    out = {}
-    for header, lineno, keys in read_keys(path, _COEFF_RULES, _SECTION_RE):
-        v, n_rot = int(header.group(1)), int(header.group(2))
-        if (v, n_rot) in out:
-            raise ValueError(f"{path}:{lineno}: duplicate section {header.string}")
-        missing = [k for k in (CONTACT_COEFFS if n_rot == 0 else COEFF_INDICES) if f"E{k}" not in keys]
-        if missing:
-            raise ValueError(f"{path}: section [v={v},N={n_rot}] missing E{missing[0]}")
-        values = {int(key[1:]): x for key, x in keys.items() if key.startswith("E")}
-        eps = {int(key[5:]): x for key, x in keys.items() if key.startswith("eps_")}
-        out[(v, n_rot)] = HyperfineCoefficients(v, n_rot, values, eps)
-    return out

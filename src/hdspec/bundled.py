@@ -16,10 +16,10 @@ from .quantity import FINITE, NON_NEGATIVE, OPTIONAL_FINITE, OPTIONAL_NON_NEGATI
 # The loaders import the modules they read with, so that `import hdspec.cli`
 # (parser defaults, --help) and the commands that need no arrays stay cheap.
 if TYPE_CHECKING:
-    from .angular import HyperfineCoefficients
+    from .coefficients import HyperfineCoefficients
     from .constants import ConstantSet, ContributionTable, ScalingModel
-    from .systematics import ShiftLedger
-    from .zeeman import FieldExtrapolation, ZeemanCouplings
+    from .systematics import FieldExtrapolation, ShiftLedger
+    from .zeeman import ZeemanCouplings
 
 CONSTANT_PROFILES = ("codata2018", "penning")
 
@@ -109,19 +109,19 @@ def load_measured_lines(path: str | Path | None = None) -> dict:
 
 
 def load_coefficients() -> dict[tuple[int, int], HyperfineCoefficients] | None:
-    """The evaluated coefficient file, or None while only the template ships."""
-    from .angular import read_coefficient_file
-
+    """The evaluated coefficient file, or None (importing no reader) while only the template ships."""
     try:
         path = data_path("hfs_coefficients.conf")
     except FileNotFoundError:
         return None
+    from .coefficients import read_coefficient_file
+
     parsed = read_coefficient_file(path)
     return parsed or None
 
 
 def load_demo_coefficients() -> dict[tuple[int, int], HyperfineCoefficients]:
-    from .angular import read_coefficient_file
+    from .coefficients import read_coefficient_file
 
     return read_coefficient_file(data_path("demo_coefficients.conf"))
 
@@ -132,8 +132,15 @@ def corrected_line(line: str) -> tuple[FieldExtrapolation, ShiftLedger]:
     ledger.corrected carries the corrected line frequency with the full
     `exp` uncertainty (statistical and systematic in quadrature).
     """
-    from .systematics import apply_ledger, light_shift_entry, negligible_entries, read_amplitude_csv, rf_extrapolate
-    from .zeeman import extrapolate_to_zero_field, read_field_scan_csv
+    from .systematics import (
+        apply_ledger,
+        extrapolate_to_zero_field,
+        light_shift_entry,
+        negligible_entries,
+        read_amplitude_csv,
+        read_field_scan_csv,
+        rf_extrapolate,
+    )
 
     if line not in TRANSITION_LEVELS:
         raise ValueError(f"unknown line {line!r}")

@@ -12,12 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .quantity import finite, float_overflow_as_value_error
+
 
 def critical_wavelength(delta_rho: float) -> float:
-    """lambda_c = 2 pi delta_rho, both in micrometer."""
+    """lambda_c = 2 pi delta_rho, both in micrometer.
+
+    Beyond float64 it is ValueError `critical wavelength overflows float64 (...)`.
+    """
     if delta_rho <= 0:
         raise ValueError(f"radial spread must be positive, got {delta_rho}")
-    return 2.0 * math.pi * delta_rho
+    with float_overflow_as_value_error("critical wavelength"):
+        lambda_c = 2.0 * math.pi * delta_rho
+        finite("2 pi delta_rho", lambda_c)
+    return lambda_c
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,10 @@ computation starts.
 
 The commands are one table, `COMMANDS`.  A handler, and each helper it
 calls, imports the analysis modules it runs, so a command loads only
-those (and numpy only if one of them builds arrays); `--help` and the
-parser defaults read nothing beyond `bundled` and `quantity`.
+those, and numpy only if one of them builds arrays: on the bundled
+inputs carrier, dfg, ledger, compare, extract, extrapolate-b and
+extrapolate-rf start without it.  `--help` and the parser defaults read
+nothing beyond `bundled` and `quantity`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .quantity import (
 )
 
 if TYPE_CHECKING:
-    from . import angular, composite, constants, metrology, systematics, zeeman
+    from . import coefficients, composite, constants, metrology, systematics, zeeman
 
 
 class _Failure(Exception):
@@ -264,10 +266,10 @@ def _parse_level(text: str) -> tuple[int, int]:
 
 def _resolve_coefficients(args) -> dict | None:
     """Coefficient sets from --coefficients, else --demo, else the bundled file (None if absent)."""
-    from . import angular
-
     if args.coefficients is not None:
-        return _load(angular.read_coefficient_file, args.coefficients)
+        from .coefficients import read_coefficient_file
+
+        return _load(read_coefficient_file, args.coefficients)
     if getattr(args, "demo", False):
         return _load(bundled.load_demo_coefficients)
     return _load(bundled.load_coefficients)
@@ -292,14 +294,14 @@ def _transition_sets(sets: dict):
     return sets[(0, 0)], sets[(1, 1)]
 
 
-def _standard_table(sets: dict) -> angular.SensitivityTable:
+def _standard_table(sets: dict) -> coefficients.SensitivityTable:
     from . import angular
 
     lower, upper = _transition_sets(sets)
     return _run(angular.transition_table, lower, upper, bundled.TRANSITION_LEVELS)
 
 
-def _optional_tables(args) -> angular.SensitivityTable | None:
+def _optional_tables(args) -> coefficients.SensitivityTable | None:
     """Sensitivity table when a coefficient source is available, else None."""
     sets = _resolve_coefficients(args)
     return None if sets is None else _standard_table(sets)
@@ -332,7 +334,7 @@ def _composite_input(args) -> tuple[dict, composite.CompositeInput]:
 
 
 def _cmd_spin_structure(args) -> int:
-    from . import angular
+    from . import angular, coefficients
 
     sets = _coefficient_sets(args)
     payload: dict = {"sections": {}}
@@ -363,7 +365,7 @@ def _cmd_spin_structure(args) -> int:
                 "lower_level": list(lo),
                 "upper_level": list(up),
                 "f_spin_khz": float(_run(angular.spin_frequency, (upper, up), (lower, lo))),
-                "u_spin_khz": float(_run(angular.spin_uncertainty, tid, table)),
+                "u_spin_khz": float(_run(coefficients.spin_uncertainty, tid, table)),
                 "gamma_lower": {f"E{k}": float(row.lower[k]) for k in sorted(row.lower)},
                 "gamma_upper": {f"E{k}": float(row.upper[k]) for k in sorted(row.upper)},
             }
@@ -444,15 +446,15 @@ def _cmd_zeeman_coeffs(args) -> int:
 
 
 def _cmd_extrapolate_b(args) -> int:
-    from . import zeeman
+    from . import systematics
 
-    b, f, u = _load(zeeman.read_field_scan_csv, args.input)
-    ext = _run(zeeman.extrapolate_to_zero_field, b, f, u)
+    b, f, u = _load(systematics.read_field_scan_csv, args.input)
+    ext = _run(systematics.extrapolate_to_zero_field, b, f, u)
     payload = {
         "n_points": len(b),
         "intercept": _quantity_dict(ext.intercept),
         "curvature": _quantity_dict(ext.curvature),
-        "residuals_khz": [float(r) for r in ext.residuals],
+        "residuals_khz": list(ext.residuals),
     }
     print(f"f(B=0) = {parenthetical(ext.intercept)}  curvature {ext.curvature.value:+.4g} kHz/G^2")
     _write_json(args.out_dir, "extrapolate_b", payload)
@@ -540,7 +542,7 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_composite(args) -> int:
-    from . import angular, composite
+    from . import coefficients, composite
 
     lines, inp = _composite_input(args)
     if inp.tables is None:
@@ -548,7 +550,7 @@ def _cmd_composite(args) -> int:
             raise ConfigFailure("--optimize needs a sensitivity table; pass --coefficients FILE or --demo")
         b12, profile = args.b12, composite.fallback_profile(inp)
     else:
-        weights = _run(composite.optimize_weight, inp.tables, angular.SpinUncertaintyParams())
+        weights = _run(composite.optimize_weight, inp.tables, coefficients.SpinUncertaintyParams())
         b12, profile = (weights.b_star if args.optimize else args.b12), weights.profile
     q = _run(composite.composite_frequency, inp, b12)
 
@@ -748,7 +750,7 @@ def _cmd_carrier(args) -> int:
     if args.lambda_um is None and args.sweep is None:
         raise ConfigFailure("pass --lambda-um and/or --sweep MIN:MAX:COUNT")
     model = _load(carrier.CarrierModel, args.delta_rho_um)
-    lam_c = carrier.critical_wavelength(args.delta_rho_um)
+    lam_c = _run(carrier.critical_wavelength, args.delta_rho_um)
     payload = {"delta_rho_um": float(args.delta_rho_um), "critical_wavelength_um": float(lam_c)}
     if args.lambda_um is not None:
         strength = _load(carrier.carrier_strength, args.lambda_um, model)
@@ -769,7 +771,7 @@ def _cmd_carrier(args) -> int:
 
 def _anchors(sets: dict | None) -> list[tuple]:
     """(name, compute) per anchor; compute() returns (quantity, value, target, tol) checks, or is None (skip)."""
-    from . import angular, carrier, composite, constants, lineshape, zeeman
+    from . import angular, carrier, coefficients, composite, constants, lineshape, zeeman
 
     lines = _load(bundled.load_measured_lines)
     theory = constants.theory_frequency(_load(bundled.load_contributions, "codata2018")).value
@@ -849,8 +851,8 @@ def _anchors(sets: dict | None) -> list[tuple]:
         for tid, f_target, u_target in (("12", -38686.1, 0.8), ("16", 2607.7, 0.9)):
             lo, up = bundled.TRANSITION_LEVELS[tid]
             checks.append((f"f_spin_{tid}_khz", angular.spin_frequency((upper, up), (lower, lo)), f_target, 0.5))
-            checks.append((f"u_spin_{tid}_khz", angular.spin_uncertainty(tid, table), u_target, 0.1))
-        wp = composite.optimize_weight(table, angular.SpinUncertaintyParams())
+            checks.append((f"u_spin_{tid}_khz", coefficients.spin_uncertainty(tid, table), u_target, 0.1))
+        wp = composite.optimize_weight(table, coefficients.SpinUncertaintyParams())
         flat = [u for b, u in wp.profile if 0.2 <= b <= 0.8]
         return checks + [
             ("u_spin_min_khz", wp.u_star, 0.85, 0.1),

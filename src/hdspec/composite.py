@@ -8,18 +8,19 @@ experimental parts combine in quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .angular import (
-    SensitivityTable,
-    SpinUncertaintyParams,
-    _read_only,
-    _weighted_spin_terms,
-)
+from .coefficients import SensitivityTable, SpinUncertaintyParams, _weighted_spin_terms
 from .quantity import Quantity
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported only by `optimize_weight`: a composite without a
+# sensitivity table, and `extract`, start without it
 
 TRANSITION_IDS = ("12", "16")
 
@@ -81,7 +82,16 @@ def _fallback_spin_uncertainty(inp: CompositeInput, b12: float) -> float:
 
 # b12 of the flatness profile of `optimize_weight`: 0, 0.01, ..., 1
 _PROFILE_GRID = tuple(round(0.01 * i, 2) for i in range(101))
-_PROFILE_B12 = _read_only(np.array(_PROFILE_GRID))
+
+
+@functools.cache
+def _profile_b12() -> np.ndarray:
+    """`_PROFILE_GRID` as a read-only array, built on first use."""
+    import numpy as np
+
+    b12 = np.array(_PROFILE_GRID)
+    b12.flags.writeable = False
+    return b12
 
 
 def fallback_profile(inp: CompositeInput) -> tuple[tuple[float, float], ...]:
@@ -117,8 +127,10 @@ def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> 
                 b = g16[k] / denom
                 if 0.0 < b < 1.0:
                     candidates.add(b)
+    import numpy as np
+
     n = len(_PROFILE_GRID)
-    b12 = np.concatenate([_PROFILE_B12, sorted(candidates)])
+    b12 = np.concatenate([_profile_b12(), sorted(candidates)])
     u = composite_spin_uncertainty(tables, params, b12)
     best = n + int(np.argmin(u[n:]))
     return WeightProfile(float(b12[best]), float(u[best]), tuple(zip(_PROFILE_GRID, u[:n].tolist())))

@@ -280,7 +280,7 @@ def read_decay_csv(path: str | Path) -> DecayScan:
     kept.  Faults are `read_table`'s.
     """
     cols = read_table(path, {"detuning_khz": FINITE, "depletion": UNIT_INTERVAL, "laser_on": FLAG, "run_id": TEXT})
-    return DecayScan(cols["detuning_khz"], cols["laser_on"] == 1, cols["depletion"])
+    return DecayScan(cols["detuning_khz"], np.asarray(cols["laser_on"]) == 1, cols["depletion"])
 
 
 def fit_report(fit: LineFit) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .quantity import FINITE, overflow_as_value_error, read_table
+from .quantity import FINITE, finite, float_overflow_as_value_error, overflow_as_value_error, read_table
 
 # numpy is imported inside the functions that build arrays (see `quantity`)
 
@@ -47,9 +47,15 @@ class CombParams:
 
 
 def laser_frequency(comb: CombParams, index: int) -> float:
-    """f_i = n_i f_rep + s_ceo f_ceo + s_beat f_beat,i in Hz."""
+    """f_i = n_i f_rep + s_ceo f_ceo + s_beat f_beat,i in Hz.
+
+    Beyond float64 it is ValueError `laser <i + 1> frequency overflows float64 (...)`.
+    """
     lock = comb.lasers[index]
-    return lock.n * comb.f_rep + lock.ceo_sign * comb.f_ceo + lock.beat_sign * lock.f_beat
+    with float_overflow_as_value_error(f"laser {index + 1} frequency"):
+        f = lock.n * comb.f_rep + lock.ceo_sign * comb.f_ceo + lock.beat_sign * lock.f_beat
+        finite(f"f{index + 1}", f)
+    return f
 
 
 def dfg_frequency(comb: CombParams) -> float:
@@ -57,14 +63,18 @@ def dfg_frequency(comb: CombParams) -> float:
 
     f0 = (n1 - n2) f_rep + s1 f_beat,1 - s2 f_beat,2.  The offset term
     never enters the arithmetic, so the result is bit-identical for any
-    f_ceo; this requires both locks to use the same ceo sign.
+    f_ceo; this requires both locks to use the same ceo sign.  Beyond
+    float64 it is ValueError `difference frequency overflows float64 (...)`.
     """
     if len(comb.lasers) < 2:
         raise ValueError("difference frequency needs two laser locks")
     l1, l2 = comb.lasers[0], comb.lasers[1]
     if l1.ceo_sign != l2.ceo_sign:
         raise ValueError("ceo signs differ: offset cancellation is not guaranteed")
-    return (l1.n - l2.n) * comb.f_rep + l1.beat_sign * l1.f_beat - l2.beat_sign * l2.f_beat
+    with float_overflow_as_value_error("difference frequency"):
+        f0 = (l1.n - l2.n) * comb.f_rep + l1.beat_sign * l1.f_beat - l2.beat_sign * l2.f_beat
+        finite("f0", f0)
+    return f0
 
 
 def maser_correct(f: float, fractional_offset: float) -> float:
@@ -277,12 +287,16 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
     """Read a `t_s, f_hz` counter log into a uniform time series.
 
     Both columns must be finite, with at least 2 rows, and t_s must
-    increase in even steps.  Table faults are `read_table`'s.
+    increase in even steps.  With a carrier (`adev --carrier-hz`), every
+    f_hz must lie strictly between 0 and twice the carrier, so that each
+    fractional sample has |y| < 1; a carrier that no sample is near
+    would give deviations that round to 0.  Table faults are
+    `read_table`'s.
     """
     import numpy as np
 
     cols = read_table(path, {"t_s": FINITE, "f_hz": FINITE})
-    t, f = cols["t_s"], cols["f_hz"]
+    t, f = np.asarray(cols["t_s"]), np.asarray(cols["f_hz"])
     if len(t) < 2:
         raise ValueError(f"{path}: need at least 2 counter samples")
     dt = np.diff(t)
@@ -291,5 +305,14 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
     tau0 = float(np.median(dt))
     if np.any(np.abs(dt - tau0) > 1e-6 * tau0):
         raise ValueError(f"{path}: sampling is not uniform")
-    return FrequencyTimeSeries(tau0, f, carrier_hz=carrier_hz)
+    series = FrequencyTimeSeries(tau0, f, carrier_hz=carrier_hz)
+    if carrier_hz is not None:
+        with np.errstate(over="ignore"):  # a sample that overflows is as far off as any
+            far = np.abs(series.fractional) >= 1
+        if far.any():
+            raise ValueError(
+                f"{path}: f_hz {float(f[far][0])!r} is not within a factor 2 of --carrier-hz {carrier_hz!r} "
+                "(every f_hz must lie between 0 and twice the carrier)"
+            )
+    return series
 

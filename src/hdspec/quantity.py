@@ -14,6 +14,7 @@ that names the file.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import json
@@ -25,7 +26,8 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 # numpy is imported inside the functions that build arrays: the commands that
-# build none (carrier, dfg, ledger, compare) then start without it
+# build none (carrier, dfg, ledger, compare, extract, extrapolate-b and
+# extrapolate-rf on small inputs) then start without it
 
 
 def _validated_components(components: Mapping[str, float]) -> dict[str, float]:
@@ -132,18 +134,27 @@ def overflow_as_value_error(what: str):
         raise ValueError(f"{what} overflows float64 ({exc})") from None
 
 
-def weighted_least_squares(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parameters and covariance of the fit of `y` on the columns of `design` with weights `w`.
+@contextlib.contextmanager
+def float_overflow_as_value_error(what: str):
+    """The pure-Python counterpart of `overflow_as_value_error`, for arithmetic on Python floats.
 
-    The weights are a priori inverse variances, so the covariance is
-    (X^T W X)^-1 without rescaling by the reduced chi-square.  A singular
-    normal matrix raises numpy's LinAlgError.
+    Python's `*`, `+` and `-` overflow to an infinity or NaN without a
+    word; `**`, `math.fsum` and a division by zero raise.  Inside the
+    block, `finite` turns a value that is not finite into an
+    OverflowError, and every OverflowError or ZeroDivisionError becomes
+    one ValueError `<what> overflows float64 (<detail>)`.
     """
-    import numpy as np
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"{what} overflows float64 ({exc.args[-1] if exc.args else exc})") from None
 
-    xtw = design.T * w
-    cov = np.linalg.inv(xtw @ design)
-    return cov @ (xtw @ y), cov
+
+def finite(name: str, *values: float) -> None:
+    """Raise OverflowError `<name> = <value>` at the first of `values` that is not finite."""
+    for v in values:
+        if not math.isfinite(v):
+            raise OverflowError(f"{name} = {v!r}")
 
 
 def parenthetical(q: Quantity, digits: int = 2) -> str:
@@ -230,12 +241,15 @@ _ROW_PATH_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _FAST_MIN_BYTES = 1024
 _SCAN_BYTES = 1 << 16
 
-def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, np.ndarray | list[str]]:
+def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, np.ndarray | array.array | list[str]]:
     """Read and check the named columns of a CSV file with a header row.
 
     `columns` maps each column name to its Rule.  Returns each numeric
-    column as a float array and each text column as a list of stripped
-    strings, one entry per data row; blank lines are skipped.
+    column as a float64 sequence with `tolist()` (a numpy array from the
+    fast path, an `array.array('d')` from the row path, so a small file
+    is read without numpy) and each text column as a list of stripped
+    strings, one entry per data row; blank lines are skipped.  A caller
+    that wants arrays takes `np.asarray` of the columns.
 
     Fast path: a pure-ASCII file of at least `_FAST_MIN_BYTES` without
     quotes, NUL or \\x1c-\\x1f is parsed with one `np.loadtxt` for the
@@ -326,8 +340,6 @@ def _accepted(rule: Rule, values: np.ndarray) -> bool:
 
 def _read_rows(path, columns: Mapping[str, Rule]) -> dict:
     """The table row by row; the first fault raises ValueError as `read_table` describes."""
-    import numpy as np
-
     required = [n for n, rule in columns.items() if rule.accepts is not None and not rule.optional]
     out: dict = {n: [] for n in columns}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -359,7 +371,7 @@ def _read_rows(path, columns: Mapping[str, Rule]) -> dict:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not any(out.values()):
         raise ValueError(f"{path}: no data rows")
-    return {n: v if columns[n].accepts is None else np.array(v, dtype=float) for n, v in out.items()}
+    return {n: v if columns[n].accepts is None else array.array("d", v) for n, v in out.items()}
 
 
 def _fault(path, line: int, name: str, rule: Rule, value) -> str:

@@ -5,25 +5,30 @@ Each perturbation enters as a named ledger entry carrying a correction
 was established.  Entry uncertainties combine in quadrature into the
 `exp` component; they are independent measurement determinations,
 unlike the spin-theory budget which sums absolute values.
+
+Measured line positions are extrapolated to zero magnetic field (f0 + c
+B^2) and to zero trap-RF amplitude (f0 + k A^2, or f0 + k A), each by
+`line_fit`, one closed-form weighted fit of a straight line on plain
+Python floats: no module here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .quantity import (
     FINITE,
     OPTIONAL_NON_NEGATIVE,
+    POSITIVE,
     Quantity,
-    overflow_as_value_error,
+    finite,
+    float_overflow_as_value_error,
     read_table,
-    weighted_least_squares,
 )
-
-# numpy is imported inside the functions that build arrays (see `quantity`)
 
 ENTRY_BASES = ("measured-extrapolation", "theoretical-bound", "set-to-zero")
 
@@ -82,16 +87,114 @@ class ShiftLedger:
 
 
 def apply_ledger(raw: Quantity, entries: Sequence[ShiftEntry]) -> ShiftLedger:
-    """Apply all corrections; quadrature the uncertainties into `exp`."""
+    """Apply all corrections; quadrature the uncertainties into `exp`.
+
+    A corrected value or uncertainty beyond float64 raises ValueError
+    `systematic-shift ledger overflows float64 (...)`.
+    """
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise ValueError(f"duplicate ledger entry name {dup!r}")
-    value = raw.value + sum(e.correction for e in entries)
-    u_exp = math.sqrt(raw.component("exp") ** 2 + sum(e.uncertainty ** 2 for e in entries))
+    with float_overflow_as_value_error("systematic-shift ledger"):
+        value = raw.value + sum(e.correction for e in entries)
+        u_exp = math.sqrt(raw.component("exp") ** 2 + sum(e.uncertainty ** 2 for e in entries))
+        finite("corrected value", value)
+        finite("exp uncertainty", u_exp)
     corrected = raw.with_component("exp", u_exp)
     corrected = Quantity(value, raw.unit, corrected.components)
     return ShiftLedger(raw, corrected, tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# extrapolations
+
+
+def _fsum(name: str, terms: Iterable[float]) -> float:
+    """`math.fsum` of `terms`, each of which must be finite (see `quantity.finite`)."""
+    terms = list(terms)
+    finite(name, *terms)
+    return math.fsum(terms)
+
+
+def line_fit(
+    x: Sequence[float], y: Sequence[float], w: Sequence[float], what: str
+) -> tuple[float, float, float, float]:
+    """Weighted least squares of y = a + b x: (a, b, var a, var b).
+
+    The weights are a priori inverse variances, so the variances are the
+    diagonal of (X^T W X)^-1, not rescaled by the reduced chi-square.
+    The normal equations are solved about the weighted mean x_m of x
+    (y_m that of y) with exactly rounded sums (`math.fsum`):
+    b = sum w (x - x_m)(y - y_m) / S, a = y_m - b x_m, var b = 1 / S and
+    var a = 1 / sum w + x_m^2 / S, with S = sum w (x - x_m)^2.  S = 0 is
+    a singular design, ValueError `singular <what>`; a sum or a result
+    beyond float64 raises OverflowError, for a caller to run the fit
+    under `quantity.float_overflow_as_value_error`.
+    """
+    sw = _fsum("sum w", w)
+    x_m = _fsum("sum w x", map(operator.mul, w, x)) / sw
+    y_m = _fsum("sum w y", map(operator.mul, w, y)) / sw
+    dx = [xi - x_m for xi in x]
+    s = _fsum("sum w dx^2", [wi * d * d for wi, d in zip(w, dx)])
+    if s == 0.0:
+        raise ValueError(f"singular {what}")
+    slope = _fsum("sum w dx dy", [wi * d * (yi - y_m) for wi, d, yi in zip(w, dx, y)]) / s
+    intercept = y_m - slope * x_m
+    var_intercept, var_slope = 1.0 / sw + x_m * x_m / s, 1.0 / s
+    finite("fit parameter", intercept, slope, var_intercept, var_slope)
+    return intercept, slope, var_intercept, var_slope
+
+
+def _inverse_variances(u: Sequence[float]) -> list[float]:
+    """1 / u^2 of each uncertainty; a u^2 beyond float64, or one that underflows to 0, raises as in `line_fit`."""
+    squares = [ui * ui for ui in u]
+    finite("u^2", *squares)
+    return [1.0 / v for v in squares]  # ZeroDivisionError where u^2 underflows
+
+
+@dataclass(frozen=True)
+class FieldExtrapolation:
+    """Result of the quadratic zero-field extrapolation."""
+
+    intercept: Quantity
+    curvature: Quantity
+    residuals: tuple[float, ...]
+
+
+def extrapolate_to_zero_field(
+    b_values: Sequence[float],
+    frequencies: Sequence[float],
+    uncertainties: Sequence[float],
+) -> FieldExtrapolation:
+    """Weighted least squares of f(B) = f0 + c B^2 down to B = 0: `line_fit` on B^2.
+
+    Weights are the inverse-variance of the per-point uncertainties and
+    are treated as known a priori: the parameter covariance is
+    (X^T W X)^-1 without any rescaling by the reduced chi-square.  Any
+    sequences of numbers will do; arithmetic beyond float64 raises
+    ValueError `zero-field extrapolation fit overflows float64 (...)`.
+    """
+    b, f = [float(v) for v in b_values], [float(v) for v in frequencies]
+    if len(b) != len(f):
+        raise ValueError("b_values and frequencies must be 1-d and the same length")
+    what = "zero-field extrapolation fit"
+    with float_overflow_as_value_error(what):
+        x = [v * v for v in b]
+        finite("B^2", *x)
+        if not x or min(x) == max(x):
+            raise ValueError("need at least two distinct field magnitudes")
+        u = [float(v) for v in uncertainties]
+        if len(u) != len(b) or not all(v > 0 for v in u):
+            raise ValueError("uncertainties must be positive and match b_values")
+        f0, c, var_f0, var_c = line_fit(x, f, _inverse_variances(u), what)
+        residuals = tuple(fi - (f0 + c * xi) for xi, fi in zip(x, f))
+        finite("residual", *residuals)
+    return FieldExtrapolation(
+        Quantity(f0, "kHz", {"exp": math.sqrt(var_f0)}),
+        Quantity(c, "kHz/G^2", {"exp": math.sqrt(var_c)}),
+        residuals,
+    )
 
 
 def rf_extrapolate(
@@ -105,36 +208,33 @@ def rf_extrapolate(
     the mean-squared field); a linear-in-A fallback is available for
     sensitivity studies.  Weights are a priori inverse variances of the
     per-point `exp` components, so the parameter covariance is not
-    rescaled by the reduced chi-square.  The ledger entry's correction
-    moves a measurement at the nominal amplitude to zero amplitude.
+    rescaled by the reduced chi-square; without a positive `exp` on
+    every point the fit is unweighted and carries no uncertainty.  The
+    ledger entry's correction moves a measurement at the nominal
+    amplitude to zero amplitude.  The fit is `line_fit` on A^2 (or A);
+    arithmetic beyond float64 raises ValueError `RF extrapolation fit
+    overflows float64 (...)`.
     """
-    import numpy as np
-
     if len(points) < 3:
         raise ValueError(f"need at least 3 amplitude points, got {len(points)}")
-    amps = np.array([float(a) for a, _ in points])
-    if amps.min() == amps.max():
+    amps = [float(a) for a, _ in points]
+    if min(amps) == max(amps):
         raise ValueError("singular fit: all amplitudes are identical")
-    f = np.array([q.value for _, q in points])
-    u = np.array([q.component("exp") for _, q in points])
-    with overflow_as_value_error("RF extrapolation fit"):
-        basis = amps if linear_in_amplitude else amps ** 2
-        w = 1.0 / u ** 2 if np.all(u > 0) else np.ones_like(f)
-
-        design = np.column_stack([np.ones_like(basis), basis])
-        try:
-            (f0, k), cov = weighted_least_squares(design, f, w)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("singular RF extrapolation fit") from exc
-        x_nom = np.float64(nominal_amplitude)  # numpy arithmetic, so an overflow raises here
-        if not linear_in_amplitude:
-            x_nom = x_nom ** 2
-        correction = float(-k * x_nom)
-        u_corr = float(math.sqrt(cov[1, 1]) * x_nom) if np.all(u > 0) else 0.0
-
-    comp = {"exp": float(math.sqrt(cov[0, 0]))} if np.all(u > 0) else {}
-    f_zero = Quantity(float(f0), points[0][1].unit, comp)
+    f = [q.value for _, q in points]
+    u = [q.component("exp") for _, q in points]
+    weighted = all(v > 0 for v in u)
     model = "A" if linear_in_amplitude else "A^2"
+    what = "RF extrapolation fit"
+    with float_overflow_as_value_error(what):
+        x = amps if linear_in_amplitude else [a * a for a in amps]
+        x_nom = nominal_amplitude if linear_in_amplitude else nominal_amplitude * nominal_amplitude
+        finite(model, *x, x_nom)
+        f0, k, var_f0, var_k = line_fit(x, f, _inverse_variances(u) if weighted else [1.0] * len(u), what)
+        correction = -k * x_nom
+        u_corr = math.sqrt(var_k) * x_nom if weighted else 0.0
+        finite("correction", correction, u_corr)
+
+    f_zero = Quantity(f0, points[0][1].unit, {"exp": math.sqrt(var_f0)} if weighted else {})
     entry = ShiftEntry(
         name="trap RF field (Stark)",
         correction=correction,
@@ -212,3 +312,13 @@ def read_amplitude_csv(path: str | Path) -> list[tuple[float, Quantity]]:
         (amplitude, Quantity(f, "kHz", {} if math.isnan(u) else {"exp": u}))
         for amplitude, f, u in zip(cols["amplitude"].tolist(), cols["f_khz"].tolist(), cols["u_khz"].tolist())
     ]
+
+
+def read_field_scan_csv(path: str | Path) -> tuple[list[float], list[float], list[float]]:
+    """Read `B_gauss, f_khz, u_khz` rows of a field-extrapolation scan.
+
+    B_gauss and f_khz must be finite and u_khz finite and positive.
+    Faults are `read_table`'s.
+    """
+    cols = read_table(path, {"B_gauss": FINITE, "f_khz": FINITE, "u_khz": POSITIVE})
+    return cols["B_gauss"].tolist(), cols["f_khz"].tolist(), cols["u_khz"].tolist()

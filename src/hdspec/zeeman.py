@@ -12,8 +12,8 @@ coefficients of a transition are exact at B = 0: Hellmann-Feynman gives
 the linear term and second-order perturbation theory the quadratic one,
 over the same states (Bakalov, Korobov & Schiller, J. Phys. B 44, 025003
 (2011)); their truncation over a field grid is the largest deviation of
-the solved shift from that quadratic model.  Measured line positions are
-extrapolated to zero field with a pure-quadratic weighted fit.
+the solved shift from that quadratic model.  The zero-field extrapolation
+of measured line positions is `systematics.extrapolate_to_zero_field`.
 """
 
 from __future__ import annotations
@@ -33,15 +33,7 @@ from .angular import (
     _level_set,
     m_states,
 )
-from .quantity import (
-    FINITE,
-    POSITIVE,
-    Quantity,
-    overflow_as_value_error,
-    read_keys,
-    read_table,
-    weighted_least_squares,
-)
+from .quantity import FINITE, overflow_as_value_error, read_keys
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
@@ -252,54 +244,3 @@ def transition_truncation(
         energies.append(energy)
     shift = (energies[1] - energies[0]) - (energies[1][0] - energies[0][0])
     return model, float(np.max(np.abs(shift - (model.linear * b + model.quadratic * b ** 2))))
-
-
-@dataclass(frozen=True)
-class FieldExtrapolation:
-    """Result of the quadratic zero-field extrapolation."""
-
-    intercept: Quantity
-    curvature: Quantity
-    residuals: np.ndarray
-
-
-def extrapolate_to_zero_field(
-    b_values: Sequence[float],
-    frequencies: Sequence[float],
-    uncertainties: Sequence[float],
-) -> FieldExtrapolation:
-    """Weighted least squares of f(B) = f0 + c B^2 down to B = 0.
-
-    Weights are the inverse-variance of the per-point uncertainties and
-    are treated as known a priori: the parameter covariance is
-    (X^T W X)^-1 without any rescaling by the reduced chi-square.
-    """
-    b = np.asarray(b_values, dtype=float)
-    f = np.asarray(frequencies, dtype=float)
-    if b.shape != f.shape or b.ndim != 1:
-        raise ValueError("b_values and frequencies must be 1-d and the same length")
-    with overflow_as_value_error("zero-field extrapolation fit"):
-        if b.size == 0 or np.min(b ** 2) == np.max(b ** 2):
-            raise ValueError("need at least two distinct field magnitudes")
-        design = np.column_stack([np.ones_like(b), b ** 2])
-        u = np.asarray(uncertainties, dtype=float)
-        if u.shape != b.shape or np.any(u <= 0):
-            raise ValueError("uncertainties must be positive and match b_values")
-        params, cov = weighted_least_squares(design, f, 1.0 / u ** 2)
-        resid = f - design @ params
-
-    return FieldExtrapolation(
-        Quantity(float(params[0]), "kHz", {"exp": float(np.sqrt(cov[0, 0]))}),
-        Quantity(float(params[1]), "kHz/G^2", {"exp": float(np.sqrt(cov[1, 1]))}),
-        resid,
-    )
-
-
-def read_field_scan_csv(path: str | Path) -> tuple[list[float], list[float], list[float]]:
-    """Read `B_gauss, f_khz, u_khz` rows of a field-extrapolation scan.
-
-    B_gauss and f_khz must be finite and u_khz finite and positive.
-    Faults are `read_table`'s.
-    """
-    cols = read_table(path, {"B_gauss": FINITE, "f_khz": FINITE, "u_khz": POSITIVE})
-    return cols["B_gauss"].tolist(), cols["f_khz"].tolist(), cols["u_khz"].tolist()

@@ -252,17 +252,63 @@ def test_overflowing_fits_are_one_line_data_errors(tmp_path):
     rf = huge_value_table(tmp_path, "amplitude,f_khz,u_khz", ["1e200,1.0,0.1", "2e200,2.0,0.1", "3e200,3.0,0.1"])
     field = huge_value_table(tmp_path, "B_gauss,f_khz,u_khz", ["1e200,1.0,0.1", "2e200,2.0,0.1", "3e200,3.0,0.1"])
     counter = huge_value_table(tmp_path, "t_s,f_hz", [f"{i}.0,{(-1) ** i}e300" for i in range(20)])
+    loose, tight = tmp_path / "loose.csv", tmp_path / "tight.csv"
+    loose.write_text("B_gauss,f_khz,u_khz\n0.2,1.0,1e200\n0.4,2.0,0.1\n0.6,3.0,0.1\n")
+    tight.write_text("amplitude,f_khz,u_khz\n1.0,1.0,1e-200\n2.0,2.0,0.1\n3.0,3.0,0.1\n")
+    loose, tight = str(loose), str(tight)
     cases = [
-        (["extrapolate-rf", "--input", rf, "--nominal-amplitude", "1.0"], "RF extrapolation fit"),
-        (["extrapolate-b", "--input", field], "zero-field extrapolation fit"),
-        (["adev", "--input", counter], "Allan deviation"),
+        (["extrapolate-rf", "--input", rf, "--nominal-amplitude", "1.0"], "RF extrapolation fit overflows float64 (A^2 = inf)"),
+        (["extrapolate-rf", "--input", tight, "--nominal-amplitude", "1.0"],
+         "RF extrapolation fit overflows float64 (float division by zero)"),  # u^2 underflows to 0
+        (["extrapolate-rf", "--input", tight, "--nominal-amplitude", "1e200"], "RF extrapolation fit overflows float64 (A^2 = inf)"),
+        (["extrapolate-b", "--input", field], "zero-field extrapolation fit overflows float64 (B^2 = inf)"),
+        (["extrapolate-b", "--input", loose], "zero-field extrapolation fit overflows float64 (u^2 = inf)"),
+        (["adev", "--input", counter], "Allan deviation overflows float64 (overflow encountered in square)"),
     ]
-    for argv, what in cases:
+    for argv, message in cases:
         proc = run_python("-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path / "out"))
         assert proc.returncode == 1, argv
-        assert proc.stderr == f"data error: {what} overflows float64 (overflow encountered in square)\n"
+        assert proc.stderr == f"data error: {message}\n"
         assert proc.stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_ledger_dfg_and_carrier_are_one_line_data_errors_naming_the_step(tmp_path):
+    """Finite flags whose arithmetic overflows float64: one data error naming the step, and no report written."""
+    entries = tmp_path / "entries.json"
+    entries.write_text(json.dumps([{"name": "x", "correction_khz": 1e308, "uncertainty_khz": 0.1,
+                                    "basis": "measured-extrapolation"}]))
+    dfg = ["dfg", "--n1", "3521728", "--n2", "2789120", "--beat1-hz", "20e6", "--beat2-hz=-10e6"]
+    cases = [
+        (["ledger", "--raw-khz", "1", "--raw-u-khz", "1e308"],
+         "systematic-shift ledger overflows float64 (Numerical result out of range)"),
+        (["ledger", "--raw-khz", "1e308", "--raw-u-khz", "1", "--entries", str(entries), "--format", "csv"],
+         "systematic-shift ledger overflows float64 (corrected value = inf)"),
+        ([*dfg, "--f-rep-hz", "1e308"], "laser 1 frequency overflows float64 (f1 = inf)"),
+        (["dfg", "--f-rep-hz", "1", "--n1", "2", "--n2", "1", "--beat1-hz", "1e308", "--beat2-hz=-1e308"],
+         "difference frequency overflows float64 (f0 = inf)"),  # each laser is finite
+        (["carrier", "--delta-rho-um", "1e308", "--lambda-um", "5.1", "--sweep", "1:12:23"],
+         "critical wavelength overflows float64 (2 pi delta_rho = inf)"),
+    ]
+    for argv, message in cases:
+        proc = run_python("-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1, argv
+        assert proc.stderr == f"data error: {message}\n"
+        assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_adev_carrier_that_no_sample_is_near_is_a_config_error(tmp_path):
+    """Samples at or beyond a factor 2 of the carrier (|y| >= 1) would give deviations that round to 0."""
+    log = bundled.data_path("demo_counter.csv")
+    for carrier in ("1e308", "1e-300", "1e13"):
+        proc = run_python("-m", "hdspec.cli", "adev", "--input", str(log), "--carrier-hz", carrier,
+                          "--out-dir", str(tmp_path))
+        assert_one_line_error(proc)
+        assert proc.returncode == 2, carrier
+        assert proc.stderr.startswith(f"config error: {log}: f_hz "), proc.stderr
+        assert f"--carrier-hz {float(carrier)!r}" in proc.stderr
+        assert not (tmp_path / "adev.json").exists()
 
 
 BAD_CSV_CELLS = [
@@ -543,18 +589,29 @@ def test_commands_do_not_load_scipy(tmp_path):
     assert (tmp_path / "adev.json").exists()
 
 
-ARRAY_FREE_COMMANDS = ("carrier", "dfg", "ledger", "compare")
+# the commands that build no array on the bundled inputs, and the hdspec modules each loads
+# beyond those of `import hdspec.cli` (hdspec, hdspec.bundled, hdspec.cli, hdspec.quantity)
+ARRAY_FREE_COMMANDS = {
+    "carrier": ["hdspec.carrier"],
+    "dfg": ["hdspec.metrology"],
+    "ledger": ["hdspec.systematics"],
+    "compare": ["hdspec.constants"],
+    "extract": ["hdspec.coefficients", "hdspec.composite", "hdspec.constants"],
+    "extrapolate-b": ["hdspec.systematics"],
+    "extrapolate-rf": ["hdspec.systematics"],
+}
+CSV_FORMAT_COMMANDS = ("ledger", "extract")
 
 
 def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
-    # each command imports only the modules it runs, and these four build no array
+    # each command imports only the modules it runs, and these build no array
     script = (
         "import contextlib, sys\n"
         "import hdspec.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hdspec'))\n"
-        f"for name in {ARRAY_FREE_COMMANDS!r}:\n"
+        f"for name in {list(ARRAY_FREE_COMMANDS)!r}:\n"
         f"    argv = [name, *{BUNDLED_RUNS!r}[name], '--out-dir', {str(tmp_path)!r}]\n"
-        "    argv += ['--format', 'csv'] if name == 'ledger' else []\n"
+        f"    argv += ['--format', 'csv'] if name in {CSV_FORMAT_COMMANDS!r} else []\n"
         "    assert hdspec.cli.main(argv) == 0, name\n"
         "for argv in (['--help'], ['ledger', '--help']):\n"
         "    with contextlib.redirect_stdout(sys.stderr):\n"
@@ -569,8 +626,29 @@ def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == str(["hdspec", "hdspec.bundled", "hdspec.cli", "hdspec.quantity"])
     assert lines[-1] == "[]"
-    for stem in ("carrier_sweep.csv", "dfg.json", "ledger.csv", "compare.csv"):
+    for stem in ("carrier_sweep.csv", "dfg.json", "ledger.csv", "compare.csv", "extract_components.csv",
+                 "extrapolate_b.json", "extrapolate_rf.json"):
         assert (tmp_path / stem).exists(), stem
+
+
+@pytest.mark.parametrize("name", ARRAY_FREE_COMMANDS)
+def test_array_free_command_loads_only_its_modules(tmp_path, name):
+    """In a fresh interpreter: no numpy, and of hdspec only the modules the command runs (never angular or zeeman)."""
+    argv = [name, *BUNDLED_RUNS[name], "--out-dir", str(tmp_path)]
+    argv += ["--format", "csv"] if name in CSV_FORMAT_COMMANDS else []
+    script = (
+        "import contextlib, io, sys\n"
+        "from hdspec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('hdspec', 'numpy')))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = proc.stdout.strip().splitlines()
+    assert code == "0"
+    assert modules == str(sorted(["hdspec", "hdspec.bundled", "hdspec.cli", "hdspec.quantity", *ARRAY_FREE_COMMANDS[name]]))
 
 
 def test_commands_do_not_load_numpy_ma(tmp_path):

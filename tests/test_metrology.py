@@ -357,6 +357,23 @@ def test_counter_csv_times_must_increase(tmp_path, capsys, times):
     assert capsys.readouterr().err == f"config error: {path}: t_s must increase\n"
 
 
+@pytest.mark.parametrize(
+    "f_hz, ok", [(19.999999999999996, True), (20.0, False), (1e-15, True), (5e-324, False), (0.0, False), (-1.0, False)]
+)
+def test_counter_csv_samples_must_lie_within_a_factor_2_of_the_carrier(tmp_path, f_hz, ok):
+    # carrier 10 Hz: a fractional sample (f - 10) / 10 must have |y| < 1 (5e-324 rounds to y = -1)
+    path = tmp_path / "cnt.csv"
+    path.write_text(f"t_s,f_hz\n0.0,10.0\n1.0,{f_hz!r}\n2.0,10.0\n", encoding="utf-8")
+    if ok:
+        assert read_counter_csv(path, carrier_hz=10.0).samples.tolist() == [10.0, f_hz, 10.0]
+        return
+    with pytest.raises(ValueError) as exc:
+        read_counter_csv(path, carrier_hz=10.0)
+    assert str(exc.value) == (f"{path}: f_hz {f_hz!r} is not within a factor 2 of --carrier-hz 10.0 "
+                              "(every f_hz must lie between 0 and twice the carrier)")
+    assert read_counter_csv(path).samples.tolist() == [10.0, f_hz, 10.0]  # without a carrier any finite f_hz will do
+
+
 def test_bundled_counter_demo_parses_and_behaves():
     carrier = 58605052164255.0
     series = read_counter_csv(bundled.data_path("demo_counter.csv"), carrier_hz=carrier)

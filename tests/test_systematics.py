@@ -1,19 +1,25 @@
-"""Systematic-shift ledger and its standard entries."""
+"""Systematic-shift ledger, its standard entries, and the zero-field and zero-RF extrapolations."""
 
+import array
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import bundled
-from hdspec.quantity import Quantity
+from hdspec import bundled, quantity
+from hdspec.quantity import FINITE, OPTIONAL_NON_NEGATIVE, POSITIVE, Quantity
 from hdspec.systematics import (
     ENTRY_BASES,
     LIGHT_SHIFT_KHZ_PER_AU_W_M2,
     ShiftEntry,
     apply_ledger,
+    extrapolate_to_zero_field,
     light_shift_entry,
+    line_fit,
     negligible_entries,
     read_amplitude_csv,
     rf_extrapolate,
@@ -145,6 +151,132 @@ def test_bundled_rf_uncertainty_scale():
     # under 0.7 per-point units; at nominal amplitude 1 this is the
     # correction uncertainty directly
     assert corr.uncertainty == pytest.approx(0.1167, abs=2e-4)
+
+
+def test_underflowing_designs_are_singular():
+    # distinct amplitudes and fields whose squares (or spreads of squares) underflow: S = 0
+    pts = [(a, Quantity(1.0 + i, "kHz", {"exp": 0.1})) for i, a in enumerate((1e-170, 2e-170, 3e-170))]
+    with pytest.raises(ValueError, match="^singular RF extrapolation fit$"):
+        rf_extrapolate(pts, 1.0)
+    with pytest.raises(ValueError, match="^singular zero-field extrapolation fit$"):
+        extrapolate_to_zero_field([1e-100, 2e-100, 3e-100], [1.0, 2.0, 3.0], [0.15] * 3)
+
+
+def test_overflowing_ledger_names_the_ledger():
+    with pytest.raises(ValueError, match=r"^systematic-shift ledger overflows float64 \("):
+        apply_ledger(Quantity(1.0, "kHz", {"exp": 1e308}), [])
+    with pytest.raises(ValueError, match=r"^systematic-shift ledger overflows float64 \(exp uncertainty = inf\)$"):
+        apply_ledger(Quantity(1.0, "kHz", {"exp": 1e154}), [entry("a", 0.0, 1e154), entry("b", 0.0, 1e154)])
+
+
+# --- the closed-form fit against a least-squares oracle -------------------------
+
+# An oracle apart from `line_fit`: numpy's SVD least squares on the design scaled by sqrt(w), and
+# the covariance from the same SVD.  Each parameter must agree to ORACLE_REL of the data's own
+# scale Y = 1 + max|y| (in kHz, so that data near 0 are not held to subnormal bits): the intercept
+# to ORACLE_REL Y, the slope to ORACLE_REL Y / (max x - min x), and each variance to ORACLE_REL of
+# itself.  The oracle's own error grows with the spread of the weights (up to 1e6 here): at 1e-12
+# it fails the bound on some draws where `line_fit` is exact, at 1e-10 on none of 7500 per test.
+ORACLE_REL = 1e-10
+
+
+def lstsq_line(x, y, w):
+    sw = np.sqrt(np.asarray(w, dtype=float))
+    design = np.column_stack([sw, sw * np.asarray(x, dtype=float)])
+    (a, b), *_ = np.linalg.lstsq(design, sw * np.asarray(y, dtype=float), rcond=None)
+    _, s, vt = np.linalg.svd(design, full_matrices=False)
+    cov = (vt.T / s**2) @ vt
+    return a, b, cov[0, 0], cov[1, 1]
+
+
+def assert_matches_oracle(got, x, y, w):
+    a, b, var_a, var_b = lstsq_line(x, y, w)
+    scale = 1.0 + max(map(abs, y))
+    assert abs(got[0] - a) <= ORACLE_REL * scale
+    assert abs(got[1] - b) <= ORACLE_REL * scale / (max(x) - min(x))
+    assert got[2] == pytest.approx(var_a, rel=ORACLE_REL, abs=0)
+    assert got[3] == pytest.approx(var_b, rel=ORACLE_REL, abs=0)
+
+
+# points spread over at least a tenth of their range, so the design is well conditioned for the oracle too
+SPREAD = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=30).filter(lambda v: max(v) - min(v) >= 0.1)
+OFFSETS = st.sampled_from([0.0, 478.33, -3.5e4, 58605013478.33])
+
+
+@settings(max_examples=60)
+@given(b=SPREAD, offset=OFFSETS, data=st.data())
+def test_zero_field_fit_matches_a_lstsq_oracle(b, offset, data):
+    n = len(b)
+    f = [offset + d for d in data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))]
+    u = data.draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+    b = [math.sqrt(v) for v in b]  # so that B^2 spreads as drawn
+    x = [v * v for v in b]
+    if max(x) - min(x) < 0.05:
+        return
+    fit = extrapolate_to_zero_field(b, f, u)
+    got = (fit.intercept.value, fit.curvature.value, fit.intercept.component("exp") ** 2,
+           fit.curvature.component("exp") ** 2)
+    assert_matches_oracle(got, x, f, [1.0 / (v * v) for v in u])
+    assert fit.residuals == tuple(fi - (got[0] + got[1] * xi) for xi, fi in zip(x, f))
+
+
+@settings(max_examples=60)
+@given(amps=SPREAD, offset=OFFSETS, linear=st.booleans(), nominal=st.floats(0.1, 3.0), data=st.data())
+def test_unweighted_rf_fit_matches_a_lstsq_oracle(amps, offset, linear, nominal, data):
+    """No u_khz: every weight is 1, and neither f0 nor the entry carries an uncertainty."""
+    n = len(amps)
+    f = [offset + d for d in data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
+    x = amps if linear else [a * a for a in amps]
+    if max(x) - min(x) < 0.05:
+        return
+    f_zero, entry_ = rf_extrapolate([(a, Quantity(v, "kHz")) for a, v in zip(amps, f)], nominal, linear)
+    a, k, _, _ = lstsq_line(x, f, [1.0] * n)
+    scale = 1.0 + max(map(abs, f))
+    assert abs(f_zero.value - a) <= ORACLE_REL * scale
+    x_nom = nominal if linear else nominal * nominal
+    assert abs(entry_.correction + k * x_nom) <= ORACLE_REL * scale / (max(x) - min(x)) * x_nom
+    assert f_zero.components == {} and entry_.uncertainty == 0.0
+
+
+@settings(max_examples=60)
+@given(x=SPREAD, offset=OFFSETS, data=st.data())
+def test_line_fit_matches_a_lstsq_oracle(x, offset, data):
+    n = len(x)
+    y = [offset + d for d in data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
+    w = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    assert_matches_oracle(line_fit(x, y, w, "fit"), x, y, w)
+
+
+# --- the same table by the fast path and the row path -------------------------------
+
+
+CELL = st.floats(-1e3, 1e3).map(repr)
+
+
+@settings(max_examples=30)
+@given(
+    rows=st.lists(st.tuples(st.floats(0.1, 2.0), CELL, st.floats(0.01, 1.0)), min_size=3, max_size=12)
+    .filter(lambda rows: len({r[0] for r in rows}) > 1)
+)
+def test_fast_path_arrays_and_row_path_sequences_give_bit_identical_fits(rows):
+    """The fits take numpy arrays (the fast path) and array('d') (the row path) alike, with the same bits out."""
+    width = -(-1024 // (3 * len(rows)))  # pad the cells so the file reaches the fast path's minimum size
+    text = "B_gauss,f_khz,u_khz\n" + "".join(",".join(f"{c!s:>{width}}" for c in row) + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        path.write_text(text, encoding="utf-8")
+        fits = []
+        for columns in ({"B_gauss": FINITE, "f_khz": FINITE, "u_khz": POSITIVE},
+                        {"B_gauss": FINITE, "f_khz": FINITE, "u_khz": OPTIONAL_NON_NEGATIVE}):
+            fast, rows_ = quantity._read_fast(path, columns), quantity._read_rows(path, columns)
+            assert all(isinstance(v, np.ndarray) for v in fast.values())
+            assert all(isinstance(v, array.array) for v in rows_.values())
+            for cols in (fast, rows_):
+                b, f, u = cols["B_gauss"], cols["f_khz"], cols["u_khz"]
+                field = extrapolate_to_zero_field(b, f, u)
+                rf = rf_extrapolate([(a, Quantity(v, "kHz", {"exp": e})) for a, v, e in zip(b, f, u)], 1.0)
+                fits.append(repr((field, rf)))
+    assert fits[0] == fits[1] and fits[2] == fits[3]
 
 
 # --- light shift and negligible rows ----------------------------------------

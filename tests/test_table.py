@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import constants, lineshape, metrology, quantity, systematics, zeeman
+from hdspec import constants, lineshape, metrology, quantity, systematics
 from hdspec.cli import main
 from hdspec.quantity import FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, UNIT_INTERVAL, read_table
 
@@ -31,7 +31,7 @@ def _decay(path):
 READERS = {
     "counter": (_counter, {"t_s": "time", "f_hz": "number"}),
     "decay": (_decay, {"detuning_khz": "number", "run_id": "text", "laser_on": "flag", "depletion": "unit"}),
-    "field": (zeeman.read_field_scan_csv, {"B_gauss": "number", "f_khz": "number", "u_khz": "positive"}),
+    "field": (systematics.read_field_scan_csv, {"B_gauss": "number", "f_khz": "number", "u_khz": "positive"}),
     "rf": (systematics.read_amplitude_csv, {"amplitude": "number", "f_khz": "number", "u_khz": "non_negative"}),
     "contribution": (
         constants.read_contribution_csv,

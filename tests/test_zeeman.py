@@ -22,13 +22,12 @@ from hdspec.zeeman import (
     _member,
     _state_coeffs,
     _sublevels,
-    extrapolate_to_zero_field,
     read_couplings_file,
-    read_field_scan_csv,
     transition_coeffs,
     transition_truncation,
     zeeman_map,
 )
+from hdspec.systematics import extrapolate_to_zero_field, read_field_scan_csv
 
 from dense_oracle import build_zeeman, eigenlevels
 
