@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantity import finite, float_overflow_as_value_error
+from .quantity import finite, overflow_as_value_error
 
 
 def critical_wavelength(delta_rho: float) -> float:
@@ -22,7 +22,7 @@ def critical_wavelength(delta_rho: float) -> float:
     """
     if delta_rho <= 0:
         raise ValueError(f"radial spread must be positive, got {delta_rho}")
-    with float_overflow_as_value_error("critical wavelength"):
+    with overflow_as_value_error("critical wavelength"):
         lambda_c = 2.0 * math.pi * delta_rho
         finite("2 pi delta_rho", lambda_c)
     return lambda_c

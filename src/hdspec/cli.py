@@ -369,10 +369,8 @@ def _cmd_spin_structure(args) -> int:
                 "gamma_lower": {f"E{k}": float(row.lower[k]) for k in sorted(row.lower)},
                 "gamma_upper": {f"E{k}": float(row.upper[k]) for k in sorted(row.upper)},
             }
-            print(
-                f"line {tid}: f_spin = {transitions[tid]['f_spin_khz']:.2f} kHz, "
-                f"u_spin = {transitions[tid]['u_spin_khz']:.2f} kHz"
-            )
+        for tid, t in transitions.items():  # every line computed before any is printed
+            print(f"line {tid}: f_spin = {t['f_spin_khz']:.2f} kHz, u_spin = {t['u_spin_khz']:.2f} kHz")
         payload["transitions"] = transitions
 
     _write_json(args.out_dir, "spin_structure", payload)
@@ -725,8 +723,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ConfigFailure(f"--sweep expects MIN:MAX:COUNT, got {text!r}") from exc
-    if not (0 < lo < hi) or n < 2:
-        raise ConfigFailure(f"--sweep needs 0 < MIN < MAX and COUNT >= 2, got {text!r}")
+    if not (0 < lo < hi < math.inf) or n < 2:
+        raise ConfigFailure(f"--sweep needs finite 0 < MIN < MAX and COUNT >= 2, got {text!r}")
     return lo, hi, n
 
 

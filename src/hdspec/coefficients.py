@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from .quantity import OPTIONAL_FINITE, OPTIONAL_POSITIVE, read_keys
+from .quantity import OPTIONAL_FINITE, OPTIONAL_POSITIVE, finite, overflow_as_value_error, read_keys
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,6 +150,8 @@ def _weighted_spin_terms(
     every term, each element reached by the same operations in the same
     order as with float weights, so bit for bit equal to the float call.
     Only that path imports numpy; int and float weights never reach it.
+    An estimate beyond float64 raises ValueError `spin-theory uncertainty
+    overflows float64 (...)`.
     """
     rows = []
     for name, w in weights.items():
@@ -157,20 +159,22 @@ def _weighted_spin_terms(
         levels = {"upper": row.upper, "lower": row.lower}
         rows.append(([levels[level][k] for level, k in _SPIN_TERMS], w))
     scales = _spin_term_scales(table, params)
-    if not all(isinstance(w, (int, float)) for _, w in rows):
-        import numpy as np
+    with overflow_as_value_error("spin-theory uncertainty"):
+        if not all(isinstance(w, (int, float)) for _, w in rows):
+            import numpy as np
 
-        # sum() starts from 0 as the float path does; the products commute exactly
-        s = sum(np.array(gammas)[:, None] * w for gammas, w in rows)
-        p, q, r = (np.array(col)[:, None] for col in zip(*scales))
-        # a running sum over the terms adds them one by one, in order
-        return np.cumsum(np.abs(s * p * q) * r, axis=0)[-1]
-    s = [0] * len(_SPIN_TERMS)
-    for gammas, w in rows:
-        s = [acc + w * g for acc, g in zip(s, gammas)]
-    u = 0.0
-    for x, (p, q, r) in zip(s, scales):
-        u += abs(x * p * q) * r
+            # sum() starts from 0 as the float path does; the products commute exactly
+            s = sum(np.array(gammas)[:, None] * w for gammas, w in rows)
+            p, q, r = (np.array(col)[:, None] for col in zip(*scales))
+            # a running sum over the terms adds them one by one, in order
+            return np.cumsum(np.abs(s * p * q) * r, axis=0)[-1]
+        s = [0] * len(_SPIN_TERMS)
+        for gammas, w in rows:
+            s = [acc + w * g for acc, g in zip(s, gammas)]
+        u = 0.0
+        for x, (p, q, r) in zip(s, scales):
+            u += abs(x * p * q) * r
+        finite("u_spin", u)
     return u
 
 

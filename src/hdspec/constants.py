@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .quantity import (
-    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, Quantity, checked_field, read_keys, read_table,
+    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, Quantity, checked_field, finite,
+    overflow_as_value_error, read_keys, read_table,
 )
 
 MANDATORY_CONTRIBUTIONS = (
@@ -228,7 +229,8 @@ def comparison_report(
     """Pulls (value - reference)/u of each determination.
 
     The reference is a determination label (default: the first entry);
-    its own pull is zero by construction.
+    its own pull is zero by construction.  A pull beyond float64 is
+    ValueError `comparison pull overflows float64 (...)`.
     """
     if not determinations:
         raise ValueError("need at least one determination")
@@ -237,10 +239,13 @@ def comparison_report(
     if ref_label not in labels:
         raise ValueError(f"reference {ref_label!r} is not among the determinations")
     ref_value = next(v for label, v, _ in determinations if label == ref_label)
-    return [
-        ComparisonRow(label, value, u, (value - ref_value) / u if u > 0 else 0.0)
-        for label, value, u in determinations
-    ]
+    rows = []
+    with overflow_as_value_error("comparison pull"):
+        for label, value, u in determinations:
+            pull = (value - ref_value) / u if u > 0 else 0.0
+            finite(f"pull of {label!r}", pull)
+            rows.append(ComparisonRow(label, value, u, pull))
+    return rows
 
 
 # ---------------------------------------------------------------------------

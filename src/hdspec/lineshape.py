@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantity import FINITE, FLAG, TEXT, UNIT_INTERVAL, Quantity, read_table
+from .quantity import FINITE, FLAG, TEXT, UNIT_INTERVAL, Quantity, overflow_as_value_error, read_table
 
 
 class FitError(RuntimeError):
@@ -174,6 +174,7 @@ def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([x[extremal], span / 2.0, amplitude, offset])
 
 
+@overflow_as_value_error("Lorentzian fit")
 def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
     """Damped Gauss-Newton fit of a single Lorentzian.
 
@@ -184,7 +185,9 @@ def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
     FitError with the accepted-cost trace attached.  Residuals are
     inverse-variance weighted when every point carries a sem, otherwise
     unweighted.  The parameter covariance is the unscaled (damping-free)
-    normal matrix inverse times the reduced chi-square.
+    normal matrix inverse times the reduced chi-square.  Arithmetic
+    beyond float64 raises ValueError `Lorentzian fit overflows float64
+    (...)`.
     """
     if len(points) < 5:
         raise ValueError(f"need at least 5 spectrum points, got {len(points)}")

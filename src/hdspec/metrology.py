@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .quantity import FINITE, finite, float_overflow_as_value_error, overflow_as_value_error, read_table
+from .quantity import FINITE, finite, overflow_as_value_error, read_table
 
 # numpy is imported inside the functions that build arrays (see `quantity`)
 
@@ -52,7 +52,7 @@ def laser_frequency(comb: CombParams, index: int) -> float:
     Beyond float64 it is ValueError `laser <i + 1> frequency overflows float64 (...)`.
     """
     lock = comb.lasers[index]
-    with float_overflow_as_value_error(f"laser {index + 1} frequency"):
+    with overflow_as_value_error(f"laser {index + 1} frequency"):
         f = lock.n * comb.f_rep + lock.ceo_sign * comb.f_ceo + lock.beat_sign * lock.f_beat
         finite(f"f{index + 1}", f)
     return f
@@ -71,7 +71,7 @@ def dfg_frequency(comb: CombParams) -> float:
     l1, l2 = comb.lasers[0], comb.lasers[1]
     if l1.ceo_sign != l2.ceo_sign:
         raise ValueError("ceo signs differ: offset cancellation is not guaranteed")
-    with float_overflow_as_value_error("difference frequency"):
+    with overflow_as_value_error("difference frequency"):
         f0 = (l1.n - l2.n) * comb.f_rep + l1.beat_sign * l1.f_beat - l2.beat_sign * l2.f_beat
         finite("f0", f0)
     return f0
@@ -81,11 +81,15 @@ def maser_correct(f: float, fractional_offset: float) -> float:
     """Correct a counted frequency for the maser reference offset.
 
     A maser running fast by a fractional offset makes the counter read
-    high, so the true frequency is f * (1 - fractional_offset).
+    high, so the true frequency is f * (1 - fractional_offset).  Beyond
+    float64 it is ValueError `maser correction overflows float64 (...)`.
     """
     if abs(fractional_offset) >= 1e-9:
         raise ValueError(f"implausible maser fractional offset {fractional_offset}")
-    return f * (1.0 - fractional_offset)
+    with overflow_as_value_error("maser correction"):
+        corrected = f * (1.0 - fractional_offset)
+        finite("corrected f", corrected)
+    return corrected
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ parenthetical style of precision spectroscopy.  Every input file is read
 by one reader per format, `read_table` (CSV), `read_keys` (`key = value`)
 or `read_json`.  The first two take a mapping from each column or key to
 its `Rule`, the third a shape built of Rules; a fault is one ValueError
-that names the file.
+that names the file.  Arithmetic that leaves float64, in numpy or on
+Python floats, is one ValueError that names its step: each step that can
+leave float64 runs under the one guard, `overflow_as_value_error`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -119,34 +122,23 @@ def combine_linear(terms: Sequence[tuple[float, Quantity]]) -> Quantity:
 
 @contextlib.contextmanager
 def overflow_as_value_error(what: str):
-    """Turn float64 overflow inside the block into one ValueError that names `what`.
+    """Turn arithmetic that leaves float64 inside the block into one ValueError that names `what`.
 
-    numpy would otherwise print a RuntimeWarning for each overflow,
-    division by zero or invalid operation on finite but huge inputs, and
-    leave an infinity or NaN for a later, less telling check.
+    Every ArithmeticError in the block (numpy's FloatingPointError,
+    OverflowError, ZeroDivisionError) becomes ValueError `<what>
+    overflows float64 (<detail>)`.  When numpy is loaded, its overflow,
+    division by zero and invalid operation raise inside the block rather
+    than print a RuntimeWarning and leave an infinity or NaN for a later,
+    less telling check.  A block that computes on arrays imports numpy
+    before it enters; a numpy-free command never loads it here.  Python's
+    `*`, `+` and `-` overflow to an infinity or NaN without a word:
+    `finite` turns such a value into an OverflowError.
     """
-    import numpy as np
-
+    np = sys.modules.get("numpy")
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise") if np else contextlib.nullcontext():
             yield
-    except FloatingPointError as exc:
-        raise ValueError(f"{what} overflows float64 ({exc})") from None
-
-
-@contextlib.contextmanager
-def float_overflow_as_value_error(what: str):
-    """The pure-Python counterpart of `overflow_as_value_error`, for arithmetic on Python floats.
-
-    Python's `*`, `+` and `-` overflow to an infinity or NaN without a
-    word; `**`, `math.fsum` and a division by zero raise.  Inside the
-    block, `finite` turns a value that is not finite into an
-    OverflowError, and every OverflowError or ZeroDivisionError becomes
-    one ValueError `<what> overflows float64 (<detail>)`.
-    """
-    try:
-        yield
-    except (OverflowError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:
         raise ValueError(f"{what} overflows float64 ({exc.args[-1] if exc.args else exc})") from None
 
 

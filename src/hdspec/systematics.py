@@ -26,7 +26,7 @@ from .quantity import (
     POSITIVE,
     Quantity,
     finite,
-    float_overflow_as_value_error,
+    overflow_as_value_error,
     read_table,
 )
 
@@ -96,7 +96,7 @@ def apply_ledger(raw: Quantity, entries: Sequence[ShiftEntry]) -> ShiftLedger:
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise ValueError(f"duplicate ledger entry name {dup!r}")
-    with float_overflow_as_value_error("systematic-shift ledger"):
+    with overflow_as_value_error("systematic-shift ledger"):
         value = raw.value + sum(e.correction for e in entries)
         u_exp = math.sqrt(raw.component("exp") ** 2 + sum(e.uncertainty ** 2 for e in entries))
         finite("corrected value", value)
@@ -129,8 +129,7 @@ def line_fit(
     b = sum w (x - x_m)(y - y_m) / S, a = y_m - b x_m, var b = 1 / S and
     var a = 1 / sum w + x_m^2 / S, with S = sum w (x - x_m)^2.  S = 0 is
     a singular design, ValueError `singular <what>`; a sum or a result
-    beyond float64 raises OverflowError, for a caller to run the fit
-    under `quantity.float_overflow_as_value_error`.
+    beyond float64 raises OverflowError.
     """
     sw = _fsum("sum w", w)
     x_m = _fsum("sum w x", map(operator.mul, w, x)) / sw
@@ -179,7 +178,7 @@ def extrapolate_to_zero_field(
     if len(b) != len(f):
         raise ValueError("b_values and frequencies must be 1-d and the same length")
     what = "zero-field extrapolation fit"
-    with float_overflow_as_value_error(what):
+    with overflow_as_value_error(what):
         x = [v * v for v in b]
         finite("B^2", *x)
         if not x or min(x) == max(x):
@@ -225,7 +224,7 @@ def rf_extrapolate(
     weighted = all(v > 0 for v in u)
     model = "A" if linear_in_amplitude else "A^2"
     what = "RF extrapolation fit"
-    with float_overflow_as_value_error(what):
+    with overflow_as_value_error(what):
         x = amps if linear_in_amplitude else [a * a for a in amps]
         x_nom = nominal_amplitude if linear_in_amplitude else nominal_amplitude * nominal_amplitude
         finite(model, *x, x_nom)

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hdspec
@@ -228,6 +228,23 @@ def test_negative_raw_uncertainty_is_a_config_error_naming_the_flag(tmp_path):
     assert not (tmp_path / "ledger.json").exists()
 
 
+def test_overflowing_spin_theory_uncertainty_is_one_line_data_error_before_any_output(tmp_path):
+    """The demo coefficients with eps_E4 = 1e308 on [v=1,N=1]: the error model overflows on both lines."""
+    coefficients = tmp_path / "coefficients.conf"
+    coefficients.write_text(bundled.data_path("demo_coefficients.conf").read_text() + "eps_E4 = 1e308\n")
+    cases = [
+        (["composite"], "overflow encountered in multiply"),  # the array pass over the weight profile
+        (["composite", "--optimize"], "overflow encountered in multiply"),
+        (["spin-structure"], "u_spin = inf"),  # one transition at weight 1, on Python floats
+    ]
+    for argv, detail in cases:
+        proc = run_python("-m", "hdspec.cli", *argv, "--coefficients", str(coefficients), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1, argv
+        assert proc.stderr == f"data error: spin-theory uncertainty overflows float64 ({detail})\n"
+        assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_nan_counter_row_is_one_line_error(tmp_path):
     lines = bundled.data_path("demo_counter.csv").read_text().splitlines()
     lines[3] = lines[3].split(",")[0] + ",nan"
@@ -271,6 +288,25 @@ def test_overflowing_fits_are_one_line_data_errors(tmp_path):
         assert proc.stderr == f"data error: {message}\n"
         assert proc.stdout == ""
     assert not (tmp_path / "out").exists()
+    # the bundled depletion scan with every detuning scaled: the fit overflows (x 1e200) or divides 0 by 0 (x 1e-300);
+    # a fresh process, because LAPACK would write its complaint to fd 1, past sys.stdout
+    header, *rows = bundled.data_path("line12_depletion.csv").read_text().splitlines()
+    column = header.split(",").index("detuning_khz")
+    for factor in (1e200, 1e-300):
+        scaled = [row.split(",") for row in rows]
+        for cells in scaled:
+            cells[column] = repr(float(cells[column]) * factor)
+        scan = tmp_path / f"scan{factor:g}.csv"
+        scan.write_text("\n".join([header, *map(",".join, scaled)]) + "\n")
+        out = tmp_path / f"fit{factor:g}"
+        proc = run_python("-m", "hdspec.cli", "fit-line", "--input", str(scan), "--out-dir", str(out))
+        assert proc.returncode == 1, factor
+        # numpy words the detail by version ("scalar power", "double_scalars"): the step is what is pinned
+        assert proc.stderr.startswith("data error: Lorentzian fit overflows float64 ("), proc.stderr
+        assert proc.stderr.endswith(")\n") and proc.stderr.count("\n") == 1, proc.stderr
+        # the spectrum is published before the fit, as for every fit failure
+        assert proc.stdout == f"wrote {out / 'fit_line_spectrum.csv'}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["fit_line_spectrum.csv"]
 
 
 def test_overflowing_ledger_dfg_and_carrier_are_one_line_data_errors_naming_the_step(tmp_path):
@@ -279,6 +315,9 @@ def test_overflowing_ledger_dfg_and_carrier_are_one_line_data_errors_naming_the_
     entries.write_text(json.dumps([{"name": "x", "correction_khz": 1e308, "uncertainty_khz": 0.1,
                                     "basis": "measured-extrapolation"}]))
     dfg = ["dfg", "--n1", "3521728", "--n2", "2789120", "--beat1-hz", "20e6", "--beat2-hz=-10e6"]
+    determinations = tmp_path / "determinations.json"
+    determinations.write_text(json.dumps({"reference": "a", "determinations": [
+        {"label": "a", "value": -1.7e308, "u": 1e-300}, {"label": "b", "value": 1.7e308, "u": 1}]}))
     cases = [
         (["ledger", "--raw-khz", "1", "--raw-u-khz", "1e308"],
          "systematic-shift ledger overflows float64 (Numerical result out of range)"),
@@ -289,6 +328,10 @@ def test_overflowing_ledger_dfg_and_carrier_are_one_line_data_errors_naming_the_
          "difference frequency overflows float64 (f0 = inf)"),  # each laser is finite
         (["carrier", "--delta-rho-um", "1e308", "--lambda-um", "5.1", "--sweep", "1:12:23"],
          "critical wavelength overflows float64 (2 pi delta_rho = inf)"),
+        (["dfg", "--f-rep-hz", "1e6", "--n1", "2", "--n2", "1", "--beat1-hz", "9e307", "--beat2-hz", "8.976931345e307",
+          "--beat-sign2", "-1", "--maser-fractional-offset=-9.99e-10"],
+         "maser correction overflows float64 (corrected f = inf)"),  # the difference frequency is finite
+        (["compare", "--input", str(determinations)], "comparison pull overflows float64 (pull of 'b' = inf)"),
     ]
     for argv, message in cases:
         proc = run_python("-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path / "out"))
@@ -477,7 +520,7 @@ def test_json_reports_are_what_json_dumps_writes(payload):
 def test_non_finite_report_value_is_one_line_data_error(tmp_path, capsys, value):
     with pytest.raises(ValueError) as stdlib:
         json.dumps([value], sort_keys=True, indent=2, allow_nan=False)
-    with mock.patch.object(metrology, "dfg_frequency", return_value=value):
+    with mock.patch.object(metrology, "maser_correct", return_value=value):
         code = run(tmp_path, "dfg", "--f-rep-hz", "1e8", "--n1", "2", "--n2", "1", "--beat1-hz", "0", "--beat2-hz", "0")
     assert code == 1
     assert capsys.readouterr().err == f"data error: dfg report: {stdlib.value}\n"
@@ -519,6 +562,13 @@ def test_non_finite_list_flag_is_one_line_config_error(tmp_path, capsys, argv, f
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {flag} expects comma-separated finite numbers, got {text!r}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sweep", ["1:inf:3", "1:nan:3", "-inf:12:3"])
+def test_non_finite_sweep_is_one_line_config_error(tmp_path, capsys, sweep):
+    assert run(tmp_path, "carrier", "--delta-rho-um", "2.0", f"--sweep={sweep}") == 2
+    assert capsys.readouterr().err == f"config error: --sweep needs finite 0 < MIN < MAX and COUNT >= 2, got {sweep!r}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -565,6 +615,83 @@ def test_profile_and_format_are_options_only_of_their_readers(tmp_path, capsys, 
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# values at the edges of float64, and integers beyond it, for every flag that takes a number
+EDGE_FLOATS = ("0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "1.7976931348623157e308", "-1.7976931348623157e308")
+EDGE_INTS = ("0", "1", "-1", "-7", str(2 ** 1023), str(2 ** 1024), str(-(2 ** 1024)))
+# the text flags that hold numbers, each value written into it in these ways
+NUMBER_TEXT_FLAGS = {"--b-values": ("{}", "0,{}"), "--tau-list": ("{}",), "--sweep": ("{}:12:3", "1:{}:3"),
+                     "--level": ("{},1", "1,{}")}
+
+
+def numeric_flag_texts() -> dict[str, dict[str, tuple[str, ...]]]:
+    """{command: {flag: texts}} of every flag that takes a number.
+
+    Float flags take `EDGE_FLOATS`, int flags `EDGE_INTS` (a non-integer
+    is argparse's usage error), and the text flags of `NUMBER_TEXT_FLAGS`
+    each value in each of their forms.  The sign flags take only -1 or 1
+    (argparse's choices) and are left out.
+    """
+    commands = parser_with_every_command()._subparsers._group_actions[0].choices
+    out: dict = {}
+    for name, parser in commands.items():
+        for action in parser._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if flag in NUMBER_TEXT_FLAGS:
+                values = EDGE_INTS if flag == "--level" else EDGE_FLOATS
+                texts = tuple(form.format(v) for form in NUMBER_TEXT_FLAGS[flag] for v in values)
+            elif action.type is cli._finite_float or action.type is int and action.choices is None:
+                texts = EDGE_FLOATS if action.type is cli._finite_float else EDGE_INTS
+            else:
+                continue
+            out.setdefault(name, {})[flag] = texts
+    return out
+
+
+NUMERIC_FLAGS = numeric_flag_texts()
+FLAG_RUNS = {**BUNDLED_RUNS, "composite": ["--demo"]}  # --optimize would leave --b12 unread
+
+
+def test_every_numeric_flag_is_fuzzed():
+    assert sorted(NUMERIC_FLAGS) == sorted(set(SUBCOMMANDS) - {"spin-structure", "extrapolate-b", "compare", "reproduce-paper"})
+    assert sorted(NUMERIC_FLAGS["dfg"]) == [
+        "--beat1-hz", "--beat2-hz", "--f-ceo-hz", "--f-rep-hz", "--maser-fractional-offset", "--n1", "--n2",
+    ]
+
+
+def with_flags(argv: list[str], values: dict[str, str]) -> list[str]:
+    """`argv` with each flag of `values` set to its text, as `--flag=text` (a text may start with '-')."""
+    out, skip = [], False
+    for arg in argv:
+        if skip:
+            skip = False
+        elif arg in values:
+            skip = True  # and its value
+        elif arg.partition("=")[0] not in values:
+            out.append(arg)
+    return out + [f"{flag}={text}" for flag, text in values.items()]
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_FLAGS))
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_numeric_flags_at_the_edges_of_float64_exit_cleanly(name, capfd, data):
+    """Exit 0, 1 or 2; a failure is one line on stderr; no traceback, RuntimeWarning or LAPACK line, also at fd level."""
+    flags = NUMERIC_FLAGS[name]
+    picked = data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, unique=True))
+    values = {flag: data.draw(st.sampled_from(flags[flag]), label=flag) for flag in picked}
+    capfd.readouterr()
+    with tempfile.TemporaryDirectory() as d:
+        code = main([name, *with_flags(FLAG_RUNS[name], values), "--out-dir", d])
+    out, err = capfd.readouterr()
+    assert code in (0, 1, 2)
+    assert "Warning" not in out + err and "On entry to" not in out
+    if code:
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+        assert err.startswith(("config error: ", "data error: ")), err
+    else:
+        assert err == ""
 
 
 def test_extract_takes_the_profile_and_the_csv_format_together(tmp_path):

@@ -1,12 +1,18 @@
 """Uncertainty bookkeeping primitives."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec.quantity import Quantity, combine_linear, parenthetical
+from hdspec import quantity
+from hdspec.quantity import Quantity, combine_linear, finite, overflow_as_value_error, parenthetical
 
 components_st = st.dictionaries(
     st.sampled_from(["exp", "theor_QED", "theor_spin", "CODATA", "other:tag"]),
@@ -122,3 +128,53 @@ def test_parenthetical_orders_components_by_name():
     q = Quantity(1.0, "kHz", {"theor_spin": 0.85, "exp": 0.16})
     text = parenthetical(q)
     assert text.index("_exp") < text.index("_theor_spin")
+
+
+@pytest.mark.parametrize(
+    "fault, detail",
+    [
+        (lambda: np.float64(1e308) * np.float64(10.0), "overflow encountered in scalar multiply"),
+        (lambda: np.array([1e308]) ** 2, "overflow encountered in square"),
+        (lambda: np.array([0.0]) / np.array([0.0]), "invalid value encountered in divide"),
+        (lambda: math.exp(1e308), "math range error"),
+        (lambda: 10.0 ** 400, "Numerical result out of range"),
+        (lambda: 1.0 / 0.0, "float division by zero"),
+        (lambda: finite("x", 1e308 * 10.0), "x = inf"),
+    ],
+    ids=["numpy-scalar", "numpy-array", "numpy-invalid", "math", "pow", "division", "finite"],
+)
+def test_overflow_guard_names_the_step_for_numpy_and_python_arithmetic(fault, detail):
+    with pytest.raises(ValueError) as exc:
+        with overflow_as_value_error("the step"):
+            fault()
+    if detail.startswith("overflow encountered in scalar"):  # numpy < 1.25 words a scalar operation otherwise
+        assert str(exc.value).startswith("the step overflows float64 (overflow encountered in ")
+    else:
+        assert str(exc.value) == f"the step overflows float64 ({detail})"
+
+
+def test_overflow_guard_leaves_other_errors_and_numpy_state_alone():
+    before = np.geterr()
+    with pytest.raises(RuntimeError, match="^not arithmetic$"):
+        with overflow_as_value_error("the step"):
+            raise RuntimeError("not arithmetic")
+    with overflow_as_value_error("the step"):
+        assert 1e308 * 10.0 == math.inf  # a Python float overflows in silence; `finite` is what catches it
+    assert np.geterr() == before
+
+
+def test_overflow_guard_does_not_load_numpy():
+    script = (
+        "import sys\n"
+        "from hdspec.quantity import finite, overflow_as_value_error\n"
+        "try:\n"
+        "    with overflow_as_value_error('the step'):\n"
+        "        finite('x', 1e308 * 10.0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(quantity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "the step overflows float64 (x = inf)\nFalse\n", proc.stderr

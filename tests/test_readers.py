@@ -253,14 +253,16 @@ KEY_VALUES = st.one_of(
 
 
 @st.composite
-def key_lines(draw, sections):
+def key_lines(draw, sections, numbers=None):
     """Text of `key = value` lines for `sections` ({header or None: its keys}).
 
     Half the files are complete (each key once per section, in any order,
-    with a number that is rarely bad), so that the command runs on them;
-    the other half mix keys (some twice, some missing, some unknown), odd
-    lines and section headers.
+    with a number drawn from `numbers[key]` if given, else any finite
+    float that is rarely bad), so that the command runs on them; the other
+    half mix keys (some twice, some missing, some unknown), odd lines and
+    section headers.
     """
+    numbers = numbers or {}
     keys = sorted({key for names in sections.values() for key in names})
     headers = [h for h in sections if h is not None]
     lines = []
@@ -268,7 +270,11 @@ def key_lines(draw, sections):
         for header, names in sections.items():
             lines += [header] if header else []
             for key in draw(st.permutations(names)):
-                lines.append(f"{key} = {draw(FLOATS.map(repr) if draw(st.integers(0, 9)) else KEY_VALUES)}")
+                if key in numbers:
+                    text = repr(draw(numbers[key]))
+                else:
+                    text = draw(FLOATS.map(repr) if draw(st.integers(0, 9)) else KEY_VALUES)
+                lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["pair"] * 6 + ["odd", "comment"] + (["header"] * 2 if headers else [])))
@@ -283,6 +289,14 @@ def key_lines(draw, sections):
 
 
 COUPLINGS = key_lines({None: ["c_e", "c_p", "c_d", "c_N"]})
+# the demo coefficients, so the levels solve, with fractional uncertainties at the edges of float64: the
+# spin-theory error model must not overflow in silence
+DEMO_SETS = bundled.load_demo_coefficients().values()
+COMPOSITE_NUMBERS = {
+    **{f"E{k}": st.sampled_from(sorted({c.coefficient(k) for c in DEMO_SETS})) for k in range(1, 10)},
+    **{f"eps_E{k}": st.sampled_from([5e-324, 1e-300, 1e-6, 1.0, 1e300, 1e308, 1.7976931348623157e308])
+       for k in range(1, 10)},
+}
 KEY_COMMANDS = {
     "zeeman-map": (["zeeman-map", "--demo", "--couplings"], COUPLINGS),
     "zeeman-coeffs": (
@@ -292,6 +306,13 @@ KEY_COMMANDS = {
     "spin-structure": (
         ["spin-structure", "--coefficients"],
         key_lines({"[v=0,N=0]": ["E4", "E5"], "[v=1,N=1]": [f"E{k}" for k in range(1, 10)]}),
+    ),
+    "composite": (
+        ["composite", "--optimize", "--coefficients"],
+        key_lines(
+            {"[v=0,N=0]": ["E4", "E5", "eps_E4", "eps_E5"], "[v=1,N=1]": [f"{e}E{k}" for e in ("", "eps_") for k in range(1, 10)]},
+            COMPOSITE_NUMBERS,
+        ),
     ),
 }
 
