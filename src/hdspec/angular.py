@@ -20,13 +20,17 @@ commutes with F_z and F_+, so once per N the T_k are projected onto the
 highest-weight states of each F (the kernel of F_+ on the m_F = F block,
 at most 4 of them).  A coefficient set then costs one eigh of at most
 4 x 4 per F that holds two or more levels, and none for an F that holds
-one: F is exact, each level is a (2F + 1)-fold multiplet, G1 and G2 go
-by rank of <G1^2> and <G2^2> inside the F block, and gamma_k =
-x^T T_k x.  No full-basis Hamiltonian is built to solve or to map a
-level.  The field-free eigenstates of one m_F block (`m_states`) are
-the highest-weight eigenvectors lowered by F_- to m_F, built once per
-level set and m_F on first use; a level's product-basis `vectors` are
-its columns of them, and `zeeman` solves each m_F block in them.
+one: F is exact, each level is a (2F + 1)-fold multiplet, one ordering
+of the F block's eigenvectors by <G1^2> and <G2^2> gives G1 and G2
+(`_labels`), and gamma_k = x^T T_k x.  Around that, a solve does little
+else: one comparison of max |E_k| with a bound per N decides whether H
+can leave float64 at all (only then is the solve guarded), and the
+level set keeps a map from label to level for every lookup.  No
+full-basis Hamiltonian is built to solve or to map a level.  The
+field-free eigenstates of one m_F block (`m_states`) are the
+highest-weight eigenvectors lowered by F_- to m_F, built once per level
+set and m_F on first use; a level's product-basis `vectors` are its
+columns of them, and `zeeman` solves each m_F block in them.
 
 The coefficient sets, their file format and the spin-theory error model
 live in `coefficients`, which builds no arrays; their names are
@@ -37,8 +41,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,7 +57,7 @@ from .coefficients import (  # noqa: F401 (imported back: see the module docstri
     read_coefficient_file,
     spin_uncertainty,
 )
-from .quantity import overflow_as_value_error
+from .quantity import finite, overflow_as_value_error
 
 SLOT_NAMES = ("s_e", "I_p", "I_d", "N")
 
@@ -293,10 +298,14 @@ class _FBlock:
         self.kernel = kernel  # (d, n): orthonormal columns over the m_F = F block
         self.terms = terms  # (9, n, n): the term operators T_k projected onto the kernel
         self.flat_terms = terms.reshape(len(terms), -1)  # (9, n * n): a view, so one matmul contracts it with E
+        self.shape = terms.shape[1:]  # (n, n)
         self.g1_sq, self.g2_sq = g1_sq, g2_sq  # (n, n): G1^2 and G2^2 projected onto the kernel
         self.pairs = pairs  # (G1, G2) of the n levels, ascending
-        self.g1s = tuple(g1 for g1, _ in pairs)  # the G1 of the n levels, ascending
-        self.g2s = tuple(tuple(g2 for g1, g2 in pairs if g1 == group) for group in (0, 1))  # the G2 with G1 = 0, 1
+        # G1 = 0 couples with I_d to G2 = 1 only, so at most the first pair has G1 = 0
+        self.g1_zero = int(pairs[0][0] == 0)  # how many levels take G1 = 0
+        g2s = [g2 for _, g2 in pairs[self.g1_zero:]]  # the G2 of the G1 = 1 levels, ascending
+        # (G2 below, G2 above, half the step of G2(G2 + 1)) of each neighbouring pair of them: see `_labels`
+        self.g2_ties = tuple((lo, hi, 0.5 * (hi * (hi + 1) - lo * (lo + 1))) for lo, hi in zip(g2s, g2s[1:]))
         # T_1..T_9, G1^2, G2^2: one matmul gives every gamma_k and <G^2> of an eigenvector
         self.ops = _read_only(np.concatenate([terms, g1_sq[None], g2_sq[None]]))
         # one level: its eigenvector is 1.0 whatever H is, so its expectation values are fixed
@@ -353,6 +362,11 @@ class _Blocks:
                 _FBlock(f, _read_only(kernel), project(ops, top, kernel), project(g1_sq, top, kernel),
                         project(g2_sq, top, kernel), pairs)
             )
+        # |H_ij| <= max |E_k| * sum_k |T_k,ij| <= max |E_k| * h_bound on every F block, and every energy of
+        # an F block (at most 4 levels) is at most 4 times that: below `e_limit` neither H, nor an energy, nor
+        # the difference of two energies comes within a factor 2 of float64's largest value
+        h_bound = max(float(np.abs(block.terms).sum(axis=0).max()) for block in self.f_blocks)
+        self.e_limit = sys.float_info.max / (16.0 * h_bound)
         self._lowered: dict[int, np.ndarray] = {}  # m_F -> `lowered(m_F)`
 
     def lowered(self, m_f: int) -> np.ndarray:
@@ -409,7 +423,8 @@ class SpinLevel:
     g1: int | None
     g2: int | None
     f: int
-    build_vectors: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
+    states: _States | None = field(default=None, repr=False, compare=False)  # the field-free states of its level set
+    position: int = field(default=0, repr=False, compare=False)  # its place in the levels of that set
 
     @property
     def label(self) -> tuple[int, int, int] | None:
@@ -420,28 +435,14 @@ class SpinLevel:
     @functools.cached_property
     def vectors(self) -> np.ndarray:
         """The 2F + 1 product-basis states (m_F = F .. -F) as read-only columns, built on first use."""
-        return self.build_vectors()
+        return self.states.vectors(self.position)
 
 
-def _by_rank(
-    name: str, values: Sequence[float], members: Sequence[int], js: Sequence[int], alone: Sequence[bool], f: int
-) -> dict[int, int]:
-    """Give the ascending quantum numbers `js` to `members` in ascending order of <name^2> = values.
-
-    Two members on either side of a step in j tie when their values lie
-    less than half the step of j(j+1) apart (two states that mixed by
-    more than a quarter); a tie that touches a level of its own (not a
-    coincident one) raises ClassificationError.
-    """
-    order = sorted(members, key=values.__getitem__)
-    for lo, hi, j_lo, j_hi in zip(order, order[1:], js, js[1:]):
-        step = j_hi * (j_hi + 1) - j_lo * (j_lo + 1)
-        if step and (alone[lo] or alone[hi]) and values[hi] - values[lo] < 0.5 * step:
-            raise ClassificationError(
-                f"ambiguous {name} label for a level with F={f} "
-                f"(<{name}^2> = {values[lo]:.6f} and {values[hi]:.6f} for {name} = {j_lo} and {j_hi})"
-            )
-    return dict(zip(order, js))
+def _tie(name: str, f: int, lo: float, hi: float, j_lo: int, j_hi: int) -> ClassificationError:
+    return ClassificationError(
+        f"ambiguous {name} label for a level with F={f} "
+        f"(<{name}^2> = {lo:.6f} and {hi:.6f} for {name} = {j_lo} and {j_hi})"
+    )
 
 
 def _labels(
@@ -450,30 +451,43 @@ def _labels(
     """(G1, G2) of each eigenvector of an F block, by rank; (None, None) for a level that coincides.
 
     `evals` ascend, and g1_sq, g2_sq hold <G1^2>, <G2^2> of each
-    eigenvector.  The lowest <G1^2> take G1 = 0, as many as the coupling
-    scheme puts in this F block, and the rest G1 = 1; inside each G1
-    group the G2 go by rank of <G2^2> the same way.  The traces of G1^2
-    and G2^2 over the block fix these counts, so labels hold however far
-    mixing moves each expectation value from j(j+1), short of a tie (see
-    `_by_rank`).
+    eigenvector.  One ordering of the eigenvectors gives every label: the
+    lowest <G1^2> first if the coupling scheme puts a G1 = 0 level in
+    this F block (it has G2 = 1), then the G1 = 1 levels in ascending
+    <G2^2>; the k-th of them takes the k-th of the block's ascending
+    (G1, G2) pairs.  The traces of G1^2 and G2^2 over the block fix
+    these counts, so labels hold however far mixing moves each
+    expectation value from j(j+1), short of a tie.  Two neighbours in
+    that ordering on either side of a step in j tie when their values
+    lie less than half the step of j(j+1) apart (two states that mixed
+    by more than a quarter); a tie that touches a level of its own (not
+    a coincident one) raises ClassificationError.  Equal values keep
+    the eigenvectors' order.
     """
     n = len(evals)
-    alone = [
-        (a == 0 or evals[a] - evals[a - 1] > COINCIDENT_KHZ)
-        and (a == n - 1 or evals[a + 1] - evals[a] > COINCIDENT_KHZ)
-        for a in range(n)
-    ]
-    g1 = _by_rank("G1", g1_sq, range(n), block.g1s, alone, block.f)
+    apart = [hi - lo > COINCIDENT_KHZ for lo, hi in zip(evals, evals[1:])]
+    alone = [left and right for left, right in zip([True, *apart], [*apart, True])]
+    k = block.g1_zero
+    if k:
+        order = sorted(range(n), key=g1_sq.__getitem__)
+        lo, hi = order[0], order[1]
+        if g1_sq[hi] - g1_sq[lo] < 1.0 and (alone[lo] or alone[hi]):  # half the step of G1(G1 + 1) from 0 to 1
+            raise _tie("G1", block.f, g1_sq[lo], g1_sq[hi], 0, 1)
+        order[1:] = sorted(sorted(order[1:]), key=g2_sq.__getitem__)  # the G1 = 1 levels, from their own order
+    else:
+        order = sorted(range(n), key=g2_sq.__getitem__)
+    for lo, hi, (j_lo, j_hi, half_step) in zip(order[k:], order[k + 1:], block.g2_ties):
+        if g2_sq[hi] - g2_sq[lo] < half_step and (alone[lo] or alone[hi]):
+            raise _tie("G2", block.f, g2_sq[lo], g2_sq[hi], j_lo, j_hi)
     labels: list[tuple[int | None, int | None]] = [(None, None)] * n
-    for group, js in enumerate(block.g2s):
-        members = [a for a in range(n) if g1[a] == group]
-        for a, g2 in _by_rank("G2", g2_sq, members, js, alone, block.f).items():
-            if alone[a]:
-                labels[a] = (group, g2)
+    for a, pair in zip(order, block.pairs):
+        if alone[a]:
+            labels[a] = pair
     return labels
 
 
 def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> SpinLevel:
+    """The one level of `levels` with `label`, by a scan; a level set looks its own levels up in `labelled`."""
     label = tuple(label)
     matches = [lv for lv in levels if lv.label == label]
     if len(matches) != 1:
@@ -527,6 +541,27 @@ class _States:
         return _read_only(out)
 
 
+def _solve_blocks(blocks: _Blocks, e: np.ndarray) -> tuple[list, list[np.ndarray]]:
+    """(energy, F, (G1, G2), y, a) of every F-block level, block by block, and each block's eigenvectors x.
+
+    y holds the expectation values of the block's `ops` in its
+    eigenvectors, a the column of the level's own.
+    """
+    found, eigenvectors = [], []
+    for block in blocks.f_blocks:
+        h = e @ block.flat_terms  # H on the kernel, flattened
+        if block.unit is not None:
+            # LAPACK's eigh returns the entry of a 1 x 1 matrix and the eigenvector 1.0
+            evals, x, y, labels = h.tolist(), _UNIT, block.unit, block.pairs
+        else:
+            evals, x = np.linalg.eigh(h.reshape(block.shape))
+            evals, y = evals.tolist(), _expectations(block.ops, x)
+            labels = _labels(block, evals, *y[9:].tolist())
+        found += [(energy, block.f, labels[a], y, a) for a, energy in enumerate(evals)]
+        eigenvectors.append(x)
+    return found, eigenvectors
+
+
 class _LevelSet:
     """The labelled levels of one coefficient set and their gamma_k.
 
@@ -535,39 +570,42 @@ class _LevelSet:
     F that holds one; gamma_k = x^T T_k x for each eigenvector x.  The
     levels are shared by every caller that asks for the same
     coefficients, so their vectors and `m_states` are read-only.
+    `labelled` maps each label to its level.
+
+    One check of max |E_k| against the block data's `e_limit` decides
+    whether H and its energies can leave float64.  Only a set beyond it
+    is solved under `overflow_as_value_error`, with its energies checked
+    finite, so that it raises ValueError `level solve overflows float64
+    (...)` rather than print a RuntimeWarning or give an infinite level.
     """
 
-    @overflow_as_value_error("level solve")
     def __init__(self, coeffs: HyperfineCoefficients):
         blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
-        # per level: energy, F, (G1, G2), and the eigenvector column a of its F block with its expectation values y
-        found, eigenvectors = [], []
-        for block in blocks.f_blocks:
-            h = e @ block.flat_terms  # H on the kernel, flattened
-            if block.unit is not None:
-                # LAPACK's eigh returns the entry of a 1 x 1 matrix and the eigenvector 1.0
-                evals, x, y, labels = h.tolist(), _UNIT, block.unit, block.pairs
-            else:
-                evals, x = np.linalg.eigh(h.reshape(block.terms.shape[1:]))
-                evals, y = evals.tolist(), _expectations(block.ops, x)
-                labels = _labels(block, evals, *y[9:].tolist())
-            found += [(energy, block.f, labels[a], y, a) for a, energy in enumerate(evals)]
-            eigenvectors.append(x)
+        if max(map(abs, coeffs.values.values()), default=0.0) <= blocks.e_limit:
+            found, eigenvectors = _solve_blocks(blocks, e)
+        else:
+            with overflow_as_value_error("level solve"):
+                found, eigenvectors = _solve_blocks(blocks, e)
+                finite("energy", *(level[0] for level in found))
         # ascending energy; levels that coincide go by F
-        order = sorted(range(len(found)), key=lambda i: found[i][0])
-        cluster, keys = 0, [None] * len(found)
-        for rank, i in enumerate(order):
-            if rank and found[i][0] - found[order[rank - 1]][0] > COINCIDENT_KHZ:
-                cluster += 1
-            keys[i] = (cluster, found[i][1])
-        order.sort(key=keys.__getitem__)
+        energies = [level[0] for level in found]
+        order = sorted(range(len(found)), key=energies.__getitem__)
+        ranked = [energies[i] for i in order]
+        if not all(hi - lo > COINCIDENT_KHZ for lo, hi in zip(ranked, ranked[1:])):
+            cluster, keys = 0, [None] * len(found)
+            for rank, i in enumerate(order):
+                if rank and energies[i] - energies[order[rank - 1]] > COINCIDENT_KHZ:
+                    cluster += 1
+                keys[i] = (cluster, found[i][1])
+            order.sort(key=keys.__getitem__)
         states = _States(blocks, eigenvectors, order, [found[i][1] for i in order])
         self.m_states = states.m_states  # the field-free states of one m_F block, as `m_states` gives them
         self.levels = tuple(
-            SpinLevel(energy, 2 * f + 1, g1, g2, f, functools.partial(states.vectors, position))
+            SpinLevel(energy, 2 * f + 1, g1, g2, f, states, position)
             for position, (energy, f, (g1, g2), _, _) in enumerate(map(found.__getitem__, order))
         )
-        self._gammas = {(g1, g2, f): (y, a) for _, f, (g1, g2), y, a in found if g1 is not None}
+        self.labelled = {lv.label: lv for lv in self.levels if lv.g1 is not None}
+        self._gammas = [found[i][3:] for i in order]  # (y, a) of each level
 
     @functools.cached_property
     def origin(self) -> float:
@@ -575,10 +613,19 @@ class _LevelSet:
         levels = self.levels
         return sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
 
+    def level(self, label: tuple[int, int, int]) -> SpinLevel:
+        """The level with `label`; LookupError as `find_level` gives it if there is none."""
+        label = tuple(label)
+        if label not in self.labelled:
+            raise LookupError(f"label {label} resolves to 0 levels")
+        return self.labelled[label]
+
     def sensitivities(self, label: tuple[int, int, int]) -> dict[int, float]:
-        level = find_level(self.levels, label)
-        y, a = self._gammas[level.label]
+        y, a = self._gammas[self.level(label).position]
         return dict(zip(COEFF_INDICES, y[:9, a].tolist()))
+
+
+_ZEROS = (0.0,) * len(COEFF_INDICES)
 
 
 def _level_set(coeffs: HyperfineCoefficients) -> _LevelSet:
@@ -586,8 +633,7 @@ def _level_set(coeffs: HyperfineCoefficients) -> _LevelSet:
 
     ``eps_overrides`` do not move the levels and are not part of the key.
     """
-    values = coeffs.values
-    return _solve(coeffs.v, coeffs.n_rot, *[float(values.get(k, 0.0)) for k in COEFF_INDICES])
+    return _solve(coeffs.v, coeffs.n_rot, *map(coeffs.values.get, COEFF_INDICES, _ZEROS))
 
 
 @functools.lru_cache(maxsize=16)
@@ -619,7 +665,7 @@ def spin_frequency(
     energies = []
     for coeffs, label in (upper, lower):
         level_set = _level_set(coeffs)
-        energies.append(find_level(level_set.levels, label).energy - level_set.origin)
+        energies.append(level_set.level(label).energy - level_set.origin)
     return energies[0] - energies[1]
 
 
@@ -684,7 +730,7 @@ def sensitivities_fd(
             values[k] = values.get(k, 0.0) + sign * h
             perturbed = HyperfineCoefficients(coeffs.v, coeffs.n_rot, values, coeffs.eps_overrides)
             try:
-                level = find_level(_LevelSet(perturbed).levels, label)
+                level = _LevelSet(perturbed).level(label)
             except LookupError as exc:
                 raise TrackingError(f"level {label} lost while perturbing E{k}") from exc
             energies.append(level.energy)

@@ -539,16 +539,22 @@ def _cmd_ledger(args) -> int:
     return 0
 
 
+def _check_b12(b12: float) -> None:
+    if not 0.0 <= b12 <= 1.0:
+        raise ConfigFailure(f"--b12 must be in [0, 1], got {b12!r}")
+
+
 def _cmd_composite(args) -> int:
     from . import coefficients, composite
 
+    _check_b12(args.b12)
     lines, inp = _composite_input(args)
     if inp.tables is None:
         if args.optimize:
             raise ConfigFailure("--optimize needs a sensitivity table; pass --coefficients FILE or --demo")
         b12, profile = args.b12, composite.fallback_profile(inp)
     else:
-        weights = _run(composite.optimize_weight, inp.tables, coefficients.SpinUncertaintyParams())
+        weights = _run(composite.optimize_weight, inp.tables, coefficients.DEFAULT_PARAMS)
         b12, profile = (weights.b_star if args.optimize else args.b12), weights.profile
     q = _run(composite.composite_frequency, inp, b12)
 
@@ -580,6 +586,7 @@ def _md_over_mp_quantity(consts: constants.ConstantSet) -> Quantity:
 def _cmd_extract(args) -> int:
     from . import composite, constants
 
+    _check_b12(args.b12)
     model = _load(bundled.load_scaling_model, args.constants_profile)
     consts = _load(bundled.load_constants, args.constants_profile)
     _, inp = _composite_input(args)
@@ -689,6 +696,8 @@ def _cmd_adev(args) -> int:
 def _cmd_dfg(args) -> int:
     from . import metrology
 
+    if not abs(args.maser_fractional_offset) < 1e-9:
+        raise ConfigFailure(f"--maser-fractional-offset must be in (-1e-9, 1e-9), got {args.maser_fractional_offset!r}")
     comb = _load(
         lambda: metrology.CombParams(
             args.f_rep_hz,
@@ -850,7 +859,7 @@ def _anchors(sets: dict | None) -> list[tuple]:
             lo, up = bundled.TRANSITION_LEVELS[tid]
             checks.append((f"f_spin_{tid}_khz", angular.spin_frequency((upper, up), (lower, lo)), f_target, 0.5))
             checks.append((f"u_spin_{tid}_khz", coefficients.spin_uncertainty(tid, table), u_target, 0.1))
-        wp = composite.optimize_weight(table, coefficients.SpinUncertaintyParams())
+        wp = composite.optimize_weight(table, coefficients.DEFAULT_PARAMS)
         flat = [u for b, u in wp.profile if 0.2 <= b <= 0.8]
         return checks + [
             ("u_spin_min_khz", wp.u_star, 0.85, 0.1),

@@ -93,19 +93,7 @@ class TransitionSensitivities:
     upper: dict[int, float]
 
 
-@dataclass(frozen=True)
-class SensitivityTable:
-    """Sensitivities for a set of transitions sharing one level pair (built by `angular.transition_table`)."""
-
-    lower_coeffs: HyperfineCoefficients
-    upper_coeffs: HyperfineCoefficients
-    rows: dict[str, TransitionSensitivities]
-
-    def row(self, transition: str) -> TransitionSensitivities:
-        if transition not in self.rows:
-            raise KeyError(f"no sensitivity row for transition {transition!r}")
-        return self.rows[transition]
-
+DEFAULT_PARAMS = SpinUncertaintyParams()
 
 # (level, k) of each term of the spin-theory error model, in the order the terms add
 _SPIN_TERMS = (
@@ -114,24 +102,58 @@ _SPIN_TERMS = (
 )
 
 
-def _spin_term_scales(table: SensitivityTable, params: SpinUncertaintyParams) -> list[tuple[float, float, float]]:
-    """(p, q, r) of each term of `_SPIN_TERMS`: the term of weighted sensitivity sum s is |(s p) q| r.
+@dataclass(frozen=True)
+class SensitivityTable:
+    """Sensitivities for a set of transitions sharing one level pair (built by `angular.transition_table`).
 
-    k = 1 of the upper level is |s| u1' or, with an eps_E1 override,
-    |s eps E1|; every other term is eps |s E_k|, with eps the override
-    or the Breit-Pauli (rotational) or Fermi-contact default.
+    The spin-theory error model reads its per-table terms from data the
+    table builds once, as Python floats: `spin_gammas`, the sensitivity
+    of each term of `_SPIN_TERMS` per transition, taken from the rows
+    when the table is made, and `spin_scales`, the scales of those
+    terms, kept per SpinUncertaintyParams from their first use.  The
+    rows and the coefficient sets must not change after that.
     """
-    levels = {"upper": table.upper_coeffs, "lower": table.lower_coeffs}
-    scales = []
-    for level, k in _SPIN_TERMS:
-        coeffs = levels[level]
-        eps = coeffs.eps_overrides.get(k)
-        if k == 1:
-            scales.append((1.0, 1.0, params.u1_prime) if eps is None else (eps, coeffs.values.get(1, 0.0), 1.0))
-        else:
-            default = params.eps_fermi if k in CONTACT_COEFFS else params.eps_bp
-            scales.append((coeffs.values.get(k, 0.0), 1.0, default if eps is None else eps))
-    return scales
+
+    lower_coeffs: HyperfineCoefficients
+    upper_coeffs: HyperfineCoefficients
+    rows: dict[str, TransitionSensitivities]
+
+    def __post_init__(self) -> None:
+        gammas = {
+            name: tuple(float((row.upper if level == "upper" else row.lower)[k]) for level, k in _SPIN_TERMS)
+            for name, row in self.rows.items()
+        }
+        object.__setattr__(self, "spin_gammas", gammas)
+        object.__setattr__(self, "_scales", {})
+
+    def row(self, transition: str) -> TransitionSensitivities:
+        if transition not in self.rows:
+            raise KeyError(f"no sensitivity row for transition {transition!r}")
+        return self.rows[transition]
+
+    def spin_scales(self, params: SpinUncertaintyParams) -> tuple[tuple[float, float, float], ...]:
+        """(p, q, r) of each term of `_SPIN_TERMS`: the term of weighted sensitivity sum s is |(s p) q| r.
+
+        k = 1 of the upper level is |s| u1' or, with an eps_E1 override,
+        |s eps E1|; every other term is eps |s E_k|, with eps the override
+        or the Breit-Pauli (rotational) or Fermi-contact default.  Kept
+        per `params`.
+        """
+        scales = self._scales.get(params)
+        if scales is None:
+            levels = {"upper": self.upper_coeffs, "lower": self.lower_coeffs}
+            scales = []
+            for level, k in _SPIN_TERMS:
+                coeffs = levels[level]
+                eps = coeffs.eps_overrides.get(k)
+                if k == 1:
+                    p, q, r = (1.0, 1.0, params.u1_prime) if eps is None else (eps, coeffs.values.get(1, 0.0), 1.0)
+                else:
+                    default = params.eps_fermi if k in CONTACT_COEFFS else params.eps_bp
+                    p, q, r = coeffs.values.get(k, 0.0), 1.0, default if eps is None else eps
+                scales.append((float(p), float(q), float(r)))
+            scales = self._scales[params] = tuple(scales)
+        return scales
 
 
 def _weighted_spin_terms(
@@ -150,31 +172,35 @@ def _weighted_spin_terms(
     every term, each element reached by the same operations in the same
     order as with float weights, so bit for bit equal to the float call.
     Only that path imports numpy; int and float weights never reach it.
-    An estimate beyond float64 raises ValueError `spin-theory uncertainty
-    overflows float64 (...)`.
+    Both paths read the table's `spin_gammas` and `spin_scales`.  An
+    estimate beyond float64 raises ValueError `spin-theory uncertainty
+    overflows float64 (...)`: the array path runs under
+    `overflow_as_value_error`, and the float path, whose Python
+    arithmetic cannot trap, checks its sum.
     """
-    rows = []
-    for name, w in weights.items():
-        row = table.row(name)
-        levels = {"upper": row.upper, "lower": row.lower}
-        rows.append(([levels[level][k] for level, k in _SPIN_TERMS], w))
-    scales = _spin_term_scales(table, params)
-    with overflow_as_value_error("spin-theory uncertainty"):
-        if not all(isinstance(w, (int, float)) for _, w in rows):
-            import numpy as np
+    gammas = table.spin_gammas
+    # `row` raises the KeyError that names a transition the table lacks
+    rows = [(gammas[name] if name in gammas else table.row(name), w) for name, w in weights.items()]
+    scales = table.spin_scales(params)
+    if not all(isinstance(w, (int, float)) for _, w in rows):
+        import numpy as np
 
+        with overflow_as_value_error("spin-theory uncertainty"):
             # sum() starts from 0 as the float path does; the products commute exactly
-            s = sum(np.array(gammas)[:, None] * w for gammas, w in rows)
+            s = sum(np.array(g)[:, None] * w for g, w in rows)
             p, q, r = (np.array(col)[:, None] for col in zip(*scales))
-            # a running sum over the terms adds them one by one, in order
-            return np.cumsum(np.abs(s * p * q) * r, axis=0)[-1]
-        s = [0] * len(_SPIN_TERMS)
-        for gammas, w in rows:
-            s = [acc + w * g for acc, g in zip(s, gammas)]
-        u = 0.0
-        for x, (p, q, r) in zip(s, scales):
-            u += abs(x * p * q) * r
-        finite("u_spin", u)
+            # sum() adds the terms row by row, in order, from 0 as the float path does
+            return sum(np.abs(s * p * q) * r)
+    s = [0] * len(_SPIN_TERMS)
+    for g, w in rows:
+        w = float(w)  # Python floats throughout: a numpy scalar would warn where Python overflows silently
+        s = [acc + w * x for acc, x in zip(s, g)]
+    u = 0.0
+    for x, (p, q, r) in zip(s, scales):
+        u += abs(x * p * q) * r
+    if not math.isfinite(u):
+        with overflow_as_value_error("spin-theory uncertainty"):  # words the error as every overflow is worded
+            finite("u_spin", u)
     return u
 
 
@@ -182,8 +208,7 @@ def spin_uncertainty(
     transition: str, table: SensitivityTable, params: SpinUncertaintyParams | None = None
 ) -> float:
     """Theory uncertainty (kHz) of one transition's spin frequency."""
-    params = params or SpinUncertaintyParams()
-    return _weighted_spin_terms(table, params, {transition: 1.0})
+    return _weighted_spin_terms(table, params or DEFAULT_PARAMS, {transition: 1.0})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .coefficients import SensitivityTable, SpinUncertaintyParams, _weighted_spin_terms
+from .coefficients import DEFAULT_PARAMS, SensitivityTable, SpinUncertaintyParams, _weighted_spin_terms
 from .quantity import Quantity
 
 if TYPE_CHECKING:
@@ -69,7 +69,7 @@ def composite_frequency(inp: CompositeInput, b12: float) -> Quantity:
     value = b12 * (inp.f12.value - inp.fspin12.value) + b16 * (inp.f16.value - inp.fspin16.value)
     u_exp = math.hypot(b12 * inp.f12.component("exp"), b16 * inp.f16.component("exp"))
     if inp.tables is not None:
-        u_spin = composite_spin_uncertainty(inp.tables, SpinUncertaintyParams(), b12)
+        u_spin = composite_spin_uncertainty(inp.tables, DEFAULT_PARAMS, b12)
     else:
         u_spin = _fallback_spin_uncertainty(inp, b12)
     return Quantity(value, "kHz", {"exp": u_exp, "theor_spin": u_spin})

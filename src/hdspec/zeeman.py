@@ -170,12 +170,13 @@ class TransitionShiftModel:
 def _member(coeffs: HyperfineCoefficients, label: Sequence[int]) -> tuple[list[SpinLevel], int]:
     """The levels whose m_F block holds `label` (F >= |m_F|, level order) and the row of `label` among them."""
     label = tuple(label)
-    levels = _mappable(_level_set(coeffs).levels)
-    members = [lv for lv in levels if lv.f >= abs(label[3])] if len(label) == 4 else []
-    row = next((i for i, lv in enumerate(members) if lv.label == label[:3]), None)
-    if row is None:
+    level_set = _level_set(coeffs)
+    levels = _mappable(level_set.levels)
+    level = level_set.labelled.get(label[:3]) if len(label) == 4 else None
+    if level is None or level.f < abs(label[3]):
         raise LookupError(f"no Zeeman state with label {label}")
-    return members, row
+    members = [lv for lv in levels if lv.f >= abs(label[3])]
+    return members, members.index(level)
 
 
 def _state_coeffs(coeffs: HyperfineCoefficients, label: Sequence[int], c: np.ndarray) -> tuple[float, float]:

@@ -228,6 +228,45 @@ def test_negative_raw_uncertainty_is_a_config_error_naming_the_flag(tmp_path):
     assert not (tmp_path / "ledger.json").exists()
 
 
+def test_out_of_range_weight_and_maser_offset_are_config_errors_naming_the_flag(tmp_path):
+    """Flags outside their range are config errors before any input is read, as for every bad flag."""
+    dfg = ["dfg", "--f-rep-hz", "1e8", "--n1", "3", "--n2", "2", "--beat1-hz", "1", "--beat2-hz", "1"]
+    cases = [
+        (["composite", "--b12", "1.5"], "--b12 must be in [0, 1], got 1.5"),
+        (["composite", "--b12=-1e-300", "--demo"], "--b12 must be in [0, 1], got -1e-300"),
+        (["composite", "--b12", "1e308", "--optimize", "--demo"], "--b12 must be in [0, 1], got 1e+308"),
+        (["extract", "--b12", "1.5"], "--b12 must be in [0, 1], got 1.5"),
+        (["extract", "--b12", "1.0000000000000002"], "--b12 must be in [0, 1], got 1.0000000000000002"),
+        ([*dfg, "--maser-fractional-offset", "1e-9"], "--maser-fractional-offset must be in (-1e-9, 1e-9), got 1e-09"),
+        ([*dfg, "--maser-fractional-offset=-1e308"], "--maser-fractional-offset must be in (-1e-9, 1e-9), got -1e+308"),
+    ]
+    for argv, message in cases:
+        proc = run_python("-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2, argv
+        assert proc.stderr == f"config error: {message}\n"
+        assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+    # the ends of each range still run
+    for argv in (["composite", "--b12", "0"], ["extract", "--b12", "1"], [*dfg, "--maser-fractional-offset", "9.99e-10"]):
+        assert run(tmp_path, *argv) == 0, argv
+
+
+def test_overflowing_level_solve_is_one_line_data_error(tmp_path):
+    """E1 = E2 = 1.7e308 at N = 1: H on an F block leaves float64 (the detail is numpy's wording)."""
+    demo = bundled.data_path("demo_coefficients.conf").read_text()
+    head, section, rest = demo.partition("[v=1,N=1]")
+    rest = rest.replace("E1 = 3100.0", "E1 = 1.7e308").replace("E2 = -3.1", "E2 = 1.7e308")
+    coefficients = tmp_path / "coefficients.conf"
+    coefficients.write_text(head + section + rest)
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "hdspec.cli", "spin-structure",
+                      "--coefficients", str(coefficients), "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("data error: level solve overflows float64 ("), proc.stderr
+    assert proc.stderr.endswith(")\n") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_overflowing_spin_theory_uncertainty_is_one_line_data_error_before_any_output(tmp_path):
     """The demo coefficients with eps_E4 = 1e308 on [v=1,N=1]: the error model overflows on both lines."""
     coefficients = tmp_path / "coefficients.conf"

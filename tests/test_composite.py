@@ -82,12 +82,8 @@ def test_tableless_spin_budget_is_weighted_absolute_sum(bundled_input):
 
 def test_endpoints_reduce_to_single_line_uncertainty(demo_table):
     params = SpinUncertaintyParams()
-    assert composite_spin_uncertainty(demo_table, params, 1.0) == pytest.approx(
-        spin_uncertainty("12", demo_table, params), rel=1e-14, abs=0
-    )
-    assert composite_spin_uncertainty(demo_table, params, 0.0) == pytest.approx(
-        spin_uncertainty("16", demo_table, params), rel=1e-14, abs=0
-    )
+    assert composite_spin_uncertainty(demo_table, params, 1.0) == spin_uncertainty("12", demo_table, params)
+    assert composite_spin_uncertainty(demo_table, params, 0.0) == spin_uncertainty("16", demo_table, params)
 
 
 @settings(max_examples=30)
