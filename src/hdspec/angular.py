@@ -609,9 +609,17 @@ class _LevelSet:
 
     @functools.cached_property
     def origin(self) -> float:
-        """The spin-averaged origin: the degeneracy-weighted mean level energy."""
+        """The spin-averaged origin: the degeneracy-weighted mean level energy.
+
+        Finite energies whose weighted sum leaves float64 raise ValueError
+        `level solve overflows float64 (the spin-averaged origin)`.
+        """
         levels = self.levels
-        return sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
+        with overflow_as_value_error("level solve"):
+            origin = sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
+            if not math.isfinite(origin):
+                raise OverflowError("the spin-averaged origin")
+        return origin
 
     def level(self, label: tuple[int, int, int]) -> SpinLevel:
         """The level with `label`; LookupError as `find_level` gives it if there is none."""

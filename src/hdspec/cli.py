@@ -25,8 +25,8 @@ computation starts.
 The commands are one table, `COMMANDS`.  A handler, and each helper it
 calls, imports the analysis modules it runs, so a command loads only
 those, and numpy only if one of them builds arrays: on the bundled
-inputs carrier, dfg, ledger, compare, extract, extrapolate-b and
-extrapolate-rf start without it.  `--help` and the parser defaults read
+inputs carrier, dfg, ledger, compare, extract, extrapolate-b,
+extrapolate-rf, fit-line and adev start without it.  `--help` and the parser defaults read
 nothing beyond `bundled` and `quantity`.
 """
 

@@ -1,7 +1,7 @@
 """Depletion spectra and Lorentzian line fits.
 
 Raw data are per-detuning decay records taken with and without the
-spectroscopy radiation, held as columns (`DecayScan`: one array each of
+spectroscopy radiation, held as columns (`DecayScan`: one column each of
 detuning, laser on/off and depletion, in file order).  The
 background-subtracted signal is fit to
 
@@ -10,18 +10,27 @@ background-subtracted signal is fit to
 by damped Gauss-Newton.  The statistical uncertainty assigned to a line
 center is half the fitted FWHM by convention, not the covariance-based
 center error.
+
+Everything here runs on Python floats.  A spectrum has tens to a few
+hundred points and the fit four parameters, so its normal equations are
+4 x 4: importing numpy would cost more than the whole fit, and
+`fit-line` on a file that `read_table` reads row by row starts without
+it.
 """
 
 from __future__ import annotations
 
+import array
+import itertools
 import math
+import operator
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .quantity import FINITE, FLAG, TEXT, UNIT_INTERVAL, Quantity, overflow_as_value_error, read_table
+from .quantity import FINITE, FLAG, UNIT_INTERVAL, UNUSED_TEXT, Quantity, finite, overflow_as_value_error, read_table
 
 
 class FitError(RuntimeError):
@@ -40,27 +49,42 @@ class LowSignalError(FitError):
 class DecayScan:
     """Decay records as columns, one entry per record in file order.
 
-    `detuning` (kHz, finite), `laser_on` (True with the spectroscopy
-    radiation, False for background) and `depletion` (in [0, 1]) are 1-d
-    arrays of one length, the number of records, which `len` gives.  The
-    constructor takes any sequences and converts them.
+    `detuning` (kHz, finite), `laser_on` (1.0 with the spectroscopy
+    radiation, 0.0 for background) and `depletion` (in [0, 1]) are
+    `array.array('d')` columns of one length, the number of records,
+    which `len` gives.  The constructor takes any sequences, converts
+    and checks them; `read_decay_csv` hands over the columns that
+    `read_table` has checked, without a second pass over the records.
     """
 
-    detuning: np.ndarray
-    laser_on: np.ndarray
-    depletion: np.ndarray
+    detuning: array.array
+    laser_on: array.array
+    depletion: array.array
 
     def __post_init__(self) -> None:
-        for name, dtype in (("detuning", float), ("laser_on", bool), ("depletion", float)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if not (self.detuning.ndim == 1 and self.detuning.shape == self.laser_on.shape == self.depletion.shape):
-            raise ValueError("decay columns must be 1-d and of one length")
-        with np.errstate(invalid="ignore"):  # NaN fails a rule quietly
-            for name, rule in (("detuning", FINITE), ("depletion", UNIT_INTERVAL)):
-                column = getattr(self, name)
-                outside = ~rule.accepts(column)
-                if outside.any():
-                    raise ValueError(f"{name} {rule.requirement}, got {float(column[outside][0])}")
+        columns = {
+            "detuning": array.array("d", self.detuning),
+            "laser_on": array.array("d", map(bool, self.laser_on)),
+            "depletion": array.array("d", self.depletion),
+        }
+        if len({len(c) for c in columns.values()}) > 1:
+            raise ValueError("decay columns must be of one length")
+        for name, rule in (("detuning", FINITE), ("depletion", UNIT_INTERVAL)):
+            for value in columns[name]:
+                if not rule.accepts(value):  # NaN fails every rule
+                    raise ValueError(f"{name} {rule.requirement}, got {value}")
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def _of_checked(cls, detuning, laser_on, depletion) -> DecayScan:
+        """The scan of float64 columns that already hold what `__post_init__` checks, as `read_table` returns them."""
+        scan = object.__new__(cls)
+        for name, column in (("detuning", detuning), ("laser_on", laser_on), ("depletion", depletion)):
+            if not isinstance(column, array.array):
+                column = array.array("d", column.tobytes())  # a numpy array's buffer, copied whole
+            object.__setattr__(scan, name, column)
+        return scan
 
     def __len__(self) -> int:
         return len(self.detuning)
@@ -83,50 +107,44 @@ class SpectrumPoint:
             raise ValueError("sem must be >= 0")
 
 
-def _class_stats(values: np.ndarray) -> tuple[np.float64, float | None]:
-    """Mean and SEM of one record class, by the steps of `np.mean` and `np.std(ddof=1)`.
+def _class_stats(values: list[float]) -> tuple[float, float | None]:
+    """Mean and SEM (None for a single record) of one record class.
 
-    The mean is `np.add.reduce` over n.  The standard deviation subtracts
-    that mean, squares the deviations in place, sums them with
-    `np.add.reduce`, divides by n - 1 and takes the square root; the SEM is
-    it over sqrt(n), None for a single record.  The same operations in the
-    same order give the same bits without numpy's wrapper stack.
+    Both sums are `math.fsum`, correctly rounded: the same values in any
+    order give the same bits.  The SEM is the sample standard deviation
+    (n - 1) over sqrt(n).
     """
     n = len(values)
-    mean = np.add.reduce(values) / n
+    mean = math.fsum(values) / n
     if n < 2:
         return mean, None
-    dev = values - mean
-    np.multiply(dev, dev, out=dev)
-    return mean, math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
+    return mean, math.sqrt(math.fsum([(v - mean) * (v - mean) for v in values]) / (n - 1)) / math.sqrt(n)
 
 
 def build_spectrum(scan: DecayScan) -> list[SpectrumPoint]:
     """Difference the on/off record classes per detuning, in ascending detuning.
 
-    signal = mean(on) - mean(off), sem = sqrt(sem_on^2 + sem_off^2).  One
-    stable sort groups the records by detuning, so each class keeps file
-    order and its mean and standard deviation sum its values in that
-    order.  -0.0 and 0.0 are one detuning, reported as the one the file
-    has first.
+    signal = mean(on) - mean(off), sem = sqrt(sem_on^2 + sem_off^2), each
+    class summed by `_class_stats`, so the spectrum does not depend on
+    the order of the records.  -0.0 and 0.0 are one detuning, reported as
+    the one the file has first.  The lowest detuning that lacks a class
+    raises ValueError naming it.
     """
-    if not len(scan):
-        return []
-    order = np.argsort(scan.detuning, kind="stable")
-    detuning, laser_on, depletion = scan.detuning[order], scan.laser_on[order], scan.depletion[order]
-    bounds = (np.flatnonzero(detuning[1:] != detuning[:-1]) + 1).tolist()
+    detuning = scan.detuning.tolist()
+    on, off = defaultdict(list), defaultdict(list)  # detuning -> depletions; -0.0 and 0.0 are one key
+    for key, laser_on, value in zip(detuning, scan.laser_on.tolist(), scan.depletion.tolist()):
+        (on if laser_on else off)[key].append(value)
     points = []
-    for start, end in zip([0, *bounds], [*bounds, len(order)]):
-        key, values, on_mask = float(detuning[start]), depletion[start:end], laser_on[start:end]
-        on, off = values[on_mask], values[~on_mask]
-        if not on.size or not off.size:
-            missing = "laser-on" if not on.size else "background"
-            raise ValueError(f"detuning {key} kHz has no {missing} records")
-        (mean_on, sem_on), (mean_off, sem_off) = _class_stats(on), _class_stats(off)
+    for key in sorted(dict.fromkeys(itertools.chain(on, off))):
+        if key == 0.0:
+            key = detuning[detuning.index(0.0)]  # -0.0 or 0.0, whichever the file has first
+        if key not in on or key not in off:
+            raise ValueError(f"detuning {key} kHz has no {'laser-on' if key not in on else 'background'} records")
+        (mean_on, sem_on), (mean_off, sem_off) = _class_stats(on[key]), _class_stats(off[key])
         sem = None
         if sem_on is not None and sem_off is not None:
             sem = math.sqrt(sem_on ** 2 + sem_off ** 2)
-        points.append(SpectrumPoint(key, float(mean_on - mean_off), sem))
+        points.append(SpectrumPoint(key, mean_on - mean_off, sem))
     return points
 
 
@@ -136,7 +154,7 @@ class LineFit:
     fwhm: float
     amplitude: float
     offset: float
-    covariance: np.ndarray
+    covariance: tuple[tuple[float, ...], ...]  # 4 x 4, in PARAM_NAMES order
     residual_norm: float
     converged: bool
     n_iter: int = 0
@@ -145,33 +163,93 @@ class LineFit:
     PARAM_NAMES = ("center", "fwhm", "amplitude", "offset")
 
 
-def _model_and_jacobian(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(p: list[float], x: list[float], y: list[float]) -> tuple[list[float], ...]:
+    """(u, denom, q, residuals) at `p`: u = x - center, denom = u^2 + G^2/4, q = (G^2/4) / denom.
+
+    Squares are `**`, which raises OverflowError where a product would
+    leave float64 in silence.
+    """
     center, gamma, amp, offset = p
-    u = x - center
     h = gamma ** 2 / 4.0
-    denom = u ** 2 + h
-    q = h / denom
-    model = offset + amp * q
-    jac = np.empty((len(x), 4))
-    jac[:, 0] = amp * h * 2.0 * u / denom ** 2
-    jac[:, 1] = amp * (gamma / 2.0) * u ** 2 / denom ** 2
-    jac[:, 2] = q
-    jac[:, 3] = 1.0
-    return model, jac
+    u = [xi - center for xi in x]
+    denom = [ui ** 2 + h for ui in u]
+    q = [h / di for di in denom]
+    return u, denom, q, [yi - (offset + amp * qi) for yi, qi in zip(y, q)]
 
 
-def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _cost(w: list[float], r: list[float]) -> float:
+    cost = math.fsum(map(operator.mul, w, map(operator.mul, r, r)))
+    finite("cost", cost)
+    return cost
+
+
+def _normal_equations(p: list[float], evaluated, w: list[float]):
+    """J^T W J and J^T W r at `p`, J the model's derivatives by (center, fwhm, amplitude, offset).
+
+    `evaluated` is what `_evaluate` gives at `p`.
+    """
+    u, denom, q, r = evaluated
+    _, gamma, amp, _ = p
+    h = gamma ** 2 / 4.0
+    d2 = [di ** 2 for di in denom]
+    by_center, by_fwhm = amp * h * 2.0, amp * (gamma / 2.0)
+    jac = [
+        [by_center * ui / di for ui, di in zip(u, d2)],
+        [by_fwhm * ui ** 2 / di for ui, di in zip(u, d2)],
+        q,
+        [1.0] * len(q),
+    ]
+    wj = [list(map(operator.mul, w, col)) for col in jac]
+    normal = [[0.0] * 4 for _ in range(4)]
+    for i in range(4):
+        for k in range(i, 4):
+            normal[i][k] = normal[k][i] = math.fsum(map(operator.mul, wj[i], jac[k]))
+    grad = [math.fsum(map(operator.mul, col, r)) for col in wj]
+    finite("normal matrix", *normal[0], *normal[1], *normal[2], *normal[3], *grad)
+    return normal, grad
+
+
+def _cholesky_inverse(a: list[list[float]]) -> list[list[float]] | None:
+    """The inverse of a symmetric positive semi-definite 4 x 4 matrix whose null space is spanned by unit vectors.
+
+    A parameter whose diagonal element is 0 (its Jacobian column is 0)
+    gets a zero row and column, as the pseudo-inverse gives it; the rest
+    is inverted by Cholesky.  None if that rest is not positive
+    definite: a singular matrix of any other kind.
+    """
+    free = [i for i in range(4) if a[i][i] != 0.0]
+    n = len(free)
+    low = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = a[free[j]][free[j]] - math.fsum(low[j][k] ** 2 for k in range(j))
+        if not pivot > 0.0:
+            return None
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            low[i][j] = (a[free[i]][free[j]] - math.fsum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
+    # inv(L) column by column, then inv(A) = inv(L)^T inv(L)
+    inv_low = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        inv_low[j][j] = 1.0 / low[j][j]
+        for i in range(j + 1, n):
+            inv_low[i][j] = -math.fsum(low[i][k] * inv_low[k][j] for k in range(j, i)) / low[i][i]
+    out = [[0.0] * 4 for _ in range(4)]
+    for a_, i in enumerate(free):
+        for b_, j in enumerate(free):
+            out[i][j] = math.fsum(inv_low[k][a_] * inv_low[k][b_] for k in range(max(a_, b_), n))
+    return out
+
+
+def _initial_guess(x: list[float], y: list[float]) -> list[float]:
     # outer-quartile points estimate the baseline; the extremal deviation
     # from it sets the center and the sign of the line
-    order = np.argsort(x)
+    order = sorted(range(len(x)), key=x.__getitem__)
     k = max(1, len(x) // 4)
-    edges = np.sort(np.concatenate([y[order[:k]], y[order[-k:]]]))
-    offset = float((edges[k - 1] + edges[k]) / 2.0)  # the median of the 2k edge points
-    extremal = int(np.argmax(np.abs(y - offset)))
+    edges = sorted([y[i] for i in order[:k]] + [y[i] for i in order[-k:]])
+    offset = (edges[k - 1] + edges[k]) / 2.0  # the median of the 2k edge points
+    extremal = max(range(len(y)), key=lambda i: abs(y[i] - offset))
     sign = 1.0 if y[extremal] >= offset else -1.0
-    amplitude = sign * float(np.max(y) - np.min(y))
-    span = float(np.max(x) - np.min(x))
-    return np.array([x[extremal], span / 2.0, amplitude, offset])
+    return [x[extremal], (max(x) - min(x)) / 2.0, sign * (max(y) - min(y)), offset]
 
 
 @overflow_as_value_error("Lorentzian fit")
@@ -180,53 +258,61 @@ def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
 
     The damping factor starts at 1e-3, shrinks by 10 on each accepted
     step and grows by 10 on each rejected one (Marquardt diagonal
-    scaling).  Convergence requires a relative cost change below 1e-12
-    or a step norm below 1e-10; 200 iterations without either raises
-    FitError with the accepted-cost trace attached.  Residuals are
-    inverse-variance weighted when every point carries a sem, otherwise
-    unweighted.  The parameter covariance is the unscaled (damping-free)
-    normal matrix inverse times the reduced chi-square.  Arithmetic
-    beyond float64 raises ValueError `Lorentzian fit overflows float64
-    (...)`.
+    scaling).  Each step solves the damped 4 x 4 normal equations by
+    Cholesky; a parameter whose Jacobian column is 0 stays where it is
+    (the minimum-norm step), and a damped matrix that is not positive
+    definite rejects the step.  Convergence requires a relative cost
+    change below 1e-12 or a step norm below 1e-10; 200 iterations without
+    either raises FitError with the accepted-cost trace attached.
+    Residuals are inverse-variance weighted when every point carries a
+    sem, otherwise unweighted.
+
+    The parameter covariance is the inverse of the unscaled
+    (damping-free) normal matrix times the reduced chi-square.  A
+    parameter whose Jacobian column is 0 at the solution gets a zero row
+    and column, the pseudo-inverse's answer, so a fit to a flat signal
+    (amplitude 0, center and width undetermined) ends in LowSignalError;
+    any other singular normal matrix raises FitError.  Arithmetic beyond
+    float64 raises ValueError `Lorentzian fit overflows float64 (...)`.
     """
     if len(points) < 5:
         raise ValueError(f"need at least 5 spectrum points, got {len(points)}")
-    x = np.array([pt.detuning for pt in points])
-    y = np.array([pt.signal for pt in points])
+    x = [pt.detuning for pt in points]
+    y = [pt.signal for pt in points]
     sems = [pt.sem for pt in points]
     if all(s is not None and s > 0 for s in sems):
-        w = 1.0 / np.array(sems) ** 2
+        w = [1.0 / s ** 2 for s in sems]
     else:
-        w = np.ones_like(y)
+        w = [1.0] * len(y)
 
     p = _initial_guess(x, y)
-    span = float(np.max(x) - np.min(x))
+    span = max(x) - min(x)
     if span <= abs(p[1]):
         raise ValueError(f"detuning span {span} kHz does not cover one initial FWHM {p[1]} kHz")
 
-    def cost_of(params: np.ndarray) -> float:
-        model, _ = _model_and_jacobian(params, x)
-        return float(np.sum(w * (y - model) ** 2))
-
     lam = 1e-3
-    cost = cost_of(p)
+    here = _evaluate(p, x, y)
+    cost = _cost(w, here[3])
     trace = [cost]
     converged = False
     n_iter = 0
     for n_iter in range(1, 201):
-        model, jac = _model_and_jacobian(p, x)
-        normal = jac.T @ (w[:, None] * jac)
-        grad = jac.T @ (w * (y - model))
-        damped = normal + lam * np.diag(np.diag(normal))
-        step, *_ = np.linalg.lstsq(damped, grad, rcond=None)
-        new_cost = cost_of(p + step)
+        normal, grad = _normal_equations(p, here, w)
+        damped = [[v + lam * row[i] if i == k else v for k, v in enumerate(row)] for i, row in enumerate(normal)]
+        inverse = _cholesky_inverse(damped)
+        new_cost = math.inf
+        if inverse is not None:
+            step = [math.fsum(map(operator.mul, row, grad)) for row in inverse]
+            trial = [pi + si for pi, si in zip(p, step)]
+            there = _evaluate(trial, x, y)
+            new_cost = _cost(w, there[3])
         if new_cost <= cost:
-            p = p + step
+            p, here = trial, there
             lam *= 0.1
-            rel = (cost - new_cost) / max(cost, np.finfo(float).tiny)
+            rel = (cost - new_cost) / max(cost, sys.float_info.min)
             cost = new_cost
             trace.append(cost)
-            if rel < 1e-12 or float(np.linalg.norm(step)) < 1e-10:
+            if rel < 1e-12 or math.hypot(*step) < 1e-10:
                 converged = True
                 break
         else:
@@ -237,20 +323,23 @@ def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
         raise FitError(f"no convergence after {n_iter} iterations (cost {cost:.6g})", trace)
 
     p[1] = abs(p[1])
-    _, jac = _model_and_jacobian(p, x)
-    normal = jac.T @ (w[:, None] * jac)
+    normal, _ = _normal_equations(p, _evaluate(p, x, y), w)
+    inverse = _cholesky_inverse(normal)
+    if inverse is None:
+        raise FitError("the normal matrix at the solution is singular: the data do not determine the parameters", trace)
     dof = len(x) - 4
-    covariance = np.linalg.pinv(normal) * (cost / dof if dof > 0 else 1.0)
-    sigma_amp = math.sqrt(max(covariance[2, 2], 0.0))
+    scale = cost / dof if dof > 0 else 1.0
+    covariance = tuple(tuple(v * scale for v in row) for row in inverse)
+    sigma_amp = math.sqrt(max(covariance[2][2], 0.0))
     if not abs(p[2]) > 2.0 * sigma_amp:
         raise LowSignalError(
             f"amplitude {p[2]:.3g} consistent with zero (2 sigma = {2 * sigma_amp:.3g})", trace
         )
     return LineFit(
-        center=float(p[0]),
-        fwhm=float(p[1]),
-        amplitude=float(p[2]),
-        offset=float(p[3]),
+        center=p[0],
+        fwhm=p[1],
+        amplitude=p[2],
+        offset=p[3],
         covariance=covariance,
         residual_norm=math.sqrt(cost),
         converged=True,
@@ -282,8 +371,8 @@ def read_decay_csv(path: str | Path) -> DecayScan:
     equal to 0 or 1; run_id is any text, a required column and cell, not
     kept.  Faults are `read_table`'s.
     """
-    cols = read_table(path, {"detuning_khz": FINITE, "depletion": UNIT_INTERVAL, "laser_on": FLAG, "run_id": TEXT})
-    return DecayScan(cols["detuning_khz"], np.asarray(cols["laser_on"]) == 1, cols["depletion"])
+    cols = read_table(path, {"detuning_khz": FINITE, "depletion": UNIT_INTERVAL, "laser_on": FLAG, "run_id": UNUSED_TEXT})
+    return DecayScan._of_checked(cols["detuning_khz"], cols["laser_on"], cols["depletion"])
 
 
 def fit_report(fit: LineFit) -> dict:

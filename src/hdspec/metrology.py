@@ -5,18 +5,30 @@ mixing of two near-infrared lasers locked to one frequency comb, so its
 absolute frequency follows from comb arithmetic in which the carrier
 envelope offset cancels exactly.  Counter time series are characterized
 with the overlapping Allan deviation.
+
+A counter log is checked and analysed on numpy arrays when `read_table`
+returned them (a file large enough for its whole-column path) and on
+Python floats when it read the file row by row: a small log then never
+loads numpy, and a large one keeps numpy's kernels, which a Python loop
+over 10^5 samples per tau would not match.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .quantity import FINITE, finite, overflow_as_value_error, read_table
 
-# numpy is imported inside the functions that build arrays (see `quantity`)
+
+def _is_ndarray(values) -> bool:
+    np = sys.modules.get("numpy")  # no numpy loaded: no numpy array
+    return np is not None and isinstance(values, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -98,12 +110,14 @@ class FrequencyTimeSeries:
 
     Samples are dimensionless fractional frequencies, or absolute Hz
     when carrier_hz is declared, in which case they are converted before
-    any deviation statistics.  A declared carrier must be finite and
+    any deviation statistics.  They are a numpy array, or any other
+    float sequence (`read_table`'s `array.array` among them), which is
+    analysed on Python floats.  A declared carrier must be finite and
     positive.
     """
 
     tau0: float
-    samples: np.ndarray
+    samples: Sequence[float]
     carrier_hz: float | None = None
 
     def __post_init__(self) -> None:
@@ -115,13 +129,13 @@ class FrequencyTimeSeries:
             raise ValueError(f"carrier_hz must be finite and positive, got {self.carrier_hz}")
 
     @property
-    def fractional(self) -> np.ndarray:
-        import numpy as np
-
-        y = np.asarray(self.samples, dtype=float)
-        if self.carrier_hz is not None:
-            return (y - self.carrier_hz) / self.carrier_hz
-        return y
+    def fractional(self):
+        """The fractional samples: a float64 array for numpy samples, else a list of floats."""
+        c = self.carrier_hz
+        if _is_ndarray(self.samples):
+            y = self.samples.astype(float, copy=False)
+            return y if c is None else (y - c) / c
+        return [float(v) for v in self.samples] if c is None else [(v - c) / c for v in self.samples]
 
 
 def _white_fm_edf(n: int, m: int) -> float:
@@ -140,14 +154,13 @@ def allan_deviation(
     averaging bins).  The confidence interval scales the estimate by
     chi-squared quantiles at the white-FM equivalent degrees of freedom,
     which are at least 2/3 (n = 2, m = 1).  Samples so large that the
-    variance overflows float64 raise ValueError.
+    variance overflows float64 raise ValueError, which names the step in
+    numpy's words on either kind of samples.
     """
-    import numpy as np
-
     with overflow_as_value_error("Allan deviation"):
         y = series.fractional
         n = len(y)
-        cum = np.concatenate([[0.0], np.cumsum(y)])
+        variance = _python_variance(y) if isinstance(y, list) else _numpy_variance(y)
         out = []
         for tau in taus:
             m_real = tau / series.tau0
@@ -158,17 +171,50 @@ def allan_deviation(
                 raise ValueError(
                     f"tau = {tau} s rejected: fewer than 2 averaging bins in {n} samples"
                 )
-            # bin means via cumulative sums; adjacent-bin differences overlap
-            means = (cum[m:] - cum[:-m]) / m
-            diffs = means[m:] - means[:-m]
-            avar = 0.5 * float(np.mean(diffs ** 2))
-            adev = math.sqrt(avar)
+            adev = math.sqrt(variance(m))
             edf = _white_fm_edf(n, m)
             # chi-squared quantile with edf degrees of freedom: 2 P^-1(edf / 2, p)
             ci_low = adev * math.sqrt(edf / (2.0 * _gammaincinv(edf / 2.0, 0.84)))
             ci_high = adev * math.sqrt(edf / (2.0 * _gammaincinv(edf / 2.0, 0.16)))
             out.append((float(tau), adev, ci_low, ci_high))
     return out
+
+
+# the overlapping Allan variance at m samples per bin: bin means from cumulative sums, and
+# the mean square of the differences of adjacent (overlapping) bins, halved
+
+
+def _numpy_variance(y):
+    import numpy as np
+
+    cum = np.concatenate([[0.0], np.cumsum(y)])
+
+    def variance(m: int) -> float:
+        means = (cum[m:] - cum[:-m]) / m
+        diffs = means[m:] - means[:-m]
+        return 0.5 * float(np.mean(diffs ** 2))
+
+    return variance
+
+
+def _all_finite(values: list[float], step: str) -> list[float]:
+    """`values`, or OverflowError in the words numpy's errstate uses for `step`."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"overflow encountered in {step}")
+    return values
+
+
+def _python_variance(y: list[float]):
+    # the numpy kernel's steps on floats; the mean square is a correctly rounded sum
+    cum = _all_finite([0.0, *itertools.accumulate(y)], "accumulate")
+
+    def variance(m: int) -> float:
+        means = _all_finite([(b - a) / m for a, b in zip(cum, cum[m:])], "subtract")
+        diffs = _all_finite(list(map(operator.sub, means[m:], means)), "subtract")
+        squares = _all_finite(list(map(operator.mul, diffs, diffs)), "square")
+        return 0.5 * (math.fsum(squares) / len(squares))
+
+    return variance
 
 
 # --- the regularized incomplete gamma function --------------------------------
@@ -295,28 +341,52 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
     f_hz must lie strictly between 0 and twice the carrier, so that each
     fractional sample has |y| < 1; a carrier that no sample is near
     would give deviations that round to 0.  Table faults are
-    `read_table`'s.
+    `read_table`'s.  The checks run on the columns `read_table` returns,
+    numpy arrays or Python floats alike.
     """
-    import numpy as np
-
     cols = read_table(path, {"t_s": FINITE, "f_hz": FINITE})
-    t, f = np.asarray(cols["t_s"]), np.asarray(cols["f_hz"])
+    t, f = cols["t_s"], cols["f_hz"]
     if len(t) < 2:
         raise ValueError(f"{path}: need at least 2 counter samples")
-    dt = np.diff(t)
-    if not np.all(dt > 0):
+    tau0, increasing, uniform = (_numpy_steps if _is_ndarray(t) else _python_steps)(t)
+    if not increasing:
         raise ValueError(f"{path}: t_s must increase")
-    tau0 = float(np.median(dt))
-    if np.any(np.abs(dt - tau0) > 1e-6 * tau0):
+    if not uniform:
         raise ValueError(f"{path}: sampling is not uniform")
     series = FrequencyTimeSeries(tau0, f, carrier_hz=carrier_hz)
     if carrier_hz is not None:
-        with np.errstate(over="ignore"):  # a sample that overflows is as far off as any
-            far = np.abs(series.fractional) >= 1
-        if far.any():
+        far = _first_far(series)
+        if far is not None:
             raise ValueError(
-                f"{path}: f_hz {float(f[far][0])!r} is not within a factor 2 of --carrier-hz {carrier_hz!r} "
+                f"{path}: f_hz {float(f[far])!r} is not within a factor 2 of --carrier-hz {carrier_hz!r} "
                 "(every f_hz must lie between 0 and twice the carrier)"
             )
     return series
+
+
+def _numpy_steps(t) -> tuple[float, bool, bool]:
+    """(median step, whether every step is > 0, whether every step is within 1e-6 of the median) of sample times."""
+    import numpy as np
+
+    dt = np.diff(t)
+    tau0 = float(np.median(dt))
+    return tau0, bool(np.all(dt > 0)), not np.any(np.abs(dt - tau0) > 1e-6 * tau0)
+
+
+def _python_steps(t) -> tuple[float, bool, bool]:
+    dt = list(map(operator.sub, t[1:], t))
+    ordered, half = sorted(dt), len(dt) // 2
+    tau0 = ordered[half] if len(dt) % 2 else (ordered[half - 1] + ordered[half]) / 2.0  # np.median's
+    return tau0, ordered[0] > 0, not any(abs(d - tau0) > 1e-6 * tau0 for d in dt)
+
+
+def _first_far(series: FrequencyTimeSeries) -> int | None:
+    """The index of the first fractional sample with |y| >= 1 (an overflow to inf among them), or None."""
+    if not _is_ndarray(series.samples):
+        return next((i for i, v in enumerate(series.fractional) if abs(v) >= 1), None)
+    import numpy as np
+
+    with np.errstate(over="ignore"):  # a sample that overflows is as far off as any
+        far = np.flatnonzero(np.abs(series.fractional) >= 1)
+    return int(far[0]) if far.size else None
 

@@ -29,8 +29,9 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 # numpy is imported inside the functions that build arrays: the commands that
-# build none (carrier, dfg, ledger, compare, extract, extrapolate-b and
-# extrapolate-rf on small inputs) then start without it
+# build none (carrier, dfg, ledger, compare, extract, and extrapolate-b,
+# extrapolate-rf, fit-line and adev on inputs read row by row) then start
+# without it
 
 
 def _validated_components(components: Mapping[str, float]) -> dict[str, float]:
@@ -202,7 +203,8 @@ class Rule:
     message `<name> <requirement>`, and `shows_value` appends the
     offending value.  An `optional` numeric CSV column may be absent or
     hold an empty (or blank) cell, read as NaN; an optional key may be
-    absent.
+    absent.  A CSV text column that is not `kept` must be there, with a
+    cell in every row, but `read_table` does not return it.
     """
 
     requirement: str
@@ -210,6 +212,7 @@ class Rule:
     choices: frozenset[str] | None = None
     shows_value: bool = False
     optional: bool = False
+    kept: bool = True
 
 
 FINITE = Rule("must be finite", lambda x: (x > -math.inf) & (x < math.inf))
@@ -223,6 +226,7 @@ OPTIONAL_FINITE = replace(FINITE, optional=True)
 OPTIONAL_POSITIVE = replace(POSITIVE, optional=True)
 OPTIONAL_NON_NEGATIVE = replace(NON_NEGATIVE, optional=True)
 OPTIONAL_TEXT = replace(TEXT, optional=True)
+UNUSED_TEXT = replace(TEXT, kept=False)
 
 
 # Bytes on which np.loadtxt and csv + float() part ways: quotes (csv
@@ -231,6 +235,12 @@ OPTIONAL_TEXT = replace(TEXT, optional=True)
 _ROW_PATH_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # A file this small costs less row by row than the fixed cost of np.loadtxt.
 _FAST_MIN_BYTES = 1024
+# Before numpy is loaded, the fast path also pays for importing it: `import
+# numpy` takes 34 ms and the row path 50-80 us per kB (a 2-core x86 VM, Python
+# 3.11, numpy 2.4), so below about 400-700 kB a file is cheaper row by row.
+# `extrapolate-b` on the 3000-point, 127 kB cli-large field scan took 79 ms with
+# the fast path and 44 ms without, with the same report bytes.
+_IMPORT_MIN_BYTES = 512 * 1024
 _SCAN_BYTES = 1 << 16
 
 def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, np.ndarray | array.array | list[str]]:
@@ -239,12 +249,15 @@ def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, np.nd
     `columns` maps each column name to its Rule.  Returns each numeric
     column as a float64 sequence with `tolist()` (a numpy array from the
     fast path, an `array.array('d')` from the row path, so a small file
-    is read without numpy) and each text column as a list of stripped
-    strings, one entry per data row; blank lines are skipped.  A caller
-    that wants arrays takes `np.asarray` of the columns.
+    is read without numpy) and each kept text column as a list of
+    stripped strings, one entry per data row; blank lines are skipped.
+    A text column that is not kept is checked (the column and a cell in
+    every row) and left out.  A caller that wants arrays takes
+    `np.asarray` of the columns.
 
-    Fast path: a pure-ASCII file of at least `_FAST_MIN_BYTES` without
-    quotes, NUL or \\x1c-\\x1f is parsed with one `np.loadtxt` for the
+    Fast path: a pure-ASCII file without quotes, NUL or \\x1c-\\x1f, of at
+    least `_FAST_MIN_BYTES` once numpy is loaded and of at least
+    `_IMPORT_MIN_BYTES` before, is parsed with one `np.loadtxt` for the
     numeric columns (and one for the text columns), and the rules are
     checked on whole arrays.  Any other file, and any cell that does not
     parse or breaks its rule, goes to the row path, which reads the file
@@ -271,9 +284,14 @@ def _read_fast(path, columns: Mapping[str, Rule]) -> dict | None:
 
     index = {name: i for i, name in enumerate(header.split(","))}
     numeric = [n for n, rule in columns.items() if rule.accepts is not None and (n in index or not rule.optional)]
-    texts = [n for n, rule in columns.items() if rule.accepts is None]
-    if not all(n in index for n in numeric + texts):
+    texts = [n for n, rule in columns.items() if rule.accepts is None and rule.kept]
+    unused = [n for n, rule in columns.items() if rule.accepts is None and not rule.kept]
+    if not all(n in index for n in numeric + texts + unused):
         return None
+    # a row that has a loaded column has every column before it; past them, the
+    # furthest unused one is loaded as one character per cell, only to be there
+    loaded = max((index[n] for n in numeric + texts), default=-1)
+    present = [max(index[n] for n in unused)] if unused and max(index[n] for n in unused) > loaded else []
 
     def load(usecols: list[int], dtype=float) -> np.ndarray:
         with open(path, encoding="utf-8") as fh:  # universal newlines: \r and \r\n end a line, as for csv
@@ -290,12 +308,16 @@ def _read_fast(path, columns: Mapping[str, Rule]) -> dict | None:
             if texts:
                 cells = load(usecols=[index[n] for n in texts], dtype=object)  # each cell a str, as written
                 out.update((n, [s.strip() for s in col]) for n, col in zip(texts, cells.T.tolist()))
+            n_rows = len(out[(numeric + texts)[0]]) if numeric + texts else 0
+            if present:
+                n_rows = len(load(usecols=present, dtype="U1"))
     except ValueError:
         return None
-    n_rows = len(out[(numeric + texts)[0]])
     if not n_rows:  # no data rows: the row path says so
         return None
     for name, rule in columns.items():
+        if not rule.kept:
+            continue
         if name not in out:  # an optional column the header lacks
             out[name] = np.full(n_rows, np.nan)
         elif rule.accepts is not None and not _accepted(rule, out[name]):
@@ -306,10 +328,12 @@ def _read_fast(path, columns: Mapping[str, Rule]) -> dict | None:
 def _plain_header(path) -> str | None:
     """The header line of a file the fast path may read, else None.
 
-    The file must hold at least `_FAST_MIN_BYTES`, all ASCII and none of
-    `_ROW_PATH_BYTES`; it is scanned in chunks, so no copy of it is kept.
+    The file must hold at least `_FAST_MIN_BYTES` (`_IMPORT_MIN_BYTES`
+    while numpy is not loaded), all ASCII and none of `_ROW_PATH_BYTES`;
+    it is scanned in chunks, so no copy of it is kept.
     """
-    if os.path.getsize(path) < _FAST_MIN_BYTES:
+    min_bytes = _FAST_MIN_BYTES if "numpy" in sys.modules else max(_FAST_MIN_BYTES, _IMPORT_MIN_BYTES)
+    if os.path.getsize(path) < min_bytes:
         return None
     with open(path, "rb") as fh:
         chunk = fh.read(_SCAN_BYTES)
@@ -333,7 +357,8 @@ def _accepted(rule: Rule, values: np.ndarray) -> bool:
 def _read_rows(path, columns: Mapping[str, Rule]) -> dict:
     """The table row by row; the first fault raises ValueError as `read_table` describes."""
     required = [n for n, rule in columns.items() if rule.accepts is not None and not rule.optional]
-    out: dict = {n: [] for n in columns}
+    out: dict = {n: [] for n, rule in columns.items() if rule.kept}
+    n_rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -342,6 +367,7 @@ def _read_rows(path, columns: Mapping[str, Rule]) -> dict:
                 if not (rule.optional or name in header):
                     raise ValueError(f"{path}:1: missing column {name}")
             for row in reader:
+                n_rows += 1
                 line = reader.line_num
                 values = {n: parse_field(row[n], path, line, n) for n in required}
                 for name, rule in columns.items():
@@ -349,7 +375,8 @@ def _read_rows(path, columns: Mapping[str, Rule]) -> dict:
                     if rule.accepts is None:
                         if cell is None:  # a short row
                             raise ValueError(f"{path}:{line}: {name} {rule.requirement}")
-                        values[name] = cell.strip()
+                        if rule.kept:
+                            values[name] = cell.strip()
                     elif rule.optional and not (cell or "").strip():
                         values[name] = math.nan
                     else:
@@ -361,7 +388,7 @@ def _read_rows(path, columns: Mapping[str, Rule]) -> dict:
                     out[n].append(v)
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    if not any(out.values()):
+    if not n_rows:
         raise ValueError(f"{path}: no data rows")
     return {n: v if columns[n].accepts is None else array.array("d", v) for n, v in out.items()}
 

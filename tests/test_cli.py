@@ -267,6 +267,21 @@ def test_overflowing_level_solve_is_one_line_data_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_spin_structure_whose_origin_overflows_is_one_line_data_error(tmp_path):
+    """The demo coefficients x 1e302: every energy is finite, but the degeneracy-weighted sum of the origin is not."""
+    lines = bundled.data_path("demo_coefficients.conf").read_text().splitlines()
+    scaled = [f"{key} = {float(value) * 1e302!r}" if line.startswith("E") else line
+              for line in lines for key, _, value in [line.partition(" = ")]]
+    coefficients = tmp_path / "coefficients.conf"
+    coefficients.write_text("\n".join(scaled) + "\n")
+    out = tmp_path / "out"
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "hdspec.cli", "spin-structure",
+                      "--coefficients", str(coefficients), "--out-dir", str(out))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "data error: level solve overflows float64 (the spin-averaged origin)\n"
+    assert not out.exists()
+
+
 def test_overflowing_spin_theory_uncertainty_is_one_line_data_error_before_any_output(tmp_path):
     """The demo coefficients with eps_E4 = 1e308 on [v=1,N=1]: the error model overflows on both lines."""
     coefficients = tmp_path / "coefficients.conf"
@@ -765,6 +780,8 @@ ARRAY_FREE_COMMANDS = {
     "extract": ["hdspec.coefficients", "hdspec.composite", "hdspec.constants"],
     "extrapolate-b": ["hdspec.systematics"],
     "extrapolate-rf": ["hdspec.systematics"],
+    "fit-line": ["hdspec.lineshape"],
+    "adev": ["hdspec.metrology"],
 }
 CSV_FORMAT_COMMANDS = ("ledger", "extract")
 
@@ -793,7 +810,7 @@ def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
     assert lines[0] == str(["hdspec", "hdspec.bundled", "hdspec.cli", "hdspec.quantity"])
     assert lines[-1] == "[]"
     for stem in ("carrier_sweep.csv", "dfg.json", "ledger.csv", "compare.csv", "extract_components.csv",
-                 "extrapolate_b.json", "extrapolate_rf.json"):
+                 "extrapolate_b.json", "extrapolate_rf.json", "fit_line_spectrum.csv", "adev.csv"):
         assert (tmp_path / stem).exists(), stem
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import bundled, quantity
+from hdspec import bundled, lineshape, quantity
 from hdspec.cli import main
 from hdspec.lineshape import (
     DecayScan,
@@ -26,6 +27,7 @@ from hdspec.lineshape import (
 )
 
 TRUTH = dict(center=0.37, fwhm=0.8, amplitude=0.25, offset=0.02)
+BUNDLED_SCAN = read_decay_csv(bundled.data_path("line12_depletion.csv"))
 
 
 def lorentz(x, center, fwhm, amplitude, offset):
@@ -110,6 +112,116 @@ def test_uniform_sems_and_no_sems_agree():
     assert np.allclose(plain.covariance, weighted.covariance, rtol=1e-8)
 
 
+# --- the numpy fit as an oracle ---------------------------------------------
+
+
+def _np_model_and_jacobian(p, x):
+    center, gamma, amp, offset = p
+    u = x - center
+    h = gamma ** 2 / 4.0
+    denom = u ** 2 + h
+    q = h / denom
+    jac = np.empty((len(x), 4))
+    jac[:, 0] = amp * h * 2.0 * u / denom ** 2
+    jac[:, 1] = amp * (gamma / 2.0) * u ** 2 / denom ** 2
+    jac[:, 2] = q
+    jac[:, 3] = 1.0
+    return offset + amp * q, jac
+
+
+def numpy_fit(points):
+    """(parameters, covariance) of the same damped Gauss-Newton, solved by np.linalg.lstsq and pinv."""
+    x, y = np.array([pt.detuning for pt in points]), np.array([pt.signal for pt in points])
+    sems = [pt.sem for pt in points]
+    w = 1.0 / np.array(sems) ** 2 if all(s is not None and s > 0 for s in sems) else np.ones_like(y)
+    order, k = np.argsort(x), max(1, len(x) // 4)
+    edges = np.sort(np.concatenate([y[order[:k]], y[order[-k:]]]))
+    offset = float((edges[k - 1] + edges[k]) / 2.0)
+    extremal = int(np.argmax(np.abs(y - offset)))
+    sign = 1.0 if y[extremal] >= offset else -1.0
+    p = np.array([x[extremal], float(np.ptp(x)) / 2.0, sign * float(np.ptp(y)), offset])
+
+    def cost_of(params):
+        return float(np.sum(w * (y - _np_model_and_jacobian(params, x)[0]) ** 2))
+
+    lam, cost = 1e-3, cost_of(p)
+    for _ in range(200):
+        model, jac = _np_model_and_jacobian(p, x)
+        normal = jac.T @ (w[:, None] * jac)
+        step, *_ = np.linalg.lstsq(normal + lam * np.diag(np.diag(normal)), jac.T @ (w * (y - model)), rcond=None)
+        new_cost = cost_of(p + step)
+        if new_cost <= cost:
+            p, lam = p + step, lam * 0.1
+            rel, cost = (cost - new_cost) / max(cost, np.finfo(float).tiny), new_cost
+            if rel < 1e-12 or float(np.linalg.norm(step)) < 1e-10:
+                break
+        else:
+            lam *= 10.0
+    p[1] = abs(p[1])
+    _, jac = _np_model_and_jacobian(p, x)
+    return p, np.linalg.pinv(jac.T @ (w[:, None] * jac)) * (cost / (len(x) - 4))
+
+
+def oracle_cases():
+    yield "bundled", build_spectrum(BUNDLED_SCAN)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(-2.0, 2.0, 16 + 9 * seed)
+        y = lorentz(x, rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5), rng.choice([-1, 1]) * rng.uniform(0.1, 0.5), 0.02)
+        yield f"seed {seed}", make_points(x, y + rng.normal(0.0, 0.01, x.size), sem=0.01 if seed % 2 else None)
+
+
+# The two solvers round differently and may stop one iteration apart, at a relative cost change below
+# 1e-12: each parameter agrees to 1e-6 of its standard error, each covariance entry to 1e-6 of
+# sqrt(C_ii C_jj).  The largest seen are 1e-7 and 5e-9.
+ORACLE_BOUND = 1e-6
+
+
+@pytest.mark.parametrize("name, points", list(oracle_cases()), ids=[name for name, _ in oracle_cases()])
+def test_fit_agrees_with_the_numpy_lstsq_and_pinv_oracle(name, points):
+    fit = fit_lorentzian(points)
+    params, covariance = numpy_fit(points)
+    sigma = np.sqrt(np.diag(covariance))
+    got = np.array([getattr(fit, n) for n in LineFit.PARAM_NAMES])
+    assert np.max(np.abs(got - params) / sigma) <= ORACLE_BOUND
+    assert np.max(np.abs(np.array(fit.covariance) - covariance) / np.outer(sigma, sigma)) <= ORACLE_BOUND
+
+
+def test_the_inverse_gives_zero_rows_for_zero_columns_and_none_for_any_other_singular_matrix():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(6, 4))
+    normal = a.T @ a
+    assert np.allclose(lineshape._cholesky_inverse(normal.tolist()), np.linalg.inv(normal), rtol=1e-12, atol=0)
+    # a zero Jacobian column (the center's, at amplitude 0): its row and column are 0, as in the pseudo-inverse
+    a[:, 0] = 0.0
+    normal = a.T @ a
+    got = np.array(lineshape._cholesky_inverse(normal.tolist()))
+    assert (got[0] == 0).all() and (got[:, 0] == 0).all()
+    assert np.allclose(got, np.linalg.pinv(normal), rtol=1e-12, atol=0)
+    # two equal columns: singular with no zero column
+    a[:, 0] = a[:, 1]
+    assert lineshape._cholesky_inverse((a.T @ a).tolist()) is None
+
+
+def test_a_singular_normal_matrix_at_the_solution_is_a_fit_error(monkeypatch):
+    x = np.linspace(-2.0, 2.0, 21)
+    points = make_points(x, lorentz(x, **TRUTH))
+    inverse, calls = lineshape._cholesky_inverse, []
+    monkeypatch.setattr(lineshape, "_cholesky_inverse", lambda a: calls.append(a) or inverse(a))
+    fit_lorentzian(points)
+    last = len(calls)  # the covariance's is the last inverse
+
+    def singular_last(a):
+        calls.append(a)
+        return None if len(calls) == 2 * last else inverse(a)
+
+    monkeypatch.setattr(lineshape, "_cholesky_inverse", singular_last)
+    with pytest.raises(FitError) as exc:
+        fit_lorentzian(points)
+    assert type(exc.value) is FitError
+    assert str(exc.value) == "the normal matrix at the solution is singular: the data do not determine the parameters"
+
+
 def test_too_few_points_rejected():
     x = np.linspace(-1.0, 1.0, 4)
     with pytest.raises(ValueError, match="at least 5"):
@@ -143,6 +255,16 @@ def records_at(detuning, on_values, off_values):
     return [(detuning, True, v) for v in on_values] + [(detuning, False, v) for v in off_values]
 
 
+def exact_mean_and_sem(values):
+    """Mean and SEM from sums rounded once from their exact (Fraction) values, as math.fsum rounds them."""
+    n = len(values)
+    mean = float(sum(map(Fraction, values), Fraction(0))) / n
+    if n < 2:
+        return mean, None
+    dev = [v - mean for v in values]
+    return mean, math.sqrt(float(sum((Fraction(d * d) for d in dev), Fraction(0))) / (n - 1)) / math.sqrt(n)
+
+
 def dict_spectrum(records):
     """(detuning, signal, sem) per detuning, by the row-by-row dict regroup: the reference for build_spectrum."""
     by_detuning = {}
@@ -155,9 +277,9 @@ def dict_spectrum(records):
         if not on or not off:
             missing = "laser-on" if not on else "background"
             raise ValueError(f"detuning {detuning} kHz has no {missing} records")
-        sems = [float(np.std(v, ddof=1) / math.sqrt(len(v))) for v in (on, off) if len(v) > 1]
-        sem = math.sqrt(sems[0] ** 2 + sems[1] ** 2) if len(sems) == 2 else None
-        points.append((detuning, float(np.mean(on) - np.mean(off)), sem))
+        (mean_on, sem_on), (mean_off, sem_off) = exact_mean_and_sem(on), exact_mean_and_sem(off)
+        sem = math.sqrt(sem_on ** 2 + sem_off ** 2) if sem_on is not None and sem_off is not None else None
+        points.append((detuning, mean_on - mean_off, sem))
     return points
 
 
@@ -213,7 +335,7 @@ def test_build_spectrum_sorts_detunings():
 def test_build_spectrum_groups_interleaved_unsorted_detunings_in_file_order():
     rng = np.random.default_rng(5)
     detunings = rng.permutation(np.linspace(-1.0, 1.0, 9)).tolist()
-    # 40 records per detuning and class, shuffled together: each class is summed in file order
+    # 40 records per detuning and class, shuffled together
     records = [(d, bool(on), float(v)) for d in detunings for on in (0, 1) for v in rng.random(40)]
     records = [records[i] for i in rng.permutation(len(records))]
     got = build_spectrum(scan_of(records))
@@ -227,7 +349,7 @@ def test_build_spectrum_merges_signed_zeros_under_the_first_seen(first):
     records = [(first, True, 0.30), (second, False, 0.10), (second, True, 0.34), (first, False, 0.12), (second, False, 0.11)]
     (pt,) = build_spectrum(scan_of(records))
     assert math.copysign(1.0, pt.detuning) == math.copysign(1.0, first)
-    assert pt.signal == float(np.mean([0.30, 0.34]) - np.mean([0.10, 0.12, 0.11]))
+    assert pt.signal == math.fsum([0.30, 0.34]) / 2 - math.fsum([0.10, 0.12, 0.11]) / 3
     assert repr(columnar_spectrum(records)) == repr(dict_spectrum(records))
 
 
@@ -248,7 +370,7 @@ def test_build_spectrum_matches_the_dict_regroup(records):
     assert spectrum_outcome(columnar_spectrum, records) == spectrum_outcome(dict_spectrum, records)
 
 
-# numpy's pairwise summation unrolls by 8 and splits blocks above 128 values
+# class sizes around the blocks of numpy's pairwise summation (8 and 128), whose sums differ from fsum's
 CLASS_SIZES = st.one_of(st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 256, 257, 300]), st.integers(1, 300))
 
 
@@ -268,9 +390,24 @@ def uneven_scans(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(records=uneven_scans())
-def test_build_spectrum_is_np_mean_and_np_std_bit_for_bit(records):
-    """Per class mean(on) - mean(off) and np.std(ddof=1) / sqrt(n), in file order, whatever the class sizes."""
+def test_build_spectrum_is_the_correctly_rounded_mean_and_sem_bit_for_bit(records):
+    """Per class mean(on) - mean(off) and the sample standard deviation over sqrt(n), each sum rounded once."""
     assert repr(columnar_spectrum(records)) == repr(dict_spectrum(records))
+
+
+BUNDLED_RECORDS = list(zip(BUNDLED_SCAN.detuning, BUNDLED_SCAN.laser_on, BUNDLED_SCAN.depletion))
+
+
+def fit_outcome(points):
+    fit = fit_lorentzian(points)
+    return repr((fit.center, fit.fwhm, fit.amplitude, fit.offset, fit.covariance, fit.n_iter, fit.cost_trace))
+
+
+@settings(max_examples=30, deadline=None)
+@given(records=st.permutations(BUNDLED_RECORDS))
+def test_shuffled_records_give_the_same_spectrum_and_fit_bit_for_bit(records):
+    assert repr(columnar_spectrum(records)) == repr(columnar_spectrum(BUNDLED_RECORDS))
+    assert fit_outcome(build_spectrum(scan_of(records))) == fit_outcome(build_spectrum(scan_of(BUNDLED_RECORDS)))
 
 
 def test_depletion_range_validated():

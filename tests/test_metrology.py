@@ -1,5 +1,6 @@
 """Comb arithmetic, maser correction, and Allan-deviation statistics."""
 
+import array
 import decimal
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import bundled
+from hdspec import bundled, quantity
 from hdspec.cli import main
 from hdspec.metrology import (
     CombParams,
@@ -383,3 +384,51 @@ def test_bundled_counter_demo_parses_and_behaves():
     # 3 Hz white noise on a 58.6 THz carrier
     assert adev == pytest.approx(3.0 / carrier, rel=0.2, abs=0)
 
+
+
+# The Python kernel sums the squared differences with math.fsum (correctly rounded), numpy's with
+# pairwise summation; the cumulative sums, bin means and differences are the same operations.
+PYTHON_KERNEL_RTOL = 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 700),
+    carrier=st.sampled_from([None, 58605052164255.0]),
+)
+def test_allan_deviation_on_python_floats_agrees_with_the_numpy_kernel(seed, n, carrier):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(0.0, 1e-13, n) + 1e-15 * np.arange(n)
+    samples = y if carrier is None else carrier * (1.0 + y)
+    taus = [float(m) for m in (1, 2, 3, 7, 16, 50) if n - 2 * m + 1 >= 1]
+    on_numpy = allan_deviation(FrequencyTimeSeries(1.0, samples, carrier), taus)
+    on_floats = allan_deviation(FrequencyTimeSeries(1.0, array.array("d", samples.tolist()), carrier), taus)
+    assert [row[0] for row in on_floats] == taus
+    for got, want in zip(on_floats, on_numpy):
+        assert got[1:] == pytest.approx(want[1:], rel=PYTHON_KERNEL_RTOL, abs=0)
+
+
+def test_bundled_counter_log_gives_one_series_and_one_deviation_on_either_path(monkeypatch):
+    path, carrier = bundled.data_path("demo_counter.csv"), 58605052164258.0
+    series = {}
+    for min_bytes in (0, 1 << 30):  # the whole-column path, then the row path
+        monkeypatch.setattr(quantity, "_FAST_MIN_BYTES", min_bytes)
+        series[min_bytes] = read_counter_csv(path, carrier_hz=carrier)
+    fast, rows = series[0], series[1 << 30]
+    assert isinstance(fast.samples, np.ndarray) and isinstance(rows.samples, array.array)
+    assert (rows.tau0, rows.samples.tolist()) == (fast.tau0, fast.samples.tolist())
+    taus = [2.0 ** k for k in range(8)]
+    for got, want in zip(allan_deviation(rows, taus), allan_deviation(fast, taus)):
+        assert got == pytest.approx(want, rel=PYTHON_KERNEL_RTOL, abs=0)
+
+
+@pytest.mark.parametrize(
+    "samples, step",
+    [([1e308, 1e308], "accumulate"), ([1.6e308, -1.6e308, 1.6e308, -1.6e308], "subtract"), ([1e300, -1e300, 1e300], "square")],
+)
+def test_python_kernel_names_the_overflowing_step_as_numpy_does(samples, step):
+    for kind in (np.array, lambda v: array.array("d", v)):
+        with pytest.raises(ValueError) as exc:
+            allan_deviation(FrequencyTimeSeries(1.0, kind(samples)), [1.0])
+        assert str(exc.value) == f"Allan deviation overflows float64 (overflow encountered in {step})"

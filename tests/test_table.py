@@ -3,6 +3,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -14,7 +17,11 @@ from hypothesis import strategies as st
 
 from hdspec import constants, lineshape, metrology, quantity, systematics
 from hdspec.cli import main
-from hdspec.quantity import FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, UNIT_INTERVAL, read_table
+from hdspec.quantity import (
+    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, UNIT_INTERVAL, UNUSED_TEXT, read_table,
+)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _counter(path):
@@ -265,17 +272,53 @@ def test_small_files_are_read_row_by_row(tmp_path):
 
 
 def test_fast_path_scans_every_chunk_and_needs_the_whole_header_in_the_first(tmp_path):
+    # files above the fast path's minimum with or without numpy loaded, scanned in 256-byte chunks
     columns = {"a": FINITE, "b": FINITE}
-    rows = "1,2\n" * 400
+    n = quantity._IMPORT_MIN_BYTES // 4
+    rows = "1,2\n" * n
     with mock.patch.object(quantity, "_SCAN_BYTES", 256):
         assert quantity._read_fast(write(tmp_path, "a,b\n" + rows), columns) is not None
         # a quote or a non-ASCII byte far past the first chunk
         assert quantity._read_fast(write(tmp_path, "a,b\n" + rows + '"3",4\n'), columns) is None
         assert quantity._read_fast(write(tmp_path, "a,b\n" + rows + "５,4\n"), columns) is None
         # a header that fills the first chunk may go on past it: here to a second b, the one that counts
-        path = write(tmp_path, "a,b," + "x" * 300 + ",b\n" + "1,2,0,4\n" * 400)
+        path = write(tmp_path, "a,b," + "x" * 300 + ",b\n" + "1,2,0,4\n" * (n // 2))
         assert quantity._read_fast(path, columns) is None
-        assert read_table(path, columns)["b"].tolist() == [4.0] * 400
+        assert read_table(path, columns)["b"].tolist() == [4.0] * (n // 2)
+
+
+def test_before_numpy_is_loaded_only_a_file_that_pays_for_its_import_takes_the_fast_path(tmp_path):
+    """In a fresh interpreter: row by row below `_IMPORT_MIN_BYTES`; once numpy is loaded, from `_FAST_MIN_BYTES`."""
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    small.write_text("a,b\n" + "1,2\n" * 1000)
+    large.write_text("a,b\n" + "1,2\n" * (quantity._IMPORT_MIN_BYTES // 4))
+    script = (
+        "import sys\n"
+        "from hdspec import quantity\n"
+        "columns = {'a': quantity.FINITE, 'b': quantity.FINITE}\n"
+        f"print(type(quantity.read_table({str(small)!r}, columns)['a']).__name__, 'numpy' in sys.modules)\n"
+        f"print(type(quantity.read_table({str(large)!r}, columns)['a']).__name__, 'numpy' in sys.modules)\n"
+        f"print(type(quantity.read_table({str(small)!r}, columns)['a']).__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["array False", "ndarray True", "ndarray"]
+
+
+@pytest.mark.parametrize("min_bytes", [0, 1 << 30], ids=["fast", "rows"])
+def test_an_unused_text_column_is_checked_and_left_out(tmp_path, min_bytes):
+    columns = {"a": FINITE, "id": UNUSED_TEXT}
+    with mock.patch.object(quantity, "_FAST_MIN_BYTES", min_bytes):
+        # wherever the column is, before the read columns or after them
+        for text in ("id,a\nx,1\ny,2\n", "a,id\n1,x\n2,\n"):
+            cols = read_table(write(tmp_path, text), columns)
+            assert list(cols) == ["a"] and cols["a"].tolist() == [1.0, 2.0]
+        # a short row: the cell is missing
+        with pytest.raises(ValueError, match=r"table\.csv:3: id is missing$"):
+            read_table(write(tmp_path, "a,id\n1,x\n2\n"), columns)
+        with pytest.raises(ValueError, match=r"table\.csv:1: missing column id$"):
+            read_table(write(tmp_path, "a\n1\n"), columns)
 
 
 def test_row_path_accepts_what_float_accepts(tmp_path):
