@@ -615,9 +615,9 @@ class _LevelSet:
         `level solve overflows float64 (the spin-averaged origin)`.
         """
         levels = self.levels
-        with overflow_as_value_error("level solve"):
-            origin = sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
-            if not math.isfinite(origin):
+        origin = sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
+        if not math.isfinite(origin):  # Python floats overflow in silence; the guard only words the error
+            with overflow_as_value_error("level solve"):
                 raise OverflowError("the spin-averaged origin")
         return origin
 

@@ -21,7 +21,6 @@ it.
 from __future__ import annotations
 
 import array
-import itertools
 import math
 import operator
 import sys
@@ -135,7 +134,7 @@ def build_spectrum(scan: DecayScan) -> list[SpectrumPoint]:
     for key, laser_on, value in zip(detuning, scan.laser_on.tolist(), scan.depletion.tolist()):
         (on if laser_on else off)[key].append(value)
     points = []
-    for key in sorted(dict.fromkeys(itertools.chain(on, off))):
+    for key in sorted(on.keys() | off.keys()):
         if key == 0.0:
             key = detuning[detuning.index(0.0)]  # -0.0 or 0.0, whichever the file has first
         if key not in on or key not in off:

@@ -290,8 +290,8 @@ def _read_fast(path, columns: Mapping[str, Rule]) -> dict | None:
         return None
     # a row that has a loaded column has every column before it; past them, the
     # furthest unused one is loaded as one character per cell, only to be there
-    loaded = max((index[n] for n in numeric + texts), default=-1)
-    present = [max(index[n] for n in unused)] if unused and max(index[n] for n in unused) > loaded else []
+    furthest = max((index[n] for n in unused), default=-1)
+    present = [furthest] if furthest > max((index[n] for n in numeric + texts), default=-1) else []
 
     def load(usecols: list[int], dtype=float) -> np.ndarray:
         with open(path, encoding="utf-8") as fh:  # universal newlines: \r and \r\n end a line, as for csv
