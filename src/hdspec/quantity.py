@@ -235,11 +235,13 @@ UNUSED_TEXT = replace(TEXT, kept=False)
 _ROW_PATH_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # A file this small costs less row by row than the fixed cost of np.loadtxt.
 _FAST_MIN_BYTES = 1024
-# Before numpy is loaded, the fast path also pays for importing it: `import
-# numpy` takes 34 ms and the row path 50-80 us per kB (a 2-core x86 VM, Python
-# 3.11, numpy 2.4), so below about 400-700 kB a file is cheaper row by row.
-# `extrapolate-b` on the 3000-point, 127 kB cli-large field scan took 79 ms with
-# the fast path and 44 ms without, with the same report bytes.
+# Before numpy is loaded, the fast path also pays for importing it.  Measured
+# on a 2-core x86 VM with Python 3.11 and numpy 2.4: `import numpy` 34 ms, the
+# row path 50-80 us per kB, so break-even at 400-700 kB; in a slower run of the
+# same VM, 146 ms against 166-198 us per kB (np.loadtxt 22-36 us per kB), so
+# break-even near 900 kB.  Below this size a file is read row by row, with the
+# same numbers: `extrapolate-b` on the 127 kB cli-large field scan writes the
+# same report bytes in 44 ms instead of 79 (first run), 166 instead of 274.
 _IMPORT_MIN_BYTES = 512 * 1024
 _SCAN_BYTES = 1 << 16
 
