@@ -11,9 +11,9 @@ alike.  With `rtol` 0 the files must be equal byte for byte; with a
 bound, the text between numbers must be equal and each number x within
 `rtol * max(1, |x|)` of the committed one: relative for the numbers
 that carry a unit's scale, absolute for those below 1 in magnitude
-(roundoff residuals such as a 4e-11 kHz truncation among them).  A mismatch names the file, the
-first differing JSON key path or CSV cell, and the largest absolute and
-relative difference of the numbers.
+(roundoff residuals such as a 4e-11 kHz truncation among them).  A
+mismatch names the file, the first differing JSON key path or CSV cell,
+and the largest absolute and relative difference of the numbers.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _first_json_difference(want, got, where: str = "") -> str | None:
             if found:
                 return found
         return f"{where} (length {len(want)} -> {len(got)})" if len(want) != len(got) else None
-    if type(want) is not type(got) or want != got or repr(want) != repr(got):
+    if repr(want) != repr(got):  # tells 1 from 1.0 and -0.0 from 0.0
         return f"{where or 'the document'}: {want!r} -> {got!r}"
     return None
 

@@ -9,12 +9,16 @@ the text between the numbers must not differ.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import golden
 
 RTOL = float(os.environ.get("HDSPEC_REPORTS_RTOL", "0"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.mark.parametrize("name", golden.runs())
@@ -22,6 +26,18 @@ def test_reports_are_the_committed_ones(tmp_path, name):
     golden.write_reports(tmp_path, [name])
     files = golden.runs()[name][1]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    faults, _, _ = golden.compare_files(golden.REPORTS, tmp_path, files, RTOL)
+    assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("name", ["fit-line", "adev"])
+def test_reports_of_a_fresh_interpreter_are_the_committed_ones(tmp_path, name):
+    """Without numpy loaded, these read their bundled inputs row by row and compute on Python floats."""
+    argv, files = golden.runs()[name]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     faults, _, _ = golden.compare_files(golden.REPORTS, tmp_path, files, RTOL)
     assert not faults, "\n".join(faults)
 
