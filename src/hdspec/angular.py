@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -75,18 +74,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _refuse_write(self, name: str, *value) -> None:
+    """`__setattr__` and `__delattr__` of an object that a cache hands to every caller."""
+    raise AttributeError(f"{type(self).__name__} is shared and read-only: cannot set or delete {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # single-momentum matrices
 
 
-@dataclass(frozen=True)
 class AngularMomentumSet:
-    """Real (J_z, J_+, J_-) matrices for one angular momentum j."""
+    """Real (J_z, J_+, J_-) matrices for one angular momentum j (read-only, as `jmatrices` shares them)."""
 
-    j: float
-    jz: np.ndarray
-    jplus: np.ndarray
-    jminus: np.ndarray
+    __slots__ = ("j", "jz", "jplus", "jminus")
+    __setattr__ = __delattr__ = _refuse_write
+
+    def __init__(self, j: float, jz: np.ndarray, jplus: np.ndarray, jminus: np.ndarray) -> None:
+        for name, value in zip(self.__slots__, (j, jz, jplus, jminus)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -410,21 +415,31 @@ def _coefficient_vector(coeffs: HyperfineCoefficients) -> np.ndarray:
 COINCIDENT_KHZ = 1e-6
 
 
-@dataclass(frozen=True)
 class SpinLevel:
     """One hyperfine level: energy in kHz relative to the level set's origin.
 
     F is exact and the degeneracy is 2F + 1.  G1 and G2 are None for a
-    level that coincides with another level of the same F.
+    level that coincides with another level of the same F.  `states` are
+    the field-free states of its level set and `position` its place in
+    the levels of that set.  Level sets are cached and shared, so the
+    fields are read-only.
     """
 
-    energy: float
-    degeneracy: int
-    g1: int | None
-    g2: int | None
-    f: int
-    states: _States | None = field(default=None, repr=False, compare=False)  # the field-free states of its level set
-    position: int = field(default=0, repr=False, compare=False)  # its place in the levels of that set
+    __setattr__ = __delattr__ = _refuse_write
+
+    def __init__(
+        self,
+        energy: float,
+        degeneracy: int,
+        g1: int | None,
+        g2: int | None,
+        f: int,
+        states: _States | None = None,
+        position: int = 0,
+    ) -> None:
+        fields = self.__dict__  # written directly: `__setattr__` refuses, and `vectors` is cached here too
+        fields["energy"], fields["degeneracy"], fields["g1"], fields["g2"], fields["f"] = energy, degeneracy, g1, g2, f
+        fields["states"], fields["position"] = states, position
 
     @property
     def label(self) -> tuple[int, int, int] | None:

@@ -10,7 +10,6 @@ lambda_c, models the falloff toward shorter wavelengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .quantity import finite, overflow_as_value_error
 
@@ -28,15 +27,15 @@ def critical_wavelength(delta_rho: float) -> float:
     return lambda_c
 
 
-@dataclass(frozen=True)
 class CarrierModel:
     """Gaussian carrier-strength model S(lambda) in (0, 1]."""
 
-    delta_rho: float
+    __slots__ = ("delta_rho",)
 
-    def __post_init__(self) -> None:
-        if self.delta_rho <= 0:
+    def __init__(self, delta_rho: float) -> None:
+        if delta_rho <= 0:
             raise ValueError("radial spread must be positive")
+        self.delta_rho = delta_rho
 
 
 def carrier_strength(wavelength: float, model: CarrierModel) -> float:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from .quantity import OPTIONAL_FINITE, OPTIONAL_POSITIVE, finite, overflow_as_value_error, read_keys
+from .quantity import OPTIONAL_FINITE, OPTIONAL_POSITIVE, Record, finite, overflow_as_value_error, read_keys
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,7 +27,6 @@ ROTATIONAL_COEFFS = (1, 2, 3, 6, 7, 8, 9)
 CONTACT_COEFFS = (4, 5)
 
 
-@dataclass(frozen=True)
 class HyperfineCoefficients:
     """E1..E9 in kHz for one level (v, N).
 
@@ -36,13 +34,16 @@ class HyperfineCoefficients:
     uncertainties that replace the defaults of SpinUncertaintyParams.
     """
 
-    v: int
-    n_rot: int
-    values: dict[int, float]
-    eps_overrides: dict[int, float] = field(default_factory=dict)
+    __slots__ = ("v", "n_rot", "values", "eps_overrides")
 
-    def __post_init__(self) -> None:
-        for k, e in self.values.items():
+    def __init__(
+        self, v: int, n_rot: int, values: dict[int, float], eps_overrides: dict[int, float] | None = None
+    ) -> None:
+        self.v = v
+        self.n_rot = n_rot
+        self.values = values
+        self.eps_overrides = {} if eps_overrides is None else eps_overrides
+        for k, e in values.items():
             if k not in COEFF_INDICES:
                 raise ValueError(f"coefficient index must be 1..9, got {k}")
             if not math.isfinite(e):
@@ -50,8 +51,8 @@ class HyperfineCoefficients:
         for k, eps in self.eps_overrides.items():
             if k not in COEFF_INDICES or not (math.isfinite(eps) and eps > 0):
                 raise ValueError(f"bad fractional-uncertainty override eps_E{k} = {eps}")
-        if self.n_rot == 0:
-            bad = [k for k in ROTATIONAL_COEFFS if self.values.get(k, 0.0) != 0.0]
+        if n_rot == 0:
+            bad = [k for k in ROTATIONAL_COEFFS if values.get(k, 0.0) != 0.0]
             if bad:
                 raise ValueError(
                     f"N=0 level admits only E4, E5; got nonzero E{bad[0]}"
@@ -65,32 +66,38 @@ class HyperfineCoefficients:
 # spin-theory uncertainty model
 
 
-@dataclass(frozen=True)
-class SpinUncertaintyParams:
+class SpinUncertaintyParams(Record):
     """Fractional/absolute theory uncertainties of the coefficient set.
 
     eps_fermi applies to the Fermi-contact coefficients E4, E5 of both
     levels; eps_bp to the remaining (Breit-Pauli order alpha^2) upper
     coefficients; u1_prime is the absolute uncertainty assigned to the
-    upper spin-rotation coefficient E1'.
+    upper spin-rotation coefficient E1'.  Equal parameters hash alike:
+    a `SensitivityTable` keeps its `spin_scales` per parameter value.
     """
 
-    eps_fermi: float = 1e-6
-    eps_bp: float = 0.0072973525693 ** 2
-    u1_prime: float = 0.05
+    __slots__ = ("eps_fermi", "eps_bp", "u1_prime")
 
-    def __post_init__(self) -> None:
-        if min(self.eps_fermi, self.eps_bp, self.u1_prime) <= 0:
+    def __init__(self, eps_fermi: float = 1e-6, eps_bp: float = 0.0072973525693 ** 2, u1_prime: float = 0.05) -> None:
+        if min(eps_fermi, eps_bp, u1_prime) <= 0:
             raise ValueError("spin-uncertainty parameters must be strictly positive")
+        self.eps_fermi = eps_fermi
+        self.eps_bp = eps_bp
+        self.u1_prime = u1_prime
+
+    def __hash__(self) -> int:
+        return hash((self.eps_fermi, self.eps_bp, self.u1_prime))
 
 
-@dataclass(frozen=True)
 class TransitionSensitivities:
     """Sensitivity rows gamma (lower level) and gamma' (upper level)."""
 
-    transition: str
-    lower: dict[int, float]
-    upper: dict[int, float]
+    __slots__ = ("transition", "lower", "upper")
+
+    def __init__(self, transition: str, lower: dict[int, float], upper: dict[int, float]) -> None:
+        self.transition = transition
+        self.lower = lower
+        self.upper = upper
 
 
 DEFAULT_PARAMS = SpinUncertaintyParams()
@@ -102,7 +109,6 @@ _SPIN_TERMS = (
 )
 
 
-@dataclass(frozen=True)
 class SensitivityTable:
     """Sensitivities for a set of transitions sharing one level pair (built by `angular.transition_table`).
 
@@ -114,17 +120,22 @@ class SensitivityTable:
     rows and the coefficient sets must not change after that.
     """
 
-    lower_coeffs: HyperfineCoefficients
-    upper_coeffs: HyperfineCoefficients
-    rows: dict[str, TransitionSensitivities]
+    __slots__ = ("lower_coeffs", "upper_coeffs", "rows", "spin_gammas", "_scales")
 
-    def __post_init__(self) -> None:
-        gammas = {
+    def __init__(
+        self,
+        lower_coeffs: HyperfineCoefficients,
+        upper_coeffs: HyperfineCoefficients,
+        rows: dict[str, TransitionSensitivities],
+    ) -> None:
+        self.lower_coeffs = lower_coeffs
+        self.upper_coeffs = upper_coeffs
+        self.rows = rows
+        self.spin_gammas = {
             name: tuple(float((row.upper if level == "upper" else row.lower)[k]) for level, k in _SPIN_TERMS)
-            for name, row in self.rows.items()
+            for name, row in rows.items()
         }
-        object.__setattr__(self, "spin_gammas", gammas)
-        object.__setattr__(self, "_scales", {})
+        self._scales = {}  # SpinUncertaintyParams -> `spin_scales`
 
     def row(self, transition: str) -> TransitionSensitivities:
         if transition not in self.rows:

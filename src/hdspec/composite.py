@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .coefficients import DEFAULT_PARAMS, SensitivityTable, SpinUncertaintyParams, _weighted_spin_terms
@@ -25,7 +24,6 @@ if TYPE_CHECKING:
 TRANSITION_IDS = ("12", "16")
 
 
-@dataclass(frozen=True)
 class CompositeInput:
     """Corrected line frequencies and spin-theory inputs for lines 12, 16.
 
@@ -35,17 +33,20 @@ class CompositeInput:
     of the per-line uncertainties (correlations ignored conservatively).
     """
 
-    f12: Quantity
-    f16: Quantity
-    fspin12: Quantity
-    fspin16: Quantity
-    tables: SensitivityTable | None = None
+    __slots__ = ("f12", "f16", "fspin12", "fspin16", "tables")
 
-    def __post_init__(self) -> None:
-        if self.tables is not None:
-            missing = [t for t in TRANSITION_IDS if t not in self.tables.rows]
+    def __init__(
+        self, f12: Quantity, f16: Quantity, fspin12: Quantity, fspin16: Quantity, tables: SensitivityTable | None = None
+    ) -> None:
+        if tables is not None:
+            missing = [t for t in TRANSITION_IDS if t not in tables.rows]
             if missing:
                 raise ValueError(f"sensitivity table lacks transition {missing[0]}")
+        self.f12 = f12
+        self.f16 = f16
+        self.fspin12 = fspin12
+        self.fspin16 = fspin16
+        self.tables = tables
 
 
 def composite_spin_uncertainty(
@@ -99,11 +100,13 @@ def fallback_profile(inp: CompositeInput) -> tuple[tuple[float, float], ...]:
     return tuple((b, _fallback_spin_uncertainty(inp, b)) for b in _PROFILE_GRID)
 
 
-@dataclass(frozen=True)
 class WeightProfile:
-    b_star: float
-    u_star: float
-    profile: tuple[tuple[float, float], ...]
+    __slots__ = ("b_star", "u_star", "profile")
+
+    def __init__(self, b_star: float, u_star: float, profile: tuple[tuple[float, float], ...]) -> None:
+        self.b_star = b_star
+        self.u_star = u_star
+        self.profile = profile
 
 
 def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> WeightProfile:
@@ -136,11 +139,13 @@ def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> 
     return WeightProfile(float(b12[best]), float(u[best]), tuple(zip(_PROFILE_GRID, u[:n].tolist())))
 
 
-@dataclass(frozen=True)
 class SplittingComparison:
-    difference_exp: Quantity
-    difference_theory: Quantity
-    agreement_sigma: float
+    __slots__ = ("difference_exp", "difference_theory", "agreement_sigma")
+
+    def __init__(self, difference_exp: Quantity, difference_theory: Quantity, agreement_sigma: float) -> None:
+        self.difference_exp = difference_exp
+        self.difference_theory = difference_theory
+        self.agreement_sigma = agreement_sigma
 
     def report(self) -> dict:
         return {

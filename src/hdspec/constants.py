@@ -10,15 +10,13 @@ inverted for mu/m_e and m_p/m_e with a four-component error budget.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .quantity import (
-    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, Quantity, checked_field, finite,
+    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, Quantity, Record, checked_field, finite,
     overflow_as_value_error, read_keys, read_table,
 )
 
@@ -35,42 +33,48 @@ MANDATORY_CONTRIBUTIONS = (
 CONSTANT_NAMES = ("mp_over_me", "md_over_mp")
 
 
-@dataclass(frozen=True)
 class Constant:
-    value: float
-    uncertainty: float
-    source: str = ""
+    __slots__ = ("value", "uncertainty", "source")
 
-    def __post_init__(self) -> None:
-        if self.uncertainty < 0:
+    def __init__(self, value: float, uncertainty: float, source: str = "") -> None:
+        if uncertainty < 0:
             raise ValueError("constant uncertainty must be >= 0")
+        self.value = value
+        self.uncertainty = uncertainty
+        self.source = source
 
 
-@dataclass(frozen=True)
 class ConstantSet:
     """The two mass ratios the extraction reads (dimensionless)."""
 
-    mp_over_me: Constant
-    md_over_mp: Constant
+    __slots__ = ("mp_over_me", "md_over_mp")
+
+    def __init__(self, mp_over_me: Constant, md_over_mp: Constant) -> None:
+        self.mp_over_me = mp_over_me
+        self.md_over_mp = md_over_mp
 
 
-@dataclass(frozen=True)
-class Contribution:
-    name: str
-    value: float
-    uncertainty: float = 0.0
-    bookkeeping: bool = False
+class Contribution(Record):
+    __slots__ = ("name", "value", "uncertainty", "bookkeeping")
+
+    def __init__(self, name: str, value: float, uncertainty: float = 0.0, bookkeeping: bool = False) -> None:
+        self.name = name
+        self.value = value
+        self.uncertainty = uncertainty
+        self.bookkeeping = bookkeeping
 
 
-@dataclass(frozen=True)
-class ContributionTable:
+class ContributionTable(Record):
     """Ordered contributions to the theory frequency, in kHz.
 
     Bookkeeping rows (e.g. finite-size terms already contained in the
     alpha^2 term) are displayed in budgets but excluded from the sum.
     """
 
-    rows: tuple[Contribution, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[Contribution, ...]) -> None:
+        self.rows = rows
 
     def row(self, name: str) -> Contribution:
         for r in self.rows:
@@ -98,7 +102,6 @@ def theory_frequency(table: ContributionTable) -> Quantity:
     return Quantity(value, "kHz", {"theor_QED": u_qed, "CODATA": u_codata})
 
 
-@dataclass(frozen=True)
 class ScalingModel:
     """Log-linear response of the theory frequency to mu_p = m_p/m_e.
 
@@ -106,15 +109,18 @@ class ScalingModel:
     spin-theory uncertainty from the measured frequency's own component.
     """
 
-    f_ref: float
-    mu_p_ref: float
-    beta: float = -0.4846
-    u_qed: float = 0.5
-    u_codata_other: float = 0.07
+    __slots__ = ("f_ref", "mu_p_ref", "beta", "u_qed", "u_codata_other")
 
-    def __post_init__(self) -> None:
-        if not -0.5 < self.beta < -0.45:
-            raise ValueError(f"beta = {self.beta} outside the physical window (-0.5, -0.45)")
+    def __init__(
+        self, f_ref: float, mu_p_ref: float, beta: float = -0.4846, u_qed: float = 0.5, u_codata_other: float = 0.07
+    ) -> None:
+        if not -0.5 < beta < -0.45:
+            raise ValueError(f"beta = {beta} outside the physical window (-0.5, -0.45)")
+        self.f_ref = f_ref
+        self.mu_p_ref = mu_p_ref
+        self.beta = beta
+        self.u_qed = u_qed
+        self.u_codata_other = u_codata_other
 
     def at_reference(self, f_ref_new: float) -> "ScalingModel":
         """Move the reference point along the scaling curve.
@@ -123,7 +129,7 @@ class ScalingModel:
         implies the reference mass ratio consistent with the same curve.
         """
         mu_new = self.mu_p_ref * (f_ref_new / self.f_ref) ** (1.0 / self.beta)
-        return dataclasses.replace(self, f_ref=f_ref_new, mu_p_ref=mu_new)
+        return ScalingModel(f_ref_new, mu_new, self.beta, self.u_qed, self.u_codata_other)
 
 
 def scaled_theory(model: ScalingModel, mu_p: float) -> float:
@@ -136,13 +142,15 @@ def scaled_theory(model: ScalingModel, mu_p: float) -> float:
     return model.f_ref * ratio ** model.beta
 
 
-@dataclass(frozen=True)
 class ExtractionResult:
     """An extracted mass ratio with per-channel absolute uncertainties."""
 
-    name: str
-    value: float
-    components: dict[str, float]
+    __slots__ = ("name", "value", "components")
+
+    def __init__(self, name: str, value: float, components: dict[str, float]) -> None:
+        self.name = name
+        self.value = value
+        self.components = components
 
     @property
     def total_uncertainty(self) -> float:
@@ -215,12 +223,14 @@ def extract_mp_over_me(
     return ExtractionResult("mp_over_me", value, components)
 
 
-@dataclass(frozen=True)
 class ComparisonRow:
-    label: str
-    value: float
-    uncertainty: float
-    pull: float
+    __slots__ = ("label", "value", "uncertainty", "pull")
+
+    def __init__(self, label: str, value: float, uncertainty: float, pull: float) -> None:
+        self.label = label
+        self.value = value
+        self.uncertainty = uncertainty
+        self.pull = pull
 
 
 def comparison_report(

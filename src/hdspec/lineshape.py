@@ -25,7 +25,6 @@ import math
 import operator
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -44,7 +43,6 @@ class LowSignalError(FitError):
     """Fitted amplitude is consistent with zero."""
 
 
-@dataclass(frozen=True, eq=False)
 class DecayScan:
     """Decay records as columns, one entry per record in file order.
 
@@ -56,40 +54,36 @@ class DecayScan:
     `read_table` has checked, without a second pass over the records.
     """
 
-    detuning: array.array
-    laser_on: array.array
-    depletion: array.array
+    __slots__ = ("detuning", "laser_on", "depletion")
 
-    def __post_init__(self) -> None:
-        columns = {
-            "detuning": array.array("d", self.detuning),
-            "laser_on": array.array("d", map(bool, self.laser_on)),
-            "depletion": array.array("d", self.depletion),
-        }
-        if len({len(c) for c in columns.values()}) > 1:
+    def __init__(self, detuning: Sequence[float], laser_on: Sequence[float], depletion: Sequence[float]) -> None:
+        detuning = array.array("d", detuning)
+        laser_on = array.array("d", map(bool, laser_on))
+        depletion = array.array("d", depletion)
+        if not len(detuning) == len(laser_on) == len(depletion):
             raise ValueError("decay columns must be of one length")
-        for name, rule in (("detuning", FINITE), ("depletion", UNIT_INTERVAL)):
-            for value in columns[name]:
+        for name, column, rule in (("detuning", detuning, FINITE), ("depletion", depletion, UNIT_INTERVAL)):
+            for value in column:
                 if not rule.accepts(value):  # NaN fails every rule
                     raise ValueError(f"{name} {rule.requirement}, got {value}")
-        for name, column in columns.items():
-            object.__setattr__(self, name, column)
+        self.detuning = detuning
+        self.laser_on = laser_on
+        self.depletion = depletion
 
     @classmethod
     def _of_checked(cls, detuning, laser_on, depletion) -> DecayScan:
-        """The scan of float64 columns that already hold what `__post_init__` checks, as `read_table` returns them."""
+        """The scan of float64 columns that already hold what `__init__` checks, as `read_table` returns them."""
         scan = object.__new__(cls)
         for name, column in (("detuning", detuning), ("laser_on", laser_on), ("depletion", depletion)):
             if not isinstance(column, array.array):
                 column = array.array("d", column.tobytes())  # a numpy array's buffer, copied whole
-            object.__setattr__(scan, name, column)
+            setattr(scan, name, column)
         return scan
 
     def __len__(self) -> int:
         return len(self.detuning)
 
 
-@dataclass(frozen=True)
 class SpectrumPoint:
     """Background-subtracted signal at one detuning.
 
@@ -97,13 +91,14 @@ class SpectrumPoint:
     case the scatter of the difference is undefined.
     """
 
-    detuning: float
-    signal: float
-    sem: float | None
+    __slots__ = ("detuning", "signal", "sem")
 
-    def __post_init__(self) -> None:
-        if self.sem is not None and self.sem < 0:
+    def __init__(self, detuning: float, signal: float, sem: float | None) -> None:
+        if sem is not None and sem < 0:
             raise ValueError("sem must be >= 0")
+        self.detuning = detuning
+        self.signal = signal
+        self.sem = sem
 
 
 def _class_stats(values: list[float]) -> tuple[float, float | None]:
@@ -147,17 +142,32 @@ def build_spectrum(scan: DecayScan) -> list[SpectrumPoint]:
     return points
 
 
-@dataclass(frozen=True)
 class LineFit:
-    center: float
-    fwhm: float
-    amplitude: float
-    offset: float
-    covariance: tuple[tuple[float, ...], ...]  # 4 x 4, in PARAM_NAMES order
-    residual_norm: float
-    converged: bool
-    n_iter: int = 0
-    cost_trace: tuple[float, ...] = ()
+    __slots__ = (
+        "center", "fwhm", "amplitude", "offset", "covariance", "residual_norm", "converged", "n_iter", "cost_trace",
+    )
+
+    def __init__(
+        self,
+        center: float,
+        fwhm: float,
+        amplitude: float,
+        offset: float,
+        covariance: tuple[tuple[float, ...], ...],  # 4 x 4, in PARAM_NAMES order
+        residual_norm: float,
+        converged: bool,
+        n_iter: int = 0,
+        cost_trace: tuple[float, ...] = (),
+    ) -> None:
+        self.center = center
+        self.fwhm = fwhm
+        self.amplitude = amplitude
+        self.offset = offset
+        self.covariance = covariance
+        self.residual_norm = residual_norm
+        self.converged = converged
+        self.n_iter = n_iter
+        self.cost_trace = cost_trace
 
     PARAM_NAMES = ("center", "fwhm", "amplitude", "offset")
 

@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -31,31 +30,31 @@ def _is_ndarray(values) -> bool:
     return np is not None and isinstance(values, np.ndarray)
 
 
-@dataclass(frozen=True)
 class LaserLock:
     """One laser's lock point on the comb."""
 
-    n: int
-    f_beat: float
-    beat_sign: int
-    ceo_sign: int
+    __slots__ = ("n", "f_beat", "beat_sign", "ceo_sign")
 
-    def __post_init__(self) -> None:
-        if self.n <= 0 or self.n != int(self.n):
-            raise ValueError(f"mode number must be a positive integer, got {self.n}")
-        if self.beat_sign not in (-1, 1) or self.ceo_sign not in (-1, 1):
+    def __init__(self, n: int, f_beat: float, beat_sign: int, ceo_sign: int) -> None:
+        if n <= 0 or n != int(n):
+            raise ValueError(f"mode number must be a positive integer, got {n}")
+        if beat_sign not in (-1, 1) or ceo_sign not in (-1, 1):
             raise ValueError("signs must be +1 or -1")
+        self.n = n
+        self.f_beat = f_beat
+        self.beat_sign = beat_sign
+        self.ceo_sign = ceo_sign
 
 
-@dataclass(frozen=True)
 class CombParams:
-    f_rep: float
-    f_ceo: float
-    lasers: tuple[LaserLock, ...]
+    __slots__ = ("f_rep", "f_ceo", "lasers")
 
-    def __post_init__(self) -> None:
-        if self.f_rep <= 0:
+    def __init__(self, f_rep: float, f_ceo: float, lasers: tuple[LaserLock, ...]) -> None:
+        if f_rep <= 0:
             raise ValueError("repetition rate must be positive")
+        self.f_rep = f_rep
+        self.f_ceo = f_ceo
+        self.lasers = lasers
 
 
 def laser_frequency(comb: CombParams, index: int) -> float:
@@ -104,7 +103,6 @@ def maser_correct(f: float, fractional_offset: float) -> float:
     return corrected
 
 
-@dataclass(frozen=True)
 class FrequencyTimeSeries:
     """Uniformly sampled frequency data.
 
@@ -116,17 +114,18 @@ class FrequencyTimeSeries:
     positive.
     """
 
-    tau0: float
-    samples: Sequence[float]
-    carrier_hz: float | None = None
+    __slots__ = ("tau0", "samples", "carrier_hz")
 
-    def __post_init__(self) -> None:
-        if self.tau0 <= 0:
+    def __init__(self, tau0: float, samples: Sequence[float], carrier_hz: float | None = None) -> None:
+        if tau0 <= 0:
             raise ValueError("sample interval must be positive")
-        if len(self.samples) < 2:
+        if len(samples) < 2:
             raise ValueError("need at least 2 samples")
-        if self.carrier_hz is not None and not 0.0 < self.carrier_hz < math.inf:
-            raise ValueError(f"carrier_hz must be finite and positive, got {self.carrier_hz}")
+        if carrier_hz is not None and not 0.0 < carrier_hz < math.inf:
+            raise ValueError(f"carrier_hz must be finite and positive, got {carrier_hz}")
+        self.tau0 = tau0
+        self.samples = samples
+        self.carrier_hz = carrier_hz
 
     @property
     def fractional(self):
@@ -369,7 +368,10 @@ def _numpy_steps(t) -> tuple[float, bool, bool]:
     import numpy as np
 
     dt = np.diff(t)
-    tau0 = float(np.median(dt))
+    half = len(dt) // 2
+    # np.median's value, from the middle steps alone: np.median's first call imports numpy.ma
+    middle = np.partition(dt, half if len(dt) % 2 else (half - 1, half))
+    tau0 = float(middle[half]) if len(dt) % 2 else (float(middle[half - 1]) + float(middle[half])) / 2.0
     return tau0, bool(np.all(dt > 0)), not np.any(np.abs(dt - tau0) > 1e-6 * tau0)
 
 

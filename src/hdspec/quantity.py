@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -47,22 +46,44 @@ def _validated_components(components: Mapping[str, float]) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """A value with a unit and named, independent uncertainty components.
+class Record:
+    """A record of the fields its class names in `__slots__`, equal to a record of its class with equal fields.
 
-    Components are absolute (same unit as the value).  Instances are
-    immutable; derive modified ones with :meth:`with_component`.
+    The record classes whose values are compared or shown derive from it;
+    their repr names the class and each field.
     """
 
-    value: float
-    unit: str = "kHz"
-    components: dict[str, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value}")
-        object.__setattr__(self, "components", _validated_components(self.components))
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Quantity(Record):
+    """A value with a unit and named, independent uncertainty components.
+
+    Components are absolute (same unit as the value).  No method changes
+    an instance, and two are equal when value, unit and components are;
+    derive modified ones with :meth:`with_component`.
+    """
+
+    __slots__ = ("value", "unit", "components")
+
+    def __init__(self, value: float, unit: str = "kHz", components: Mapping[str, float] | None = None) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"value must be finite, got {value}")
+        self.value = value
+        self.unit = unit
+        self.components = _validated_components({} if components is None else components)
 
     def component(self, name: str) -> float:
         """Return one component's uncertainty, 0 if absent."""
@@ -192,7 +213,6 @@ def checked_field(text: str, rule: Rule, path, lineno: int, name: str) -> float:
 # validated CSV tables
 
 
-@dataclass(frozen=True)
 class Rule:
     """What a CSV column, a `key = value` key or a JSON value must hold.
 
@@ -207,12 +227,23 @@ class Rule:
     cell in every row, but `read_table` does not return it.
     """
 
-    requirement: str
-    accepts: Callable | None = None
-    choices: frozenset[str] | None = None
-    shows_value: bool = False
-    optional: bool = False
-    kept: bool = True
+    __slots__ = ("requirement", "accepts", "choices", "shows_value", "optional", "kept")
+
+    def __init__(
+        self,
+        requirement: str,
+        accepts: Callable | None = None,
+        choices: frozenset[str] | None = None,
+        shows_value: bool = False,
+        optional: bool = False,
+        kept: bool = True,
+    ) -> None:
+        self.requirement = requirement
+        self.accepts = accepts
+        self.choices = choices
+        self.shows_value = shows_value
+        self.optional = optional
+        self.kept = kept
 
 
 FINITE = Rule("must be finite", lambda x: (x > -math.inf) & (x < math.inf))
@@ -222,11 +253,11 @@ UNIT_INTERVAL = Rule("must be in [0, 1]", lambda x: (x >= 0) & (x <= 1), shows_v
 FLAG = Rule("must be 0 or 1", lambda x: (x == 0) | (x == 1), shows_value=True)
 TEXT = Rule("is missing")
 
-OPTIONAL_FINITE = replace(FINITE, optional=True)
-OPTIONAL_POSITIVE = replace(POSITIVE, optional=True)
-OPTIONAL_NON_NEGATIVE = replace(NON_NEGATIVE, optional=True)
-OPTIONAL_TEXT = replace(TEXT, optional=True)
-UNUSED_TEXT = replace(TEXT, kept=False)
+OPTIONAL_FINITE = Rule(FINITE.requirement, FINITE.accepts, optional=True)
+OPTIONAL_POSITIVE = Rule(POSITIVE.requirement, POSITIVE.accepts, optional=True)
+OPTIONAL_NON_NEGATIVE = Rule(NON_NEGATIVE.requirement, NON_NEGATIVE.accepts, optional=True)
+OPTIONAL_TEXT = Rule(TEXT.requirement, optional=True)
+UNUSED_TEXT = Rule(TEXT.requirement, kept=False)
 
 
 # Bytes on which np.loadtxt and csv + float() part ways: quotes (csv

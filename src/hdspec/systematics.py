@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +24,7 @@ from .quantity import (
     OPTIONAL_NON_NEGATIVE,
     POSITIVE,
     Quantity,
+    Record,
     finite,
     overflow_as_value_error,
     read_table,
@@ -43,28 +43,30 @@ _H = 6.62607015e-34  # J s, exact
 LIGHT_SHIFT_KHZ_PER_AU_W_M2 = _AU_POLARIZABILITY / (2 * _EPSILON_0 * _C * _H) / 1e3
 
 
-@dataclass(frozen=True)
-class ShiftEntry:
-    name: str
-    correction: float
-    uncertainty: float
-    basis: str
-    note: str = ""
+class ShiftEntry(Record):
+    __slots__ = ("name", "correction", "uncertainty", "basis", "note")
 
-    def __post_init__(self) -> None:
-        if self.basis not in ENTRY_BASES:
-            raise ValueError(f"basis must be one of {ENTRY_BASES}, got {self.basis!r}")
-        if self.uncertainty < 0:
+    def __init__(self, name: str, correction: float, uncertainty: float, basis: str, note: str = "") -> None:
+        if basis not in ENTRY_BASES:
+            raise ValueError(f"basis must be one of {ENTRY_BASES}, got {basis!r}")
+        if uncertainty < 0:
             raise ValueError("entry uncertainty must be >= 0")
-        if self.basis == "set-to-zero" and self.correction != 0.0:
+        if basis == "set-to-zero" and correction != 0.0:
             raise ValueError("set-to-zero entries carry no correction")
+        self.name = name
+        self.correction = correction
+        self.uncertainty = uncertainty
+        self.basis = basis
+        self.note = note
 
 
-@dataclass(frozen=True)
 class ShiftLedger:
-    raw: Quantity
-    corrected: Quantity
-    entries: tuple[ShiftEntry, ...]
+    __slots__ = ("raw", "corrected", "entries")
+
+    def __init__(self, raw: Quantity, corrected: Quantity, entries: tuple[ShiftEntry, ...]) -> None:
+        self.raw = raw
+        self.corrected = corrected
+        self.entries = entries
 
     def report(self) -> dict:
         return {
@@ -152,13 +154,15 @@ def _inverse_variances(u: Sequence[float]) -> list[float]:
     return [1.0 / v for v in squares]  # ZeroDivisionError where u^2 underflows
 
 
-@dataclass(frozen=True)
-class FieldExtrapolation:
+class FieldExtrapolation(Record):
     """Result of the quadratic zero-field extrapolation."""
 
-    intercept: Quantity
-    curvature: Quantity
-    residuals: tuple[float, ...]
+    __slots__ = ("intercept", "curvature", "residuals")
+
+    def __init__(self, intercept: Quantity, curvature: Quantity, residuals: tuple[float, ...]) -> None:
+        self.intercept = intercept
+        self.curvature = curvature
+        self.residuals = residuals
 
 
 def extrapolate_to_zero_field(

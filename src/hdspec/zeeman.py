@@ -19,7 +19,6 @@ of measured line positions is `systematics.extrapolate_to_zero_field`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +32,7 @@ from .angular import (
     _level_set,
     m_states,
 )
-from .quantity import FINITE, overflow_as_value_error, read_keys
+from .quantity import FINITE, Record, overflow_as_value_error, read_keys
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
@@ -42,14 +41,22 @@ DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 DEFAULT_COUPLINGS = {"c_e": 2802.5, "c_p": -4.2577, "c_d": -0.6536, "c_N": -0.55}
 
 
-@dataclass(frozen=True)
 class ZeemanCouplings:
     """Linear couplings of the four momentum projections, in kHz/G."""
 
-    c_e: float = DEFAULT_COUPLINGS["c_e"]
-    c_p: float = DEFAULT_COUPLINGS["c_p"]
-    c_d: float = DEFAULT_COUPLINGS["c_d"]
-    c_n: float = DEFAULT_COUPLINGS["c_N"]
+    __slots__ = ("c_e", "c_p", "c_d", "c_n")
+
+    def __init__(
+        self,
+        c_e: float = DEFAULT_COUPLINGS["c_e"],
+        c_p: float = DEFAULT_COUPLINGS["c_p"],
+        c_d: float = DEFAULT_COUPLINGS["c_d"],
+        c_n: float = DEFAULT_COUPLINGS["c_N"],
+    ) -> None:
+        self.c_e = c_e
+        self.c_p = c_p
+        self.c_d = c_d
+        self.c_n = c_n
 
 
 def read_couplings_file(path: str | Path) -> ZeemanCouplings:
@@ -58,25 +65,29 @@ def read_couplings_file(path: str | Path) -> ZeemanCouplings:
     return ZeemanCouplings(c["c_e"], c["c_p"], c["c_d"], c["c_N"])
 
 
-@dataclass(frozen=True)
 class ZeemanState:
     """One magnetic sublevel followed across the field grid."""
 
-    g1: int
-    g2: int
-    f: int
-    m_f: int
-    energies: np.ndarray
+    __slots__ = ("g1", "g2", "f", "m_f", "energies")
+
+    def __init__(self, g1: int, g2: int, f: int, m_f: int, energies: np.ndarray) -> None:
+        self.g1 = g1
+        self.g2 = g2
+        self.f = f
+        self.m_f = m_f
+        self.energies = energies
 
     @property
     def label(self) -> tuple[int, int, int, int]:
         return (self.g1, self.g2, self.f, self.m_f)
 
 
-@dataclass(frozen=True)
 class ZeemanMap:
-    b_values: np.ndarray
-    states: tuple[ZeemanState, ...]
+    __slots__ = ("b_values", "states")
+
+    def __init__(self, b_values: np.ndarray, states: tuple[ZeemanState, ...]) -> None:
+        self.b_values = b_values
+        self.states = states
 
     def state(self, label: Sequence[int]) -> ZeemanState:
         label = tuple(label)
@@ -159,12 +170,14 @@ def zeeman_map(
     return ZeemanMap(b_values.copy(), states)
 
 
-@dataclass(frozen=True)
-class TransitionShiftModel:
+class TransitionShiftModel(Record):
     """Transition Zeeman shift df(B) = a B + c B^2, in kHz, B in gauss."""
 
-    linear: float
-    quadratic: float
+    __slots__ = ("linear", "quadratic")
+
+    def __init__(self, linear: float, quadratic: float) -> None:
+        self.linear = linear
+        self.quadratic = quadratic
 
 
 def _member(coeffs: HyperfineCoefficients, label: Sequence[int]) -> tuple[list[SpinLevel], int]:

@@ -478,6 +478,12 @@ def test_cached_level_set_is_read_only(demo_sets, basis1):
     levels = level_structure(coeffs, basis1)
     with pytest.raises(ValueError, match="read-only"):
         levels[0].vectors[0, 0] = 1.0
+    # the levels themselves: a field, the cached vectors, a new attribute
+    for name in ("energy", "g1", "states", "vectors", "note"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(levels[0], name, None)
+    with pytest.raises(AttributeError, match="read-only"):
+        del levels[0].position
     levels.clear()  # the caller's list, not the shared one
     levels = level_structure(coeffs, basis1)
     assert len(levels) == 10
@@ -594,6 +600,13 @@ def test_spin_uncertainty_missing_row(demo_table):
 def test_params_validation():
     with pytest.raises(ValueError):
         SpinUncertaintyParams(eps_fermi=0.0)
+
+
+def test_equal_params_share_one_spin_scales_entry(demo_table):
+    first = demo_table.spin_scales(SpinUncertaintyParams(u1_prime=0.07))
+    assert SpinUncertaintyParams(u1_prime=0.07) == SpinUncertaintyParams(u1_prime=0.07)
+    assert demo_table.spin_scales(SpinUncertaintyParams(u1_prime=0.07)) is first
+    assert demo_table.spin_scales(SpinUncertaintyParams(u1_prime=0.08)) is not first
 
 
 @given(u1=st.floats(min_value=1e-3, max_value=10.0))
@@ -871,6 +884,10 @@ def test_cached_single_momentum_matrices_equal_fresh_builds(j):
         assert a.dtype == getattr(fresh, name).dtype and a.tobytes() == getattr(fresh, name).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 1.0
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(cached, name, a.copy())
+    with pytest.raises(AttributeError, match="read-only"):
+        del cached.j
     assert np.array_equal(cached.jz, np.diag(m))
     assert np.allclose(np.diag(cached.jplus, 1), np.sqrt((j - m[1:]) * (j + m[1:] + 1)), rtol=0, atol=1e-15)
 

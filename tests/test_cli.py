@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
 import argparse
+import ast
 import collections
 import contextlib
 import csv
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hdspec
-from hdspec import bundled, cli, lineshape, metrology
+from hdspec import bundled, cli, lineshape, metrology, quantity
 from hdspec.cli import DataFailure, _Floats, _sweep_grid, _write_csv, _write_csv_grid, _write_json, main
 
 SRC = str(Path(hdspec.__file__).resolve().parents[1])
@@ -836,16 +837,90 @@ def test_array_free_command_loads_only_its_modules(tmp_path, name):
 
 def test_commands_do_not_load_numpy_ma(tmp_path):
     # numpy.ma costs about 5 ms to import and no command needs it
+    log = tmp_path / "counter.csv"  # read whole-column, on numpy, by a fresh interpreter
+    log.write_text("t_s,f_hz\n" + "".join(f"{i},{1e6 + i % 7}\n" for i in range(quantity._IMPORT_MIN_BYTES // 10)))
+    assert log.stat().st_size > quantity._IMPORT_MIN_BYTES
+    adev = ["adev", "--input", str(log)]
     script = (
         "import sys\n"
         "from hdspec.cli import main\n"
-        f"for argv in ({['reproduce-paper']!r}, {['zeeman-map', '--demo']!r}, {['spin-structure', '--demo']!r}):\n"
+        f"for argv in ({['reproduce-paper']!r}, {['zeeman-map', '--demo']!r}, {['spin-structure', '--demo']!r}, {adev!r}):\n"
         f"    assert main([*argv, '--out-dir', {str(tmp_path)!r}]) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+# stdlib modules that no hdspec module needs: `dataclasses` pulls in the other four
+UNNEEDED_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def imported_top_level_modules():
+    """The top-level name of every module an src/hdspec file imports, anywhere in the file; relative imports aside."""
+    names = set()
+    for path in Path(hdspec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+    return names - {"__future__"}
+
+
+def test_no_module_imports_dataclasses():
+    names = imported_top_level_modules()
+    assert "numpy" in names and "json" in names  # the walk sees imports, local ones too
+    assert "dataclasses" not in names
+
+
+@pytest.fixture(scope="module")
+def bare_interpreter_modules():
+    """Of UNNEEDED_STDLIB, those a fresh interpreter loads for the other stdlib modules hdspec imports, then numpy."""
+    stdlib = sorted(imported_top_level_modules() - {"numpy", *UNNEEDED_STDLIB})
+    script = (
+        f"import sys, {', '.join(stdlib)}\n"
+        f"print([m for m in {UNNEEDED_STDLIB!r} if m in sys.modules])\n"
+        "import numpy\n"
+        f"print([m for m in {UNNEEDED_STDLIB!r} if m in sys.modules])\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    without_numpy, with_numpy = proc.stdout.strip().splitlines()
+    return {False: set(ast.literal_eval(without_numpy)), True: set(ast.literal_eval(with_numpy))}
+
+
+@pytest.mark.parametrize("name", [*SUBCOMMANDS, "--help"])
+def test_commands_start_without_dataclasses(tmp_path, name, bare_interpreter_modules):
+    """In a fresh interpreter: no `dataclasses` after any command, nor `inspect`, `ast`, `dis`, `tokenize` without numpy.
+
+    A module that a bare interpreter loads for the same stdlib modules (and numpy, where the command loaded it) is
+    not held against the command.
+    """
+    argv = ["--help"] if name == "--help" else [name, *BUNDLED_RUNS[name], "--out-dir", str(tmp_path)]
+    script = (
+        "import contextlib, io, sys\n"
+        "from hdspec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code)\n"
+        "print('numpy' in sys.modules)\n"
+        f"print([m for m in {UNNEEDED_STDLIB!r} if m in sys.modules])\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded, loaded = proc.stdout.strip().splitlines()
+    assert code == "0"
+    numpy_loaded = numpy_loaded == "True"
+    assert numpy_loaded == (name not in ARRAY_FREE_COMMANDS and name != "--help")
+    unexpected = set(ast.literal_eval(loaded)) - bare_interpreter_modules[numpy_loaded]
+    assert "dataclasses" not in unexpected
+    if not numpy_loaded:
+        assert not unexpected
 
 
 # --- report writer ------------------------------------------------------------

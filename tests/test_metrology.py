@@ -18,6 +18,8 @@ from hdspec.metrology import (
     _gamma_p,
     _gammaincinv,
     _log1pmx,
+    _numpy_steps,
+    _python_steps,
     allan_deviation,
     dfg_frequency,
     laser_frequency,
@@ -421,6 +423,16 @@ def test_bundled_counter_log_gives_one_series_and_one_deviation_on_either_path(m
     taus = [2.0 ** k for k in range(8)]
     for got, want in zip(allan_deviation(rows, taus), allan_deviation(fast, taus)):
         assert got == pytest.approx(want, rel=PYTHON_KERNEL_RTOL, abs=0)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), spread=st.sampled_from([0.0, 1e-9, 0.5]))
+def test_median_step_is_np_median_on_either_path(seed, n, spread):
+    # n - 1 steps, even and odd counts, with ties (spread 0) and without
+    t = np.cumsum(1.0 + np.random.default_rng(seed).uniform(-spread, spread, n))
+    want = repr(float(np.median(np.diff(t))))
+    assert repr(_numpy_steps(t)[0]) == want
+    assert repr(_python_steps(array.array("d", t.tolist()))[0]) == want
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdspec import quantity
+from hdspec.carrier import CarrierModel
+from hdspec.coefficients import HyperfineCoefficients, SensitivityTable, SpinUncertaintyParams, TransitionSensitivities
+from hdspec.composite import CompositeInput
+from hdspec.constants import Constant, ScalingModel
+from hdspec.lineshape import DecayScan, SpectrumPoint
+from hdspec.metrology import CombParams, FrequencyTimeSeries, LaserLock
 from hdspec.quantity import Quantity, combine_linear, finite, overflow_as_value_error, parenthetical
+from hdspec.systematics import ShiftEntry
 
 components_st = st.dictionaries(
     st.sampled_from(["exp", "theor_QED", "theor_spin", "CODATA", "other:tag"]),
@@ -178,3 +185,60 @@ def test_overflow_guard_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout == "the step overflows float64 (x = inf)\nFalse\n", proc.stderr
+
+
+def _table_of_line_12():
+    coeffs = HyperfineCoefficients(0, 0, {4: 1.0, 5: 2.0})
+    row = TransitionSensitivities("12", dict.fromkeys(range(1, 10), 0.0), dict.fromkeys(range(1, 10), 0.0))
+    return SensitivityTable(coeffs, coeffs, {"12": row})
+
+
+# each check of a record constructor in the package, with the message it gives
+CONSTRUCTOR_FAULTS = [
+    (lambda: Quantity(math.inf), "value must be finite, got inf"),
+    (lambda: Quantity(1.0, "kHz", {"": 0.1}), "component names must be non-empty strings, got ''"),
+    (lambda: Quantity(1.0, "kHz", {"exp": -0.1}), "component 'exp' must be a finite value >= 0, got -0.1"),
+    (lambda: HyperfineCoefficients(0, 0, {10: 1.0}), "coefficient index must be 1..9, got 10"),
+    (lambda: HyperfineCoefficients(0, 0, {4: math.nan}), "coefficient E4 must be finite, got nan"),
+    (lambda: HyperfineCoefficients(0, 0, {4: 1.0}, {4: 0.0}), "bad fractional-uncertainty override eps_E4 = 0.0"),
+    (lambda: HyperfineCoefficients(0, 0, {4: 1.0, 1: 2.0}), "N=0 level admits only E4, E5; got nonzero E1"),
+    (lambda: SpinUncertaintyParams(eps_bp=-1.0), "spin-uncertainty parameters must be strictly positive"),
+    (lambda: CarrierModel(0.0), "radial spread must be positive"),
+    (lambda: CompositeInput(*[Quantity(1.0)] * 4, _table_of_line_12()), "sensitivity table lacks transition 16"),
+    (lambda: Constant(1.0, -0.1), "constant uncertainty must be >= 0"),
+    (lambda: ScalingModel(1.0, 1.0, beta=-0.4), "beta = -0.4 outside the physical window (-0.5, -0.45)"),
+    (
+        lambda: ShiftEntry("x", 0.0, 0.1, "guess"),
+        "basis must be one of ('measured-extrapolation', 'theoretical-bound', 'set-to-zero'), got 'guess'",
+    ),
+    (lambda: ShiftEntry("x", 0.0, -0.1, "theoretical-bound"), "entry uncertainty must be >= 0"),
+    (lambda: ShiftEntry("x", 0.1, 0.1, "set-to-zero"), "set-to-zero entries carry no correction"),
+    (lambda: DecayScan([0.0], [1, 0], [0.5]), "decay columns must be of one length"),
+    (lambda: DecayScan([math.inf], [1], [0.5]), "detuning must be finite, got inf"),
+    (lambda: DecayScan([0.0], [1], [1.5]), "depletion must be in [0, 1], got 1.5"),
+    (lambda: SpectrumPoint(0.0, 0.1, -1.0), "sem must be >= 0"),
+    (lambda: LaserLock(0, 1.0, 1, 1), "mode number must be a positive integer, got 0"),
+    (lambda: LaserLock(1.5, 1.0, 1, 1), "mode number must be a positive integer, got 1.5"),
+    (lambda: LaserLock(1, 1.0, 1, 0), "signs must be +1 or -1"),
+    (lambda: CombParams(0.0, 0.0, ()), "repetition rate must be positive"),
+    (lambda: FrequencyTimeSeries(0.0, [1.0, 2.0]), "sample interval must be positive"),
+    (lambda: FrequencyTimeSeries(1.0, [1.0]), "need at least 2 samples"),
+]
+
+
+@pytest.mark.parametrize("build, message", CONSTRUCTOR_FAULTS, ids=[m for _, m in CONSTRUCTOR_FAULTS])
+def test_record_constructors_refuse_bad_fields_with_their_message(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_records_compare_and_show_by_their_fields():
+    q = Quantity(1.0, "kHz", {"exp": 0.1})
+    assert q == Quantity(1.0, "kHz", {"exp": 0.1}) and q != Quantity(1.0, "Hz", {"exp": 0.1})
+    assert q != (1.0, "kHz", {"exp": 0.1})
+    assert repr(q) == "Quantity(value=1.0, unit='kHz', components={'exp': 0.1})"
+    with pytest.raises(TypeError):
+        hash(q)  # equal by value, and the components are a dict
+    assert not hasattr(q, "__dict__")
+
