@@ -25,7 +25,10 @@ of the F block's eigenvectors by <G1^2> and <G2^2> gives G1 and G2
 (`_labels`), and gamma_k = x^T T_k x.  Around that, a solve does little
 else: one comparison of max |E_k| with a bound per N decides whether H
 can leave float64 at all (only then is the solve guarded), and the
-level set keeps a map from label to level for every lookup.  No
+level set keeps a map from label to level for every lookup.  Energies
+need no origin (every T_k is traceless), and one tolerance per level
+set, in ulps of that bound, decides which levels coincide: scaling every
+E_k scales every energy and keeps the order and the labels.  No
 full-basis Hamiltonian is built to solve or to map a level.  The
 field-free eigenstates of one m_F block (`m_states`) are the
 highest-weight eigenvectors lowered by F_- to m_F, built once per level
@@ -40,6 +43,7 @@ importable from here too.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from typing import Iterable, Mapping, Sequence
@@ -226,8 +230,8 @@ def tensor_coupling(basis: ProductBasis, slot_a: str, slot_b: str) -> np.ndarray
 def quadrupole_coupling(basis: ProductBasis) -> np.ndarray:
     """Q(N, I_d) = [N^2 I_d^2 - 3/2 (N.I_d) - 3 (N.I_d)^2] * norm.
 
-    Deuteron electric-quadrupole scalar; this form is traceless over the
-    product space, so it does not move the spin-averaged origin.
+    Deuteron electric-quadrupole scalar; like every other term operator
+    it is traceless over the product space.
     """
     norm = _rank2_norm(basis.n_rot)
     n, d = basis.triple("N"), basis.triple("I_d")
@@ -370,8 +374,8 @@ class _Blocks:
         # |H_ij| <= max |E_k| * sum_k |T_k,ij| <= max |E_k| * h_bound on every F block, and every energy of
         # an F block (at most 4 levels) is at most 4 times that: below `e_limit` neither H, nor an energy, nor
         # the difference of two energies comes within a factor 2 of float64's largest value
-        h_bound = max(float(np.abs(block.terms).sum(axis=0).max()) for block in self.f_blocks)
-        self.e_limit = sys.float_info.max / (16.0 * h_bound)
+        self.h_bound = max(float(np.abs(block.terms).sum(axis=0).max()) for block in self.f_blocks)
+        self.e_limit = sys.float_info.max / (16.0 * self.h_bound)
         self._lowered: dict[int, np.ndarray] = {}  # m_F -> `lowered(m_F)`
 
     def lowered(self, m_f: int) -> np.ndarray:
@@ -409,14 +413,15 @@ def _coefficient_vector(coeffs: HyperfineCoefficients) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # levels
 
-# Levels closer than this (kHz) coincide: their order goes by F, and
-# those of one F cannot be told apart by their vectors, so they come back
-# unlabelled.
-COINCIDENT_KHZ = 1e-6
+# Levels of one set within _ULPS ulps of max |E_k|, times the bound `h_bound` on H per |E_k|, coincide: their order
+# goes by F, and those of one F cannot be told apart by their vectors, so they come back unlabelled.  Roundoff
+# moves an energy a few such ulps; 2^10 of them are 6.8e-7 kHz for the demo N = 1 set and 1.5e-7 kHz for N = 0,
+# so the bundled sets keep the labels that a fixed 1e-6 kHz gave them.
+_ULPS = 2.0 ** 10
 
 
 class SpinLevel:
-    """One hyperfine level: energy in kHz relative to the level set's origin.
+    """One hyperfine level: energy in kHz.
 
     F is exact and the degeneracy is 2F + 1.  G1 and G2 are None for a
     level that coincides with another level of the same F.  `states` are
@@ -461,18 +466,19 @@ def _tie(name: str, f: int, lo: float, hi: float, j_lo: int, j_hi: int) -> Class
 
 
 def _labels(
-    block: _FBlock, evals: Sequence[float], g1_sq: Sequence[float], g2_sq: Sequence[float]
+    block: _FBlock, evals: Sequence[float], g1_sq: Sequence[float], g2_sq: Sequence[float], tolerance: float
 ) -> list[tuple[int | None, int | None]]:
     """(G1, G2) of each eigenvector of an F block, by rank; (None, None) for a level that coincides.
 
-    `evals` ascend, and g1_sq, g2_sq hold <G1^2>, <G2^2> of each
-    eigenvector.  One ordering of the eigenvectors gives every label: the
-    lowest <G1^2> first if the coupling scheme puts a G1 = 0 level in
-    this F block (it has G2 = 1), then the G1 = 1 levels in ascending
-    <G2^2>; the k-th of them takes the k-th of the block's ascending
-    (G1, G2) pairs.  The traces of G1^2 and G2^2 over the block fix
-    these counts, so labels hold however far mixing moves each
-    expectation value from j(j+1), short of a tie.  Two neighbours in
+    `evals` ascend, levels no more than `tolerance` apart coincide, and
+    g1_sq, g2_sq hold <G1^2>, <G2^2> of each eigenvector.  One ordering
+    of the eigenvectors gives every label: the lowest <G1^2> first if
+    the coupling scheme puts a G1 = 0 level in this F block (it has
+    G2 = 1), then the G1 = 1 levels in ascending <G2^2>; the k-th of
+    them takes the k-th of the block's ascending (G1, G2) pairs.  The
+    traces of G1^2 and G2^2 over the block fix these counts, so labels
+    hold however far mixing moves each expectation value from j(j+1),
+    short of a tie.  Two neighbours in
     that ordering on either side of a step in j tie when their values
     lie less than half the step of j(j+1) apart (two states that mixed
     by more than a quarter); a tie that touches a level of its own (not
@@ -480,7 +486,7 @@ def _labels(
     the eigenvectors' order.
     """
     n = len(evals)
-    apart = [hi - lo > COINCIDENT_KHZ for lo, hi in zip(evals, evals[1:])]
+    apart = [hi - lo > tolerance for lo, hi in zip(evals, evals[1:])]
     alone = [left and right for left, right in zip([True, *apart], [*apart, True])]
     k = block.g1_zero
     if k:
@@ -556,7 +562,7 @@ class _States:
         return _read_only(out)
 
 
-def _solve_blocks(blocks: _Blocks, e: np.ndarray) -> tuple[list, list[np.ndarray]]:
+def _solve_blocks(blocks: _Blocks, e: np.ndarray, tolerance: float) -> tuple[list, list[np.ndarray]]:
     """(energy, F, (G1, G2), y, a) of every F-block level, block by block, and each block's eigenvectors x.
 
     y holds the expectation values of the block's `ops` in its
@@ -571,7 +577,7 @@ def _solve_blocks(blocks: _Blocks, e: np.ndarray) -> tuple[list, list[np.ndarray
         else:
             evals, x = np.linalg.eigh(h.reshape(block.shape))
             evals, y = evals.tolist(), _expectations(block.ops, x)
-            labels = _labels(block, evals, *y[9:].tolist())
+            labels = _labels(block, evals, *y[9:].tolist(), tolerance)
         found += [(energy, block.f, labels[a], y, a) for a, energy in enumerate(evals)]
         eigenvectors.append(x)
     return found, eigenvectors
@@ -585,7 +591,9 @@ class _LevelSet:
     F that holds one; gamma_k = x^T T_k x for each eigenvector x.  The
     levels are shared by every caller that asks for the same
     coefficients, so their vectors and `m_states` are read-only.
-    `labelled` maps each label to its level.
+    `labelled` maps each label to its level.  Levels no more than
+    `tolerance` apart coincide (see `_ULPS`); `distinct` says that no two
+    levels of the set do.
 
     One check of max |E_k| against the block data's `e_limit` decides
     whether H and its energies can leave float64.  Only a set beyond it
@@ -596,23 +604,23 @@ class _LevelSet:
 
     def __init__(self, coeffs: HyperfineCoefficients):
         blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
-        if max(map(abs, coeffs.values.values()), default=0.0) <= blocks.e_limit:
-            found, eigenvectors = _solve_blocks(blocks, e)
+        e_max = max(map(abs, coeffs.values.values()), default=0.0)
+        # ulp(0.0) is the floor of the all-zero set; ulp(e_max) * h_bound, unlike ulp(e_max * h_bound), stays finite
+        self.tolerance = tolerance = _ULPS * math.ulp(e_max) * blocks.h_bound
+        if e_max <= blocks.e_limit:
+            found, eigenvectors = _solve_blocks(blocks, e, tolerance)
         else:
             with overflow_as_value_error("level solve"):
-                found, eigenvectors = _solve_blocks(blocks, e)
+                found, eigenvectors = _solve_blocks(blocks, e, tolerance)
                 finite("energy", *(level[0] for level in found))
         # ascending energy; levels that coincide go by F
         energies = [level[0] for level in found]
         order = sorted(range(len(found)), key=energies.__getitem__)
-        ranked = [energies[i] for i in order]
-        if not all(hi - lo > COINCIDENT_KHZ for lo, hi in zip(ranked, ranked[1:])):
-            cluster, keys = 0, [None] * len(found)
-            for rank, i in enumerate(order):
-                if rank and energies[i] - energies[order[rank - 1]] > COINCIDENT_KHZ:
-                    cluster += 1
-                keys[i] = (cluster, found[i][1])
-            order.sort(key=keys.__getitem__)
+        apart = [energies[hi] - energies[lo] > tolerance for lo, hi in zip(order, order[1:])]
+        self.distinct = all(apart)
+        if not self.distinct:
+            cluster = dict(zip(order, itertools.accumulate(apart, initial=0)))  # level -> its run of coincident levels
+            order.sort(key=lambda i: (cluster[i], found[i][1]))
         states = _States(blocks, eigenvectors, order, [found[i][1] for i in order])
         self.m_states = states.m_states  # the field-free states of one m_F block, as `m_states` gives them
         self.levels = tuple(
@@ -621,20 +629,6 @@ class _LevelSet:
         )
         self.labelled = {lv.label: lv for lv in self.levels if lv.g1 is not None}
         self._gammas = [found[i][3:] for i in order]  # (y, a) of each level
-
-    @functools.cached_property
-    def origin(self) -> float:
-        """The spin-averaged origin: the degeneracy-weighted mean level energy.
-
-        Finite energies whose weighted sum leaves float64 raise ValueError
-        `level solve overflows float64 (the spin-averaged origin)`.
-        """
-        levels = self.levels
-        origin = sum(lv.energy * lv.degeneracy for lv in levels) / sum(lv.degeneracy for lv in levels)
-        if not math.isfinite(origin):  # Python floats overflow in silence; the guard only words the error
-            with overflow_as_value_error("level solve"):
-                raise OverflowError("the spin-averaged origin")
-        return origin
 
     def level(self, label: tuple[int, int, int]) -> SpinLevel:
         """The level with `label`; LookupError as `find_level` gives it if there is none."""
@@ -678,18 +672,20 @@ def spin_frequency(
     upper: tuple[HyperfineCoefficients, tuple[int, int, int]],
     lower: tuple[HyperfineCoefficients, tuple[int, int, int]],
 ) -> float:
-    """Hyperfine contribution to a transition frequency, in kHz.
+    """Hyperfine contribution to a transition frequency, in kHz: E_upper - E_lower.
 
-    Each level energy is taken relative to its spin-averaged origin (the
-    degeneracy-weighted mean, which vanishes for the traceless default
-    constructors but is subtracted anyway so swapped-in tensor forms
-    stay consistent).
+    Every term operator is traceless, so the degeneracy-weighted mean
+    energy of each level set is zero and the energies need no shift.
+    Two finite energies of opposite sign near the top of float64 can
+    differ by more than float64 holds: that raises ValueError `spin
+    frequency overflows float64 (f_spin = ...)`.
     """
-    energies = []
-    for coeffs, label in (upper, lower):
-        level_set = _level_set(coeffs)
-        energies.append(level_set.level(label).energy - level_set.origin)
-    return energies[0] - energies[1]
+    e_up, e_lo = (_level_set(coeffs).level(label).energy for coeffs, label in (upper, lower))
+    f_spin = e_up - e_lo
+    if not math.isfinite(f_spin):  # Python floats overflow in silence; the guard only words the error
+        with overflow_as_value_error("spin frequency"):
+            finite("f_spin", f_spin)
+    return f_spin
 
 
 def m_states(coeffs: HyperfineCoefficients, m_f: int) -> np.ndarray:

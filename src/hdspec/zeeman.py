@@ -25,11 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .angular import (
-    COINCIDENT_KHZ,
     HyperfineCoefficients,
     SpinLevel,
     _blocks,
     _level_set,
+    _LevelSet,
     m_states,
 )
 from .quantity import FINITE, Record, overflow_as_value_error, read_keys
@@ -108,12 +108,11 @@ def _field_grid(b_values: Sequence[float]) -> np.ndarray:
     return b_values
 
 
-def _mappable(levels: Sequence[SpinLevel]) -> Sequence[SpinLevel]:
-    # coincident levels have no order to follow into the field (and those
-    # of one F have no label)
-    if any(hi.energy - lo.energy <= COINCIDENT_KHZ for lo, hi in zip(levels, levels[1:])):
+def _mappable(level_set: _LevelSet) -> Sequence[SpinLevel]:
+    # coincident levels (see `_LevelSet.distinct`) have no order to follow into the field, and those of one F no label
+    if not level_set.distinct:
         raise ValueError("Zeeman mapping needs field-free levels that do not coincide")
-    return levels
+    return level_set.levels
 
 
 def _coupling_vector(couplings: ZeemanCouplings) -> np.ndarray:
@@ -153,7 +152,7 @@ def zeeman_map(
     coincide.
     """
     b_values = _field_grid(b_values)
-    levels = _mappable(_level_set(coeffs).levels)
+    levels = _mappable(_level_set(coeffs))
     labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
     index = {label: i for i, label in enumerate(labels)}
     f_max = max(lv.f for lv in levels)
@@ -184,7 +183,7 @@ def _member(coeffs: HyperfineCoefficients, label: Sequence[int]) -> tuple[list[S
     """The levels whose m_F block holds `label` (F >= |m_F|, level order) and the row of `label` among them."""
     label = tuple(label)
     level_set = _level_set(coeffs)
-    levels = _mappable(level_set.levels)
+    levels = _mappable(level_set)
     level = level_set.labelled.get(label[:3]) if len(label) == 4 else None
     if level is None or level.f < abs(label[3]):
         raise LookupError(f"no Zeeman state with label {label}")

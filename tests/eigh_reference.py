@@ -5,13 +5,16 @@ way: every F block, a one-level block included, is diagonalized by eigh,
 gamma_k and <G1^2>, <G2^2> are evaluated on their own, and levels are
 ranked, clustered and labelled with no shortcut: G1 by rank over the
 whole block, then G2 by rank inside each G1 group, each with its own
-tie check (`_by_rank`).  It reads the per-N block data of the program
-(`angular._blocks`), so it checks the solve path, not the block
-construction, which `dense_oracle.py` checks from outside.
+tie check (`_by_rank`).  Levels coincide within the tolerance of the
+program's level set, restated here from its rule (`tolerance`) so that
+a set the program refuses still has one.  It reads the per-N block
+data of the program (`angular._blocks`), so it checks the solve path,
+not the block construction, which `dense_oracle.py` checks from outside.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,17 +68,24 @@ def _labels(block, x: np.ndarray, alone: list[bool]) -> list[tuple[int, int]]:
     return [(g1[a], g2[a]) for a in range(n)]
 
 
+def tolerance(coeffs: angular.HyperfineCoefficients) -> float:
+    """The level set's coincidence tolerance: `angular._ULPS` ulps of max |E_k|, times the per-N bound on H."""
+    e_max = max(abs(coeffs.coefficient(k)) for k in angular.COEFF_INDICES)
+    return angular._ULPS * math.ulp(e_max) * angular._blocks(coeffs.n_rot).h_bound
+
+
 def reference_levels(coeffs: angular.HyperfineCoefficients) -> list[ReferenceLevel]:
     """The levels of `coeffs` in ascending energy, ties by F, each with its gamma_1..gamma_9."""
     e = np.array([coeffs.coefficient(k) for k in angular.COEFF_INDICES], dtype=float)
+    tol = tolerance(coeffs)
     found = []
     for block in angular._blocks(coeffs.n_rot).f_blocks:
         evals, x = np.linalg.eigh(np.tensordot(e, block.terms, 1))
         gammas = np.sum(x * (block.terms @ x), axis=1).T
         n = len(evals)
         alone = [
-            (a == 0 or evals[a] - evals[a - 1] > angular.COINCIDENT_KHZ)
-            and (a == n - 1 or evals[a + 1] - evals[a] > angular.COINCIDENT_KHZ)
+            (a == 0 or evals[a] - evals[a - 1] > tol)
+            and (a == n - 1 or evals[a + 1] - evals[a] > tol)
             for a in range(n)
         ]
         labels = _labels(block, x, alone)
@@ -85,7 +95,7 @@ def reference_levels(coeffs: angular.HyperfineCoefficients) -> list[ReferenceLev
     found.sort(key=lambda level: level.energy)
     cluster, keys = 0, []
     for i, level in enumerate(found):
-        if i and level.energy - found[i - 1].energy > angular.COINCIDENT_KHZ:
+        if i and level.energy - found[i - 1].energy > tol:
             cluster += 1
         keys.append((cluster, level.f))
     return [level for _, level in sorted(zip(keys, found), key=lambda pair: pair[0])]

@@ -313,26 +313,28 @@ def test_a_tie_at_a_group_boundary_raises_only_for_a_level_of_its_own(alone, rai
     g1_sq, g2_sq = [0.0] * 3, [0.0] * 3
     for a, (g1, g2) in zip(levels, [(0.9, 2.0), (1.1, 2.0), (2.0, 6.0)]):
         g1_sq[a], g2_sq[a] = g1, g2
-    evals = [0.0, 5.0, 5.0]
+    evals, tolerance = [0.0, 5.0, 5.0], 1e-9
     if raises:
         with pytest.raises(ClassificationError, match=r"ambiguous G1 label for a level with F=2 \(<G1\^2> = 0.900000 and 1.100000"):
-            angular._labels(block, evals, g1_sq, g2_sq)
+            angular._labels(block, evals, g1_sq, g2_sq, tolerance)
     else:
-        assert angular._labels(block, evals, g1_sq, g2_sq) == [(1, 2), (None, None), (None, None)]
+        assert angular._labels(block, evals, g1_sq, g2_sq, tolerance) == [(1, 2), (None, None), (None, None)]
 
 
 def window_labels(coeffs):
     """(F, energy, label) of the levels of `coeffs` by the fixed-window rule, or None where it fails.
 
     Each level of its own takes the G1 and G2 whose j(j+1) lie within
-    0.05 of <G1^2> and <G2^2>, each on its own.
+    0.05 of <G1^2> and <G2^2>, each on its own.  Levels coincide within
+    the tolerance of the level set of `coeffs`.
     """
     blocks, e = angular._blocks(coeffs.n_rot), angular._coefficient_vector(coeffs)
+    tolerance = angular._LevelSet(coeffs).tolerance
     out = set()
     for block in blocks.f_blocks:
         evals, x = np.linalg.eigh(np.tensordot(e, block.terms, 1))
         for a in range(len(evals)):
-            alone = all(abs(evals[a] - evals[b]) > angular.COINCIDENT_KHZ for b in range(len(evals)) if b != a)
+            alone = all(abs(evals[a] - evals[b]) > tolerance for b in range(len(evals)) if b != a)
             label = None
             if alone:
                 g = [round_to_j(float(x[:, a] @ op @ x[:, a])) for op in (block.g1_sq, block.g2_sq)]
@@ -789,14 +791,14 @@ def coefficient_sets(draw):
     """Random sets that keep the hyperfine hierarchy the (G1, G2) labels need.
 
     Each demo coefficient moves by up to 10 % and the whole set by a
-    random scale and sign; the degenerate kinds are contact-only sets
-    (levels of different F coincide) and all-zero sets (levels of one F
-    coincide).
+    random sign and a scale from 1e-12 to 1e12, log-uniform; the
+    degenerate kinds are contact-only sets (levels of different F
+    coincide) and all-zero sets (levels of one F coincide).
     """
     n_rot = draw(st.integers(0, 5))
     base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
     kind = draw(st.sampled_from(["perturbed", "contact-only", "zero"]))
-    scale = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-3, 1e3))
+    scale = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, 12.0))
     values = {}
     for k, e in base.values.items():
         keep = kind == "perturbed" or (kind == "contact-only" and k in angular.CONTACT_COEFFS)
@@ -808,7 +810,8 @@ def coefficient_sets(draw):
 def test_f_block_levels_match_the_dense_hamiltonian(coeffs):
     n_rot = coeffs.n_rot
     basis = ProductBasis(n_rot)
-    levels = angular._LevelSet(coeffs).levels
+    level_set = angular._LevelSet(coeffs)
+    levels = level_set.levels
     h = build_hfs(coeffs, basis)
     h_scale = max(float(np.max(np.abs(h))), 1.0)
     weight = sum(lv.degeneracy * abs(lv.energy) for lv in levels)
@@ -817,7 +820,7 @@ def test_f_block_levels_match_the_dense_hamiltonian(coeffs):
     assert sum(2 * lv.f + 1 for lv in levels) == 12 * (2 * n_rot + 1)
     for lo, hi in zip(levels, levels[1:]):
         # ascending; levels that coincide go by F
-        assert hi.energy >= lo.energy - angular.COINCIDENT_KHZ * len(levels)
+        assert hi.energy >= lo.energy - level_set.tolerance * len(levels)
         assert hi.energy >= lo.energy or lo.f < hi.f
     assert sum(lv.degeneracy * lv.energy for lv in levels) == pytest.approx(np.trace(h), abs=1e-12 * weight + 1e-9)
     for lv in levels:
@@ -864,6 +867,73 @@ def test_level_solve_is_bit_for_bit_an_eigh_on_every_f_block(n_rot, z):
 def test_level_solve_of_wide_and_degenerate_sets_is_an_eigh_on_every_f_block(coeffs):
     # coincident levels (contact-only and all-zero sets) included
     assert solve_outcome(program_solve, coeffs) == solve_outcome(reference_solve, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# scale-free level sets: one tolerance of ulps of the set's own bound on H
+
+
+def ulps(level_set):
+    """One ulp of the bound on H that the tolerance of `level_set` counts in."""
+    return level_set.tolerance / angular._ULPS
+
+
+@given(coefficient_sets(), st.floats(-12.0, 12.0))
+def test_scaling_every_coefficient_scales_every_energy_and_keeps_order_and_labels(coeffs, exponent):
+    s = 10.0 ** exponent
+    try:
+        level_set = angular._LevelSet(coeffs)
+    except ClassificationError:
+        with pytest.raises(ClassificationError):
+            angular._LevelSet(scaled(coeffs, s))
+        return
+    rescaled = angular._LevelSet(scaled(coeffs, s))
+    assert [(lv.f, lv.label) for lv in rescaled.levels] == [(lv.f, lv.label) for lv in level_set.levels]
+    assert rescaled.distinct == level_set.distinct
+    for lv, lv_s in zip(level_set.levels, rescaled.levels):
+        assert abs(lv_s.energy - s * lv.energy) <= 16 * s * ulps(level_set)
+
+
+@given(coefficient_sets())
+def test_every_energy_is_the_sum_of_gamma_k_e_k(coeffs):
+    # Hellmann-Feynman on the level's own eigenvector, coincident levels included
+    level_set = angular._LevelSet(coeffs)
+    for lv in level_set.levels:
+        y, a = level_set._gammas[lv.position]
+        gamma = y[:9, a].tolist()
+        energy = math.fsum(g * coeffs.coefficient(k) for g, k in zip(gamma, angular.COEFF_INDICES))
+        assert abs(lv.energy - energy) <= 16 * ulps(level_set)
+        if lv.label is not None:
+            assert gamma == list(sensitivities(coeffs, label=lv.label).values())
+
+
+@given(coefficient_sets())
+def test_degeneracy_weighted_energies_sum_to_zero(coeffs):
+    # every T_k is traceless, so the spin-averaged energy is zero: the levels need no origin
+    level_set = angular._LevelSet(coeffs)
+    assert abs(math.fsum(lv.degeneracy * lv.energy for lv in level_set.levels)) <= 64 * ulps(level_set)
+
+
+@pytest.mark.parametrize("e4", [9e-7, 9e5, 9e11])
+def test_contact_only_n1_set_keeps_its_order_and_labels_at_any_scale(e4):
+    # the levels of one (G1, G2) coincide across F and go by F at every scale; a tolerance fixed
+    # in kHz would leave 9 of 10 levels unlabelled at 9e-7 and order them by roundoff at 9e11
+    values = {**dict.fromkeys(angular.COEFF_INDICES, 0.0), 4: e4, 5: 0.15 * e4}
+    level_set = angular._LevelSet(HyperfineCoefficients(1, 1, values))
+    assert [lv.label for lv in level_set.levels] == [
+        (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+    ]
+    assert not level_set.distinct
+
+
+def test_level_set_tolerance_is_ulps_of_the_bound_on_h(demo_sets):
+    # 2^10 ulps of max |E_k| times h_bound: near 1e-6 kHz at the bundled scale, and above zero for the all-zero set
+    for coeffs, expected in ((demo_sets[(0, 0)], 1.49e-7), (demo_sets[(1, 1)], 6.85e-7)):
+        assert angular._LevelSet(coeffs).tolerance == pytest.approx(expected, rel=1e-3)
+        assert angular._LevelSet(scaled(coeffs, 2.0 ** -30)).tolerance == 2.0 ** -30 * angular._LevelSet(coeffs).tolerance
+    zero = angular._LevelSet(zero_coeffs(1))
+    assert zero.tolerance == angular._ULPS * math.ulp(0.0) * angular._blocks(1).h_bound > 0.0
+    assert not zero.distinct
 
 
 @given(h=st.floats(allow_nan=False, allow_infinity=False))

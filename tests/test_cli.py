@@ -268,19 +268,104 @@ def test_overflowing_level_solve_is_one_line_data_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_spin_structure_whose_origin_overflows_is_one_line_data_error(tmp_path):
-    """The demo coefficients x 1e302: every energy is finite, but the degeneracy-weighted sum of the origin is not."""
+def scaled_demo_coefficients(factor: float) -> str:
+    """The bundled demo coefficient file with every E_k times `factor`."""
     lines = bundled.data_path("demo_coefficients.conf").read_text().splitlines()
-    scaled = [f"{key} = {float(value) * 1e302!r}" if line.startswith("E") else line
+    scaled = [f"{key} = {float(value) * factor!r}" if line.startswith("E") else line
               for line in lines for key, _, value in [line.partition(" = ")]]
+    return "\n".join(scaled) + "\n"
+
+
+def test_spin_structure_of_the_demo_coefficients_x_1e302_is_the_unscaled_report_x_1e302(tmp_path):
+    """Every energy of the demo set x 1e302 is finite, and so is each f_spin: exit 0 with the report scaled.
+
+    Labels, F, degeneracies and order are those of the unscaled report.
+    Each energy and f_spin is the unscaled one x 1e302 within 8 ulps of
+    1e302 x 925000 kHz (the largest |E_k|), and each gamma_k the unscaled
+    one within 64 ulps of 1.0.  u_spin is not compared: its E1' term is
+    an absolute 0.05 kHz that does not scale.
+    """
+    factor = 1e302
     coefficients = tmp_path / "coefficients.conf"
-    coefficients.write_text("\n".join(scaled) + "\n")
+    coefficients.write_text(scaled_demo_coefficients(factor))
+    reports = []
+    for argv, out in ((["--coefficients", str(coefficients)], tmp_path / "scaled"), (["--demo"], tmp_path / "demo")):
+        proc = run_python("-W", "error::RuntimeWarning", "-m", "hdspec.cli", "spin-structure", *argv, "--out-dir", str(out))
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        reports.append(json.loads((out / "spin_structure.json").read_text()))
+    scaled, demo = reports
+    khz = 8 * math.ulp(factor * 925000.0)
+    assert scaled["sections"].keys() == demo["sections"].keys()
+    for name, levels in demo["sections"].items():
+        assert len(scaled["sections"][name]) == len(levels)
+        for got, want in zip(scaled["sections"][name], levels):
+            assert {k: got[k] for k in ("g1", "g2", "f", "degeneracy")} == {k: want[k] for k in ("g1", "g2", "f", "degeneracy")}
+            assert abs(got["energy_khz"] - factor * want["energy_khz"]) <= khz
+    assert scaled["transitions"].keys() == demo["transitions"].keys()
+    for tid, want in demo["transitions"].items():
+        got = scaled["transitions"][tid]
+        assert (got["lower_level"], got["upper_level"]) == (want["lower_level"], want["upper_level"])
+        assert abs(got["f_spin_khz"] - factor * want["f_spin_khz"]) <= khz
+        for side in ("gamma_lower", "gamma_upper"):
+            assert got[side].keys() == want[side].keys()
+            assert all(abs(got[side][k] - want[side][k]) <= 64 * math.ulp(1.0) for k in want[side])
+
+
+def test_spin_frequency_that_leaves_float64_is_one_line_data_error(tmp_path):
+    """Finite level energies of opposite sign near the top of float64: E_upper - E_lower is not finite."""
+    n1_zeros = "".join(f"E{k} = 0.0\n" for k in (1, 2, 3, 6, 7, 8, 9))
+    coefficients = tmp_path / "coefficients.conf"
+    coefficients.write_text(
+        "[v=0,N=0]\nE4 = 1.7e308\nE5 = 1.2e308\n\n[v=1,N=1]\n" + n1_zeros + "E4 = -1.7e308\nE5 = -1.2e308\n"
+    )
     out = tmp_path / "out"
     proc = run_python("-W", "error::RuntimeWarning", "-m", "hdspec.cli", "spin-structure",
                       "--coefficients", str(coefficients), "--out-dir", str(out))
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "data error: level solve overflows float64 (the spin-averaged origin)\n"
+    assert proc.stderr == "data error: spin frequency overflows float64 (f_spin = -inf)\n"
     assert not out.exists()
+
+
+def coefficient_sections() -> list[str]:
+    """The demo file's two sections and three more (N = 0, 2 and 3, one with an eps override), each as its text."""
+    demo = bundled.load_demo_coefficients()
+
+    def section(v, n_rot, base, factor, extra=""):
+        return f"[v={v},N={n_rot}]\n" + "".join(f"E{k} = {e * factor!r}\n" for k, e in base.values.items()) + extra
+
+    return [
+        section(0, 0, demo[(0, 0)], 1.0),
+        section(1, 1, demo[(1, 1)], 1.0),
+        section(2, 0, demo[(0, 0)], 0.97),
+        section(1, 2, demo[(1, 1)], 1.05, "eps_E4 = 2e-6\n"),
+        section(0, 3, demo[(1, 1)], -0.9),
+    ]
+
+
+def coefficient_reports(sections: list[str]) -> dict[str, bytes]:
+    """Every report file of `spin-structure --format csv` and `composite --optimize` on the sections, in that order."""
+    out = {}
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+        coefficients = Path(d) / "coefficients.conf"
+        coefficients.write_text("\n".join(sections))
+        for argv in (["spin-structure", "--format", "csv"], ["composite", "--optimize"]):
+            assert main([*argv, "--coefficients", str(coefficients), "--out-dir", str(Path(d) / argv[0])]) == 0
+        for path in sorted(Path(d).glob("*/*")):
+            out[f"{path.parent.name}/{path.name}"] = path.read_bytes()
+    return out
+
+
+SECTIONS = coefficient_sections()
+
+
+@pytest.fixture(scope="module")
+def in_file_order():
+    return coefficient_reports(SECTIONS)
+
+
+@given(st.permutations(range(len(SECTIONS))))
+def test_permuting_the_sections_of_a_coefficient_file_leaves_every_report_byte_identical(in_file_order, order):
+    assert coefficient_reports([SECTIONS[i] for i in order]) == in_file_order
 
 
 def test_overflowing_spin_theory_uncertainty_is_one_line_data_error_before_any_output(tmp_path):

@@ -385,6 +385,32 @@ def test_transition_coeffs_refuses_coincident_levels(demo_sets):
         transition_coeffs((demo_sets[(0, 0)], (1, 2, 2, 0)), (HyperfineCoefficients(1, 1, values), (1, 2, 3, 0)))
 
 
+def scaled(coeffs, s):
+    return HyperfineCoefficients(coeffs.v, coeffs.n_rot, {k: e * s for k, e in coeffs.values.items()})
+
+
+@pytest.mark.parametrize("s", [1e-9, 2.0 ** -30, 1e9])
+def test_rescaled_coefficients_and_couplings_rescale_every_zeeman_result(s, demo_sets):
+    # coefficients and couplings x s: every sublevel energy and both coefficients scale by s, and the
+    # field-free levels of the demo (1, 1) set x 1e-9, far apart on the set's own scale, still map
+    lower, upper = demo_sets[(0, 0)], demo_sets[(1, 1)]
+    cpl = ZeemanCouplings()
+    cpl_s = ZeemanCouplings(cpl.c_e * s, cpl.c_p * s, cpl.c_d * s, cpl.c_n * s)
+    zmap, zmap_s = zeeman_map(upper, cpl), zeeman_map(scaled(upper, s), cpl_s)
+    assert [st_.label for st_ in zmap_s.states] == [st_.label for st_ in zmap.states]
+    for st_, st_s in zip(zmap.states, zmap_s.states):
+        assert np.allclose(st_s.energies, s * st_.energies, rtol=1e-12, atol=0.0)
+    for (lo, up), (lower_mf, upper_mf) in (
+        (bundled.TRANSITION_LEVELS["12"], (0, 0)),
+        (bundled.TRANSITION_LEVELS["12"], (1, 1)),
+        (bundled.TRANSITION_LEVELS["16"], (2, 3)),
+    ):
+        model = transition_coeffs((lower, (*lo, lower_mf)), (upper, (*up, upper_mf)), cpl)
+        model_s = transition_coeffs((scaled(lower, s), (*lo, lower_mf)), (scaled(upper, s), (*up, upper_mf)), cpl_s)
+        assert model_s.linear == pytest.approx(s * model.linear, rel=1e-12, abs=0.0)
+        assert model_s.quadratic == pytest.approx(s * model.quadratic, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "grid, msg",
     [
