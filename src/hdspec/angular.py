@@ -15,13 +15,13 @@ arithmetic is used anywhere in this module.
 Coupled quantum numbers: G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N.
 
 Levels are solved one F at a time (Bakalov, Korobov & Schiller, PRL 97,
-243001 (2006); J. Phys. B 44, 025003 (2011)).  Every term operator T_k
-commutes with F_z and F_+, so once per N the T_k are projected onto the
-highest-weight states of each F (the kernel of F_+ on the m_F = F block,
-at most 4 of them).  A coefficient set then costs one eigh of at most
-4 x 4 per F that holds two or more levels, and none for an F that holds
-one: F is exact, each level is a (2F + 1)-fold multiplet, one ordering
-of the F block's eigenvectors by <G1^2> and <G2^2> gives G1 and G2
+243001 (2006); J. Phys. B 44, 025003 (2011)).  Once per N, the T_k are
+taken between the coupled states |((s_e I_p)G1, I_d)G2, N; F m_F = F>
+of each F, at most 4, built from Clebsch-Gordan coefficients.  A
+coefficient set then costs one eigh of at most 4 x 4 per F that holds
+two or more levels, and none for an F that holds one: F is exact, each
+level is a (2F + 1)-fold multiplet, one ordering of the F block's
+eigenvectors by <G1^2> and <G2^2> gives G1 and G2
 (`_labels`), and gamma_k = x^T T_k x.  Around that, a solve does little
 else: one comparison of max |E_k| with a bound per N decides whether H
 can leave float64 at all (only then is the solve guarded), and the
@@ -30,10 +30,10 @@ need no origin (every T_k is traceless), and one tolerance per level
 set, in ulps of that bound, decides which levels coincide: scaling every
 E_k scales every energy and keeps the order and the labels.  No
 full-basis Hamiltonian is built to solve or to map a level.  The
-field-free eigenstates of one m_F block (`m_states`) are the
-highest-weight eigenvectors lowered by F_- to m_F, built once per level
-set and m_F on first use; a level's product-basis `vectors` are its
-columns of them, and `zeeman` solves each m_F block in them.
+field-free eigenstates of one m_F block (`m_states`) are the F-block
+eigenvectors taken in the coupled states of that m_F, built once per
+level set and m_F on first use; a level's product-basis `vectors` are
+its columns of them, and `zeeman` solves each m_F block in them.
 
 The coefficient sets, their file format and the spin-theory error model
 live in `coefficients`, which builds no arrays; their names are
@@ -159,11 +159,6 @@ class ProductBasis:
             idx = idx * self._single[name].dim + i
         return idx
 
-    def _outer_dims(self, slot: str) -> tuple[int, int]:
-        """Dimensions of the slots before and after `slot`."""
-        pos = SLOT_NAMES.index(slot)
-        return math.prod(self.dims[:pos]), math.prod(self.dims[pos + 1:])
-
     def embed(self, op: np.ndarray, slot: str) -> np.ndarray:
         """Tensor-embed a single-slot operator, identity elsewhere."""
         pos = SLOT_NAMES.index(slot)
@@ -171,7 +166,7 @@ class ProductBasis:
             raise ValueError(
                 f"operator shape {op.shape} does not match slot {slot} dimension {self.dims[pos]}"
             )
-        pre, post = self._outer_dims(slot)
+        pre, post = math.prod(self.dims[:pos]), math.prod(self.dims[pos + 1:])
         return np.kron(np.kron(np.eye(pre), op), np.eye(post))
 
     def triple(self, slot: str) -> Triple:
@@ -189,11 +184,6 @@ class ProductBasis:
         """Componentwise sum of slot momenta, e.g. G1 = s_e + I_p."""
         zs, ps, ms = zip(*(self.triple(s) for s in slots))
         return sum(zs), sum(ps), sum(ms)
-
-    def m_values(self, slot: str) -> np.ndarray:
-        """Diagonal of the embedded J_z of one slot, as a vector."""
-        pre, post = self._outer_dims(slot)
-        return np.kron(np.kron(np.ones(pre), np.diag(self._single[slot].jz)), np.ones(post))
 
     def f_z(self) -> np.ndarray:
         return self.combined_triple(SLOT_NAMES)[0]
@@ -284,6 +274,41 @@ def build_hfs(coeffs: HyperfineCoefficients, basis: ProductBasis) -> np.ndarray:
 # per-N block data
 
 
+def _cg(j1: int, m1: int, j2: int, m2: int, j: int) -> float:
+    """<j1 m1, j2 m2 | j, m1 + m2> by Racah's formula (Condon-Shortley phase) in Python ints, every argument doubled.
+
+    For |m1| <= j1, |m2| <= j2, |m1 + m2| <= j and |j1 - j2| <= j <= j1 + j2, as `_coupling` calls it.
+    """
+    m = m1 + m2
+    f = math.factorial
+    a, b, c, d, e = (j1 + j2 - j) // 2, (j1 - m1) // 2, (j2 + m2) // 2, (j - j2 + m1) // 2, (j - j1 - m2) // 2
+    ks = range(max(0, -d, -e), min(a, b, c) + 1)  # where every factorial's argument is non-negative
+    terms = [f(k) * f(a - k) * f(b - k) * f(c - k) * f(d + k) * f(e + k) for k in ks]
+    common = math.lcm(*terms)
+    s = sum((-1) ** k * (common // t) for k, t in zip(ks, terms))  # the sum over k, times `common`
+    # (2j + 1) (j + j1 - j2)! (j - j1 + j2)! (j1 + j2 - j)! (j + m)! (j - m)! (j1 - m1)! (j1 + m1)! (j2 - m2)! (j2 + m2)!
+    num = (j + 1) * f(b + d) * f(c + e) * f(a) * f((j + m) // 2) * f((j - m) // 2) * f(b) * f((j1 + m1) // 2) * f((j2 - m2) // 2) * f(c)
+    # the square of the coefficient is one ratio of ints: one rounding for the ratio, one for its root
+    return math.copysign(math.sqrt(num * s * s / (f((j1 + j2 + j) // 2 + 1) * common * common)), s)
+
+
+@functools.lru_cache(maxsize=16)
+def _coupling(j1s: tuple[int, ...], j2: int, js: tuple[int, ...]) -> np.ndarray:
+    """[a, b, i, k] = <j1 m1, j2 m2 | J, m1 + m2> of j1 = j1s[a], J = js[b], m1 = max(j1s) - i, m2 = j2 - k, doubled.
+
+    The index of M = m1 + m2 down from max(j1s) + j2 is i + k, so the indices of successive couplings add up.
+    Kept for the 16 most recent couplings, read-only.
+    """
+    top = max(j1s)
+    out = np.zeros((len(j1s), len(js), top + 1, j2 + 1))
+    for (a, j1), (b, j) in itertools.product(enumerate(j1s), enumerate(js)):
+        if abs(j1 - j2) <= j <= j1 + j2:
+            for m1, m in itertools.product(range(-j1, j1 + 1, 2), range(-j, j + 1, 2)):
+                if abs(m - m1) <= j2:
+                    out[a, b, (top - m1) // 2, (j2 - m + m1) // 2] = _cg(j1, m1, j2, m - m1, j)
+    return _read_only(out)
+
+
 # the eigenvector LAPACK's eigh returns for a 1 x 1 matrix, exactly
 _UNIT = _read_only(np.ones((1, 1)))
 
@@ -294,21 +319,19 @@ def _expectations(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _FBlock:
-    """The highest-weight states of one F: the kernel of F_+ on the m_F = F block.
+    """The levels of one F, in the coupled states (G1, G2, F, m_F = F) of its (G1, G2) pairs.
 
-    Every level of total angular momentum F has exactly one state in
-    this kernel, so H restricted to it (at most 4 x 4) gives the levels
-    of that F, each a (2F + 1)-fold multiplet.  Every array is read-only.
+    Every level of total angular momentum F is one multiplet of these
+    states, so H on them (at most 4 x 4) gives the levels of that F,
+    each a (2F + 1)-fold multiplet.  Every array is read-only.
     """
 
-    def __init__(self, f: int, kernel: np.ndarray, terms: np.ndarray, g1_sq: np.ndarray, g2_sq: np.ndarray,
-                 pairs: tuple[tuple[int, int], ...]):
+    def __init__(self, f: int, terms: np.ndarray, pairs: tuple[tuple[int, int], ...]):
         self.f = f
-        self.kernel = kernel  # (d, n): orthonormal columns over the m_F = F block
-        self.terms = terms  # (9, n, n): the term operators T_k projected onto the kernel
+        self.terms = terms  # (9, n, n): the term operators T_k between the coupled states
         self.flat_terms = terms.reshape(len(terms), -1)  # (9, n * n): a view, so one matmul contracts it with E
         self.shape = terms.shape[1:]  # (n, n)
-        self.g1_sq, self.g2_sq = g1_sq, g2_sq  # (n, n): G1^2 and G2^2 projected onto the kernel
+        self.g1_sq, self.g2_sq = (_read_only(np.diag([j * (j + 1.0) for j in js])) for js in zip(*pairs))  # (n, n), exact
         self.pairs = pairs  # (G1, G2) of the n levels, ascending
         # G1 = 0 couples with I_d to G2 = 1 only, so at most the first pair has G1 = 0
         self.g1_zero = int(pairs[0][0] == 0)  # how many levels take G1 = 0
@@ -316,92 +339,60 @@ class _FBlock:
         # (G2 below, G2 above, half the step of G2(G2 + 1)) of each neighbouring pair of them: see `_labels`
         self.g2_ties = tuple((lo, hi, 0.5 * (hi * (hi + 1) - lo * (lo + 1))) for lo, hi in zip(g2s, g2s[1:]))
         # T_1..T_9, G1^2, G2^2: one matmul gives every gamma_k and <G^2> of an eigenvector
-        self.ops = _read_only(np.concatenate([terms, g1_sq[None], g2_sq[None]]))
+        self.ops = _read_only(np.concatenate([terms, self.g1_sq[None], self.g2_sq[None]]))
         # one level: its eigenvector is 1.0 whatever H is, so its expectation values are fixed
         self.unit = _read_only(_expectations(self.ops, _UNIT)) if len(pairs) == 1 else None
 
 
 class _Blocks:
-    """The term operators of one rotational level N, cut by symmetry.
+    """The term operators of one rotational level N in the coupled basis.
 
-    Each T_k commutes with F_z and F_+, so it is kept only as its
-    projection onto the highest-weight states of each F (for the level
-    solve).  F_- is kept as maps between neighbouring m_F blocks, to
-    lower those states to any m_F on request, and the slot projections
-    as one array per m_F block (for the Zeeman interaction).  Built once
-    per N; every array is read-only.
+    The coupled states |((s_e I_p)G1, I_d)G2, N; F m_F> come from
+    Clebsch-Gordan coefficients, one array per m_F block (`coupled`).
+    Each T_k is a scalar, so it is kept only between the states of each
+    F at m_F = F (for the level solve), and the slot projections as one
+    array per m_F block (for the Zeeman interaction).  Built once per
+    N; every array is read-only.
     """
 
     def __init__(self, n_rot: int):
         basis = ProductBasis(n_rot)
         self.dim = basis.dim
         f_max = n_rot + 2
-        slot_m = np.stack([basis.m_values(slot) for slot in SLOT_NAMES])
-        m_f = np.rint(slot_m.sum(axis=0)).astype(int)
+        # per slot, the index i = j - m of every product state; M_F goes down by one per step of any of them
+        slot_i = np.array(np.unravel_index(np.arange(basis.dim), basis.dims))
+        m_f = f_max - slot_i.sum(axis=0)
         self.index = {m: _read_only(np.flatnonzero(m_f == m)) for m in range(-f_max, f_max + 1)}
+        self.slot_m = {m: _read_only(np.array([[0.5], [0.5], [1.0], [n_rot]]) - slot_i[:, i]) for m, i in self.index.items()}
+        # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N: the (G1, G2) of the levels of each F that has levels, ascending
+        pairs = {f: f_pairs for f in range(f_max + 1) if (f_pairs := tuple(
+            (g1, g2) for g1 in (0, 1) for g2 in range(abs(g1 - 1), g1 + 2) if abs(g2 - n_rot) <= f <= g2 + n_rot))}
+        # the three coupling stages s_e + I_p = G1, G1 + I_d = G2 and G2 + N = F (`_coupling` takes doubled j), indexed
+        # [G1, e, p], [G1, G2, e + p, d] and [G2, F, e + p + d, n] by the slot indices e, p, d, n of a product state
+        s1 = _coupling((1,), 1, (0, 2))[0]
+        s2 = _coupling((0, 2), 2, (0, 2, 4))
+        s3 = _coupling((0, 2, 4), 2 * n_rot, tuple(range(0, 2 * f_max + 1, 2)))
+        levels = np.array([(*pair, f) for f, f_pairs in pairs.items() for pair in f_pairs]).T  # (G1, G2, F), F ascending
+        self.coupled = {}  # m_F -> the coupled states of the F >= |m_F|, F by F and (G1, G2) ascending, as columns
+        for m, rows in self.index.items():
+            g1, g2, f = levels[:, np.searchsorted(levels[2], abs(m)):]  # the levels with F >= |m_F| come last
+            e, p, d, n = slot_i[:, rows, None]
+            self.coupled[m] = _read_only(s1[g1, e, p] * s2[g1, g2, e + p, d] * s3[g2, f, e + p + d, n])
         ops = np.stack([term_operator(k, basis) for k in COEFF_INDICES])
-        _, f_plus, f_minus = basis.combined_triple(SLOT_NAMES)
-        g1_sq = casimir(basis.combined_triple(("s_e", "I_p")))
-        g2_sq = casimir(basis.combined_triple(("s_e", "I_p", "I_d")))
-
-        self.slot_m = {m: _read_only(slot_m[:, i]) for m, i in self.index.items()}
-        self.lowering = {
-            m: _read_only(f_minus[self.index[m - 1][:, None], self.index[m]]) for m in range(-f_max + 1, f_max + 1)
-        }
-
-        def project(op, block, kernel):
-            return _read_only(kernel.T @ op[..., block[:, None], block] @ kernel)
-
         self.f_blocks: list[_FBlock] = []
-        for f in range(f_max + 1):
-            top, above = self.index[f], self.index.get(f + 1, np.empty(0, dtype=int))
-            if len(top) == len(above):
-                continue  # F_+ is one-to-one here: no level has this F
-            if len(above):
-                # F_+ maps the m_F = F block onto the m_F = F + 1 block, so the
-                # right-singular vectors past its rank len(above) span its kernel
-                kernel = np.linalg.svd(f_plus[above[:, None], top])[2][len(above):].T
-            else:
-                kernel = np.eye(len(top))
-            # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N
-            pairs = tuple(
-                (g1, g2) for g1 in (0, 1) for g2 in range(abs(g1 - 1), g1 + 2) if abs(g2 - n_rot) <= f <= g2 + n_rot
-            )
-            self.f_blocks.append(
-                _FBlock(f, _read_only(kernel), project(ops, top, kernel), project(g1_sq, top, kernel),
-                        project(g2_sq, top, kernel), pairs)
-            )
+        for f, f_pairs in pairs.items():
+            top, states = self.index[f], self.coupled[f][:, :len(f_pairs)]  # at m_F = F, the F block's columns come first
+            self.f_blocks.append(_FBlock(f, _read_only(states.T @ ops[..., top[:, None], top] @ states), f_pairs))
         # |H_ij| <= max |E_k| * sum_k |T_k,ij| <= max |E_k| * h_bound on every F block, and every energy of
         # an F block (at most 4 levels) is at most 4 times that: below `e_limit` neither H, nor an energy, nor
         # the difference of two energies comes within a factor 2 of float64's largest value
         self.h_bound = max(float(np.abs(block.terms).sum(axis=0).max()) for block in self.f_blocks)
         self.e_limit = sys.float_info.max / (16.0 * self.h_bound)
-        self._lowered: dict[int, np.ndarray] = {}  # m_F -> `lowered(m_F)`
-
-    def lowered(self, m_f: int) -> np.ndarray:
-        """The kernels of the F blocks with F >= |m_F| (the last ones), lowered by F_- to the m_F block.
-
-        The columns come block by block as in `f_blocks`, each reached
-        from the kernel by F_- |F, m> = sqrt(F(F+1) - m(m-1)) |F, m-1>;
-        the matrix is square, since every state of the m_F block belongs
-        to one multiplet with F >= |m_F|.  Built on first use, read-only.
-        """
-        if m_f not in self._lowered:
-            cols = []
-            for block in self.f_blocks:
-                col, f = block.kernel, block.f
-                if f < abs(m_f):
-                    continue
-                for m in range(f, m_f, -1):
-                    col = self.lowering[m] @ col / math.sqrt(f * (f + 1) - m * (m - 1))
-                cols.append(col)
-            self._lowered[m_f] = _read_only(np.hstack(cols))
-        return self._lowered[m_f]
 
 
 @functools.lru_cache(maxsize=8)
 def _blocks(n_rot: int) -> _Blocks:
-    """The block data of N, kept for the 8 most recent N (about 0.4 MB for N = 0..5)."""
+    """The block data of N, kept for the 8 most recent N (about 0.08 MB of arrays for N = 0..5)."""
     return _Blocks(n_rot)
 
 
@@ -415,7 +406,7 @@ def _coefficient_vector(coeffs: HyperfineCoefficients) -> np.ndarray:
 
 # Levels of one set within _ULPS ulps of max |E_k|, times the bound `h_bound` on H per |E_k|, coincide: their order
 # goes by F, and those of one F cannot be told apart by their vectors, so they come back unlabelled.  Roundoff
-# moves an energy a few such ulps; 2^10 of them are 6.8e-7 kHz for the demo N = 1 set and 1.5e-7 kHz for N = 0,
+# moves an energy a few such ulps; 2^10 of them are 7.0e-7 kHz for the demo N = 1 set and 1.5e-7 kHz for N = 0,
 # so the bundled sets keep the labels that a fixed 1e-6 kHz gave them.
 _ULPS = 2.0 ** 10
 
@@ -521,7 +512,7 @@ def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> Spin
 
 
 class _States:
-    """The field-free states of one level set, lowered from its F-block eigenvectors on first use (read-only).
+    """The field-free states of one level set: its F-block eigenvectors in the coupled states of each m_F (read-only).
 
     Apart from `_LevelSet`, so that the level set and its levels form no reference cycle.
     """
@@ -546,9 +537,9 @@ class _States:
     def m_states(self, m_f: int) -> np.ndarray:
         """The state with projection m_F of each level with F >= |m_F|, as columns in level order (see `m_states`)."""
         if m_f not in self._m_states:
-            lowered = self._blocks.lowered(m_f)
-            skip = len(self._order) - lowered.shape[1]  # the levels of the F blocks with F < |m_F| come first
-            states = lowered @ self._block_vectors[skip:, skip:]
+            coupled = self._blocks.coupled[m_f]
+            skip = len(self._order) - coupled.shape[1]  # the levels of the F blocks with F < |m_F| come first
+            states = coupled @ self._block_vectors[skip:, skip:]
             self._m_states[m_f] = _read_only(states[:, [i - skip for i in self._order if i >= skip]])
         return self._m_states[m_f]
 
@@ -570,7 +561,7 @@ def _solve_blocks(blocks: _Blocks, e: np.ndarray, tolerance: float) -> tuple[lis
     """
     found, eigenvectors = [], []
     for block in blocks.f_blocks:
-        h = e @ block.flat_terms  # H on the kernel, flattened
+        h = e @ block.flat_terms  # H on the coupled states of the block, flattened
         if block.unit is not None:
             # LAPACK's eigh returns the entry of a 1 x 1 matrix and the eigenvector 1.0
             evals, x, y, labels = h.tolist(), _UNIT, block.unit, block.pairs
@@ -587,9 +578,9 @@ class _LevelSet:
     """The labelled levels of one coefficient set and their gamma_k.
 
     One eigh of at most 4 x 4 per F that holds two or more levels, on H
-    projected onto the highest-weight states of that F, and none for an
-    F that holds one; gamma_k = x^T T_k x for each eigenvector x.  The
-    levels are shared by every caller that asks for the same
+    between the coupled states (G1, G2, F, m_F = F) of that F, and none
+    for an F that holds one; gamma_k = x^T T_k x for each eigenvector x.
+    The levels are shared by every caller that asks for the same
     coefficients, so their vectors and `m_states` are read-only.
     `labelled` maps each label to its level.  Levels no more than
     `tolerance` apart coincide (see `_ULPS`); `distinct` says that no two
@@ -692,8 +683,8 @@ def m_states(coeffs: HyperfineCoefficients, m_f: int) -> np.ndarray:
     """The field-free eigenstates of the m_F block (rows: its product states), one column per level with F >= |m_F|.
 
     The columns come in level order (ascending energy, as `level_structure`
-    gives the levels).  Each is the highest-weight eigenvector of its F
-    block lowered by F_- to m_F, so the cached level set gives them, once
+    gives the levels).  Each is the eigenvector of its F block taken in
+    the coupled states of m_F, so the cached level set gives them, once
     per m_F and read-only, without another eigen-solve.
     """
     return _level_set(coeffs).m_states(m_f)
@@ -709,7 +700,7 @@ def sensitivities(
     """gamma_k = dE_level/dE_k by the Hellmann-Feynman identity.
 
     Every state of a multiplet gives the same expectation value, so the
-    highest-weight eigenvector of the F block gives it.  Call it as
+    eigenvector of the F block (at m_F = F) gives it.  Call it as
     `sensitivities(coeffs, label=...)`; a `basis`, if given, is only
     checked against N.  The values come from the cached level set of
     `coeffs`.

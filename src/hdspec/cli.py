@@ -370,7 +370,9 @@ def _cmd_spin_structure(args) -> int:
                 "gamma_upper": {f"E{k}": float(row.upper[k]) for k in sorted(row.upper)},
             }
         for tid, t in transitions.items():  # every line computed before any is printed
-            print(f"line {tid}: f_spin = {t['f_spin_khz']:.2f} kHz, u_spin = {t['u_spin_khz']:.2f} kHz")
+            # to 0.01 kHz; from 1e15 kHz on, where a float64 holds no hundredths, to 7 digits: bounded for any float
+            f_spin, u_spin = (f"{x:.2f}" if abs(x) < 1e15 else f"{x:.6e}" for x in (t["f_spin_khz"], t["u_spin_khz"]))
+            print(f"line {tid}: f_spin = {f_spin} kHz, u_spin = {u_spin} kHz")
         payload["transitions"] = transitions
 
     _write_json(args.out_dir, "spin_structure", payload)

@@ -6,14 +6,15 @@ magnetic projections:
     H_Z = B (c_e s_ez + c_p I_pz + c_d I_dz + c_N N_z)
 
 with per-momentum couplings in kHz/G.  Sublevel energies are mapped over
-a field grid, each m_F block solved in the field-free states that the
-level solve gives (`angular.m_states`).  The linear and quadratic Zeeman
-coefficients of a transition are exact at B = 0: Hellmann-Feynman gives
-the linear term and second-order perturbation theory the quadratic one,
-over the same states (Bakalov, Korobov & Schiller, J. Phys. B 44, 025003
-(2011)); their truncation over a field grid is the largest deviation of
-the solved shift from that quadratic model.  The zero-field extrapolation
-of measured line positions is `systematics.extrapolate_to_zero_field`.
+a field grid, each m_F block solved in its field-free states, the F-block
+eigenvectors in its coupled states (`angular.m_states`).  The linear and
+quadratic Zeeman coefficients of a transition are exact at B = 0:
+Hellmann-Feynman gives the linear term and second-order perturbation
+theory the quadratic one, over the same states (Bakalov, Korobov &
+Schiller, J. Phys. B 44, 025003 (2011)); their truncation over a field
+grid is the largest deviation of the solved shift from that quadratic
+model.  The zero-field extrapolation of measured line positions is
+`systematics.extrapolate_to_zero_field`.
 """
 
 from __future__ import annotations

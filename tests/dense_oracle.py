@@ -1,8 +1,9 @@
 """Dense reference solver for the F-block level solve in `hdspec.angular`.
 
 It diagonalizes the full 12(2N+1)-dimensional Hamiltonian, groups
-eigenvalues within 1e-6 kHz into levels and labels each level by rounding
-the <G1^2>, <G2^2>, <F^2> expectation values of its eigenvectors.  It
+eigenvalues within `GROUP_REL` times max |H| into levels and labels each
+level by rounding the <G1^2>, <G2^2>, <F^2> expectation values of its
+eigenvectors, so it checks a set at any scale alike.  It
 shares only the product-basis algebra with the program, so it checks the
 program's symmetry reduction, labelling and sensitivities from outside.
 """
@@ -17,7 +18,8 @@ import numpy as np
 from hdspec.angular import ClassificationError, ProductBasis, casimir
 from hdspec.zeeman import ZeemanCouplings
 
-GROUP_KHZ = 1e-6
+# eigenvalues this close, relative to max |H|, form one level: about 1e-6 kHz for the demo sets (max |H| near 4.6e5 kHz)
+GROUP_REL = 2e-12
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ def eigenlevels(h: np.ndarray, basis: ProductBasis) -> list[DenseLevel]:
     if not np.array_equal(h, h.T):
         raise ValueError("Hamiltonian must be symmetric")
     fz, f2 = basis.f_z(), basis.f_squared()
-    h_scale = max(np.max(np.abs(h)), 1.0)
+    h_scale = np.max(np.abs(h))
     for name, op in (("F_z", fz), ("F^2", f2)):
         comm = np.max(np.abs(h @ op - op @ h))
         # roundoff in the products grows with the entries of H and of op
@@ -75,7 +77,7 @@ def eigenlevels(h: np.ndarray, basis: ProductBasis) -> list[DenseLevel]:
     evals, evecs = np.linalg.eigh(h)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
-        if evals[i] - evals[groups[-1][0]] <= GROUP_KHZ:
+        if evals[i] - evals[groups[-1][0]] <= GROUP_REL * h_scale:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -112,12 +114,5 @@ def eigenlevels(h: np.ndarray, basis: ProductBasis) -> list[DenseLevel]:
 
 def build_zeeman(couplings: ZeemanCouplings, basis: ProductBasis, b_field: float) -> np.ndarray:
     """Zeeman Hamiltonian (kHz) at field b_field in gauss: diagonal in the product basis."""
-    return np.diag(
-        b_field
-        * (
-            couplings.c_e * basis.m_values("s_e")
-            + couplings.c_p * basis.m_values("I_p")
-            + couplings.c_d * basis.m_values("I_d")
-            + couplings.c_n * basis.m_values("N")
-        )
-    )
+    c = {"s_e": couplings.c_e, "I_p": couplings.c_p, "I_d": couplings.c_d, "N": couplings.c_n}
+    return b_field * sum(c[slot] * basis.triple(slot)[0] for slot in c)

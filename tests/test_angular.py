@@ -289,9 +289,13 @@ def test_coefficients_either_side_of_the_overflow_limit_solve_as_the_reference()
 
 @pytest.mark.parametrize("n_rot", range(6))
 def test_coupling_scheme_names_every_highest_weight_state(n_rot):
-    # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N: one (G1, G2) per level of each F
-    for block in angular._blocks(n_rot).f_blocks:
-        assert len(block.pairs) == block.kernel.shape[1]
+    # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N: one (G1, G2) per level of each F, and the levels of F
+    # are as many as the states of the m_F = F block less those of the m_F = F + 1 block
+    blocks = angular._blocks(n_rot)
+    highest_weight = {f: len(blocks.index[f]) - len(blocks.index.get(f + 1, ())) for f in range(n_rot + 3)}
+    assert {block.f: len(block.pairs) for block in blocks.f_blocks} == {f: n for f, n in highest_weight.items() if n}
+    for block in blocks.f_blocks:
+        assert block.shape == (len(block.pairs),) * 2
         assert list(block.pairs) == sorted(set(block.pairs))
 
 
@@ -493,9 +497,9 @@ def test_cached_level_set_is_read_only(demo_sets, basis1):
     assert all(lv.vectors is level_structure(coeffs, basis1)[i].vectors for i, lv in enumerate(levels))
     # the per-N data every set of this N shares
     blocks = angular._blocks(1)
-    shared = [*blocks.index.values(), *blocks.slot_m.values(), *blocks.lowering.values()]
+    shared = [*blocks.index.values(), *blocks.slot_m.values(), *blocks.coupled.values()]
     for fb in blocks.f_blocks:
-        shared += [fb.kernel, fb.terms, fb.flat_terms, fb.g1_sq, fb.g2_sq, fb.ops, *([] if fb.unit is None else [fb.unit])]
+        shared += [fb.terms, fb.flat_terms, fb.g1_sq, fb.g2_sq, fb.ops, *([] if fb.unit is None else [fb.unit])]
     assert all(not a.flags.writeable for a in shared)
     with pytest.raises(ValueError, match="read-only"):
         blocks.f_blocks[0].terms[0, 0, 0] = 1.0
@@ -539,9 +543,13 @@ def test_sensitivities_fd_bypasses_the_cache(demo_sets, basis1):
 
 @pytest.mark.parametrize("n_rot", [0, 1, 3])
 def test_m_values_are_the_embedded_jz_diagonal(n_rot):
-    basis = ProductBasis(n_rot)
-    for slot in angular.SLOT_NAMES:
-        assert np.array_equal(basis.m_values(slot), np.diag(basis.triple(slot)[0]))
+    # the m_F blocks and the m of each slot that the block data takes from the product-state indices
+    basis, blocks = ProductBasis(n_rot), angular._blocks(n_rot)
+    assert sorted(np.concatenate(list(blocks.index.values()))) == list(range(basis.dim))
+    for m, rows in blocks.index.items():
+        assert np.array_equal(rows, np.flatnonzero(np.diag(basis.f_z()) == m))
+        for slot, m_values in zip(angular.SLOT_NAMES, blocks.slot_m[m], strict=True):
+            assert np.array_equal(m_values, np.diag(basis.triple(slot)[0])[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +708,7 @@ def zero_coeffs(n_rot):
 
 def test_zero_hamiltonian_at_n0_labels_only_the_one_state_blocks():
     levels = level_structure(zero_coeffs(0), ProductBasis(0))
-    # F = 0 and F = 2 hold one highest-weight state each, F = 1 holds two
+    # F = 0 and F = 2 hold one coupled state at m_F = F each, F = 1 holds two
     assert [(lv.f, lv.degeneracy, lv.label) for lv in levels] == [
         (0, 1, (1, 0, 0)),
         (1, 3, None),
@@ -808,12 +816,13 @@ def coefficient_sets(draw):
 
 @given(coefficient_sets())
 def test_f_block_levels_match_the_dense_hamiltonian(coeffs):
+    # every bound is relative to the set's own scale, so a set x 1e-12 is checked as closely as one x 1e12
     n_rot = coeffs.n_rot
     basis = ProductBasis(n_rot)
     level_set = angular._LevelSet(coeffs)
     levels = level_set.levels
     h = build_hfs(coeffs, basis)
-    h_scale = max(float(np.max(np.abs(h))), 1.0)
+    h_scale = float(np.max(np.abs(h)))
     weight = sum(lv.degeneracy * abs(lv.energy) for lv in levels)
 
     assert all(lv.degeneracy == 2 * lv.f + 1 for lv in levels)
@@ -822,7 +831,7 @@ def test_f_block_levels_match_the_dense_hamiltonian(coeffs):
         # ascending; levels that coincide go by F
         assert hi.energy >= lo.energy - level_set.tolerance * len(levels)
         assert hi.energy >= lo.energy or lo.f < hi.f
-    assert sum(lv.degeneracy * lv.energy for lv in levels) == pytest.approx(np.trace(h), abs=1e-12 * weight + 1e-9)
+    assert abs(math.fsum(lv.degeneracy * lv.energy for lv in levels) - np.trace(h)) <= 1e-12 * weight
     for lv in levels:
         v = lv.vectors
         assert v.shape == (basis.dim, 2 * lv.f + 1) and not v.flags.writeable
@@ -831,7 +840,12 @@ def test_f_block_levels_match_the_dense_hamiltonian(coeffs):
         if lv.label is not None:
             gamma = sensitivities(coeffs, basis, lv.label)
             terms = [gamma[k] * coeffs.coefficient(k) for k in angular.COEFF_INDICES]
-            assert lv.energy == pytest.approx(sum(terms), abs=1e-12 * sum(map(abs, terms)) + 1e-12)
+            assert abs(lv.energy - math.fsum(terms)) <= 1e-12 * sum(map(abs, terms))
+    if level_set.distinct:
+        # the dense oracle groups and labels the levels on its own, within a bound relative to max |H|
+        dense = eigenlevels(h, basis)
+        assert [(lv.label, lv.degeneracy) for lv in levels] == [(lv.label, lv.degeneracy) for lv in dense]
+        assert all(abs(a.energy - b.energy) <= 1e-12 * h_scale for a, b in zip(levels, dense))
 
 
 def solve_outcome(solve, coeffs):
@@ -928,7 +942,7 @@ def test_contact_only_n1_set_keeps_its_order_and_labels_at_any_scale(e4):
 
 def test_level_set_tolerance_is_ulps_of_the_bound_on_h(demo_sets):
     # 2^10 ulps of max |E_k| times h_bound: near 1e-6 kHz at the bundled scale, and above zero for the all-zero set
-    for coeffs, expected in ((demo_sets[(0, 0)], 1.49e-7), (demo_sets[(1, 1)], 6.85e-7)):
+    for coeffs, expected in ((demo_sets[(0, 0)], 1.49e-7), (demo_sets[(1, 1)], 6.97e-7)):
         assert angular._LevelSet(coeffs).tolerance == pytest.approx(expected, rel=1e-3)
         assert angular._LevelSet(scaled(coeffs, 2.0 ** -30)).tolerance == 2.0 ** -30 * angular._LevelSet(coeffs).tolerance
     zero = angular._LevelSet(zero_coeffs(1))
@@ -960,6 +974,41 @@ def test_cached_single_momentum_matrices_equal_fresh_builds(j):
         del cached.j
     assert np.array_equal(cached.jz, np.diag(m))
     assert np.allclose(np.diag(cached.jplus, 1), np.sqrt((j - m[1:]) * (j + m[1:] + 1)), rtol=0, atol=1e-15)
+
+
+def coupled_basis(blocks):
+    """Every coupled state of `blocks` as one orthogonal matrix over the product basis, and its (G1, G2, F, m_F)."""
+    u, labels = np.zeros((blocks.dim, blocks.dim)), []
+    for m, rows in blocks.index.items():
+        columns = [(*pair, b.f, m) for b in blocks.f_blocks if b.f >= abs(m) for pair in b.pairs]
+        u[rows, len(labels):len(labels) + len(columns)] = blocks.coupled[m]
+        labels += columns
+    assert len(labels) == blocks.dim
+    return u, np.array(labels, dtype=float).T
+
+
+@pytest.mark.parametrize("n_rot", range(6))
+def test_coupled_states_diagonalize_the_dense_momenta(n_rot):
+    # the Clebsch-Gordan states of every m_F block are orthonormal, and in them the dense F_z, F^2, G1^2 and
+    # G2^2 are diag(m_F, F(F + 1), G1(G1 + 1), G2(G2 + 1)) to a few ulps; no T_k joins two different (F, m_F)
+    basis = ProductBasis(n_rot)
+    blocks = angular._blocks(n_rot)
+    u, (g1, g2, f, m_f) = coupled_basis(blocks)
+    for m, rows in blocks.index.items():
+        c = blocks.coupled[m]
+        assert c.shape == (len(rows), int(np.sum(m_f == m)))
+        assert np.allclose(c.T @ c, np.eye(c.shape[1]), rtol=0, atol=8 * math.ulp(1.0))
+    for op, diagonal in (
+        (basis.f_z(), m_f),
+        (basis.f_squared(), f * (f + 1)),
+        (casimir(basis.combined_triple(("s_e", "I_p"))), g1 * (g1 + 1)),
+        (casimir(basis.combined_triple(("s_e", "I_p", "I_d"))), g2 * (g2 + 1)),
+    ):
+        assert np.max(np.abs(u.T @ op @ u - np.diag(diagonal))) <= 8 * math.ulp(np.max(np.abs(diagonal)))
+    other = (f[:, None] != f[None, :]) | (m_f[:, None] != m_f[None, :])
+    for k in angular.COEFF_INDICES:
+        t = u.T @ term_operator(k, basis) @ u
+        assert np.max(np.abs(t[other])) <= 8 * math.ulp(np.max(np.abs(t)))
 
 
 @pytest.mark.parametrize("n_rot", range(6))
@@ -1001,8 +1050,8 @@ def test_f_block_solve_agrees_with_the_dense_oracle(n_rot):
 
 @pytest.mark.parametrize("n_rot", range(6))
 def test_m_states_are_the_field_free_eigenstates_of_each_m_block(n_rot):
-    # lowered from the F-block eigenvectors, one column per level with
-    # F >= |m_F| in level order: orthonormal, and H u = E u on the m_F block
+    # the F-block eigenvectors in the coupled states of m_F, one column per level
+    # with F >= |m_F| in level order: orthonormal, and H u = E u on the m_F block
     rng = np.random.default_rng(53 + n_rot)
     base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
     basis = ProductBasis(n_rot)

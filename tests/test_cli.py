@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -309,6 +310,26 @@ def test_spin_structure_of_the_demo_coefficients_x_1e302_is_the_unscaled_report_
         for side in ("gamma_lower", "gamma_upper"):
             assert got[side].keys() == want[side].keys()
             assert all(abs(got[side][k] - want[side][k]) <= 64 * math.ulp(1.0) for k in want[side])
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e302])
+def test_spin_structure_prints_each_line_within_a_bounded_width(tmp_path, factor):
+    """The bundled coefficients print f_spin and u_spin to 0.01 kHz; x 1e302 prints them to 7 digits, not 300."""
+    coefficients = tmp_path / "coefficients.conf"
+    coefficients.write_text(scaled_demo_coefficients(factor))
+    proc = run_python("-m", "hdspec.cli", "spin-structure", "--coefficients", str(coefficients), "--out-dir", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    transitions = json.loads((tmp_path / "spin_structure.json").read_text())["transitions"]
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == f"wrote {tmp_path / 'spin_structure.json'}"
+    assert len(lines) == len(transitions) + 1
+    for line, (tid, t) in zip(lines, transitions.items()):
+        assert len(line) < 120, line
+        f_spin, u_spin = re.fullmatch(rf"line {tid}: f_spin = (\S+) kHz, u_spin = (\S+) kHz", line).groups()
+        if factor == 1.0:
+            assert (f_spin, u_spin) == (f"{t['f_spin_khz']:.2f}", f"{t['u_spin_khz']:.2f}")
+        else:
+            assert (f_spin, u_spin) == (f"{t['f_spin_khz']:.6e}", f"{t['u_spin_khz']:.6e}")
 
 
 def test_spin_frequency_that_leaves_float64_is_one_line_data_error(tmp_path):
@@ -938,8 +959,8 @@ def test_commands_do_not_load_numpy_ma(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
-# stdlib modules that no hdspec module needs: `dataclasses` pulls in the other four
-UNNEEDED_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# stdlib modules that no hdspec module needs: `dataclasses` pulls in the next four; `fractions` pulls in `decimal`
+UNNEEDED_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal")
 
 
 def imported_top_level_modules():
@@ -978,7 +999,7 @@ def bare_interpreter_modules():
 
 @pytest.mark.parametrize("name", [*SUBCOMMANDS, "--help"])
 def test_commands_start_without_dataclasses(tmp_path, name, bare_interpreter_modules):
-    """In a fresh interpreter: no `dataclasses` after any command, nor `inspect`, `ast`, `dis`, `tokenize` without numpy.
+    """In a fresh interpreter: no `dataclasses`, `fractions` or `decimal` after any command, nor the rest without numpy.
 
     A module that a bare interpreter loads for the same stdlib modules (and numpy, where the command loaded it) is
     not held against the command.
@@ -1003,7 +1024,7 @@ def test_commands_start_without_dataclasses(tmp_path, name, bare_interpreter_mod
     numpy_loaded = numpy_loaded == "True"
     assert numpy_loaded == (name not in ARRAY_FREE_COMMANDS and name != "--help")
     unexpected = set(ast.literal_eval(loaded)) - bare_interpreter_modules[numpy_loaded]
-    assert "dataclasses" not in unexpected
+    assert not unexpected & {"dataclasses", "fractions", "decimal"}
     if not numpy_loaded:
         assert not unexpected
 
