@@ -26,8 +26,10 @@ The commands are one table, `COMMANDS`.  A handler, and each helper it
 calls, imports the analysis modules it runs, so a command loads only
 those, and numpy only if one of them builds arrays: on the bundled
 inputs carrier, dfg, ledger, compare, extract, extrapolate-b,
-extrapolate-rf, fit-line and adev start without it.  `--help` and the parser defaults read
-nothing beyond `bundled` and `quantity`.
+extrapolate-rf, fit-line and adev start without it, and so does
+reproduce-paper while `hfs_coefficients.conf` ships as a template only.
+`--help` and the parser defaults read nothing beyond `bundled` and
+`quantity`.
 """
 
 from __future__ import annotations
@@ -265,11 +267,18 @@ def _parse_level(text: str) -> tuple[int, int]:
 
 
 def _resolve_coefficients(args) -> dict | None:
-    """Coefficient sets from --coefficients, else --demo, else the bundled file (None if absent)."""
+    """Coefficient sets from --coefficients, else --demo, else the bundled file (None if absent).
+
+    A --coefficients file must hold at least one section; only the bundled
+    file may be an unfilled template.
+    """
     if args.coefficients is not None:
         from .coefficients import read_coefficient_file
 
-        return _load(read_coefficient_file, args.coefficients)
+        sets = _load(read_coefficient_file, args.coefficients)
+        if not sets:
+            raise ConfigFailure(f"{args.coefficients}: no [v=..,N=..] section with coefficients")
+        return sets
     if getattr(args, "demo", False):
         return _load(bundled.load_demo_coefficients)
     return _load(bundled.load_coefficients)
@@ -388,7 +397,7 @@ def _cmd_zeeman_map(args) -> int:
     key = _parse_level(args.level)
     if key not in sets:
         raise ConfigFailure(f"coefficient file has no [v={key[0]},N={key[1]}] section")
-    b_values = _floats_arg(args.b_values, "--b-values") if args.b_values else list(zeeman.DEFAULT_B_GRID)
+    b_values = _floats_arg(args.b_values, "--b-values") if args.b_values is not None else list(zeeman.DEFAULT_B_GRID)
     zmap = _run(zeeman.zeeman_map, sets[key], _couplings(args), b_values=b_values)
 
     b_gauss = _Floats(zmap.b_values.tolist())  # each field and each energy rendered once, for both reports
@@ -421,7 +430,7 @@ def _cmd_zeeman_coeffs(args) -> int:
     lower, upper = _transition_sets(sets)
     lo, up = bundled.TRANSITION_LEVELS[args.transition]
     lo_state, up_state = (*lo, args.lower_mf), (*up, args.upper_mf)
-    b_values = _floats_arg(args.b_values, "--b-values") if args.b_values else list(zeeman.DEFAULT_B_GRID)
+    b_values = _floats_arg(args.b_values, "--b-values") if args.b_values is not None else list(zeeman.DEFAULT_B_GRID)
     model, truncation = _run(
         zeeman.transition_truncation,
         (lower, lo_state),
@@ -677,7 +686,7 @@ def _cmd_adev(args) -> int:
     from . import metrology
 
     series = _load(metrology.read_counter_csv, args.input, args.carrier_hz)
-    taus = _floats_arg(args.tau_list, "--tau-list") if args.tau_list else _default_taus(series)
+    taus = _floats_arg(args.tau_list, "--tau-list") if args.tau_list is not None else _default_taus(series)
     rows = _run(metrology.allan_deviation, series, taus)
     payload = {
         "n_samples": int(len(series.samples)),
@@ -779,8 +788,12 @@ def _cmd_carrier(args) -> int:
 
 
 def _anchors(sets: dict | None) -> list[tuple]:
-    """(name, compute) per anchor; compute() returns (quantity, value, target, tol) checks, or is None (skip)."""
-    from . import angular, carrier, coefficients, composite, constants, lineshape, zeeman
+    """(name, compute) per anchor; compute() returns (quantity, value, target, tol) checks, or is None (skip).
+
+    The two rows that need the coefficient file import `angular` and
+    `zeeman` in their own compute: skipped, they load neither, nor numpy.
+    """
+    from . import carrier, composite, constants, lineshape
 
     lines = _load(bundled.load_measured_lines)
     theory = constants.theory_frequency(_load(bundled.load_contributions, "codata2018")).value
@@ -854,6 +867,8 @@ def _anchors(sets: dict | None) -> list[tuple]:
         return [("center_khz", fit.center, 0.037, 0.05), ("fwhm_khz", fit.fwhm, 0.195, 0.05)]
 
     def c_spin_freqs():
+        from . import angular, coefficients
+
         lower, upper = _transition_sets(sets)
         table = angular.transition_table(lower, upper, bundled.TRANSITION_LEVELS)
         checks = []
@@ -869,6 +884,8 @@ def _anchors(sets: dict | None) -> list[tuple]:
         ]
 
     def c_zeeman_coeffs():
+        from . import zeeman
+
         lower, upper = _transition_sets(sets)
         couplings = bundled.load_couplings()
 

@@ -726,6 +726,32 @@ def test_non_finite_list_flag_is_one_line_config_error(tmp_path, capsys, argv, f
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(argv[:-1], flag) for argv, flag, _ in NON_FINITE_LIST_FLAGS],
+    ids=["adev", "zeeman-map", "zeeman-coeffs"],
+)
+def test_empty_list_flag_is_one_line_config_error(tmp_path, capsys, argv, flag):
+    # an empty list is not the default grid
+    assert run(tmp_path, *argv, "") == 2
+    assert capsys.readouterr().err == f"config error: {flag} is empty\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spin-structure"], ["zeeman-map"], ["zeeman-coeffs", "--transition", "16", "--lower-mf", "2", "--upper-mf", "3"],
+     ["composite"]],
+    ids=lambda argv: argv[0],
+)
+def test_coefficient_file_without_a_section_is_one_line_config_error(tmp_path, capsys, argv):
+    # the shipped template parses to no section: an empty report, not a spin structure
+    template = bundled.data_path("hfs_coefficients_template.conf")
+    assert run(tmp_path, *argv, "--coefficients", str(template)) == 2
+    assert capsys.readouterr().err == f"config error: {template}: no [v=..,N=..] section with coefficients\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("sweep", ["1:inf:3", "1:nan:3", "-inf:12:3"])
 def test_non_finite_sweep_is_one_line_config_error(tmp_path, capsys, sweep):
     assert run(tmp_path, "carrier", "--delta-rho-um", "2.0", f"--sweep={sweep}") == 2
@@ -889,6 +915,9 @@ ARRAY_FREE_COMMANDS = {
     "extrapolate-rf": ["hdspec.systematics"],
     "fit-line": ["hdspec.lineshape"],
     "adev": ["hdspec.metrology"],
+    # while hfs_coefficients.conf ships as a template only: its two rows, which import angular and zeeman, are skipped
+    "reproduce-paper": ["hdspec.carrier", "hdspec.coefficients", "hdspec.composite", "hdspec.constants",
+                        "hdspec.lineshape", "hdspec.systematics"],
 }
 CSV_FORMAT_COMMANDS = ("ledger", "extract")
 
@@ -917,7 +946,8 @@ def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
     assert lines[0] == str(["hdspec", "hdspec.bundled", "hdspec.cli", "hdspec.quantity"])
     assert lines[-1] == "[]"
     for stem in ("carrier_sweep.csv", "dfg.json", "ledger.csv", "compare.csv", "extract_components.csv",
-                 "extrapolate_b.json", "extrapolate_rf.json", "fit_line_spectrum.csv", "adev.csv"):
+                 "extrapolate_b.json", "extrapolate_rf.json", "fit_line_spectrum.csv", "adev.csv",
+                 "reproduce_paper.json"):
         assert (tmp_path / stem).exists(), stem
 
 
