@@ -46,7 +46,7 @@ import functools
 import itertools
 import math
 import sys
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -147,17 +147,6 @@ class ProductBasis:
         self.dims = tuple(self._single[name].dim for name in SLOT_NAMES)
         self.dim = math.prod(self.dims)
         self._triples: dict[str, Triple] = {}
-
-    def index(self, m_se: float, m_sp: float, m_sd: float, m_n: float) -> int:
-        """Bijective map from magnetic quantum numbers to a basis index."""
-        idx = 0
-        for name, m in zip(SLOT_NAMES, (m_se, m_sp, m_sd, m_n)):
-            j = self.js[name]
-            i = round(j - m)
-            if not (0 <= i < self._single[name].dim) or abs((j - m) - i) > 1e-9:
-                raise ValueError(f"invalid m={m} for slot {name} (j={j})")
-            idx = idx * self._single[name].dim + i
-        return idx
 
     def embed(self, op: np.ndarray, slot: str) -> np.ndarray:
         """Tensor-embed a single-slot operator, identity elsewhere."""
@@ -498,15 +487,6 @@ def _labels(
     return labels
 
 
-def find_level(levels: Iterable[SpinLevel], label: tuple[int, int, int]) -> SpinLevel:
-    """The one level of `levels` with `label`, by a scan; a level set looks its own levels up in `labelled`."""
-    label = tuple(label)
-    matches = [lv for lv in levels if lv.label == label]
-    if len(matches) != 1:
-        raise LookupError(f"label {label} resolves to {len(matches)} levels")
-    return matches[0]
-
-
 # ---------------------------------------------------------------------------
 # level sets, solved once per coefficient content
 
@@ -622,7 +602,7 @@ class _LevelSet:
         self._gammas = [found[i][3:] for i in order]  # (y, a) of each level
 
     def level(self, label: tuple[int, int, int]) -> SpinLevel:
-        """The level with `label`; LookupError as `find_level` gives it if there is none."""
+        """The level with `label`; LookupError `label ... resolves to 0 levels` if there is none."""
         label = tuple(label)
         if label not in self.labelled:
             raise LookupError(f"label {label} resolves to 0 levels")

@@ -3,7 +3,8 @@
 Every command writes a deterministic JSON report into --out-dir (sorted
 keys, shortest-roundtrip floats, so reruns on identical inputs are
 byte-identical), plus CSV tables for anything meant to be plotted.  Each
-report is rendered whole and published as a new file by `_publish`.
+report is published as a new file by `_publish`: the carrier sweep as
+its rows are computed, every other report rendered whole.
 
 A JSON report is the text of `json.dumps(payload, sort_keys=True,
 indent=2, allow_nan=False)` plus a newline.  With an indent, `json.dumps`
@@ -24,10 +25,11 @@ computation starts.
 
 The commands are one table, `COMMANDS`.  A handler, and each helper it
 calls, imports the analysis modules it runs, so a command loads only
-those, and numpy only if one of them builds arrays: on the bundled
-inputs carrier, dfg, ledger, compare, extract, extrapolate-b,
-extrapolate-rf, fit-line and adev start without it, and so does
-reproduce-paper while `hfs_coefficients.conf` ships as a template only.
+those, and numpy only if one of them builds arrays: carrier, dfg,
+ledger, compare, extract, extrapolate-b, extrapolate-rf and fit-line
+start without it at any input size, adev on a counter log under 512 KiB
+(the bundled one among them), and reproduce-paper while
+`hfs_coefficients.conf` ships as a template only.
 `--help` and the parser defaults read nothing beyond `bundled` and
 `quantity`.
 """
@@ -39,13 +41,14 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import bundled
 from .quantity import (
@@ -92,26 +95,30 @@ def _run(fn, *args, **kwargs):
 # output helpers
 
 
-def _publish(path: Path, text: str) -> Path:
-    """Write a fully rendered report to `path` as a new file.
+def _publish(path: Path, chunks: Iterable[str]) -> Path:
+    """Write a report, the text of the str `chunks` in order, to `path` as a new file.
 
-    The text goes to a temp file next to `path`; the old report is then
-    unlinked and the temp file renamed onto the free name.  Nothing is
-    truncated in place (a rerun never stalls on writeback of the report it
-    replaces, and a failed write leaves the old report whole), and a
-    symlink at `path` is replaced, not followed.
+    The chunks go to a temp file next to `path` as they come, so a
+    report rendered chunk by chunk is never held whole; the old report
+    is then unlinked and the temp file renamed onto the free name.
+    Nothing is truncated in place (a rerun never stalls on writeback of
+    the report it replaces, and a failed write, or a chunk that fails to
+    render, leaves the old report whole and no temp file), and a symlink
+    at `path` is replaced, not followed.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "x", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         path.unlink(missing_ok=True)  # first: renaming onto an existing name stalls like a truncate
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
-        raise ConfigFailure(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise ConfigFailure(f"cannot write {path}: {exc}") from exc
+        raise
     print(f"wrote {path}")
     return path
 
@@ -180,11 +187,11 @@ def _write_json(out_dir: Path, stem: str, payload: dict) -> Path:
             text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:  # a NaN or infinity reached the report
             raise DataFailure(f"{stem} report: {exc}") from exc
-    return _publish(out_dir / f"{stem}.json", text + "\n")
+    return _publish(out_dir / f"{stem}.json", (text, "\n"))
 
 
-def _csv_text(rows) -> str:
-    """`rows` as CSV lines with CRLF ends, as `csv.writer` writes them.
+def _csv_lines(rows: Iterable[list]):
+    """Each of `rows` as a CSV line with a CRLF end, as `csv.writer` writes it, one line at a time.
 
     A row of Python ints and floats is rendered with `repr` and joined by
     commas: a number never needs quoting.  Any other row goes through
@@ -195,15 +202,17 @@ def _csv_text(rows) -> str:
     writer = csv.writer(buf)
     for row in rows:
         if _NUMBER_TYPES.issuperset(map(type, row)):
-            buf.write(",".join(map(repr, row)) + "\r\n")
+            yield ",".join(map(repr, row)) + "\r\n"
         else:
             writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
-    return buf.getvalue()
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
 
 
-def _write_csv(out_dir: Path, stem: str, header: list[str], rows: list) -> Path:
-    """Publish `header` and `rows` as `<stem>.csv` (see `_csv_text`)."""
-    return _publish(out_dir / f"{stem}.csv", _csv_text([header, *rows]))
+def _write_csv(out_dir: Path, stem: str, header: list[str], rows: Iterable[list]) -> Path:
+    """Publish `header` and the iterable `rows` as `<stem>.csv`, each row rendered as it comes (see `_csv_lines`)."""
+    return _publish(out_dir / f"{stem}.csv", _csv_lines(itertools.chain([header], rows)))
 
 
 def _write_csv_grid(
@@ -212,16 +221,16 @@ def _write_csv_grid(
     """`_write_csv` of the rows `[*lead, x, y]`, x and y running over `xs` and that lead's column.
 
     Each lead is rendered once, and each x and y is its `_Floats` text;
-    the lines are joined without a row list.
+    the lines of a lead are joined without a row list.
     """
     x_cells = [f"{x}," for x in xs.texts]
-    parts = [_csv_text([header])]
+    parts = list(_csv_lines([header]))
     for lead, ys in zip(leads, columns):
-        start = _csv_text([[*lead, 0.0]])[: -len("0.0\r\n")]  # the lead's cells and a comma
+        start = next(_csv_lines([[*lead, 0.0]]))[: -len("0.0\r\n")]  # the lead's cells and a comma
         lines = list(map(str.__add__, x_cells, ys.texts))
         if lines:
             parts.append(start + ("\r\n" + start).join(lines) + "\r\n")
-    return _publish(out_dir / f"{stem}.csv", "".join(parts))
+    return _publish(out_dir / f"{stem}.csv", parts)
 
 
 def _quantity_dict(q: Quantity) -> dict:
@@ -748,8 +757,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _sweep_grid(lo: float, hi: float, n: int) -> list[float]:
-    """`np.linspace(lo, hi, n).tolist()`, bit for bit, by numpy's own arithmetic.
+def _sweep_grid(lo: float, hi: float, n: int) -> Iterable[float]:
+    """The points of `np.linspace(lo, hi, n)`, bit for bit, by numpy's own arithmetic, one at a time.
 
     numpy scales the index by the step and adds `lo`, and sets the last
     point to `hi`; where the step underflows to 0 it divides the index by
@@ -758,8 +767,10 @@ def _sweep_grid(lo: float, hi: float, n: int) -> list[float]:
     span, div = hi - lo, n - 1
     step = span / div
     if step == 0:
-        return [i / div * span + lo for i in range(div)] + [hi]
-    return [i * step + lo for i in range(div)] + [hi]
+        yield from (i / div * span + lo for i in range(div))
+    else:
+        yield from (i * step + lo for i in range(div))
+    yield hi
 
 
 def _cmd_carrier(args) -> int:
@@ -777,7 +788,7 @@ def _cmd_carrier(args) -> int:
         print(f"S({args.lambda_um:g} um) = {strength:.4f}  (lambda_c = {lam_c:.3f} um)")
     if args.sweep is not None:
         lo, hi, n = _parse_sweep(args.sweep)
-        rows = [[lam, float(carrier.carrier_strength(lam, model))] for lam in _sweep_grid(lo, hi, n)]
+        rows = ([lam, float(carrier.carrier_strength(lam, model))] for lam in _sweep_grid(lo, hi, n))
         _write_csv(args.out_dir, "carrier_sweep", ["lambda_um", "strength"], rows)
     _write_json(args.out_dir, "carrier", payload)
     return 0

@@ -13,9 +13,9 @@ center error.
 
 Everything here runs on Python floats.  A spectrum has tens to a few
 hundred points and the fit four parameters, so its normal equations are
-4 x 4: importing numpy would cost more than the whole fit, and
-`fit-line` on a file that `read_table` reads row by row starts without
-it.
+4 x 4: importing numpy would cost more than the whole fit.  `read_table`
+reads every decay scan row by row into `array.array('d')` columns, so
+`fit-line` starts without numpy at any input size.
 """
 
 from __future__ import annotations
@@ -72,12 +72,9 @@ class DecayScan:
 
     @classmethod
     def _of_checked(cls, detuning, laser_on, depletion) -> DecayScan:
-        """The scan of float64 columns that already hold what `__init__` checks, as `read_table` returns them."""
+        """The scan of `read_table`'s `array.array('d')` columns, which already hold what `__init__` checks."""
         scan = object.__new__(cls)
-        for name, column in (("detuning", detuning), ("laser_on", laser_on), ("depletion", depletion)):
-            if not isinstance(column, array.array):
-                column = array.array("d", column.tobytes())  # a numpy array's buffer, copied whole
-            setattr(scan, name, column)
+        scan.detuning, scan.laser_on, scan.depletion = detuning, laser_on, depletion
         return scan
 
     def __len__(self) -> int:

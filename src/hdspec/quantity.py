@@ -9,9 +9,11 @@ parenthetical style of precision spectroscopy.  Every input file is read
 by one reader per format, `read_table` (CSV), `read_keys` (`key = value`)
 or `read_json`.  The first two take a mapping from each column or key to
 its `Rule`, the third a shape built of Rules; a fault is one ValueError
-that names the file.  Arithmetic that leaves float64, in numpy or on
-Python floats, is one ValueError that names its step: each step that can
-leave float64 runs under the one guard, `overflow_as_value_error`.
+that names the file.  `read_table` reads every table row by row into
+`array.array('d')` columns, and a `Rule` checks one float at a time.
+Arithmetic that leaves float64, in numpy or on Python floats, is one
+ValueError that names its step: each step that can leave float64 runs
+under the one guard, `overflow_as_value_error`.
 """
 
 from __future__ import annotations
@@ -21,16 +23,9 @@ import contextlib
 import csv
 import json
 import math
-import os
 import sys
-import warnings
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
-
-# numpy is imported inside the functions that build arrays: the commands that
-# build none (carrier, dfg, ledger, compare, extract, and extrapolate-b,
-# extrapolate-rf, fit-line and adev on inputs read row by row) then start
-# without it
+from typing import Callable, Mapping, NoReturn, Sequence
 
 
 def _validated_components(components: Mapping[str, float]) -> dict[str, float]:
@@ -216,15 +211,15 @@ def checked_field(text: str, rule: Rule, path, lineno: int, name: str) -> float:
 class Rule:
     """What a CSV column, a `key = value` key or a JSON value must hold.
 
-    A numeric rule has `accepts`, a predicate that takes a float array or
-    one float (NaN fails every rule); a 0/1 flag is such a rule.  A text
-    rule has none, and `choices` (if set) are the values a JSON string may
-    take; a CSV text cell is any text.  `requirement` completes the
-    message `<name> <requirement>`, and `shows_value` appends the
-    offending value.  An `optional` numeric CSV column may be absent or
-    hold an empty (or blank) cell, read as NaN; an optional key may be
-    absent.  A CSV text column that is not `kept` must be there, with a
-    cell in every row, but `read_table` does not return it.
+    A numeric rule has `accepts`, a predicate that takes one float (NaN
+    fails every rule); a 0/1 flag is such a rule.  A text rule has none,
+    and `choices` (if set) are the values a JSON string may take; a CSV
+    text cell is any text.  `requirement` completes the message `<name>
+    <requirement>`, and `shows_value` appends the offending value.  An
+    `optional` numeric CSV column may be absent or hold an empty (or
+    blank) cell, read as NaN; an optional key may be absent.  A CSV text
+    column that is not `kept` must be there, with a cell in every row,
+    but `read_table` does not return it.
     """
 
     __slots__ = ("requirement", "accepts", "choices", "shows_value", "optional", "kept")
@@ -246,11 +241,11 @@ class Rule:
         self.kept = kept
 
 
-FINITE = Rule("must be finite", lambda x: (x > -math.inf) & (x < math.inf))
-POSITIVE = Rule("must be finite and positive", lambda x: (x > 0) & (x < math.inf))
-NON_NEGATIVE = Rule("must be finite and >= 0", lambda x: (x >= 0) & (x < math.inf))
-UNIT_INTERVAL = Rule("must be in [0, 1]", lambda x: (x >= 0) & (x <= 1), shows_value=True)
-FLAG = Rule("must be 0 or 1", lambda x: (x == 0) | (x == 1), shows_value=True)
+FINITE = Rule("must be finite", lambda x: -math.inf < x < math.inf)
+POSITIVE = Rule("must be finite and positive", lambda x: 0 < x < math.inf)
+NON_NEGATIVE = Rule("must be finite and >= 0", lambda x: 0 <= x < math.inf)
+UNIT_INTERVAL = Rule("must be in [0, 1]", lambda x: 0 <= x <= 1, shows_value=True)
+FLAG = Rule("must be 0 or 1", lambda x: x == 0 or x == 1, shows_value=True)
 TEXT = Rule("is missing")
 
 OPTIONAL_FINITE = Rule(FINITE.requirement, FINITE.accepts, optional=True)
@@ -260,170 +255,101 @@ OPTIONAL_TEXT = Rule(TEXT.requirement, optional=True)
 UNUSED_TEXT = Rule(TEXT.requirement, kept=False)
 
 
-# Bytes on which np.loadtxt and csv + float() part ways: quotes (csv
-# unquotes), NUL (csv rejects it before Python 3.11), and the separators
-# \x1c-\x1f, which loadtxt strips around a number and float() does not.
-_ROW_PATH_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# A file this small costs less row by row than the fixed cost of np.loadtxt.
-_FAST_MIN_BYTES = 1024
-# Before numpy is loaded, the fast path also pays for importing it.  Measured
-# on a 2-core x86 VM with Python 3.11 and numpy 2.4: `import numpy` 34 ms, the
-# row path 50-80 us per kB, so break-even at 400-700 kB; in a slower run of the
-# same VM, 146 ms against 166-198 us per kB (np.loadtxt 22-36 us per kB), so
-# break-even near 900 kB.  Below this size a file is read row by row, with the
-# same numbers: `extrapolate-b` on the 127 kB cli-large field scan writes the
-# same report bytes in 44 ms instead of 79 (first run), 166 instead of 274.
-_IMPORT_MIN_BYTES = 512 * 1024
-_SCAN_BYTES = 1 << 16
-
-def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, np.ndarray | array.array | list[str]]:
-    """Read and check the named columns of a CSV file with a header row.
+def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, array.array | list[str]]:
+    """Read and check the named columns of a CSV file with a header row, row by row.
 
     `columns` maps each column name to its Rule.  Returns each numeric
-    column as a float64 sequence with `tolist()` (a numpy array from the
-    fast path, an `array.array('d')` from the row path, so a small file
-    is read without numpy) and each kept text column as a list of
-    stripped strings, one entry per data row; blank lines are skipped.
+    column as an `array.array('d')` and each kept text column as a list
+    of stripped strings, one entry per data row; blank lines are skipped.
     A text column that is not kept is checked (the column and a cell in
-    every row) and left out.  A caller that wants arrays takes
-    `np.asarray` of the columns.
-
-    Fast path: a pure-ASCII file without quotes, NUL or \\x1c-\\x1f, of at
-    least `_FAST_MIN_BYTES` once numpy is loaded and of at least
-    `_IMPORT_MIN_BYTES` before, is parsed with one `np.loadtxt` for the
-    numeric columns (and one for the text columns), and the rules are
-    checked on whole arrays.  Any other file, and any cell that does not
-    parse or breaks its rule, goes to the row path, which reads the file
-    with `csv.DictReader` and is the authority: it returns the values the
-    fast path would, or raises the first fault as ValueError.  The header
-    is read as DictReader reads it (names not stripped, the last of a
-    duplicated name wins); a required column it lacks is `path:1: missing
-    column <name>`, a bad cell `path:line: <column> ...`, and a file
-    without data rows `path: no data rows`.
+    every row) and left out.  The header is read as `csv.DictReader`
+    reads it (names not stripped, the last of a duplicated name wins); a
+    required column it lacks is `path:1: missing column <name>`, a bad
+    cell `path:line: <column> ...` (see `_row_fault`), and a file without
+    data rows `path: no data rows`.  Lines are numbered as `DictReader`
+    numbers them: a row at the physical line that ends it, also after
+    blank lines (its `fieldnames` property resets `line_num` once the
+    blanks are skipped), and a `csv.Error` at the last row read, or at
+    the first blank line after it.
     """
-    fast = _read_fast(path, columns)
-    return fast if fast is not None else _read_rows(path, columns)
-
-
-def _read_fast(path, columns: Mapping[str, Rule]) -> dict | None:
-    """The table by whole-column parsing, or None where the row path must decide."""
-    try:
-        header = _plain_header(path)
-    except OSError:  # the row path raises it as the csv reader always has
-        return None
-    if header is None:
-        return None
-    import numpy as np
-
-    index = {name: i for i, name in enumerate(header.split(","))}
-    numeric = [n for n, rule in columns.items() if rule.accepts is not None and (n in index or not rule.optional)]
-    texts = [n for n, rule in columns.items() if rule.accepts is None and rule.kept]
-    unused = [n for n, rule in columns.items() if rule.accepts is None and not rule.kept]
-    if not all(n in index for n in numeric + texts + unused):
-        return None
-    # a row that has a loaded column has every column before it; past them, the
-    # furthest unused one is loaded as one character per cell, only to be there
-    furthest = max((index[n] for n in unused), default=-1)
-    present = [furthest] if furthest > max((index[n] for n in numeric + texts), default=-1) else []
-
-    def load(usecols: list[int], dtype=float) -> np.ndarray:
-        with open(path, encoding="utf-8") as fh:  # universal newlines: \r and \r\n end a line, as for csv
-            fh.readline()  # the header
-            return np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=usecols, comments=None, ndmin=2)
-
-    out: dict = {}
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # on blank lines and on no data at all: the row count decides
-            if numeric:
-                cells = load(usecols=[index[n] for n in numeric])
-                out.update((n, col.copy()) for n, col in zip(numeric, cells.T))  # each column its own buffer
-            if texts:
-                cells = load(usecols=[index[n] for n in texts], dtype=object)  # each cell a str, as written
-                out.update((n, [s.strip() for s in col]) for n, col in zip(texts, cells.T.tolist()))
-            n_rows = len(out[(numeric + texts)[0]]) if numeric + texts else 0
-            if present:
-                n_rows = len(load(usecols=present, dtype="U1"))
-    except ValueError:
-        return None
-    if not n_rows:  # no data rows: the row path says so
-        return None
-    for name, rule in columns.items():
-        if not rule.kept:
-            continue
-        if name not in out:  # an optional column the header lacks
-            out[name] = np.full(n_rows, np.nan)
-        elif rule.accepts is not None and not _accepted(rule, out[name]):
-            return None
-    return out
-
-
-def _plain_header(path) -> str | None:
-    """The header line of a file the fast path may read, else None.
-
-    The file must hold at least `_FAST_MIN_BYTES` (`_IMPORT_MIN_BYTES`
-    while numpy is not loaded), all ASCII and none of `_ROW_PATH_BYTES`;
-    it is scanned in chunks, so no copy of it is kept.
-    """
-    min_bytes = _FAST_MIN_BYTES if "numpy" in sys.modules else max(_FAST_MIN_BYTES, _IMPORT_MIN_BYTES)
-    if os.path.getsize(path) < min_bytes:
-        return None
-    with open(path, "rb") as fh:
-        chunk = fh.read(_SCAN_BYTES)
-        header = chunk.partition(b"\n")[0].partition(b"\r")[0]  # csv ends a line at \r or \n
-        if len(header) == _SCAN_BYTES:  # no line end in sight: the header may go on
-            return None
-        while chunk:
-            if not chunk.isascii() or any(b in chunk for b in _ROW_PATH_BYTES):
-                return None
-            chunk = fh.read(_SCAN_BYTES)
-    return header.decode("ascii")
-
-
-def _accepted(rule: Rule, values: np.ndarray) -> bool:
-    import numpy as np
-
-    with np.errstate(invalid="ignore"):  # NaN compares False, quietly
-        return bool(rule.accepts(values).all())
-
-
-def _read_rows(path, columns: Mapping[str, Rule]) -> dict:
-    """The table row by row; the first fault raises ValueError as `read_table` describes."""
-    required = [n for n, rule in columns.items() if rule.accepts is not None and not rule.optional]
     out: dict = {n: [] for n, rule in columns.items() if rule.kept}
-    n_rows = 0
+    n_rows = line = blank = 0  # line: that of the last row read; blank: that of the first blank line since
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            header = reader.fieldnames or ()
+            index = {name: i for i, name in enumerate(next(reader, ()))}
+            line = reader.line_num
             for name, rule in columns.items():
-                if not (rule.optional or name in header):
+                if not (rule.optional or name in index):
                     raise ValueError(f"{path}:1: missing column {name}")
+            numeric, optional, texts, width = [], [], [], 0  # a row shorter than `width` lacks a cell it needs
+            for name, rule in columns.items():
+                i = index.get(name, math.inf)  # only an optional column may be absent
+                if rule.accepts is not None and rule.optional:
+                    optional.append((i, rule.accepts, out[name].append))
+                    continue
+                width = max(width, i + 1)
+                if rule.accepts is not None:
+                    numeric.append((i, rule.accepts, out[name].append))
+                elif rule.kept:
+                    texts.append((i, out[name].append))
+            # this loop must refuse exactly the rows that `_row_fault` words a fault for
             for row in reader:
+                if not row:
+                    blank = blank or reader.line_num
+                    continue
+                line, blank = reader.line_num, 0
                 n_rows += 1
-                line = reader.line_num
-                values = {n: parse_field(row[n], path, line, n) for n in required}
-                for name, rule in columns.items():
-                    cell = row.get(name)
-                    if rule.accepts is None:
-                        if cell is None:  # a short row
-                            raise ValueError(f"{path}:{line}: {name} {rule.requirement}")
-                        if rule.kept:
-                            values[name] = cell.strip()
-                    elif rule.optional and not (cell or "").strip():
-                        values[name] = math.nan
-                    else:
-                        if rule.optional:
-                            values[name] = parse_field(cell, path, line, name)
-                        if not rule.accepts(values[name]):
-                            raise ValueError(_fault(path, line, name, rule, values[name]))
-                for n, v in values.items():
-                    out[n].append(v)
+                try:
+                    if len(row) < width:
+                        raise IndexError
+                    for i, accepts, append in numeric:
+                        if not accepts(x := float(row[i])):
+                            raise ValueError
+                        append(x)
+                    for i, accepts, append in optional:
+                        cell = row[i] if i < len(row) else ""
+                        if not cell.strip():  # a blank or missing cell is NaN, unchecked
+                            append(math.nan)
+                        elif accepts(x := float(cell)):
+                            append(x)
+                        else:
+                            raise ValueError
+                    for i, append in texts:
+                        append(row[i].strip())
+                except (IndexError, ValueError):
+                    _row_fault(path, line, row, columns, index)
         except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}:{blank or line}: {exc}") from None
     if not n_rows:
         raise ValueError(f"{path}: no data rows")
     return {n: v if columns[n].accepts is None else array.array("d", v) for n, v in out.items()}
+
+
+def _row_fault(path, line: int, row: list[str], columns: Mapping[str, Rule], index: dict[str, int]) -> NoReturn:
+    """Raise the first fault of a row that `read_table` refused, as ValueError `path:line: <column> ...`.
+
+    Every required numeric cell is parsed, in column order, before any
+    rule is checked; then each column in order: a cell missing from a
+    short row `is missing` (or, numeric, `has a bad numeric value None`),
+    and a value its rule refuses breaks the rule.
+    """
+    def cell(name: str) -> str | None:
+        i = index.get(name, math.inf)
+        return row[i] if i < len(row) else None
+
+    required = [n for n, rule in columns.items() if rule.accepts is not None and not rule.optional]
+    values = {n: parse_field(cell(n), path, line, n) for n in required}
+    for name, rule in columns.items():
+        text = cell(name)
+        if rule.accepts is None:
+            if text is None:
+                raise ValueError(f"{path}:{line}: {name} {rule.requirement}") from None
+        elif name in values or (text or "").strip():
+            x = values[name] if name in values else parse_field(text, path, line, name)
+            if not rule.accepts(x):
+                raise ValueError(_fault(path, line, name, rule, x)) from None
+    raise AssertionError(f"{path}:{line}: a row refused without a fault")
 
 
 def _fault(path, line: int, name: str, rule: Rule, value) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdspec.angular import ClassificationError, ProductBasis, casimir
+from hdspec.angular import SLOT_NAMES, ClassificationError, ProductBasis, casimir
 from hdspec.zeeman import ZeemanCouplings
 
 # eigenvalues this close, relative to max |H|, form one level: about 1e-6 kHz for the demo sets (max |H| near 4.6e5 kHz)
@@ -36,6 +36,18 @@ class DenseLevel:
         if self.f is None:
             return None
         return (self.g1, self.g2, self.f)
+
+
+def product_index(basis: ProductBasis, m_se: float, m_sp: float, m_sd: float, m_n: float) -> int:
+    """The basis index of the product state with these magnetic quantum numbers (a bijection)."""
+    idx = 0
+    for name, dim, m in zip(SLOT_NAMES, basis.dims, (m_se, m_sp, m_sd, m_n)):
+        j = basis.js[name]
+        i = round(j - m)
+        if not (0 <= i < dim) or abs((j - m) - i) > 1e-9:
+            raise ValueError(f"invalid m={m} for slot {name} (j={j})")
+        idx = idx * dim + i
+    return idx
 
 
 def round_to_j(x: float, window: float = 0.05) -> float | None:

@@ -19,7 +19,6 @@ from hdspec.angular import (
     build_hfs,
     casimir,
     dot,
-    find_level,
     jmatrices,
     level_structure,
     quadrupole_coupling,
@@ -33,7 +32,7 @@ from hdspec.angular import (
 )
 from hdspec.zeeman import ZeemanCouplings, transition_coeffs, zeeman_map
 
-from dense_oracle import eigenlevels, round_to_j
+from dense_oracle import eigenlevels, product_index, round_to_j
 from eigh_reference import reference_levels
 
 coeff_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -70,13 +69,13 @@ def test_index_is_a_bijection(basis1):
         for m_sp in (0.5, -0.5):
             for m_sd in (1.0, 0.0, -1.0):
                 for m_n in (1.0, 0.0, -1.0):
-                    seen.add(basis1.index(m_se, m_sp, m_sd, m_n))
+                    seen.add(product_index(basis1, m_se, m_sp, m_sd, m_n))
     assert seen == set(range(36))
 
 
 def test_index_rejects_invalid_m(basis0):
     with pytest.raises(ValueError):
-        basis0.index(1.5, 0.5, 1.0, 0.0)
+        product_index(basis0, 1.5, 0.5, 1.0, 0.0)
 
 
 def test_embedded_slots_commute(basis1):
@@ -371,10 +370,9 @@ def test_labels_by_rank_hold_where_a_fixed_window_fails(key, demo_sets):
     assert window_failed > 0
 
 
-def test_find_level_unresolved(basis0, demo_sets):
-    levels = level_structure(demo_sets[(0, 0)], basis0)
-    with pytest.raises(LookupError):
-        find_level(levels, (3, 3, 3))
+def test_find_level_unresolved(demo_sets):
+    with pytest.raises(LookupError, match=r"^label \(3, 3, 3\) resolves to 0 levels$"):
+        angular._level_set(demo_sets[(0, 0)]).level((3, 3, 3))
 
 
 def test_n0_rejects_rotational_coefficients():

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hdspec
-from hdspec import bundled, cli, lineshape, metrology, quantity
+from hdspec import bundled, cli, lineshape, metrology
 from hdspec.cli import DataFailure, _Floats, _sweep_grid, _write_csv, _write_csv_grid, _write_json, main
 
 SRC = str(Path(hdspec.__file__).resolve().parents[1])
@@ -971,11 +971,54 @@ def test_array_free_command_loads_only_its_modules(tmp_path, name):
     assert modules == str(sorted(["hdspec", "hdspec.bundled", "hdspec.cli", "hdspec.quantity", *ARRAY_FREE_COMMANDS[name]]))
 
 
+def large_copy(tmp_path, name):
+    """The bundled table `name`, its data rows repeated to at least the counter log's numpy minimum."""
+    header, *rows = bundled.data_path(name).read_text(encoding="utf-8").splitlines(keepends=True)
+    body = "".join(rows)
+    path = tmp_path / name
+    path.write_text(header + body * -(-metrology._NUMPY_MIN_BYTES // len(body)), encoding="utf-8")
+    return path
+
+
+def large_counter_log(tmp_path):
+    """A counter log of at least the numpy minimum: read on numpy, with the numpy kernels."""
+    log = tmp_path / "counter.csv"
+    log.write_text("t_s,f_hz\n" + "".join(f"{i},{1e6 + i % 7}\n" for i in range(metrology._NUMPY_MIN_BYTES // 10)))
+    assert log.stat().st_size > metrology._NUMPY_MIN_BYTES
+    return log
+
+
+def test_table_commands_load_no_numpy_at_any_input_size_and_adev_takes_its_numpy_kernel(tmp_path):
+    """In a fresh interpreter: fit-line, extrapolate-b and extrapolate-rf on inputs of 512 KiB or more load no numpy.
+
+    adev on a counter log of that size then reads and analyses it on numpy.
+    """
+    decay, field, rf = (large_copy(tmp_path, n) for n in ("line12_depletion.csv", "line12_zeeman.csv", "line12_rf.csv"))
+    runs = [
+        ["fit-line", "--input", str(decay)],
+        ["extrapolate-b", "--input", str(field)],
+        ["extrapolate-rf", "--input", str(rf), "--nominal-amplitude", "1.0"],
+    ]
+    adev = ["adev", "--input", str(large_counter_log(tmp_path))]
+    script = (
+        "import contextlib, io, sys\n"
+        "from hdspec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {runs!r}:\n"
+        f"        assert main([*argv, '--out-dir', {str(tmp_path)!r}]) == 0, argv\n"
+        "    print('numpy' in sys.modules, file=sys.stderr)\n"
+        f"    assert main([*{adev!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "    print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["False", "True"]
+    assert all(p.stat().st_size >= metrology._NUMPY_MIN_BYTES for p in (decay, field, rf))
+
+
 def test_commands_do_not_load_numpy_ma(tmp_path):
     # numpy.ma costs about 5 ms to import and no command needs it
-    log = tmp_path / "counter.csv"  # read whole-column, on numpy, by a fresh interpreter
-    log.write_text("t_s,f_hz\n" + "".join(f"{i},{1e6 + i % 7}\n" for i in range(quantity._IMPORT_MIN_BYTES // 10)))
-    assert log.stat().st_size > quantity._IMPORT_MIN_BYTES
+    log = large_counter_log(tmp_path)  # read whole-column, on numpy, by a fresh interpreter
     adev = ["adev", "--input", str(log)]
     script = (
         "import sys\n"
@@ -1429,6 +1472,30 @@ def test_sweep_grid_is_numpy_linspace_bit_for_bit(ends, n):
     with np.errstate(over="ignore"):  # numpy may overflow on the last point before it sets it to hi
         expected = np.linspace(lo, hi, n).tolist()
     assert [x.hex() for x in _sweep_grid(lo, hi, n)] == [x.hex() for x in expected]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_carrier_sweep_memory_does_not_grow_with_its_count(tmp_path):
+    """The sweep is written as its rows are computed: 10^6 rows peak within a few MB of 23 rows.
+
+    Each count runs in a child of a small parent, whose own peak, which a
+    child's `ru_maxrss` starts from, stays below the command's.
+    """
+    script = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    peak_kib = {}
+    for count in (23, 10**6):
+        out = tmp_path / str(count)
+        argv = [sys.executable, "-m", "hdspec.cli", "carrier", "--delta-rho-um", "2.0", "--sweep", f"1:12:{count}"]
+        proc = run_python("-c", script, *argv, "--out-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        peak_kib[count] = int(proc.stdout)
+        with open(out / "carrier_sweep.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == count + 1
+    assert peak_kib[10**6] < peak_kib[23] + 4096, peak_kib
 
 
 def assert_status_follows_checks(rows):

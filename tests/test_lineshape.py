@@ -4,14 +4,13 @@ import csv
 import json
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import bundled, lineshape, quantity
+from hdspec import bundled, lineshape
 from hdspec.cli import main
 from hdspec.lineshape import (
     DecayScan,
@@ -466,15 +465,13 @@ def test_decay_csv_roundtrip(tmp_path):
     assert scan.depletion.tolist() == [0.31, 0.10]
 
 
-@pytest.mark.parametrize("min_bytes", [0, 1 << 30], ids=["columns", "rows"])
-def test_record_count_is_the_number_of_data_rows(tmp_path, capsys, min_bytes):
+def test_record_count_is_the_number_of_data_rows(tmp_path, capsys):
     """len() of the scan counts records, as the benchmark's trace does; fit-line reports it as n_records."""
     lines = bundled.data_path("line12_depletion.csv").read_text().splitlines()
     path = tmp_path / "decay.csv"
     path.write_text("\n".join(lines[:1] + lines[1:] * 3 + [""]))  # a blank line is no record
-    with mock.patch.object(quantity, "_FAST_MIN_BYTES", min_bytes):
-        scan = read_decay_csv(path)
-        assert main(["fit-line", "--input", str(path), "--out-dir", str(tmp_path)]) == 0
+    scan = read_decay_csv(path)
+    assert main(["fit-line", "--input", str(path), "--out-dir", str(tmp_path)]) == 0
     assert len(scan) == (len(lines) - 1) * 3
     assert json.loads((tmp_path / "fit_line.json").read_text())["n_records"] == len(scan)
 

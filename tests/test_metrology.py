@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import bundled, quantity
+from hdspec import bundled, metrology
 from hdspec.cli import main
 from hdspec.metrology import (
     CombParams,
@@ -414,8 +414,8 @@ def test_allan_deviation_on_python_floats_agrees_with_the_numpy_kernel(seed, n, 
 def test_bundled_counter_log_gives_one_series_and_one_deviation_on_either_path(monkeypatch):
     path, carrier = bundled.data_path("demo_counter.csv"), 58605052164258.0
     series = {}
-    for min_bytes in (0, 1 << 30):  # the whole-column path, then the row path
-        monkeypatch.setattr(quantity, "_FAST_MIN_BYTES", min_bytes)
+    for min_bytes in (0, 1 << 30):  # the numpy read, then read_table row by row
+        monkeypatch.setattr(metrology, "_NUMPY_MIN_BYTES", min_bytes)
         series[min_bytes] = read_counter_csv(path, carrier_hz=carrier)
     fast, rows = series[0], series[1 << 30]
     assert isinstance(fast.samples, np.ndarray) and isinstance(rows.samples, array.array)

@@ -1,17 +1,14 @@
 """Systematic-shift ledger, its standard entries, and the zero-field and zero-RF extrapolations."""
 
-import array
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import bundled, quantity
-from hdspec.quantity import FINITE, OPTIONAL_NON_NEGATIVE, POSITIVE, Quantity
+from hdspec import bundled
+from hdspec.quantity import Quantity
 from hdspec.systematics import (
     ENTRY_BASES,
     LIGHT_SHIFT_KHZ_PER_AU_W_M2,
@@ -245,38 +242,6 @@ def test_line_fit_matches_a_lstsq_oracle(x, offset, data):
     y = [offset + d for d in data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
     w = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
     assert_matches_oracle(line_fit(x, y, w, "fit"), x, y, w)
-
-
-# --- the same table by the fast path and the row path -------------------------------
-
-
-CELL = st.floats(-1e3, 1e3).map(repr)
-
-
-@settings(max_examples=30)
-@given(
-    rows=st.lists(st.tuples(st.floats(0.1, 2.0), CELL, st.floats(0.01, 1.0)), min_size=3, max_size=12)
-    .filter(lambda rows: len({r[0] for r in rows}) > 1)
-)
-def test_fast_path_arrays_and_row_path_sequences_give_bit_identical_fits(rows):
-    """The fits take numpy arrays (the fast path) and array('d') (the row path) alike, with the same bits out."""
-    width = -(-1024 // (3 * len(rows)))  # pad the cells so the file reaches the fast path's minimum size
-    text = "B_gauss,f_khz,u_khz\n" + "".join(",".join(f"{c!s:>{width}}" for c in row) + "\n" for row in rows)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scan.csv"
-        path.write_text(text, encoding="utf-8")
-        fits = []
-        for columns in ({"B_gauss": FINITE, "f_khz": FINITE, "u_khz": POSITIVE},
-                        {"B_gauss": FINITE, "f_khz": FINITE, "u_khz": OPTIONAL_NON_NEGATIVE}):
-            fast, rows_ = quantity._read_fast(path, columns), quantity._read_rows(path, columns)
-            assert all(isinstance(v, np.ndarray) for v in fast.values())
-            assert all(isinstance(v, array.array) for v in rows_.values())
-            for cols in (fast, rows_):
-                b, f, u = cols["B_gauss"], cols["f_khz"], cols["u_khz"]
-                field = extrapolate_to_zero_field(b, f, u)
-                rf = rf_extrapolate([(a, Quantity(v, "kHz", {"exp": e})) for a, v, e in zip(b, f, u)], 1.0)
-                fits.append(repr((field, rf)))
-    assert fits[0] == fits[1] and fits[2] == fits[3]
 
 
 # --- light shift and negligible rows ----------------------------------------

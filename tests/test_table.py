@@ -1,6 +1,8 @@
-"""Validated CSV tables: the whole-column fast path against the row path, and the CLI on malformed tables."""
+"""Validated CSV tables: each reader against csv.DictReader, the counter log's numpy read, and the CLI on bad tables."""
 
+import array
 import contextlib
+import csv
 import io
 import math
 import os
@@ -10,7 +12,6 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,55 @@ def _decay(path):
     return (s.detuning.tolist(), s.laser_on.tolist(), s.depletion.tolist())
 
 
+def dict_reader_table(path, columns):
+    """`read_table`'s values and faults as `csv.DictReader` gave them, row by row: the oracle of its messages."""
+    required = [n for n, rule in columns.items() if rule.accepts is not None and not rule.optional]
+    out = {n: [] for n, rule in columns.items() if rule.kept}
+    n_rows = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            header = reader.fieldnames or ()
+            for name, rule in columns.items():
+                if not (rule.optional or name in header):
+                    raise ValueError(f"{path}:1: missing column {name}")
+            for row in reader:
+                n_rows += 1
+                line = reader.line_num
+                values = {n: quantity.parse_field(row[n], path, line, n) for n in required}
+                for name, rule in columns.items():
+                    cell = row.get(name)
+                    if rule.accepts is None:
+                        if cell is None:  # a short row
+                            raise ValueError(f"{path}:{line}: {name} {rule.requirement}")
+                        if rule.kept:
+                            values[name] = cell.strip()
+                    elif rule.optional and not (cell or "").strip():
+                        values[name] = math.nan
+                    else:
+                        if rule.optional:
+                            values[name] = quantity.parse_field(cell, path, line, name)
+                        if not rule.accepts(values[name]):
+                            raise ValueError(quantity._fault(path, line, name, rule, values[name]))
+                for n, v in values.items():
+                    out[n].append(v)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not n_rows:
+        raise ValueError(f"{path}: no data rows")
+    return {n: v if columns[n].accepts is None else array.array("d", v) for n, v in out.items()}
+
+
+@contextlib.contextmanager
+def dict_reader_row_path():
+    """Every reader on `dict_reader_table`, and no counter log on numpy."""
+    with contextlib.ExitStack() as stack:
+        for module in (constants, lineshape, metrology, systematics):
+            stack.enter_context(mock.patch.object(module, "read_table", dict_reader_table))
+        stack.enter_context(mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 1 << 62))
+        yield
+
+
 # reader, its columns, and a cell strategy key per column
 READERS = {
     "counter": (_counter, {"t_s": "time", "f_hz": "number"}),
@@ -46,9 +96,9 @@ READERS = {
     ),
 }
 
-# cells that every reader accepts (some only on the row path: csv quotes,
-# 1_0 and full-width digits, which float() reads and np.loadtxt does not,
-# and non-ASCII or \x1c-\x1f text) ...
+# cells that every reader accepts (the counter log's numpy read refuses some,
+# which go to read_table: csv quotes, 1_0 and full-width digits, which
+# float() reads and np.loadtxt does not, and non-ASCII or \x1c-\x1f text) ...
 FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -101,9 +151,9 @@ def table_text(draw, columns):
     """CSV text for `columns` ({name: cell kind}): a header, then data rows.
 
     A third of the tables are clean (every cell passes its rule, every row
-    is long enough), so that the fast path reads them and its values are
-    compared; a third hold one fault, so that the fault alone decides
-    between the paths; a third mix faults of every kind.
+    is long enough), so that a counter log's numpy read reads them and its
+    values are compared; a third hold one fault, so that the fault alone
+    decides the message; a third mix faults of every kind.
     """
     mode = draw(st.sampled_from(["clean", "one fault", "wild"]))
     names = list(columns)
@@ -176,14 +226,17 @@ def write(directory, text):
 @settings(max_examples=300)
 @given(data=st.data())
 def test_fast_path_and_row_path_agree(name, data):
-    """Whatever the text, the reader gives what the row path alone gives: the same values or the same message."""
+    """Whatever the text, each reader gives what csv.DictReader row by row gave: the same values or the same message.
+
+    A counter log goes to its numpy read wherever that can read it.
+    """
     read, columns = READERS[name]
     text = data.draw(table_text(columns))
-    # every file is read by the fast path where it can be, and scanned in several chunks
-    with tempfile.TemporaryDirectory() as d, mock.patch.multiple(quantity, _FAST_MIN_BYTES=0, _SCAN_BYTES=64):
+    # every log is offered to the numpy read, and scanned in several chunks
+    with tempfile.TemporaryDirectory() as d, mock.patch.multiple(metrology, _NUMPY_MIN_BYTES=0, _SCAN_BYTES=64):
         path = write(d, text)
         got = outcome(read, path)
-        with mock.patch.object(quantity, "_read_fast", return_value=None):
+        with dict_reader_row_path():
             want = outcome(read, path)
     assert got == want
 
@@ -195,7 +248,7 @@ CLEAN = {
     "rf": "amplitude,f_khz,u_khz\n0.5,58605013478.105,0.1667\n1.0,1e3,0\n",
     "contribution": "name,value_khz,u_khz,bookkeeping\nalpha^0,1.0,1.3,0\nsize,-17.17,0,1\n",
 }
-# variants the fast path reads itself: line ends, blank lines, padded cells, extra or reordered columns
+# variants the counter log's numpy read reads itself: line ends, blank lines, padded cells, extra or reordered columns
 VARIANTS = [
     lambda t: t.replace("\n", "\r\n"),
     lambda t: t.replace("\n", "\r"),
@@ -209,34 +262,59 @@ VARIANTS = [
 @pytest.mark.parametrize("variant", range(len(VARIANTS)))
 @pytest.mark.parametrize("name", sorted(CLEAN))
 def test_fast_path_reads_clean_tables_as_the_row_path_does(tmp_path, name, variant):
+    """Each reader reads the variants as csv.DictReader did; the counter log's numpy read reads them itself."""
     read, _ = READERS[name]
     text = VARIANTS[variant](CLEAN[name])
     path = write(tmp_path, text)
     calls = []
-    fast = quantity._read_fast
+    numpy_read = metrology._loadtxt_columns
 
     def spy(*args):
-        calls.append(fast(*args))
+        calls.append(numpy_read(*args))
         return calls[-1]
 
-    with mock.patch.object(quantity, "_read_fast", spy), mock.patch.object(quantity, "_FAST_MIN_BYTES", 0):
+    with mock.patch.object(metrology, "_loadtxt_columns", spy), mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 0):
         got = read(path)
-    assert calls[0] is not None  # the whole-column path read it
-    with mock.patch.object(quantity, "_read_fast", return_value=None):
+    assert len(calls) == (name == "counter") and None not in calls  # only a counter log, and numpy read it
+    with dict_reader_row_path():
         assert repr(read(path)) == repr(got)
 
 
-@pytest.mark.parametrize("min_bytes", [0, 1 << 30], ids=["fast", "rows"])
-def test_read_table_returns_arrays_and_stripped_text(tmp_path, min_bytes):
+REFUSED = {
+    "quote": 't_s,f_hz\n0,1\n1,"2"\n',
+    "nul": "t_s,f_hz\n0,1\n1,2\x00\n",
+    **{f"x{b:x}": f"t_s,f_hz\n0,1\n1,2{chr(b)}\n" for b in range(0x1C, 0x20)},
+    "non-ascii": "t_s,f_hz\n0,1\n1,２\n",
+    "long-header": "t_s,f_hz," + "x" * 100 + ",f_hz\n0,1,0,5\n1,2,0,6\n",
+    "nan": "t_s,f_hz\n0,1\n1,nan\n",
+    "inf": "t_s,f_hz\n0,1\n1,-inf\n",
+    "overflow": "t_s,f_hz\n0,1\n1,1e400\n",
+    "empty": "",
+    "header-only": "t_s,f_hz\n",
+    "blank-only": "t_s,f_hz\n\n\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_counter_log_numpy_read_leaves_every_other_log_to_read_table(tmp_path, name):
+    """A refused byte, a header past the first chunk, a non-finite cell or no data rows: `read_table` decides."""
+    path = write(tmp_path, REFUSED[name])
+    with mock.patch.multiple(metrology, _NUMPY_MIN_BYTES=0, _SCAN_BYTES=64):
+        assert metrology._loadtxt_columns(path) is None
+        got = outcome(_counter, path)
+    with dict_reader_row_path():
+        assert got == outcome(_counter, path)
+
+
+def test_read_table_returns_arrays_and_stripped_text(tmp_path):
     path = write(tmp_path, "b,a,flag,name,b\n9,1.5,1, x ,2\n9,-0.0,0,y,3\n")
     columns = {"a": FINITE, "b": FINITE, "flag": FLAG, "name": TEXT, "u": OPTIONAL_NON_NEGATIVE}
-    with mock.patch.object(quantity, "_FAST_MIN_BYTES", min_bytes):
-        assert (quantity._read_fast(path, columns) is None) == bool(min_bytes)
-        cols = read_table(path, columns)
+    cols = read_table(path, columns)
+    assert all(isinstance(cols[n], array.array) for n in ("a", "b", "flag", "u"))
     assert cols["a"].tolist() == [1.5, -0.0] and math.copysign(1.0, cols["a"][1]) == -1.0
     assert cols["b"].tolist() == [2.0, 3.0]  # the last of a duplicated name
     assert cols["flag"].tolist() == [1.0, 0.0] and cols["name"] == ["x", "y"]
-    assert np.isnan(cols["u"]).all() and len(cols["u"]) == 2
+    assert all(map(math.isnan, cols["u"])) and len(cols["u"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -252,6 +330,10 @@ def test_read_table_returns_arrays_and_stripped_text(tmp_path, min_bytes):
         ("a,u\n1,\n2,-1\n", {"a": FINITE, "u": OPTIONAL_NON_NEGATIVE}, "t.csv:3: u must be finite and >= 0"),
         # required numeric cells are parsed before any rule is checked
         ("a,b\nnan,x\n", {"a": FINITE, "b": POSITIVE}, "t.csv:2: b has a bad numeric value 'x'"),
+        # a row after blank lines is at its own line, as DictReader numbered it
+        ("a,b\n0,1\n\n1,nan\n", {"a": FINITE, "b": FINITE}, "t.csv:4: b must be finite"),
+        ("a,b\n\n\n1,2\n3\n", {"a": FINITE, "b": TEXT}, "t.csv:5: b is missing"),
+        ("a\n\n\nx\n", {"a": FINITE}, "t.csv:4: a has a bad numeric value 'x'"),
     ],
 )
 def test_row_path_names_the_first_fault(tmp_path, text, columns, message):
@@ -260,72 +342,95 @@ def test_row_path_names_the_first_fault(tmp_path, text, columns, message):
     with pytest.raises(ValueError) as exc:
         read_table(path, columns)
     assert str(exc.value).endswith(message)
+    assert outcome(lambda p: read_table(p, columns), path) == outcome(lambda p: dict_reader_table(p, columns), path)
+
+
+BIG = "x" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (f"{BIG},b\n1,2\n", 0),
+        (f"a,b\n{BIG},1\n", 1),
+        (f"a,b\n1,2\n{BIG}\n", 2),
+        (f"a,b\n1,2\n\n\n{BIG},1\n", 3),
+        (f'a,b\n"1\n",3\n\n"{BIG}\n', 4),
+    ],
+    ids=["header", "first-row", "after-a-row", "after-blank-lines", "after-a-two-line-row"],
+)
+def test_csv_error_names_the_line_dict_reader_named(tmp_path, text, line):
+    """A csv.Error is `path:line: ...` at the last row read, or the first blank line after it."""
+    path = write(tmp_path, text)
+    columns = {"a": FINITE, "b": FINITE}
+    with pytest.raises(ValueError, match=rf"table\.csv:{line}: field larger than field limit"):
+        read_table(path, columns)
+    assert outcome(lambda p: read_table(p, columns), path) == outcome(lambda p: dict_reader_table(p, columns), path)
 
 
 def test_small_files_are_read_row_by_row(tmp_path):
-    columns = {"a": FINITE, "b": FINITE}
-    small = write(tmp_path, "a,b\n" + "1,2\n" * ((quantity._FAST_MIN_BYTES - 5) // 4))
-    assert quantity._read_fast(small, columns) is None
+    """A counter log under `_NUMPY_MIN_BYTES` goes to `read_table`; one row more and numpy reads it."""
+    header = "t_s,f_hz\n"
+    small = write(tmp_path, header + "1,2\n" * ((metrology._NUMPY_MIN_BYTES - len(header) - 1) // 4))
+    assert small.stat().st_size < metrology._NUMPY_MIN_BYTES
+    assert metrology._loadtxt_columns(small) is None
     with open(small, "a", encoding="utf-8") as fh:
         fh.write("3,4\n")
-    assert quantity._read_fast(small, columns)["b"].tolist()[-1] == 4.0
+    assert metrology._loadtxt_columns(small)[1].tolist()[-1] == 4.0
 
 
 def test_fast_path_scans_every_chunk_and_needs_the_whole_header_in_the_first(tmp_path):
-    # files above the fast path's minimum with or without numpy loaded, scanned in 256-byte chunks
-    columns = {"a": FINITE, "b": FINITE}
-    n = quantity._IMPORT_MIN_BYTES // 4
+    # counter logs above the numpy read's minimum, scanned in 256-byte chunks
+    columns = {"t_s": FINITE, "f_hz": FINITE}
+    n = metrology._NUMPY_MIN_BYTES // 4
     rows = "1,2\n" * n
-    with mock.patch.object(quantity, "_SCAN_BYTES", 256):
-        assert quantity._read_fast(write(tmp_path, "a,b\n" + rows), columns) is not None
+    with mock.patch.object(metrology, "_SCAN_BYTES", 256):
+        assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows)) is not None
         # a quote or a non-ASCII byte far past the first chunk
-        assert quantity._read_fast(write(tmp_path, "a,b\n" + rows + '"3",4\n'), columns) is None
-        assert quantity._read_fast(write(tmp_path, "a,b\n" + rows + "５,4\n"), columns) is None
-        # a header that fills the first chunk may go on past it: here to a second b, the one that counts
-        path = write(tmp_path, "a,b," + "x" * 300 + ",b\n" + "1,2,0,4\n" * (n // 2))
-        assert quantity._read_fast(path, columns) is None
-        assert read_table(path, columns)["b"].tolist() == [4.0] * (n // 2)
+        assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows + '"3",4\n')) is None
+        assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows + "５,4\n")) is None
+        # a header that fills the first chunk may go on past it: here to a second f_hz, the one that counts
+        path = write(tmp_path, "t_s,f_hz," + "x" * 300 + ",f_hz\n" + "1,2,0,4\n" * (n // 2))
+        assert metrology._loadtxt_columns(path) is None
+        assert read_table(path, columns)["f_hz"].tolist() == [4.0] * (n // 2)
 
 
-def test_before_numpy_is_loaded_only_a_file_that_pays_for_its_import_takes_the_fast_path(tmp_path):
-    """In a fresh interpreter: row by row below `_IMPORT_MIN_BYTES`; once numpy is loaded, from `_FAST_MIN_BYTES`."""
+def test_file_size_alone_picks_the_counter_log_numpy_read(tmp_path):
+    """In a fresh interpreter: Python floats below `_NUMPY_MIN_BYTES`, numpy from it, whether or not numpy is loaded."""
     small, large = tmp_path / "small.csv", tmp_path / "large.csv"
-    small.write_text("a,b\n" + "1,2\n" * 1000)
-    large.write_text("a,b\n" + "1,2\n" * (quantity._IMPORT_MIN_BYTES // 4))
+    small.write_text("t_s,f_hz\n" + "".join(f"{i},2\n" for i in range(1000)))
+    large.write_text("t_s,f_hz\n" + "".join(f"{i},2\n" for i in range(metrology._NUMPY_MIN_BYTES // 4)))
     script = (
         "import sys\n"
-        "from hdspec import quantity\n"
-        "columns = {'a': quantity.FINITE, 'b': quantity.FINITE}\n"
-        f"print(type(quantity.read_table({str(small)!r}, columns)['a']).__name__, 'numpy' in sys.modules)\n"
-        f"print(type(quantity.read_table({str(large)!r}, columns)['a']).__name__, 'numpy' in sys.modules)\n"
-        f"print(type(quantity.read_table({str(small)!r}, columns)['a']).__name__)\n"
+        "from hdspec import metrology\n"
+        f"print(type(metrology.read_counter_csv({str(small)!r}).samples).__name__, 'numpy' in sys.modules)\n"
+        f"print(type(metrology.read_counter_csv({str(large)!r}).samples).__name__, 'numpy' in sys.modules)\n"
+        f"print(type(metrology.read_counter_csv({str(small)!r}).samples).__name__)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["array False", "ndarray True", "ndarray"]
+    assert proc.stdout.splitlines() == ["array False", "ndarray True", "array"]
 
 
-@pytest.mark.parametrize("min_bytes", [0, 1 << 30], ids=["fast", "rows"])
-def test_an_unused_text_column_is_checked_and_left_out(tmp_path, min_bytes):
+def test_an_unused_text_column_is_checked_and_left_out(tmp_path):
     columns = {"a": FINITE, "id": UNUSED_TEXT}
-    with mock.patch.object(quantity, "_FAST_MIN_BYTES", min_bytes):
-        # wherever the column is, before the read columns or after them
-        for text in ("id,a\nx,1\ny,2\n", "a,id\n1,x\n2,\n"):
-            cols = read_table(write(tmp_path, text), columns)
-            assert list(cols) == ["a"] and cols["a"].tolist() == [1.0, 2.0]
-        # a short row: the cell is missing
-        with pytest.raises(ValueError, match=r"table\.csv:3: id is missing$"):
-            read_table(write(tmp_path, "a,id\n1,x\n2\n"), columns)
-        with pytest.raises(ValueError, match=r"table\.csv:1: missing column id$"):
-            read_table(write(tmp_path, "a\n1\n"), columns)
+    # wherever the column is, before the read columns or after them
+    for text in ("id,a\nx,1\ny,2\n", "a,id\n1,x\n2,\n"):
+        cols = read_table(write(tmp_path, text), columns)
+        assert list(cols) == ["a"] and cols["a"].tolist() == [1.0, 2.0]
+    # a short row: the cell is missing
+    with pytest.raises(ValueError, match=r"table\.csv:3: id is missing$"):
+        read_table(write(tmp_path, "a,id\n1,x\n2\n"), columns)
+    with pytest.raises(ValueError, match=r"table\.csv:1: missing column id$"):
+        read_table(write(tmp_path, "a\n1\n"), columns)
 
 
 def test_row_path_accepts_what_float_accepts(tmp_path):
-    path = write(tmp_path, "a,b\n1_0,１\n" + "1,2\n" * 300)
-    columns = {"a": FINITE, "b": FINITE}
-    assert quantity._read_fast(path, columns) is None
-    assert read_table(path, columns)["a"].tolist()[:2] == [10.0, 1.0]
+    path = write(tmp_path, "t_s,f_hz\n1_0,１\n" + "1,2\n" * 300)
+    with mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 0):
+        assert metrology._loadtxt_columns(path) is None
+    assert read_table(path, {"t_s": FINITE, "f_hz": FINITE})["t_s"].tolist()[:2] == [10.0, 1.0]
 
 
 @pytest.mark.parametrize(
