@@ -9,31 +9,37 @@ rotation N.  An effective spin Hamiltonian
         + E9 Q(N, I_d)
 
 with scalar coefficients E_k in kHz describes the hyperfine structure.
-Everything here is built from real ladder-operator matrices; no complex
-arithmetic is used anywhere in this module.
+Each T_k is defined once, as a short table of real ladder-operator
+products (`_term_table`); no complex arithmetic is used anywhere in this
+module.
 
 Coupled quantum numbers: G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N.
 
 Levels are solved one F at a time (Bakalov, Korobov & Schiller, PRL 97,
 243001 (2006); J. Phys. B 44, 025003 (2011)).  Once per N, the T_k are
 taken between the coupled states |((s_e I_p)G1, I_d)G2, N; F m_F = F>
-of each F, at most 4, built from Clebsch-Gordan coefficients.  A
-coefficient set then costs one eigh of at most 4 x 4 per F that holds
-two or more levels, and none for an F that holds one: F is exact, each
-level is a (2F + 1)-fold multiplet, one ordering of the F block's
-eigenvectors by <G1^2> and <G2^2> gives G1 and G2
-(`_labels`), and gamma_k = x^T T_k x.  Around that, a solve does little
-else: one comparison of max |E_k| with a bound per N decides whether H
-can leave float64 at all (only then is the solve guarded), and the
-level set keeps a map from label to level for every lookup.  Energies
+of each F, at most 4, held as sparse maps of Clebsch-Gordan amplitudes
+over the product states.  A coefficient set then costs one symmetric
+eigen-solve of at most 4 x 4 per F, in Python floats (`_eigen`): a
+one-level F is its own entry, a 2 x 2 block one Jacobi rotation (its
+closed form), and a 3 x 3 or 4 x 4 block cyclic Jacobi.  F is exact,
+each level is a (2F + 1)-fold multiplet, and one ordering of the F
+block's eigenvectors by <G1^2> and <G2^2> gives G1 and G2 (`_labels`).
+gamma_k = x^T T_k x is computed only for the levels a caller asks about.
+One comparison of max |E_k| with a bound per N decides whether H can
+leave float64 at all; only then is the set solved at a power of two
+below its scale and scaled back, its energies checked finite.  Energies
 need no origin (every T_k is traceless), and one tolerance per level
 set, in ulps of that bound, decides which levels coincide: scaling every
 E_k scales every energy and keeps the order and the labels.  No
-full-basis Hamiltonian is built to solve or to map a level.  The
-field-free eigenstates of one m_F block (`m_states`) are the F-block
-eigenvectors taken in the coupled states of that m_F, built once per
-level set and m_F on first use; a level's product-basis `vectors` are
-its columns of them, and `zeeman` solves each m_F block in them.
+full-basis Hamiltonian is built to solve or to map a level.
+
+numpy is imported only where an array is built: the field-free
+eigenstates of one m_F block (`m_states`, the F-block eigenvectors taken
+in the coupled states of that m_F, built once per level set and m_F on
+first use), a level's product-basis `vectors` (its columns of them),
+which `zeeman` solves each m_F block in, and the dense product-basis API
+(`ProductBasis`, `jmatrices`, `casimir`, `build_hfs`, `term_operator`).
 
 The coefficient sets, their file format and the spin-theory error model
 live in `coefficients`, which builds no arrays; their names are
@@ -45,10 +51,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .coefficients import (  # noqa: F401 (imported back: see the module docstring)
     COEFF_INDICES,
@@ -61,6 +66,9 @@ from .coefficients import (  # noqa: F401 (imported back: see the module docstri
     spin_uncertainty,
 )
 from .quantity import finite, overflow_as_value_error
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SLOT_NAMES = ("s_e", "I_p", "I_d", "N")
 
@@ -113,6 +121,8 @@ def jmatrices(j: float) -> AngularMomentumSet:
 @functools.lru_cache(maxsize=16)
 def _jmatrices(twoj: int) -> AngularMomentumSet:
     """The matrices of j = twoj / 2, kept for the 16 most recent j."""
+    import numpy as np
+
     j = twoj / 2.0
     dim = twoj + 1
     m = j - np.arange(dim)
@@ -128,7 +138,7 @@ def _jmatrices(twoj: int) -> AngularMomentumSet:
 # product space
 
 
-Triple = tuple[np.ndarray, np.ndarray, np.ndarray]
+Triple = tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
 
 class ProductBasis:
@@ -150,6 +160,8 @@ class ProductBasis:
 
     def embed(self, op: np.ndarray, slot: str) -> np.ndarray:
         """Tensor-embed a single-slot operator, identity elsewhere."""
+        import numpy as np
+
         pos = SLOT_NAMES.index(slot)
         if op.shape != (self.dims[pos], self.dims[pos]):
             raise ValueError(
@@ -191,54 +203,75 @@ def casimir(a: Triple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian terms
+# Hamiltonian terms: one table of ladder-operator products per T_k
 
 
 def _rank2_norm(n_rot: int) -> float:
     return 1.0 / ((2 * n_rot - 1) * (2 * n_rot + 3))
 
 
-def tensor_coupling(basis: ProductBasis, slot_a: str, slot_b: str) -> np.ndarray:
-    """T(N, A, B) = [2 N^2 (A.B) - 3((N.A)(N.B) + (N.B)(N.A))] * norm."""
-    norm = _rank2_norm(basis.n_rot)
-    n, a, b = basis.triple("N"), basis.triple(slot_a), basis.triple(slot_b)
-    na, nb = dot(n, a), dot(n, b)
-    return norm * (2.0 * casimir(n) @ dot(a, b) - 3.0 * (na @ nb + nb @ na))
+# A.B = A_z B_z + (A_+ B_- + A_- B_+)/2, as (weight, component of A, component of B)
+_DOT = ((1.0, "z", "z"), (0.5, "+", "-"), (0.5, "-", "+"))
+_SCALARS = {1: ("N", "s_e"), 2: ("N", "I_p"), 3: ("N", "I_d"), 4: ("I_p", "s_e"), 5: ("I_d", "s_e")}
+_TENSORS = {6: ("I_p", "s_e"), 7: ("I_d", "s_e"), 8: ("I_p", "I_d")}
+
+Term = tuple[float, tuple[str, str, str, str]]
 
 
-def quadrupole_coupling(basis: ProductBasis) -> np.ndarray:
-    """Q(N, I_d) = [N^2 I_d^2 - 3/2 (N.I_d) - 3 (N.I_d)^2] * norm.
+@functools.lru_cache(maxsize=64)
+def _term_table(k: int, n_rot: int) -> tuple[Term, ...]:
+    """T_k of rotational level N as a sum of ladder-operator products: (coefficient, its factors per slot).
 
-    Deuteron electric-quadrupole scalar; like every other term operator
-    it is traceless over the product space.
+    The factors on each slot of SLOT_NAMES are a string of z, + and -,
+    the leftmost acting last, "" the identity; factors on different slots
+    commute, so a product is the tensor product of its slot strings.
+    The dense `term_operator` and the coupled-state block data
+    (`_block_terms`) both read this table.  N^2 = N(N + 1) and
+    I_d^2 = 2 are scalars.
     """
-    norm = _rank2_norm(basis.n_rot)
-    n, d = basis.triple("N"), basis.triple("I_d")
-    nd = dot(n, d)
-    return norm * (casimir(n) @ casimir(d) - 1.5 * nd - 3.0 * (nd @ nd))
+    if k not in COEFF_INDICES:
+        raise ValueError(f"coefficient index must be 1..9, got {k}")
+
+    def product(c: float, *factors: tuple[str, str]) -> Term:  # c times the factors (slot, component), in order
+        ops = dict.fromkeys(SLOT_NAMES, "")
+        for slot, op in factors:
+            ops[slot] += op
+        return c, tuple(ops.values())
+
+    def scalar(c: float, a: str, b: str) -> list[Term]:  # c (A.B)
+        return [product(c * w, (a, x), (b, y)) for w, x, y in _DOT]
+
+    def twice(c: float, a: str, b: str) -> list[Term]:  # c (N.A)(N.B)
+        return [product(c * w * v, ("N", x), (a, y), ("N", u), (b, z))
+                for (w, x, y), (v, u, z) in itertools.product(_DOT, _DOT)]
+
+    if k in _SCALARS:
+        return tuple(scalar(1.0, *_SCALARS[k]))
+    norm, n_sq = _rank2_norm(n_rot), n_rot * (n_rot + 1.0)
+    if k == 9:
+        # Q(N, I_d) = [N^2 I_d^2 - 3/2 (N.I_d) - 3 (N.I_d)^2] * norm, the deuteron electric-quadrupole scalar
+        return (product(2.0 * n_sq * norm), *scalar(-1.5 * norm, "N", "I_d"), *twice(-3.0 * norm, "I_d", "I_d"))
+    # T(N, A, B) = [2 N^2 (A.B) - 3((N.A)(N.B) + (N.B)(N.A))] * norm
+    a, b = _TENSORS[k]
+    return (*scalar(2.0 * n_sq * norm, a, b), *twice(-3.0 * norm, a, b), *twice(-3.0 * norm, b, a))
 
 
 def term_operator(k: int, basis: ProductBasis) -> np.ndarray:
-    """The dimensionless operator multiplying coefficient E_k."""
-    if k == 1:
-        return dot(basis.triple("N"), basis.triple("s_e"))
-    if k == 2:
-        return dot(basis.triple("N"), basis.triple("I_p"))
-    if k == 3:
-        return dot(basis.triple("N"), basis.triple("I_d"))
-    if k == 4:
-        return dot(basis.triple("I_p"), basis.triple("s_e"))
-    if k == 5:
-        return dot(basis.triple("I_d"), basis.triple("s_e"))
-    if k == 6:
-        return tensor_coupling(basis, "I_p", "s_e")
-    if k == 7:
-        return tensor_coupling(basis, "I_d", "s_e")
-    if k == 8:
-        return tensor_coupling(basis, "I_p", "I_d")
-    if k == 9:
-        return quadrupole_coupling(basis)
-    raise ValueError(f"coefficient index must be 1..9, got {k}")
+    """The dimensionless operator multiplying coefficient E_k, on the product basis.
+
+    Each product of `_term_table` is the Kronecker product of its slot
+    factors.  Every T_k is symmetric; the sum of the products is made
+    exactly so by averaging it with its transpose.
+    """
+    import numpy as np
+
+    matrices = [{"z": s.jz, "+": s.jplus, "-": s.jminus} for s in map(basis._single.__getitem__, SLOT_NAMES)]
+    op = np.zeros((basis.dim, basis.dim))
+    for c, ops in _term_table(k, basis.n_rot):
+        factors = [functools.reduce(operator.matmul, map(m.__getitem__, s), np.eye(dim))
+                   for m, s, dim in zip(matrices, ops, basis.dims)]
+        op += c * functools.reduce(np.kron, factors)
+    return 0.5 * (op + op.T)
 
 
 def _check_basis(coeffs: HyperfineCoefficients, basis: ProductBasis | None) -> None:
@@ -250,6 +283,8 @@ def _check_basis(coeffs: HyperfineCoefficients, basis: ProductBasis | None) -> N
 
 def build_hfs(coeffs: HyperfineCoefficients, basis: ProductBasis) -> np.ndarray:
     """Assemble the effective spin Hamiltonian (kHz) on the product basis."""
+    import numpy as np
+
     _check_basis(coeffs, basis)
     h = np.zeros((basis.dim, basis.dim))
     for k in COEFF_INDICES:
@@ -263,10 +298,11 @@ def build_hfs(coeffs: HyperfineCoefficients, basis: ProductBasis) -> np.ndarray:
 # per-N block data
 
 
+@functools.cache
 def _cg(j1: int, m1: int, j2: int, m2: int, j: int) -> float:
     """<j1 m1, j2 m2 | j, m1 + m2> by Racah's formula (Condon-Shortley phase) in Python ints, every argument doubled.
 
-    For |m1| <= j1, |m2| <= j2, |m1 + m2| <= j and |j1 - j2| <= j <= j1 + j2, as `_coupling` calls it.
+    For |m1| <= j1, |m2| <= j2, |m1 + m2| <= j and |j1 - j2| <= j <= j1 + j2, as `_coupled_state` calls it.
     """
     m = m1 + m2
     f = math.factorial
@@ -281,30 +317,71 @@ def _cg(j1: int, m1: int, j2: int, m2: int, j: int) -> float:
     return math.copysign(math.sqrt(num * s * s / (f((j1 + j2 + j) // 2 + 1) * common * common)), s)
 
 
-@functools.lru_cache(maxsize=16)
-def _coupling(j1s: tuple[int, ...], j2: int, js: tuple[int, ...]) -> np.ndarray:
-    """[a, b, i, k] = <j1 m1, j2 m2 | J, m1 + m2> of j1 = j1s[a], J = js[b], m1 = max(j1s) - i, m2 = j2 - k, doubled.
+Key = tuple[int, int, int, int]  # a product state: the index i = j - m of each slot of SLOT_NAMES
 
-    The index of M = m1 + m2 down from max(j1s) + j2 is i + k, so the indices of successive couplings add up.
-    Kept for the 16 most recent couplings, read-only.
+
+def _coupled_state(n_rot: int, g1: int, g2: int, f: int, m: int) -> dict[Key, float]:
+    """|((s_e I_p)G1, I_d)G2, N; F m_F = m> as {product state: amplitude}, one Clebsch-Gordan product per state."""
+    out = {}
+    for (e, m_e), (p, m_p), (d, m_d) in itertools.product(enumerate((1, -1)), enumerate((1, -1)), enumerate((2, 0, -2))):
+        m1, m2 = m_e + m_p, m_e + m_p + m_d  # doubled, as every m here
+        m_n = 2 * m - m2
+        if abs(m1) <= 2 * g1 and abs(m2) <= 2 * g2 and abs(m_n) <= 2 * n_rot:
+            out[(e, p, d, n_rot - m_n // 2)] = (
+                _cg(1, m_e, 1, m_p, 2 * g1) * _cg(2 * g1, m1, 2, m_d, 2 * g2) * _cg(2 * g2, m2, 2 * n_rot, m_n, 2 * f)
+            )
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_action(ops: str, j2: int) -> tuple[tuple[int, float] | None, ...]:
+    """A slot string of `_term_table` on each state |j, m> of one momentum (j = j2 / 2), by its index i = j - m.
+
+    (index after, amplitude), or None where the product vanishes.
     """
-    top = max(j1s)
-    out = np.zeros((len(j1s), len(js), top + 1, j2 + 1))
-    for (a, j1), (b, j) in itertools.product(enumerate(j1s), enumerate(js)):
-        if abs(j1 - j2) <= j <= j1 + j2:
-            for m1, m in itertools.product(range(-j1, j1 + 1, 2), range(-j, j + 1, 2)):
-                if abs(m - m1) <= j2:
-                    out[a, b, (top - m1) // 2, (j2 - m + m1) // 2] = _cg(j1, m1, j2, m - m1, j)
-    return _read_only(out)
+    out = []
+    for i in range(j2 + 1):
+        amp = 1.0
+        for op in reversed(ops):
+            if op == "z":
+                amp *= (j2 - 2 * i) / 2
+            elif op == "+":  # J_+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>
+                amp *= math.sqrt(i * (j2 - i + 1))
+                i -= 1
+            else:  # J_- |j, m> = sqrt((j + m)(j - m + 1)) |j, m - 1>
+                amp *= math.sqrt((j2 - i) * (i + 1))
+                i += 1
+            if not amp:
+                break
+        out.append((i, amp) if amp else None)
+    return tuple(out)
 
 
-# the eigenvector LAPACK's eigh returns for a 1 x 1 matrix, exactly
-_UNIT = _read_only(np.ones((1, 1)))
+def _apply(n_rot: int, k: int, state: Mapping[Key, float]) -> dict[Key, float]:
+    """T_k on a sparse state, by the products of `_term_table`."""
+    out: dict[Key, float] = {}
+    for c, ops in _term_table(k, n_rot):
+        act_e, act_p, act_d, act_n = (_slot_action(s, j2) for s, j2 in zip(ops, (1, 1, 2, 2 * n_rot)))
+        for (e, p, d, n), x in state.items():
+            if (to_n := act_n[n]) and (to_d := act_d[d]) and (to_p := act_p[p]) and (to_e := act_e[e]):
+                key = (to_e[0], to_p[0], to_d[0], to_n[0])
+                out[key] = out.get(key, 0.0) + c * to_e[1] * to_p[1] * to_d[1] * to_n[1] * x
+    return out
 
 
-def _expectations(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x_a^T O x_a of every operator O of the stack `ops` and every column x_a of x, shape (len(ops), n)."""
-    return (x * (ops @ x)).sum(axis=1)
+def _block_terms(n_rot: int, f: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple[tuple[float, ...], ...], ...]:
+    """T_1..T_9 between the coupled states (G1, G2, F, m_F = F) of `pairs`, each an exactly symmetric n x n."""
+    states = [_coupled_state(n_rot, g1, g2, f, f) for g1, g2 in pairs]
+    n = len(states)
+    out = []
+    for k in COEFF_INDICES:
+        t = [[0.0] * n for _ in range(n)]
+        for b, ket in enumerate(states):
+            moved = _apply(n_rot, k, ket)
+            for a, bra in enumerate(states[:b + 1]):
+                t[a][b] = t[b][a] = math.fsum(x * moved[key] for key, x in bra.items() if key in moved)
+        out.append(tuple(map(tuple, t)))
+    return tuple(out)
 
 
 class _FBlock:
@@ -312,82 +389,171 @@ class _FBlock:
 
     Every level of total angular momentum F is one multiplet of these
     states, so H on them (at most 4 x 4) gives the levels of that F,
-    each a (2F + 1)-fold multiplet.  Every array is read-only.
+    each a (2F + 1)-fold multiplet.  The data are tuples of Python floats.
     """
 
-    def __init__(self, f: int, terms: np.ndarray, pairs: tuple[tuple[int, int], ...]):
+    def __init__(self, f: int, pairs: tuple[tuple[int, int], ...], terms: tuple):
         self.f = f
-        self.terms = terms  # (9, n, n): the term operators T_k between the coupled states
-        self.flat_terms = terms.reshape(len(terms), -1)  # (9, n * n): a view, so one matmul contracts it with E
-        self.shape = terms.shape[1:]  # (n, n)
-        self.g1_sq, self.g2_sq = (_read_only(np.diag([j * (j + 1.0) for j in js])) for js in zip(*pairs))  # (n, n), exact
         self.pairs = pairs  # (G1, G2) of the n levels, ascending
+        self.terms = terms  # T_1..T_9 between the coupled states, each n rows of n
+        n = len(pairs)
+        # (i, j, T_1..T_9 at (i, j)) of the upper triangle: H_ij = sum_k E_k T_k,ij
+        self.entries = tuple((i, j, tuple(t[i][j] for t in terms)) for i in range(n) for j in range(i, n))
+        # T_1..T_9 on the upper triangle, off-diagonal entries doubled: x^T T_k x = sum of them times x_i x_j
+        self.gamma_terms = tuple(tuple(ts[k] * (1.0 if i == j else 2.0) for i, j, ts in self.entries) for k in range(9))
+        self.g1_sq, self.g2_sq = (tuple(j * (j + 1.0) for j in js) for js in zip(*pairs))  # G^2 on each coupled state
         # G1 = 0 couples with I_d to G2 = 1 only, so at most the first pair has G1 = 0
         self.g1_zero = int(pairs[0][0] == 0)  # how many levels take G1 = 0
         g2s = [g2 for _, g2 in pairs[self.g1_zero:]]  # the G2 of the G1 = 1 levels, ascending
         # (G2 below, G2 above, half the step of G2(G2 + 1)) of each neighbouring pair of them: see `_labels`
         self.g2_ties = tuple((lo, hi, 0.5 * (hi * (hi + 1) - lo * (lo + 1))) for lo, hi in zip(g2s, g2s[1:]))
-        # T_1..T_9, G1^2, G2^2: one matmul gives every gamma_k and <G^2> of an eigenvector
-        self.ops = _read_only(np.concatenate([terms, self.g1_sq[None], self.g2_sq[None]]))
-        # one level: its eigenvector is 1.0 whatever H is, so its expectation values are fixed
-        self.unit = _read_only(_expectations(self.ops, _UNIT)) if len(pairs) == 1 else None
 
 
 class _Blocks:
     """The term operators of one rotational level N in the coupled basis.
 
-    The coupled states |((s_e I_p)G1, I_d)G2, N; F m_F> come from
-    Clebsch-Gordan coefficients, one array per m_F block (`coupled`).
-    Each T_k is a scalar, so it is kept only between the states of each
-    F at m_F = F (for the level solve), and the slot projections as one
-    array per m_F block (for the Zeeman interaction).  Built once per
-    N; every array is read-only.
+    The level solve reads only `f_blocks`: T_k between the states of
+    each F at m_F = F, in Python floats.  The arrays of the m_F blocks
+    (the product states of each, `index`; their slot projections,
+    `slot_m`; the coupled states over them, `coupled`) are built on
+    first use, for `m_states` and the Zeeman interaction, and are
+    read-only.  Built once per N.
     """
 
     def __init__(self, n_rot: int):
-        basis = ProductBasis(n_rot)
-        self.dim = basis.dim
+        self.n_rot = n_rot
+        self.dim = 12 * (2 * n_rot + 1)
         f_max = n_rot + 2
-        # per slot, the index i = j - m of every product state; M_F goes down by one per step of any of them
-        slot_i = np.array(np.unravel_index(np.arange(basis.dim), basis.dims))
-        m_f = f_max - slot_i.sum(axis=0)
-        self.index = {m: _read_only(np.flatnonzero(m_f == m)) for m in range(-f_max, f_max + 1)}
-        self.slot_m = {m: _read_only(np.array([[0.5], [0.5], [1.0], [n_rot]]) - slot_i[:, i]) for m, i in self.index.items()}
         # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N: the (G1, G2) of the levels of each F that has levels, ascending
-        pairs = {f: f_pairs for f in range(f_max + 1) if (f_pairs := tuple(
+        self.pairs = {f: f_pairs for f in range(f_max + 1) if (f_pairs := tuple(
             (g1, g2) for g1 in (0, 1) for g2 in range(abs(g1 - 1), g1 + 2) if abs(g2 - n_rot) <= f <= g2 + n_rot))}
-        # the three coupling stages s_e + I_p = G1, G1 + I_d = G2 and G2 + N = F (`_coupling` takes doubled j), indexed
-        # [G1, e, p], [G1, G2, e + p, d] and [G2, F, e + p + d, n] by the slot indices e, p, d, n of a product state
-        s1 = _coupling((1,), 1, (0, 2))[0]
-        s2 = _coupling((0, 2), 2, (0, 2, 4))
-        s3 = _coupling((0, 2, 4), 2 * n_rot, tuple(range(0, 2 * f_max + 1, 2)))
-        levels = np.array([(*pair, f) for f, f_pairs in pairs.items() for pair in f_pairs]).T  # (G1, G2, F), F ascending
-        self.coupled = {}  # m_F -> the coupled states of the F >= |m_F|, F by F and (G1, G2) ascending, as columns
-        for m, rows in self.index.items():
-            g1, g2, f = levels[:, np.searchsorted(levels[2], abs(m)):]  # the levels with F >= |m_F| come last
-            e, p, d, n = slot_i[:, rows, None]
-            self.coupled[m] = _read_only(s1[g1, e, p] * s2[g1, g2, e + p, d] * s3[g2, f, e + p + d, n])
-        ops = np.stack([term_operator(k, basis) for k in COEFF_INDICES])
-        self.f_blocks: list[_FBlock] = []
-        for f, f_pairs in pairs.items():
-            top, states = self.index[f], self.coupled[f][:, :len(f_pairs)]  # at m_F = F, the F block's columns come first
-            self.f_blocks.append(_FBlock(f, _read_only(states.T @ ops[..., top[:, None], top] @ states), f_pairs))
+        self.f_blocks = [_FBlock(f, pairs, _block_terms(n_rot, f, pairs)) for f, pairs in self.pairs.items()]
         # |H_ij| <= max |E_k| * sum_k |T_k,ij| <= max |E_k| * h_bound on every F block, and every energy of
         # an F block (at most 4 levels) is at most 4 times that: below `e_limit` neither H, nor an energy, nor
         # the difference of two energies comes within a factor 2 of float64's largest value
-        self.h_bound = max(float(np.abs(block.terms).sum(axis=0).max()) for block in self.f_blocks)
+        self.h_bound = max(math.fsum(map(abs, ts)) for block in self.f_blocks for _, _, ts in block.entries)
         self.e_limit = sys.float_info.max / (16.0 * self.h_bound)
+
+    @functools.cached_property
+    def _slot_i(self) -> np.ndarray:
+        """Per slot, the index i = j - m of every product state."""
+        import numpy as np
+
+        return np.array(np.unravel_index(np.arange(self.dim), (2, 2, 3, 2 * self.n_rot + 1)))
+
+    @functools.cached_property
+    def index(self) -> dict[int, np.ndarray]:
+        """m_F -> the product states of its block, ascending; M_F goes down by one per step of any slot's index."""
+        import numpy as np
+
+        f_max = self.n_rot + 2
+        m_f = f_max - self._slot_i.sum(axis=0)
+        return {m: _read_only(np.flatnonzero(m_f == m)) for m in range(-f_max, f_max + 1)}
+
+    @functools.cached_property
+    def slot_m(self) -> dict[int, np.ndarray]:
+        """m_F -> the m of each slot (rows, SLOT_NAMES order) on each product state of its block."""
+        import numpy as np
+
+        top = np.array([[0.5], [0.5], [1.0], [self.n_rot]])
+        return {m: _read_only(top - self._slot_i[:, i]) for m, i in self.index.items()}
+
+    @functools.cached_property
+    def coupled(self) -> dict[int, np.ndarray]:
+        """m_F -> the coupled states of the F >= |m_F|, F by F and (G1, G2) ascending, as columns over its product states."""
+        import numpy as np
+
+        out = {}
+        for m, rows in self.index.items():
+            row = {tuple(i): r for r, i in enumerate(self._slot_i[:, rows].T.tolist())}
+            columns = [(g1, g2, f) for f, pairs in self.pairs.items() if f >= abs(m) for g1, g2 in pairs]
+            c = np.zeros((len(rows), len(columns)))
+            for col, (g1, g2, f) in enumerate(columns):
+                for key, amp in _coupled_state(self.n_rot, g1, g2, f, m).items():
+                    c[row[key], col] = amp
+            out[m] = _read_only(c)
+        return out
 
 
 @functools.lru_cache(maxsize=8)
 def _blocks(n_rot: int) -> _Blocks:
-    """The block data of N, kept for the 8 most recent N (about 0.08 MB of arrays for N = 0..5)."""
+    """The block data of N, kept for the 8 most recent N."""
     return _Blocks(n_rot)
 
 
-def _coefficient_vector(coeffs: HyperfineCoefficients) -> np.ndarray:
+def _coefficient_vector(coeffs: HyperfineCoefficients) -> list[float]:
     values = coeffs.values
-    return np.array([values.get(k, 0.0) for k in COEFF_INDICES], dtype=float)
+    return [float(values.get(k, 0.0)) for k in COEFF_INDICES]
+
+
+# ---------------------------------------------------------------------------
+# the F-block eigen-solve, in Python floats
+
+_SWEEPS = 32  # cyclic Jacobi on at most 4 x 4 takes 2 to 4 sweeps on the demo sets moved by up to 25 %
+# every sum of the solve is correctly rounded (`math.fsum`), so no result depends on the Python version's sum()
+_sqrt, _copysign, _fsum, _mul = math.sqrt, math.copysign, math.fsum, operator.mul
+
+
+def _eigen(h: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Ascending eigenvalues and their unit eigenvectors of a real symmetric matrix of at most 4 x 4.
+
+    A 1 x 1 matrix is its entry with eigenvector 1.0; anything larger is
+    solved by cyclic Jacobi in Python floats (Golub & Van Loan, Matrix
+    Computations, sec. 8.5).  Each rotation sets one off-diagonal entry
+    to 0, so a diagonal matrix takes none and a 2 x 2 one rotation, its
+    closed form; an entry less than an ulp of both its diagonal entries
+    over 100 is set to 0 without one.  Every step is a ratio or a
+    rotation, so a matrix times a power of two gives its eigenvalues
+    times that power and the same eigenvectors.  Equal eigenvalues keep
+    their index order.
+    """
+    n = len(h)
+    if n == 1:
+        return [h[0][0]], [[1.0]]
+    a = [row[:] for row in h]
+    x = [[float(r == c) for r in range(n)] for c in range(n)]  # the eigenvectors, x[c] the c-th
+    for _ in range(_SWEEPS):
+        converged = True
+        for p, q, others in _sweep(n):
+            ap = a[p]
+            apq = ap[q]
+            if not apq:
+                continue
+            aq = a[q]
+            app, aqq = ap[p], aq[q]
+            g = 100.0 * abs(apq)
+            if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+                ap[q] = aq[p] = 0.0
+                continue
+            converged = False
+            # tan, cos and sin of the smaller rotation that zeroes a_pq; theta^2 overflows only where a_pq is
+            # negligible, which the test above has set to 0
+            theta = (aqq - app) / (2.0 * apq)
+            t = _copysign(1.0 / (abs(theta) + _sqrt(theta * theta + 1.0)), theta)
+            c = 1.0 / _sqrt(t * t + 1.0)
+            s = t * c
+            ap[p], aq[q] = app - t * apq, aqq + t * apq
+            ap[q] = aq[p] = 0.0
+            for r in others:
+                ar = a[r]
+                arp, arq = ar[p], ar[q]
+                ar[p] = ap[r] = c * arp - s * arq
+                ar[q] = aq[r] = s * arp + c * arq
+            xp, xq = x[p], x[q]
+            x[p] = [c * u - s * w for u, w in zip(xp, xq)]
+            x[q] = [s * u + c * w for u, w in zip(xp, xq)]
+        if converged:
+            break
+    else:
+        raise RuntimeError(f"F-block eigen-solve did not converge in {_SWEEPS} sweeps")
+    order = sorted(range(n), key=lambda i: a[i][i])
+    return [a[i][i] for i in order], [x[i] for i in order]
+
+
+@functools.lru_cache(maxsize=4)
+def _sweep(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(p, q, every other index) of each off-diagonal entry p < q of an n x n matrix, in cyclic order."""
+    return tuple((p, q, tuple(r for r in range(n) if r not in (p, q))) for p in range(n) for q in range(p + 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +663,9 @@ class _States:
     Apart from `_LevelSet`, so that the level set and its levels form no reference cycle.
     """
 
-    def __init__(self, blocks: _Blocks, eigenvectors: list[np.ndarray], order: list[int], fs: list[int]):
+    def __init__(self, blocks: _Blocks, eigenvectors: list[list[list[float]]], order: list[int], fs: list[int]):
         self._blocks = blocks
-        self._eigenvectors = eigenvectors  # x of each F block, as in `blocks.f_blocks`
+        self._eigenvectors = eigenvectors  # the eigenvectors of each F block, as in `blocks.f_blocks`
         self._order = order  # the index into the F-block levels of each level
         self._fs = fs  # F of each level, in level order
         self._m_states: dict[int, np.ndarray] = {}  # m_F -> `m_states(m_F)`
@@ -507,12 +673,15 @@ class _States:
     @functools.cached_property
     def _block_vectors(self) -> np.ndarray:
         """The eigenvectors of every F block on the diagonal of one matrix, one column per level in F-block order."""
+        import numpy as np
+
         n = len(self._order)
-        out, i = np.zeros((n, n)), 0
-        for x in self._eigenvectors:
-            out[i:i + len(x), i:i + len(x)] = x
+        out, i = [0.0] * (n * n), 0  # row-major
+        for x in self._eigenvectors:  # x[a] is the a-th eigenvector of a block on rows and columns i .. i + len(x) - 1
+            for a, column in enumerate(x):
+                out[i * n + i + a:(i + len(x)) * n:n] = column
             i += len(x)
-        return _read_only(out)
+        return _read_only(np.array(out).reshape(n, n))
 
     def m_states(self, m_f: int) -> np.ndarray:
         """The state with projection m_F of each level with F >= |m_F|, as columns in level order (see `m_states`)."""
@@ -525,6 +694,8 @@ class _States:
 
     def vectors(self, position: int) -> np.ndarray:
         """The 2F + 1 product-basis states (m_F = F .. -F) of the level at `position`: its columns of `m_states`."""
+        import numpy as np
+
         f = self._fs[position]
         out = np.zeros((self._blocks.dim, 2 * f + 1))
         for i, m in enumerate(range(f, -f - 1, -1)):
@@ -533,57 +704,65 @@ class _States:
         return _read_only(out)
 
 
-def _solve_blocks(blocks: _Blocks, e: np.ndarray, tolerance: float) -> tuple[list, list[np.ndarray]]:
-    """(energy, F, (G1, G2), y, a) of every F-block level, block by block, and each block's eigenvectors x.
+def _solve_blocks(
+    blocks: _Blocks, e: Sequence[float], tolerance: float, scale: float = 1.0
+) -> tuple[list, list[list[list[float]]]]:
+    """(energy, F, (G1, G2), block, column) of every F-block level, block by block, and each block's eigenvectors.
 
-    y holds the expectation values of the block's `ops` in its
-    eigenvectors, a the column of the level's own.
+    `e` holds the coefficients over `scale`, a power of two: each block's
+    energies come back times it, checked finite (OverflowError `energy =
+    ...`) before its levels are labelled.
     """
     found, eigenvectors = [], []
-    for block in blocks.f_blocks:
-        h = e @ block.flat_terms  # H on the coupled states of the block, flattened
-        if block.unit is not None:
-            # LAPACK's eigh returns the entry of a 1 x 1 matrix and the eigenvector 1.0
-            evals, x, y, labels = h.tolist(), _UNIT, block.unit, block.pairs
-        else:
-            evals, x = np.linalg.eigh(h.reshape(block.shape))
-            evals, y = evals.tolist(), _expectations(block.ops, x)
-            labels = _labels(block, evals, *y[9:].tolist(), tolerance)
-        found += [(energy, block.f, labels[a], y, a) for a, energy in enumerate(evals)]
+    for b, block in enumerate(blocks.f_blocks):
+        n = len(block.pairs)
+        h = [[0.0] * n for _ in range(n)]
+        for i, j, ts in block.entries:
+            h[i][j] = h[j][i] = _fsum(map(_mul, e, ts))
+        evals, x = _eigen(h)
+        if scale != 1.0:
+            evals = [energy * scale for energy in evals]
+            finite("energy", *evals)
+        labels = block.pairs
+        if n > 1:
+            g1_sq, g2_sq = ([_fsum(map(_mul, map(_mul, v, v), sq)) for v in x] for sq in (block.g1_sq, block.g2_sq))
+            labels = _labels(block, evals, g1_sq, g2_sq, tolerance)
+        found += [(energy, block.f, labels[a], b, a) for a, energy in enumerate(evals)]
         eigenvectors.append(x)
     return found, eigenvectors
 
 
 class _LevelSet:
-    """The labelled levels of one coefficient set and their gamma_k.
+    """The labelled levels of one coefficient set, and their gamma_k on demand.
 
-    One eigh of at most 4 x 4 per F that holds two or more levels, on H
-    between the coupled states (G1, G2, F, m_F = F) of that F, and none
-    for an F that holds one; gamma_k = x^T T_k x for each eigenvector x.
-    The levels are shared by every caller that asks for the same
-    coefficients, so their vectors and `m_states` are read-only.
-    `labelled` maps each label to its level.  Levels no more than
-    `tolerance` apart coincide (see `_ULPS`); `distinct` says that no two
-    levels of the set do.
+    One eigen-solve of at most 4 x 4 per F (`_eigen`), on H between the
+    coupled states (G1, G2, F, m_F = F) of that F, in Python floats;
+    gamma_k = x^T T_k x of a level's eigenvector x when a caller asks
+    for it (`gammas`), once per level.  The levels are shared by every
+    caller that asks for the same coefficients, so their vectors and
+    `m_states` are read-only.  `labelled` maps each label to its level.
+    Levels no more than `tolerance` apart coincide (see `_ULPS`);
+    `distinct` says that no two levels of the set do.
 
     One check of max |E_k| against the block data's `e_limit` decides
-    whether H and its energies can leave float64.  Only a set beyond it
-    is solved under `overflow_as_value_error`, with its energies checked
-    finite, so that it raises ValueError `level solve overflows float64
-    (...)` rather than print a RuntimeWarning or give an infinite level.
+    whether H and its energies can leave float64.  A set beyond it is
+    solved at 2^-s times its coefficients, which keeps the eigenvectors
+    and scales every energy by 2^-s exactly, and its energies are scaled
+    back and checked finite, so that it raises ValueError `level solve
+    overflows float64 (energy = ...)` rather than give an infinite level.
     """
 
     def __init__(self, coeffs: HyperfineCoefficients):
         blocks, e = _blocks(coeffs.n_rot), _coefficient_vector(coeffs)
-        e_max = max(map(abs, coeffs.values.values()), default=0.0)
+        e_max = max(map(abs, e))
         # ulp(0.0) is the floor of the all-zero set; ulp(e_max) * h_bound, unlike ulp(e_max * h_bound), stays finite
         self.tolerance = tolerance = _ULPS * math.ulp(e_max) * blocks.h_bound
         if e_max <= blocks.e_limit:
             found, eigenvectors = _solve_blocks(blocks, e, tolerance)
         else:
+            scale = 2.0 ** math.frexp(e_max / blocks.e_limit)[1]  # at least e_max / e_limit
             with overflow_as_value_error("level solve"):
-                found, eigenvectors = _solve_blocks(blocks, e, tolerance)
-                finite("energy", *(level[0] for level in found))
+                found, eigenvectors = _solve_blocks(blocks, [x / scale for x in e], tolerance, scale)
         # ascending energy; levels that coincide go by F
         energies = [level[0] for level in found]
         order = sorted(range(len(found)), key=energies.__getitem__)
@@ -599,7 +778,8 @@ class _LevelSet:
             for position, (energy, f, (g1, g2), _, _) in enumerate(map(found.__getitem__, order))
         )
         self.labelled = {lv.label: lv for lv in self.levels if lv.g1 is not None}
-        self._gammas = [found[i][3:] for i in order]  # (y, a) of each level
+        self._where = [(blocks.f_blocks[found[i][3]], eigenvectors[found[i][3]][found[i][4]]) for i in order]
+        self._gammas: dict[int, tuple[float, ...]] = {}  # position -> `gammas(position)`
 
     def level(self, label: tuple[int, int, int]) -> SpinLevel:
         """The level with `label`; LookupError `label ... resolves to 0 levels` if there is none."""
@@ -608,9 +788,16 @@ class _LevelSet:
             raise LookupError(f"label {label} resolves to 0 levels")
         return self.labelled[label]
 
+    def gammas(self, position: int) -> tuple[float, ...]:
+        """gamma_1..gamma_9 of the level at `position`, x^T T_k x of its eigenvector x, computed on first use."""
+        if position not in self._gammas:
+            block, x = self._where[position]  # the level's F block and eigenvector
+            xx = [x[i] * x[j] for i, j, _ in block.entries]
+            self._gammas[position] = tuple(_fsum(map(_mul, t, xx)) for t in block.gamma_terms)
+        return self._gammas[position]
+
     def sensitivities(self, label: tuple[int, int, int]) -> dict[int, float]:
-        y, a = self._gammas[self.level(label).position]
-        return dict(zip(COEFF_INDICES, y[:9, a].tolist()))
+        return dict(zip(COEFF_INDICES, self.gammas(self.level(label).position)))
 
 
 _ZEROS = (0.0,) * len(COEFF_INDICES)

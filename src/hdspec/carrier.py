@@ -28,21 +28,25 @@ def critical_wavelength(delta_rho: float) -> float:
 
 
 class CarrierModel:
-    """Gaussian carrier-strength model S(lambda) in (0, 1]."""
+    """Gaussian carrier-strength model S(lambda) in (0, 1], with its critical wavelength computed once.
 
-    __slots__ = ("delta_rho",)
+    A lambda_c beyond float64 raises the ValueError of `critical_wavelength`.
+    """
+
+    __slots__ = ("delta_rho", "lambda_c")
 
     def __init__(self, delta_rho: float) -> None:
         if delta_rho <= 0:
             raise ValueError("radial spread must be positive")
         self.delta_rho = delta_rho
+        self.lambda_c = critical_wavelength(delta_rho)
 
 
 def carrier_strength(wavelength: float, model: CarrierModel) -> float:
     """S = exp(-ln2 * (lambda_c/lambda)^2); S(lambda_c) = 0.5 exactly."""
     if wavelength <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    ratio = critical_wavelength(model.delta_rho) / wavelength
+    ratio = model.lambda_c / wavelength
     return math.exp(-math.log(2.0) * ratio * ratio)
 
 

@@ -25,11 +25,11 @@ computation starts.
 
 The commands are one table, `COMMANDS`.  A handler, and each helper it
 calls, imports the analysis modules it runs, so a command loads only
-those, and numpy only if one of them builds arrays: carrier, dfg,
-ledger, compare, extract, extrapolate-b, extrapolate-rf and fit-line
-start without it at any input size, adev on a counter log under 512 KiB
-(the bundled one among them), and reproduce-paper while
-`hfs_coefficients.conf` ships as a template only.
+those, and numpy only if one of them builds arrays: spin-structure,
+composite, carrier, dfg, ledger, compare, extract, extrapolate-b,
+extrapolate-rf and fit-line start without it at any input size, adev on
+a counter log under 512 KiB (the bundled one among them), and
+reproduce-paper while `hfs_coefficients.conf` ships as a template only.
 `--help` and the parser defaults read nothing beyond `bundled` and
 `quantity`.
 """
@@ -778,8 +778,10 @@ def _cmd_carrier(args) -> int:
 
     if args.lambda_um is None and args.sweep is None:
         raise ConfigFailure("pass --lambda-um and/or --sweep MIN:MAX:COUNT")
-    model = _load(carrier.CarrierModel, args.delta_rho_um)
-    lam_c = _run(carrier.critical_wavelength, args.delta_rho_um)
+    if not args.delta_rho_um > 0:
+        raise ConfigFailure(f"--delta-rho-um must be positive, got {args.delta_rho_um!r}")
+    model = _run(carrier.CarrierModel, args.delta_rho_um)  # a lambda_c beyond float64 is a data error
+    lam_c = model.lambda_c
     payload = {"delta_rho_um": float(args.delta_rho_um), "critical_wavelength_um": float(lam_c)}
     if args.lambda_um is not None:
         strength = _load(carrier.carrier_strength, args.lambda_um, model)
@@ -802,7 +804,8 @@ def _anchors(sets: dict | None) -> list[tuple]:
     """(name, compute) per anchor; compute() returns (quantity, value, target, tol) checks, or is None (skip).
 
     The two rows that need the coefficient file import `angular` and
-    `zeeman` in their own compute: skipped, they load neither, nor numpy.
+    `zeeman` in their own compute: skipped, they load neither, nor
+    (through `zeeman`) numpy.
     """
     from . import carrier, composite, constants, lineshape
 

@@ -4,10 +4,7 @@ A coefficient set holds E1..E9 (kHz) of the effective spin Hamiltonian
 of one level (v, N) (see `angular`), with optional per-coefficient
 fractional uncertainties.  The error model turns the sensitivities
 gamma_k = dE_level/dE_k of a transition's two levels into the theory
-uncertainty of its spin frequency.  Nothing here builds an array unless
-the error model is asked for an array of weights, so the commands that
-read coefficients or evaluate the model at one weight start without
-numpy.
+uncertainty of its spin frequency.  Nothing here builds an array.
 """
 
 from __future__ import annotations
@@ -15,12 +12,9 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from .quantity import OPTIONAL_FINITE, OPTIONAL_POSITIVE, Record, finite, overflow_as_value_error, read_keys
-
-if TYPE_CHECKING:
-    import numpy as np
 
 COEFF_INDICES = tuple(range(1, 10))
 ROTATIONAL_COEFFS = (1, 2, 3, 6, 7, 8, 9)
@@ -170,38 +164,23 @@ class SensitivityTable:
 def _weighted_spin_terms(
     table: SensitivityTable,
     params: SpinUncertaintyParams,
-    weights: Mapping[str, float | np.ndarray],
-) -> float | np.ndarray:
+    weights: Mapping[str, float],
+) -> float:
     """Shared absolute-sum error model over weighted transitions.
 
     With a single transition at weight 1 this is the per-line estimate;
     with weights (b, 1-b) it is the composite one.  Sums over transitions
     happen inside each absolute value (coefficient errors are common to
     all transitions), and the k-terms add as absolute values, not in
-    quadrature.  The weights may be 1-d float arrays of one length: the
-    result is then the array of estimates, from one (11, n) pass over
-    every term, each element reached by the same operations in the same
-    order as with float weights, so bit for bit equal to the float call.
-    Only that path imports numpy; int and float weights never reach it.
-    Both paths read the table's `spin_gammas` and `spin_scales`.  An
-    estimate beyond float64 raises ValueError `spin-theory uncertainty
-    overflows float64 (...)`: the array path runs under
-    `overflow_as_value_error`, and the float path, whose Python
-    arithmetic cannot trap, checks its sum.
+    quadrature.  It reads the table's `spin_gammas` and `spin_scales`,
+    in Python floats.  An estimate beyond float64 raises ValueError
+    `spin-theory uncertainty overflows float64 (u_spin = ...)`: Python
+    arithmetic cannot trap, so the sum is checked.
     """
     gammas = table.spin_gammas
     # `row` raises the KeyError that names a transition the table lacks
     rows = [(gammas[name] if name in gammas else table.row(name), w) for name, w in weights.items()]
     scales = table.spin_scales(params)
-    if not all(isinstance(w, (int, float)) for _, w in rows):
-        import numpy as np
-
-        with overflow_as_value_error("spin-theory uncertainty"):
-            # sum() starts from 0 as the float path does; the products commute exactly
-            s = sum(np.array(g)[:, None] * w for g, w in rows)
-            p, q, r = (np.array(col)[:, None] for col in zip(*scales))
-            # sum() adds the terms row by row, in order, from 0 as the float path does
-            return sum(np.abs(s * p * q) * r)
     s = [0] * len(_SPIN_TERMS)
     for g, w in rows:
         w = float(w)  # Python floats throughout: a numpy scalar would warn where Python overflows silently

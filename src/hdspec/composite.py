@@ -8,18 +8,12 @@ experimental parts combine in quadrature.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import TYPE_CHECKING
 
 from .coefficients import DEFAULT_PARAMS, SensitivityTable, SpinUncertaintyParams, _weighted_spin_terms
-from .quantity import Quantity
+from .quantity import Quantity, finite, overflow_as_value_error
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# numpy is imported only by `optimize_weight`: a composite without a
-# sensitivity table, and `extract`, start without it
+# Python floats throughout: no composite, weight profile or extraction loads numpy
 
 TRANSITION_IDS = ("12", "16")
 
@@ -49,15 +43,12 @@ class CompositeInput:
         self.tables = tables
 
 
-def composite_spin_uncertainty(
-    tables: SensitivityTable, params: SpinUncertaintyParams, b12: float | np.ndarray
-) -> float | np.ndarray:
+def composite_spin_uncertainty(tables: SensitivityTable, params: SpinUncertaintyParams, b12: float) -> float:
     """Spin-theory uncertainty of the weighted combination, in kHz.
 
     Coefficient errors are common to both transitions, so the weighted
     sensitivity sums sit inside each absolute value; setting b12 to 0 or
-    1 reduces exactly to the single-transition estimate.  An array of
-    b12 gives the array of uncertainties, each equal to the float call.
+    1 reduces exactly to the single-transition estimate.
     """
     return _weighted_spin_terms(tables, params, {"12": b12, "16": 1.0 - b12})
 
@@ -85,16 +76,6 @@ def _fallback_spin_uncertainty(inp: CompositeInput, b12: float) -> float:
 _PROFILE_GRID = tuple(round(0.01 * i, 2) for i in range(101))
 
 
-@functools.cache
-def _profile_b12() -> np.ndarray:
-    """`_PROFILE_GRID` as a read-only array, built on first use."""
-    import numpy as np
-
-    b12 = np.array(_PROFILE_GRID)
-    b12.flags.writeable = False
-    return b12
-
-
 def fallback_profile(inp: CompositeInput) -> tuple[tuple[float, float], ...]:
     """(b12, spin uncertainty) without a sensitivity table, over the grid of the `optimize_weight` profile."""
     return tuple((b, _fallback_spin_uncertainty(inp, b)) for b in _PROFILE_GRID)
@@ -117,8 +98,8 @@ def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> 
     breakpoint (a zero crossing of one affine term) or an endpoint, and
     the first of the sorted candidates with the least uncertainty wins.
     A 0.01-spaced grid is returned as the flatness profile.  Grid and
-    candidates are evaluated together in one array pass of the shared
-    error model, elementwise the same arithmetic as one call per b12.
+    candidates are evaluated by `_spin_profile`, each value bit for bit
+    the float call of the shared error model at that b12.
     """
     row12, row16 = tables.row("12"), tables.row("16")
     candidates = {0.0, 1.0}
@@ -130,13 +111,34 @@ def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> 
                 b = g16[k] / denom
                 if 0.0 < b < 1.0:
                     candidates.add(b)
-    import numpy as np
-
     n = len(_PROFILE_GRID)
-    b12 = np.concatenate([_profile_b12(), sorted(candidates)])
-    u = composite_spin_uncertainty(tables, params, b12)
-    best = n + int(np.argmin(u[n:]))
-    return WeightProfile(float(b12[best]), float(u[best]), tuple(zip(_PROFILE_GRID, u[:n].tolist())))
+    b12 = [*_PROFILE_GRID, *sorted(candidates)]
+    u = _spin_profile(tables, params, b12)
+    best = min(range(n, len(b12)), key=u.__getitem__)  # the first of the least
+    return WeightProfile(b12[best], u[best], tuple(zip(_PROFILE_GRID, u[:n])))
+
+
+def _spin_profile(tables: SensitivityTable, params: SpinUncertaintyParams, b12: list[float]) -> list[float]:
+    """`composite_spin_uncertainty` at each b12, by the operations of its float path, in one loop.
+
+    `_weighted_spin_terms` sums the weighted sensitivities of a term
+    from 0 (0 + b12 g12 + (1 - b12) g16), then adds |s p q| r term by
+    term; 0 + x is x but for the sign of a zero, which the absolute
+    value drops, so each value here is that call's, bit for bit.  A
+    value beyond float64 raises its ValueError `spin-theory uncertainty
+    overflows float64 (u_spin = ...)`.
+    """
+    terms = tuple(zip(tables.spin_gammas["12"], tables.spin_gammas["16"], tables.spin_scales(params)))
+    out = []
+    for b in b12:
+        b16, u = 1.0 - b, 0.0
+        for x12, x16, (p, q, r) in terms:
+            u += abs((b * x12 + b16 * x16) * p * q) * r
+        out.append(u)
+    if not all(map(math.isfinite, out)):
+        with overflow_as_value_error("spin-theory uncertainty"):
+            finite("u_spin", *out)
+    return out
 
 
 class SplittingComparison:

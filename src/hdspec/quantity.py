@@ -262,7 +262,8 @@ def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, array
     column as an `array.array('d')` and each kept text column as a list
     of stripped strings, one entry per data row; blank lines are skipped.
     A text column that is not kept is checked (the column and a cell in
-    every row) and left out.  The header is read as `csv.DictReader`
+    every row) and left out.  An optional text column that the header
+    lacks reads as a blank cell in every row.  The header is read as `csv.DictReader`
     reads it (names not stripped, the last of a duplicated name wins); a
     required column it lacks is `path:1: missing column <name>`, a bad
     cell `path:line: <column> ...` (see `_row_fault`), and a file without
@@ -283,10 +284,13 @@ def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, array
                 if not (rule.optional or name in index):
                     raise ValueError(f"{path}:1: missing column {name}")
             numeric, optional, texts, width = [], [], [], 0  # a row shorter than `width` lacks a cell it needs
+            absent = [n for n, rule in columns.items() if rule.accepts is None and rule.kept and n not in index]
             for name, rule in columns.items():
                 i = index.get(name, math.inf)  # only an optional column may be absent
                 if rule.accepts is not None and rule.optional:
                     optional.append((i, rule.accepts, out[name].append))
+                    continue
+                if i == math.inf:  # an absent optional text column, blank in every row (`absent`)
                     continue
                 width = max(width, i + 1)
                 if rule.accepts is not None:
@@ -323,6 +327,8 @@ def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, array
             raise ValueError(f"{path}:{blank or line}: {exc}") from None
     if not n_rows:
         raise ValueError(f"{path}: no data rows")
+    for name in absent:
+        out[name] = [""] * n_rows
     return {n: v if columns[n].accepts is None else array.array("d", v) for n, v in out.items()}
 
 
@@ -343,7 +349,7 @@ def _row_fault(path, line: int, row: list[str], columns: Mapping[str, Rule], ind
     for name, rule in columns.items():
         text = cell(name)
         if rule.accepts is None:
-            if text is None:
+            if text is None and name in index:
                 raise ValueError(f"{path}:{line}: {name} {rule.requirement}") from None
         elif name in values or (text or "").strip():
             x = values[name] if name in values else parse_field(text, path, line, name)

@@ -34,17 +34,17 @@ def demo_table(demo_sets):
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Dimensions of the matrices passed to numpy.linalg.eigh, with the level-set cache emptied first."""
+def eigen_solves(monkeypatch):
+    """Sizes of the F blocks the level solve diagonalizes (`angular._eigen`), with the level-set cache emptied first."""
     angular._solve.cache_clear()
     calls = []
-    eigh = np.linalg.eigh
+    eigen = angular._eigen
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape[0])
-        return eigh(a, *args, **kwargs)
+    def counted(h):
+        calls.append(len(h))
+        return eigen(h)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(angular, "_eigen", counted)
     return calls
 
 

@@ -1,7 +1,8 @@
 """Reference F-block level solve: one `np.linalg.eigh` on every F block.
 
 This is the level solve of `hdspec.angular._LevelSet` written the plain
-way: every F block, a one-level block included, is diagonalized by eigh,
+way on numpy and LAPACK, where the program solves each block in Python
+floats: every F block, a one-level block included, is diagonalized by eigh,
 gamma_k and <G1^2>, <G2^2> are evaluated on their own, and levels are
 ranked, clustered and labelled with no shortcut: G1 by rank over the
 whole block, then G2 by rank inside each G1 group, each with its own
@@ -58,7 +59,7 @@ def _by_rank(
 
 
 def _labels(block, x: np.ndarray, alone: list[bool]) -> list[tuple[int, int]]:
-    g1_sq, g2_sq = ((x * (op @ x)).sum(axis=0).tolist() for op in (block.g1_sq, block.g2_sq))
+    g1_sq, g2_sq = ((x * (np.diag(op) @ x)).sum(axis=0).tolist() for op in (block.g1_sq, block.g2_sq))
     n = x.shape[1]
     g1 = _by_rank("G1", g1_sq, range(n), [g1 for g1, _ in block.pairs], alone, block.f)
     g2: dict[int, int] = {}
@@ -80,8 +81,9 @@ def reference_levels(coeffs: angular.HyperfineCoefficients) -> list[ReferenceLev
     tol = tolerance(coeffs)
     found = []
     for block in angular._blocks(coeffs.n_rot).f_blocks:
-        evals, x = np.linalg.eigh(np.tensordot(e, block.terms, 1))
-        gammas = np.sum(x * (block.terms @ x), axis=1).T
+        terms = np.array(block.terms)
+        evals, x = np.linalg.eigh(np.tensordot(e, terms, 1))
+        gammas = np.sum(x * (terms @ x), axis=1).T
         n = len(evals)
         alone = [
             (a == 0 or evals[a] - evals[a - 1] > tol)

@@ -1,6 +1,7 @@
 """Carrier-strength falloff model and line quality factor."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -75,3 +76,19 @@ def test_validation():
         carrier_strength(0.0, CarrierModel(2.0))
     with pytest.raises(ValueError, match="fwhm"):
         resolution(1.0, 0.0)
+
+
+def test_critical_wavelength_is_computed_once_per_model():
+    model = CarrierModel(2.0)
+    assert model.lambda_c == critical_wavelength(2.0)
+    # a sweep reads the model's lambda_c: no point computes it again
+    with mock.patch("hdspec.carrier.critical_wavelength", side_effect=AssertionError("recomputed")):
+        assert [carrier_strength(lam, model) for lam in (4.0 * math.pi, 5.1)] == [
+            pytest.approx(0.5, abs=1e-15), pytest.approx(0.0149, abs=5e-4)]
+
+
+@pytest.mark.parametrize("delta_rho", [1e308, 1.7976931348623157e308])
+def test_model_whose_critical_wavelength_overflows_is_one_value_error(delta_rho):
+    with pytest.raises(ValueError) as exc:
+        CarrierModel(delta_rho)
+    assert str(exc.value) == "critical wavelength overflows float64 (2 pi delta_rho = inf)"

@@ -394,15 +394,28 @@ def test_overflowing_spin_theory_uncertainty_is_one_line_data_error_before_any_o
     coefficients = tmp_path / "coefficients.conf"
     coefficients.write_text(bundled.data_path("demo_coefficients.conf").read_text() + "eps_E4 = 1e308\n")
     cases = [
-        (["composite"], "overflow encountered in multiply"),  # the array pass over the weight profile
-        (["composite", "--optimize"], "overflow encountered in multiply"),
-        (["spin-structure"], "u_spin = inf"),  # one transition at weight 1, on Python floats
+        (["composite"], "u_spin = inf"),  # the weight profile, on Python floats
+        (["composite", "--optimize"], "u_spin = inf"),
+        (["spin-structure"], "u_spin = inf"),  # one transition at weight 1
     ]
     for argv, detail in cases:
         proc = run_python("-m", "hdspec.cli", *argv, "--coefficients", str(coefficients), "--out-dir", str(tmp_path / "out"))
         assert proc.returncode == 1, argv
         assert proc.stderr == f"data error: spin-theory uncertainty overflows float64 ({detail})\n"
         assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra", [["--lambda-um", "5.1"], ["--sweep", "1:12:23"]])
+def test_carrier_spread_is_checked_before_lambda_c_is_computed(tmp_path, extra):
+    """A spread that is not positive is a config error; one whose lambda_c leaves float64 a data error, point or sweep."""
+    for spread, code, message in (
+        ("0", 2, "config error: --delta-rho-um must be positive, got 0.0"),
+        ("-2", 2, "config error: --delta-rho-um must be positive, got -2.0"),
+        ("1e308", 1, "data error: critical wavelength overflows float64 (2 pi delta_rho = inf)"),
+    ):
+        proc = run_python("-m", "hdspec.cli", "carrier", "--delta-rho-um", spread, *extra, "--out-dir", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stderr, proc.stdout) == (code, message + "\n", "")
     assert not (tmp_path / "out").exists()
 
 
@@ -587,10 +600,10 @@ def test_non_finite_coupling_is_one_line_config_error(tmp_path, command):
     assert not list(tmp_path.glob("*.json"))
 
 
-def test_spin_structure_demo_solves_each_hamiltonian_once(tmp_path, eigh_calls):
+def test_spin_structure_demo_solves_each_hamiltonian_once(tmp_path, eigen_solves):
     assert run(tmp_path, "spin-structure", "--demo") == 0
-    # one eigh per F block of two or more levels: F = 1 at N = 0, then F = 0, 1, 2 at N = 1
-    assert eigh_calls == [2, 2, 4, 3]
+    # one solve per F block, of as many levels as it holds: F = 0, 1, 2 at N = 0, then F = 0, 1, 2, 3 at N = 1
+    assert eigen_solves == [1, 2, 1, 2, 4, 3, 1]
 
 
 CSV_CELLS = st.one_of(
@@ -906,6 +919,9 @@ def test_commands_do_not_load_scipy(tmp_path):
 # the commands that build no array on the bundled inputs, and the hdspec modules each loads
 # beyond those of `import hdspec.cli` (hdspec, hdspec.bundled, hdspec.cli, hdspec.quantity)
 ARRAY_FREE_COMMANDS = {
+    # the F-block level solve and the weight profile on Python floats
+    "spin-structure": ["hdspec.angular", "hdspec.coefficients"],
+    "composite": ["hdspec.angular", "hdspec.coefficients", "hdspec.composite"],
     "carrier": ["hdspec.carrier"],
     "dfg": ["hdspec.metrology"],
     "ledger": ["hdspec.systematics"],
@@ -945,7 +961,7 @@ def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == str(["hdspec", "hdspec.bundled", "hdspec.cli", "hdspec.quantity"])
     assert lines[-1] == "[]"
-    for stem in ("carrier_sweep.csv", "dfg.json", "ledger.csv", "compare.csv", "extract_components.csv",
+    for stem in ("spin_structure.json", "composite_profile.csv", "carrier_sweep.csv", "dfg.json", "ledger.csv", "compare.csv", "extract_components.csv",
                  "extrapolate_b.json", "extrapolate_rf.json", "fit_line_spectrum.csv", "adev.csv",
                  "reproduce_paper.json"):
         assert (tmp_path / stem).exists(), stem
@@ -953,7 +969,7 @@ def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
 
 @pytest.mark.parametrize("name", ARRAY_FREE_COMMANDS)
 def test_array_free_command_loads_only_its_modules(tmp_path, name):
-    """In a fresh interpreter: no numpy, and of hdspec only the modules the command runs (never angular or zeeman)."""
+    """In a fresh interpreter: no numpy, and of hdspec only the modules the command runs (never zeeman)."""
     argv = [name, *BUNDLED_RUNS[name], "--out-dir", str(tmp_path)]
     argv += ["--format", "csv"] if name in CSV_FORMAT_COMMANDS else []
     script = (

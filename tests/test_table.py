@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hdspec import constants, lineshape, metrology, quantity, systematics
 from hdspec.cli import main
 from hdspec.quantity import (
-    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, UNIT_INTERVAL, UNUSED_TEXT, read_table,
+    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, OPTIONAL_TEXT, POSITIVE, TEXT, UNIT_INTERVAL, UNUSED_TEXT, read_table,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -54,10 +54,10 @@ def dict_reader_table(path, columns):
                 for name, rule in columns.items():
                     cell = row.get(name)
                     if rule.accepts is None:
-                        if cell is None:  # a short row
+                        if cell is None and name in header:  # a short row
                             raise ValueError(f"{path}:{line}: {name} {rule.requirement}")
-                        if rule.kept:
-                            values[name] = cell.strip()
+                        if rule.kept:  # an optional text column the header lacks reads as blank
+                            values[name] = (cell or "").strip()
                     elif rule.optional and not (cell or "").strip():
                         values[name] = math.nan
                     else:
@@ -315,6 +315,21 @@ def test_read_table_returns_arrays_and_stripped_text(tmp_path):
     assert cols["b"].tolist() == [2.0, 3.0]  # the last of a duplicated name
     assert cols["flag"].tolist() == [1.0, 0.0] and cols["name"] == ["x", "y"]
     assert all(map(math.isnan, cols["u"])) and len(cols["u"]) == 2
+
+
+def test_an_absent_optional_text_column_reads_as_a_blank_cell(tmp_path):
+    columns = {"a": FINITE, "note": OPTIONAL_TEXT, "u": OPTIONAL_NON_NEGATIVE}
+    absent, blank = write(tmp_path, "a\n1\n\n2\n"), tmp_path / "blank.csv"
+    blank.write_text("a,note,u\n1,,\n\n2, ,\n", encoding="utf-8")
+    cols = read_table(absent, columns)
+    assert cols["a"].tolist() == [1.0, 2.0] and cols["note"] == ["", ""] and len(cols["u"]) == 2
+    assert repr(cols) == repr(read_table(blank, columns))
+    assert repr(cols) == repr(dict_reader_table(absent, columns))
+    # a fault in another column is still that column's, not the absent one's
+    bad = write(tmp_path, "a\n1\nx\n")
+    for read in (read_table, dict_reader_table):
+        with pytest.raises(ValueError, match=r":3: a has a bad numeric value 'x'$"):
+            read(bad, columns)
 
 
 @pytest.mark.parametrize(

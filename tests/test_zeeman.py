@@ -272,14 +272,14 @@ def test_transition_coeffs_solves_two_m_f_blocks(eigvalsh_calls, demo_sets):
 
 
 @pytest.mark.parametrize("lower_mf, upper_mf", [(2, 3), (-2, -3), (0, 0), (1, 1)])
-def test_exact_coefficients_make_no_eigen_solve_past_the_level_solve(lower_mf, upper_mf, eigh_calls, eigvalsh_calls, demo_sets):
+def test_exact_coefficients_make_no_eigen_solve_past_the_level_solve(lower_mf, upper_mf, eigen_solves, eigvalsh_calls, demo_sets):
     # one-state blocks (the stretched pairs) need no solve at all, and the
     # other blocks take their field-free states from the cached F-block solve
     lower, upper = demo_sets[(0, 0)], demo_sets[(1, 1)]
     level_structure(lower), level_structure(upper)
-    eigh_calls.clear()
+    eigen_solves.clear()
     transition_coeffs((lower, (1, 2, 2, lower_mf)), (upper, (1, 2, 3, upper_mf)))
-    assert eigh_calls == [] and eigvalsh_calls == []
+    assert eigen_solves == [] and eigvalsh_calls == []
 
 
 def test_a_one_state_block_is_exactly_linear(demo_sets):
@@ -420,11 +420,11 @@ def test_rescaled_coefficients_and_couplings_rescale_every_zeeman_result(s, demo
         ((0.1, 0.2), "B = 0"),
     ],
 )
-def test_transition_coeffs_checks_the_grid_before_any_solve(grid, msg, eigh_calls, eigvalsh_calls, demo_sets):
+def test_transition_coeffs_checks_the_grid_before_any_solve(grid, msg, eigen_solves, eigvalsh_calls, demo_sets):
     # the truncation grid is checked before the coefficients or the grid are solved
     with pytest.raises(ValueError, match=msg):
         transition_truncation((demo_sets[(0, 0)], (1, 2, 2, 2)), (demo_sets[(1, 1)], (1, 2, 3, 3)), b_values=grid)
-    assert eigh_calls == [] and eigvalsh_calls == []
+    assert eigen_solves == [] and eigvalsh_calls == []
 
 
 # --- zero-field extrapolation ---------------------------------------------
