@@ -34,11 +34,12 @@ set, in ulps of that bound, decides which levels coincide: scaling every
 E_k scales every energy and keeps the order and the labels.  No
 full-basis Hamiltonian is built to solve or to map a level.
 
-numpy is imported only where an array is built: the field-free
-eigenstates of one m_F block (`m_states`, the F-block eigenvectors taken
-in the coupled states of that m_F, built once per level set and m_F on
-first use), a level's product-basis `vectors` (its columns of them),
-which `zeeman` solves each m_F block in, and the dense product-basis API
+The field-free states have one form: each level's F-block eigenvector
+over the coupled states of its F.  The Zeeman interaction is taken in
+it too: once per N and m_F, J_z of each slot between the coupled states
+of that m_F (`_Blocks.jz`), in Python floats, which `_States.jz` takes
+between the levels.  numpy is imported only where an array is built: a
+level's product-basis `vectors` and the dense product-basis API
 (`ProductBasis`, `jmatrices`, `casimir`, `build_hfs`, `term_operator`).
 
 The coefficient sets, their file format and the spin-theory error model
@@ -369,19 +370,27 @@ def _apply(n_rot: int, k: int, state: Mapping[Key, float]) -> dict[Key, float]:
     return out
 
 
+def _between(states: Sequence[Mapping[Key, float]], moved: Sequence[Sequence[Mapping[Key, float]]]) -> tuple:
+    """<a|op|b> for each operator, as exactly symmetric n x n tuples: moved[i][b] is the i-th operator on states[b].
+
+    Each entry is one correctly rounded sum over the product states that
+    bra and moved ket share.
+    """
+    n = len(states)
+    out = []
+    for op in moved:
+        t = [[0.0] * n for _ in range(n)]
+        for b, ket in enumerate(op):
+            for a, bra in enumerate(states[:b + 1]):
+                t[a][b] = t[b][a] = math.fsum(x * ket[key] for key, x in bra.items() if key in ket)
+        out.append(tuple(map(tuple, t)))
+    return tuple(out)
+
+
 def _block_terms(n_rot: int, f: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple[tuple[float, ...], ...], ...]:
     """T_1..T_9 between the coupled states (G1, G2, F, m_F = F) of `pairs`, each an exactly symmetric n x n."""
     states = [_coupled_state(n_rot, g1, g2, f, f) for g1, g2 in pairs]
-    n = len(states)
-    out = []
-    for k in COEFF_INDICES:
-        t = [[0.0] * n for _ in range(n)]
-        for b, ket in enumerate(states):
-            moved = _apply(n_rot, k, ket)
-            for a, bra in enumerate(states[:b + 1]):
-                t[a][b] = t[b][a] = math.fsum(x * moved[key] for key, x in bra.items() if key in moved)
-        out.append(tuple(map(tuple, t)))
-    return tuple(out)
+    return _between(states, [[_apply(n_rot, k, ket) for ket in states] for k in COEFF_INDICES])
 
 
 class _FBlock:
@@ -392,9 +401,10 @@ class _FBlock:
     each a (2F + 1)-fold multiplet.  The data are tuples of Python floats.
     """
 
-    def __init__(self, f: int, pairs: tuple[tuple[int, int], ...], terms: tuple):
+    def __init__(self, f: int, pairs: tuple[tuple[int, int], ...], terms: tuple, start: int):
         self.f = f
         self.pairs = pairs  # (G1, G2) of the n levels, ascending
+        self.start = start  # the index of its first coupled state among those of every F block, F ascending
         self.terms = terms  # T_1..T_9 between the coupled states, each n rows of n
         n = len(pairs)
         # (i, j, T_1..T_9 at (i, j)) of the upper triangle: H_ij = sum_k E_k T_k,ij
@@ -410,14 +420,12 @@ class _FBlock:
 
 
 class _Blocks:
-    """The term operators of one rotational level N in the coupled basis.
+    """The operators of one rotational level N in the coupled basis, tuples of Python floats.
 
-    The level solve reads only `f_blocks`: T_k between the states of
-    each F at m_F = F, in Python floats.  The arrays of the m_F blocks
-    (the product states of each, `index`; their slot projections,
-    `slot_m`; the coupled states over them, `coupled`) are built on
-    first use, for `m_states` and the Zeeman interaction, and are
-    read-only.  Built once per N.
+    The level solve reads `f_blocks`: T_k between the states of each F
+    at m_F = F.  The Zeeman interaction reads `jz`: J_z of each slot
+    between the states of one m_F, built on first use per m_F.  Built
+    once per N.
     """
 
     def __init__(self, n_rot: int):
@@ -427,52 +435,29 @@ class _Blocks:
         # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N: the (G1, G2) of the levels of each F that has levels, ascending
         self.pairs = {f: f_pairs for f in range(f_max + 1) if (f_pairs := tuple(
             (g1, g2) for g1 in (0, 1) for g2 in range(abs(g1 - 1), g1 + 2) if abs(g2 - n_rot) <= f <= g2 + n_rot))}
-        self.f_blocks = [_FBlock(f, pairs, _block_terms(n_rot, f, pairs)) for f, pairs in self.pairs.items()]
+        starts = itertools.accumulate(map(len, self.pairs.values()), initial=0)
+        self.f_blocks = [_FBlock(f, pairs, _block_terms(n_rot, f, pairs), start)
+                         for (f, pairs), start in zip(self.pairs.items(), starts)]
         # |H_ij| <= max |E_k| * sum_k |T_k,ij| <= max |E_k| * h_bound on every F block, and every energy of
         # an F block (at most 4 levels) is at most 4 times that: below `e_limit` neither H, nor an energy, nor
         # the difference of two energies comes within a factor 2 of float64's largest value
         self.h_bound = max(math.fsum(map(abs, ts)) for block in self.f_blocks for _, _, ts in block.entries)
         self.e_limit = sys.float_info.max / (16.0 * self.h_bound)
+        self._jz: dict[int, tuple] = {}  # m_F -> `jz(m_F)`
 
-    @functools.cached_property
-    def _slot_i(self) -> np.ndarray:
-        """Per slot, the index i = j - m of every product state."""
-        import numpy as np
+    def jz(self, m_f: int) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """J_z of each slot (SLOT_NAMES order) between the coupled states of m_F, each an exactly symmetric n x n.
 
-        return np.array(np.unravel_index(np.arange(self.dim), (2, 2, 3, 2 * self.n_rot + 1)))
-
-    @functools.cached_property
-    def index(self) -> dict[int, np.ndarray]:
-        """m_F -> the product states of its block, ascending; M_F goes down by one per step of any slot's index."""
-        import numpy as np
-
-        f_max = self.n_rot + 2
-        m_f = f_max - self._slot_i.sum(axis=0)
-        return {m: _read_only(np.flatnonzero(m_f == m)) for m in range(-f_max, f_max + 1)}
-
-    @functools.cached_property
-    def slot_m(self) -> dict[int, np.ndarray]:
-        """m_F -> the m of each slot (rows, SLOT_NAMES order) on each product state of its block."""
-        import numpy as np
-
-        top = np.array([[0.5], [0.5], [1.0], [self.n_rot]])
-        return {m: _read_only(top - self._slot_i[:, i]) for m, i in self.index.items()}
-
-    @functools.cached_property
-    def coupled(self) -> dict[int, np.ndarray]:
-        """m_F -> the coupled states of the F >= |m_F|, F by F and (G1, G2) ascending, as columns over its product states."""
-        import numpy as np
-
-        out = {}
-        for m, rows in self.index.items():
-            row = {tuple(i): r for r, i in enumerate(self._slot_i[:, rows].T.tolist())}
-            columns = [(g1, g2, f) for f, pairs in self.pairs.items() if f >= abs(m) for g1, g2 in pairs]
-            c = np.zeros((len(rows), len(columns)))
-            for col, (g1, g2, f) in enumerate(columns):
-                for key, amp in _coupled_state(self.n_rot, g1, g2, f, m).items():
-                    c[row[key], col] = amp
-            out[m] = _read_only(c)
-        return out
+        The states are those of the F blocks with F >= |m_F| (the last of
+        `f_blocks`), F by F and (G1, G2) ascending.  J_z is diagonal in the
+        product states: it multiplies each amplitude by m = j - i of its slot.
+        """
+        if m_f not in self._jz:
+            states = [_coupled_state(self.n_rot, g1, g2, block.f, m_f)
+                      for block in self.f_blocks if block.f >= abs(m_f) for g1, g2 in block.pairs]
+            self._jz[m_f] = _between(states, [[{key: (j - key[s]) * x for key, x in state.items()} for state in states]
+                                              for s, j in enumerate((0.5, 0.5, 1.0, self.n_rot))])
+        return self._jz[m_f]
 
 
 @functools.lru_cache(maxsize=8)
@@ -658,49 +643,49 @@ def _labels(
 
 
 class _States:
-    """The field-free states of one level set: its F-block eigenvectors in the coupled states of each m_F (read-only).
+    """The field-free states of one level set: the F block and eigenvector of each level, in level order (read-only).
 
     Apart from `_LevelSet`, so that the level set and its levels form no reference cycle.
     """
 
-    def __init__(self, blocks: _Blocks, eigenvectors: list[list[list[float]]], order: list[int], fs: list[int]):
+    def __init__(self, blocks: _Blocks, where: list[tuple[_FBlock, list[float]]]):
         self._blocks = blocks
-        self._eigenvectors = eigenvectors  # the eigenvectors of each F block, as in `blocks.f_blocks`
-        self._order = order  # the index into the F-block levels of each level
-        self._fs = fs  # F of each level, in level order
-        self._m_states: dict[int, np.ndarray] = {}  # m_F -> `m_states(m_F)`
+        self.where = where  # (F block, eigenvector over its coupled states) of each level
 
-    @functools.cached_property
-    def _block_vectors(self) -> np.ndarray:
-        """The eigenvectors of every F block on the diagonal of one matrix, one column per level in F-block order."""
-        import numpy as np
+    def jz(self, position: int, m_f: int, weights: Sequence[float]) -> tuple[list[float], list[float]]:
+        """<i|J_z|i> of each slot, and <j|sum_s weights_s J_z^s|i> for each j, in the field-free states of m_F.
 
-        n = len(self._order)
-        out, i = [0.0] * (n * n), 0  # row-major
-        for x in self._eigenvectors:  # x[a] is the a-th eigenvector of a block on rows and columns i .. i + len(x) - 1
-            for a, column in enumerate(x):
-                out[i * n + i + a:(i + len(x)) * n:n] = column
-            i += len(x)
-        return _read_only(np.array(out).reshape(n, n))
-
-    def m_states(self, m_f: int) -> np.ndarray:
-        """The state with projection m_F of each level with F >= |m_F|, as columns in level order (see `m_states`)."""
-        if m_f not in self._m_states:
-            coupled = self._blocks.coupled[m_f]
-            skip = len(self._order) - coupled.shape[1]  # the levels of the F blocks with F < |m_F| come first
-            states = coupled @ self._block_vectors[skip:, skip:]
-            self._m_states[m_f] = _read_only(states[:, [i - skip for i in self._order if i >= skip]])
-        return self._m_states[m_f]
+        i is the level at `position` and j each level with F >= |m_F|, in
+        level order.  The states are the F-block eigenvectors x over the
+        coupled states of m_F, between which `_Blocks.jz` holds J_z: the
+        second list is X^T (sum_s weights_s Z_s) x_i.
+        """
+        z = self._blocks.jz(m_f)
+        skip = len(self.where) - len(z[0])  # the coupled states of the F blocks with F < |m_F|
+        block, x = self.where[position]
+        rows = slice(block.start - skip, block.start - skip + len(x))
+        xx = [u * v for u in x for v in x]
+        diagonal = [_fsum(map(_mul, xx, [t for row in zs[rows] for t in row[rows]])) for zs in z]
+        wx = [w * u for w in weights for u in x]
+        zx = [_fsum(map(_mul, wx, column)) for column in zip(*(row for zs in z for row in zs[rows]))]  # Z is symmetric
+        return diagonal, [_fsum(map(_mul, xj, zx[bj.start - skip:])) for bj, xj in self.where if bj.f >= abs(m_f)]
 
     def vectors(self, position: int) -> np.ndarray:
-        """The 2F + 1 product-basis states (m_F = F .. -F) of the level at `position`: its columns of `m_states`."""
+        """The 2F + 1 product-basis states (m_F = F .. -F) of the level at `position`, as read-only columns.
+
+        The column of m_F is sum_a x_a |G1_a G2_a F m_F>, x the level's
+        F-block eigenvector; a product state's row is its slot indices in
+        the order of `ProductBasis`.
+        """
         import numpy as np
 
-        f = self._fs[position]
+        block, x = self.where[position]
+        n_rot, f = self._blocks.n_rot, block.f
         out = np.zeros((self._blocks.dim, 2 * f + 1))
-        for i, m in enumerate(range(f, -f - 1, -1)):
-            column = sum(g >= abs(m) for g in self._fs[:position])
-            out[self._blocks.index[m], i] = self.m_states(m)[:, column]
+        for column, m in enumerate(range(f, -f - 1, -1)):
+            for (g1, g2), amp in zip(block.pairs, x):
+                for (e, p, d, i), c in _coupled_state(n_rot, g1, g2, f, m).items():
+                    out[((2 * e + p) * 3 + d) * (2 * n_rot + 1) + i, column] += amp * c
         return _read_only(out)
 
 
@@ -739,8 +724,8 @@ class _LevelSet:
     coupled states (G1, G2, F, m_F = F) of that F, in Python floats;
     gamma_k = x^T T_k x of a level's eigenvector x when a caller asks
     for it (`gammas`), once per level.  The levels are shared by every
-    caller that asks for the same coefficients, so their vectors and
-    `m_states` are read-only.  `labelled` maps each label to its level.
+    caller that asks for the same coefficients, so they and their
+    vectors are read-only.  `labelled` maps each label to its level.
     Levels no more than `tolerance` apart coincide (see `_ULPS`);
     `distinct` says that no two levels of the set do.
 
@@ -771,14 +756,13 @@ class _LevelSet:
         if not self.distinct:
             cluster = dict(zip(order, itertools.accumulate(apart, initial=0)))  # level -> its run of coincident levels
             order.sort(key=lambda i: (cluster[i], found[i][1]))
-        states = _States(blocks, eigenvectors, order, [found[i][1] for i in order])
-        self.m_states = states.m_states  # the field-free states of one m_F block, as `m_states` gives them
+        self._where = [(blocks.f_blocks[found[i][3]], eigenvectors[found[i][3]][found[i][4]]) for i in order]
+        states = _States(blocks, self._where)
         self.levels = tuple(
             SpinLevel(energy, 2 * f + 1, g1, g2, f, states, position)
             for position, (energy, f, (g1, g2), _, _) in enumerate(map(found.__getitem__, order))
         )
         self.labelled = {lv.label: lv for lv in self.levels if lv.g1 is not None}
-        self._where = [(blocks.f_blocks[found[i][3]], eigenvectors[found[i][3]][found[i][4]]) for i in order]
         self._gammas: dict[int, tuple[float, ...]] = {}  # position -> `gammas(position)`
 
     def level(self, label: tuple[int, int, int]) -> SpinLevel:
@@ -844,17 +828,6 @@ def spin_frequency(
         with overflow_as_value_error("spin frequency"):
             finite("f_spin", f_spin)
     return f_spin
-
-
-def m_states(coeffs: HyperfineCoefficients, m_f: int) -> np.ndarray:
-    """The field-free eigenstates of the m_F block (rows: its product states), one column per level with F >= |m_F|.
-
-    The columns come in level order (ascending energy, as `level_structure`
-    gives the levels).  Each is the eigenvector of its F block taken in
-    the coupled states of m_F, so the cached level set gives them, once
-    per m_F and read-only, without another eigen-solve.
-    """
-    return _level_set(coeffs).m_states(m_f)
 
 
 # ---------------------------------------------------------------------------

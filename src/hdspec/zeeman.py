@@ -5,41 +5,44 @@ magnetic projections:
 
     H_Z = B (c_e s_ez + c_p I_pz + c_d I_dz + c_N N_z)
 
-with per-momentum couplings in kHz/G.  Sublevel energies are mapped over
-a field grid, each m_F block solved in its field-free states, the F-block
-eigenvectors in its coupled states (`angular.m_states`).  The linear and
-quadratic Zeeman coefficients of a transition are exact at B = 0:
-Hellmann-Feynman gives the linear term and second-order perturbation
+with per-momentum couplings in kHz/G.  H_Z commutes with F_z, and each
+m_F block is taken in its field-free states, the F-block eigenvectors X
+of the levels with F >= |m_F|: W = sum_s c_s X^T Z_s X per gauss, Z_s the
+J_z of slot s between the coupled states of that m_F
+(`angular._Blocks.jz`), in Python floats.  The linear and quadratic
+Zeeman coefficients of a transition are exact at B = 0: Hellmann-Feynman
+gives the linear term, sum_s c_s (<J_z^s>_upper - <J_z^s>_lower), each
+slot subtracted before it is weighted, and second-order perturbation
 theory the quadratic one, over the same states (Bakalov, Korobov &
-Schiller, J. Phys. B 44, 025003 (2011)); their truncation over a field
-grid is the largest deviation of the solved shift from that quadratic
-model.  The zero-field extrapolation of measured line positions is
+Schiller, J. Phys. B 44, 025003 (2011)).  numpy is imported only for a
+field grid: the sublevels of one m_F block over it are one stacked
+`eigvalsh` (`_sublevels`), for `zeeman_map` and for the truncation of
+the quadratic model (`transition_truncation`).  The zero-field
+extrapolation of measured line positions is
 `systematics.extrapolate_to_zero_field`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .angular import HyperfineCoefficients, SpinLevel, _blocks, _level_set, _LevelSet
+from .quantity import FINITE, Record, finite, overflow_as_value_error, read_keys
 
-from .angular import (
-    HyperfineCoefficients,
-    SpinLevel,
-    _blocks,
-    _level_set,
-    _LevelSet,
-    m_states,
-)
-from .quantity import FINITE, Record, overflow_as_value_error, read_keys
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
 # kHz/G; signs follow the convention that a positive projection of the
 # electron spin moves up in energy for B > 0.
 DEFAULT_COUPLINGS = {"c_e": 2802.5, "c_p": -4.2577, "c_d": -0.6536, "c_N": -0.55}
+
+_fsum, _mul = math.fsum, operator.mul
 
 
 class ZeemanCouplings:
@@ -58,6 +61,11 @@ class ZeemanCouplings:
         self.c_p = c_p
         self.c_d = c_d
         self.c_n = c_n
+
+    @property
+    def per_slot(self) -> tuple[float, float, float, float]:
+        """The couplings in the slot order of `angular.SLOT_NAMES`: s_e, I_p, I_d, N."""
+        return (self.c_e, self.c_p, self.c_d, self.c_n)
 
 
 def read_couplings_file(path: str | Path) -> ZeemanCouplings:
@@ -99,9 +107,13 @@ class ZeemanMap:
 
 
 def _field_grid(b_values: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     b_values = np.asarray(b_values, dtype=float)
     if b_values.ndim != 1 or len(b_values) == 0:
         raise ValueError("b_values must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(b_values)):
+        raise ValueError("b_values must be finite")
     if np.any(np.diff(b_values) <= 0):
         raise ValueError("b_values must be strictly ascending")
     if b_values[0] < 0:
@@ -116,30 +128,27 @@ def _mappable(level_set: _LevelSet) -> Sequence[SpinLevel]:
     return level_set.levels
 
 
-def _coupling_vector(couplings: ZeemanCouplings) -> np.ndarray:
-    return np.array([couplings.c_e, couplings.c_p, couplings.c_d, couplings.c_n])
-
-
-def _sublevels(coeffs: HyperfineCoefficients, c: np.ndarray, m_f: int, b_values: np.ndarray) -> np.ndarray:
+def _sublevels(coeffs: HyperfineCoefficients, couplings: ZeemanCouplings, m_f: int, b_values: np.ndarray) -> np.ndarray:
     """Energies (one row each, over the grid) of the sublevels with projection m_F.
 
     H0 + H_Z commutes with F_z, so the m_F block is solved on its own,
-    over the whole grid in one stacked call, as diag(E) + B U^T V U: U =
-    `m_states` are its field-free states, E their energies (the levels
-    with F >= |m_F|, in level order) and V = diag(c . slot_m) the Zeeman
-    operator per gauss, `c` the couplings in SLOT_NAMES order.  Levels in
-    one block do not cross (von Neumann-Wigner; Bakalov, Korobov &
-    Schiller, J. Phys. B 44, 025003 (2011)), so at every B the k-th
-    lowest energy belongs to the k-th lowest of those levels; the rows
-    come in that order.  At B = 0 a caller puts in E exactly.
+    over the whole grid in one stacked call, as diag(E) + B W: E are the
+    energies of the levels with F >= |m_F|, in level order, and W the
+    Zeeman operator per gauss in their field-free states (`_States.jz`).
+    Levels in one block do not cross (von Neumann-Wigner; Bakalov,
+    Korobov & Schiller, J. Phys. B 44, 025003 (2011)), so at every B the
+    k-th lowest energy belongs to the k-th lowest of those levels; the
+    rows come in that order.  At B = 0 a caller puts in E exactly.  W,
+    summed on Python floats, is checked finite (OverflowError `W = ...`).
     """
-    energies = [lv.energy for lv in _level_set(coeffs).levels if lv.f >= abs(m_f)]
-    u = m_states(coeffs, m_f)
-    w = u.T @ ((c @ _blocks(coeffs.n_rot).slot_m[m_f])[:, None] * u)
-    return np.linalg.eigvalsh(np.diag(energies) + b_values[:, None, None] * w).T
+    import numpy as np
+
+    members = [lv for lv in _level_set(coeffs).levels if lv.f >= abs(m_f)]
+    w = [lv.states.jz(lv.position, m_f, couplings.per_slot)[1] for lv in members]
+    finite("W", *itertools.chain.from_iterable(w))
+    return np.linalg.eigvalsh(np.diag([lv.energy for lv in members]) + b_values[:, None, None] * np.array(w)).T
 
 
-@overflow_as_value_error("Zeeman map")
 def zeeman_map(
     coeffs: HyperfineCoefficients,
     couplings: ZeemanCouplings,
@@ -152,19 +161,21 @@ def zeeman_map(
     m_F ascending within a level.  The field-free levels must not
     coincide.
     """
-    b_values = _field_grid(b_values)
-    levels = _mappable(_level_set(coeffs))
-    labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
-    index = {label: i for i, label in enumerate(labels)}
-    f_max = max(lv.f for lv in levels)
-    c = _coupling_vector(couplings)
+    import numpy as np
 
-    energies = np.empty((len(labels), len(b_values)))
-    for m in range(-f_max, f_max + 1):
-        rows = [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)]
-        energies[rows] = _sublevels(coeffs, c, m, b_values)
-    if b_values[0] == 0.0:
-        energies[:, 0] = [lv.energy for lv in levels for _ in range(2 * lv.f + 1)]
+    with overflow_as_value_error("Zeeman map"):  # entered with numpy loaded, so that it watches numpy too
+        b_values = _field_grid(b_values)
+        levels = _mappable(_level_set(coeffs))
+        labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
+        index = {label: i for i, label in enumerate(labels)}
+        f_max = max(lv.f for lv in levels)
+
+        energies = np.empty((len(labels), len(b_values)))
+        for m in range(-f_max, f_max + 1):
+            rows = [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)]
+            energies[rows] = _sublevels(coeffs, couplings, m, b_values)
+        if b_values[0] == 0.0:
+            energies[:, 0] = [lv.energy for lv in levels for _ in range(2 * lv.f + 1)]
 
     states = tuple(ZeemanState(*label, energies=energies[i]) for i, label in enumerate(labels))
     return ZeemanMap(b_values.copy(), states)
@@ -192,26 +203,27 @@ def _member(coeffs: HyperfineCoefficients, label: Sequence[int]) -> tuple[list[S
     return members, members.index(level)
 
 
-def _state_coeffs(coeffs: HyperfineCoefficients, label: Sequence[int], c: np.ndarray) -> tuple[float, float]:
-    """Linear and quadratic Zeeman coefficients of one sublevel at B = 0.
+def _state_coeffs(coeffs: HyperfineCoefficients, label: Sequence[int], couplings: ZeemanCouplings) -> tuple[Sequence[float], float]:
+    """<J_z> of each slot, and the quadratic Zeeman coefficient, of one sublevel at B = 0.
 
-    With V = diag(c . slot_m) on the m_F block, Hellmann-Feynman gives
-    a = <i|V|i> and second-order perturbation theory gives
-    c = sum_{j != i} |<j|V|i>|^2 / (E_i - E_j), over the field-free
-    eigenstates `m_states` gives.  A block of one state is exactly
-    linear (c = 0); under m_F -> -m_F, V changes sign, so in an m_F = 0
-    block E(B) is even and a = 0.
+    Hellmann-Feynman gives the linear coefficient sum_s c_s <i|J_z^s|i>,
+    which `transition_coeffs` forms, and second-order perturbation theory
+    c = sum_{j != i} W_ji^2 / (E_i - E_j), over the field-free states of
+    the m_F block (`_States.jz`).  A block of one state is exactly linear
+    (c = 0), its <J_z^s> the entries of J_z between its one coupled state;
+    under m_F -> -m_F every <J_z^s> changes sign, so in an m_F = 0 block
+    they are 0 and E(B) is even.  Each second-order term is checked
+    finite (OverflowError `second-order term = ...`).
     """
     members, row = _member(coeffs, label)
     m_f = label[3]
-    v = c @ _blocks(coeffs.n_rot).slot_m[m_f]  # the diagonal of V, kHz/G
     if len(members) == 1:
-        return float(v[0]), 0.0
-    u = m_states(coeffs, m_f)
-    w = u.T @ (v * u[:, row])  # <j|V|i>
-    gaps = members[row].energy - np.array([lv.energy for lv in members])
-    gaps[row] = math.inf
-    return (0.0 if m_f == 0 else float(w[row])), float(w @ (w / gaps))
+        return [zs[0][0] for zs in _blocks(coeffs.n_rot).jz(m_f)], 0.0
+    level = members[row]
+    jz, w = level.states.jz(level.position, m_f, couplings.per_slot)
+    terms = [w_j * (w_j / (level.energy - lv.energy)) for j, (w_j, lv) in enumerate(zip(w, members)) if j != row]
+    finite("second-order term", *terms)
+    return ((0.0,) * 4 if m_f == 0 else jz), _fsum(terms)
 
 
 def transition_coeffs(
@@ -222,16 +234,26 @@ def transition_coeffs(
     """Exact linear and quadratic Zeeman coefficients of one transition at B = 0.
 
     Each argument pairs a coefficient set with a (G1, G2, F, m_F) state
-    label.  Each side's coefficients come from the field-free
-    eigenstates of its m_F block (see `_state_coeffs`), which the cached
-    level solve already gives: no field grid and no further eigen-solve.
+    label.  Each side comes from the field-free states of its m_F block
+    (see `_state_coeffs`) that the cached level solve gives: no field
+    grid and no further eigen-solve.  The linear coefficient subtracts
+    the sides slot by slot before it weights them, so a slot both sides
+    project alike drops out exactly, whatever its coupling.  A value that
+    leaves float64 raises ValueError `Zeeman coefficient solve overflows
+    float64 (...)`.
     """
-    c = _coupling_vector(couplings or ZeemanCouplings())
-    (a_lo, c_lo), (a_up, c_up) = (_state_coeffs(coeffs, label, c) for coeffs, label in (lower, upper))
-    return TransitionShiftModel(a_up - a_lo, c_up - c_lo)
+    couplings = couplings or ZeemanCouplings()
+    try:
+        (jz_lo, c_lo), (jz_up, c_up) = (_state_coeffs(coeffs, label, couplings) for coeffs, label in (lower, upper))
+        model = TransitionShiftModel(_fsum(map(_mul, couplings.per_slot, map(operator.sub, jz_up, jz_lo))), c_up - c_lo)
+        finite("linear", model.linear)
+        finite("quadratic", model.quadratic)
+    except ArithmeticError:  # only Python floats here: the guard words the error, it need not watch numpy
+        with overflow_as_value_error("Zeeman coefficient solve"):
+            raise
+    return model
 
 
-@overflow_as_value_error("Zeeman coefficient solve")
 def transition_truncation(
     lower: tuple[HyperfineCoefficients, Sequence[int]],
     upper: tuple[HyperfineCoefficients, Sequence[int]],
@@ -245,16 +267,19 @@ def transition_truncation(
     `eigvalsh` of `_sublevels`.  The grid is checked before any solve
     and must start at B = 0.
     """
-    b = _field_grid(b_values)
-    if b[0] != 0.0:
-        raise ValueError("transition_truncation needs B = 0 in the grid to reference the shift")
-    model = transition_coeffs(lower, upper, couplings)
-    c = _coupling_vector(couplings or ZeemanCouplings())
-    energies = []
-    for coeffs, label in (lower, upper):
-        members, row = _member(coeffs, label)
-        energy = _sublevels(coeffs, c, label[3], b)[row]
-        energy[0] = members[row].energy  # the grid starts at B = 0
-        energies.append(energy)
-    shift = (energies[1] - energies[0]) - (energies[1][0] - energies[0][0])
-    return model, float(np.max(np.abs(shift - (model.linear * b + model.quadratic * b ** 2))))
+    import numpy as np
+
+    with overflow_as_value_error("Zeeman coefficient solve"):  # entered with numpy loaded, as in `zeeman_map`
+        b = _field_grid(b_values)
+        if b[0] != 0.0:
+            raise ValueError("transition_truncation needs B = 0 in the grid to reference the shift")
+        couplings = couplings or ZeemanCouplings()
+        model = transition_coeffs(lower, upper, couplings)
+        energies = []
+        for coeffs, label in (lower, upper):
+            members, row = _member(coeffs, label)
+            energy = _sublevels(coeffs, couplings, label[3], b)[row]
+            energy[0] = members[row].energy  # the grid starts at B = 0
+            energies.append(energy)
+        shift = (energies[1] - energies[0]) - (energies[1][0] - energies[0][0])
+        return model, float(np.max(np.abs(shift - (model.linear * b + model.quadratic * b ** 2))))

@@ -31,7 +31,7 @@ from hdspec.angular import (
 )
 from hdspec.zeeman import ZeemanCouplings, transition_coeffs, zeeman_map
 
-from dense_oracle import eigenlevels, product_index, round_to_j
+from dense_oracle import build_zeeman, eigenlevels, product_index, round_to_j
 from eigh_reference import reference_levels
 
 coeff_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -288,14 +288,20 @@ def test_coefficients_either_side_of_the_overflow_limit_solve_as_the_reference()
 @pytest.mark.parametrize("n_rot", range(6))
 def test_coupling_scheme_names_every_highest_weight_state(n_rot):
     # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N: one (G1, G2) per level of each F, and the levels of F
-    # are as many as the states of the m_F = F block less those of the m_F = F + 1 block
+    # are as many as the product states of the m_F = F block less those of the m_F = F + 1 block
     blocks = angular._blocks(n_rot)
-    highest_weight = {f: len(blocks.index[f]) - len(blocks.index.get(f + 1, ())) for f in range(n_rot + 3)}
+    m_of_state = np.rint(np.diag(ProductBasis(n_rot).f_z())).astype(int)
+    states = {m: int(np.sum(m_of_state == m)) for m in range(-(n_rot + 2), n_rot + 4)}
+    highest_weight = {f: states[f] - states[f + 1] for f in range(n_rot + 3)}
     assert {block.f: len(block.pairs) for block in blocks.f_blocks} == {f: n for f, n in highest_weight.items() if n}
     for block in blocks.f_blocks:
         n = len(block.pairs)
         assert len(block.terms) == 9 and all(len(t) == n and all(len(row) == n for row in t) for t in block.terms)
         assert list(block.pairs) == sorted(set(block.pairs))
+    # the coupled states of each m_F, which J_z of each slot is taken between, are as many as its product states
+    for m in range(-(n_rot + 2), n_rot + 3):
+        assert len(blocks.jz(m)) == 4
+        assert all(len(t) == states[m] and all(len(row) == states[m] for row in t) for t in blocks.jz(m))
 
 
 @pytest.mark.parametrize(
@@ -496,21 +502,20 @@ def test_cached_level_set_is_read_only(demo_sets, basis1):
     assert len(levels) == 10
     assert all(not lv.vectors.flags.writeable for lv in levels)
     assert all(lv.vectors is level_structure(coeffs, basis1)[i].vectors for i, lv in enumerate(levels))
-    # the per-N data every set of this N shares: arrays for the m_F blocks, tuples of floats for the F blocks
+    # the per-N data every set of this N shares, tuples of floats: T_k of the F blocks, J_z of the m_F blocks
     blocks = angular._blocks(1)
-    shared = [*blocks.index.values(), *blocks.slot_m.values(), *blocks.coupled.values()]
-    assert all(not a.flags.writeable for a in shared)
     for fb in blocks.f_blocks:
         for data in (fb.terms, fb.entries, fb.gamma_terms, fb.g1_sq, fb.g2_sq):
             assert type(data) is tuple and all(type(row) is tuple or type(row) is float for row in data)
     with pytest.raises(TypeError, match="does not support item assignment"):
         blocks.f_blocks[0].terms[0][0] = (1.0,)
-    # the field-free m_F states each level set keeps, one array per m_F
-    for demo in demo_sets.values():
-        for m_f in range(-(demo.n_rot + 2), demo.n_rot + 3):
-            states = angular.m_states(demo, m_f)
-            assert not states.flags.writeable
-            assert angular.m_states(demo, m_f) is states
+    for m_f in range(-3, 4):
+        shared = blocks.jz(m_f)
+        assert blocks.jz(m_f) is shared
+        assert type(shared) is tuple and all(type(t) is tuple for t in shared)
+        assert all(type(row) is tuple and all(type(v) is float for v in row) for t in shared for row in t)
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            shared[0][0] = (1.0,)
 
 
 def test_level_set_cache_is_bounded(demo_sets, basis0):
@@ -543,15 +548,18 @@ def test_sensitivities_fd_bypasses_the_cache(demo_sets, basis1):
     assert (after.currsize, after.misses) == (before.currsize, before.misses) == (1, 1)
 
 
-@pytest.mark.parametrize("n_rot", [0, 1, 3])
+@pytest.mark.parametrize("n_rot", range(6))
 def test_m_values_are_the_embedded_jz_diagonal(n_rot):
-    # the m_F blocks and the m of each slot that the block data takes from the product-state indices
+    # J_z of each slot between the coupled states of each m_F (`_Blocks.jz`, which weights each amplitude by the
+    # m of its slot) is C^T J_z C of the dense embedded J_z, whose diagonal holds those m, to a few ulps
     basis, blocks = ProductBasis(n_rot), angular._blocks(n_rot)
-    assert sorted(np.concatenate(list(blocks.index.values()))) == list(range(basis.dim))
-    for m, rows in blocks.index.items():
-        assert np.array_equal(rows, np.flatnonzero(np.diag(basis.f_z()) == m))
-        for slot, m_values in zip(angular.SLOT_NAMES, blocks.slot_m[m], strict=True):
-            assert np.array_equal(m_values, np.diag(basis.triple(slot)[0])[rows])
+    u, (_, _, _, m_f) = coupled_basis(blocks)
+    for m in range(-(n_rot + 2), n_rot + 3):
+        c = u[:, m_f == m]
+        for slot, table in zip(angular.SLOT_NAMES, blocks.jz(m), strict=True):
+            t = np.array(table)
+            assert np.array_equal(t, t.T)
+            assert np.max(np.abs(t - c.T @ basis.triple(slot)[0] @ c)) <= 8 * math.ulp(max(1.0, n_rot))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,12 +1042,16 @@ def test_cached_single_momentum_matrices_equal_fresh_builds(j):
 
 
 def coupled_basis(blocks):
-    """Every coupled state of `blocks` as one orthogonal matrix over the product basis, and its (G1, G2, F, m_F)."""
+    """Every coupled state of `blocks` (`_coupled_state`) as one orthogonal matrix over the product basis, and its
+    (G1, G2, F, m_F): m_F ascending, then F by F and (G1, G2) ascending, as `_Blocks.jz` takes them."""
+    basis = ProductBasis(blocks.n_rot)
     u, labels = np.zeros((blocks.dim, blocks.dim)), []
-    for m, rows in blocks.index.items():
-        columns = [(*pair, b.f, m) for b in blocks.f_blocks if b.f >= abs(m) for pair in b.pairs]
-        u[rows, len(labels):len(labels) + len(columns)] = blocks.coupled[m]
-        labels += columns
+    for m in range(-(blocks.n_rot + 2), blocks.n_rot + 3):
+        for b in blocks.f_blocks:
+            for pair in b.pairs if b.f >= abs(m) else ():
+                for (e, p, d, i), amp in angular._coupled_state(blocks.n_rot, *pair, b.f, m).items():
+                    u[product_index(basis, 0.5 - e, 0.5 - p, 1 - d, blocks.n_rot - i), len(labels)] = amp
+                labels.append((*pair, b.f, m))
     assert len(labels) == blocks.dim
     return u, np.array(labels, dtype=float).T
 
@@ -1051,10 +1063,7 @@ def test_coupled_states_diagonalize_the_dense_momenta(n_rot):
     basis = ProductBasis(n_rot)
     blocks = angular._blocks(n_rot)
     u, (g1, g2, f, m_f) = coupled_basis(blocks)
-    for m, rows in blocks.index.items():
-        c = blocks.coupled[m]
-        assert c.shape == (len(rows), int(np.sum(m_f == m)))
-        assert np.allclose(c.T @ c, np.eye(c.shape[1]), rtol=0, atol=8 * math.ulp(1.0))
+    assert np.allclose(u.T @ u, np.eye(blocks.dim), rtol=0, atol=8 * math.ulp(1.0))
     for op, diagonal in (
         (basis.f_z(), m_f),
         (basis.f_squared(), f * (f + 1)),
@@ -1107,21 +1116,52 @@ def test_f_block_solve_agrees_with_the_dense_oracle(n_rot):
 
 @pytest.mark.parametrize("n_rot", range(6))
 def test_m_states_are_the_field_free_eigenstates_of_each_m_block(n_rot):
-    # the F-block eigenvectors in the coupled states of m_F, one column per level
-    # with F >= |m_F| in level order: orthonormal, and H u = E u on the m_F block
+    # the state with projection m_F of each level with F >= |m_F| (its column of `vectors`), in level order:
+    # orthonormal, H u = E u on the m_F block, and between these states the Zeeman operator W that `zeeman`
+    # forms from the J_z tables and the F-block eigenvectors is u^T H_Z u of the dense H_Z, and each slot's
+    # <J_z> the diagonal of u^T J_z u, to a few ulps
     rng = np.random.default_rng(53 + n_rot)
     base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
     basis = ProductBasis(n_rot)
     m_of_state = np.rint(np.diag(basis.f_z())).astype(int)
+    cpl = ZeemanCouplings()
+    h_z = build_zeeman(cpl, basis, 1.0)
     for coeffs in [perturbed(base, n_rot, rng) for _ in range(5)]:
         levels = level_structure(coeffs)
         dense = build_hfs(coeffs, basis)
         for m_f in range(-(n_rot + 2), n_rot + 3):
-            states = angular.m_states(coeffs, m_f)
+            members = [lv for lv in levels if lv.f >= abs(m_f)]
+            states = np.column_stack([lv.vectors[:, lv.f - m_f] for lv in members])
             index = np.flatnonzero(m_of_state == m_f)
+            assert not np.any(np.delete(states, index, axis=0))
+            states = states[index]
             h = dense[np.ix_(index, index)]
-            energies = np.array([lv.energy for lv in levels if lv.f >= abs(m_f)])
-            assert states.shape == (len(h), len(energies))
+            energies = np.array([lv.energy for lv in members])
             assert np.allclose(states.T @ states, np.eye(len(energies)), rtol=0, atol=1e-12)
             scale = max(1.0, float(np.max(np.abs(energies))))
             assert np.allclose(h @ states, states * energies, rtol=0, atol=1e-12 * scale)
+            columns = [lv.states.jz(lv.position, m_f, cpl.per_slot) for lv in members]
+            w = np.array([column for _, column in columns]).T
+            assert np.max(np.abs(w - states.T @ h_z[np.ix_(index, index)] @ states)) <= 8 * math.ulp(cpl.c_e)
+            for slot, jz in zip(angular.SLOT_NAMES, zip(*(diagonal for diagonal, _ in columns)), strict=True):
+                z = basis.triple(slot)[0][np.ix_(index, index)]
+                assert np.max(np.abs(np.array(jz) - np.diag(states.T @ z @ states))) <= 8 * math.ulp(max(1.0, n_rot))
+
+
+@pytest.mark.parametrize("n_rot", range(6))
+def test_vectors_are_the_f_block_eigenvectors_over_the_coupled_states(n_rot):
+    # each column of `vectors` is sum_a x_a |G1_a G2_a F m_F>, summed per product state; the dense product
+    # C x of the coupled states with the eigenvector, by which the product-basis states were formed before,
+    # agrees within a few ulps
+    rng = np.random.default_rng(97 + n_rot)
+    base = DEMO[(0, 0)] if n_rot == 0 else DEMO[(1, 1)]
+    blocks = angular._blocks(n_rot)
+    u, labels = coupled_basis(blocks)
+    column_of = {tuple(map(int, label)): c for c, label in enumerate(labels.T)}
+    for coeffs in [perturbed(base, n_rot, rng) for _ in range(5)]:
+        for lv in level_structure(coeffs):
+            block, x = lv.states.where[lv.position]
+            assert lv.vectors.shape == (blocks.dim, lv.degeneracy)
+            for c, m in enumerate(range(lv.f, -lv.f - 1, -1)):
+                want = u[:, [column_of[(*pair, lv.f, m)] for pair in block.pairs]] @ np.array(x)
+                assert np.max(np.abs(lv.vectors[:, c] - want)) <= 4 * math.ulp(1.0)

@@ -600,6 +600,39 @@ def test_non_finite_coupling_is_one_line_config_error(tmp_path, command):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_coupling_whose_zeeman_coefficients_overflow_is_one_line_data_error_and_still_maps(tmp_path):
+    """c_e = 1e308 is finite, but the second-order Zeeman terms of the 0 -> 0 component leave float64 on Python
+    floats: one data error before any report.  Over the default grid the sublevels of the same couplings stay finite."""
+    couplings = tmp_path / "couplings.txt"
+    couplings.write_text("c_e = 1e308\nc_p = -4.2577\nc_d = -0.6536\nc_N = -0.55\n")
+    coeffs = ["zeeman-coeffs", "--demo", "--transition", "12", "--lower-mf", "0", "--upper-mf", "0"]
+    proc = run_python("-m", "hdspec.cli", *coeffs, "--couplings", str(couplings), "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("data error: Zeeman coefficient solve overflows float64 ("), proc.stderr
+    assert not list(tmp_path.glob("*.json"))
+    proc = run_python("-m", "hdspec.cli", "zeeman-map", "--demo", "--couplings", str(couplings), "--out-dir", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    energies = [e for st in load_json(tmp_path, "zeeman_map")["states"] for e in st["energies_khz"]]
+    assert len(energies) == 36 * 5 and all(map(math.isfinite, energies))
+
+
+@pytest.mark.parametrize(
+    "command, what",
+    [
+        (["zeeman-map", "--demo"], "Zeeman map"),
+        (["zeeman-coeffs", "--demo", "--transition", "12", "--lower-mf", "0", "--upper-mf", "0"], "Zeeman coefficient solve"),
+    ],
+    ids=["zeeman-map", "zeeman-coeffs"],
+)
+def test_field_whose_zeeman_energy_overflows_is_one_line_data_error(tmp_path, command, what):
+    """B = 1e306 G is finite, but B W leaves float64 in numpy: the guard, entered after numpy is loaded, words it."""
+    proc = run_python("-m", "hdspec.cli", *command, "--b-values", "0,1e306", "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.stderr == f"data error: {what} overflows float64 (overflow encountered in multiply)\n"
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_spin_structure_demo_solves_each_hamiltonian_once(tmp_path, eigen_solves):
     assert run(tmp_path, "spin-structure", "--demo") == 0
     # one solve per F block, of as many levels as it holds: F = 0, 1, 2 at N = 0, then F = 0, 1, 2, 3 at N = 1
@@ -985,6 +1018,24 @@ def test_array_free_command_loads_only_its_modules(tmp_path, name):
     code, modules = proc.stdout.strip().splitlines()
     assert code == "0"
     assert modules == str(sorted(["hdspec", "hdspec.bundled", "hdspec.cli", "hdspec.quantity", *ARRAY_FREE_COMMANDS[name]]))
+
+
+def test_exact_zeeman_coefficients_of_the_reproduce_paper_pairs_load_no_numpy():
+    """In a fresh interpreter: `transition_coeffs` on the four pairs the reproduce-paper anchors take, with the demo sets."""
+    script = (
+        "import sys\n"
+        "from hdspec import bundled, zeeman\n"
+        "sets, couplings = bundled.load_demo_coefficients(), bundled.load_couplings()\n"
+        "for tid, lower_mf, upper_mf in (('12', 0, 0), ('16', 0, 0), ('16', 2, 3), ('16', -2, -3)):\n"
+        "    lo, up = bundled.TRANSITION_LEVELS[tid]\n"
+        "    print(zeeman.transition_coeffs((sets[(0, 0)], (*lo, lower_mf)), (sets[(1, 1)], (*up, upper_mf)), couplings))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    *models, numpy_modules = proc.stdout.strip().splitlines()
+    assert len(models) == 4 and models[2] == "TransitionShiftModel(linear=-0.55, quadratic=0.0)"
+    assert numpy_modules == "[]"
 
 
 def large_copy(tmp_path, name):
