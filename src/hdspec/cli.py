@@ -319,6 +319,17 @@ def _standard_table(sets: dict) -> coefficients.SensitivityTable:
     return _run(angular.transition_table, lower, upper, bundled.TRANSITION_LEVELS)
 
 
+def _spin_lines(sets: dict, table: coefficients.SensitivityTable) -> dict[str, tuple[float, float]]:
+    """(f_spin, u_spin) in kHz of each line of `bundled.TRANSITION_LEVELS`, in sorted order; `table` is `sets`'."""
+    from . import angular, coefficients
+
+    lower, upper = _transition_sets(sets)
+    return {
+        tid: (_run(angular.spin_frequency, (upper, up), (lower, lo)), _run(coefficients.spin_uncertainty, tid, table))
+        for tid, (lo, up) in sorted(bundled.TRANSITION_LEVELS.items())
+    }
+
+
 def _optional_tables(args) -> coefficients.SensitivityTable | None:
     """Sensitivity table when a coefficient source is available, else None."""
     sets = _resolve_coefficients(args)
@@ -352,7 +363,7 @@ def _composite_input(args) -> tuple[dict, composite.CompositeInput]:
 
 
 def _cmd_spin_structure(args) -> int:
-    from . import angular, coefficients
+    from . import angular
 
     sets = _coefficient_sets(args)
     payload: dict = {"sections": {}}
@@ -373,17 +384,16 @@ def _cmd_spin_structure(args) -> int:
         csv_rows.extend([name, lv.g1, lv.g2, lv.f, int(lv.degeneracy), float(lv.energy)] for lv in levels)
 
     if (0, 0) in sets and (1, 1) in sets:
-        lower, upper = sets[(0, 0)], sets[(1, 1)]
-        table = _run(angular.transition_table, lower, upper, bundled.TRANSITION_LEVELS)
+        table = _standard_table(sets)
         transitions = {}
-        for tid in sorted(bundled.TRANSITION_LEVELS):
+        for tid, (f_spin, u_spin) in _spin_lines(sets, table).items():
             lo, up = bundled.TRANSITION_LEVELS[tid]
             row = table.row(tid)
             transitions[tid] = {
                 "lower_level": list(lo),
                 "upper_level": list(up),
-                "f_spin_khz": float(_run(angular.spin_frequency, (upper, up), (lower, lo))),
-                "u_spin_khz": float(_run(coefficients.spin_uncertainty, tid, table)),
+                "f_spin_khz": float(f_spin),
+                "u_spin_khz": float(u_spin),
                 "gamma_lower": {f"E{k}": float(row.lower[k]) for k in sorted(row.lower)},
                 "gamma_upper": {f"E{k}": float(row.upper[k]) for k in sorted(row.upper)},
             }
@@ -881,15 +891,14 @@ def _anchors(sets: dict | None) -> list[tuple]:
         return [("center_khz", fit.center, 0.037, 0.05), ("fwhm_khz", fit.fwhm, 0.195, 0.05)]
 
     def c_spin_freqs():
-        from . import angular, coefficients
+        from . import coefficients
 
-        lower, upper = _transition_sets(sets)
-        table = angular.transition_table(lower, upper, bundled.TRANSITION_LEVELS)
+        table = _standard_table(sets)
+        spin = _spin_lines(sets, table)
         checks = []
         for tid, f_target, u_target in (("12", -38686.1, 0.8), ("16", 2607.7, 0.9)):
-            lo, up = bundled.TRANSITION_LEVELS[tid]
-            checks.append((f"f_spin_{tid}_khz", angular.spin_frequency((upper, up), (lower, lo)), f_target, 0.5))
-            checks.append((f"u_spin_{tid}_khz", coefficients.spin_uncertainty(tid, table), u_target, 0.1))
+            checks.append((f"f_spin_{tid}_khz", spin[tid][0], f_target, 0.5))
+            checks.append((f"u_spin_{tid}_khz", spin[tid][1], u_target, 0.1))
         wp = composite.optimize_weight(table, coefficients.DEFAULT_PARAMS)
         flat = [u for b, u in wp.profile if 0.2 <= b <= 0.8]
         return checks + [

@@ -2,9 +2,13 @@
 
 A coefficient set holds E1..E9 (kHz) of the effective spin Hamiltonian
 of one level (v, N) (see `angular`), with optional per-coefficient
-fractional uncertainties.  The error model turns the sensitivities
-gamma_k = dE_level/dE_k of a transition's two levels into the theory
-uncertainty of its spin frequency.  Nothing here builds an array.
+fractional uncertainties.  The error model is one list of affine terms:
+for two transitions, `SensitivityTable.spin_terms` gives each term's
+sensitivities x1, x2 (from gamma_k = dE_level/dE_k of the transitions'
+levels) and its scale (p, q, r), and `spin_profile` sums
+|(b x1 + (1 - b) x2) p q| r over the terms at each weight b.  A line's
+uncertainty is the pair (t, t) at b = 1, the composite's the pair
+(12, 16) at b12.  Nothing here builds an array.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable
 
 from .quantity import OPTIONAL_FINITE, OPTIONAL_POSITIVE, Record, finite, overflow_as_value_error, read_keys
 
@@ -73,8 +77,9 @@ class SpinUncertaintyParams(Record):
     __slots__ = ("eps_fermi", "eps_bp", "u1_prime")
 
     def __init__(self, eps_fermi: float = 1e-6, eps_bp: float = 0.0072973525693 ** 2, u1_prime: float = 0.05) -> None:
-        if min(eps_fermi, eps_bp, u1_prime) <= 0:
-            raise ValueError("spin-uncertainty parameters must be strictly positive")
+        for name, x in (("eps_fermi", eps_fermi), ("eps_bp", eps_bp), ("u1_prime", u1_prime)):
+            if not (math.isfinite(x) and x > 0):
+                raise ValueError(f"spin-uncertainty parameter {name} must be finite and > 0, got {x!r}")
         self.eps_fermi = eps_fermi
         self.eps_bp = eps_bp
         self.u1_prime = u1_prime
@@ -110,8 +115,9 @@ class SensitivityTable:
     table builds once, as Python floats: `spin_gammas`, the sensitivity
     of each term of `_SPIN_TERMS` per transition, taken from the rows
     when the table is made, and `spin_scales`, the scales of those
-    terms, kept per SpinUncertaintyParams from their first use.  The
-    rows and the coefficient sets must not change after that.
+    terms, kept per SpinUncertaintyParams from their first use;
+    `spin_terms` pairs them for two transitions.  The rows and the
+    coefficient sets must not change after that.
     """
 
     __slots__ = ("lower_coeffs", "upper_coeffs", "rows", "spin_gammas", "_scales")
@@ -160,45 +166,45 @@ class SensitivityTable:
             scales = self._scales[params] = tuple(scales)
         return scales
 
+    def spin_terms(self, params: SpinUncertaintyParams, first: str, second: str) -> tuple:
+        """(x_first, x_second, (p, q, r)) of each term: the `spin_gammas` of two transitions, and `spin_scales`.
 
-def _weighted_spin_terms(
-    table: SensitivityTable,
-    params: SpinUncertaintyParams,
-    weights: Mapping[str, float],
-) -> float:
-    """Shared absolute-sum error model over weighted transitions.
+        A transition the table lacks raises the KeyError of `row`.
+        """
+        gammas = self.spin_gammas
+        x1 = gammas[first] if first in gammas else self.row(first)
+        x2 = gammas[second] if second in gammas else self.row(second)
+        return tuple(zip(x1, x2, self.spin_scales(params)))
 
-    With a single transition at weight 1 this is the per-line estimate;
-    with weights (b, 1-b) it is the composite one.  Sums over transitions
-    happen inside each absolute value (coefficient errors are common to
-    all transitions), and the k-terms add as absolute values, not in
-    quadrature.  It reads the table's `spin_gammas` and `spin_scales`,
-    in Python floats.  An estimate beyond float64 raises ValueError
-    `spin-theory uncertainty overflows float64 (u_spin = ...)`: Python
-    arithmetic cannot trap, so the sum is checked.
+
+def spin_profile(terms: tuple, weights: Iterable[float]) -> list[float]:
+    """Spin-theory uncertainty (kHz) sum |(b x1 + (1 - b) x2) p q| r of `terms` at each weight b.
+
+    Coefficient errors are common to both transitions, so the weighted
+    sensitivities sit inside each absolute value, and the terms add as
+    absolute values, not in quadrature: the sum is convex and piecewise
+    linear in b, with a breakpoint where a term crosses zero.  Weights
+    and terms are Python floats (a numpy scalar would warn where Python
+    overflows silently), so the sum is checked: a value beyond float64
+    raises ValueError `spin-theory uncertainty overflows float64 (u_spin = ...)`.
     """
-    gammas = table.spin_gammas
-    # `row` raises the KeyError that names a transition the table lacks
-    rows = [(gammas[name] if name in gammas else table.row(name), w) for name, w in weights.items()]
-    scales = table.spin_scales(params)
-    s = [0] * len(_SPIN_TERMS)
-    for g, w in rows:
-        w = float(w)  # Python floats throughout: a numpy scalar would warn where Python overflows silently
-        s = [acc + w * x for acc, x in zip(s, g)]
-    u = 0.0
-    for x, (p, q, r) in zip(s, scales):
-        u += abs(x * p * q) * r
-    if not math.isfinite(u):
+    out = []
+    for b in weights:
+        b2, u = 1.0 - b, 0.0
+        for x1, x2, (p, q, r) in terms:
+            u += abs((b * x1 + b2 * x2) * p * q) * r
+        out.append(u)
+    if not all(map(math.isfinite, out)):
         with overflow_as_value_error("spin-theory uncertainty"):  # words the error as every overflow is worded
-            finite("u_spin", u)
-    return u
+            finite("u_spin", *out)
+    return out
 
 
 def spin_uncertainty(
     transition: str, table: SensitivityTable, params: SpinUncertaintyParams | None = None
 ) -> float:
-    """Theory uncertainty (kHz) of one transition's spin frequency."""
-    return _weighted_spin_terms(table, params or DEFAULT_PARAMS, {transition: 1.0})
+    """Theory uncertainty (kHz) of one transition's spin frequency: the pair (t, t) at weight 1."""
+    return spin_profile(table.spin_terms(params or DEFAULT_PARAMS, transition, transition), (1.0,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 Two measured lines of the same vibrational transition, minus their
 theoretical spin shifts, are combined with weights (b12, 1 - b12).  The
-spin-theory error model sums absolute values of correlated terms; the
-experimental parts combine in quadrature.
+experimental parts combine in quadrature.  The spin-theory part is the
+error model of `coefficients`: a list of affine terms (x12, x16, scale),
+summed as |(b12 x12 + (1 - b12) x16) p q| r by `spin_profile`.  With a
+sensitivity table the terms are the table's; without one there is one
+term, the per-line uncertainties (u12, u16) at scale (1, 1, 1), which is
+b12 u12 + (1 - b12) u16 (correlations ignored conservatively).  The
+composite, the weight profile and its optimum all evaluate those terms.
 """
 
 from __future__ import annotations
 
 import math
 
-from .coefficients import DEFAULT_PARAMS, SensitivityTable, SpinUncertaintyParams, _weighted_spin_terms
-from .quantity import Quantity, finite, overflow_as_value_error
+from .coefficients import DEFAULT_PARAMS, SensitivityTable, SpinUncertaintyParams, spin_profile
+from .quantity import Quantity
 
 # Python floats throughout: no composite, weight profile or extraction loads numpy
 
@@ -43,6 +48,13 @@ class CompositeInput:
         self.tables = tables
 
 
+def _spin_terms(inp: CompositeInput, tables: SensitivityTable | None) -> tuple:
+    """The composite's terms: those of `tables` at the default parameters, else (u12, u16) at scale (1, 1, 1)."""
+    if tables is None:
+        return ((inp.fspin12.component("theor_spin"), inp.fspin16.component("theor_spin"), (1.0, 1.0, 1.0)),)
+    return tables.spin_terms(DEFAULT_PARAMS, "12", "16")
+
+
 def composite_spin_uncertainty(tables: SensitivityTable, params: SpinUncertaintyParams, b12: float) -> float:
     """Spin-theory uncertainty of the weighted combination, in kHz.
 
@@ -50,7 +62,7 @@ def composite_spin_uncertainty(tables: SensitivityTable, params: SpinUncertainty
     sensitivity sums sit inside each absolute value; setting b12 to 0 or
     1 reduces exactly to the single-transition estimate.
     """
-    return _weighted_spin_terms(tables, params, {"12": b12, "16": 1.0 - b12})
+    return spin_profile(tables.spin_terms(params, "12", "16"), (float(b12),))[0]
 
 
 def composite_frequency(inp: CompositeInput, b12: float) -> Quantity:
@@ -60,16 +72,8 @@ def composite_frequency(inp: CompositeInput, b12: float) -> Quantity:
     b16 = 1.0 - b12
     value = b12 * (inp.f12.value - inp.fspin12.value) + b16 * (inp.f16.value - inp.fspin16.value)
     u_exp = math.hypot(b12 * inp.f12.component("exp"), b16 * inp.f16.component("exp"))
-    if inp.tables is not None:
-        u_spin = composite_spin_uncertainty(inp.tables, DEFAULT_PARAMS, b12)
-    else:
-        u_spin = _fallback_spin_uncertainty(inp, b12)
+    u_spin = spin_profile(_spin_terms(inp, inp.tables), (float(b12),))[0]
     return Quantity(value, "kHz", {"exp": u_exp, "theor_spin": u_spin})
-
-
-def _fallback_spin_uncertainty(inp: CompositeInput, b12: float) -> float:
-    """The composite spin uncertainty without a sensitivity table: b12 u12 + (1 - b12) u16."""
-    return b12 * inp.fspin12.component("theor_spin") + (1.0 - b12) * inp.fspin16.component("theor_spin")
 
 
 # b12 of the flatness profile of `optimize_weight`: 0, 0.01, ..., 1
@@ -78,7 +82,7 @@ _PROFILE_GRID = tuple(round(0.01 * i, 2) for i in range(101))
 
 def fallback_profile(inp: CompositeInput) -> tuple[tuple[float, float], ...]:
     """(b12, spin uncertainty) without a sensitivity table, over the grid of the `optimize_weight` profile."""
-    return tuple((b, _fallback_spin_uncertainty(inp, b)) for b in _PROFILE_GRID)
+    return tuple(zip(_PROFILE_GRID, spin_profile(_spin_terms(inp, None), _PROFILE_GRID)))
 
 
 class WeightProfile:
@@ -93,52 +97,27 @@ class WeightProfile:
 def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> WeightProfile:
     """Minimize the composite spin uncertainty over b12 in [0, 1].
 
-    The objective is a sum of absolute values of functions affine in
-    b12, hence convex piecewise-linear; the exact minimum sits at a
-    breakpoint (a zero crossing of one affine term) or an endpoint, and
-    the first of the sorted candidates with the least uncertainty wins.
-    A 0.01-spaced grid is returned as the flatness profile.  Grid and
-    candidates are evaluated by `_spin_profile`, each value bit for bit
-    the float call of the shared error model at that b12.
+    The objective is a sum of absolute values of terms affine in b12,
+    hence convex piecewise-linear; the exact minimum sits at a
+    breakpoint (the zero crossing x16 / (x16 - x12) of one term) or an
+    endpoint, and the first of the sorted candidates with the least
+    uncertainty wins.  A 0.01-spaced grid is returned as the flatness
+    profile.  Grid and candidates are one `spin_profile` call, each
+    value that of `composite_spin_uncertainty` at that b12.
     """
-    row12, row16 = tables.row("12"), tables.row("16")
+    terms = tables.spin_terms(params, "12", "16")
     candidates = {0.0, 1.0}
-    for which in ("lower", "upper"):
-        g12, g16 = getattr(row12, which), getattr(row16, which)
-        for k in g12:
-            denom = g16[k] - g12[k]
-            if denom != 0.0:
-                b = g16[k] / denom
-                if 0.0 < b < 1.0:
-                    candidates.add(b)
+    for x12, x16, _ in terms:
+        denom = x16 - x12
+        if denom != 0.0:
+            b = x16 / denom
+            if 0.0 < b < 1.0:
+                candidates.add(b)
     n = len(_PROFILE_GRID)
     b12 = [*_PROFILE_GRID, *sorted(candidates)]
-    u = _spin_profile(tables, params, b12)
+    u = spin_profile(terms, b12)
     best = min(range(n, len(b12)), key=u.__getitem__)  # the first of the least
     return WeightProfile(b12[best], u[best], tuple(zip(_PROFILE_GRID, u[:n])))
-
-
-def _spin_profile(tables: SensitivityTable, params: SpinUncertaintyParams, b12: list[float]) -> list[float]:
-    """`composite_spin_uncertainty` at each b12, by the operations of its float path, in one loop.
-
-    `_weighted_spin_terms` sums the weighted sensitivities of a term
-    from 0 (0 + b12 g12 + (1 - b12) g16), then adds |s p q| r term by
-    term; 0 + x is x but for the sign of a zero, which the absolute
-    value drops, so each value here is that call's, bit for bit.  A
-    value beyond float64 raises its ValueError `spin-theory uncertainty
-    overflows float64 (u_spin = ...)`.
-    """
-    terms = tuple(zip(tables.spin_gammas["12"], tables.spin_gammas["16"], tables.spin_scales(params)))
-    out = []
-    for b in b12:
-        b16, u = 1.0 - b, 0.0
-        for x12, x16, (p, q, r) in terms:
-            u += abs((b * x12 + b16 * x16) * p * q) * r
-        out.append(u)
-    if not all(map(math.isfinite, out)):
-        with overflow_as_value_error("spin-theory uncertainty"):
-            finite("u_spin", *out)
-    return out
 
 
 class SplittingComparison:

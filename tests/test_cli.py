@@ -1294,6 +1294,19 @@ def test_composite_payload(tmp_path):
     assert (tmp_path / "composite_profile.csv").exists()
 
 
+@pytest.mark.parametrize("b12", ["0.5", "0.37", "0", "1"])
+def test_tableless_composite_profile_is_the_weighted_sum_of_the_line_uncertainties(tmp_path, b12):
+    # no coefficient file is bundled, so the spin-theory model is the one term (u12, u16): b u12 + (1 - b) u16
+    lines = json.loads(bundled.data_path("measured_lines.json").read_text())
+    u12, u16 = (lines[tid]["f_spin"]["components"]["theor_spin"] for tid in ("12", "16"))
+    assert run(tmp_path, "composite", "--b12", b12) == 0
+    payload = load_json(tmp_path, "composite")
+    assert [b for b, _ in payload["profile"]] == [round(0.01 * i, 2) for i in range(101)]
+    for b, u in payload["profile"]:
+        assert u == b * u12 + (1.0 - b) * u16
+    assert payload["u_spin_khz"] == dict(payload["profile"])[float(b12)]
+
+
 def test_composite_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()

@@ -77,7 +77,7 @@ def test_composite_experimental_budget_is_quadrature(bundled_input):
 
 def test_tableless_spin_budget_is_weighted_absolute_sum(bundled_input):
     q = composite_frequency(bundled_input, 0.5)
-    assert q.component("theor_spin") == pytest.approx(0.5 * 0.8 + 0.5 * 0.9, rel=1e-12, abs=0)
+    assert q.component("theor_spin") == 0.5 * 0.8 + 0.5 * 0.9
 
 
 def test_endpoints_reduce_to_single_line_uncertainty(demo_table):

@@ -202,7 +202,11 @@ CONSTRUCTOR_FAULTS = [
     (lambda: HyperfineCoefficients(0, 0, {4: math.nan}), "coefficient E4 must be finite, got nan"),
     (lambda: HyperfineCoefficients(0, 0, {4: 1.0}, {4: 0.0}), "bad fractional-uncertainty override eps_E4 = 0.0"),
     (lambda: HyperfineCoefficients(0, 0, {4: 1.0, 1: 2.0}), "N=0 level admits only E4, E5; got nonzero E1"),
-    (lambda: SpinUncertaintyParams(eps_bp=-1.0), "spin-uncertainty parameters must be strictly positive"),
+    (lambda: SpinUncertaintyParams(eps_bp=-1.0), "spin-uncertainty parameter eps_bp must be finite and > 0, got -1.0"),
+    # NaN passes a `<= 0` test, and would show only later as an overflow of u_spin
+    (lambda: SpinUncertaintyParams(eps_fermi=math.nan), "spin-uncertainty parameter eps_fermi must be finite and > 0, got nan"),
+    (lambda: SpinUncertaintyParams(u1_prime=math.inf), "spin-uncertainty parameter u1_prime must be finite and > 0, got inf"),
+    (lambda: SpinUncertaintyParams(eps_bp=-math.inf), "spin-uncertainty parameter eps_bp must be finite and > 0, got -inf"),
     (lambda: CarrierModel(0.0), "radial spread must be positive"),
     (lambda: CompositeInput(*[Quantity(1.0)] * 4, _table_of_line_12()), "sensitivity table lacks transition 16"),
     (lambda: Constant(1.0, -0.1), "constant uncertainty must be >= 0"),
