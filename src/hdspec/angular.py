@@ -35,12 +35,13 @@ E_k scales every energy and keeps the order and the labels.  No
 full-basis Hamiltonian is built to solve or to map a level.
 
 The field-free states have one form: each level's F-block eigenvector
-over the coupled states of its F.  The Zeeman interaction is taken in
-it too: once per N and m_F, J_z of each slot between the coupled states
-of that m_F (`_Blocks.jz`), in Python floats, which `_States.jz` takes
-between the levels.  numpy is imported only where an array is built: a
-level's product-basis `vectors` and the dense product-basis API
-(`ProductBasis`, `jmatrices`, `casimir`, `build_hfs`, `term_operator`).
+over the coupled states of its F, which the level carries with its F
+block.  The Zeeman interaction is taken in it too: once per N and m_F,
+J_z of each slot between the coupled states of that m_F (`_Blocks.jz`),
+in Python floats, which `_zeeman_row` takes between the levels.  numpy
+is imported only where an array is built: a level's product-basis
+`vectors` and the dense product-basis API (`ProductBasis`, `jmatrices`,
+`casimir`, `build_hfs`, `term_operator`).
 
 The coefficient sets, their file format and the spin-theory error model
 live in `coefficients`, which builds no arrays; their names are
@@ -401,7 +402,8 @@ class _FBlock:
     each a (2F + 1)-fold multiplet.  The data are tuples of Python floats.
     """
 
-    def __init__(self, f: int, pairs: tuple[tuple[int, int], ...], terms: tuple, start: int):
+    def __init__(self, n_rot: int, f: int, pairs: tuple[tuple[int, int], ...], terms: tuple, start: int):
+        self.n_rot = n_rot
         self.f = f
         self.pairs = pairs  # (G1, G2) of the n levels, ascending
         self.start = start  # the index of its first coupled state among those of every F block, F ascending
@@ -435,8 +437,9 @@ class _Blocks:
         # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N: the (G1, G2) of the levels of each F that has levels, ascending
         self.pairs = {f: f_pairs for f in range(f_max + 1) if (f_pairs := tuple(
             (g1, g2) for g1 in (0, 1) for g2 in range(abs(g1 - 1), g1 + 2) if abs(g2 - n_rot) <= f <= g2 + n_rot))}
-        starts = itertools.accumulate(map(len, self.pairs.values()), initial=0)
-        self.f_blocks = [_FBlock(f, pairs, _block_terms(n_rot, f, pairs), start)
+        # the coupled states at m_F = F, one per level: their count, and where those of each F block begin
+        *starts, self.n_states = itertools.accumulate(map(len, self.pairs.values()), initial=0)
+        self.f_blocks = [_FBlock(n_rot, f, pairs, _block_terms(n_rot, f, pairs), start)
                          for (f, pairs), start in zip(self.pairs.items(), starts)]
         # |H_ij| <= max |E_k| * sum_k |T_k,ij| <= max |E_k| * h_bound on every F block, and every energy of
         # an F block (at most 4 levels) is at most 4 times that: below `e_limit` neither H, nor an energy, nor
@@ -552,13 +555,14 @@ _ULPS = 2.0 ** 10
 
 
 class SpinLevel:
-    """One hyperfine level: energy in kHz.
+    """One hyperfine level: energy in kHz, and its field-free state.
 
     F is exact and the degeneracy is 2F + 1.  G1 and G2 are None for a
-    level that coincides with another level of the same F.  `states` are
-    the field-free states of its level set and `position` its place in
-    the levels of that set.  Level sets are cached and shared, so the
-    fields are read-only.
+    level that coincides with another level of the same F.  The level
+    carries its F block (`block`) and its eigenvector over the block's
+    coupled states (`eigenvector`, a tuple); its `gammas` and `vectors`
+    are built from them on first use and kept.  Level sets are cached
+    and shared, so the fields are read-only.
     """
 
     __setattr__ = __delattr__ = _refuse_write
@@ -570,12 +574,12 @@ class SpinLevel:
         g1: int | None,
         g2: int | None,
         f: int,
-        states: _States | None = None,
-        position: int = 0,
+        block: _FBlock,
+        eigenvector: tuple[float, ...],
     ) -> None:
-        fields = self.__dict__  # written directly: `__setattr__` refuses, and `vectors` is cached here too
+        fields = self.__dict__  # written directly: `__setattr__` refuses, and `gammas` and `vectors` are cached here too
         fields["energy"], fields["degeneracy"], fields["g1"], fields["g2"], fields["f"] = energy, degeneracy, g1, g2, f
-        fields["states"], fields["position"] = states, position
+        fields["block"], fields["eigenvector"] = block, eigenvector
 
     @property
     def label(self) -> tuple[int, int, int] | None:
@@ -584,9 +588,51 @@ class SpinLevel:
         return (self.g1, self.g2, self.f)
 
     @functools.cached_property
+    def gammas(self) -> tuple[float, ...]:
+        """gamma_1..gamma_9, x^T T_k x of the eigenvector x, computed on first use."""
+        x = self.eigenvector
+        xx = [x[i] * x[j] for i, j, _ in self.block.entries]
+        return tuple(_fsum(map(_mul, t, xx)) for t in self.block.gamma_terms)
+
+    @functools.cached_property
     def vectors(self) -> np.ndarray:
-        """The 2F + 1 product-basis states (m_F = F .. -F) as read-only columns, built on first use."""
-        return self.states.vectors(self.position)
+        """The 2F + 1 product-basis states (m_F = F .. -F) as read-only columns, built on first use.
+
+        The column of m_F is sum_a x_a |G1_a G2_a F m_F>, x the
+        eigenvector; a product state's row is its slot indices in the
+        order of `ProductBasis`.
+        """
+        import numpy as np
+
+        block, f, n_rot = self.block, self.f, self.block.n_rot
+        out = np.zeros((_blocks(n_rot).dim, 2 * f + 1))
+        for column, m in enumerate(range(f, -f - 1, -1)):
+            for (g1, g2), amp in zip(block.pairs, self.eigenvector):
+                for (e, p, d, i), c in _coupled_state(n_rot, g1, g2, f, m).items():
+                    out[((2 * e + p) * 3 + d) * (2 * n_rot + 1) + i, column] += amp * c
+        return _read_only(out)
+
+
+def _zeeman_row(
+    level: SpinLevel, members: Sequence[SpinLevel], m_f: int, weights: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """<i|J_z|i> of each slot, and <j|sum_s weights_s J_z^s|i> for each j, in the field-free states of m_F.
+
+    i is `level` and j each of `members`, the levels of its set with
+    F >= |m_F| in level order.  The states are the F-block eigenvectors x
+    over the coupled states of m_F, between which `_Blocks.jz` holds J_z:
+    the second list is X^T (sum_s weights_s Z_s) x_i.
+    """
+    block, x = level.block, level.eigenvector
+    blocks = _blocks(block.n_rot)
+    z = blocks.jz(m_f)
+    skip = blocks.n_states - len(z[0])  # the coupled states of the F blocks with F < |m_F|
+    rows = slice(block.start - skip, block.start - skip + len(x))
+    xx = [u * v for u in x for v in x]
+    diagonal = [_fsum(map(_mul, xx, [t for row in zs[rows] for t in row[rows]])) for zs in z]
+    wx = [w * u for w in weights for u in x]
+    zx = [_fsum(map(_mul, wx, column)) for column in zip(*(row for zs in z for row in zs[rows]))]  # Z is symmetric
+    return diagonal, [_fsum(map(_mul, lv.eigenvector, zx[lv.block.start - skip:])) for lv in members]
 
 
 def _tie(name: str, f: int, lo: float, hi: float, j_lo: int, j_hi: int) -> ClassificationError:
@@ -642,64 +688,15 @@ def _labels(
 # level sets, solved once per coefficient content
 
 
-class _States:
-    """The field-free states of one level set: the F block and eigenvector of each level, in level order (read-only).
-
-    Apart from `_LevelSet`, so that the level set and its levels form no reference cycle.
-    """
-
-    def __init__(self, blocks: _Blocks, where: list[tuple[_FBlock, list[float]]]):
-        self._blocks = blocks
-        self.where = where  # (F block, eigenvector over its coupled states) of each level
-
-    def jz(self, position: int, m_f: int, weights: Sequence[float]) -> tuple[list[float], list[float]]:
-        """<i|J_z|i> of each slot, and <j|sum_s weights_s J_z^s|i> for each j, in the field-free states of m_F.
-
-        i is the level at `position` and j each level with F >= |m_F|, in
-        level order.  The states are the F-block eigenvectors x over the
-        coupled states of m_F, between which `_Blocks.jz` holds J_z: the
-        second list is X^T (sum_s weights_s Z_s) x_i.
-        """
-        z = self._blocks.jz(m_f)
-        skip = len(self.where) - len(z[0])  # the coupled states of the F blocks with F < |m_F|
-        block, x = self.where[position]
-        rows = slice(block.start - skip, block.start - skip + len(x))
-        xx = [u * v for u in x for v in x]
-        diagonal = [_fsum(map(_mul, xx, [t for row in zs[rows] for t in row[rows]])) for zs in z]
-        wx = [w * u for w in weights for u in x]
-        zx = [_fsum(map(_mul, wx, column)) for column in zip(*(row for zs in z for row in zs[rows]))]  # Z is symmetric
-        return diagonal, [_fsum(map(_mul, xj, zx[bj.start - skip:])) for bj, xj in self.where if bj.f >= abs(m_f)]
-
-    def vectors(self, position: int) -> np.ndarray:
-        """The 2F + 1 product-basis states (m_F = F .. -F) of the level at `position`, as read-only columns.
-
-        The column of m_F is sum_a x_a |G1_a G2_a F m_F>, x the level's
-        F-block eigenvector; a product state's row is its slot indices in
-        the order of `ProductBasis`.
-        """
-        import numpy as np
-
-        block, x = self.where[position]
-        n_rot, f = self._blocks.n_rot, block.f
-        out = np.zeros((self._blocks.dim, 2 * f + 1))
-        for column, m in enumerate(range(f, -f - 1, -1)):
-            for (g1, g2), amp in zip(block.pairs, x):
-                for (e, p, d, i), c in _coupled_state(n_rot, g1, g2, f, m).items():
-                    out[((2 * e + p) * 3 + d) * (2 * n_rot + 1) + i, column] += amp * c
-        return _read_only(out)
-
-
-def _solve_blocks(
-    blocks: _Blocks, e: Sequence[float], tolerance: float, scale: float = 1.0
-) -> tuple[list, list[list[list[float]]]]:
-    """(energy, F, (G1, G2), block, column) of every F-block level, block by block, and each block's eigenvectors.
+def _solve_blocks(blocks: _Blocks, e: Sequence[float], tolerance: float, scale: float = 1.0) -> list:
+    """(energy, F, (G1, G2), F block, eigenvector) of every F-block level, block by block.
 
     `e` holds the coefficients over `scale`, a power of two: each block's
     energies come back times it, checked finite (OverflowError `energy =
     ...`) before its levels are labelled.
     """
-    found, eigenvectors = [], []
-    for b, block in enumerate(blocks.f_blocks):
+    found = []
+    for block in blocks.f_blocks:
         n = len(block.pairs)
         h = [[0.0] * n for _ in range(n)]
         for i, j, ts in block.entries:
@@ -712,18 +709,17 @@ def _solve_blocks(
         if n > 1:
             g1_sq, g2_sq = ([_fsum(map(_mul, map(_mul, v, v), sq)) for v in x] for sq in (block.g1_sq, block.g2_sq))
             labels = _labels(block, evals, g1_sq, g2_sq, tolerance)
-        found += [(energy, block.f, labels[a], b, a) for a, energy in enumerate(evals)]
-        eigenvectors.append(x)
-    return found, eigenvectors
+        found += [(energy, block.f, labels[a], block, tuple(x[a])) for a, energy in enumerate(evals)]
+    return found
 
 
 class _LevelSet:
-    """The labelled levels of one coefficient set, and their gamma_k on demand.
+    """The labelled levels of one coefficient set.
 
     One eigen-solve of at most 4 x 4 per F (`_eigen`), on H between the
     coupled states (G1, G2, F, m_F = F) of that F, in Python floats;
-    gamma_k = x^T T_k x of a level's eigenvector x when a caller asks
-    for it (`gammas`), once per level.  The levels are shared by every
+    each level keeps its eigenvector x, and gamma_k = x^T T_k x when a
+    caller asks for it (`SpinLevel.gammas`).  The levels are shared by every
     caller that asks for the same coefficients, so they and their
     vectors are read-only.  `labelled` maps each label to its level.
     Levels no more than `tolerance` apart coincide (see `_ULPS`);
@@ -743,11 +739,11 @@ class _LevelSet:
         # ulp(0.0) is the floor of the all-zero set; ulp(e_max) * h_bound, unlike ulp(e_max * h_bound), stays finite
         self.tolerance = tolerance = _ULPS * math.ulp(e_max) * blocks.h_bound
         if e_max <= blocks.e_limit:
-            found, eigenvectors = _solve_blocks(blocks, e, tolerance)
+            found = _solve_blocks(blocks, e, tolerance)
         else:
             scale = 2.0 ** math.frexp(e_max / blocks.e_limit)[1]  # at least e_max / e_limit
             with overflow_as_value_error("level solve"):
-                found, eigenvectors = _solve_blocks(blocks, [x / scale for x in e], tolerance, scale)
+                found = _solve_blocks(blocks, [x / scale for x in e], tolerance, scale)
         # ascending energy; levels that coincide go by F
         energies = [level[0] for level in found]
         order = sorted(range(len(found)), key=energies.__getitem__)
@@ -756,14 +752,11 @@ class _LevelSet:
         if not self.distinct:
             cluster = dict(zip(order, itertools.accumulate(apart, initial=0)))  # level -> its run of coincident levels
             order.sort(key=lambda i: (cluster[i], found[i][1]))
-        self._where = [(blocks.f_blocks[found[i][3]], eigenvectors[found[i][3]][found[i][4]]) for i in order]
-        states = _States(blocks, self._where)
         self.levels = tuple(
-            SpinLevel(energy, 2 * f + 1, g1, g2, f, states, position)
-            for position, (energy, f, (g1, g2), _, _) in enumerate(map(found.__getitem__, order))
+            SpinLevel(energy, 2 * f + 1, g1, g2, f, block, x)
+            for energy, f, (g1, g2), block, x in map(found.__getitem__, order)
         )
         self.labelled = {lv.label: lv for lv in self.levels if lv.g1 is not None}
-        self._gammas: dict[int, tuple[float, ...]] = {}  # position -> `gammas(position)`
 
     def level(self, label: tuple[int, int, int]) -> SpinLevel:
         """The level with `label`; LookupError `label ... resolves to 0 levels` if there is none."""
@@ -772,16 +765,8 @@ class _LevelSet:
             raise LookupError(f"label {label} resolves to 0 levels")
         return self.labelled[label]
 
-    def gammas(self, position: int) -> tuple[float, ...]:
-        """gamma_1..gamma_9 of the level at `position`, x^T T_k x of its eigenvector x, computed on first use."""
-        if position not in self._gammas:
-            block, x = self._where[position]  # the level's F block and eigenvector
-            xx = [x[i] * x[j] for i, j, _ in block.entries]
-            self._gammas[position] = tuple(_fsum(map(_mul, t, xx)) for t in block.gamma_terms)
-        return self._gammas[position]
-
     def sensitivities(self, label: tuple[int, int, int]) -> dict[int, float]:
-        return dict(zip(COEFF_INDICES, self.gammas(self.level(label).position)))
+        return dict(zip(COEFF_INDICES, self.level(label).gammas))
 
 
 _ZEROS = (0.0,) * len(COEFF_INDICES)

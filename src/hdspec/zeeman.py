@@ -7,19 +7,20 @@ magnetic projections:
 
 with per-momentum couplings in kHz/G.  H_Z commutes with F_z, and each
 m_F block is taken in its field-free states, the F-block eigenvectors X
-of the levels with F >= |m_F|: W = sum_s c_s X^T Z_s X per gauss, Z_s the
-J_z of slot s between the coupled states of that m_F
-(`angular._Blocks.jz`), in Python floats.  The linear and quadratic
-Zeeman coefficients of a transition are exact at B = 0: Hellmann-Feynman
-gives the linear term, sum_s c_s (<J_z^s>_upper - <J_z^s>_lower), each
-slot subtracted before it is weighted, and second-order perturbation
-theory the quadratic one, over the same states (Bakalov, Korobov &
-Schiller, J. Phys. B 44, 025003 (2011)).  numpy is imported only for a
-field grid: the sublevels of one m_F block over it are one stacked
-`eigvalsh` (`_sublevels`), for `zeeman_map` and for the truncation of
-the quadratic model (`transition_truncation`).  The zero-field
-extrapolation of measured line positions is
-`systematics.extrapolate_to_zero_field`.
+that the levels with F >= |m_F| carry: W = sum_s c_s X^T Z_s X per
+gauss, Z_s the J_z of slot s between the coupled states of that m_F
+(`angular._Blocks.jz`), one row per level (`angular._zeeman_row`), in
+Python floats.  The linear and quadratic Zeeman coefficients of a
+transition are exact at B = 0: Hellmann-Feynman gives the linear term,
+sum_s c_s (<J_z^s>_upper - <J_z^s>_lower), each slot subtracted before
+it is weighted, and second-order perturbation theory the quadratic
+one, over the same states (Bakalov, Korobov & Schiller, J. Phys. B 44,
+025003 (2011)).  numpy is imported only for a field grid: the
+sublevels of one m_F block over it are one stacked `eigvalsh`
+(`_sublevels`, which also writes the field-free energies into a B = 0
+column), for `zeeman_map` and for the truncation of the quadratic model
+(`transition_truncation`).  The zero-field extrapolation of measured
+line positions is `systematics.extrapolate_to_zero_field`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import operator
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .angular import HyperfineCoefficients, SpinLevel, _blocks, _level_set, _LevelSet
+from .angular import HyperfineCoefficients, SpinLevel, _blocks, _level_set, _LevelSet, _zeeman_row
 from .quantity import FINITE, Record, finite, overflow_as_value_error, read_keys
 
 if TYPE_CHECKING:
@@ -134,19 +135,24 @@ def _sublevels(coeffs: HyperfineCoefficients, couplings: ZeemanCouplings, m_f: i
     H0 + H_Z commutes with F_z, so the m_F block is solved on its own,
     over the whole grid in one stacked call, as diag(E) + B W: E are the
     energies of the levels with F >= |m_F|, in level order, and W the
-    Zeeman operator per gauss in their field-free states (`_States.jz`).
-    Levels in one block do not cross (von Neumann-Wigner; Bakalov,
-    Korobov & Schiller, J. Phys. B 44, 025003 (2011)), so at every B the
-    k-th lowest energy belongs to the k-th lowest of those levels; the
-    rows come in that order.  At B = 0 a caller puts in E exactly.  W,
-    summed on Python floats, is checked finite (OverflowError `W = ...`).
+    Zeeman operator per gauss in the field-free states that they carry
+    (`angular._zeeman_row`).  Levels in one block do not cross (von
+    Neumann-Wigner; Bakalov, Korobov & Schiller, J. Phys. B 44, 025003
+    (2011)), so at every B the k-th lowest energy belongs to the k-th
+    lowest of those levels; the rows come in that order.  A B = 0 column
+    is E exactly.  W, summed on Python floats, is checked finite
+    (OverflowError `W = ...`).
     """
     import numpy as np
 
     members = [lv for lv in _level_set(coeffs).levels if lv.f >= abs(m_f)]
-    w = [lv.states.jz(lv.position, m_f, couplings.per_slot)[1] for lv in members]
+    w = [_zeeman_row(lv, members, m_f, couplings.per_slot)[1] for lv in members]
     finite("W", *itertools.chain.from_iterable(w))
-    return np.linalg.eigvalsh(np.diag([lv.energy for lv in members]) + b_values[:, None, None] * np.array(w)).T
+    energies = [lv.energy for lv in members]
+    out = np.linalg.eigvalsh(np.diag(energies) + b_values[:, None, None] * np.array(w)).T
+    if b_values[0] == 0.0:
+        out[:, 0] = energies
+    return out
 
 
 def zeeman_map(
@@ -174,8 +180,6 @@ def zeeman_map(
         for m in range(-f_max, f_max + 1):
             rows = [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)]
             energies[rows] = _sublevels(coeffs, couplings, m, b_values)
-        if b_values[0] == 0.0:
-            energies[:, 0] = [lv.energy for lv in levels for _ in range(2 * lv.f + 1)]
 
     states = tuple(ZeemanState(*label, energies=energies[i]) for i, label in enumerate(labels))
     return ZeemanMap(b_values.copy(), states)
@@ -209,10 +213,10 @@ def _state_coeffs(coeffs: HyperfineCoefficients, label: Sequence[int], couplings
     Hellmann-Feynman gives the linear coefficient sum_s c_s <i|J_z^s|i>,
     which `transition_coeffs` forms, and second-order perturbation theory
     c = sum_{j != i} W_ji^2 / (E_i - E_j), over the field-free states of
-    the m_F block (`_States.jz`).  A block of one state is exactly linear
-    (c = 0), its <J_z^s> the entries of J_z between its one coupled state;
-    under m_F -> -m_F every <J_z^s> changes sign, so in an m_F = 0 block
-    they are 0 and E(B) is even.  Each second-order term is checked
+    the m_F block (`angular._zeeman_row`).  A block of one state is
+    exactly linear (c = 0), its <J_z^s> the entries of J_z between its one
+    coupled state; under m_F -> -m_F every <J_z^s> changes sign, so in an
+    m_F = 0 block they are 0 and E(B) is even.  Each second-order term is checked
     finite (OverflowError `second-order term = ...`).
     """
     members, row = _member(coeffs, label)
@@ -220,7 +224,7 @@ def _state_coeffs(coeffs: HyperfineCoefficients, label: Sequence[int], couplings
     if len(members) == 1:
         return [zs[0][0] for zs in _blocks(coeffs.n_rot).jz(m_f)], 0.0
     level = members[row]
-    jz, w = level.states.jz(level.position, m_f, couplings.per_slot)
+    jz, w = _zeeman_row(level, members, m_f, couplings.per_slot)
     terms = [w_j * (w_j / (level.energy - lv.energy)) for j, (w_j, lv) in enumerate(zip(w, members)) if j != row]
     finite("second-order term", *terms)
     return ((0.0,) * 4 if m_f == 0 else jz), _fsum(terms)
@@ -275,11 +279,7 @@ def transition_truncation(
             raise ValueError("transition_truncation needs B = 0 in the grid to reference the shift")
         couplings = couplings or ZeemanCouplings()
         model = transition_coeffs(lower, upper, couplings)
-        energies = []
-        for coeffs, label in (lower, upper):
-            members, row = _member(coeffs, label)
-            energy = _sublevels(coeffs, couplings, label[3], b)[row]
-            energy[0] = members[row].energy  # the grid starts at B = 0
-            energies.append(energy)
+        energies = [_sublevels(coeffs, couplings, label[3], b)[_member(coeffs, label)[1]]
+                    for coeffs, label in (lower, upper)]
         shift = (energies[1] - energies[0]) - (energies[1][0] - energies[0][0])
         return model, float(np.max(np.abs(shift - (model.linear * b + model.quadratic * b ** 2))))

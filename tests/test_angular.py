@@ -491,12 +491,20 @@ def test_cached_level_set_is_read_only(demo_sets, basis1):
     levels = level_structure(coeffs, basis1)
     with pytest.raises(ValueError, match="read-only"):
         levels[0].vectors[0, 0] = 1.0
-    # the levels themselves: a field, the cached vectors, a new attribute
-    for name in ("energy", "g1", "states", "vectors", "note"):
+    # the levels themselves: a field, the F block and eigenvector, the cached gammas and vectors, a new attribute
+    for name in ("energy", "g1", "block", "eigenvector", "gammas", "vectors", "note"):
         with pytest.raises(AttributeError, match="read-only"):
             setattr(levels[0], name, None)
-    with pytest.raises(AttributeError, match="read-only"):
-        del levels[0].position
+    for name in ("block", "eigenvector", "gammas"):
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(levels[0], name)
+    # each eigenvector is a tuple of floats, so no caller can change the gamma_k that a later caller reads
+    assert all(type(lv.eigenvector) is tuple and all(type(x) is float for x in lv.eigenvector) for lv in levels)
+    fresh = angular._LevelSet(coeffs).level((1, 0, 1))
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        fresh.eigenvector[0] *= -2.0
+    assert fresh.gammas == angular._LevelSet(coeffs).level((1, 0, 1)).gammas
+    assert fresh.gammas is fresh.gammas
     levels.clear()  # the caller's list, not the shared one
     levels = level_structure(coeffs, basis1)
     assert len(levels) == 10
@@ -887,7 +895,7 @@ def assert_solve_matches_reference(coeffs, scale=1.0):
     for lv, ref in zip(level_set.levels, reference):
         assert abs(lv.energy - scale * ref.energy) <= ENERGY_ULPS * ulps(level_set)
         if lv.label is not None:
-            assert max(abs(g - r) for g, r in zip(level_set.gammas(lv.position), ref.gammas)) <= GAMMA_ABS
+            assert max(abs(g - r) for g, r in zip(lv.gammas, ref.gammas)) <= GAMMA_ABS
 
 
 @given(n_rot=st.integers(0, 5), z=st.lists(st.floats(-4.0, 4.0), min_size=9, max_size=9))
@@ -986,7 +994,7 @@ def test_every_energy_is_the_sum_of_gamma_k_e_k(coeffs):
     # Hellmann-Feynman on the level's own eigenvector, coincident levels included
     level_set = angular._LevelSet(coeffs)
     for lv in level_set.levels:
-        gamma = list(level_set.gammas(lv.position))
+        gamma = list(lv.gammas)
         energy = math.fsum(g * coeffs.coefficient(k) for g, k in zip(gamma, angular.COEFF_INDICES))
         assert abs(lv.energy - energy) <= 16 * ulps(level_set)
         if lv.label is not None:
@@ -1140,7 +1148,7 @@ def test_m_states_are_the_field_free_eigenstates_of_each_m_block(n_rot):
             assert np.allclose(states.T @ states, np.eye(len(energies)), rtol=0, atol=1e-12)
             scale = max(1.0, float(np.max(np.abs(energies))))
             assert np.allclose(h @ states, states * energies, rtol=0, atol=1e-12 * scale)
-            columns = [lv.states.jz(lv.position, m_f, cpl.per_slot) for lv in members]
+            columns = [angular._zeeman_row(lv, members, m_f, cpl.per_slot) for lv in members]
             w = np.array([column for _, column in columns]).T
             assert np.max(np.abs(w - states.T @ h_z[np.ix_(index, index)] @ states)) <= 8 * math.ulp(cpl.c_e)
             for slot, jz in zip(angular.SLOT_NAMES, zip(*(diagonal for diagonal, _ in columns)), strict=True):
@@ -1160,7 +1168,7 @@ def test_vectors_are_the_f_block_eigenvectors_over_the_coupled_states(n_rot):
     column_of = {tuple(map(int, label)): c for c, label in enumerate(labels.T)}
     for coeffs in [perturbed(base, n_rot, rng) for _ in range(5)]:
         for lv in level_structure(coeffs):
-            block, x = lv.states.where[lv.position]
+            block, x = lv.block, lv.eigenvector
             assert lv.vectors.shape == (blocks.dim, lv.degeneracy)
             for c, m in enumerate(range(lv.f, -lv.f - 1, -1)):
                 want = u[:, [column_of[(*pair, lv.f, m)] for pair in block.pairs]] @ np.array(x)

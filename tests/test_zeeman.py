@@ -113,6 +113,28 @@ def test_default_couplings_give_published_linear_coefficient(demo_sets):
     assert model.linear == -0.55
 
 
+@pytest.mark.parametrize(
+    ("transition", "lower_mf", "upper_mf", "want"),
+    [
+        ("12", 0, 0, (0.0, -123.67864814824637)),
+        ("16", 0, 0, (0.0, 104.67400570171428)),
+        ("12", 2, 1, (-339.19850044539544, -90.68312738767851)),
+        ("12", -1, 0, (699.2337750000002, -122.43961228860597)),
+    ],
+)
+def test_multi_state_m_blocks_give_the_pinned_coefficients(demo_sets, transition, lower_mf, upper_mf, want):
+    # upper m_F blocks of 8 or 10 levels, lower ones of 1, 3 or 4 (the stretched pair of the golden report has
+    # one level in each block): the F-block eigenvectors, J_z between the coupled states and the second-order
+    # sum give exactly these values
+    lower, upper = bundled.TRANSITION_LEVELS[transition]
+    model = transition_coeffs(
+        (demo_sets[(0, 0)], (*lower, lower_mf)),
+        (demo_sets[(1, 1)], (*upper, upper_mf)),
+        read_couplings_file(bundled.data_path("zeeman_couplings.txt")),
+    )
+    assert (model.linear, model.quadratic) == want
+
+
 def test_small_field_curvature_matches_perturbation_theory(basis0, demo_sets):
     coeffs = demo_sets[(0, 0)]
     cpl = ZeemanCouplings()
