@@ -575,17 +575,14 @@ def _check_b12(b12: float) -> None:
 
 
 def _cmd_composite(args) -> int:
-    from . import coefficients, composite
+    from . import composite
 
     _check_b12(args.b12)
     lines, inp = _composite_input(args)
-    if inp.tables is None:
-        if args.optimize:
-            raise ConfigFailure("--optimize needs a sensitivity table; pass --coefficients FILE or --demo")
-        b12, profile = args.b12, composite.fallback_profile(inp)
-    else:
-        weights = _run(composite.optimize_weight, inp.tables, coefficients.DEFAULT_PARAMS)
-        b12, profile = (weights.b_star if args.optimize else args.b12), weights.profile
+    if args.optimize and inp.tables is None:
+        raise ConfigFailure("--optimize needs a sensitivity table; pass --coefficients FILE or --demo")
+    weights = _run(composite.weight_profile, inp.terms)
+    b12, profile = (weights.b_star if args.optimize else args.b12), weights.profile
     q = _run(composite.composite_frequency, inp, b12)
 
     payload = {

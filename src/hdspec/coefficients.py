@@ -200,11 +200,9 @@ def spin_profile(terms: tuple, weights: Iterable[float]) -> list[float]:
     return out
 
 
-def spin_uncertainty(
-    transition: str, table: SensitivityTable, params: SpinUncertaintyParams | None = None
-) -> float:
+def spin_uncertainty(transition: str, table: SensitivityTable, params: SpinUncertaintyParams = DEFAULT_PARAMS) -> float:
     """Theory uncertainty (kHz) of one transition's spin frequency: the pair (t, t) at weight 1."""
-    return spin_profile(table.spin_terms(params or DEFAULT_PARAMS, transition, transition), (1.0,))[0]
+    return spin_profile(table.spin_terms(params, transition, transition), (1.0,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Two measured lines of the same vibrational transition, minus their
 theoretical spin shifts, are combined with weights (b12, 1 - b12).  The
 experimental parts combine in quadrature.  The spin-theory part is the
 error model of `coefficients`: a list of affine terms (x12, x16, scale),
-summed as |(b12 x12 + (1 - b12) x16) p q| r by `spin_profile`.  With a
-sensitivity table the terms are the table's; without one there is one
-term, the per-line uncertainties (u12, u16) at scale (1, 1, 1), which is
+summed as |(b12 x12 + (1 - b12) x16) p q| r by `spin_profile`.
+`CompositeInput` decides those terms once: with a sensitivity table they
+are the table's at its parameters; without one there is one term, the
+per-line uncertainties (u12, u16) at scale (1, 1, 1), which is
 b12 u12 + (1 - b12) u16 (correlations ignored conservatively).  The
 composite, the weight profile and its optimum all evaluate those terms.
 """
@@ -24,35 +25,32 @@ TRANSITION_IDS = ("12", "16")
 
 
 class CompositeInput:
-    """Corrected line frequencies and spin-theory inputs for lines 12, 16.
+    """Corrected line frequencies and spin-theory terms for lines 12, 16.
 
     fspin12/fspin16 carry their uncertainty in the `theor_spin`
-    component.  The sensitivity table is optional: without it the
-    composite spin uncertainty falls back to the weighted absolute sum
-    of the per-line uncertainties (correlations ignored conservatively).
+    component.  `terms` are the composite's spin-theory terms, decided
+    here once: the sensitivity table's at `params`, or without a table
+    the one term (u12, u16) at scale (1, 1, 1), the weighted absolute
+    sum of the per-line uncertainties (correlations ignored
+    conservatively).
     """
 
-    __slots__ = ("f12", "f16", "fspin12", "fspin16", "tables")
+    __slots__ = ("f12", "f16", "fspin12", "fspin16", "tables", "terms")
 
-    def __init__(
-        self, f12: Quantity, f16: Quantity, fspin12: Quantity, fspin16: Quantity, tables: SensitivityTable | None = None
-    ) -> None:
-        if tables is not None:
+    def __init__(self, f12: Quantity, f16: Quantity, fspin12: Quantity, fspin16: Quantity,
+                 tables: SensitivityTable | None = None, params: SpinUncertaintyParams = DEFAULT_PARAMS) -> None:
+        if tables is None:
+            self.terms = ((fspin12.component("theor_spin"), fspin16.component("theor_spin"), (1.0, 1.0, 1.0)),)
+        else:
             missing = [t for t in TRANSITION_IDS if t not in tables.rows]
             if missing:
                 raise ValueError(f"sensitivity table lacks transition {missing[0]}")
+            self.terms = tables.spin_terms(params, *TRANSITION_IDS)
         self.f12 = f12
         self.f16 = f16
         self.fspin12 = fspin12
         self.fspin16 = fspin16
         self.tables = tables
-
-
-def _spin_terms(inp: CompositeInput, tables: SensitivityTable | None) -> tuple:
-    """The composite's terms: those of `tables` at the default parameters, else (u12, u16) at scale (1, 1, 1)."""
-    if tables is None:
-        return ((inp.fspin12.component("theor_spin"), inp.fspin16.component("theor_spin"), (1.0, 1.0, 1.0)),)
-    return tables.spin_terms(DEFAULT_PARAMS, "12", "16")
 
 
 def composite_spin_uncertainty(tables: SensitivityTable, params: SpinUncertaintyParams, b12: float) -> float:
@@ -72,17 +70,12 @@ def composite_frequency(inp: CompositeInput, b12: float) -> Quantity:
     b16 = 1.0 - b12
     value = b12 * (inp.f12.value - inp.fspin12.value) + b16 * (inp.f16.value - inp.fspin16.value)
     u_exp = math.hypot(b12 * inp.f12.component("exp"), b16 * inp.f16.component("exp"))
-    u_spin = spin_profile(_spin_terms(inp, inp.tables), (float(b12),))[0]
+    u_spin = spin_profile(inp.terms, (float(b12),))[0]
     return Quantity(value, "kHz", {"exp": u_exp, "theor_spin": u_spin})
 
 
-# b12 of the flatness profile of `optimize_weight`: 0, 0.01, ..., 1
+# b12 of the flatness profile of `weight_profile`: 0, 0.01, ..., 1
 _PROFILE_GRID = tuple(round(0.01 * i, 2) for i in range(101))
-
-
-def fallback_profile(inp: CompositeInput) -> tuple[tuple[float, float], ...]:
-    """(b12, spin uncertainty) without a sensitivity table, over the grid of the `optimize_weight` profile."""
-    return tuple(zip(_PROFILE_GRID, spin_profile(_spin_terms(inp, None), _PROFILE_GRID)))
 
 
 class WeightProfile:
@@ -94,18 +87,18 @@ class WeightProfile:
         self.profile = profile
 
 
-def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> WeightProfile:
-    """Minimize the composite spin uncertainty over b12 in [0, 1].
+def weight_profile(terms: tuple) -> WeightProfile:
+    """Minimize the spin uncertainty of the affine `terms` over b12 in [0, 1].
 
+    `terms` are those of `spin_profile`, such as a `CompositeInput`'s.
     The objective is a sum of absolute values of terms affine in b12,
     hence convex piecewise-linear; the exact minimum sits at a
     breakpoint (the zero crossing x16 / (x16 - x12) of one term) or an
     endpoint, and the first of the sorted candidates with the least
     uncertainty wins.  A 0.01-spaced grid is returned as the flatness
     profile.  Grid and candidates are one `spin_profile` call, each
-    value that of `composite_spin_uncertainty` at that b12.
+    value the `theor_spin` of `composite_frequency` at that b12.
     """
-    terms = tables.spin_terms(params, "12", "16")
     candidates = {0.0, 1.0}
     for x12, x16, _ in terms:
         denom = x16 - x12
@@ -118,6 +111,11 @@ def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> 
     u = spin_profile(terms, b12)
     best = min(range(n, len(b12)), key=u.__getitem__)  # the first of the least
     return WeightProfile(b12[best], u[best], tuple(zip(_PROFILE_GRID, u[:n])))
+
+
+def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> WeightProfile:
+    """`weight_profile` of the table's terms at `params`: each value that of `composite_spin_uncertainty`."""
+    return weight_profile(tables.spin_terms(params, *TRANSITION_IDS))
 
 
 class SplittingComparison:

@@ -192,6 +192,15 @@ def _invert(f_exp: Quantity, model: ScalingModel, value_ref: float) -> tuple[flo
     return value, {k: u * scale for k, u in channels.items()}
 
 
+def _checked(res: ExtractionResult) -> ExtractionResult:
+    """`res` once its total uncertainty is finite, else ValueError `mass-ratio extraction overflows float64 (...)`."""
+    total = res.total_uncertainty
+    if not math.isfinite(total):
+        with overflow_as_value_error("mass-ratio extraction"):  # words the error as every overflow is worded
+            finite(f"{res.name} total uncertainty", total)
+    return res
+
+
 def extract_mu_over_me(f_exp: Quantity, model: ScalingModel, constants: ConstantSet) -> ExtractionResult:
     """Invert the scaling model for the reduced-mass ratio mu/m_e.
 
@@ -201,7 +210,7 @@ def extract_mu_over_me(f_exp: Quantity, model: ScalingModel, constants: Constant
     _require_components(f_exp)
     r = constants.md_over_mp.value
     value, components = _invert(f_exp, model, model.mu_p_ref * r / (1.0 + r))
-    return ExtractionResult("mu_over_me", value, components)
+    return _checked(ExtractionResult("mu_over_me", value, components))
 
 
 def extract_mp_over_me(
@@ -220,7 +229,7 @@ def extract_mp_over_me(
     value, components = _invert(f_exp, model, model.mu_p_ref)
     r, u_r = md_over_mp.value, md_over_mp.total_uncertainty()
     components["CODATA"] = math.hypot(components["CODATA"], value * u_r / (r * (1.0 + r)))
-    return ExtractionResult("mp_over_me", value, components)
+    return _checked(ExtractionResult("mp_over_me", value, components))
 
 
 class ComparisonRow:

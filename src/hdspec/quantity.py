@@ -170,12 +170,18 @@ def parenthetical(q: Quantity, digits: int = 2) -> str:
     """Render ``58605013478.03(19)_exp kHz``-style text.
 
     Each component is scaled to the least significant digit of the
-    rounded value.  Purely a display helper; no rounding feeds back into
-    the analysis.
+    rounded value.  From 1e15 on, where a float64 holds no hundredths,
+    the value or the largest component switches the text to exponent
+    form, ``1.223899e+300(1.5e-01)_exp kHz``: the value to 7 digits and
+    each component to `digits`, bounded for any float.  Purely a display
+    helper; no rounding feeds back into the analysis.
     """
     if not q.components:
         return f"{q.value} {q.unit}"
     max_u = max(q.components.values())
+    if max(abs(q.value), max_u) >= 1e15:
+        parts = "".join(f"({u:.{digits - 1}e})_{name}" for name, u in sorted(q.components.items()))
+        return f"{q.value:.6e}{parts} {q.unit}"
     if max_u <= 0.0:
         decimals = 2
     else:

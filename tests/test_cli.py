@@ -332,6 +332,24 @@ def test_spin_structure_prints_each_line_within_a_bounded_width(tmp_path, factor
             assert (f_spin, u_spin) == (f"{t['f_spin_khz']:.6e}", f"{t['u_spin_khz']:.6e}")
 
 
+def test_values_from_1e15_on_print_each_line_within_a_bounded_width(tmp_path):
+    """A value or an uncertainty near the top of float64 prints in exponent form, not as a 300-digit number."""
+    coefficients = tmp_path / "coefficients.conf"
+    coefficients.write_text(scaled_demo_coefficients(1e300))
+    depletion = str(bundled.data_path("line12_depletion.csv"))
+    cases = [
+        (["composite", "--coefficients", str(coefficients)], "composite: 5.860505e+10(1.6e-01)_exp(6.1e+299)_theor_spin kHz"),
+        (["ledger", "--raw-khz", "1e300", "--raw-u-khz", "0.15"], "corrected: 1.000000e+300(1.5e-01)_exp kHz"),
+        (["fit-line", "--input", depletion, "--absolute-offset-khz", "1e300"], "line frequency = 1.000000e+300(9.8e-02)_exp kHz"),
+    ]
+    for argv, text in cases:
+        proc = run_python("-W", "error::RuntimeWarning", "-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert any(line.startswith(text) for line in proc.stdout.splitlines()), proc.stdout
+        for line in proc.stdout.splitlines():
+            assert len(line) < 120, line
+
+
 def test_spin_frequency_that_leaves_float64_is_one_line_data_error(tmp_path):
     """Finite level energies of opposite sign near the top of float64: E_upper - E_lower is not finite."""
     n1_zeros = "".join(f"E{k} = 0.0\n" for k in (1, 2, 3, 6, 7, 8, 9))
@@ -403,6 +421,17 @@ def test_overflowing_spin_theory_uncertainty_is_one_line_data_error_before_any_o
         assert proc.returncode == 1, argv
         assert proc.stderr == f"data error: spin-theory uncertainty overflows float64 ({detail})\n"
         assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_extraction_uncertainty_is_one_line_data_error_before_any_output(tmp_path):
+    """The demo coefficients x 1e300: the composite is finite, but the sum of squares of each mass ratio's uncertainties is not."""
+    coefficients = tmp_path / "coefficients.conf"
+    coefficients.write_text(scaled_demo_coefficients(1e300))
+    proc = run_python("-m", "hdspec.cli", "extract", "--coefficients", str(coefficients), "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr == "data error: mass-ratio extraction overflows float64 (mu_over_me total uncertainty = inf)\n"
+    assert proc.stdout == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -199,6 +199,25 @@ def test_optimize_weight_equals_one_call_per_weight(params):
     assert eps1_branches == {False, True}
 
 
+@pytest.mark.parametrize(
+    "params", [SpinUncertaintyParams(eps_fermi=1e-5, eps_bp=1e-3), SpinUncertaintyParams(3e-6, 2e-5, 0.2)]
+)
+def test_composite_takes_the_spin_terms_of_its_own_parameters(demo_table, measured, params):
+    # the composite, the weight profile and the optimum read one set of terms: those of the input's parameters
+    inp = CompositeInput(
+        f12=measured["12"]["f_exp"],
+        f16=measured["16"]["f_exp"],
+        fspin12=measured["12"]["f_spin"],
+        fspin16=measured["16"]["f_spin"],
+        tables=demo_table,
+        params=params,
+    )
+    weight = optimize_weight(demo_table, params)
+    for b in [*(b for b, _ in weight.profile), weight.b_star]:
+        assert composite_frequency(inp, b).component("theor_spin") == composite_spin_uncertainty(demo_table, params, b)
+    assert composite_frequency(inp, weight.b_star).component("theor_spin") == weight.u_star
+
+
 def test_composite_rejects_weight_outside_unit_interval(bundled_input):
     with pytest.raises(ValueError, match="b12"):
         composite_frequency(bundled_input, 1.2)

@@ -131,6 +131,15 @@ def test_parenthetical_rendering():
     assert parenthetical(bare) == "3.5 kHz"
 
 
+def test_parenthetical_switches_to_exponent_form_from_1e15():
+    assert parenthetical(Quantity(999999999999999.9, "kHz", {"exp": 0.15})) == "999999999999999.88(15)_exp kHz"
+    assert parenthetical(Quantity(1e15, "kHz", {"exp": 0.15})) == "1.000000e+15(1.5e-01)_exp kHz"
+    assert parenthetical(Quantity(5.86e10, "kHz", {"exp": 0.16, "theor_spin": 1e15})) == (
+        "5.860000e+10(1.6e-01)_exp(1.0e+15)_theor_spin kHz"
+    )
+    assert parenthetical(Quantity(-1.7e308, "kHz", {"exp": 1.7e308})) == "-1.700000e+308(1.7e+308)_exp kHz"
+
+
 def test_parenthetical_orders_components_by_name():
     q = Quantity(1.0, "kHz", {"theor_spin": 0.85, "exp": 0.16})
     text = parenthetical(q)
