@@ -4,7 +4,11 @@ Every command writes a deterministic JSON report into --out-dir (sorted
 keys, shortest-roundtrip floats, so reruns on identical inputs are
 byte-identical), plus CSV tables for anything meant to be plotted.  Each
 report is published as a new file by `_publish`: the carrier sweep as
-its rows are computed, every other report rendered whole.
+its rows are computed, every other report rendered whole.  A record
+writes its own JSON form (`Quantity.report`, `ShiftEntry.report`, ...);
+a table is one list of rows, written to the CSV under its header and to
+the JSON report as `dict(zip(header, row))` objects, or taken from the
+report dicts the JSON holds.
 
 A JSON report is the text of `json.dumps(payload, sort_keys=True,
 indent=2, allow_nan=False)` plus a newline.  With an indent, `json.dumps`
@@ -52,7 +56,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from . import bundled
 from .quantity import (
-    FINITE, OPTIONAL_FINITE, OPTIONAL_NON_NEGATIVE, OPTIONAL_TEXT, TEXT, Quantity, Rule, parenthetical, read_json,
+    FINITE, OPTIONAL_TEXT, TEXT, Quantity, Rule, fixed, parenthetical, read_json,
 )
 
 if TYPE_CHECKING:
@@ -233,14 +237,6 @@ def _write_csv_grid(
     return _publish(out_dir / f"{stem}.csv", parts)
 
 
-def _quantity_dict(q: Quantity) -> dict:
-    return {
-        "value": float(q.value),
-        "unit": q.unit,
-        "components": {k: float(v) for k, v in sorted(q.components.items())},
-    }
-
-
 # ---------------------------------------------------------------------------
 # argument helpers
 
@@ -366,22 +362,15 @@ def _cmd_spin_structure(args) -> int:
     from . import angular
 
     sets = _coefficient_sets(args)
+    header = ["section", "g1", "g2", "f", "degeneracy", "energy_khz"]
     payload: dict = {"sections": {}}
     csv_rows = []
     for (v, n), coeffs in sorted(sets.items()):
         levels = _run(angular.level_structure, coeffs)
         name = f"v={v},N={n}"
-        payload["sections"][name] = [
-            {
-                "g1": lv.g1,
-                "g2": lv.g2,
-                "f": lv.f,
-                "degeneracy": int(lv.degeneracy),
-                "energy_khz": float(lv.energy),
-            }
-            for lv in levels
-        ]
-        csv_rows.extend([name, lv.g1, lv.g2, lv.f, int(lv.degeneracy), float(lv.energy)] for lv in levels)
+        rows = [[name, lv.g1, lv.g2, lv.f, int(lv.degeneracy), float(lv.energy)] for lv in levels]
+        payload["sections"][name] = [dict(zip(header[1:], row[1:])) for row in rows]  # a level without its section
+        csv_rows.extend(rows)
 
     if (0, 0) in sets and (1, 1) in sets:
         table = _standard_table(sets)
@@ -398,14 +387,13 @@ def _cmd_spin_structure(args) -> int:
                 "gamma_upper": {f"E{k}": float(row.upper[k]) for k in sorted(row.upper)},
             }
         for tid, t in transitions.items():  # every line computed before any is printed
-            # to 0.01 kHz; from 1e15 kHz on, where a float64 holds no hundredths, to 7 digits: bounded for any float
-            f_spin, u_spin = (f"{x:.2f}" if abs(x) < 1e15 else f"{x:.6e}" for x in (t["f_spin_khz"], t["u_spin_khz"]))
+            f_spin, u_spin = (fixed(t[k], ".2f") for k in ("f_spin_khz", "u_spin_khz"))
             print(f"line {tid}: f_spin = {f_spin} kHz, u_spin = {u_spin} kHz")
         payload["transitions"] = transitions
 
     _write_json(args.out_dir, "spin_structure", payload)
     if args.format == "csv":
-        _write_csv(args.out_dir, "spin_structure", ["section", "g1", "g2", "f", "degeneracy", "energy_khz"], csv_rows)
+        _write_csv(args.out_dir, "spin_structure", header, csv_rows)
     return 0
 
 
@@ -421,24 +409,16 @@ def _cmd_zeeman_map(args) -> int:
 
     b_gauss = _Floats(zmap.b_values.tolist())  # each field and each energy rendered once, for both reports
     energies = [_Floats(st.energies.tolist()) for st in zmap.states]
+    header = ["g1", "g2", "f", "m_f", "B_gauss", "energy_khz"]
+    labels = [st.label for st in zmap.states]
     payload = {
         "level": {"v": key[0], "n": key[1]},
         "b_gauss": b_gauss,
-        "states": [
-            {"g1": st.g1, "g2": st.g2, "f": st.f, "m_f": st.m_f, "energies_khz": e}
-            for st, e in zip(zmap.states, energies)
-        ],
+        "states": [dict(zip(header, label), energies_khz=e) for label, e in zip(labels, energies)],
     }
     print(f"{len(zmap.states)} sublevels over {len(zmap.b_values)} field values")
     _write_json(args.out_dir, "zeeman_map", payload)
-    _write_csv_grid(
-        args.out_dir,
-        "zeeman_map",
-        ["g1", "g2", "f", "m_f", "B_gauss", "energy_khz"],
-        [st.label for st in zmap.states],
-        b_gauss,
-        energies,
-    )
+    _write_csv_grid(args.out_dir, "zeeman_map", header, labels, b_gauss, energies)
     return 0
 
 
@@ -480,8 +460,8 @@ def _cmd_extrapolate_b(args) -> int:
     ext = _run(systematics.extrapolate_to_zero_field, b, f, u)
     payload = {
         "n_points": len(b),
-        "intercept": _quantity_dict(ext.intercept),
-        "curvature": _quantity_dict(ext.curvature),
+        "intercept": ext.intercept.report(),
+        "curvature": ext.curvature.report(),
         "residuals_khz": list(ext.residuals),
     }
     print(f"f(B=0) = {parenthetical(ext.intercept)}  curvature {ext.curvature.value:+.4g} kHz/G^2")
@@ -504,12 +484,12 @@ def _cmd_fit_line(args) -> int:
     fit = _run(lineshape.fit_lorentzian, points)
     payload = {"n_records": len(scan), "n_points": len(points), "fit": lineshape.fit_report(fit)}
     print(
-        f"center = {fit.center:+.4f} kHz, fwhm = {fit.fwhm:.4f} kHz, "
-        f"amplitude = {fit.amplitude:.4f} in {fit.n_iter} iterations"
+        f"center = {fixed(fit.center, '+.4f')} kHz, fwhm = {fixed(fit.fwhm, '.4f')} kHz, "
+        f"amplitude = {fixed(fit.amplitude, '.4f')} in {fit.n_iter} iterations"
     )
     if args.absolute_offset_khz is not None:
         line = _run(lineshape.line_frequency, fit, args.absolute_offset_khz)
-        payload["line"] = _quantity_dict(line)
+        payload["line"] = line.report()
         print(f"line frequency = {parenthetical(line)}")
     _write_json(args.out_dir, "fit_line", payload)
     return 0
@@ -522,38 +502,18 @@ def _cmd_extrapolate_rf(args) -> int:
     f_zero, entry = _run(systematics.rf_extrapolate, points, args.nominal_amplitude, args.linear)
     payload = {
         "n_points": len(points),
-        "f_zero": _quantity_dict(f_zero),
-        "entry": {
-            "name": entry.name,
-            "correction_khz": float(entry.correction),
-            "uncertainty_khz": float(entry.uncertainty),
-            "basis": entry.basis,
-            "note": entry.note,
-        },
+        "f_zero": f_zero.report(),
+        "entry": entry.report(),
     }
     print(f"f(A=0) = {parenthetical(f_zero)}  correction at nominal: {entry.correction:+.4g} kHz")
     _write_json(args.out_dir, "extrapolate_rf", payload)
     return 0
 
 
-def _entries_from_file(path: Path) -> list[systematics.ShiftEntry]:
-    from . import systematics
-
-    bases = systematics.ENTRY_BASES
-    entry = {"name": TEXT, "correction_khz": OPTIONAL_FINITE, "uncertainty_khz": OPTIONAL_NON_NEGATIVE,
-             "basis": Rule(f"must be one of {', '.join(bases)}", choices=frozenset(bases)), "note": OPTIONAL_TEXT}
-    entries = read_json(path, [entry])
-    for i, e in enumerate(entries):
-        if e["basis"] == "set-to-zero" and e.get("correction_khz", 0.0) != 0.0:
-            raise ValueError(f"{path}: [{i}].correction_khz must be 0 for a set-to-zero entry")
-    return [systematics.ShiftEntry(e["name"], e.get("correction_khz", 0.0), e.get("uncertainty_khz", 0.0), e["basis"],
-                                   e.get("note", "")) for e in entries]
-
-
 def _cmd_ledger(args) -> int:
     from . import systematics
 
-    entries = _load(_entries_from_file, args.entries) if args.entries else []
+    entries = _load(systematics.read_entries, args.entries) if args.entries else []
     if args.include_negligible:
         entries.extend(systematics.negligible_entries())
     if args.raw_u_khz < 0:
@@ -564,8 +524,8 @@ def _cmd_ledger(args) -> int:
     print(f"corrected: {parenthetical(ledger.corrected)} from {len(entries)} entries")
     _write_json(args.out_dir, "ledger", payload)
     if args.format == "csv":
-        rows = [[e.name, float(e.correction), float(e.uncertainty), e.basis] for e in ledger.entries]
-        _write_csv(args.out_dir, "ledger", ["name", "correction_khz", "uncertainty_khz", "basis"], rows)
+        header = ["name", "correction_khz", "uncertainty_khz", "basis"]
+        _write_csv(args.out_dir, "ledger", header, [[e[k] for k in header] for e in payload["entries"]])
     return 0
 
 
@@ -582,26 +542,27 @@ def _cmd_composite(args) -> int:
     if args.optimize and inp.tables is None:
         raise ConfigFailure("--optimize needs a sensitivity table; pass --coefficients FILE or --demo")
     weights = _run(composite.weight_profile, inp.terms)
-    b12, profile = (weights.b_star if args.optimize else args.b12), weights.profile
+    b12 = weights.b_star if args.optimize else args.b12
     q = _run(composite.composite_frequency, inp, b12)
+    profile = [[float(b), float(u)] for b, u in weights.profile]
 
     payload = {
         "b12": float(b12),
         "value_khz": float(q.value),
         "u_exp_khz": float(q.component("exp")),
         "u_spin_khz": float(q.component("theor_spin")),
-        "profile": [[float(b), float(u)] for b, u in profile],
+        "profile": profile,
     }
     if lines["splitting_theory_khz"] is not None:
         cmp_ = _run(composite.splitting_comparison, inp.f12, inp.f16, lines["splitting_theory_khz"])
         payload["splitting"] = cmp_.report()
         print(
-            f"splitting: {cmp_.difference_exp.value:.2f} kHz "
-            f"(theory {cmp_.difference_theory.value:.2f} kHz, {cmp_.agreement_sigma:.2f} sigma)"
+            f"splitting: {fixed(cmp_.difference_exp.value, '.2f')} kHz "
+            f"(theory {fixed(cmp_.difference_theory.value, '.2f')} kHz, {fixed(cmp_.agreement_sigma, '.2f')} sigma)"
         )
     print(f"composite: {parenthetical(q)} at b12 = {b12:g}")
     _write_json(args.out_dir, "composite", payload)
-    _write_csv(args.out_dir, "composite_profile", ["b12", "u_spin_khz"], [[b, u] for b, u in profile])
+    _write_csv(args.out_dir, "composite_profile", ["b12", "u_spin_khz"], profile)
     return 0
 
 
@@ -623,7 +584,7 @@ def _cmd_extract(args) -> int:
     payload = {
         "constants_profile": args.constants_profile,
         "b12": float(args.b12),
-        "composite": _quantity_dict(q),
+        "composite": q.report(),
         "mu_over_me": mu.report(),
         "mp_over_me": mp.report(),
         "reference_mp_over_me": {
@@ -639,7 +600,8 @@ def _cmd_extract(args) -> int:
         )
     _write_json(args.out_dir, "extract", payload)
     if args.format == "csv":
-        rows = [[res.name, k, float(u)] for res in (mu, mp) for k, u in sorted(res.components.items())]
+        results = (payload["mu_over_me"], payload["mp_over_me"])
+        rows = [[r["name"], k, u] for r in results for k, u in r["components"].items()]
         _write_csv(args.out_dir, "extract_components", ["quantity", "component", "uncertainty"], rows)
     return 0
 
@@ -669,23 +631,17 @@ def _cmd_compare(args) -> int:
         raise ConfigFailure(f"--reference {args.reference!r} is not among the determinations")
     reference = args.reference if args.reference is not None else file_ref
     report = _run(constants.comparison_report, rows, reference)
+    header = ["label", "value", "uncertainty", "pull"]
+    table = [[r.label, float(r.value), float(r.uncertainty), float(r.pull)] for r in report]
     payload = {
         "quantity": quantity_name,
         "reference": reference if reference is not None else rows[0][0],
-        "rows": [
-            {"label": r.label, "value": float(r.value), "uncertainty": float(r.uncertainty), "pull": float(r.pull)}
-            for r in report
-        ],
+        "rows": [dict(zip(header, row)) for row in table],
     }
-    for r in report:
-        print(f"{r.label:32s} {r.value:.9f} +- {r.uncertainty:.1e}  pull {r.pull:+.2f}")
+    for label, value, u, pull in table:
+        print(f"{label:32s} {fixed(value, '.9f')} +- {u:.1e}  pull {fixed(pull, '+.2f')}")
     _write_json(args.out_dir, "compare", payload)
-    _write_csv(
-        args.out_dir,
-        "compare",
-        ["label", "value", "uncertainty", "pull"],
-        [[r.label, float(r.value), float(r.uncertainty), float(r.pull)] for r in report],
-    )
+    _write_csv(args.out_dir, "compare", header, table)
     return 0
 
 
@@ -703,20 +659,18 @@ def _cmd_adev(args) -> int:
 
     series = _load(metrology.read_counter_csv, args.input, args.carrier_hz)
     taus = _floats_arg(args.tau_list, "--tau-list") if args.tau_list is not None else _default_taus(series)
-    rows = _run(metrology.allan_deviation, series, taus)
+    header = ["tau_s", "adev", "ci_low", "ci_high"]
+    rows = [list(map(float, row)) for row in _run(metrology.allan_deviation, series, taus)]
     payload = {
         "n_samples": int(len(series.samples)),
         "tau0_s": float(series.tau0),
         "carrier_hz": None if args.carrier_hz is None else float(args.carrier_hz),
-        "rows": [
-            {"tau_s": float(t), "adev": float(a), "ci_low": float(lo), "ci_high": float(hi)}
-            for t, a, lo, hi in rows
-        ],
+        "rows": [dict(zip(header, row)) for row in rows],
     }
     for t, a, *_ in rows:
         print(f"tau = {t:8g} s  adev = {a:.3e}")
     _write_json(args.out_dir, "adev", payload)
-    _write_csv(args.out_dir, "adev", ["tau_s", "adev", "ci_low", "ci_high"], rows)
+    _write_csv(args.out_dir, "adev", header, rows)
     return 0
 
 
@@ -794,7 +748,7 @@ def _cmd_carrier(args) -> int:
         strength = _load(carrier.carrier_strength, args.lambda_um, model)
         payload["lambda_um"] = float(args.lambda_um)
         payload["strength"] = float(strength)
-        print(f"S({args.lambda_um:g} um) = {strength:.4f}  (lambda_c = {lam_c:.3f} um)")
+        print(f"S({args.lambda_um:g} um) = {strength:.4f}  (lambda_c = {fixed(lam_c, '.3f')} um)")
     if args.sweep is not None:
         lo, hi, n = _parse_sweep(args.sweep)
         rows = ([lam, float(carrier.carrier_strength(lam, model))] for lam in _sweep_grid(lo, hi, n))

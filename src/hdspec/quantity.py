@@ -4,16 +4,19 @@ A measured or derived number in this package rarely carries a single
 error bar.  The analysis tracks statistical and systematic parts
 separately (``exp``, ``theor_QED``, ``theor_spin``, ``CODATA``, plus
 free-form ``other:<tag>`` entries) so that downstream propagation can
-treat them as independent channels, and reports can render them in the
-parenthetical style of precision spectroscopy.  Every input file is read
-by one reader per format, `read_table` (CSV), `read_keys` (`key = value`)
-or `read_json`.  The first two take a mapping from each column or key to
-its `Rule`, the third a shape built of Rules; a fault is one ValueError
-that names the file.  `read_table` reads every table row by row into
-`array.array('d')` columns, and a `Rule` checks one float at a time.
-Arithmetic that leaves float64, in numpy or on Python floats, is one
-ValueError that names its step: each step that can leave float64 runs
-under the one guard, `overflow_as_value_error`.
+treat them as independent channels.  A Quantity's JSON form, `{value,
+unit, components}`, is written by `Quantity.report` alone, and reports
+print it in the parenthetical style of precision spectroscopy
+(`parenthetical`; `fixed` prints one number by the same 1e15 rule).
+Every input file is read by one reader per format, `read_table` (CSV),
+`read_keys` (`key = value`) or `read_json`.  The first two take a
+mapping from each column or key to its `Rule`, the third a shape built
+of Rules; a fault is one ValueError that names the file.  `read_table`
+reads every table row by row into `array.array('d')` columns, and a
+`Rule` checks one float at a time.  Arithmetic that leaves float64, in
+numpy or on Python floats, is one ValueError that names its step: each
+step that can leave float64 runs under the one guard,
+`overflow_as_value_error`.
 """
 
 from __future__ import annotations
@@ -101,11 +104,16 @@ class Quantity(Record):
             return sum(self.components.values())
         raise ValueError(f"unknown combination mode {mode!r}")
 
+    def report(self) -> dict:
+        """The JSON form of the quantity: value, unit and components in name order, each number a float."""
+        return {
+            "value": float(self.value),
+            "unit": self.unit,
+            "components": {k: float(v) for k, v in sorted(self.components.items())},
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"value": self.value, "unit": self.unit, "components": dict(sorted(self.components.items()))},
-            sort_keys=True,
-        )
+        return json.dumps(self.report(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Quantity":
@@ -166,27 +174,41 @@ def finite(name: str, *values: float) -> None:
             raise OverflowError(f"{name} = {v!r}")
 
 
-def parenthetical(q: Quantity, digits: int = 2) -> str:
+_EXPONENT_FROM = 1e15  # where a float64 holds no hundredths, a printed number switches to exponent form
+_DIGITS = 2  # significant digits of each component in `parenthetical` text
+
+
+def fixed(x: float, spec: str) -> str:
+    """`x` in the fixed-point format `spec` (`.2f`, `+.4f`, ...) below 1e15 in magnitude.
+
+    From 1e15 on, where a float64 holds no hundredths, it is in exponent
+    form to 7 digits with `spec`'s flags (`+.2f` as `+.6e`): the text is
+    bounded for any float.
+    """
+    return format(x, spec) if abs(x) < _EXPONENT_FROM else format(x, spec.partition(".")[0] + ".6e")
+
+
+def parenthetical(q: Quantity) -> str:
     """Render ``58605013478.03(19)_exp kHz``-style text.
 
     Each component is scaled to the least significant digit of the
-    rounded value.  From 1e15 on, where a float64 holds no hundredths,
-    the value or the largest component switches the text to exponent
-    form, ``1.223899e+300(1.5e-01)_exp kHz``: the value to 7 digits and
-    each component to `digits`, bounded for any float.  Purely a display
-    helper; no rounding feeds back into the analysis.
+    rounded value.  From 1e15 on, the value or the largest component
+    switches the text to exponent form, ``1.223899e+300(1.5e-01)_exp
+    kHz``: the value to 7 digits and each component to 2, bounded for any
+    float.  Purely a display helper; no rounding feeds back into the
+    analysis.
     """
     if not q.components:
         return f"{q.value} {q.unit}"
     max_u = max(q.components.values())
-    if max(abs(q.value), max_u) >= 1e15:
-        parts = "".join(f"({u:.{digits - 1}e})_{name}" for name, u in sorted(q.components.items()))
+    if max(abs(q.value), max_u) >= _EXPONENT_FROM:
+        parts = "".join(f"({u:.{_DIGITS - 1}e})_{name}" for name, u in sorted(q.components.items()))
         return f"{q.value:.6e}{parts} {q.unit}"
     if max_u <= 0.0:
         decimals = 2
     else:
-        # keep `digits` significant figures in the largest component
-        decimals = max(0, digits - 1 - math.floor(math.log10(max_u)))
+        # keep `_DIGITS` significant figures in the largest component
+        decimals = max(0, _DIGITS - 1 - math.floor(math.log10(max_u)))
     scale = 10 ** decimals
     parts = "".join(
         f"({max(1, round(u * scale))})_{name}" for name, u in sorted(q.components.items())

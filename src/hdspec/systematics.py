@@ -4,7 +4,9 @@ Each perturbation enters as a named ledger entry carrying a correction
 (added to the raw frequency), an uncertainty, and the basis on which it
 was established.  Entry uncertainties combine in quadrature into the
 `exp` component; they are independent measurement determinations,
-unlike the spin-theory budget which sums absolute values.
+unlike the spin-theory budget which sums absolute values.  An entry's
+JSON form is written by `ShiftEntry.report` alone and read back by
+`read_entries` (the `ledger --entries` file).
 
 Measured line positions are extrapolated to zero magnetic field (f0 + c
 B^2) and to zero trap-RF amplitude (f0 + k A^2, or f0 + k A), each by
@@ -21,12 +23,17 @@ from typing import Iterable, Sequence
 
 from .quantity import (
     FINITE,
+    OPTIONAL_FINITE,
     OPTIONAL_NON_NEGATIVE,
+    OPTIONAL_TEXT,
     POSITIVE,
+    TEXT,
     Quantity,
     Record,
+    Rule,
     finite,
     overflow_as_value_error,
+    read_json,
     read_table,
 )
 
@@ -59,6 +66,35 @@ class ShiftEntry(Record):
         self.basis = basis
         self.note = note
 
+    def report(self) -> dict:
+        """The JSON form of the entry, the one `read_entries` reads."""
+        return {
+            "name": self.name,
+            "correction_khz": float(self.correction),
+            "uncertainty_khz": float(self.uncertainty),
+            "basis": self.basis,
+            "note": self.note,
+        }
+
+
+def read_entries(path: str | Path) -> list[ShiftEntry]:
+    """The entries of a JSON list of `ShiftEntry.report()` objects.
+
+    correction_khz (finite), uncertainty_khz (finite, >= 0) and note may
+    be absent, and read as 0, 0 and empty; a set-to-zero entry must carry
+    no correction.  Faults are `read_json`'s, or `path: [i].correction_khz
+    must be 0 for a set-to-zero entry`.
+    """
+    basis = Rule(f"must be one of {', '.join(ENTRY_BASES)}", choices=frozenset(ENTRY_BASES))
+    shape = {"name": TEXT, "correction_khz": OPTIONAL_FINITE, "uncertainty_khz": OPTIONAL_NON_NEGATIVE,
+             "basis": basis, "note": OPTIONAL_TEXT}
+    entries = read_json(path, [shape])
+    for i, e in enumerate(entries):
+        if e["basis"] == "set-to-zero" and e.get("correction_khz", 0.0) != 0.0:
+            raise ValueError(f"{path}: [{i}].correction_khz must be 0 for a set-to-zero entry")
+    return [ShiftEntry(e["name"], e.get("correction_khz", 0.0), e.get("uncertainty_khz", 0.0), e["basis"],
+                       e.get("note", "")) for e in entries]
+
 
 class ShiftLedger:
     __slots__ = ("raw", "corrected", "entries")
@@ -69,23 +105,9 @@ class ShiftLedger:
         self.entries = entries
 
     def report(self) -> dict:
-        return {
-            "raw": {"value_khz": self.raw.value, "components": dict(sorted(self.raw.components.items()))},
-            "corrected": {
-                "value_khz": self.corrected.value,
-                "components": dict(sorted(self.corrected.components.items())),
-            },
-            "entries": [
-                {
-                    "name": e.name,
-                    "correction_khz": e.correction,
-                    "uncertainty_khz": e.uncertainty,
-                    "basis": e.basis,
-                    "note": e.note,
-                }
-                for e in self.entries
-            ],
-        }
+        raw, corrected = ({"value_khz": q.value, "components": dict(sorted(q.components.items()))}
+                          for q in (self.raw, self.corrected))
+        return {"raw": raw, "corrected": corrected, "entries": [e.report() for e in self.entries]}
 
 
 def apply_ledger(raw: Quantity, entries: Sequence[ShiftEntry]) -> ShiftLedger:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import hdspec
 from hdspec import bundled, cli, lineshape, metrology
 from hdspec.cli import DataFailure, _Floats, _sweep_grid, _write_csv, _write_csv_grid, _write_json, main
+from hdspec.quantity import Quantity
 
 SRC = str(Path(hdspec.__file__).resolve().parents[1])
 
@@ -337,10 +338,26 @@ def test_values_from_1e15_on_print_each_line_within_a_bounded_width(tmp_path):
     coefficients = tmp_path / "coefficients.conf"
     coefficients.write_text(scaled_demo_coefficients(1e300))
     depletion = str(bundled.data_path("line12_depletion.csv"))
+    determinations = tmp_path / "determinations.json"
+    doc = json.loads(bundled.data_path("determinations_mp_over_me.json").read_text())
+    doc["determinations"][1]["value"] = 1e300
+    determinations.write_text(json.dumps(doc))
+    lines = tmp_path / "lines.json"
+    doc = json.loads(bundled.data_path("measured_lines.json").read_text())
+    doc["12"]["f_exp"]["value"], doc["16"]["f_exp"]["value"] = -1e300, 1e300
+    lines.write_text(json.dumps(doc))
+    wide_scan = tmp_path / "depletion.csv"
+    header, *rows = Path(depletion).read_text().splitlines()
+    scaled = [f"{float(d) * 1e50!r},{rest}" for d, _, rest in (r.partition(",") for r in rows)]  # every detuning x 1e50
+    wide_scan.write_text("\n".join([header, *scaled]))
     cases = [
         (["composite", "--coefficients", str(coefficients)], "composite: 5.860505e+10(1.6e-01)_exp(6.1e+299)_theor_spin kHz"),
         (["ledger", "--raw-khz", "1e300", "--raw-u-khz", "0.15"], "corrected: 1.000000e+300(1.5e-01)_exp kHz"),
         (["fit-line", "--input", depletion, "--absolute-offset-khz", "1e300"], "line frequency = 1.000000e+300(9.8e-02)_exp kHz"),
+        (["compare", "--input", str(determinations)], f"{'Penning-trap masses':32s} 1.000000e+300 +- 7.8e-08  pull +1.282051e+307"),
+        (["carrier", "--delta-rho-um", "1e300", "--lambda-um", "5"], "S(5 um) = 0.0000  (lambda_c = 6.283185e+300 um)"),
+        (["composite", "--lines", str(lines)], "splitting: 2.000000e+300 kHz (theory 41293.81 kHz, 3.668027e+300 sigma)"),
+        (["fit-line", "--input", str(wide_scan)], "center = +3.564655e+48 kHz, fwhm = 1.964477e+49 kHz, amplitude = 0.3516"),
     ]
     for argv, text in cases:
         proc = run_python("-W", "error::RuntimeWarning", "-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path / "out"))
@@ -1677,10 +1694,47 @@ def test_extrapolate_rf_linear_flag_is_the_linear_model(tmp_path):
     payload = load_json(tmp_path, "extrapolate_rf")
     points = systematics.read_amplitude_csv(src)
     f_zero, entry = systematics.rf_extrapolate(points, 1.0, linear_in_amplitude=True)
-    assert payload["f_zero"] == cli._quantity_dict(f_zero)
+    assert payload["f_zero"] == f_zero.report()
     assert (payload["entry"]["correction_khz"], payload["entry"]["uncertainty_khz"]) == (
         entry.correction, entry.uncertainty)
     assert f_zero.value != systematics.rf_extrapolate(points, 1.0)[0].value  # the flag changes the model
+
+
+def test_the_entry_extrapolate_rf_writes_is_the_entry_ledger_reports(tmp_path):
+    src = bundled.data_path("line12_rf.csv")
+    assert run(tmp_path, "extrapolate-rf", "--input", str(src), "--nominal-amplitude", "1.0") == 0
+    entry = load_json(tmp_path, "extrapolate_rf")["entry"]
+    entries = tmp_path / "entries.json"
+    entries.write_text(json.dumps([entry]))
+    assert run(tmp_path, "ledger", "--raw-khz", "58605013478.33", "--raw-u-khz", "0.15", "--entries", str(entries)) == 0
+    assert load_json(tmp_path, "ledger")["entries"] == [entry]
+
+
+def _report_quantities():
+    """(argv, report stem, key, the Quantity the library computes for the same input) of each report's Quantity."""
+    from hdspec import composite, systematics
+
+    zeeman, rf, depletion = (str(bundled.data_path(f"line12_{s}.csv")) for s in ("zeeman", "rf", "depletion"))
+    offset = 58605013478.0
+    ext = systematics.extrapolate_to_zero_field(*systematics.read_field_scan_csv(zeeman))
+    f_zero, _ = systematics.rf_extrapolate(systematics.read_amplitude_csv(rf), 1.0)
+    fit = lineshape.fit_lorentzian(lineshape.build_spectrum(lineshape.read_decay_csv(depletion)))
+    lines = bundled.load_measured_lines()
+    inp = composite.CompositeInput(*(lines[t][k] for k in ("f_exp", "f_spin") for t in ("12", "16")))
+    return [
+        (["extrapolate-b", "--input", zeeman], "extrapolate_b", "intercept", ext.intercept),
+        (["extrapolate-b", "--input", zeeman], "extrapolate_b", "curvature", ext.curvature),
+        (["extrapolate-rf", "--input", rf, "--nominal-amplitude", "1.0"], "extrapolate_rf", "f_zero", f_zero),
+        (["fit-line", "--input", depletion, "--absolute-offset-khz", str(offset)], "fit_line", "line",
+         lineshape.line_frequency(fit, offset)),
+        (["extract"], "extract", "composite", composite.composite_frequency(inp, 0.5)),
+    ]
+
+
+def test_every_quantity_of_a_report_reads_back_as_the_library_computes_it(tmp_path):
+    for argv, stem, key, q in _report_quantities():
+        assert run(tmp_path, *argv) == 0
+        assert Quantity.from_json(json.dumps(load_json(tmp_path, stem)[key])) == q, (stem, key)
 
 
 def test_fit_line_absolute_offset_gives_the_line_frequency(tmp_path):

@@ -1,5 +1,6 @@
 """Systematic-shift ledger, its standard entries, and the zero-field and zero-RF extrapolations."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from hdspec.systematics import (
     line_fit,
     negligible_entries,
     read_amplitude_csv,
+    read_entries,
     rf_extrapolate,
 )
 
@@ -354,6 +356,14 @@ def test_negligible_entries_shape():
         assert e.basis == "set-to-zero"
         assert e.correction == 0.0
         assert e.uncertainty == 0.0
+
+
+def test_read_entries_reads_back_the_entries_report_writes(tmp_path):
+    _, rf_entry = rf_extrapolate(read_amplitude_csv(bundled.data_path("line12_rf.csv")), 1.0)
+    entries = [*negligible_entries(), rf_entry]
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps([e.report() for e in entries]))
+    assert read_entries(path) == entries
 
 
 def test_entry_bases_frozen():
