@@ -30,14 +30,13 @@ def critical_wavelength(delta_rho: float) -> float:
 class CarrierModel:
     """Gaussian carrier-strength model S(lambda) in (0, 1], with its critical wavelength computed once.
 
-    A lambda_c beyond float64 raises the ValueError of `critical_wavelength`.
+    A spread that is not positive, or a lambda_c beyond float64, raises
+    the ValueError of `critical_wavelength`.
     """
 
     __slots__ = ("delta_rho", "lambda_c")
 
     def __init__(self, delta_rho: float) -> None:
-        if delta_rho <= 0:
-            raise ValueError("radial spread must be positive")
         self.delta_rho = delta_rho
         self.lambda_c = critical_wavelength(delta_rho)
 

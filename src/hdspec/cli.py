@@ -22,10 +22,14 @@ whole payload stays the authority: wherever the renderer stops (a NaN or
 infinity, a non-str key, any other type), the report is its text, or its
 error.
 
-Exit codes: 0 success, 1 data error (a computation failed on inputs
-that parsed fine), 2 configuration error (bad flags, missing or invalid
-input files).  All referenced files are read and validated before any
-computation starts.
+Exit codes: 0 success, 1 data error, 2 configuration error.  A handler
+first reads and checks all its inputs (files, flags and the coefficient
+source), then computes and writes its reports inside one `_computing()`
+block.  A failure while the inputs are read and checked is a
+configuration error: `main` turns an OSError, ValueError, LookupError or
+TypeError that escapes a handler before its block into one.  A failure
+while computing is a data error: the block turns a ValueError,
+LookupError, RuntimeError or ArithmeticError into one.
 
 The commands are one table, `COMMANDS`.  A handler, and each helper it
 calls, imports the analysis modules it runs, so a command loads only
@@ -75,22 +79,11 @@ class ConfigFailure(_Failure):
     exit_code = 2
 
 
-def _load(fn, *args, **kwargs):
-    """Run an input-reading/validation step; failures are config errors."""
+@contextlib.contextmanager
+def _computing():
+    """Where a handler computes and writes its reports, after reading and checking its inputs: failures are data errors."""
     try:
-        return fn(*args, **kwargs)
-    except _Failure:
-        raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigFailure(str(exc)) from exc
-
-
-def _run(fn, *args, **kwargs):
-    """Run a computation on validated inputs; failures are data errors."""
-    try:
-        return fn(*args, **kwargs)
-    except _Failure:
-        raise
+        yield
     except (ValueError, LookupError, RuntimeError, ArithmeticError) as exc:  # numpy's LinAlgError is a ValueError
         raise DataFailure(str(exc)) from exc
 
@@ -280,13 +273,13 @@ def _resolve_coefficients(args) -> dict | None:
     if args.coefficients is not None:
         from .coefficients import read_coefficient_file
 
-        sets = _load(read_coefficient_file, args.coefficients)
+        sets = read_coefficient_file(args.coefficients)
         if not sets:
             raise ConfigFailure(f"{args.coefficients}: no [v=..,N=..] section with coefficients")
         return sets
     if getattr(args, "demo", False):
-        return _load(bundled.load_demo_coefficients)
-    return _load(bundled.load_coefficients)
+        return bundled.load_demo_coefficients()
+    return bundled.load_coefficients()
 
 
 def _coefficient_sets(args) -> dict:
@@ -308,50 +301,57 @@ def _transition_sets(sets: dict):
     return sets[(0, 0)], sets[(1, 1)]
 
 
-def _standard_table(sets: dict) -> coefficients.SensitivityTable:
+def _standard_table(lower, upper) -> coefficients.SensitivityTable:
     from . import angular
 
-    lower, upper = _transition_sets(sets)
-    return _run(angular.transition_table, lower, upper, bundled.TRANSITION_LEVELS)
+    return angular.transition_table(lower, upper, bundled.TRANSITION_LEVELS)
 
 
-def _spin_lines(sets: dict, table: coefficients.SensitivityTable) -> dict[str, tuple[float, float]]:
-    """(f_spin, u_spin) in kHz of each line of `bundled.TRANSITION_LEVELS`, in sorted order; `table` is `sets`'."""
+def _spin_lines(lower, upper, table: coefficients.SensitivityTable) -> dict[str, tuple[float, float]]:
+    """(f_spin, u_spin) in kHz of each line of `bundled.TRANSITION_LEVELS`, in sorted order; `table` is the sets' own."""
     from . import angular, coefficients
 
-    lower, upper = _transition_sets(sets)
     return {
-        tid: (_run(angular.spin_frequency, (upper, up), (lower, lo)), _run(coefficients.spin_uncertainty, tid, table))
+        tid: (angular.spin_frequency((upper, up), (lower, lo)), coefficients.spin_uncertainty(tid, table))
         for tid, (lo, up) in sorted(bundled.TRANSITION_LEVELS.items())
     }
-
-
-def _optional_tables(args) -> coefficients.SensitivityTable | None:
-    """Sensitivity table when a coefficient source is available, else None."""
-    sets = _resolve_coefficients(args)
-    return None if sets is None else _standard_table(sets)
 
 
 def _couplings(args) -> zeeman.ZeemanCouplings:
     from . import zeeman
 
-    if getattr(args, "couplings", None) is not None:
-        return _load(zeeman.read_couplings_file, args.couplings)
-    return _load(bundled.load_couplings)
+    if args.couplings is not None:
+        return zeeman.read_couplings_file(args.couplings)
+    return bundled.load_couplings()
 
 
-def _composite_input(args) -> tuple[dict, composite.CompositeInput]:
+def _b_values(args, grid_check):
+    """The --b-values grid, else `zeeman.DEFAULT_B_GRID`, as the `zeeman` check `grid_check` returns it."""
+    from . import zeeman
+
+    return grid_check(_floats_arg(args.b_values, "--b-values") if args.b_values is not None else zeeman.DEFAULT_B_GRID)
+
+
+def _read_composite(args) -> tuple[dict, tuple | None]:
+    """Check --b12, then read the measured lines and the (lower, upper) coefficient sets (None with no source)."""
+    if not 0.0 <= args.b12 <= 1.0:
+        raise ConfigFailure(f"--b12 must be in [0, 1], got {args.b12!r}")
+    lines = bundled.load_measured_lines(args.lines)
+    sets = _resolve_coefficients(args)
+    return lines, None if sets is None else _transition_sets(sets)
+
+
+def _composite_input(lines: dict, transition_sets: tuple | None) -> composite.CompositeInput:
+    """The `CompositeInput` of what `_read_composite` read: with the sensitivity table of the sets, if any."""
     from . import composite
 
-    lines = _load(bundled.load_measured_lines, getattr(args, "lines", None))
-    inp = composite.CompositeInput(
+    return composite.CompositeInput(
         f12=lines["12"]["f_exp"],
         f16=lines["16"]["f_exp"],
         fspin12=lines["12"]["f_spin"],
         fspin16=lines["16"]["f_spin"],
-        tables=_optional_tables(args),
+        tables=None if transition_sets is None else _standard_table(*transition_sets),
     )
-    return lines, inp
 
 
 # ---------------------------------------------------------------------------
@@ -362,38 +362,40 @@ def _cmd_spin_structure(args) -> int:
     from . import angular
 
     sets = _coefficient_sets(args)
-    header = ["section", "g1", "g2", "f", "degeneracy", "energy_khz"]
-    payload: dict = {"sections": {}}
-    csv_rows = []
-    for (v, n), coeffs in sorted(sets.items()):
-        levels = _run(angular.level_structure, coeffs)
-        name = f"v={v},N={n}"
-        rows = [[name, lv.g1, lv.g2, lv.f, int(lv.degeneracy), float(lv.energy)] for lv in levels]
-        payload["sections"][name] = [dict(zip(header[1:], row[1:])) for row in rows]  # a level without its section
-        csv_rows.extend(rows)
+    with _computing():
+        header = ["section", "g1", "g2", "f", "degeneracy", "energy_khz"]
+        payload: dict = {"sections": {}}
+        csv_rows = []
+        for (v, n), coeffs in sorted(sets.items()):
+            levels = angular.level_structure(coeffs)
+            name = f"v={v},N={n}"
+            rows = [[name, lv.g1, lv.g2, lv.f, int(lv.degeneracy), float(lv.energy)] for lv in levels]
+            payload["sections"][name] = [dict(zip(header[1:], row[1:])) for row in rows]  # a level without its section
+            csv_rows.extend(rows)
 
-    if (0, 0) in sets and (1, 1) in sets:
-        table = _standard_table(sets)
-        transitions = {}
-        for tid, (f_spin, u_spin) in _spin_lines(sets, table).items():
-            lo, up = bundled.TRANSITION_LEVELS[tid]
-            row = table.row(tid)
-            transitions[tid] = {
-                "lower_level": list(lo),
-                "upper_level": list(up),
-                "f_spin_khz": float(f_spin),
-                "u_spin_khz": float(u_spin),
-                "gamma_lower": {f"E{k}": float(row.lower[k]) for k in sorted(row.lower)},
-                "gamma_upper": {f"E{k}": float(row.upper[k]) for k in sorted(row.upper)},
-            }
-        for tid, t in transitions.items():  # every line computed before any is printed
-            f_spin, u_spin = (fixed(t[k], ".2f") for k in ("f_spin_khz", "u_spin_khz"))
-            print(f"line {tid}: f_spin = {f_spin} kHz, u_spin = {u_spin} kHz")
-        payload["transitions"] = transitions
+        if (0, 0) in sets and (1, 1) in sets:
+            lower, upper = sets[(0, 0)], sets[(1, 1)]
+            table = _standard_table(lower, upper)
+            transitions = {}
+            for tid, (f_spin, u_spin) in _spin_lines(lower, upper, table).items():
+                lo, up = bundled.TRANSITION_LEVELS[tid]
+                row = table.row(tid)
+                transitions[tid] = {
+                    "lower_level": list(lo),
+                    "upper_level": list(up),
+                    "f_spin_khz": float(f_spin),
+                    "u_spin_khz": float(u_spin),
+                    "gamma_lower": {f"E{k}": float(row.lower[k]) for k in sorted(row.lower)},
+                    "gamma_upper": {f"E{k}": float(row.upper[k]) for k in sorted(row.upper)},
+                }
+            for tid, t in transitions.items():  # every line computed before any is printed
+                f_spin, u_spin = (fixed(t[k], ".2f") for k in ("f_spin_khz", "u_spin_khz"))
+                print(f"line {tid}: f_spin = {f_spin} kHz, u_spin = {u_spin} kHz")
+            payload["transitions"] = transitions
 
-    _write_json(args.out_dir, "spin_structure", payload)
-    if args.format == "csv":
-        _write_csv(args.out_dir, "spin_structure", header, csv_rows)
+        _write_json(args.out_dir, "spin_structure", payload)
+        if args.format == "csv":
+            _write_csv(args.out_dir, "spin_structure", header, csv_rows)
     return 0
 
 
@@ -404,21 +406,22 @@ def _cmd_zeeman_map(args) -> int:
     key = _parse_level(args.level)
     if key not in sets:
         raise ConfigFailure(f"coefficient file has no [v={key[0]},N={key[1]}] section")
-    b_values = _floats_arg(args.b_values, "--b-values") if args.b_values is not None else list(zeeman.DEFAULT_B_GRID)
-    zmap = _run(zeeman.zeeman_map, sets[key], _couplings(args), b_values=b_values)
-
-    b_gauss = _Floats(zmap.b_values.tolist())  # each field and each energy rendered once, for both reports
-    energies = [_Floats(st.energies.tolist()) for st in zmap.states]
-    header = ["g1", "g2", "f", "m_f", "B_gauss", "energy_khz"]
-    labels = [st.label for st in zmap.states]
-    payload = {
-        "level": {"v": key[0], "n": key[1]},
-        "b_gauss": b_gauss,
-        "states": [dict(zip(header, label), energies_khz=e) for label, e in zip(labels, energies)],
-    }
-    print(f"{len(zmap.states)} sublevels over {len(zmap.b_values)} field values")
-    _write_json(args.out_dir, "zeeman_map", payload)
-    _write_csv_grid(args.out_dir, "zeeman_map", header, labels, b_gauss, energies)
+    b_values = _b_values(args, zeeman.field_grid)
+    couplings = _couplings(args)
+    with _computing():
+        zmap = zeeman.zeeman_map(sets[key], couplings, b_values=b_values)
+        b_gauss = _Floats(zmap.b_values.tolist())  # each field and each energy rendered once, for both reports
+        energies = [_Floats(st.energies.tolist()) for st in zmap.states]
+        header = ["g1", "g2", "f", "m_f", "B_gauss", "energy_khz"]
+        labels = [st.label for st in zmap.states]
+        payload = {
+            "level": {"v": key[0], "n": key[1]},
+            "b_gauss": b_gauss,
+            "states": [dict(zip(header, label), energies_khz=e) for label, e in zip(labels, energies)],
+        }
+        print(f"{len(zmap.states)} sublevels over {len(zmap.b_values)} field values")
+        _write_json(args.out_dir, "zeeman_map", payload)
+        _write_csv_grid(args.out_dir, "zeeman_map", header, labels, b_gauss, energies)
     return 0
 
 
@@ -428,141 +431,137 @@ def _cmd_zeeman_coeffs(args) -> int:
     sets = _coefficient_sets(args)
     lower, upper = _transition_sets(sets)
     lo, up = bundled.TRANSITION_LEVELS[args.transition]
-    lo_state, up_state = (*lo, args.lower_mf), (*up, args.upper_mf)
-    b_values = _floats_arg(args.b_values, "--b-values") if args.b_values is not None else list(zeeman.DEFAULT_B_GRID)
-    model, truncation = _run(
-        zeeman.transition_truncation,
-        (lower, lo_state),
-        (upper, up_state),
-        _couplings(args),
-        b_values,
-    )
-    payload = {
-        "transition": args.transition,
-        "lower_state": list(lo_state),
-        "upper_state": list(up_state),
-        "linear_khz_per_gauss": float(model.linear),
-        "quadratic_khz_per_gauss2": float(model.quadratic),
-        "truncation_khz": truncation,
-    }
-    print(
-        f"line {args.transition} (m_F {args.lower_mf} -> {args.upper_mf}): "
-        f"{model.linear:+.4g} kHz/G {model.quadratic:+.4g} kHz/G^2"
-    )
-    _write_json(args.out_dir, "zeeman_coeffs", payload)
+    lo_state, up_state = zeeman.state_label((*lo, args.lower_mf)), zeeman.state_label((*up, args.upper_mf))
+    b_values = _b_values(args, zeeman.truncation_grid)
+    couplings = _couplings(args)
+    with _computing():
+        model, truncation = zeeman.transition_truncation((lower, lo_state), (upper, up_state), couplings, b_values)
+        payload = {
+            "transition": args.transition,
+            "lower_state": list(lo_state),
+            "upper_state": list(up_state),
+            "linear_khz_per_gauss": float(model.linear),
+            "quadratic_khz_per_gauss2": float(model.quadratic),
+            "truncation_khz": truncation,
+        }
+        print(
+            f"line {args.transition} (m_F {args.lower_mf} -> {args.upper_mf}): "
+            f"{model.linear:+.4g} kHz/G {model.quadratic:+.4g} kHz/G^2"
+        )
+        _write_json(args.out_dir, "zeeman_coeffs", payload)
     return 0
 
 
 def _cmd_extrapolate_b(args) -> int:
     from . import systematics
 
-    b, f, u = _load(systematics.read_field_scan_csv, args.input)
-    ext = _run(systematics.extrapolate_to_zero_field, b, f, u)
-    payload = {
-        "n_points": len(b),
-        "intercept": ext.intercept.report(),
-        "curvature": ext.curvature.report(),
-        "residuals_khz": list(ext.residuals),
-    }
-    print(f"f(B=0) = {parenthetical(ext.intercept)}  curvature {ext.curvature.value:+.4g} kHz/G^2")
-    _write_json(args.out_dir, "extrapolate_b", payload)
+    b, f, u = systematics.read_field_scan_csv(args.input)
+    with _computing():
+        ext = systematics.extrapolate_to_zero_field(b, f, u)
+        payload = {
+            "n_points": len(b),
+            "intercept": ext.intercept.report(),
+            "curvature": ext.curvature.report(),
+            "residuals_khz": list(ext.residuals),
+        }
+        print(f"f(B=0) = {parenthetical(ext.intercept)}  curvature {ext.curvature.value:+.4g} kHz/G^2")
+        _write_json(args.out_dir, "extrapolate_b", payload)
     return 0
 
 
 def _cmd_fit_line(args) -> int:
     from . import lineshape
 
-    scan = _load(lineshape.read_decay_csv, args.input)
-    points = _run(lineshape.build_spectrum, scan)
-    _write_csv(
-        args.out_dir,
-        "fit_line_spectrum",
-        ["detuning_khz", "signal", "sem"],
-        [[pt.detuning, pt.signal, pt.sem] for pt in points],  # a missing sem is an empty cell
-    )
+    scan = lineshape.read_decay_csv(args.input)
+    with _computing():
+        points = lineshape.build_spectrum(scan)
+        _write_csv(
+            args.out_dir,
+            "fit_line_spectrum",
+            ["detuning_khz", "signal", "sem"],
+            [[pt.detuning, pt.signal, pt.sem] for pt in points],  # a missing sem is an empty cell
+        )
 
-    fit = _run(lineshape.fit_lorentzian, points)
-    payload = {"n_records": len(scan), "n_points": len(points), "fit": lineshape.fit_report(fit)}
-    print(
-        f"center = {fixed(fit.center, '+.4f')} kHz, fwhm = {fixed(fit.fwhm, '.4f')} kHz, "
-        f"amplitude = {fixed(fit.amplitude, '.4f')} in {fit.n_iter} iterations"
-    )
-    if args.absolute_offset_khz is not None:
-        line = _run(lineshape.line_frequency, fit, args.absolute_offset_khz)
-        payload["line"] = line.report()
-        print(f"line frequency = {parenthetical(line)}")
-    _write_json(args.out_dir, "fit_line", payload)
+        fit = lineshape.fit_lorentzian(points)
+        payload = {"n_records": len(scan), "n_points": len(points), "fit": lineshape.fit_report(fit)}
+        print(
+            f"center = {fixed(fit.center, '+.4f')} kHz, fwhm = {fixed(fit.fwhm, '.4f')} kHz, "
+            f"amplitude = {fixed(fit.amplitude, '.4f')} in {fit.n_iter} iterations"
+        )
+        if args.absolute_offset_khz is not None:
+            line = lineshape.line_frequency(fit, args.absolute_offset_khz)
+            payload["line"] = line.report()
+            print(f"line frequency = {parenthetical(line)}")
+        _write_json(args.out_dir, "fit_line", payload)
     return 0
 
 
 def _cmd_extrapolate_rf(args) -> int:
     from . import systematics
 
-    points = _load(systematics.read_amplitude_csv, args.input)
-    f_zero, entry = _run(systematics.rf_extrapolate, points, args.nominal_amplitude, args.linear)
-    payload = {
-        "n_points": len(points),
-        "f_zero": f_zero.report(),
-        "entry": entry.report(),
-    }
-    print(f"f(A=0) = {parenthetical(f_zero)}  correction at nominal: {entry.correction:+.4g} kHz")
-    _write_json(args.out_dir, "extrapolate_rf", payload)
+    points = systematics.read_amplitude_csv(args.input)
+    with _computing():
+        f_zero, entry = systematics.rf_extrapolate(points, args.nominal_amplitude, args.linear)
+        payload = {
+            "n_points": len(points),
+            "f_zero": f_zero.report(),
+            "entry": entry.report(),
+        }
+        print(f"f(A=0) = {parenthetical(f_zero)}  correction at nominal: {entry.correction:+.4g} kHz")
+        _write_json(args.out_dir, "extrapolate_rf", payload)
     return 0
 
 
 def _cmd_ledger(args) -> int:
     from . import systematics
 
-    entries = _load(systematics.read_entries, args.entries) if args.entries else []
+    entries = systematics.read_entries(args.entries) if args.entries else []
     if args.include_negligible:
         entries.extend(systematics.negligible_entries())
     if args.raw_u_khz < 0:
         raise ConfigFailure(f"--raw-u-khz must be >= 0, got {args.raw_u_khz!r}")
     raw = Quantity(args.raw_khz, "kHz", {"exp": args.raw_u_khz})
-    ledger = _run(systematics.apply_ledger, raw, entries)
-    payload = ledger.report()
-    print(f"corrected: {parenthetical(ledger.corrected)} from {len(entries)} entries")
-    _write_json(args.out_dir, "ledger", payload)
-    if args.format == "csv":
-        header = ["name", "correction_khz", "uncertainty_khz", "basis"]
-        _write_csv(args.out_dir, "ledger", header, [[e[k] for k in header] for e in payload["entries"]])
+    with _computing():
+        ledger = systematics.apply_ledger(raw, entries)
+        payload = ledger.report()
+        print(f"corrected: {parenthetical(ledger.corrected)} from {len(entries)} entries")
+        _write_json(args.out_dir, "ledger", payload)
+        if args.format == "csv":
+            header = ["name", "correction_khz", "uncertainty_khz", "basis"]
+            _write_csv(args.out_dir, "ledger", header, [[e[k] for k in header] for e in payload["entries"]])
     return 0
-
-
-def _check_b12(b12: float) -> None:
-    if not 0.0 <= b12 <= 1.0:
-        raise ConfigFailure(f"--b12 must be in [0, 1], got {b12!r}")
 
 
 def _cmd_composite(args) -> int:
     from . import composite
 
-    _check_b12(args.b12)
-    lines, inp = _composite_input(args)
-    if args.optimize and inp.tables is None:
+    lines, transition_sets = _read_composite(args)
+    if args.optimize and transition_sets is None:
         raise ConfigFailure("--optimize needs a sensitivity table; pass --coefficients FILE or --demo")
-    weights = _run(composite.weight_profile, inp.terms)
-    b12 = weights.b_star if args.optimize else args.b12
-    q = _run(composite.composite_frequency, inp, b12)
-    profile = [[float(b), float(u)] for b, u in weights.profile]
+    with _computing():
+        inp = _composite_input(lines, transition_sets)
+        weights = composite.weight_profile(inp.terms)
+        b12 = weights.b_star if args.optimize else args.b12
+        q = composite.composite_frequency(inp, b12)
+        profile = [[float(b), float(u)] for b, u in weights.profile]
 
-    payload = {
-        "b12": float(b12),
-        "value_khz": float(q.value),
-        "u_exp_khz": float(q.component("exp")),
-        "u_spin_khz": float(q.component("theor_spin")),
-        "profile": profile,
-    }
-    if lines["splitting_theory_khz"] is not None:
-        cmp_ = _run(composite.splitting_comparison, inp.f12, inp.f16, lines["splitting_theory_khz"])
-        payload["splitting"] = cmp_.report()
-        print(
-            f"splitting: {fixed(cmp_.difference_exp.value, '.2f')} kHz "
-            f"(theory {fixed(cmp_.difference_theory.value, '.2f')} kHz, {fixed(cmp_.agreement_sigma, '.2f')} sigma)"
-        )
-    print(f"composite: {parenthetical(q)} at b12 = {b12:g}")
-    _write_json(args.out_dir, "composite", payload)
-    _write_csv(args.out_dir, "composite_profile", ["b12", "u_spin_khz"], profile)
+        payload = {
+            "b12": float(b12),
+            "value_khz": float(q.value),
+            "u_exp_khz": float(q.component("exp")),
+            "u_spin_khz": float(q.component("theor_spin")),
+            "profile": profile,
+        }
+        if lines["splitting_theory_khz"] is not None:
+            cmp_ = composite.splitting_comparison(inp.f12, inp.f16, lines["splitting_theory_khz"])
+            payload["splitting"] = cmp_.report()
+            print(
+                f"splitting: {fixed(cmp_.difference_exp.value, '.2f')} kHz "
+                f"(theory {fixed(cmp_.difference_theory.value, '.2f')} kHz, {fixed(cmp_.agreement_sigma, '.2f')} sigma)"
+            )
+        print(f"composite: {parenthetical(q)} at b12 = {b12:g}")
+        _write_json(args.out_dir, "composite", payload)
+        _write_csv(args.out_dir, "composite_profile", ["b12", "u_spin_khz"], profile)
     return 0
 
 
@@ -574,35 +573,35 @@ def _md_over_mp_quantity(consts: constants.ConstantSet) -> Quantity:
 def _cmd_extract(args) -> int:
     from . import composite, constants
 
-    _check_b12(args.b12)
-    model = _load(bundled.load_scaling_model, args.constants_profile)
-    consts = _load(bundled.load_constants, args.constants_profile)
-    _, inp = _composite_input(args)
-    q = _run(composite.composite_frequency, inp, args.b12)
-    mu = _run(constants.extract_mu_over_me, q, model, consts)
-    mp = _run(constants.extract_mp_over_me, q, model, consts, _md_over_mp_quantity(consts))
-    payload = {
-        "constants_profile": args.constants_profile,
-        "b12": float(args.b12),
-        "composite": q.report(),
-        "mu_over_me": mu.report(),
-        "mp_over_me": mp.report(),
-        "reference_mp_over_me": {
-            "value": float(consts.mp_over_me.value),
-            "uncertainty": float(consts.mp_over_me.uncertainty),
-            "source": consts.mp_over_me.source,
-        },
-    }
-    for res in (mu, mp):
-        print(
-            f"{res.name} = {res.value:.9f} +- {res.total_uncertainty:.1e} "
-            f"({res.total_fractional:.1e} fractional)"
-        )
-    _write_json(args.out_dir, "extract", payload)
-    if args.format == "csv":
-        results = (payload["mu_over_me"], payload["mp_over_me"])
-        rows = [[r["name"], k, u] for r in results for k, u in r["components"].items()]
-        _write_csv(args.out_dir, "extract_components", ["quantity", "component", "uncertainty"], rows)
+    lines, transition_sets = _read_composite(args)
+    model = bundled.load_scaling_model(args.constants_profile)
+    consts = bundled.load_constants(args.constants_profile)
+    with _computing():
+        q = composite.composite_frequency(_composite_input(lines, transition_sets), args.b12)
+        mu = constants.extract_mu_over_me(q, model, consts)
+        mp = constants.extract_mp_over_me(q, model, consts, _md_over_mp_quantity(consts))
+        payload = {
+            "constants_profile": args.constants_profile,
+            "b12": float(args.b12),
+            "composite": q.report(),
+            "mu_over_me": mu.report(),
+            "mp_over_me": mp.report(),
+            "reference_mp_over_me": {
+                "value": float(consts.mp_over_me.value),
+                "uncertainty": float(consts.mp_over_me.uncertainty),
+                "source": consts.mp_over_me.source,
+            },
+        }
+        for res in (mu, mp):
+            print(
+                f"{res.name} = {res.value:.9f} +- {res.total_uncertainty:.1e} "
+                f"({res.total_fractional:.1e} fractional)"
+            )
+        _write_json(args.out_dir, "extract", payload)
+        if args.format == "csv":
+            results = (payload["mu_over_me"], payload["mp_over_me"])
+            rows = [[r["name"], k, u] for r in results for k, u in r["components"].items()]
+            _write_csv(args.out_dir, "extract_components", ["quantity", "component", "uncertainty"], rows)
     return 0
 
 
@@ -626,22 +625,23 @@ def _cmd_compare(args) -> int:
     from . import constants
 
     source = args.input if args.input is not None else bundled.data_path("determinations_mp_over_me.json")
-    quantity_name, file_ref, rows = _load(_read_determinations, source)
+    quantity_name, file_ref, rows = _read_determinations(source)
     if args.reference is not None and args.reference not in [r[0] for r in rows]:
         raise ConfigFailure(f"--reference {args.reference!r} is not among the determinations")
     reference = args.reference if args.reference is not None else file_ref
-    report = _run(constants.comparison_report, rows, reference)
-    header = ["label", "value", "uncertainty", "pull"]
-    table = [[r.label, float(r.value), float(r.uncertainty), float(r.pull)] for r in report]
-    payload = {
-        "quantity": quantity_name,
-        "reference": reference if reference is not None else rows[0][0],
-        "rows": [dict(zip(header, row)) for row in table],
-    }
-    for label, value, u, pull in table:
-        print(f"{label:32s} {fixed(value, '.9f')} +- {u:.1e}  pull {fixed(pull, '+.2f')}")
-    _write_json(args.out_dir, "compare", payload)
-    _write_csv(args.out_dir, "compare", header, table)
+    with _computing():
+        report = constants.comparison_report(rows, reference)
+        header = ["label", "value", "uncertainty", "pull"]
+        table = [[r.label, float(r.value), float(r.uncertainty), float(r.pull)] for r in report]
+        payload = {
+            "quantity": quantity_name,
+            "reference": reference if reference is not None else rows[0][0],
+            "rows": [dict(zip(header, row)) for row in table],
+        }
+        for label, value, u, pull in table:
+            print(f"{label:32s} {fixed(value, '.9f')} +- {u:.1e}  pull {fixed(pull, '+.2f')}")
+        _write_json(args.out_dir, "compare", payload)
+        _write_csv(args.out_dir, "compare", header, table)
     return 0
 
 
@@ -657,20 +657,22 @@ def _default_taus(series: metrology.FrequencyTimeSeries) -> list[float]:
 def _cmd_adev(args) -> int:
     from . import metrology
 
-    series = _load(metrology.read_counter_csv, args.input, args.carrier_hz)
+    series = metrology.read_counter_csv(args.input, args.carrier_hz)
     taus = _floats_arg(args.tau_list, "--tau-list") if args.tau_list is not None else _default_taus(series)
-    header = ["tau_s", "adev", "ci_low", "ci_high"]
-    rows = [list(map(float, row)) for row in _run(metrology.allan_deviation, series, taus)]
-    payload = {
-        "n_samples": int(len(series.samples)),
-        "tau0_s": float(series.tau0),
-        "carrier_hz": None if args.carrier_hz is None else float(args.carrier_hz),
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    for t, a, *_ in rows:
-        print(f"tau = {t:8g} s  adev = {a:.3e}")
-    _write_json(args.out_dir, "adev", payload)
-    _write_csv(args.out_dir, "adev", header, rows)
+    metrology.bin_sizes(series, taus)
+    with _computing():
+        header = ["tau_s", "adev", "ci_low", "ci_high"]
+        rows = [list(map(float, row)) for row in metrology.allan_deviation(series, taus)]
+        payload = {
+            "n_samples": int(len(series.samples)),
+            "tau0_s": float(series.tau0),
+            "carrier_hz": None if args.carrier_hz is None else float(args.carrier_hz),
+            "rows": [dict(zip(header, row)) for row in rows],
+        }
+        for t, a, *_ in rows:
+            print(f"tau = {t:8g} s  adev = {a:.3e}")
+        _write_json(args.out_dir, "adev", payload)
+        _write_csv(args.out_dir, "adev", header, rows)
     return 0
 
 
@@ -679,31 +681,30 @@ def _cmd_dfg(args) -> int:
 
     if not abs(args.maser_fractional_offset) < 1e-9:
         raise ConfigFailure(f"--maser-fractional-offset must be in (-1e-9, 1e-9), got {args.maser_fractional_offset!r}")
-    comb = _load(
-        lambda: metrology.CombParams(
-            args.f_rep_hz,
-            args.f_ceo_hz,
-            (
-                metrology.LaserLock(args.n1, args.beat1_hz, args.beat_sign1, args.ceo_sign1),
-                metrology.LaserLock(args.n2, args.beat2_hz, args.beat_sign2, args.ceo_sign2),
-            ),
-        )
+    comb = metrology.CombParams(
+        args.f_rep_hz,
+        args.f_ceo_hz,
+        (
+            metrology.LaserLock(args.n1, args.beat1_hz, args.beat_sign1, args.ceo_sign1),
+            metrology.LaserLock(args.n2, args.beat2_hz, args.beat_sign2, args.ceo_sign2),
+        ),
     )
-    f1 = _run(metrology.laser_frequency, comb, 0)
-    f2 = _run(metrology.laser_frequency, comb, 1)
-    f0 = _run(metrology.dfg_frequency, comb)
-    corrected = _run(metrology.maser_correct, f0, args.maser_fractional_offset)
-    payload = {
-        "f_rep_hz": float(comb.f_rep),
-        "f_ceo_hz": float(comb.f_ceo),
-        "laser1_hz": float(f1),
-        "laser2_hz": float(f2),
-        "dfg_hz": float(f0),
-        "maser_fractional_offset": float(args.maser_fractional_offset),
-        "dfg_corrected_hz": float(corrected),
-    }
-    print(f"difference frequency = {f0!r} Hz (maser-corrected {corrected!r} Hz)")
-    _write_json(args.out_dir, "dfg", payload)
+    with _computing():
+        f1 = metrology.laser_frequency(comb, 0)
+        f2 = metrology.laser_frequency(comb, 1)
+        f0 = metrology.dfg_frequency(comb)
+        corrected = metrology.maser_correct(f0, args.maser_fractional_offset)
+        payload = {
+            "f_rep_hz": float(comb.f_rep),
+            "f_ceo_hz": float(comb.f_ceo),
+            "laser1_hz": float(f1),
+            "laser2_hz": float(f2),
+            "dfg_hz": float(f0),
+            "maser_fractional_offset": float(args.maser_fractional_offset),
+            "dfg_corrected_hz": float(corrected),
+        }
+        print(f"difference frequency = {f0!r} Hz (maser-corrected {corrected!r} Hz)")
+        _write_json(args.out_dir, "dfg", payload)
     return 0
 
 
@@ -741,19 +742,22 @@ def _cmd_carrier(args) -> int:
         raise ConfigFailure("pass --lambda-um and/or --sweep MIN:MAX:COUNT")
     if not args.delta_rho_um > 0:
         raise ConfigFailure(f"--delta-rho-um must be positive, got {args.delta_rho_um!r}")
-    model = _run(carrier.CarrierModel, args.delta_rho_um)  # a lambda_c beyond float64 is a data error
-    lam_c = model.lambda_c
-    payload = {"delta_rho_um": float(args.delta_rho_um), "critical_wavelength_um": float(lam_c)}
-    if args.lambda_um is not None:
-        strength = _load(carrier.carrier_strength, args.lambda_um, model)
-        payload["lambda_um"] = float(args.lambda_um)
-        payload["strength"] = float(strength)
-        print(f"S({args.lambda_um:g} um) = {strength:.4f}  (lambda_c = {fixed(lam_c, '.3f')} um)")
-    if args.sweep is not None:
-        lo, hi, n = _parse_sweep(args.sweep)
-        rows = ([lam, float(carrier.carrier_strength(lam, model))] for lam in _sweep_grid(lo, hi, n))
-        _write_csv(args.out_dir, "carrier_sweep", ["lambda_um", "strength"], rows)
-    _write_json(args.out_dir, "carrier", payload)
+    if args.lambda_um is not None and not args.lambda_um > 0:
+        raise ConfigFailure(f"--lambda-um must be positive, got {args.lambda_um!r}")
+    sweep = None if args.sweep is None else _parse_sweep(args.sweep)
+    with _computing():
+        model = carrier.CarrierModel(args.delta_rho_um)  # a lambda_c beyond float64 is a data error
+        lam_c = model.lambda_c
+        payload = {"delta_rho_um": float(args.delta_rho_um), "critical_wavelength_um": float(lam_c)}
+        if args.lambda_um is not None:
+            strength = carrier.carrier_strength(args.lambda_um, model)
+            payload["lambda_um"] = float(args.lambda_um)
+            payload["strength"] = float(strength)
+            print(f"S({args.lambda_um:g} um) = {strength:.4f}  (lambda_c = {fixed(lam_c, '.3f')} um)")
+        if sweep is not None:
+            rows = ([lam, float(carrier.carrier_strength(lam, model))] for lam in _sweep_grid(*sweep))
+            _write_csv(args.out_dir, "carrier_sweep", ["lambda_um", "strength"], rows)
+        _write_json(args.out_dir, "carrier", payload)
     return 0
 
 
@@ -764,17 +768,21 @@ def _cmd_carrier(args) -> int:
 def _anchors(sets: dict | None) -> list[tuple]:
     """(name, compute) per anchor; compute() returns (quantity, value, target, tol) checks, or is None (skip).
 
-    The two rows that need the coefficient file import `angular` and
-    `zeeman` in their own compute: skipped, they load neither, nor
-    (through `zeeman`) numpy.
+    Files that several rows share are read here, and a compute does all
+    of its row's computation.  The two rows that need the coefficient
+    file import `angular` and `zeeman` in their own compute: skipped,
+    they load neither, nor (through `zeeman`) numpy.
     """
     from . import carrier, composite, constants, lineshape
 
-    lines = _load(bundled.load_measured_lines)
-    theory = constants.theory_frequency(_load(bundled.load_contributions, "codata2018")).value
-    model = _load(bundled.load_scaling_model, "codata2018")
-    consts = _load(bundled.load_constants, "codata2018")
+    lines = bundled.load_measured_lines()
+    contributions = bundled.load_contributions("codata2018")
+    model = bundled.load_scaling_model("codata2018")
+    consts = bundled.load_constants("codata2018")
     fspin = {tid: lines[tid]["f_spin"] for tid in ("12", "16")}
+
+    def theory():  # the spin-averaged contribution sum
+        return constants.theory_frequency(contributions).value
 
     @functools.cache  # the line chain runs once per line; a failure re-raises in every row that needs it
     def corrected(tid):  # zero-field extrapolation, then the systematic ledger
@@ -825,7 +833,7 @@ def _anchors(sets: dict | None) -> list[tuple]:
         penning = bundled.load_scaling_model("penning")  # its f_ref is the case-II contribution sum
         return [
             ("scaling_shift_khz", shift, 1.50, 0.02),
-            ("table_shift_khz", penning.f_ref - theory, 1.50, 0.02),
+            ("table_shift_khz", penning.f_ref - theory(), 1.50, 0.02),
             ("penning_mu_p_ref", penning.mu_p_ref, bundled.load_constants("penning").mp_over_me.value, 2e-9),
         ]
 
@@ -844,8 +852,9 @@ def _anchors(sets: dict | None) -> list[tuple]:
     def c_spin_freqs():
         from . import coefficients
 
-        table = _standard_table(sets)
-        spin = _spin_lines(sets, table)
+        lower, upper = _transition_sets(sets)
+        table = _standard_table(lower, upper)
+        spin = _spin_lines(lower, upper, table)
         checks = []
         for tid, f_target, u_target in (("12", -38686.1, 0.8), ("16", 2607.7, 0.9)):
             checks.append((f"f_spin_{tid}_khz", spin[tid][0], f_target, 0.5))
@@ -875,9 +884,9 @@ def _anchors(sets: dict | None) -> list[tuple]:
         ]
 
     return [
-        ("theory: spin-averaged contribution sum", lambda: [("f_khz", theory, 58605052163.9, 0.05)]),
-        ("theory: spin-corrected line 12", lambda: [("f_khz", theory + fspin["12"].value, 58605013477.8, 0.1)]),
-        ("theory: spin-corrected line 16", lambda: [("f_khz", theory + fspin["16"].value, 58605054771.6, 0.1)]),
+        ("theory: spin-averaged contribution sum", lambda: [("f_khz", theory(), 58605052163.9, 0.05)]),
+        ("theory: spin-corrected line 12", lambda: [("f_khz", theory() + fspin["12"].value, 58605013477.8, 0.1)]),
+        ("theory: spin-corrected line 16", lambda: [("f_khz", theory() + fspin["16"].value, 58605054771.6, 0.1)]),
         ("line 12: zero-field extrapolation + systematic ledger", lambda: c_chain("12")),
         ("line 16: zero-field extrapolation + systematic ledger", lambda: c_chain("16")),
         ("composite spin-averaged frequency (b12 = 0.5)", c_composite),
@@ -897,34 +906,36 @@ def _anchors(sets: dict | None) -> list[tuple]:
 
 
 def _cmd_reproduce_paper(args) -> int:
-    rows: list[dict] = []
-    for name, compute in _anchors(_load(bundled.load_coefficients)):
-        if compute is None:
-            detail = "needs data/hfs_coefficients.conf, which ships as a template only (see README, 'Data sources')"
-            rows.append({"name": name, "status": "skip", "detail": detail, "checks": []})
-            continue
-        try:
-            checks = [
-                {"quantity": q, "value": float(v), "target": float(t), "tol": float(tol)}
-                for q, v, t, tol in compute()
-            ]
-            if not all(math.isfinite(c[k]) for c in checks for k in ("value", "target", "tol")):
-                raise ValueError("a check is not finite")
-        except Exception as exc:  # a failing row must not abort the table
-            rows.append({"name": name, "status": "fail", "detail": f"error: {exc}", "checks": []})
-            continue
-        ok = all(abs(c["value"] - c["target"]) <= c["tol"] for c in checks)
-        detail = "; ".join(f"{c['quantity']} {c['value']!r} (target {c['target']!r} +- {c['tol']!r})" for c in checks)
-        rows.append({"name": name, "status": "pass" if ok else "fail", "detail": detail, "checks": checks})
+    anchors = _anchors(bundled.load_coefficients())
+    with _computing():
+        rows: list[dict] = []
+        for name, compute in anchors:
+            if compute is None:
+                detail = "needs data/hfs_coefficients.conf, which ships as a template only (see README, 'Data sources')"
+                rows.append({"name": name, "status": "skip", "detail": detail, "checks": []})
+                continue
+            try:
+                checks = [
+                    {"quantity": q, "value": float(v), "target": float(t), "tol": float(tol)}
+                    for q, v, t, tol in compute()
+                ]
+                if not all(math.isfinite(c[k]) for c in checks for k in ("value", "target", "tol")):
+                    raise ValueError("a check is not finite")
+            except Exception as exc:  # a failing row must not abort the table
+                rows.append({"name": name, "status": "fail", "detail": f"error: {exc}", "checks": []})
+                continue
+            ok = all(abs(c["value"] - c["target"]) <= c["tol"] for c in checks)
+            detail = "; ".join(f"{c['quantity']} {c['value']!r} (target {c['target']!r} +- {c['tol']!r})" for c in checks)
+            rows.append({"name": name, "status": "pass" if ok else "fail", "detail": detail, "checks": checks})
 
-    n_pass, n_fail, n_skip = (sum(r["status"] == s for r in rows) for s in ("pass", "fail", "skip"))
-    width = max(len(r["name"]) for r in rows)
-    for r in rows:
-        print(f"{r['status'].upper():4s}  {r['name']:{width}s}  {r['detail']}")
-    print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped")
+        n_pass, n_fail, n_skip = (sum(r["status"] == s for r in rows) for s in ("pass", "fail", "skip"))
+        width = max(len(r["name"]) for r in rows)
+        for r in rows:
+            print(f"{r['status'].upper():4s}  {r['name']:{width}s}  {r['detail']}")
+        print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped")
 
-    payload = {"rows": rows, "n_pass": n_pass, "n_fail": n_fail, "n_skip": n_skip}
-    _write_json(args.out_dir, "reproduce_paper", payload)
+        payload = {"rows": rows, "n_pass": n_pass, "n_fail": n_fail, "n_skip": n_skip}
+        _write_json(args.out_dir, "reproduce_paper", payload)
     return 0 if n_fail == 0 else 1
 
 
@@ -1099,10 +1110,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _Failure as exc:
-        kind = "config error" if exc.exit_code == 2 else "data error"
-        print(f"{kind}: {exc}", file=sys.stderr)
-        return exc.exit_code
+    except (_Failure, OSError, ValueError, LookupError, TypeError) as exc:
+        code = exc.exit_code if isinstance(exc, _Failure) else 2  # the others escaped before the handler's `_computing` block
+        print(f"{'config error' if code == 2 else 'data error'}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def composite_spin_uncertainty(tables: SensitivityTable, params: SpinUncertainty
     sensitivity sums sit inside each absolute value; setting b12 to 0 or
     1 reduces exactly to the single-transition estimate.
     """
-    return spin_profile(tables.spin_terms(params, "12", "16"), (float(b12),))[0]
+    return spin_profile(tables.spin_terms(params, *TRANSITION_IDS), (float(b12),))[0]
 
 
 def composite_frequency(inp: CompositeInput, b12: float) -> Quantity:

@@ -146,33 +146,47 @@ def _white_fm_edf(n: int, m: int) -> float:
     return (3.0 * (n - 1) / (2.0 * m) - 2.0 * (n - 2) / n) * 4.0 * m * m / (4.0 * m * m + 5.0)
 
 
+def bin_sizes(series: FrequencyTimeSeries, taus: Sequence[float]) -> list[int]:
+    """The samples per averaging bin, m = tau / tau0, of each of `taus`.
+
+    Each tau must be an integer multiple of the sample interval and no
+    larger than half the record span (at least two averaging bins), else
+    ValueError.
+    """
+    n = len(series.samples)
+    out = []
+    for tau in taus:
+        m_real = tau / series.tau0
+        m = int(round(m_real)) if math.isfinite(m_real) else 0  # a ratio beyond float64 is no multiple
+        if m < 1 or abs(m_real - m) > 1e-9:
+            raise ValueError(f"tau = {tau} s is not an integer multiple of tau0 = {series.tau0} s")
+        if n - 2 * m + 1 < 1:
+            raise ValueError(
+                f"tau = {tau} s rejected: fewer than 2 averaging bins in {n} samples"
+            )
+        out.append(m)
+    return out
+
+
 def allan_deviation(
     series: FrequencyTimeSeries, taus: Sequence[float]
 ) -> list[tuple[float, float, float, float]]:
     """Overlapping Allan deviation with 68% confidence intervals.
 
-    Each requested tau must be an integer multiple of the sample
-    interval and no larger than half the record span (at least two
-    averaging bins).  The confidence interval scales the estimate by
-    chi-squared quantiles at the white-FM equivalent degrees of freedom,
-    which are at least 2/3 (n = 2, m = 1).  Samples so large that the
+    Each requested tau must pass the check of `bin_sizes`.  The
+    confidence interval scales the estimate by chi-squared quantiles at
+    the white-FM equivalent degrees of freedom, which are at least 2/3
+    (n = 2, m = 1).  Samples so large that the
     variance overflows float64 raise ValueError, which names the step in
     numpy's words on either kind of samples.
     """
     with overflow_as_value_error("Allan deviation"):
+        ms = bin_sizes(series, taus)
         y = series.fractional
         n = len(y)
         variance = _python_variance(y) if isinstance(y, list) else _numpy_variance(y)
         out = []
-        for tau in taus:
-            m_real = tau / series.tau0
-            m = int(round(m_real))
-            if m < 1 or abs(m_real - m) > 1e-9:
-                raise ValueError(f"tau = {tau} s is not an integer multiple of tau0 = {series.tau0} s")
-            if n - 2 * m + 1 < 1:
-                raise ValueError(
-                    f"tau = {tau} s rejected: fewer than 2 averaging bins in {n} samples"
-                )
+        for tau, m in zip(taus, ms):
             adev = math.sqrt(variance(m))
             edf = _white_fm_edf(n, m)
             # chi-squared quantile with edf degrees of freedom: 2 P^-1(edf / 2, p)

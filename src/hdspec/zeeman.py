@@ -107,7 +107,8 @@ class ZeemanMap:
         raise LookupError(f"no Zeeman state with label {label}")
 
 
-def _field_grid(b_values: Sequence[float]) -> np.ndarray:
+def field_grid(b_values: Sequence[float]) -> np.ndarray:
+    """`b_values` as a float array; ValueError unless it is a non-empty, finite, strictly ascending, non-negative grid."""
     import numpy as np
 
     b_values = np.asarray(b_values, dtype=float)
@@ -120,6 +121,22 @@ def _field_grid(b_values: Sequence[float]) -> np.ndarray:
     if b_values[0] < 0:
         raise ValueError("b_values must be non-negative")
     return b_values
+
+
+def truncation_grid(b_values: Sequence[float]) -> np.ndarray:
+    """`field_grid` of a grid that must also start at B = 0, where `transition_truncation` references the shift."""
+    b = field_grid(b_values)
+    if b[0] != 0.0:
+        raise ValueError("transition_truncation needs B = 0 in the grid to reference the shift")
+    return b
+
+
+def state_label(label: Sequence[int]) -> tuple[int, int, int, int]:
+    """`label` as a (G1, G2, F, m_F) tuple; LookupError `no Zeeman state with label ...` unless |m_F| <= F."""
+    label = tuple(label)
+    if len(label) != 4 or abs(label[3]) > label[2]:
+        raise LookupError(f"no Zeeman state with label {label}")
+    return label
 
 
 def _mappable(level_set: _LevelSet) -> Sequence[SpinLevel]:
@@ -170,7 +187,7 @@ def zeeman_map(
     import numpy as np
 
     with overflow_as_value_error("Zeeman map"):  # entered with numpy loaded, so that it watches numpy too
-        b_values = _field_grid(b_values)
+        b_values = field_grid(b_values)
         levels = _mappable(_level_set(coeffs))
         labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
         index = {label: i for i, label in enumerate(labels)}
@@ -197,11 +214,11 @@ class TransitionShiftModel(Record):
 
 def _member(coeffs: HyperfineCoefficients, label: Sequence[int]) -> tuple[list[SpinLevel], int]:
     """The levels whose m_F block holds `label` (F >= |m_F|, level order) and the row of `label` among them."""
-    label = tuple(label)
+    label = state_label(label)
     level_set = _level_set(coeffs)
     levels = _mappable(level_set)
-    level = level_set.labelled.get(label[:3]) if len(label) == 4 else None
-    if level is None or level.f < abs(label[3]):
+    level = level_set.labelled.get(label[:3])
+    if level is None:
         raise LookupError(f"no Zeeman state with label {label}")
     members = [lv for lv in levels if lv.f >= abs(label[3])]
     return members, members.index(level)
@@ -274,9 +291,7 @@ def transition_truncation(
     import numpy as np
 
     with overflow_as_value_error("Zeeman coefficient solve"):  # entered with numpy loaded, as in `zeeman_map`
-        b = _field_grid(b_values)
-        if b[0] != 0.0:
-            raise ValueError("transition_truncation needs B = 0 in the grid to reference the shift")
+        b = truncation_grid(b_values)
         couplings = couplings or ZeemanCouplings()
         model = transition_coeffs(lower, upper, couplings)
         energies = [_sublevels(coeffs, couplings, label[3], b)[_member(coeffs, label)[1]]

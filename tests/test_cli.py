@@ -830,6 +830,36 @@ def test_empty_list_flag_is_one_line_config_error(tmp_path, capsys, argv, flag):
     assert not list(tmp_path.iterdir())
 
 
+ZEEMAN_COEFFS_12 = ["zeeman-coeffs", "--demo", "--transition", "12", "--lower-mf", "0", "--upper-mf", "0"]
+COUNTER = str(bundled.data_path("demo_counter.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zeeman-map", "--demo", "--b-values", "0.2,0.1"], "b_values must be strictly ascending"),
+        (["zeeman-map", "--demo", "--b-values=-0.1,0.1"], "b_values must be non-negative"),
+        ([*ZEEMAN_COEFFS_12, "--b-values", "0,0.2,0.1"], "b_values must be strictly ascending"),
+        ([*ZEEMAN_COEFFS_12, "--b-values", "0.1,0.2"], "transition_truncation needs B = 0 in the grid to reference the shift"),
+        (["zeeman-coeffs", "--demo", "--transition", "12", "--lower-mf", "5", "--upper-mf", "0"],
+         "no Zeeman state with label (1, 2, 2, 5)"),
+        (["zeeman-coeffs", "--demo", "--transition", "16", "--lower-mf", "2", "--upper-mf", "4"],
+         "no Zeeman state with label (1, 2, 3, 4)"),
+        (["adev", "--input", COUNTER, "--tau-list", "1,1.5"], "tau = 1.5 s is not an integer multiple of tau0 = 1.0 s"),
+        (["adev", "--input", COUNTER, "--tau-list", "400"],
+         "tau = 400.0 s rejected: fewer than 2 averaging bins in 400 samples"),
+        # a flag fault outranks a lambda_c beyond float64
+        (["carrier", "--delta-rho-um", "1e308", "--lambda-um=-1"], "--lambda-um must be positive, got -1.0"),
+        (["carrier", "--delta-rho-um", "1e308", "--sweep", "1:12:1"],
+         "--sweep needs finite 0 < MIN < MAX and COUNT >= 2, got '1:12:1'"),
+    ],
+)
+def test_flag_that_the_computation_would_refuse_is_a_config_error_before_it_starts(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["spin-structure"], ["zeeman-map"], ["zeeman-coeffs", "--transition", "16", "--lower-mf", "2", "--upper-mf", "3"],

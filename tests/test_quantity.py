@@ -216,7 +216,7 @@ CONSTRUCTOR_FAULTS = [
     (lambda: SpinUncertaintyParams(eps_fermi=math.nan), "spin-uncertainty parameter eps_fermi must be finite and > 0, got nan"),
     (lambda: SpinUncertaintyParams(u1_prime=math.inf), "spin-uncertainty parameter u1_prime must be finite and > 0, got inf"),
     (lambda: SpinUncertaintyParams(eps_bp=-math.inf), "spin-uncertainty parameter eps_bp must be finite and > 0, got -inf"),
-    (lambda: CarrierModel(0.0), "radial spread must be positive"),
+    (lambda: CarrierModel(0.0), "radial spread must be positive, got 0.0"),
     (lambda: CompositeInput(*[Quantity(1.0)] * 4, _table_of_line_12()), "sensitivity table lacks transition 16"),
     (lambda: Constant(1.0, -0.1), "constant uncertainty must be >= 0"),
     (lambda: ScalingModel(1.0, 1.0, beta=-0.4), "beta = -0.4 outside the physical window (-0.5, -0.45)"),
