@@ -477,13 +477,18 @@ def _coefficient_vector(coeffs: HyperfineCoefficients) -> list[float]:
 # ---------------------------------------------------------------------------
 # the F-block eigen-solve, in Python floats
 
-_SWEEPS = 32  # cyclic Jacobi on at most 4 x 4 takes 2 to 4 sweeps on the demo sets moved by up to 25 %
+# cyclic Jacobi takes 2 to 4 sweeps on the F blocks (at most 4 x 4) of the demo sets moved by up to 25 %, and at most
+# 9 on the m_F blocks of `zeeman` (up to 12 x 12 at any N) of the demo values at N = 0 to 5, from 0.05 G to 10^4 G
+_SWEEPS = 32
 # every sum of the solve is correctly rounded (`math.fsum`), so no result depends on the Python version's sum()
 _sqrt, _copysign, _fsum, _mul = math.sqrt, math.copysign, math.fsum, operator.mul
 
 
 def _eigen(h: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Ascending eigenvalues and their unit eigenvectors of a real symmetric matrix of at most 4 x 4.
+    """Ascending eigenvalues and their unit eigenvectors of a small real symmetric matrix.
+
+    It solves the F blocks of the level solve (at most 4 x 4) and the
+    m_F blocks of `zeeman` on a short field grid (up to 12 x 12).
 
     A 1 x 1 matrix is its entry with eigenvector 1.0; anything larger is
     solved by cyclic Jacobi in Python floats (Golub & Van Loan, Matrix
@@ -538,7 +543,7 @@ def _eigen(h: list[list[float]]) -> tuple[list[float], list[list[float]]]:
     return [a[i][i] for i in order], [x[i] for i in order]
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=16)  # every size `_eigen` sees: 2, 3 and 4, and 8, 10, 11 and 12 from `zeeman`
 def _sweep(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(p, q, every other index) of each off-diagonal entry p < q of an n x n matrix, in cyclic order."""
     return tuple((p, q, tuple(r for r in range(n) if r not in (p, q))) for p in range(n) for q in range(p + 1, n))

@@ -35,9 +35,11 @@ The commands are one table, `COMMANDS`.  A handler, and each helper it
 calls, imports the analysis modules it runs, so a command loads only
 those, and numpy only if one of them builds arrays: spin-structure,
 composite, carrier, dfg, ledger, compare, extract, extrapolate-b,
-extrapolate-rf and fit-line start without it at any input size, adev on
-a counter log under 512 KiB (the bundled one among them), and
-reproduce-paper while `hfs_coefficients.conf` ships as a template only.
+extrapolate-rf and fit-line start without it at any input size,
+zeeman-map and zeeman-coeffs on a field grid no longer than
+`zeeman._SHORT_GRID` (the default one among them), adev on a counter
+log under 512 KiB (the bundled one among them), and reproduce-paper
+while `hfs_coefficients.conf` ships as a template only.
 `--help` and the parser defaults read nothing beyond `bundled` and
 `quantity`.
 """
@@ -410,8 +412,8 @@ def _cmd_zeeman_map(args) -> int:
     couplings = _couplings(args)
     with _computing():
         zmap = zeeman.zeeman_map(sets[key], couplings, b_values=b_values)
-        b_gauss = _Floats(zmap.b_values.tolist())  # each field and each energy rendered once, for both reports
-        energies = [_Floats(st.energies.tolist()) for st in zmap.states]
+        b_gauss = _Floats(zmap.b_values)  # each field and each energy rendered once, for both reports
+        energies = [_Floats(st.energies) for st in zmap.states]
         header = ["g1", "g2", "f", "m_f", "B_gauss", "energy_khz"]
         labels = [st.label for st in zmap.states]
         payload = {
@@ -646,11 +648,16 @@ def _cmd_compare(args) -> int:
 
 
 def _default_taus(series: metrology.FrequencyTimeSeries) -> list[float]:
-    # octave spacing while at least 4 overlapping differences remain
+    """Octave spacing from tau0 while at least 4 overlapping differences remain; DataFailure if tau0 has fewer."""
     taus, m = [], 1
     while len(series.samples) - 2 * m + 1 >= 4:
         taus.append(m * series.tau0)
         m *= 2
+    if not taus:
+        raise DataFailure(
+            f"counter log of {len(series.samples)} samples is too short for the default tau list "
+            "(at least 5, for 4 overlapping differences at tau0); give --tau-list"
+        )
     return taus
 
 
@@ -771,7 +778,7 @@ def _anchors(sets: dict | None) -> list[tuple]:
     Files that several rows share are read here, and a compute does all
     of its row's computation.  The two rows that need the coefficient
     file import `angular` and `zeeman` in their own compute: skipped,
-    they load neither, nor (through `zeeman`) numpy.
+    they load neither.
     """
     from . import carrier, composite, constants, lineshape
 

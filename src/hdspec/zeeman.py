@@ -15,12 +15,16 @@ transition are exact at B = 0: Hellmann-Feynman gives the linear term,
 sum_s c_s (<J_z^s>_upper - <J_z^s>_lower), each slot subtracted before
 it is weighted, and second-order perturbation theory the quadratic
 one, over the same states (Bakalov, Korobov & Schiller, J. Phys. B 44,
-025003 (2011)).  numpy is imported only for a field grid: the
-sublevels of one m_F block over it are one stacked `eigvalsh`
-(`_sublevels`, which also writes the field-free energies into a B = 0
-column), for `zeeman_map` and for the truncation of the quadratic model
-(`transition_truncation`).  The zero-field extrapolation of measured
-line positions is `systematics.extrapolate_to_zero_field`.
+025003 (2011)).  Over a field grid the sublevels of one m_F block are
+the eigenvalues of diag(E) + B W (`_sublevels`, which also writes the
+field-free energies into a B = 0 column), for `zeeman_map` and for the
+truncation of the quadratic model (`transition_truncation`): on a short
+grid each field is one F-block Jacobi in Python floats
+(`angular._eigen`), and only a grid longer than `_SHORT_GRID` imports
+numpy for one stacked `eigvalsh` per block.  Grids, energies and the
+truncation come back as Python floats either way.  The zero-field
+extrapolation of measured line positions is
+`systematics.extrapolate_to_zero_field`.
 """
 
 from __future__ import annotations
@@ -28,16 +32,27 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from . import angular
 from .angular import HyperfineCoefficients, SpinLevel, _blocks, _level_set, _LevelSet, _zeeman_row
 from .quantity import FINITE, Record, finite, overflow_as_value_error, read_keys
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
+
+# A grid of at most this many points is solved field by field in Python floats, a longer one by numpy's stacked
+# eigvalsh, whose import costs a fresh process 95 to 130 ms.  A field point of the demo N = 1 set, whose seven m_F
+# blocks hold 1 to 10 states, costs `zeeman_map` about 1.5 ms in Python floats, so zeeman-map breaks even at about
+# 50 points (fresh processes, bytecode cached, medians of 9); at N = 5, blocks of up to 12 states, about 7 ms and 10
+# points.  16 keeps the default grid of 5 points on Python floats, with room for N > 1, and leaves a 41-point grid,
+# near the N = 1 break-even, on the stacked path.
+_SHORT_GRID = 16
+
+# Jacobi's rotations keep the Frobenius norm, so no entry of an n x n block leaves n max |h|, and no sum of a sweep
+# 101 times that: a block beyond this bound on n max |h| is solved at a power of two below its scale (`_eigenvalues`)
+_JACOBI_LIMIT = sys.float_info.max / 128.0
 
 # kHz/G; signs follow the convention that a positive projection of the
 # electron spin moves up in energy for B > 0.
@@ -80,7 +95,7 @@ class ZeemanState:
 
     __slots__ = ("g1", "g2", "f", "m_f", "energies")
 
-    def __init__(self, g1: int, g2: int, f: int, m_f: int, energies: np.ndarray) -> None:
+    def __init__(self, g1: int, g2: int, f: int, m_f: int, energies: tuple[float, ...]) -> None:
         self.g1 = g1
         self.g2 = g2
         self.f = f
@@ -95,7 +110,7 @@ class ZeemanState:
 class ZeemanMap:
     __slots__ = ("b_values", "states")
 
-    def __init__(self, b_values: np.ndarray, states: tuple[ZeemanState, ...]) -> None:
+    def __init__(self, b_values: tuple[float, ...], states: tuple[ZeemanState, ...]) -> None:
         self.b_values = b_values
         self.states = states
 
@@ -107,23 +122,24 @@ class ZeemanMap:
         raise LookupError(f"no Zeeman state with label {label}")
 
 
-def field_grid(b_values: Sequence[float]) -> np.ndarray:
-    """`b_values` as a float array; ValueError unless it is a non-empty, finite, strictly ascending, non-negative grid."""
-    import numpy as np
-
-    b_values = np.asarray(b_values, dtype=float)
-    if b_values.ndim != 1 or len(b_values) == 0:
+def field_grid(b_values: Sequence[float]) -> tuple[float, ...]:
+    """`b_values` as a tuple of floats; ValueError unless it is a non-empty, finite, strictly ascending, non-negative grid."""
+    try:
+        b_values = tuple(map(float, b_values))
+    except TypeError:  # not a sequence, or one of sequences
+        b_values = ()
+    if not b_values:
         raise ValueError("b_values must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(b_values)):
+    if not all(map(math.isfinite, b_values)):
         raise ValueError("b_values must be finite")
-    if np.any(np.diff(b_values) <= 0):
+    if any(hi <= lo for lo, hi in zip(b_values, b_values[1:])):
         raise ValueError("b_values must be strictly ascending")
     if b_values[0] < 0:
         raise ValueError("b_values must be non-negative")
     return b_values
 
 
-def truncation_grid(b_values: Sequence[float]) -> np.ndarray:
+def truncation_grid(b_values: Sequence[float]) -> tuple[float, ...]:
     """`field_grid` of a grid that must also start at B = 0, where `transition_truncation` references the shift."""
     b = field_grid(b_values)
     if b[0] != 0.0:
@@ -146,30 +162,72 @@ def _mappable(level_set: _LevelSet) -> Sequence[SpinLevel]:
     return level_set.levels
 
 
-def _sublevels(coeffs: HyperfineCoefficients, couplings: ZeemanCouplings, m_f: int, b_values: np.ndarray) -> np.ndarray:
-    """Energies (one row each, over the grid) of the sublevels with projection m_F.
+def _field_block(energies: Sequence[float], w: Sequence[Sequence[float]], b: float) -> list[list[float]]:
+    """diag(E) + B W at the field `b`, in Python floats: B W, then its diagonal plus E, each checked by `_elementwise`."""
+    h = [_elementwise(operator.mul, "multiply", [b] * len(row), row) for row in w]
+    for i, diagonal in enumerate(_elementwise(operator.add, "add", energies, [row[i] for i, row in enumerate(h)])):
+        h[i][i] = diagonal
+    return h
+
+
+def _elementwise(op, name: str, *columns: Sequence[float]) -> list[float]:
+    """`op` over the columns, value by value; OverflowError `overflow encountered in <name>`, as numpy words it, where a
+    value leaves float64 (finite operands of +, - and * give no NaN)."""
+    out = list(map(op, *columns))
+    if not all(map(math.isfinite, out)):
+        raise OverflowError(f"overflow encountered in {name}")
+    return out
+
+
+def _eigenvalues(h: list[list[float]]) -> list[float]:
+    """Ascending eigenvalues of a block by `angular._eigen`, solved at a power of two below its scale beyond `_JACOBI_LIMIT`.
+
+    Jacobi takes a matrix times a power of two to its eigenvalues times
+    that power, so the scaled solve loses nothing; an eigenvalue that
+    leaves float64 on the way back raises OverflowError.
+    """
+    scale = max(abs(x) for row in h for x in row)
+    if len(h) * scale <= _JACOBI_LIMIT:
+        return angular._eigen(h)[0]
+    k = math.frexp(scale)[1]
+    evals, _ = angular._eigen([[math.ldexp(x, -k) for x in row] for row in h])
+    return [math.ldexp(e, k) for e in evals]
+
+
+def _sublevels(
+    coeffs: HyperfineCoefficients, couplings: ZeemanCouplings, m_f: int, b_values: tuple[float, ...]
+) -> list[tuple[float, ...]]:
+    """Energies (one tuple each, over the grid) of the sublevels with projection m_F.
 
     H0 + H_Z commutes with F_z, so the m_F block is solved on its own,
-    over the whole grid in one stacked call, as diag(E) + B W: E are the
-    energies of the levels with F >= |m_F|, in level order, and W the
-    Zeeman operator per gauss in the field-free states that they carry
-    (`angular._zeeman_row`).  Levels in one block do not cross (von
-    Neumann-Wigner; Bakalov, Korobov & Schiller, J. Phys. B 44, 025003
-    (2011)), so at every B the k-th lowest energy belongs to the k-th
-    lowest of those levels; the rows come in that order.  A B = 0 column
-    is E exactly.  W, summed on Python floats, is checked finite
-    (OverflowError `W = ...`).
+    as diag(E) + B W: E are the energies of the levels with F >= |m_F|,
+    in level order, and W the Zeeman operator per gauss in the
+    field-free states that they carry (`angular._zeeman_row`).  A grid
+    of at most `_SHORT_GRID` points is solved field by field in Python
+    floats (`_eigenvalues`), a longer one in one stacked `eigvalsh`.
+    Levels in one block do not cross (von Neumann-Wigner; Bakalov,
+    Korobov & Schiller, J. Phys. B 44, 025003 (2011)), so at every B the
+    k-th lowest energy belongs to the k-th lowest of those levels; the
+    rows come in that order.  A B = 0 column is E exactly.  W, summed on
+    Python floats, is checked finite (OverflowError `W = ...`), and so
+    is diag(E) + B W before either solve (`_field_block`).
     """
-    import numpy as np
-
     members = [lv for lv in _level_set(coeffs).levels if lv.f >= abs(m_f)]
     w = [_zeeman_row(lv, members, m_f, couplings.per_slot)[1] for lv in members]
     finite("W", *itertools.chain.from_iterable(w))
     energies = [lv.energy for lv in members]
-    out = np.linalg.eigvalsh(np.diag(energies) + b_values[:, None, None] * np.array(w)).T
+    if len(b_values) <= _SHORT_GRID:
+        columns = [energies if b == 0.0 else _eigenvalues(_field_block(energies, w, b)) for b in b_values]
+        return list(zip(*columns))
+    # B W and E + B W are monotone in B: on an ascending grid they leave float64 only if they do at one of its ends
+    _field_block(energies, w, b_values[0])
+    _field_block(energies, w, b_values[-1])
+    import numpy as np
+
+    out = np.linalg.eigvalsh(np.diag(energies) + np.array(b_values)[:, None, None] * np.array(w)).T
     if b_values[0] == 0.0:
         out[:, 0] = energies
-    return out
+    return list(map(tuple, out.tolist()))
 
 
 def zeeman_map(
@@ -184,22 +242,20 @@ def zeeman_map(
     m_F ascending within a level.  The field-free levels must not
     coincide.
     """
-    import numpy as np
-
-    with overflow_as_value_error("Zeeman map"):  # entered with numpy loaded, so that it watches numpy too
+    with overflow_as_value_error("Zeeman map"):
         b_values = field_grid(b_values)
         levels = _mappable(_level_set(coeffs))
         labels = [(lv.g1, lv.g2, lv.f, m) for lv in levels for m in range(-lv.f, lv.f + 1)]
         index = {label: i for i, label in enumerate(labels)}
         f_max = max(lv.f for lv in levels)
 
-        energies = np.empty((len(labels), len(b_values)))
+        energies = [None] * len(labels)
         for m in range(-f_max, f_max + 1):
             rows = [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)]
-            energies[rows] = _sublevels(coeffs, couplings, m, b_values)
+            for i, row in zip(rows, _sublevels(coeffs, couplings, m, b_values)):
+                energies[i] = row
 
-    states = tuple(ZeemanState(*label, energies=energies[i]) for i, label in enumerate(labels))
-    return ZeemanMap(b_values.copy(), states)
+    return ZeemanMap(b_values, tuple(ZeemanState(*label, energies=e) for label, e in zip(labels, energies)))
 
 
 class TransitionShiftModel(Record):
@@ -284,17 +340,22 @@ def transition_truncation(
     """`transition_coeffs` and the truncation of its quadratic model over a field grid.
 
     The truncation is the largest |df(B) - (a B + c B^2)| in kHz, with
-    the shift df(B) relative to zero field taken from the stacked
-    `eigvalsh` of `_sublevels`.  The grid is checked before any solve
-    and must start at B = 0.
+    the shift df(B) relative to zero field taken from the sublevels of
+    `_sublevels`, the same floats that `zeeman_map` gives, and each step
+    checked finite (`_elementwise`).  The grid is checked before any
+    solve and must start at B = 0.
     """
-    import numpy as np
-
-    with overflow_as_value_error("Zeeman coefficient solve"):  # entered with numpy loaded, as in `zeeman_map`
+    with overflow_as_value_error("Zeeman coefficient solve"):
         b = truncation_grid(b_values)
         couplings = couplings or ZeemanCouplings()
         model = transition_coeffs(lower, upper, couplings)
-        energies = [_sublevels(coeffs, couplings, label[3], b)[_member(coeffs, label)[1]]
-                    for coeffs, label in (lower, upper)]
-        shift = (energies[1] - energies[0]) - (energies[1][0] - energies[0][0])
-        return model, float(np.max(np.abs(shift - (model.linear * b + model.quadratic * b ** 2))))
+        lo, up = (_sublevels(coeffs, couplings, label[3], b)[_member(coeffs, label)[1]] for coeffs, label in (lower, upper))
+        # df(B) - (a B + c B^2) step by step, in the order and the words of the numpy expression it replaces
+        n = len(b)
+        df = _elementwise(operator.sub, "subtract", up, lo)
+        df = _elementwise(operator.sub, "subtract", df, [df[0]] * n)
+        linear = _elementwise(operator.mul, "multiply", [model.linear] * n, b)
+        b2 = _elementwise(operator.mul, "square", b, b)
+        quadratic = _elementwise(operator.mul, "multiply", [model.quadratic] * n, b2)
+        residuals = _elementwise(operator.sub, "subtract", df, _elementwise(operator.add, "add", linear, quadratic))
+        return model, max(map(abs, residuals))

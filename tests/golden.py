@@ -1,7 +1,11 @@
 """The committed reports of every command on the bundled inputs, and how a rerun is compared with them.
 
 `runs()` are the benchmark's bundled operations, with `--format csv` for
-the three commands that have it; `tests/reports/` holds what they write.
+the three commands that have it, and one more run of `zeeman-coeffs`, on
+line 12 at m_F 0 -> 0, whose m_F blocks hold 4 and 10 states: it pins
+the second-order sum and the truncation of blocks of more than one
+state.  `tests/reports/` holds what they write; a second run of a
+command commits its reports under its `PREFIXES` entry.
 `scripts/write_golden_reports.py` rewrites that directory, and
 `tests/test_golden_reports.py` reruns each command and compares.
 
@@ -24,12 +28,16 @@ import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 from hdspec import bundled
 from hdspec.cli import main
 
 REPORTS = Path(__file__).resolve().parent / "reports"
+
+# run name -> what the names of its committed reports start with, for a second run of one command
+PREFIXES = {"zeeman-coeffs-12": "line12_m0_"}
 
 
 def runs() -> dict[str, tuple[list[str], list[str]]]:
@@ -40,6 +48,10 @@ def runs() -> dict[str, tuple[list[str], list[str]]]:
         "zeeman-map": (["zeeman-map", "--demo"], ["zeeman_map.csv", "zeeman_map.json"]),
         "zeeman-coeffs": (
             ["zeeman-coeffs", "--demo", "--transition", "16", "--lower-mf", "2", "--upper-mf", "3"], ["zeeman_coeffs.json"]
+        ),
+        "zeeman-coeffs-12": (
+            ["zeeman-coeffs", "--demo", "--transition", "12", "--lower-mf", "0", "--upper-mf", "0"],
+            ["line12_m0_zeeman_coeffs.json"],
         ),
         "extrapolate-b": (["extrapolate-b", "--input", str(data("line12_zeeman.csv"))], ["extrapolate_b.json"]),
         "fit-line": (
@@ -74,13 +86,20 @@ def runs() -> dict[str, tuple[list[str], list[str]]]:
 
 
 def write_reports(out_dir: Path, names=None) -> None:
-    """Run the commands `names` (default: all) of `runs()` in this process, writing their reports into `out_dir`."""
+    """Run the commands `names` (default: all) of `runs()` in this process, writing their reports into `out_dir`.
+
+    Each runs in a directory of its own, whose reports then move into
+    `out_dir` under their committed names.
+    """
     table = runs()
     for name in table if names is None else names:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main([*table[name][0], "--out-dir", str(out_dir)])
-        if code != 0:
-            raise RuntimeError(f"{name} exited with {code}")
+        with tempfile.TemporaryDirectory(dir=out_dir) as tmp:  # on the file system of `out_dir`, for the moves
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*table[name][0], "--out-dir", tmp])
+            if code != 0:
+                raise RuntimeError(f"{name} exited with {code}")
+            for report in Path(tmp).iterdir():
+                report.replace(out_dir / (PREFIXES.get(name, "") + report.name))
 
 
 # split() of a text gives its text and its numbers alternating: text at even, numbers at odd indices

@@ -672,7 +672,7 @@ def test_coupling_whose_zeeman_coefficients_overflow_is_one_line_data_error_and_
     ids=["zeeman-map", "zeeman-coeffs"],
 )
 def test_field_whose_zeeman_energy_overflows_is_one_line_data_error(tmp_path, command, what):
-    """B = 1e306 G is finite, but B W leaves float64 in numpy: the guard, entered after numpy is loaded, words it."""
+    """B = 1e306 G is finite, but B W leaves float64: checked before the solve, and worded as numpy words it."""
     proc = run_python("-m", "hdspec.cli", *command, "--b-values", "0,1e306", "--out-dir", str(tmp_path))
     assert_one_line_error(proc)
     assert proc.stderr == f"data error: {what} overflows float64 (overflow encountered in multiply)\n"
@@ -1030,6 +1030,9 @@ def test_commands_do_not_load_scipy(tmp_path):
 ARRAY_FREE_COMMANDS = {
     # the F-block level solve and the weight profile on Python floats
     "spin-structure": ["hdspec.angular", "hdspec.coefficients"],
+    # and the m_F blocks of the default field grid, field by field
+    "zeeman-map": ["hdspec.angular", "hdspec.coefficients", "hdspec.zeeman"],
+    "zeeman-coeffs": ["hdspec.angular", "hdspec.coefficients", "hdspec.zeeman"],
     "composite": ["hdspec.angular", "hdspec.coefficients", "hdspec.composite"],
     "carrier": ["hdspec.carrier"],
     "dfg": ["hdspec.metrology"],
@@ -1070,7 +1073,7 @@ def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == str(["hdspec", "hdspec.bundled", "hdspec.cli", "hdspec.quantity"])
     assert lines[-1] == "[]"
-    for stem in ("spin_structure.json", "composite_profile.csv", "carrier_sweep.csv", "dfg.json", "ledger.csv", "compare.csv", "extract_components.csv",
+    for stem in ("spin_structure.json", "zeeman_map.csv", "zeeman_coeffs.json", "composite_profile.csv", "carrier_sweep.csv", "dfg.json", "ledger.csv", "compare.csv", "extract_components.csv",
                  "extrapolate_b.json", "extrapolate_rf.json", "fit_line_spectrum.csv", "adev.csv",
                  "reproduce_paper.json"):
         assert (tmp_path / stem).exists(), stem
@@ -1078,7 +1081,7 @@ def test_array_free_commands_and_help_do_not_load_numpy(tmp_path):
 
 @pytest.mark.parametrize("name", ARRAY_FREE_COMMANDS)
 def test_array_free_command_loads_only_its_modules(tmp_path, name):
-    """In a fresh interpreter: no numpy, and of hdspec only the modules the command runs (never zeeman)."""
+    """In a fresh interpreter: no numpy, and of hdspec only the modules the command runs."""
     argv = [name, *BUNDLED_RUNS[name], "--out-dir", str(tmp_path)]
     argv += ["--format", "csv"] if name in CSV_FORMAT_COMMANDS else []
     script = (
@@ -1572,6 +1575,42 @@ def test_adev_default_taus(tmp_path):
     taus = [row["tau_s"] for row in payload["rows"]]
     assert taus == sorted(taus)
     assert (tmp_path / "adev.csv").exists()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_adev_default_taus_need_four_differences_at_tau0(tmp_path, capsys, n):
+    """3 samples give 2 overlapping differences at tau0: a data error and no report, where they wrote empty rows;
+    5 give 4, and the default list is tau0 alone.  --tau-list 1 still takes the 3-sample log."""
+    rows = bundled.data_path("demo_counter.csv").read_text().splitlines()[: n + 1]
+    log = tmp_path / "short.csv"
+    log.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    if n == 3:
+        assert run(out, "adev", "--input", str(log)) == 1
+        assert capsys.readouterr().err == (
+            "data error: counter log of 3 samples is too short for the default tau list "
+            "(at least 5, for 4 overlapping differences at tau0); give --tau-list\n"
+        )
+        assert not out.exists()
+        assert run(out, "adev", "--input", str(log), "--tau-list", "1") == 0
+    else:
+        assert run(out, "adev", "--input", str(log)) == 0
+    assert [row["tau_s"] for row in load_json(out, "adev")["rows"]] == [1.0]
+
+
+def test_zeeman_coeffs_on_multi_state_blocks_loads_no_numpy(tmp_path):
+    """In a fresh interpreter: line 12 at m_F 0 -> 0, whose blocks hold 4 and 10 states, solved in Python floats."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from hdspec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({[*ZEEMAN_COEFFS_12, '--out-dir', str(tmp_path)]!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert load_json(tmp_path, "zeeman_coeffs")["truncation_khz"] > 0.0
 
 
 def test_dfg_is_offset_free(tmp_path):

@@ -30,10 +30,11 @@ def test_reports_are_the_committed_ones(tmp_path, name):
     assert not faults, "\n".join(faults)
 
 
-@pytest.mark.parametrize("name", ["fit-line", "adev", "spin-structure", "composite"])
+@pytest.mark.parametrize("name", ["fit-line", "adev", "spin-structure", "composite", "zeeman-map", "zeeman-coeffs"])
 def test_reports_of_a_fresh_interpreter_are_the_committed_ones(tmp_path, name):
     """Each starts without numpy and computes on Python floats: `fit-line` and `adev` read their bundled
-    inputs row by row, `spin-structure` and `composite` solve the F blocks of the demo sets."""
+    inputs row by row, `spin-structure` and `composite` solve the F blocks of the demo sets, and `zeeman-map`
+    and `zeeman-coeffs` their m_F blocks over the default field grid."""
     argv, files = golden.runs()[name]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path)],

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import angular, bundled
+from hdspec import angular, bundled, zeeman
 from hdspec.angular import (
     HyperfineCoefficients,
     ProductBasis,
@@ -77,7 +78,7 @@ def test_stretched_state_is_exactly_linear(demo_sets):
     zmap = zeeman_map(demo_sets[(1, 1)], cpl, (0.0, 0.25, 0.5, 0.75, 1.0))
     st_ = zmap.state((1, 2, 3, 3))
     slope = 0.5 * cpl.c_e + 0.5 * cpl.c_p + cpl.c_d + cpl.c_n
-    want = st_.energies[0] + slope * zmap.b_values
+    want = st_.energies[0] + slope * np.asarray(zmap.b_values)
     assert np.allclose(st_.energies, want, rtol=1e-12, atol=1e-9)
 
 
@@ -290,18 +291,110 @@ def test_transition_coeffs_solves_the_sublevels_zeeman_map_gives(grid, demo_sets
     for lo, up in pairs:
         model, truncation = transition_truncation((lower, lo.label), (upper, up.label), cpl, grid)
         assert model == transition_coeffs((lower, lo.label), (upper, up.label), cpl)
-        shift = (up.energies - lo.energies) - (up.energies[0] - lo.energies[0])
+        shift = (np.asarray(up.energies) - lo.energies) - (up.energies[0] - lo.energies[0])
         assert truncation == float(np.max(np.abs(shift - (model.linear * b + model.quadratic * b ** 2))))
 
 
-def test_transition_coeffs_solves_two_m_f_blocks(eigvalsh_calls, demo_sets):
-    # the truncation grid is solved one m_F block per state, in one stacked call
+def test_transition_coeffs_solves_two_m_f_blocks(eigen_solves, eigvalsh_calls, demo_sets):
+    # the truncation grid is solved one m_F block per state: field by field in Python floats on the default grid,
+    # after the level solves of both sets, and in one stacked call on a long grid
     transition_truncation((demo_sets[(0, 0)], (1, 2, 2, 2)), (demo_sets[(1, 1)], (1, 2, 3, 3)))
     # m_F = 2 of N = 0 holds 1 state (F = 2), m_F = 3 of N = 1 holds 1 (F = 3)
-    assert eigvalsh_calls == [(len(DEFAULT_B_GRID), 1, 1)] * 2
-    eigvalsh_calls.clear()
+    fields = len(DEFAULT_B_GRID) - 1  # B = 0 is the field-free energies
+    assert eigen_solves == [1, 2, 1, 2, 4, 3, 1] + [1] * fields * 2 and eigvalsh_calls == []
+    eigen_solves.clear()
+    transition_truncation((demo_sets[(0, 0)], (1, 1, 1, 0)), (demo_sets[(1, 1)], (1, 1, 1, 0)))
+    assert eigen_solves == [4] * fields + [10] * fields and eigvalsh_calls == []
     transition_truncation((demo_sets[(0, 0)], (1, 1, 1, 0)), (demo_sets[(1, 1)], (1, 1, 1, 0)), b_values=COARSE_GRID)
     assert eigvalsh_calls == [(41, 4, 4), (41, 10, 10)]
+
+
+def _both_paths(monkeypatch, solve):
+    """`solve()` field by field in Python floats, and then on the stacked eigvalsh, whatever the grid's length."""
+    monkeypatch.setattr(zeeman, "_SHORT_GRID", 10 ** 9)
+    python = solve()
+    monkeypatch.setattr(zeeman, "_SHORT_GRID", 0)
+    return python, solve()
+
+
+def _solve_bound(evals):
+    """A bound on how far two backward-stable solves of one symmetric n x n block H can put its eigenvalues apart.
+
+    Jacobi (Golub & Van Loan, sec. 8.5) and LAPACK's eigvalsh each give
+    the exact eigenvalues of H + dH with ||dH||_2 <= p(n) eps ||H||_2,
+    so by Weyl's inequality the two differ by at most 2 p(n) eps ||H||_2,
+    and ||H||_2 <= ||H||_F = sqrt(sum of the eigenvalues squared), which
+    near float64's largest value is taken after the factor 2 p(n) eps.
+    p(n) is a modest polynomial for both; p(n) = 2n holds on every block
+    here with a margin of about 5 (the largest difference seen is 0.21
+    of the bound).
+    """
+    c = 2 * 2 * len(evals) * np.finfo(float).eps
+    return math.hypot(*(c * e for e in evals))
+
+
+SHORT_GRIDS = {
+    "default": DEFAULT_B_GRID,
+    "short": tuple(200.0 * i / (zeeman._SHORT_GRID - 1) for i in range(zeeman._SHORT_GRID)),  # 0-200 G
+    "one past": tuple(200.0 * i / zeeman._SHORT_GRID for i in range(zeeman._SHORT_GRID + 1)),
+    # B W up to 1.4e308: unscaled, Jacobi's sums leave float64 and put the eigenvalues of m_F = 0 of N = 1 18 % off
+    "past the Jacobi limit": (0.0, 1e305),
+}
+
+
+@pytest.mark.parametrize("grid", SHORT_GRIDS.values(), ids=SHORT_GRIDS)
+def test_python_and_stacked_solves_of_every_m_f_block_agree(grid, monkeypatch, demo_sets):
+    cpl = ZeemanCouplings()
+    for coeffs in demo_sets.values():
+        f_max = coeffs.n_rot + 2
+        for m in range(-f_max, f_max + 1):
+            python, stacked = _both_paths(monkeypatch, lambda: _sublevels(coeffs, cpl, m, zeeman.field_grid(grid)))
+            assert all(type(e) is float for row in python + stacked for e in row)
+            for column, (got, want) in enumerate(zip(zip(*python), zip(*stacked))):
+                if grid[column] == 0.0:
+                    assert got == want  # the field-free energies on both paths
+                assert max(map(abs, map(operator.sub, got, want))) <= _solve_bound(want)
+
+
+@pytest.mark.parametrize("tid", ["12", "16"])
+def test_python_and_stacked_truncations_agree_for_every_m_f_pair(tid, monkeypatch, demo_sets):
+    # the truncation differs between the paths by no more than the sublevels of the two blocks at one field
+    cpl = ZeemanCouplings()
+    (lo, up), lower, upper = bundled.TRANSITION_LEVELS[tid], demo_sets[(0, 0)], demo_sets[(1, 1)]
+    for lower_mf, upper_mf in itertools.product(range(-lo[2], lo[2] + 1), range(-up[2], up[2] + 1)):
+        states = (lower, (*lo, lower_mf)), (upper, (*up, upper_mf))
+        (model, python), (model_stacked, stacked) = _both_paths(monkeypatch, lambda: transition_truncation(*states, cpl))
+        assert model == model_stacked and type(python) is float
+        bound = max(
+            math.fsum(_solve_bound([row[j] for row in _sublevels(c, cpl, label[3], DEFAULT_B_GRID)]) for c, label in states)
+            for j in range(1, len(DEFAULT_B_GRID))
+        )
+        assert abs(python - stacked) <= bound
+
+
+def test_a_long_grid_takes_the_stacked_path_and_a_short_one_python_floats(eigen_solves, eigvalsh_calls, demo_sets):
+    coeffs, cpl = demo_sets[(1, 1)], ZeemanCouplings()
+    level_structure(coeffs)
+    eigen_solves.clear()
+    sizes = [1, 4, 8, 10, 8, 4, 1]  # the m_F blocks of N = 1, m_F = -3 .. 3
+    for n in (2001, 41, zeeman._SHORT_GRID + 1):
+        zmap = zeeman_map(coeffs, cpl, tuple(i / 10000.0 for i in range(n)))
+        assert eigvalsh_calls == [(n, k, k) for k in sizes] and eigen_solves == []
+        assert type(zmap.b_values) is tuple and all(type(e) is float for st_ in zmap.states for e in st_.energies)
+        eigvalsh_calls.clear()
+    zmap = zeeman_map(coeffs, cpl, tuple(i / 10000.0 for i in range(zeeman._SHORT_GRID)))
+    assert eigvalsh_calls == [] and eigen_solves == [k for k in sizes for _ in range(zeeman._SHORT_GRID - 1)]
+    assert type(zmap.b_values) is tuple and all(type(e) is float for st_ in zmap.states for e in st_.energies)
+
+
+@pytest.mark.parametrize("b, step", [(1e154, "multiply"), (1e200, "square"), (1e306, "multiply")])
+def test_a_truncation_that_leaves_float64_names_its_step_on_both_paths(b, step, monkeypatch, demo_sets):
+    # c B^2 (1e154 G), B^2 (1e200 G) and B W (1e306 G) of line 12 at m_F 0 -> 0, worded as numpy words them
+    states = (demo_sets[(0, 0)], (1, 2, 2, 0)), (demo_sets[(1, 1)], (1, 2, 1, 0))
+    for short_grid in (zeeman._SHORT_GRID, 0):
+        monkeypatch.setattr(zeeman, "_SHORT_GRID", short_grid)
+        with pytest.raises(ValueError, match=rf"^Zeeman coefficient solve overflows float64 \(overflow encountered in {step}\)$"):
+            transition_truncation(*states, b_values=(0.0, b))
 
 
 @pytest.mark.parametrize("lower_mf, upper_mf", [(2, 3), (-2, -3), (0, 0), (1, 1)])
@@ -375,12 +468,12 @@ def test_exact_coefficients_match_central_differences_and_the_dense_oracle(facto
     cpl = ZeemanCouplings()
     model = transition_coeffs((lower, component[0]), (upper, component[1]), cpl)
 
-    # central differences of the stacked eigvalsh at B = -h, 0, h
+    # central differences of the sublevels at B = -h, 0, h
     h = 1e-3
     shift = []
     for coeffs, label in zip((lower, upper), component):
         members, row = _member(coeffs, label)
-        shift.append(_sublevels(coeffs, cpl, label[3], np.array([-h, 0.0, h]))[row])
+        shift.append(np.asarray(_sublevels(coeffs, cpl, label[3], (-h, 0.0, h))[row]))
     shift = shift[1] - shift[0]
     # eigenvalues of up to ~1e6 kHz round to ~1e-10 kHz, which the second
     # difference over h^2 = 1e-6 G^2 lifts to ~1e-4 kHz/G^2
@@ -430,7 +523,7 @@ def test_rescaled_coefficients_and_couplings_rescale_every_zeeman_result(s, demo
     zmap, zmap_s = zeeman_map(upper, cpl), zeeman_map(scaled(upper, s), cpl_s)
     assert [st_.label for st_ in zmap_s.states] == [st_.label for st_ in zmap.states]
     for st_, st_s in zip(zmap.states, zmap_s.states):
-        assert np.allclose(st_s.energies, s * st_.energies, rtol=1e-12, atol=0.0)
+        assert np.allclose(st_s.energies, s * np.asarray(st_.energies), rtol=1e-12, atol=0.0)
     for (lo, up), (lower_mf, upper_mf) in (
         (bundled.TRANSITION_LEVELS["12"], (0, 0)),
         (bundled.TRANSITION_LEVELS["12"], (1, 1)),
