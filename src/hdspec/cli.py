@@ -837,7 +837,7 @@ def _anchors(sets: dict | None) -> list[tuple]:
 
     def c_case2():
         shift = constants.scaled_theory(model, model.mu_p_ref * (1.0 - 5.28e-11)) - model.f_ref
-        penning = bundled.load_scaling_model("penning")  # its f_ref is the case-II contribution sum
+        penning = model.at_reference(constants.theory_frequency(bundled.load_contributions("penning")).value)
         return [
             ("scaling_shift_khz", shift, 1.50, 0.02),
             ("table_shift_khz", penning.f_ref - theory(), 1.50, 0.02),

@@ -232,5 +232,8 @@ def read_coefficient_file(path: str | Path) -> dict[tuple[int, int], HyperfineCo
             raise ValueError(f"{path}: section [v={v},N={n_rot}] missing E{missing[0]}")
         values = {int(key[1:]): x for key, x in keys.items() if key.startswith("E")}
         eps = {int(key[5:]): x for key, x in keys.items() if key.startswith("eps_")}
-        out[(v, n_rot)] = HyperfineCoefficients(v, n_rot, values, eps)
+        try:  # an N = 0 section with a rotational coefficient
+            out[(v, n_rot)] = HyperfineCoefficients(v, n_rot, values, eps)
+        except ValueError as exc:
+            raise ValueError(f"{path}: section [v={v},N={n_rot}] {exc}") from None
     return out

@@ -6,26 +6,26 @@ absolute frequency follows from comb arithmetic in which the carrier
 envelope offset cancels exactly.  Counter time series are characterized
 with the overlapping Allan deviation.
 
-A counter log of at least 512 KiB is read with one `np.loadtxt` and
-checked and analysed on numpy arrays; a smaller one, and any log that
-the whole-column read refuses, is read by `read_table` and analysed on
-Python floats.  The size of the file alone decides, so a small log
-never loads numpy, and a large one keeps numpy's parser and kernels,
-which a Python loop over 10^5 samples per tau would not match.
+A counter log is read once.  One of at least 512 KiB is parsed with one
+`np.loadtxt` and analysed on numpy arrays; a smaller one, and any log
+that the whole-column read refuses, is parsed by `parse_table` and
+analysed on Python floats.  The size of the file alone decides, so a
+small log never loads numpy, and a large one keeps numpy's parser and
+kernels, which a Python loop over 10^5 samples per tau would not match.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import operator
-import os
 import sys
 import warnings
 from pathlib import Path
 from typing import Sequence
 
-from .quantity import FINITE, finite, overflow_as_value_error, read_table
+from .quantity import FINITE, finite, finite_step, input_bytes, input_text, overflow_as_value_error, parse_table
 
 
 def _is_ndarray(values) -> bool:
@@ -213,21 +213,14 @@ def _numpy_variance(y):
     return variance
 
 
-def _all_finite(values: list[float], step: str) -> list[float]:
-    """`values`, or OverflowError in the words numpy's errstate uses for `step`."""
-    if not all(map(math.isfinite, values)):
-        raise OverflowError(f"overflow encountered in {step}")
-    return values
-
-
 def _python_variance(y: list[float]):
     # the numpy kernel's steps on floats; the mean square is a correctly rounded sum
-    cum = _all_finite([0.0, *itertools.accumulate(y)], "accumulate")
+    cum = finite_step("accumulate", [0.0, *itertools.accumulate(y)])
 
     def variance(m: int) -> float:
-        means = _all_finite([(b - a) / m for a, b in zip(cum, cum[m:])], "subtract")
-        diffs = _all_finite(list(map(operator.sub, means[m:], means)), "subtract")
-        squares = _all_finite(list(map(operator.mul, diffs, diffs)), "square")
+        means = finite_step("subtract", [(b - a) / m for a, b in zip(cum, cum[m:])])
+        diffs = finite_step("subtract", list(map(operator.sub, means[m:], means)))
+        squares = finite_step("square", list(map(operator.mul, diffs, diffs)))
         return 0.5 * (math.fsum(squares) / len(squares))
 
     return variance
@@ -358,13 +351,11 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
     fractional sample has |y| < 1; a carrier that no sample is near
     would give deviations that round to 0.  Table faults are
     `read_table`'s.  The checks run on the columns as read, numpy arrays
-    from `_loadtxt_columns` or `read_table`'s Python floats alike.
+    from `_loadtxt_columns` or `parse_table`'s Python floats alike.
     """
-    cols = _loadtxt_columns(path)
-    if cols is None:
-        table = read_table(path, {"t_s": FINITE, "f_hz": FINITE})
-        cols = table["t_s"], table["f_hz"]
-    t, f = cols
+    data = input_bytes(path)
+    cols = _loadtxt_columns(data) or parse_table(path, input_text(path, data), {"t_s": FINITE, "f_hz": FINITE})
+    t, f = cols["t_s"], cols["f_hz"]
     if len(t) < 2:
         raise ValueError(f"{path}: need at least 2 counter samples")
     tau0, increasing, uniform = (_numpy_steps if _is_ndarray(t) else _python_steps)(t)
@@ -390,53 +381,41 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
 # of 10^5 samples, most of it the Allan kernel.
 _NUMPY_MIN_BYTES = 512 * 1024
 # Bytes on which np.loadtxt and csv + float() part ways, so a log that holds one
-# goes to `read_table`: quotes (csv unquotes), NUL (csv rejects it before Python
+# goes to `parse_table`: quotes (csv unquotes), NUL (csv rejects it before Python
 # 3.11), and the separators \x1c-\x1f, which loadtxt strips around a number and
 # float() does not.
 _REFUSED_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_SCAN_BYTES = 1 << 16
 
 
-def _loadtxt_columns(path):
-    """(t_s, f_hz) of a large log as float64 arrays by one `np.loadtxt`, or None where `read_table` must read it.
+def _loadtxt_columns(data: bytes):
+    """`parse_table`'s t_s and f_hz columns of a log's bytes as float64 arrays by one `np.loadtxt`, or None.
 
-    The file must hold at least `_NUMPY_MIN_BYTES`, all ASCII and none of
-    `_REFUSED_BYTES`, with its header line in the first `_SCAN_BYTES`;
-    it is scanned in chunks, so no copy of it is kept.  The header is
-    split as csv splits it (the last of a duplicated name wins).  A row
-    that loadtxt refuses, a cell that is not finite and a file without
-    data rows give None too, so that every fault is `read_table`'s.
+    The log must hold at least `_NUMPY_MIN_BYTES`, all ASCII and none of
+    `_REFUSED_BYTES`; its lines end at CR, LF or CR LF, as for csv.  The
+    header is split as csv splits it (the last of a duplicated name
+    wins).  A row that loadtxt refuses, a cell that is not finite and a
+    log without data rows give None too, so that every fault is
+    `parse_table`'s.
     """
-    try:
-        if os.path.getsize(path) < _NUMPY_MIN_BYTES:
-            return None
-        with open(path, "rb") as fh:
-            chunk = fh.read(_SCAN_BYTES)
-            header = chunk.partition(b"\n")[0].partition(b"\r")[0]  # csv ends a line at \r or \n
-            if len(header) == _SCAN_BYTES:  # no line end in sight: the header may go on
-                return None
-            while chunk:
-                if not chunk.isascii() or any(b in chunk for b in _REFUSED_BYTES):
-                    return None
-                chunk = fh.read(_SCAN_BYTES)
-    except OSError:  # `read_table` raises it as it raises any other
+    if len(data) < _NUMPY_MIN_BYTES or not data.isascii() or any(b in data for b in _REFUSED_BYTES):
         return None
-    index = {name: i for i, name in enumerate(header.decode("ascii").split(","))}
-    if "t_s" not in index or "f_hz" not in index:
+    if b"\r" in data:  # a line end as csv reads it, for loadtxt: a copy of the log only where one is CR
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    stream = io.BytesIO(data)  # shares the bytes: no copy of the log
+    index = {name: i for i, name in enumerate(stream.readline().rstrip(b"\n").split(b","))}
+    if b"t_s" not in index or b"f_hz" not in index:
         return None
     import numpy as np
 
     try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():  # universal newlines, as for csv
-            warnings.simplefilter("ignore")  # loadtxt warns on a log without data rows; `read_table` names the fault
-            fh.readline()  # the header
-            cells = np.loadtxt(fh, delimiter=",", usecols=[index["t_s"], index["f_hz"]], comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a log without data rows; `parse_table` names the fault
+            cells = np.loadtxt(stream, delimiter=",", usecols=[index[b"t_s"], index[b"f_hz"]], comments=None, ndmin=2)
     except ValueError:
         return None
     if not len(cells) or not np.isfinite(cells).all():
         return None
-    t, f = cells.T.copy()  # each column contiguous
-    return t, f
+    return dict(zip(("t_s", "f_hz"), cells.T.copy()))  # each column contiguous
 
 
 def _numpy_steps(t) -> tuple[float, bool, bool]:

@@ -8,15 +8,16 @@ treat them as independent channels.  A Quantity's JSON form, `{value,
 unit, components}`, is written by `Quantity.report` alone, and reports
 print it in the parenthetical style of precision spectroscopy
 (`parenthetical`; `fixed` prints one number by the same 1e15 rule).
-Every input file is read by one reader per format, `read_table` (CSV),
-`read_keys` (`key = value`) or `read_json`.  The first two take a
-mapping from each column or key to its `Rule`, the third a shape built
-of Rules; a fault is one ValueError that names the file.  `read_table`
-reads every table row by row into `array.array('d')` columns, and a
-`Rule` checks one float at a time.  Arithmetic that leaves float64, in
-numpy or on Python floats, is one ValueError that names its step: each
-step that can leave float64 runs under the one guard,
-`overflow_as_value_error`.
+Every input file is read once, by `input_bytes`, and decoded as UTF-8
+by `input_text` (`path: 'utf-8' codec can't decode ...` if it is not),
+for one reader per format: `read_table` (CSV), `read_keys` (`key =
+value`) or `read_json`.  The first two take a mapping from each column
+or key to its `Rule`, the third a shape built of Rules; a fault is one
+ValueError that names the file.  `read_table` reads every table row by
+row into `array.array('d')` columns, and a `Rule` checks one float at a
+time.  Arithmetic that leaves float64, in numpy or on Python floats, is
+one ValueError that names its step: each step that can leave float64
+runs under the one guard, `overflow_as_value_error`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import array
 import contextlib
 import csv
+import io
 import json
 import math
 import sys
@@ -174,6 +176,13 @@ def finite(name: str, *values: float) -> None:
             raise OverflowError(f"{name} = {v!r}")
 
 
+def finite_step(step: str, values: list[float]) -> list[float]:
+    """`values`, or OverflowError `overflow encountered in <step>`, numpy's words, where one left float64."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"overflow encountered in {step}")
+    return values
+
+
 _EXPONENT_FROM = 1e15  # where a float64 holds no hundredths, a printed number switches to exponent form
 _DIGITS = 2  # significant digits of each component in `parenthetical` text
 
@@ -283,8 +292,26 @@ OPTIONAL_TEXT = Rule(TEXT.requirement, optional=True)
 UNUSED_TEXT = Rule(TEXT.requirement, kept=False)
 
 
+def input_bytes(path: str | Path) -> bytes:
+    """The bytes of the input file at `path`: every reader takes its file from here, in one read."""
+    return Path(path).read_bytes()
+
+
+def input_text(path: str | Path, data: bytes | None = None) -> str:
+    """`data`, or the bytes of the file at `path`, as UTF-8 text; else ValueError `path: <codec message>`."""
+    try:
+        return (input_bytes(path) if data is None else data).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, array.array | list[str]]:
-    """Read and check the named columns of a CSV file with a header row, row by row.
+    """`parse_table` of the CSV file at `path`."""
+    return parse_table(path, input_text(path), columns)
+
+
+def parse_table(path: str | Path, text: str, columns: Mapping[str, Rule]) -> dict[str, array.array | list[str]]:
+    """Read and check the named columns of the CSV text of the file at `path`, with a header row, row by row.
 
     `columns` maps each column name to its Rule.  Returns each numeric
     column as an `array.array('d')` and each kept text column as a list
@@ -303,56 +330,55 @@ def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, array
     """
     out: dict = {n: [] for n, rule in columns.items() if rule.kept}
     n_rows = line = blank = 0  # line: that of the last row read; blank: that of the first blank line since
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            index = {name: i for i, name in enumerate(next(reader, ()))}
-            line = reader.line_num
-            for name, rule in columns.items():
-                if not (rule.optional or name in index):
-                    raise ValueError(f"{path}:1: missing column {name}")
-            numeric, optional, texts, width = [], [], [], 0  # a row shorter than `width` lacks a cell it needs
-            absent = [n for n, rule in columns.items() if rule.accepts is None and rule.kept and n not in index]
-            for name, rule in columns.items():
-                i = index.get(name, math.inf)  # only an optional column may be absent
-                if rule.accepts is not None and rule.optional:
-                    optional.append((i, rule.accepts, out[name].append))
-                    continue
-                if i == math.inf:  # an absent optional text column, blank in every row (`absent`)
-                    continue
-                width = max(width, i + 1)
-                if rule.accepts is not None:
-                    numeric.append((i, rule.accepts, out[name].append))
-                elif rule.kept:
-                    texts.append((i, out[name].append))
-            # this loop must refuse exactly the rows that `_row_fault` words a fault for
-            for row in reader:
-                if not row:
-                    blank = blank or reader.line_num
-                    continue
-                line, blank = reader.line_num, 0
-                n_rows += 1
-                try:
-                    if len(row) < width:
-                        raise IndexError
-                    for i, accepts, append in numeric:
-                        if not accepts(x := float(row[i])):
-                            raise ValueError
+    reader = csv.reader(io.StringIO(text, newline=""))  # lines end at \r, \n or \r\n, kept for csv
+    try:
+        index = {name: i for i, name in enumerate(next(reader, ()))}
+        line = reader.line_num
+        for name, rule in columns.items():
+            if not (rule.optional or name in index):
+                raise ValueError(f"{path}:1: missing column {name}")
+        numeric, optional, texts, width = [], [], [], 0  # a row shorter than `width` lacks a cell it needs
+        absent = [n for n, rule in columns.items() if rule.accepts is None and rule.kept and n not in index]
+        for name, rule in columns.items():
+            i = index.get(name, math.inf)  # only an optional column may be absent
+            if rule.accepts is not None and rule.optional:
+                optional.append((i, rule.accepts, out[name].append))
+                continue
+            if i == math.inf:  # an absent optional text column, blank in every row (`absent`)
+                continue
+            width = max(width, i + 1)
+            if rule.accepts is not None:
+                numeric.append((i, rule.accepts, out[name].append))
+            elif rule.kept:
+                texts.append((i, out[name].append))
+        # this loop must refuse exactly the rows that `_row_fault` words a fault for
+        for row in reader:
+            if not row:
+                blank = blank or reader.line_num
+                continue
+            line, blank = reader.line_num, 0
+            n_rows += 1
+            try:
+                if len(row) < width:
+                    raise IndexError
+                for i, accepts, append in numeric:
+                    if not accepts(x := float(row[i])):
+                        raise ValueError
+                    append(x)
+                for i, accepts, append in optional:
+                    cell = row[i] if i < len(row) else ""
+                    if not cell.strip():  # a blank or missing cell is NaN, unchecked
+                        append(math.nan)
+                    elif accepts(x := float(cell)):
                         append(x)
-                    for i, accepts, append in optional:
-                        cell = row[i] if i < len(row) else ""
-                        if not cell.strip():  # a blank or missing cell is NaN, unchecked
-                            append(math.nan)
-                        elif accepts(x := float(cell)):
-                            append(x)
-                        else:
-                            raise ValueError
-                    for i, append in texts:
-                        append(row[i].strip())
-                except (IndexError, ValueError):
-                    _row_fault(path, line, row, columns, index)
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{blank or line}: {exc}") from None
+                    else:
+                        raise ValueError
+                for i, append in texts:
+                    append(row[i].strip())
+            except (IndexError, ValueError):
+                _row_fault(path, line, row, columns, index)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{blank or line}: {exc}") from None
     if not n_rows:
         raise ValueError(f"{path}: no data rows")
     for name in absent:
@@ -404,7 +430,7 @@ def read_keys(path: str | Path, rules: Mapping[str, Rule], section=None):
     ValueError as `path:line: ...`, or `path: missing key x`.
     """
     sections = [] if section else [(None, 0, {})]
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(input_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         header = section and section.match(line)
         if header:
@@ -438,9 +464,10 @@ def read_json(path: str | Path, shape):
     that is finite and passes it; a text Rule takes a string, one of its
     `choices` if set.  A fault raises ValueError as `path: <key path> ...`.
     """
+    text = input_text(path).replace("\r\n", "\n").replace("\r", "\n")  # universal newlines: a fault's place as read
     try:  # an integer is read as float() reads its digits: no int beyond float64, no digit limit
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested past the parser's depth
+        doc = json.loads(text, parse_int=float)
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested past the parser's depth
         raise ValueError(f"{path}: {exc}") from None
     return _checked(doc, shape, path, "")
 

@@ -38,7 +38,7 @@ from typing import Sequence
 
 from . import angular
 from .angular import HyperfineCoefficients, SpinLevel, _blocks, _level_set, _LevelSet, _zeeman_row
-from .quantity import FINITE, Record, finite, overflow_as_value_error, read_keys
+from .quantity import FINITE, Record, finite, finite_step, overflow_as_value_error, read_keys
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
@@ -163,20 +163,11 @@ def _mappable(level_set: _LevelSet) -> Sequence[SpinLevel]:
 
 
 def _field_block(energies: Sequence[float], w: Sequence[Sequence[float]], b: float) -> list[list[float]]:
-    """diag(E) + B W at the field `b`, in Python floats: B W, then its diagonal plus E, each checked by `_elementwise`."""
-    h = [_elementwise(operator.mul, "multiply", [b] * len(row), row) for row in w]
-    for i, diagonal in enumerate(_elementwise(operator.add, "add", energies, [row[i] for i, row in enumerate(h)])):
+    """diag(E) + B W at the field `b` in Python floats: B W, then its diagonal plus E, each checked (`finite_step`)."""
+    h = [finite_step("multiply", [b * x for x in row]) for row in w]
+    for i, diagonal in enumerate(finite_step("add", [e + row[i] for i, (e, row) in enumerate(zip(energies, h))])):
         h[i][i] = diagonal
     return h
-
-
-def _elementwise(op, name: str, *columns: Sequence[float]) -> list[float]:
-    """`op` over the columns, value by value; OverflowError `overflow encountered in <name>`, as numpy words it, where a
-    value leaves float64 (finite operands of +, - and * give no NaN)."""
-    out = list(map(op, *columns))
-    if not all(map(math.isfinite, out)):
-        raise OverflowError(f"overflow encountered in {name}")
-    return out
 
 
 def _eigenvalues(h: list[list[float]]) -> list[float]:
@@ -209,8 +200,8 @@ def _sublevels(
     Korobov & Schiller, J. Phys. B 44, 025003 (2011)), so at every B the
     k-th lowest energy belongs to the k-th lowest of those levels; the
     rows come in that order.  A B = 0 column is E exactly.  W, summed on
-    Python floats, is checked finite (OverflowError `W = ...`), and so
-    is diag(E) + B W before either solve (`_field_block`).
+    Python floats (OverflowError `W = ...`), diag(E) + B W before either
+    solve (`_field_block`) and the energies of either are checked finite.
     """
     members = [lv for lv in _level_set(coeffs).levels if lv.f >= abs(m_f)]
     w = [_zeeman_row(lv, members, m_f, couplings.per_slot)[1] for lv in members]
@@ -225,6 +216,7 @@ def _sublevels(
     import numpy as np
 
     out = np.linalg.eigvalsh(np.diag(energies) + np.array(b_values)[:, None, None] * np.array(w)).T
+    finite("sublevel energy", float(out.min()), float(out.max()))  # eigvalsh ignores overflow; a NaN is the min
     if b_values[0] == 0.0:
         out[:, 0] = energies
     return list(map(tuple, out.tolist()))
@@ -342,7 +334,7 @@ def transition_truncation(
     The truncation is the largest |df(B) - (a B + c B^2)| in kHz, with
     the shift df(B) relative to zero field taken from the sublevels of
     `_sublevels`, the same floats that `zeeman_map` gives, and each step
-    checked finite (`_elementwise`).  The grid is checked before any
+    checked finite (`finite_step`).  The grid is checked before any
     solve and must start at B = 0.
     """
     with overflow_as_value_error("Zeeman coefficient solve"):
@@ -351,11 +343,11 @@ def transition_truncation(
         model = transition_coeffs(lower, upper, couplings)
         lo, up = (_sublevels(coeffs, couplings, label[3], b)[_member(coeffs, label)[1]] for coeffs, label in (lower, upper))
         # df(B) - (a B + c B^2) step by step, in the order and the words of the numpy expression it replaces
-        n = len(b)
-        df = _elementwise(operator.sub, "subtract", up, lo)
-        df = _elementwise(operator.sub, "subtract", df, [df[0]] * n)
-        linear = _elementwise(operator.mul, "multiply", [model.linear] * n, b)
-        b2 = _elementwise(operator.mul, "square", b, b)
-        quadratic = _elementwise(operator.mul, "multiply", [model.quadratic] * n, b2)
-        residuals = _elementwise(operator.sub, "subtract", df, _elementwise(operator.add, "add", linear, quadratic))
+        df = finite_step("subtract", list(map(operator.sub, up, lo)))
+        df = finite_step("subtract", [d - df[0] for d in df])
+        linear = finite_step("multiply", [model.linear * x for x in b])
+        b2 = finite_step("square", [x * x for x in b])
+        quadratic = finite_step("multiply", [model.quadratic * x for x in b2])
+        fit = finite_step("add", list(map(operator.add, linear, quadratic)))
+        residuals = finite_step("subtract", list(map(operator.sub, df, fit)))
         return model, max(map(abs, residuals))

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hdspec
-from hdspec import bundled, cli, lineshape, metrology
+from hdspec import bundled, cli, lineshape, metrology, quantity
 from hdspec.cli import DataFailure, _Floats, _sweep_grid, _write_csv, _write_csv_grid, _write_json, main
 from hdspec.quantity import Quantity
 
@@ -146,7 +146,7 @@ def test_main_fills_the_parser_of_the_named_command_only(argv, tmp_path, monkeyp
     assert [p.prog for p in built[1:] if p._actions] == ([f"hdspec {named}"] if named else [])
 
 
-def test_reproduce_paper_looks_up_each_bundled_file_once_but_the_scaling_reference(tmp_path, monkeypatch, capsys):
+def test_reproduce_paper_looks_up_each_bundled_file_once(tmp_path, monkeypatch, capsys):
     names = []
     data_path = bundled.data_path
 
@@ -156,10 +156,9 @@ def test_reproduce_paper_looks_up_each_bundled_file_once_but_the_scaling_referen
 
     monkeypatch.setattr(bundled, "data_path", counted)
     assert main(["reproduce-paper", "--out-dir", str(tmp_path)]) == 0
-    # 11 shipped files and the absent hfs_coefficients.conf; the codata and the penning scaling model
-    # each read analysis_reference.txt
+    # 11 shipped files and the absent hfs_coefficients.conf; the penning scaling model is the codata one, moved
     counts = collections.Counter(names)
-    assert len(counts) == 12 and counts.pop("analysis_reference.txt") == 2 and set(counts.values()) == {1}
+    assert len(counts) == 12 and set(counts.values()) == {1}
 
 
 ARGV_TOKENS = st.sampled_from(
@@ -677,6 +676,17 @@ def test_field_whose_zeeman_energy_overflows_is_one_line_data_error(tmp_path, co
     assert_one_line_error(proc)
     assert proc.stderr == f"data error: {what} overflows float64 (overflow encountered in multiply)\n"
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("n", [2, 21], ids=["short-grid", "long-grid"])
+def test_a_sublevel_energy_beyond_float64_is_one_line_data_error_before_any_output(tmp_path, n):
+    """diag(E) + B W is finite at 1.28e305 G, its largest eigenvalues are not: no line on stdout, no report."""
+    grid = ",".join(repr(1.28e305 * i / (n - 1)) for i in range(n))
+    proc = run_python("-m", "hdspec.cli", "zeeman-map", "--demo", "--b-values", grid, "--out-dir", str(tmp_path))
+    assert_one_line_error(proc)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("data error: Zeeman map overflows float64 (")
+    assert not list(tmp_path.iterdir())
 
 
 def test_spin_structure_demo_solves_each_hamiltonian_once(tmp_path, eigen_solves):
@@ -1839,3 +1849,43 @@ def test_dfg_maser_offset_corrects_the_difference_frequency(tmp_path):
     assert payload["maser_fractional_offset"] == offset
     assert payload["dfg_corrected_hz"] == payload["dfg_hz"] * (1 - offset)
     assert payload["dfg_corrected_hz"] != payload["dfg_hz"]
+
+
+# --- one opener: each input file read once ----------------------------------------
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The path of each input file read, in order: a spy on the one opener, in every module that calls it."""
+    paths = []
+    opener = quantity.input_bytes
+
+    def spy(path):
+        paths.append(Path(path).resolve())
+        return opener(path)
+
+    for module in (quantity, metrology):
+        monkeypatch.setattr(module, "input_bytes", spy)
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_RUNS))
+def test_each_command_reads_each_input_file_once(tmp_path, opened, name):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([name, *BUNDLED_RUNS[name], "--out-dir", str(tmp_path)]) == 0
+    counts = collections.Counter(opened)
+    assert set(counts.values()) <= {1}, counts
+    # every file named on the command line is among them
+    assert {Path(a).resolve() for a in BUNDLED_RUNS[name] if Path(a).is_file()} <= set(counts)
+    assert counts or name in ("ledger", "dfg", "carrier")  # these read no file
+
+
+def test_adev_reads_a_large_counter_log_once_and_on_numpy(tmp_path, opened):
+    log = large_counter_log(tmp_path)
+    numpy_read = metrology._loadtxt_columns
+    columns = []
+    with mock.patch.object(metrology, "_loadtxt_columns", lambda data: columns.append(numpy_read(data)) or columns[-1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["adev", "--input", str(log), "--out-dir", str(tmp_path / "out")]) == 0
+    assert opened == [log.resolve()]
+    assert len(columns) == 1 and columns[0] is not None  # numpy read it

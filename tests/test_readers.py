@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import bundled
+from hdspec import bundled, coefficients, constants, lineshape, metrology, systematics, zeeman
 from hdspec.cli import main
 from hdspec.quantity import FINITE, OPTIONAL_FINITE, OPTIONAL_TEXT, POSITIVE, TEXT, Rule, read_json, read_keys
 
@@ -327,3 +327,78 @@ def test_cli_on_any_key_file_exits_cleanly(command, data):
     with tempfile.TemporaryDirectory() as d:
         path = write(d, "input.txt", text)
         assert_clean_exit([*argv, str(path), "--out-dir", str(Path(d) / "out")])
+
+
+# --- one opener: each input file read once, as UTF-8 ------------------------------
+
+LARGE_LOG = "t_s,f_hz\n" + "".join(f"{i},{1e6 + i % 7}\n" for i in range(metrology._NUMPY_MIN_BYTES // 10))
+
+
+def bundled_text(name):
+    return bundled.data_path(name).read_text(encoding="utf-8")
+
+
+# each reader, and the text of a file that it reads
+UTF8_READERS = {
+    "counter": (metrology.read_counter_csv, bundled_text("demo_counter.csv")),
+    "counter-large": (metrology.read_counter_csv, LARGE_LOG),
+    "decay": (lineshape.read_decay_csv, bundled_text("line12_depletion.csv")),
+    "field": (systematics.read_field_scan_csv, bundled_text("line12_zeeman.csv")),
+    "rf": (systematics.read_amplitude_csv, bundled_text("line12_rf.csv")),
+    "contribution": (constants.read_contribution_csv, bundled_text("contributions_case1.csv")),
+    "coefficients": (coefficients.read_coefficient_file, bundled_text("demo_coefficients.conf")),
+    "couplings": (zeeman.read_couplings_file, bundled_text("zeeman_couplings.txt")),
+    "scaling": (constants.read_scaling_file, bundled_text("analysis_reference.txt")),
+    "constants": (constants.read_constants_file, bundled_text("constants_codata2018.txt")),
+    "json": (bundled.load_measured_lines, bundled_text("measured_lines.json")),
+    "entries": (systematics.read_entries, json.dumps(LEDGER)),
+}
+
+
+@pytest.mark.parametrize("where", ["start", "end"])
+@pytest.mark.parametrize("name", sorted(UTF8_READERS))
+def test_every_reader_names_a_file_that_is_not_utf8(tmp_path, name, where):
+    """A 0xff byte anywhere is one ValueError `path: <codec message>`, at its position in the file."""
+    read, text = UTF8_READERS[name]
+    assert len(LARGE_LOG) >= metrology._NUMPY_MIN_BYTES
+    data = text.encode("utf-8")
+    at = 0 if where == "start" else len(data)
+    path = tmp_path / "input"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extrapolate-b", "--input"],
+        ["zeeman-map", "--demo", "--couplings"],
+        ["spin-structure", "--coefficients"],
+        ["adev", "--input"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_cli_on_a_file_that_is_not_utf8_is_one_config_error_naming_it(tmp_path, argv, size):
+    path = tmp_path / "input"
+    path.write_bytes(b"a = 1 # \xff\n" + (b"#\n" * metrology._NUMPY_MIN_BYTES if size == "large" else b""))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, str(path), "--out-dir", str(tmp_path / "out")])
+    assert (code, out.getvalue()) == (2, "")
+    message = f"{path}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+    assert err.getvalue() == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_n0_section_with_a_rotational_coefficient_names_the_file_and_the_section(tmp_path):
+    path = write(tmp_path, "c.conf", "[v=0,N=0]\nE1 = 3\nE4 = 1\nE5 = 2\n")
+    with pytest.raises(ValueError) as exc:
+        coefficients.read_coefficient_file(path)
+    assert str(exc.value) == f"{path}: section [v=0,N=0] N=0 level admits only E4, E5; got nonzero E1"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["spin-structure", "--coefficients", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert err.getvalue() == f"config error: {exc.value}\n"

@@ -78,8 +78,11 @@ def dict_reader_table(path, columns):
 def dict_reader_row_path():
     """Every reader on `dict_reader_table`, and no counter log on numpy."""
     with contextlib.ExitStack() as stack:
-        for module in (constants, lineshape, metrology, systematics):
+        for module in (constants, lineshape, systematics):
             stack.enter_context(mock.patch.object(module, "read_table", dict_reader_table))
+        # the counter log parses the bytes it read: the oracle reads the file itself
+        oracle = lambda path, _text, columns: dict_reader_table(path, columns)  # noqa: E731
+        stack.enter_context(mock.patch.object(metrology, "parse_table", oracle))
         stack.enter_context(mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 1 << 62))
         yield
 
@@ -232,8 +235,8 @@ def test_fast_path_and_row_path_agree(name, data):
     """
     read, columns = READERS[name]
     text = data.draw(table_text(columns))
-    # every log is offered to the numpy read, and scanned in several chunks
-    with tempfile.TemporaryDirectory() as d, mock.patch.multiple(metrology, _NUMPY_MIN_BYTES=0, _SCAN_BYTES=64):
+    # every log is offered to the numpy read
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 0):
         path = write(d, text)
         got = outcome(read, path)
         with dict_reader_row_path():
@@ -285,7 +288,6 @@ REFUSED = {
     "nul": "t_s,f_hz\n0,1\n1,2\x00\n",
     **{f"x{b:x}": f"t_s,f_hz\n0,1\n1,2{chr(b)}\n" for b in range(0x1C, 0x20)},
     "non-ascii": "t_s,f_hz\n0,1\n1,２\n",
-    "long-header": "t_s,f_hz," + "x" * 100 + ",f_hz\n0,1,0,5\n1,2,0,6\n",
     "nan": "t_s,f_hz\n0,1\n1,nan\n",
     "inf": "t_s,f_hz\n0,1\n1,-inf\n",
     "overflow": "t_s,f_hz\n0,1\n1,1e400\n",
@@ -295,12 +297,16 @@ REFUSED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REFUSED))
+# a header of any length, up to a second f_hz, the one that counts: numpy reads it
+NUMPY_READ = {"long-header": "t_s,f_hz," + "x" * (1 << 17) + ",f_hz\n0,1,0,5\n1,2,0,6\n"}
+
+
+@pytest.mark.parametrize("name", sorted({**REFUSED, **NUMPY_READ}))
 def test_counter_log_numpy_read_leaves_every_other_log_to_read_table(tmp_path, name):
-    """A refused byte, a header past the first chunk, a non-finite cell or no data rows: `read_table` decides."""
-    path = write(tmp_path, REFUSED[name])
-    with mock.patch.multiple(metrology, _NUMPY_MIN_BYTES=0, _SCAN_BYTES=64):
-        assert metrology._loadtxt_columns(path) is None
+    """A refused byte, a non-finite cell or no data rows: `read_table` decides; a long header is numpy's."""
+    path = write(tmp_path, {**REFUSED, **NUMPY_READ}[name])
+    with mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 0):
+        assert (metrology._loadtxt_columns(path.read_bytes()) is None) == (name in REFUSED)
         got = outcome(_counter, path)
     with dict_reader_row_path():
         assert got == outcome(_counter, path)
@@ -388,26 +394,27 @@ def test_small_files_are_read_row_by_row(tmp_path):
     header = "t_s,f_hz\n"
     small = write(tmp_path, header + "1,2\n" * ((metrology._NUMPY_MIN_BYTES - len(header) - 1) // 4))
     assert small.stat().st_size < metrology._NUMPY_MIN_BYTES
-    assert metrology._loadtxt_columns(small) is None
+    assert metrology._loadtxt_columns(small.read_bytes()) is None
     with open(small, "a", encoding="utf-8") as fh:
         fh.write("3,4\n")
-    assert metrology._loadtxt_columns(small)[1].tolist()[-1] == 4.0
+    assert metrology._loadtxt_columns(small.read_bytes())["f_hz"].tolist()[-1] == 4.0
 
 
 def test_fast_path_scans_every_chunk_and_needs_the_whole_header_in_the_first(tmp_path):
-    # counter logs above the numpy read's minimum, scanned in 256-byte chunks
+    # counter logs above the numpy read's minimum, scanned whole as one chunk:
+    # a refused byte anywhere and a header of any length lie in it
     columns = {"t_s": FINITE, "f_hz": FINITE}
     n = metrology._NUMPY_MIN_BYTES // 4
     rows = "1,2\n" * n
-    with mock.patch.object(metrology, "_SCAN_BYTES", 256):
-        assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows)) is not None
-        # a quote or a non-ASCII byte far past the first chunk
-        assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows + '"3",4\n')) is None
-        assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows + "５,4\n")) is None
-        # a header that fills the first chunk may go on past it: here to a second f_hz, the one that counts
-        path = write(tmp_path, "t_s,f_hz," + "x" * 300 + ",f_hz\n" + "1,2,0,4\n" * (n // 2))
-        assert metrology._loadtxt_columns(path) is None
-        assert read_table(path, columns)["f_hz"].tolist() == [4.0] * (n // 2)
+    assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows).read_bytes()) is not None
+    # a quote or a non-ASCII byte at the end of the log
+    assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows + '"3",4\n').read_bytes()) is None
+    assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows + "５,4\n").read_bytes()) is None
+    # a header of 128 KiB, up to a second f_hz, the one that counts
+    path = write(tmp_path, "t_s,f_hz," + "x" * (1 << 17) + ",f_hz\n" + "1,2,0,4\n" * (n // 2))
+    got, want = metrology._loadtxt_columns(path.read_bytes()), read_table(path, columns)
+    assert {n: c.tolist() for n, c in got.items()} == {n: c.tolist() for n, c in want.items()}
+    assert got["f_hz"].tolist() == [4.0] * (n // 2)
 
 
 def test_file_size_alone_picks_the_counter_log_numpy_read(tmp_path):
@@ -444,7 +451,7 @@ def test_an_unused_text_column_is_checked_and_left_out(tmp_path):
 def test_row_path_accepts_what_float_accepts(tmp_path):
     path = write(tmp_path, "t_s,f_hz\n1_0,１\n" + "1,2\n" * 300)
     with mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 0):
-        assert metrology._loadtxt_columns(path) is None
+        assert metrology._loadtxt_columns(path.read_bytes()) is None
     assert read_table(path, {"t_s": FINITE, "f_hz": FINITE})["t_s"].tolist()[:2] == [10.0, 1.0]
 
 

@@ -258,6 +258,16 @@ def test_zeeman_operator_that_leaves_float64_is_one_value_error(demo_sets):
         zeeman_map(coeffs, ZeemanCouplings(c_n=-1.5e308), (0.05, 0.1))
 
 
+@pytest.mark.parametrize("n", [2, zeeman._SHORT_GRID, zeeman._SHORT_GRID + 1, 21])
+def test_a_sublevel_energy_beyond_float64_is_one_value_error_on_either_path(demo_sets, n):
+    # diag(E) + B W is finite up to 1.28e305 G, but its largest eigenvalues are not: Jacobi's scaled solve
+    # overflows on the way back, and numpy's stacked eigvalsh returns an infinity without a word
+    grid = tuple(1.28e305 * i / (n - 1) for i in range(n))
+    detail = "math range error" if n <= zeeman._SHORT_GRID else "sublevel energy = -?inf"
+    with pytest.raises(ValueError, match=rf"^Zeeman map overflows float64 \({detail}\)$"):
+        zeeman_map(demo_sets[(1, 1)], ZeemanCouplings(), grid)
+
+
 def test_state_lookup_error(demo_sets):
     zmap = zeeman_map(demo_sets[(0, 0)], ZeemanCouplings())
     with pytest.raises(LookupError, match="no Zeeman state"):
