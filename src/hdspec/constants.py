@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .quantity import (
     FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, Quantity, Record, checked_field, finite,
-    input_text, overflow_as_value_error, read_keys, read_table,
+    input_lines, overflow_as_value_error, read_keys, read_table,
 )
 
 MANDATORY_CONTRIBUTIONS = (
@@ -279,7 +279,7 @@ _CONSTANT_RE = re.compile(
 def read_constants_file(path: str | Path) -> ConstantSet:
     """Parse `name = value ± uncertainty # source` lines: a finite, positive value and a finite u >= 0."""
     found: dict[str, Constant] = {}
-    for lineno, raw in enumerate(input_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(input_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

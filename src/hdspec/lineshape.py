@@ -268,10 +268,11 @@ def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
     Cholesky; a parameter whose Jacobian column is 0 stays where it is
     (the minimum-norm step), and a damped matrix that is not positive
     definite rejects the step.  Convergence requires a relative cost
-    change below 1e-12 or a step norm below 1e-10; 200 iterations without
-    either raises FitError with the accepted-cost trace attached.
-    Residuals are inverse-variance weighted when every point carries a
-    sem, otherwise unweighted.
+    change below 1e-12 or a step norm below 1e-10 within 200 iterations;
+    else FitError, with the accepted-cost trace, says that the line is
+    narrower than the point spacing if |FWHM| ended below the smallest
+    detuning step.  Residuals are inverse-variance weighted when every
+    point carries a sem, otherwise unweighted.
 
     The parameter covariance is the inverse of the unscaled
     (damping-free) normal matrix times the reduced chi-square.  A
@@ -301,7 +302,6 @@ def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
     cost = _cost(w, here[3])
     trace = [cost]
     converged = False
-    n_iter = 0
     for n_iter in range(1, 201):
         normal, grad = _normal_equations(p, here, w)
         damped = [[v + lam * row[i] if i == k else v for k, v in enumerate(row)] for i, row in enumerate(normal)]
@@ -326,6 +326,10 @@ def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
             if lam > 1e15:
                 break
     if not converged:
+        xs = sorted(set(x))
+        spacing = min(map(operator.sub, xs[1:], xs))
+        if abs(p[1]) < spacing:  # the best fit is a spike through one point, with no width the points resolve
+            raise FitError(f"the line is narrower than the point spacing: |FWHM| {abs(p[1]):.3g} < {spacing:.3g} kHz", trace)
         raise FitError(f"no convergence after {n_iter} iterations (cost {cost:.6g})", trace)
 
     p[1] = abs(p[1])

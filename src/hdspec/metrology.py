@@ -6,17 +6,16 @@ absolute frequency follows from comb arithmetic in which the carrier
 envelope offset cancels exactly.  Counter time series are characterized
 with the overlapping Allan deviation.
 
-A counter log is read once.  One of at least 512 KiB is parsed with one
-`np.loadtxt` and analysed on numpy arrays; a smaller one, and any log
-that the whole-column read refuses, is parsed by `parse_table` and
-analysed on Python floats.  The size of the file alone decides, so a
-small log never loads numpy, and a large one keeps numpy's parser and
-kernels, which a Python loop over 10^5 samples per tau would not match.
+A counter log is read once, into the lines of `input_lines`.  One of at
+least 512 KiB is parsed with one `np.loadtxt` and analysed on numpy
+arrays; a smaller one, and any log that the whole-column read refuses,
+by `parse_table` on Python floats.  The size of the file alone decides,
+so a small log never loads numpy, and a large one keeps numpy's parser
+and kernels, which a Python loop over 10^5 samples per tau would not match.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import operator
@@ -25,7 +24,7 @@ import warnings
 from pathlib import Path
 from typing import Sequence
 
-from .quantity import FINITE, finite, finite_step, input_bytes, input_text, overflow_as_value_error, parse_table
+from .quantity import FINITE, finite, finite_step, input_bytes, input_lines, overflow_as_value_error, parse_table
 
 
 def _is_ndarray(values) -> bool:
@@ -354,7 +353,7 @@ def read_counter_csv(path: str | Path, carrier_hz: float | None = None) -> Frequ
     from `_loadtxt_columns` or `parse_table`'s Python floats alike.
     """
     data = input_bytes(path)
-    cols = _loadtxt_columns(data) or parse_table(path, input_text(path, data), {"t_s": FINITE, "f_hz": FINITE})
+    cols = _loadtxt_columns(path, data) or parse_table(path, data, {"t_s": FINITE, "f_hz": FINITE})
     t, f = cols["t_s"], cols["f_hz"]
     if len(t) < 2:
         raise ValueError(f"{path}: need at least 2 counter samples")
@@ -387,30 +386,28 @@ _NUMPY_MIN_BYTES = 512 * 1024
 _REFUSED_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _loadtxt_columns(data: bytes):
+def _loadtxt_columns(path: str | Path, data: bytes):
     """`parse_table`'s t_s and f_hz columns of a log's bytes as float64 arrays by one `np.loadtxt`, or None.
 
     The log must hold at least `_NUMPY_MIN_BYTES`, all ASCII and none of
-    `_REFUSED_BYTES`; its lines end at CR, LF or CR LF, as for csv.  The
-    header is split as csv splits it (the last of a duplicated name
-    wins).  A row that loadtxt refuses, a cell that is not finite and a
-    log without data rows give None too, so that every fault is
-    `parse_table`'s.
+    `_REFUSED_BYTES`.  Its header and rows are the lines of `input_lines`,
+    as for csv, and the header is split as csv splits it (the last of a
+    duplicated name wins).  A row that loadtxt refuses, a cell that is
+    not finite and a log without data rows give None too, so that every
+    fault is `parse_table`'s.
     """
     if len(data) < _NUMPY_MIN_BYTES or not data.isascii() or any(b in data for b in _REFUSED_BYTES):
         return None
-    if b"\r" in data:  # a line end as csv reads it, for loadtxt: a copy of the log only where one is CR
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    stream = io.BytesIO(data)  # shares the bytes: no copy of the log
-    index = {name: i for i, name in enumerate(stream.readline().rstrip(b"\n").split(b","))}
-    if b"t_s" not in index or b"f_hz" not in index:
+    lines = input_lines(path, data)
+    index = {name: i for i, name in enumerate(lines.readline().rstrip("\r\n").split(","))}
+    if "t_s" not in index or "f_hz" not in index:
         return None
     import numpy as np
 
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a log without data rows; `parse_table` names the fault
-            cells = np.loadtxt(stream, delimiter=",", usecols=[index[b"t_s"], index[b"f_hz"]], comments=None, ndmin=2)
+            cells = np.loadtxt(lines, delimiter=",", usecols=[index["t_s"], index["f_hz"]], comments=None, ndmin=2)
     except ValueError:
         return None
     if not len(cells) or not np.isfinite(cells).all():

@@ -8,16 +8,16 @@ treat them as independent channels.  A Quantity's JSON form, `{value,
 unit, components}`, is written by `Quantity.report` alone, and reports
 print it in the parenthetical style of precision spectroscopy
 (`parenthetical`; `fixed` prints one number by the same 1e15 rule).
-Every input file is read once, by `input_bytes`, and decoded as UTF-8
-by `input_text` (`path: 'utf-8' codec can't decode ...` if it is not),
-for one reader per format: `read_table` (CSV), `read_keys` (`key =
-value`) or `read_json`.  The first two take a mapping from each column
-or key to its `Rule`, the third a shape built of Rules; a fault is one
-ValueError that names the file.  `read_table` reads every table row by
-row into `array.array('d')` columns, and a `Rule` checks one float at a
-time.  Arithmetic that leaves float64, in numpy or on Python floats, is
-one ValueError that names its step: each step that can leave float64
-runs under the one guard, `overflow_as_value_error`.
+Every input file is read once, by `input_bytes`, and decoded as UTF-8 by
+`input_text` (`path: 'utf-8' codec can't decode ...` if it is not), for
+one reader per format: `read_table` (CSV), `read_keys` (`key = value`) or
+`read_json`.  The first two read the lines of `input_lines`, which end at
+CR, LF or CR LF, with a Rule per column or key; the third a shape built of
+Rules.  A fault is one ValueError that names the file.  `read_table` reads
+every table row by row into `array.array('d')` columns, and a `Rule`
+checks one float at a time.  Arithmetic that leaves float64, in numpy or
+on Python floats, is one ValueError that names its step: each step that
+can leave float64 runs under the one guard, `overflow_as_value_error`.
 """
 
 from __future__ import annotations
@@ -305,13 +305,20 @@ def input_text(path: str | Path, data: bytes | None = None) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def input_lines(path: str | Path, data: bytes | None = None) -> io.TextIOWrapper:
+    """The lines of `input_text` as `open(path, newline="")` reads them: each keeps its end, CR, LF or CR LF."""
+    data = input_bytes(path) if data is None else data
+    input_text(path, data)  # the whole file is checked first, so a fault is named at its offset in the file
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
 def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, array.array | list[str]]:
     """`parse_table` of the CSV file at `path`."""
-    return parse_table(path, input_text(path), columns)
+    return parse_table(path, input_bytes(path), columns)
 
 
-def parse_table(path: str | Path, text: str, columns: Mapping[str, Rule]) -> dict[str, array.array | list[str]]:
-    """Read and check the named columns of the CSV text of the file at `path`, with a header row, row by row.
+def parse_table(path: str | Path, data: bytes, columns: Mapping[str, Rule]) -> dict[str, array.array | list[str]]:
+    """Read and check the named columns of the CSV bytes of the file at `path`, with a header row, row by row.
 
     `columns` maps each column name to its Rule.  Returns each numeric
     column as an `array.array('d')` and each kept text column as a list
@@ -330,7 +337,7 @@ def parse_table(path: str | Path, text: str, columns: Mapping[str, Rule]) -> dic
     """
     out: dict = {n: [] for n, rule in columns.items() if rule.kept}
     n_rows = line = blank = 0  # line: that of the last row read; blank: that of the first blank line since
-    reader = csv.reader(io.StringIO(text, newline=""))  # lines end at \r, \n or \r\n, kept for csv
+    reader = csv.reader(input_lines(path, data))  # each line with its end, for csv
     try:
         index = {name: i for i, name in enumerate(next(reader, ()))}
         line = reader.line_num
@@ -430,7 +437,7 @@ def read_keys(path: str | Path, rules: Mapping[str, Rule], section=None):
     ValueError as `path:line: ...`, or `path: missing key x`.
     """
     sections = [] if section else [(None, 0, {})]
-    for lineno, raw in enumerate(input_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(input_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         header = section and section.match(line)
         if header:

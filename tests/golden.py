@@ -18,6 +18,10 @@ that carry a unit's scale, absolute for those below 1 in magnitude
 (roundoff residuals such as a 4e-11 kHz truncation among them).  A
 mismatch names the file, the first differing JSON key path or CSV cell,
 and the largest absolute and relative difference of the numbers.
+
+`assert_complete_reports` checks what a command wrote on an exit 0, on
+any input: at least one report, and no empty row list but those of
+`EMPTY_ON_PURPOSE`.
 """
 
 from __future__ import annotations
@@ -181,3 +185,46 @@ def compare_files(want_dir: Path, got_dir: Path, names, rtol: float = 0.0) -> tu
         if math.isfinite(a):
             abs_max, rel_max = max(abs_max, a), max(rel_max, r)
     return faults, abs_max, rel_max
+
+
+# the row lists that an exit 0 may leave empty, as `empty_row_lists` names them, and why
+EMPTY_ON_PURPOSE = {
+    "ledger.json:entries": "a ledger of no entries (`ledger --entries` on `[]`) is the raw value with 0 entries",
+    "ledger.csv": "the same ledger as CSV: its header alone",
+    "reproduce_paper.json:rows[].checks": "a skipped `reproduce-paper` row has no checks",
+}
+
+
+def empty_row_lists(out_dir) -> set[str]:
+    """The row lists of the reports in `out_dir` that hold no row.
+
+    `<file>` names a CSV report with its header alone, `<file>:<key
+    path>` an empty list in a JSON report, `[]` standing for the items of
+    a list.
+    """
+    empty = set()
+    for path in Path(out_dir).iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".csv" and len(text.splitlines()) < 2:
+            empty.add(path.name)
+        elif path.suffix == ".json":
+            empty.update(f"{path.name}:{where}" for where in _empty_lists(json.loads(text), ""))
+    return empty
+
+
+def _empty_lists(value, where: str):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _empty_lists(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        if not value:
+            yield where
+        for item in value:
+            yield from _empty_lists(item, f"{where}[]")
+
+
+def assert_complete_reports(out_dir) -> None:
+    """What a command wrote on an exit 0: at least one report, and no empty row list but those of `EMPTY_ON_PURPOSE`."""
+    assert any(Path(out_dir).iterdir()), "exit 0 without a report"
+    unexpected = empty_row_lists(out_dir) - EMPTY_ON_PURPOSE.keys()
+    assert not unexpected, f"exit 0 with empty row lists: {sorted(unexpected)}"

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import golden
 import hdspec
 from hdspec import bundled, cli, lineshape, metrology, quantity
 from hdspec.cli import DataFailure, _Floats, _sweep_grid, _write_csv, _write_csv_grid, _write_json, main
@@ -1003,6 +1004,8 @@ def test_numeric_flags_at_the_edges_of_float64_exit_cleanly(name, capfd, data):
     capfd.readouterr()
     with tempfile.TemporaryDirectory() as d:
         code = main([name, *with_flags(FLAG_RUNS[name], values), "--out-dir", d])
+        if code == 0:
+            golden.assert_complete_reports(d)
     out, err = capfd.readouterr()
     assert code in (0, 1, 2)
     assert "Warning" not in out + err and "On entry to" not in out
@@ -1884,7 +1887,7 @@ def test_adev_reads_a_large_counter_log_once_and_on_numpy(tmp_path, opened):
     log = large_counter_log(tmp_path)
     numpy_read = metrology._loadtxt_columns
     columns = []
-    with mock.patch.object(metrology, "_loadtxt_columns", lambda data: columns.append(numpy_read(data)) or columns[-1]):
+    with mock.patch.object(metrology, "_loadtxt_columns", lambda *args: columns.append(numpy_read(*args)) or columns[-1]):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["adev", "--input", str(log), "--out-dir", str(tmp_path / "out")]) == 0
     assert opened == [log.resolve()]

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -232,6 +233,58 @@ def test_span_must_cover_initial_width():
     x = np.full(5, 0.3)
     with pytest.raises(ValueError, match="does not cover"):
         fit_lorentzian(make_points(x, lorentz(x, **TRUTH)))
+
+
+# --- under-sampled lines: the oracle cases' recipe at 7, 9 and 12 points, unweighted
+
+
+def undersampled_spectrum(n, seed):
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-2.0, 2.0, n)
+    y = lorentz(x, rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5), rng.choice([-1, 1]) * rng.uniform(0.1, 0.5), 0.02)
+    return x, y + rng.normal(0.0, 0.01, x.size)
+
+
+NARROWER = re.compile(r"the line is narrower than the point spacing: \|FWHM\| (\S+) < (\S+) kHz")
+
+
+@pytest.mark.parametrize("n, narrower", [(7, 28), (9, 8), (12, 3)])
+def test_a_line_narrower_than_the_point_spacing_is_named(n, narrower):
+    """Over seeds 0-299, a fit whose best line is a spike through one point says so, and every other fit is as before.
+
+    Those fits ran out of 200 iterations with |FWHM| below the detuning
+    spacing 4/(n-1) kHz; each fit that returns agrees with the numpy
+    oracle as the oracle cases do.
+    """
+    seen = 0
+    for seed in range(300):
+        points = make_points(*undersampled_spectrum(n, seed), sem=None)
+        try:
+            fit = fit_lorentzian(points)
+        except LowSignalError:
+            continue
+        except FitError as exc:
+            got = NARROWER.fullmatch(str(exc))
+            assert got, f"seed {seed}: {exc}"
+            fwhm, spacing = map(float, got.groups())
+            assert fwhm < spacing == float(f"{4.0 / (n - 1):.3g}") and len(exc.trace) > 1
+            seen += 1
+            continue
+        params, covariance = numpy_fit(points)
+        sigma = np.sqrt(np.diag(covariance))
+        got = np.array([getattr(fit, name) for name in LineFit.PARAM_NAMES])
+        assert np.max(np.abs(got - params) / sigma) <= ORACLE_BOUND, seed
+    assert seen == narrower
+
+
+def test_fit_line_on_a_line_narrower_than_the_point_spacing_is_one_data_error(tmp_path, capsys):
+    x, y = undersampled_spectrum(7, 0)
+    rows = "".join(f"{xi!r},a,1,{0.5 + yi!r}\n{xi!r},a,0,0.5\n" for xi, yi in zip(x.tolist(), y.tolist()))
+    path = tmp_path / "decay.csv"
+    path.write_text("detuning_khz,run_id,laser_on,depletion\n" + rows)
+    assert main(["fit-line", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and NARROWER.fullmatch(err.removeprefix("data error: ").strip()), err
 
 
 def test_downward_line_fits_with_negative_amplitude():

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 from hdspec import bundled, coefficients, constants, lineshape, metrology, systematics, zeeman
 from hdspec.cli import main
-from hdspec.quantity import FINITE, OPTIONAL_FINITE, OPTIONAL_TEXT, POSITIVE, TEXT, Rule, read_json, read_keys
+from hdspec.quantity import FINITE, OPTIONAL_FINITE, OPTIONAL_TEXT, POSITIVE, TEXT, Rule, input_lines, read_json, read_keys
 
 
 def write(tmp_path, name, text):
@@ -223,6 +224,7 @@ def mutated(draw, doc):
 
 
 def assert_clean_exit(argv):
+    """Exit 0, 1 or 2: a failure is one line on stderr, an exit 0 complete reports in `argv`'s `--out-dir`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -231,6 +233,8 @@ def assert_clean_exit(argv):
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(("config error: ", "data error: "))
+    else:
+        golden.assert_complete_reports(argv[argv.index("--out-dir") + 1])
     return code
 
 
@@ -402,3 +406,106 @@ def test_an_n0_section_with_a_rotational_coefficient_names_the_file_and_the_sect
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(["spin-structure", "--coefficients", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert err.getvalue() == f"config error: {exc.value}\n"
+
+
+# --- one line reader: a line ends at CR, LF or CR LF, as open() reads it ---------------
+
+# the characters at which str.splitlines also ends a line, each with one that no reader splits at, and that strip(),
+# a regex `\s`, float() and repr() treat as they treat it (the three separators have one such character between them)
+INERT = {"\v": "\t", "\f": "\xa0", "\x85": "\u2000", "\u2028": "\u2001", "\u2029": "\u2002",
+         "\x1c": "\x1f", "\x1d": "\x1f", "\x1e": "\x1f"}
+LINE_ENDS = ["\n", "\r", "\r\n"]
+LINE_READERS = ("coefficients", "couplings", "scaling", "constants")
+
+
+def inert(text):
+    """`text` with each character of `INERT`, and its escape in a repr, replaced by its inert one."""
+    for char, other in INERT.items():
+        text = text.replace(char, other).replace(repr(char)[1:-1], repr(other)[1:-1])
+    return text
+
+
+def fields(value):
+    """A reader's result as nested tuples of its fields."""
+    if isinstance(value, dict):
+        return sorted((key, fields(item)) for key, item in value.items())
+    slots = getattr(type(value), "__slots__", ())
+    return tuple(fields(getattr(value, name)) for name in slots) if slots else value
+
+
+def read_outcome(read, path):
+    """The fields that `read` gives for the file at `path`, or its message with the path as `<file>`."""
+    try:
+        return repr(fields(read(path)))
+    except ValueError as exc:
+        return str(exc).replace(str(path), "<file>")
+
+
+@st.composite
+def mixed_lines(draw, text):
+    """The lines of `text`, each ending at CR, LF or CR LF, with `INERT`'s characters in some comments, values and blank lines."""
+    out = []
+    for line in text.splitlines():
+        junk = draw(st.text(alphabet="".join(INERT), min_size=1, max_size=3))
+        where = draw(st.sampled_from(["none", "comment", "value", "blank"]))
+        if where == "comment":
+            line += f" # note{junk}continued"
+        elif where == "value":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + junk + line[at:]
+        elif where == "blank":
+            out.append(junk + draw(st.sampled_from(LINE_ENDS)))
+        out.append(line + draw(st.sampled_from(LINE_ENDS)))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", LINE_READERS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_key_and_constants_files_are_read_in_the_lines_open_reads(name, data):
+    """The outcome of a file is that of its `open()` lines joined by LF, with no character left that splitlines splits at."""
+    read, text = UTF8_READERS[name]
+    with tempfile.TemporaryDirectory() as d:
+        path, oracle = Path(d) / "input", Path(d) / "oracle" / "input"
+        path.write_bytes(data.draw(mixed_lines(text)).encode("utf-8"))
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [inert(line.rstrip("\r\n")) for line in fh]
+        oracle.parent.mkdir()
+        oracle.write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8"))
+        assert inert(read_outcome(read, path)) == read_outcome(read, oracle)
+
+
+@pytest.mark.parametrize(
+    "name, text, want",
+    [
+        ("coefficients", "[v=0,N=0]\n# note\fcontinued\nE4 = 1\nE5 = 2\n", "[v=0,N=0]\nE4 = 1\nE5 = 2\n"),
+        ("couplings", "c_e = 2802.5\v7\nc_p = 1\nc_d = 1\nc_N = 1\n", "<file>:1: c_e has a bad numeric value '2802.5\\x0b7'"),
+        ("constants", "# page\fbreak\n" + bundled_text("constants_codata2018.txt"), bundled_text("constants_codata2018.txt")),
+    ],
+    ids=["form-feed-comment", "vertical-tab-value", "form-feed-first-line"],
+)
+def test_a_line_like_character_is_part_of_its_line(tmp_path, name, text, want):
+    """A form feed in a comment is comment text, and a vertical tab in a value is a bad value on its own line."""
+    read = UTF8_READERS[name][0]
+    if not want.startswith("<file>"):  # the file without its line-like character, which parses
+        want = read_outcome(read, write(tmp_path, "plain", want))
+        assert not want.startswith("<file>"), want
+    assert read_outcome(read, write(tmp_path, "input", text)) == want
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet="".join(INERT) + "".join(LINE_ENDS) + "a#=", max_size=40))
+def test_input_lines_are_the_lines_open_reads(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(input_lines(path)) == fh.readlines()
+
+
+def test_code_defaults_are_the_values_of_the_bundled_files():
+    """`ZeemanCouplings()` and the defaults of `ScalingModel` hold exactly what the CLI reads from the bundled files."""
+    assert zeeman.ZeemanCouplings().per_slot == bundled.load_couplings().per_slot
+    read = bundled.load_scaling_model()
+    default = constants.ScalingModel(read.f_ref, read.mu_p_ref)
+    assert (default.beta, default.u_qed, default.u_codata_other) == (read.beta, read.u_qed, read.u_codata_other)

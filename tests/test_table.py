@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 from hdspec import constants, lineshape, metrology, quantity, systematics
 from hdspec.cli import main
 from hdspec.quantity import (
@@ -306,7 +307,7 @@ def test_counter_log_numpy_read_leaves_every_other_log_to_read_table(tmp_path, n
     """A refused byte, a non-finite cell or no data rows: `read_table` decides; a long header is numpy's."""
     path = write(tmp_path, {**REFUSED, **NUMPY_READ}[name])
     with mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 0):
-        assert (metrology._loadtxt_columns(path.read_bytes()) is None) == (name in REFUSED)
+        assert (metrology._loadtxt_columns(path, path.read_bytes()) is None) == (name in REFUSED)
         got = outcome(_counter, path)
     with dict_reader_row_path():
         assert got == outcome(_counter, path)
@@ -394,10 +395,10 @@ def test_small_files_are_read_row_by_row(tmp_path):
     header = "t_s,f_hz\n"
     small = write(tmp_path, header + "1,2\n" * ((metrology._NUMPY_MIN_BYTES - len(header) - 1) // 4))
     assert small.stat().st_size < metrology._NUMPY_MIN_BYTES
-    assert metrology._loadtxt_columns(small.read_bytes()) is None
+    assert metrology._loadtxt_columns(small, small.read_bytes()) is None
     with open(small, "a", encoding="utf-8") as fh:
         fh.write("3,4\n")
-    assert metrology._loadtxt_columns(small.read_bytes())["f_hz"].tolist()[-1] == 4.0
+    assert metrology._loadtxt_columns(small, small.read_bytes())["f_hz"].tolist()[-1] == 4.0
 
 
 def test_fast_path_scans_every_chunk_and_needs_the_whole_header_in_the_first(tmp_path):
@@ -406,13 +407,18 @@ def test_fast_path_scans_every_chunk_and_needs_the_whole_header_in_the_first(tmp
     columns = {"t_s": FINITE, "f_hz": FINITE}
     n = metrology._NUMPY_MIN_BYTES // 4
     rows = "1,2\n" * n
-    assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows).read_bytes()) is not None
+
+    def numpy_read(text):
+        log = write(tmp_path, text)
+        return metrology._loadtxt_columns(log, log.read_bytes())
+
+    assert numpy_read("t_s,f_hz\n" + rows) is not None
     # a quote or a non-ASCII byte at the end of the log
-    assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows + '"3",4\n').read_bytes()) is None
-    assert metrology._loadtxt_columns(write(tmp_path, "t_s,f_hz\n" + rows + "５,4\n").read_bytes()) is None
+    assert numpy_read("t_s,f_hz\n" + rows + '"3",4\n') is None
+    assert numpy_read("t_s,f_hz\n" + rows + "５,4\n") is None
     # a header of 128 KiB, up to a second f_hz, the one that counts
     path = write(tmp_path, "t_s,f_hz," + "x" * (1 << 17) + ",f_hz\n" + "1,2,0,4\n" * (n // 2))
-    got, want = metrology._loadtxt_columns(path.read_bytes()), read_table(path, columns)
+    got, want = metrology._loadtxt_columns(path, path.read_bytes()), read_table(path, columns)
     assert {n: c.tolist() for n, c in got.items()} == {n: c.tolist() for n, c in want.items()}
     assert got["f_hz"].tolist() == [4.0] * (n // 2)
 
@@ -451,7 +457,7 @@ def test_an_unused_text_column_is_checked_and_left_out(tmp_path):
 def test_row_path_accepts_what_float_accepts(tmp_path):
     path = write(tmp_path, "t_s,f_hz\n1_0,１\n" + "1,2\n" * 300)
     with mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 0):
-        assert metrology._loadtxt_columns(path.read_bytes()) is None
+        assert metrology._loadtxt_columns(path, path.read_bytes()) is None
     assert read_table(path, {"t_s": FINITE, "f_hz": FINITE})["t_s"].tolist()[:2] == [10.0, 1.0]
 
 
@@ -492,6 +498,8 @@ def test_cli_on_any_table_exits_cleanly(command, data):
         path = write(d, text)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, "--input", str(path), *extra, "--out-dir", str(Path(d) / "out")])
+        if code == 0:
+            golden.assert_complete_reports(Path(d) / "out")
     assert code in (0, 1, 2)
     if code:
         assert len(err.getvalue().strip().splitlines()) == 1
