@@ -484,11 +484,12 @@ _SWEEPS = 32
 _sqrt, _copysign, _fsum, _mul = math.sqrt, math.copysign, math.fsum, operator.mul
 
 
-def _eigen(h: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+def _eigen(h: list[list[float]], vectors: bool = True) -> tuple[list[float], list[list[float]] | None]:
     """Ascending eigenvalues and their unit eigenvectors of a small real symmetric matrix.
 
-    It solves the F blocks of the level solve (at most 4 x 4) and the
-    m_F blocks of `zeeman` on a short field grid (up to 12 x 12).
+    It solves the F blocks of the level solve (at most 4 x 4), and the
+    m_F blocks of `zeeman` (up to 12 x 12) on a grid that `zeeman`
+    solves in Python floats.
 
     A 1 x 1 matrix is its entry with eigenvector 1.0; anything larger is
     solved by cyclic Jacobi in Python floats (Golub & Van Loan, Matrix
@@ -498,13 +499,16 @@ def _eigen(h: list[list[float]]) -> tuple[list[float], list[list[float]]]:
     over 100 is set to 0 without one.  Every step is a ratio or a
     rotation, so a matrix times a power of two gives its eigenvalues
     times that power and the same eigenvectors.  Equal eigenvalues keep
-    their index order.
+    their index order.  With `vectors` false the rotations are not
+    accumulated and the vectors come back None: the rotations read only
+    the matrix, so the eigenvalues are the same floats, at about half
+    the cost.
     """
     n = len(h)
     if n == 1:
-        return [h[0][0]], [[1.0]]
+        return [h[0][0]], [[1.0]] if vectors else None
     a = [row[:] for row in h]
-    x = [[float(r == c) for r in range(n)] for c in range(n)]  # the eigenvectors, x[c] the c-th
+    x = [[float(r == c) for r in range(n)] for c in range(n)] if vectors else None  # the eigenvectors, x[c] the c-th
     for _ in range(_SWEEPS):
         converged = True
         for p, q, others in _sweep(n):
@@ -532,15 +536,16 @@ def _eigen(h: list[list[float]]) -> tuple[list[float], list[list[float]]]:
                 arp, arq = ar[p], ar[q]
                 ar[p] = ap[r] = c * arp - s * arq
                 ar[q] = aq[r] = s * arp + c * arq
-            xp, xq = x[p], x[q]
-            x[p] = [c * u - s * w for u, w in zip(xp, xq)]
-            x[q] = [s * u + c * w for u, w in zip(xp, xq)]
+            if x is not None:
+                xp, xq = x[p], x[q]
+                x[p] = [c * u - s * w for u, w in zip(xp, xq)]
+                x[q] = [s * u + c * w for u, w in zip(xp, xq)]
         if converged:
             break
     else:
         raise RuntimeError(f"F-block eigen-solve did not converge in {_SWEEPS} sweeps")
     order = sorted(range(n), key=lambda i: a[i][i])
-    return [a[i][i] for i in order], [x[i] for i in order]
+    return [a[i][i] for i in order], [x[i] for i in order] if vectors else None
 
 
 @functools.lru_cache(maxsize=16)  # every size `_eigen` sees: 2, 3 and 4, and 8, 10, 11 and 12 from `zeeman`

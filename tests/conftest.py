@@ -35,14 +35,14 @@ def demo_table(demo_sets):
 
 @pytest.fixture
 def eigen_solves(monkeypatch):
-    """Sizes of the F blocks the level solve diagonalizes (`angular._eigen`), with the level-set cache emptied first."""
+    """Sizes of the blocks `angular._eigen` solves, the level solve's F blocks among them, with the level-set cache emptied first."""
     angular._solve.cache_clear()
     calls = []
     eigen = angular._eigen
 
-    def counted(h):
+    def counted(h, **kwargs):
         calls.append(len(h))
-        return eigen(h)
+        return eigen(h, **kwargs)
 
     monkeypatch.setattr(angular, "_eigen", counted)
     return calls

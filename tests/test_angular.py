@@ -941,12 +941,14 @@ def random_blocks(rng):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_python_float_block_solve_matches_numpy_eigh(seed):
-    # `angular._eigen` against eigh on the same block, at the block's scale and x 2^-30, 2^30 and 1e302
+    # `angular._eigen` against eigh on the same block, at the block's scale and x 2^-30, 2^30 and 1e302, and without
+    # its vectors against itself
     eps = np.finfo(float).eps
     for h in random_blocks(np.random.default_rng(seed)):
         n = len(h)
         evals, x = angular._eigen(h.tolist())
         assert all(type(e) is float for e in evals) and len(x) == n and all(len(v) == n for v in x)
+        assert angular._eigen(h.tolist(), vectors=False) == (evals, None)  # the rotations read only the matrix
         want = np.linalg.eigvalsh(h)
         norm = max(float(np.max(np.abs(h))), 1e-300)
         assert evals == sorted(evals)
@@ -960,7 +962,9 @@ def test_python_float_block_solve_matches_numpy_eigh(seed):
             assert np.array_equal(v.sum(axis=0), np.ones(n)) and np.array_equal(v.sum(axis=1), np.ones(n))
         for s in (2.0 ** -30, 2.0 ** 30):  # a power of two scales the eigenvalues exactly and keeps the eigenvectors
             assert angular._eigen((s * h).tolist()) == ([s * e for e in evals], x)
+            assert angular._eigen((s * h).tolist(), vectors=False) == ([s * e for e in evals], None)
         big, want_big = angular._eigen((1e302 * h).tolist())[0], np.linalg.eigvalsh(1e302 * h)
+        assert angular._eigen((1e302 * h).tolist(), vectors=False) == (big, None)
         assert np.max(np.abs(np.array(big) - want_big), initial=0.0) <= 8 * n * eps * 1e302 * norm
 
 

@@ -679,9 +679,11 @@ def test_field_whose_zeeman_energy_overflows_is_one_line_data_error(tmp_path, co
     assert not list(tmp_path.glob("*.json"))
 
 
-@pytest.mark.parametrize("n", [2, 21], ids=["short-grid", "long-grid"])
+@pytest.mark.parametrize("n", [2, 101], ids=["short-grid", "long-grid"])
 def test_a_sublevel_energy_beyond_float64_is_one_line_data_error_before_any_output(tmp_path, n):
-    """diag(E) + B W is finite at 1.28e305 G, its largest eigenvalues are not: no line on stdout, no report."""
+    """diag(E) + B W is finite at 1.28e305 G, its largest eigenvalues are not: no line on stdout, no report.
+
+    2 points take Python floats, 101 are past the N = 1 work bound (69 points) and take the stacked eigvalsh."""
     grid = ",".join(repr(1.28e305 * i / (n - 1)) for i in range(n))
     proc = run_python("-m", "hdspec.cli", "zeeman-map", "--demo", "--b-values", grid, "--out-dir", str(tmp_path))
     assert_one_line_error(proc)
@@ -1611,19 +1613,50 @@ def test_adev_default_taus_need_four_differences_at_tau0(tmp_path, capsys, n):
     assert [row["tau_s"] for row in load_json(out, "adev")["rows"]] == [1.0]
 
 
-def test_zeeman_coeffs_on_multi_state_blocks_loads_no_numpy(tmp_path):
-    """In a fresh interpreter: line 12 at m_F 0 -> 0, whose blocks hold 4 and 10 states, solved in Python floats."""
+def numpy_in_fresh_run(argv, out_dir):
+    """Run `main(argv)` in a fresh interpreter; whether that loaded numpy, after checking that it exited 0."""
     script = (
         "import contextlib, io, sys\n"
         "from hdspec.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({[*ZEEMAN_COEFFS_12, '--out-dir', str(tmp_path)]!r})\n"
+        f"    code = main({[*argv, '--out-dir', str(out_dir)]!r})\n"
         "print(code, 'numpy' in sys.modules)\n"
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    code, loaded = proc.stdout.split()
+    assert code == "0"
+    return loaded == "True"
+
+
+def test_zeeman_coeffs_on_multi_state_blocks_loads_no_numpy(tmp_path):
+    """In a fresh interpreter: line 12 at m_F 0 -> 0, whose blocks hold 4 and 10 states, solved in Python floats."""
+    assert not numpy_in_fresh_run(ZEEMAN_COEFFS_12, tmp_path)
     assert load_json(tmp_path, "zeeman_coeffs")["truncation_khz"] > 0.0
+
+
+FINE_FIELDS = ",".join(f"{i / 10000:.4f}" for i in range(2001))  # 0-0.2 G in 0.1 mG steps
+COARSE_FIELDS = ",".join(str(5 * i) for i in range(41))  # 0-200 G in 5 G steps
+
+
+@pytest.mark.parametrize(
+    "argv, numpy_loaded",
+    [
+        # the stretched pair, whose blocks hold one state each: E + B w on any grid, so no solve at all
+        (["zeeman-coeffs", "--demo", "--transition", "16", "--lower-mf", "2", "--upper-mf", "3", "--b-values", FINE_FIELDS], False),
+        # the N = 1 map over 41 points is within the work bound: Jacobi in Python floats
+        (["zeeman-map", "--demo", "--b-values", COARSE_FIELDS], False),
+        # line 12 at m_F 0 -> 0 over 2001 points is past it: one stacked eigvalsh per block
+        ([*ZEEMAN_COEFFS_12, "--b-values", FINE_FIELDS], True),
+    ],
+    ids=["stretched-2001", "map-41", "line12-m0-2001"],
+)
+def test_a_long_zeeman_grid_loads_numpy_only_past_the_work_bound(argv, numpy_loaded, tmp_path):
+    assert numpy_in_fresh_run(argv, tmp_path) is numpy_loaded
+    if argv[0] == "zeeman-map":
+        assert len(load_json(tmp_path, "zeeman_map")["b_gauss"]) == 41
+    else:
+        assert load_json(tmp_path, "zeeman_coeffs")["truncation_khz"] >= 0.0
 
 
 def test_dfg_is_offset_free(tmp_path):

@@ -33,6 +33,18 @@ from dense_oracle import build_zeeman, eigenlevels, product_index
 
 STRETCHED_12 = (1, 2, 2)
 STRETCHED_16 = (1, 2, 3)
+N1_BLOCKS = (1, 4, 8, 10, 8, 4, 1)  # the m_F blocks of N = 1, m_F = -3 .. 3
+# the longest grid on which `zeeman_map` solves an N = 1 set in Python floats
+N1_PYTHON_POINTS = int(zeeman._PYTHON_WORK // sum(k ** 3 for k in N1_BLOCKS if k > 1))
+
+
+def state(zmap, label):
+    """The state of `zmap` with the (G1, G2, F, m_F) `label`; LookupError if it has none."""
+    label = tuple(label)
+    for st_ in zmap.states:
+        if st_.label == label:
+            return st_
+    raise LookupError(f"no Zeeman state with label {label}")
 
 
 def slot_ms(basis):
@@ -76,7 +88,7 @@ def test_build_zeeman_matches_embedded_projections(basis1):
 def test_stretched_state_is_exactly_linear(demo_sets):
     cpl = ZeemanCouplings()
     zmap = zeeman_map(demo_sets[(1, 1)], cpl, (0.0, 0.25, 0.5, 0.75, 1.0))
-    st_ = zmap.state((1, 2, 3, 3))
+    st_ = state(zmap, (1, 2, 3, 3))
     slope = 0.5 * cpl.c_e + 0.5 * cpl.c_p + cpl.c_d + cpl.c_n
     want = st_.energies[0] + slope * np.asarray(zmap.b_values)
     assert np.allclose(st_.energies, want, rtol=1e-12, atol=1e-9)
@@ -150,7 +162,7 @@ def test_small_field_curvature_matches_perturbation_theory(basis0, demo_sets):
     curv_pt = float(np.sum(amp[mask] ** 2 / (e0 - evals[mask])))
 
     grid = np.array([0.0, 5e-3, 1e-2])
-    en = zeeman_map(coeffs, cpl, grid).state((1, 0, 0, 0)).energies
+    en = state(zeeman_map(coeffs, cpl, grid), (1, 0, 0, 0)).energies
     # exact parabola through three points; eigensolver noise on ~1e6 kHz
     # eigenvalues limits the slope to ~1e-7 kHz/G here
     coef = np.linalg.solve(np.column_stack([np.ones(3), grid, grid**2]), en)
@@ -228,7 +240,7 @@ def test_grid_not_starting_at_zero_matches_sliced_full_grid(demo_sets):
     full = zeeman_map(coeffs, cpl, (0.0, 0.05, 0.10))
     part = zeeman_map(coeffs, cpl, (0.05, 0.10))
     for st_ in part.states:
-        ref = full.state(st_.label)
+        ref = state(full, st_.label)
         assert np.allclose(st_.energies, ref.energies[1:], rtol=0, atol=1e-9)
 
 
@@ -258,12 +270,13 @@ def test_zeeman_operator_that_leaves_float64_is_one_value_error(demo_sets):
         zeeman_map(coeffs, ZeemanCouplings(c_n=-1.5e308), (0.05, 0.1))
 
 
-@pytest.mark.parametrize("n", [2, zeeman._SHORT_GRID, zeeman._SHORT_GRID + 1, 21])
+@pytest.mark.parametrize("n", [2, 16, 17, 21, N1_PYTHON_POINTS, N1_PYTHON_POINTS + 1])
 def test_a_sublevel_energy_beyond_float64_is_one_value_error_on_either_path(demo_sets, n):
     # diag(E) + B W is finite up to 1.28e305 G, but its largest eigenvalues are not: Jacobi's scaled solve
-    # overflows on the way back, and numpy's stacked eigvalsh returns an infinity without a word
+    # overflows on the way back, and numpy's stacked eigvalsh returns an infinity without a word (short grids, and
+    # both sides of the N = 1 work bound)
     grid = tuple(1.28e305 * i / (n - 1) for i in range(n))
-    detail = "math range error" if n <= zeeman._SHORT_GRID else "sublevel energy = -?inf"
+    detail = "math range error" if n <= N1_PYTHON_POINTS else "sublevel energy = -?inf"
     with pytest.raises(ValueError, match=rf"^Zeeman map overflows float64 \({detail}\)$"):
         zeeman_map(demo_sets[(1, 1)], ZeemanCouplings(), grid)
 
@@ -271,7 +284,7 @@ def test_a_sublevel_energy_beyond_float64_is_one_value_error_on_either_path(demo
 def test_state_lookup_error(demo_sets):
     zmap = zeeman_map(demo_sets[(0, 0)], ZeemanCouplings())
     with pytest.raises(LookupError, match="no Zeeman state"):
-        zmap.state((9, 9, 9, 9))
+        state(zmap, (9, 9, 9, 9))
 
 
 def test_transition_coeffs_requires_zero_field_point(demo_sets):
@@ -287,11 +300,19 @@ FINE_GRID = np.arange(2001) / 10000.0  # 0-0.2 G in 0.1 mG steps
 COARSE_GRID = np.arange(41) * 5.0  # 0-200 G in 5 G steps
 
 
-@pytest.mark.parametrize("grid", [DEFAULT_B_GRID, FINE_GRID, COARSE_GRID], ids=["default", "fine", "coarse"])
-def test_transition_coeffs_solves_the_sublevels_zeeman_map_gives(grid, demo_sets):
+@pytest.mark.parametrize(
+    "grid, work",
+    [(DEFAULT_B_GRID, zeeman._PYTHON_WORK), (FINE_GRID, 0), (COARSE_GRID, zeeman._PYTHON_WORK)],
+    ids=["default", "fine", "coarse"],
+)
+def test_transition_coeffs_solves_the_sublevels_zeeman_map_gives(grid, work, monkeypatch, demo_sets):
     # every label of both demo levels: the truncation solves each state
-    # alone in its m_F block, and its energies are those of the full map,
-    # bit for bit
+    # alone in its m_F block, and its energies are those of the full map
+    # on the same path, bit for bit.  The maps and truncations of the
+    # default and coarse grids all take Python floats; on the fine grid the
+    # maps take the stacked path, and so, with the bound at 0, does the
+    # truncation of two small blocks that would take Python floats
+    monkeypatch.setattr(zeeman, "_PYTHON_WORK", work)
     cpl = ZeemanCouplings()
     lower, upper = demo_sets[(0, 0)], demo_sets[(1, 1)]
     b = np.asarray(grid, dtype=float)
@@ -306,24 +327,53 @@ def test_transition_coeffs_solves_the_sublevels_zeeman_map_gives(grid, demo_sets
 
 
 def test_transition_coeffs_solves_two_m_f_blocks(eigen_solves, eigvalsh_calls, demo_sets):
-    # the truncation grid is solved one m_F block per state: field by field in Python floats on the default grid,
-    # after the level solves of both sets, and in one stacked call on a long grid
+    # the truncation grid is solved one m_F block per state, after the level solves of both sets: blocks of 4 and 10
+    # states field by field in Python floats up to the work bound (41 points), in one stacked call each past it
     transition_truncation((demo_sets[(0, 0)], (1, 2, 2, 2)), (demo_sets[(1, 1)], (1, 2, 3, 3)))
-    # m_F = 2 of N = 0 holds 1 state (F = 2), m_F = 3 of N = 1 holds 1 (F = 3)
-    fields = len(DEFAULT_B_GRID) - 1  # B = 0 is the field-free energies
-    assert eigen_solves == [1, 2, 1, 2, 4, 3, 1] + [1] * fields * 2 and eigvalsh_calls == []
+    # m_F = 2 of N = 0 holds 1 state (F = 2), m_F = 3 of N = 1 holds 1 (F = 3): no solve past the level solves
+    assert eigen_solves == [1, 2, 1, 2, 4, 3, 1] and eigvalsh_calls == []
+    line12_m0 = (demo_sets[(0, 0)], (1, 1, 1, 0)), (demo_sets[(1, 1)], (1, 1, 1, 0))
+    for grid in (DEFAULT_B_GRID, COARSE_GRID):
+        eigen_solves.clear()
+        transition_truncation(*line12_m0, b_values=grid)
+        fields = len(grid) - 1  # B = 0 is the field-free energies
+        assert eigen_solves == [4] * fields + [10] * fields and eigvalsh_calls == []
+    assert len(FINE_GRID) * (4 ** 3 + 10 ** 3) > zeeman._PYTHON_WORK >= len(COARSE_GRID) * (4 ** 3 + 10 ** 3)
     eigen_solves.clear()
-    transition_truncation((demo_sets[(0, 0)], (1, 1, 1, 0)), (demo_sets[(1, 1)], (1, 1, 1, 0)))
-    assert eigen_solves == [4] * fields + [10] * fields and eigvalsh_calls == []
-    transition_truncation((demo_sets[(0, 0)], (1, 1, 1, 0)), (demo_sets[(1, 1)], (1, 1, 1, 0)), b_values=COARSE_GRID)
-    assert eigvalsh_calls == [(41, 4, 4), (41, 10, 10)]
+    transition_truncation(*line12_m0, b_values=FINE_GRID)
+    assert eigvalsh_calls == [(2001, 4, 4), (2001, 10, 10)] and eigen_solves == []
+
+
+def _stacked_energies(coeffs, label, couplings, grid):
+    """The energies of one sublevel by numpy's stacked eigvalsh of its whole m_F block, with B = 0 the level energy."""
+    members, row = _member(coeffs, label)
+    w = [angular._zeeman_row(lv, members, label[3], couplings.per_slot)[1] for lv in members]
+    energies = [lv.energy for lv in members]
+    out = np.linalg.eigvalsh(np.diag(energies) + np.asarray(grid)[:, None, None] * np.array(w))
+    out[0] = energies
+    return out[:, row]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_stretched_pair_on_a_long_grid_makes_no_solve_and_the_stacked_truncation(sign, eigen_solves, eigvalsh_calls, demo_sets):
+    # both m_F blocks hold one state, so E + B w over 2001 fields is all there is: no Jacobi, no numpy, and the
+    # floats of the stacked 1 x 1 eigvalsh
+    cpl = read_couplings_file(bundled.data_path("zeeman_couplings.txt"))
+    states = (demo_sets[(0, 0)], (*STRETCHED_12, 2 * sign)), (demo_sets[(1, 1)], (*STRETCHED_16, 3 * sign))
+    level_structure(states[0][0]), level_structure(states[1][0])
+    eigen_solves.clear()
+    model, truncation = transition_truncation(*states, cpl, FINE_GRID)
+    assert eigen_solves == [] and eigvalsh_calls == []
+    lo, up = (_stacked_energies(*s, cpl, FINE_GRID) for s in states)
+    shift = (up - lo) - (up[0] - lo[0])
+    assert truncation == float(np.max(np.abs(shift - (model.linear * FINE_GRID + model.quadratic * FINE_GRID ** 2))))
 
 
 def _both_paths(monkeypatch, solve):
-    """`solve()` field by field in Python floats, and then on the stacked eigvalsh, whatever the grid's length."""
-    monkeypatch.setattr(zeeman, "_SHORT_GRID", 10 ** 9)
+    """`solve()` field by field in Python floats, and then on the stacked eigvalsh, whatever its work."""
+    monkeypatch.setattr(zeeman, "_PYTHON_WORK", math.inf)
     python = solve()
-    monkeypatch.setattr(zeeman, "_SHORT_GRID", 0)
+    monkeypatch.setattr(zeeman, "_PYTHON_WORK", 0)
     return python, solve()
 
 
@@ -343,22 +393,23 @@ def _solve_bound(evals):
     return math.hypot(*(c * e for e in evals))
 
 
-SHORT_GRIDS = {
+PATH_GRIDS = {
     "default": DEFAULT_B_GRID,
-    "short": tuple(200.0 * i / (zeeman._SHORT_GRID - 1) for i in range(zeeman._SHORT_GRID)),  # 0-200 G
-    "one past": tuple(200.0 * i / zeeman._SHORT_GRID for i in range(zeeman._SHORT_GRID + 1)),
+    # 0-200 G over the longest grid of an N = 1 map on Python floats, and over one point more
+    "short": tuple(200.0 * i / (N1_PYTHON_POINTS - 1) for i in range(N1_PYTHON_POINTS)),
+    "one past": tuple(200.0 * i / N1_PYTHON_POINTS for i in range(N1_PYTHON_POINTS + 1)),
     # B W up to 1.4e308: unscaled, Jacobi's sums leave float64 and put the eigenvalues of m_F = 0 of N = 1 18 % off
     "past the Jacobi limit": (0.0, 1e305),
 }
 
 
-@pytest.mark.parametrize("grid", SHORT_GRIDS.values(), ids=SHORT_GRIDS)
-def test_python_and_stacked_solves_of_every_m_f_block_agree(grid, monkeypatch, demo_sets):
+@pytest.mark.parametrize("grid", PATH_GRIDS.values(), ids=PATH_GRIDS)
+def test_python_and_stacked_solves_of_every_m_f_block_agree(grid, demo_sets):
     cpl = ZeemanCouplings()
     for coeffs in demo_sets.values():
         f_max = coeffs.n_rot + 2
         for m in range(-f_max, f_max + 1):
-            python, stacked = _both_paths(monkeypatch, lambda: _sublevels(coeffs, cpl, m, zeeman.field_grid(grid)))
+            python, stacked = (_sublevels(coeffs, cpl, m, zeeman.field_grid(grid), path) for path in (True, False))
             assert all(type(e) is float for row in python + stacked for e in row)
             for column, (got, want) in enumerate(zip(zip(*python), zip(*stacked))):
                 if grid[column] == 0.0:
@@ -376,33 +427,40 @@ def test_python_and_stacked_truncations_agree_for_every_m_f_pair(tid, monkeypatc
         (model, python), (model_stacked, stacked) = _both_paths(monkeypatch, lambda: transition_truncation(*states, cpl))
         assert model == model_stacked and type(python) is float
         bound = max(
-            math.fsum(_solve_bound([row[j] for row in _sublevels(c, cpl, label[3], DEFAULT_B_GRID)]) for c, label in states)
+            math.fsum(_solve_bound([row[j] for row in _sublevels(c, cpl, label[3], DEFAULT_B_GRID, True)]) for c, label in states)
             for j in range(1, len(DEFAULT_B_GRID))
         )
         assert abs(python - stacked) <= bound
 
 
 def test_a_long_grid_takes_the_stacked_path_and_a_short_one_python_floats(eigen_solves, eigvalsh_calls, demo_sets):
+    # past the work bound one stacked eigvalsh per block of more than one state, within it (41 points among them) one
+    # Jacobi per such block and field; a block of one state takes neither
     coeffs, cpl = demo_sets[(1, 1)], ZeemanCouplings()
     level_structure(coeffs)
     eigen_solves.clear()
-    sizes = [1, 4, 8, 10, 8, 4, 1]  # the m_F blocks of N = 1, m_F = -3 .. 3
-    for n in (2001, 41, zeeman._SHORT_GRID + 1):
+    sizes = [k for k in N1_BLOCKS if k > 1]
+    for n in (2001, N1_PYTHON_POINTS + 1):
         zmap = zeeman_map(coeffs, cpl, tuple(i / 10000.0 for i in range(n)))
         assert eigvalsh_calls == [(n, k, k) for k in sizes] and eigen_solves == []
         assert type(zmap.b_values) is tuple and all(type(e) is float for st_ in zmap.states for e in st_.energies)
         eigvalsh_calls.clear()
-    zmap = zeeman_map(coeffs, cpl, tuple(i / 10000.0 for i in range(zeeman._SHORT_GRID)))
-    assert eigvalsh_calls == [] and eigen_solves == [k for k in sizes for _ in range(zeeman._SHORT_GRID - 1)]
-    assert type(zmap.b_values) is tuple and all(type(e) is float for st_ in zmap.states for e in st_.energies)
+    for n in (41, N1_PYTHON_POINTS):
+        zmap = zeeman_map(coeffs, cpl, tuple(i / 10000.0 for i in range(n)))
+        assert eigvalsh_calls == [] and eigen_solves == [k for k in sizes for _ in range(n - 1)]
+        assert type(zmap.b_values) is tuple and all(type(e) is float for st_ in zmap.states for e in st_.energies)
+        eigen_solves.clear()
+    for n_rot in range(6):  # the default grid stays on Python floats at every N up to 5
+        zeeman_map(HyperfineCoefficients(1, n_rot, dict(demo_sets[min(n_rot, 1), min(n_rot, 1)].values)), cpl)
+        assert eigvalsh_calls == []
 
 
 @pytest.mark.parametrize("b, step", [(1e154, "multiply"), (1e200, "square"), (1e306, "multiply")])
 def test_a_truncation_that_leaves_float64_names_its_step_on_both_paths(b, step, monkeypatch, demo_sets):
     # c B^2 (1e154 G), B^2 (1e200 G) and B W (1e306 G) of line 12 at m_F 0 -> 0, worded as numpy words them
     states = (demo_sets[(0, 0)], (1, 2, 2, 0)), (demo_sets[(1, 1)], (1, 2, 1, 0))
-    for short_grid in (zeeman._SHORT_GRID, 0):
-        monkeypatch.setattr(zeeman, "_SHORT_GRID", short_grid)
+    for work in (math.inf, 0):
+        monkeypatch.setattr(zeeman, "_PYTHON_WORK", work)
         with pytest.raises(ValueError, match=rf"^Zeeman coefficient solve overflows float64 \(overflow encountered in {step}\)$"):
             transition_truncation(*states, b_values=(0.0, b))
 
@@ -483,7 +541,7 @@ def test_exact_coefficients_match_central_differences_and_the_dense_oracle(facto
     shift = []
     for coeffs, label in zip((lower, upper), component):
         members, row = _member(coeffs, label)
-        shift.append(np.asarray(_sublevels(coeffs, cpl, label[3], (-h, 0.0, h))[row]))
+        shift.append(np.asarray(_sublevels(coeffs, cpl, label[3], (-h, 0.0, h), True)[row]))
     shift = shift[1] - shift[0]
     # eigenvalues of up to ~1e6 kHz round to ~1e-10 kHz, which the second
     # difference over h^2 = 1e-6 G^2 lifts to ~1e-4 kHz/G^2
