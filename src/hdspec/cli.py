@@ -36,11 +36,12 @@ calls, imports the analysis modules it runs, so a command loads only
 those, and numpy only if one of them builds arrays: spin-structure,
 composite, carrier, dfg, ledger, compare, extract, extrapolate-b,
 extrapolate-rf and fit-line start without it at any input size,
-zeeman-map and zeeman-coeffs where the m_F blocks they solve over the
-grid are within `zeeman._PYTHON_WORK` (the default grid at every N up
-to 5, a map of N = 1 up to 69 points, and a stretched pair, whose
-blocks hold one state, on any grid), adev on a counter log under
-512 KiB (the bundled one among them), and reproduce-paper while
+zeeman-map and zeeman-coeffs where the map of each level set they
+solve is within `zeeman._PYTHON_WORK` over the grid (the default grid
+at every N up to 5, N = 1 up to 69 points, N = 0 up to 1271), and
+zeeman-coeffs on a stretched pair, whose blocks hold one state, on any
+grid, adev on a counter log under 512 KiB (the bundled one among
+them), and reproduce-paper while
 `hfs_coefficients.conf` ships as a template only.
 `--help` and the parser defaults read nothing beyond `bundled` and
 `quantity`.

@@ -20,14 +20,15 @@ the eigenvalues of diag(E) + B W (`_sublevels`, which also writes the
 field-free energies into a B = 0 column), for `zeeman_map` and for the
 truncation of the quadratic model (`transition_truncation`).  A block
 of one state (the stretched sublevels among them) is E + B w on any
-grid, with no solve.  Each call decides once for its larger blocks: if
-its work (`_PYTHON_WORK`) costs less than the numpy import, each field
-is one eigenvalues-only F-block Jacobi in Python floats
-(`angular._eigen`), else numpy is imported for one stacked `eigvalsh`
-per block.  Grids, energies and the truncation come back as Python
-floats either way.  The zero-field
-extrapolation of measured line positions is
-`systematics.extrapolate_to_zero_field`.
+grid, with no solve.  A level set decides its path once per grid, for
+every larger block of its map: if the map's work (`_PYTHON_WORK`)
+costs less than the numpy import, each field is one eigenvalues-only
+F-block Jacobi in Python floats (`angular._eigen`), else numpy is
+imported for one stacked `eigvalsh` per block.  Each side of a
+truncation takes the path of its set's map, so the two give the same
+floats on any grid.  Grids, energies and the truncation come back as
+Python floats either way.  The zero-field extrapolation of measured
+line positions is `systematics.extrapolate_to_zero_field`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import operator
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import angular
 from .angular import HyperfineCoefficients, SpinLevel, _blocks, _level_set, _LevelSet, _zeeman_row
@@ -45,13 +46,13 @@ from .quantity import FINITE, Record, finite, finite_step, overflow_as_value_err
 
 DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
-# A call whose work, field points times the sum of n^3 over the m_F blocks of n > 1 states that it solves, is at
-# most this is solved field by field in Python floats, a costlier one by numpy's stacked eigvalsh, whose import costs
-# a fresh process 60 to 75 ms; a block of one state is E + B w on either path and counts nothing.  In Python floats a
-# unit costs `zeeman_map` about 0.45 us at N = 0 and 0.33 us at N = 1 and 5 (blocks of up to 12 states).  Fresh
-# processes (bytecode cached, medians of 9, a line fitted to each path) break even at 1.5e5 units at N = 0 (1290
-# points), 1.8e5 at N = 2 (33), 2.0e5 at N = 1 (91) and at N = 5 (13); the smallest is the bound.  It keeps the
-# default 5-point grid on Python floats at every N up to 5 (8e4 units at N = 5), and an N = 1 map up to 69 points.
+# A level set whose map work, field points times the sum of n^3 over its m_F blocks of n > 1 states, is at most this
+# is solved field by field in Python floats, a costlier one by numpy's stacked eigvalsh, whose import costs a fresh
+# process 60 to 75 ms; a block of one state is E + B w, field by field, on either path and counts nothing.  In Python
+# floats a unit costs `zeeman_map` about 0.45 us at N = 0 and 0.33 us at N = 1 and 5 (blocks of up to 12 states).
+# Fresh processes (bytecode cached, medians of 9, a line fitted to each path) break even at 1.5e5 units at N = 0
+# (1290 points), 1.8e5 at N = 2 (33), 2.0e5 at N = 1 (91) and at N = 5 (13); the smallest is the bound.  It keeps
+# the default 5-point grid on Python floats at every N up to 5 (8e4 units at N = 5), and an N = 1 map up to 69 points.
 _PYTHON_WORK = 1.5e5
 
 # Jacobi's rotations keep the Frobenius norm, so no entry of an n x n block leaves n max |h|, and no sum of a sweep
@@ -170,10 +171,13 @@ def _field_block(energies: Sequence[float], w: Sequence[Sequence[float]], b: flo
 def _eigenvalues(h: list[list[float]]) -> list[float]:
     """Ascending eigenvalues of a block by `angular._eigen`, solved at a power of two below its scale beyond `_JACOBI_LIMIT`.
 
-    Jacobi takes a matrix times a power of two to its eigenvalues times
-    that power, so the scaled solve loses nothing; an eigenvalue that
-    leaves float64 on the way back raises OverflowError.
+    A 1 x 1 block is its entry, with no solve.  Jacobi takes a matrix
+    times a power of two to its eigenvalues times that power, so the
+    scaled solve loses nothing; an eigenvalue that leaves float64 on the
+    way back raises OverflowError.
     """
+    if len(h) == 1:
+        return h[0]
     scale = max(abs(x) for row in h for x in row)
     if len(h) * scale <= _JACOBI_LIMIT:
         return angular._eigen(h, vectors=False)[0]
@@ -182,25 +186,26 @@ def _eigenvalues(h: list[list[float]]) -> list[float]:
     return [math.ldexp(e, k) for e in evals]
 
 
-def _on_python_floats(points: int, sizes: Iterable[int]) -> bool:
-    """Whether one call that solves m_F blocks of `sizes` states over `points` fields stays within `_PYTHON_WORK`."""
+def _on_python_floats(points: int, levels: Sequence[SpinLevel]) -> bool:
+    """Whether the map of `levels` over `points` fields, every m_F block of it, stays within `_PYTHON_WORK`."""
+    f_max = max(lv.f for lv in levels)
+    sizes = [sum(lv.f >= abs(m) for lv in levels) for m in range(-f_max, f_max + 1)]
     return points * sum(n ** 3 for n in sizes if n > 1) <= _PYTHON_WORK
 
 
 def _sublevels(
-    coeffs: HyperfineCoefficients, couplings: ZeemanCouplings, m_f: int, b_values: tuple[float, ...], python: bool
+    coeffs: HyperfineCoefficients, couplings: ZeemanCouplings, m_f: int, b_values: tuple[float, ...]
 ) -> list[tuple[float, ...]]:
     """Energies (one tuple each, over the grid) of the sublevels with projection m_F.
 
     H0 + H_Z commutes with F_z, so the m_F block is solved on its own,
     as diag(E) + B W: E are the energies of the levels with F >= |m_F|,
     in level order, and W the Zeeman operator per gauss in the
-    field-free states that they carry (`angular._zeeman_row`).  A block
-    of one state is E + B w over the whole grid, with the checks of
-    `_field_block`: the floats of its 1 x 1 solve, on either path.  A
-    larger one is solved field by field in Python floats
-    (`_eigenvalues`) where the caller says `python` (see
-    `_on_python_floats`), else in one stacked `eigvalsh`.
+    field-free states that they carry (`angular._zeeman_row`).  It is
+    solved field by field in Python floats (`_eigenvalues`) if it holds
+    one state, E + B w with no solve, or if the map of its level set
+    takes Python floats over the grid (`_on_python_floats`), else in one
+    stacked `eigvalsh`.
     Levels in one block do not cross (von Neumann-Wigner; Bakalov,
     Korobov & Schiller, J. Phys. B 44, 025003 (2011)), so at every B the
     k-th lowest energy belongs to the k-th lowest of those levels; the
@@ -208,17 +213,12 @@ def _sublevels(
     Python floats (OverflowError `W = ...`), diag(E) + B W before either
     solve (`_field_block`) and the energies of either are checked finite.
     """
-    members = [lv for lv in _level_set(coeffs).levels if lv.f >= abs(m_f)]
+    levels = _level_set(coeffs).levels
+    members = [lv for lv in levels if lv.f >= abs(m_f)]
     w = [_zeeman_row(lv, members, m_f, couplings.per_slot)[1] for lv in members]
     finite("W", *itertools.chain.from_iterable(w))
     energies = [lv.energy for lv in members]
-    if len(members) == 1:
-        (e,), ((w_1,),) = energies, w
-        row = finite_step("add", [e + x for x in finite_step("multiply", [b * w_1 for b in b_values])])
-        if b_values[0] == 0.0:
-            row[0] = e
-        return [tuple(row)]
-    if python:
+    if len(members) == 1 or _on_python_floats(len(b_values), levels):
         columns = [energies if b == 0.0 else _eigenvalues(_field_block(energies, w, b)) for b in b_values]
         return list(zip(*columns))
     # B W and E + B W are monotone in B: on an ascending grid they leave float64 only if they do at one of its ends
@@ -241,10 +241,10 @@ def zeeman_map(
     """Energies of every magnetic sublevel over an ascending field grid.
 
     Each m_F block is solved on its own over the whole grid (see
-    `_sublevels`), all of them in Python floats or all on the stacked
-    path (`_on_python_floats`); the states come level by level in
-    field-free order, m_F ascending within a level.  The field-free
-    levels must not coincide.
+    `_sublevels`), all in Python floats or all of more than one state
+    on the stacked path (`_on_python_floats`); the states come level by
+    level in field-free order, m_F ascending within a level.  The
+    field-free levels must not coincide.
     """
     with overflow_as_value_error("Zeeman map"):
         b_values = field_grid(b_values)
@@ -253,11 +253,10 @@ def zeeman_map(
         index = {label: i for i, label in enumerate(labels)}
         f_max = max(lv.f for lv in levels)
 
-        blocks = {m: [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)] for m in range(-f_max, f_max + 1)}
-        python = _on_python_floats(len(b_values), map(len, blocks.values()))
         energies = [None] * len(labels)
-        for m, rows in blocks.items():
-            for i, row in zip(rows, _sublevels(coeffs, couplings, m, b_values, python)):
+        for m in range(-f_max, f_max + 1):
+            rows = [index[(lv.g1, lv.g2, lv.f, m)] for lv in levels if lv.f >= abs(m)]
+            for i, row in zip(rows, _sublevels(coeffs, couplings, m, b_values)):
                 energies[i] = row
 
     return ZeemanMap(b_values, tuple(ZeemanState(*label, energies=e) for label, e in zip(labels, energies)))
@@ -346,19 +345,17 @@ def transition_truncation(
 
     The truncation is the largest |df(B) - (a B + c B^2)| in kHz, with
     the shift df(B) relative to zero field taken from the sublevels of
-    `_sublevels`, the same floats that `zeeman_map` gives on the same
-    path, and each step checked finite (`finite_step`).  Both m_F blocks
-    are solved in Python floats, or both on the stacked path
-    (`_on_python_floats`).  The grid is checked before any solve and
-    must start at B = 0.
+    `_sublevels`, the same floats that `zeeman_map` gives, and each step
+    checked finite (`finite_step`).  Each side takes the path of its
+    set's map (`_on_python_floats`), so sides of two sets may take
+    different paths.  The grid is checked before any solve and must
+    start at B = 0.
     """
     with overflow_as_value_error("Zeeman coefficient solve"):
         b = truncation_grid(b_values)
         couplings = couplings or ZeemanCouplings()
         model = transition_coeffs(lower, upper, couplings)
-        sides = [(coeffs, label[3], *_member(coeffs, label)) for coeffs, label in (lower, upper)]
-        python = _on_python_floats(len(b), (len(members) for _, _, members, _ in sides))
-        lo, up = (_sublevels(coeffs, couplings, m_f, b, python)[row] for coeffs, m_f, _, row in sides)
+        lo, up = (_sublevels(coeffs, couplings, label[3], b)[_member(coeffs, label)[1]] for coeffs, label in (lower, upper))
         # df(B) - (a B + c B^2) step by step, in the order and the words of the numpy expression it replaces
         df = finite_step("subtract", list(map(operator.sub, up, lo)))
         df = finite_step("subtract", [d - df[0] for d in df])

@@ -300,19 +300,11 @@ FINE_GRID = np.arange(2001) / 10000.0  # 0-0.2 G in 0.1 mG steps
 COARSE_GRID = np.arange(41) * 5.0  # 0-200 G in 5 G steps
 
 
-@pytest.mark.parametrize(
-    "grid, work",
-    [(DEFAULT_B_GRID, zeeman._PYTHON_WORK), (FINE_GRID, 0), (COARSE_GRID, zeeman._PYTHON_WORK)],
-    ids=["default", "fine", "coarse"],
-)
-def test_transition_coeffs_solves_the_sublevels_zeeman_map_gives(grid, work, monkeypatch, demo_sets):
+@pytest.mark.parametrize("grid", [DEFAULT_B_GRID, FINE_GRID, COARSE_GRID], ids=["default", "fine", "coarse"])
+def test_transition_coeffs_solves_the_sublevels_zeeman_map_gives(grid, demo_sets):
     # every label of both demo levels: the truncation solves each state
-    # alone in its m_F block, and its energies are those of the full map
-    # on the same path, bit for bit.  The maps and truncations of the
-    # default and coarse grids all take Python floats; on the fine grid the
-    # maps take the stacked path, and so, with the bound at 0, does the
-    # truncation of two small blocks that would take Python floats
-    monkeypatch.setattr(zeeman, "_PYTHON_WORK", work)
+    # alone in its m_F block, and its energies are those of the full map,
+    # bit for bit
     cpl = ZeemanCouplings()
     lower, upper = demo_sets[(0, 0)], demo_sets[(1, 1)]
     b = np.asarray(grid, dtype=float)
@@ -338,7 +330,10 @@ def test_transition_coeffs_solves_two_m_f_blocks(eigen_solves, eigvalsh_calls, d
         transition_truncation(*line12_m0, b_values=grid)
         fields = len(grid) - 1  # B = 0 is the field-free energies
         assert eigen_solves == [4] * fields + [10] * fields and eigvalsh_calls == []
-    assert len(FINE_GRID) * (4 ** 3 + 10 ** 3) > zeeman._PYTHON_WORK >= len(COARSE_GRID) * (4 ** 3 + 10 ** 3)
+    # each side takes the path of its set's map: Python floats at 41 points (N = 0 up to 1271, N = 1 up to 69)
+    sets = [angular._level_set(c).levels for c, _ in line12_m0]
+    paths = [zeeman._on_python_floats(len(g), levels) for g in (COARSE_GRID, FINE_GRID) for levels in sets]
+    assert paths == [True, True, False, False]
     eigen_solves.clear()
     transition_truncation(*line12_m0, b_values=FINE_GRID)
     assert eigvalsh_calls == [(2001, 4, 4), (2001, 10, 10)] and eigen_solves == []
@@ -404,12 +399,12 @@ PATH_GRIDS = {
 
 
 @pytest.mark.parametrize("grid", PATH_GRIDS.values(), ids=PATH_GRIDS)
-def test_python_and_stacked_solves_of_every_m_f_block_agree(grid, demo_sets):
+def test_python_and_stacked_solves_of_every_m_f_block_agree(grid, monkeypatch, demo_sets):
     cpl = ZeemanCouplings()
     for coeffs in demo_sets.values():
         f_max = coeffs.n_rot + 2
         for m in range(-f_max, f_max + 1):
-            python, stacked = (_sublevels(coeffs, cpl, m, zeeman.field_grid(grid), path) for path in (True, False))
+            python, stacked = _both_paths(monkeypatch, lambda: _sublevels(coeffs, cpl, m, zeeman.field_grid(grid)))
             assert all(type(e) is float for row in python + stacked for e in row)
             for column, (got, want) in enumerate(zip(zip(*python), zip(*stacked))):
                 if grid[column] == 0.0:
@@ -427,7 +422,7 @@ def test_python_and_stacked_truncations_agree_for_every_m_f_pair(tid, monkeypatc
         (model, python), (model_stacked, stacked) = _both_paths(monkeypatch, lambda: transition_truncation(*states, cpl))
         assert model == model_stacked and type(python) is float
         bound = max(
-            math.fsum(_solve_bound([row[j] for row in _sublevels(c, cpl, label[3], DEFAULT_B_GRID, True)]) for c, label in states)
+            math.fsum(_solve_bound([row[j] for row in _sublevels(c, cpl, label[3], DEFAULT_B_GRID)]) for c, label in states)
             for j in range(1, len(DEFAULT_B_GRID))
         )
         assert abs(python - stacked) <= bound
@@ -541,7 +536,7 @@ def test_exact_coefficients_match_central_differences_and_the_dense_oracle(facto
     shift = []
     for coeffs, label in zip((lower, upper), component):
         members, row = _member(coeffs, label)
-        shift.append(np.asarray(_sublevels(coeffs, cpl, label[3], (-h, 0.0, h), True)[row]))
+        shift.append(np.asarray(_sublevels(coeffs, cpl, label[3], (-h, 0.0, h))[row]))
     shift = shift[1] - shift[0]
     # eigenvalues of up to ~1e6 kHz round to ~1e-10 kHz, which the second
     # difference over h^2 = 1e-6 G^2 lifts to ~1e-4 kHz/G^2
