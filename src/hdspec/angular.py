@@ -41,7 +41,9 @@ J_z of each slot between the coupled states of that m_F (`_Blocks.jz`),
 in Python floats, which `_zeeman_row` takes between the levels.  numpy
 is imported only where an array is built: a level's product-basis
 `vectors` and the dense product-basis API (`ProductBasis`, `jmatrices`,
-`casimir`, `build_hfs`, `term_operator`).
+`casimir`, `build_hfs`, `term_operator`).  One routine, `_dense`, builds
+every dense product-basis operator, each T_k and the F_z and F^2 of
+`ProductBasis`, as a sum of Kronecker products of slot factors.
 
 The coefficient sets, their file format and the spin-theory error model
 live in `coefficients`, which builds no arrays; their names are
@@ -158,41 +160,14 @@ class ProductBasis:
         self._single = {name: jmatrices(j) for name, j in self.js.items()}
         self.dims = tuple(self._single[name].dim for name in SLOT_NAMES)
         self.dim = math.prod(self.dims)
-        self._triples: dict[str, Triple] = {}
-
-    def embed(self, op: np.ndarray, slot: str) -> np.ndarray:
-        """Tensor-embed a single-slot operator, identity elsewhere."""
-        import numpy as np
-
-        pos = SLOT_NAMES.index(slot)
-        if op.shape != (self.dims[pos], self.dims[pos]):
-            raise ValueError(
-                f"operator shape {op.shape} does not match slot {slot} dimension {self.dims[pos]}"
-            )
-        pre, post = math.prod(self.dims[:pos]), math.prod(self.dims[pos + 1:])
-        return np.kron(np.kron(np.eye(pre), op), np.eye(post))
-
-    def triple(self, slot: str) -> Triple:
-        """Embedded (J_z, J_+, J_-) for one slot, cached."""
-        if slot not in self._triples:
-            single = self._single[slot]
-            self._triples[slot] = (
-                self.embed(single.jz, slot),
-                self.embed(single.jplus, slot),
-                self.embed(single.jminus, slot),
-            )
-        return self._triples[slot]
-
-    def combined_triple(self, slots: Sequence[str]) -> Triple:
-        """Componentwise sum of slot momenta, e.g. G1 = s_e + I_p."""
-        zs, ps, ms = zip(*(self.triple(s) for s in slots))
-        return sum(zs), sum(ps), sum(ms)
 
     def f_z(self) -> np.ndarray:
-        return self.combined_triple(SLOT_NAMES)[0]
+        """F_z, the sum of J_z over the four slots."""
+        return _dense(self, _total("z"))
 
     def f_squared(self) -> np.ndarray:
-        return casimir(self.combined_triple(SLOT_NAMES))
+        """F^2, the Casimir of the slot sums of J_z, J_+ and J_-."""
+        return casimir(tuple(_dense(self, _total(x)) for x in "z+-"))
 
 
 def dot(a: Triple, b: Triple) -> np.ndarray:
@@ -227,9 +202,10 @@ def _term_table(k: int, n_rot: int) -> tuple[Term, ...]:
     The factors on each slot of SLOT_NAMES are a string of z, + and -,
     the leftmost acting last, "" the identity; factors on different slots
     commute, so a product is the tensor product of its slot strings.
-    The dense `term_operator` and the coupled-state block data
-    (`_block_terms`) both read this table.  N^2 = N(N + 1) and
-    I_d^2 = 2 are scalars.
+    `_dense`, the one builder of dense product-basis operators, makes
+    `term_operator` from this table, and the coupled-state block data
+    (`_block_terms`) read it too.  N^2 = N(N + 1) and I_d^2 = 2 are
+    scalars.
     """
     if k not in COEFF_INDICES:
         raise ValueError(f"coefficient index must be 1..9, got {k}")
@@ -258,21 +234,35 @@ def _term_table(k: int, n_rot: int) -> tuple[Term, ...]:
     return (*scalar(2.0 * n_sq * norm, a, b), *twice(-3.0 * norm, a, b), *twice(-3.0 * norm, b, a))
 
 
-def term_operator(k: int, basis: ProductBasis) -> np.ndarray:
-    """The dimensionless operator multiplying coefficient E_k, on the product basis.
+def _total(component: str) -> tuple[Term, ...]:
+    """The component z, + or - of F = s_e + I_p + I_d + N, one product per slot."""
+    return tuple((1.0, tuple(component if other == slot else "" for other in SLOT_NAMES)) for slot in SLOT_NAMES)
 
-    Each product of `_term_table` is the Kronecker product of its slot
-    factors.  Every T_k is symmetric; the sum of the products is made
-    exactly so by averaging it with its transpose.
+
+def _dense(basis: ProductBasis, products: Sequence[Term]) -> np.ndarray:
+    """The sum of c times the Kronecker product of the slot factors of each (c, slot strings) of `products`.
+
+    The one builder of dense product-basis operators.
     """
     import numpy as np
 
     matrices = [{"z": s.jz, "+": s.jplus, "-": s.jminus} for s in map(basis._single.__getitem__, SLOT_NAMES)]
     op = np.zeros((basis.dim, basis.dim))
-    for c, ops in _term_table(k, basis.n_rot):
+    for c, ops in products:
         factors = [functools.reduce(operator.matmul, map(m.__getitem__, s), np.eye(dim))
                    for m, s, dim in zip(matrices, ops, basis.dims)]
         op += c * functools.reduce(np.kron, factors)
+    return op
+
+
+def term_operator(k: int, basis: ProductBasis) -> np.ndarray:
+    """The dimensionless operator multiplying coefficient E_k, on the product basis.
+
+    It is `_dense` of the products of `_term_table`.  Every T_k is
+    symmetric; the sum of the products is made exactly so by averaging it
+    with its transpose.
+    """
+    op = _dense(basis, _term_table(k, basis.n_rot))
     return 0.5 * (op + op.T)
 
 

@@ -35,7 +35,7 @@ class CompositeInput:
     conservatively).
     """
 
-    __slots__ = ("f12", "f16", "fspin12", "fspin16", "tables", "terms")
+    __slots__ = ("f12", "f16", "fspin12", "fspin16", "terms")
 
     def __init__(self, f12: Quantity, f16: Quantity, fspin12: Quantity, fspin16: Quantity,
                  tables: SensitivityTable | None = None, params: SpinUncertaintyParams = DEFAULT_PARAMS) -> None:
@@ -50,7 +50,6 @@ class CompositeInput:
         self.f16 = f16
         self.fspin12 = fspin12
         self.fspin16 = fspin16
-        self.tables = tables
 
 
 def composite_spin_uncertainty(tables: SensitivityTable, params: SpinUncertaintyParams, b12: float) -> float:

@@ -3,9 +3,11 @@
 It diagonalizes the full 12(2N+1)-dimensional Hamiltonian, groups
 eigenvalues within `GROUP_REL` times max |H| into levels and labels each
 level by rounding the <G1^2>, <G2^2>, <F^2> expectation values of its
-eigenvectors, so it checks a set at any scale alike.  It
-shares only the product-basis algebra with the program, so it checks the
-program's symmetry reduction, labelling and sensitivities from outside.
+eigenvectors, so it checks a set at any scale alike.  It embeds its own
+slot operators (`triple`, `combined_triple`: Kronecker products with
+identities) and shares only `jmatrices`, `casimir` and the basis
+dimensions with the program, so it checks the program's symmetry
+reduction, labelling and sensitivities from outside.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdspec.angular import SLOT_NAMES, ClassificationError, ProductBasis, casimir
+from hdspec.angular import SLOT_NAMES, ClassificationError, ProductBasis, casimir, jmatrices
 from hdspec.zeeman import ZeemanCouplings
 
 # eigenvalues this close, relative to max |H|, form one level: about 1e-6 kHz for the demo sets (max |H| near 4.6e5 kHz)
@@ -36,6 +38,20 @@ class DenseLevel:
         if self.f is None:
             return None
         return (self.g1, self.g2, self.f)
+
+
+def triple(basis: ProductBasis, slot: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J_z, J_+, J_-) of one slot on the product basis, the identity on the other slots."""
+    pos = SLOT_NAMES.index(slot)
+    pre, dim, post = math.prod(basis.dims[:pos]), basis.dims[pos], math.prod(basis.dims[pos + 1:])
+    single = jmatrices((dim - 1) / 2)
+    return tuple(np.kron(np.kron(np.eye(pre), op), np.eye(post)) for op in (single.jz, single.jplus, single.jminus))
+
+
+def combined_triple(basis: ProductBasis, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Componentwise sum of slot momenta, e.g. G1 = s_e + I_p."""
+    zs, ps, ms = zip(*(triple(basis, s) for s in slots))
+    return sum(zs), sum(ps), sum(ms)
 
 
 def product_index(basis: ProductBasis, m_se: float, m_sp: float, m_sd: float, m_n: float) -> int:
@@ -77,7 +93,8 @@ def eigenlevels(h: np.ndarray, basis: ProductBasis) -> list[DenseLevel]:
     """
     if not np.array_equal(h, h.T):
         raise ValueError("Hamiltonian must be symmetric")
-    fz, f2 = basis.f_z(), basis.f_squared()
+    f = combined_triple(basis, SLOT_NAMES)
+    fz, f2 = f[0], casimir(f)
     h_scale = np.max(np.abs(h))
     for name, op in (("F_z", fz), ("F^2", f2)):
         comm = np.max(np.abs(h @ op - op @ h))
@@ -95,8 +112,8 @@ def eigenlevels(h: np.ndarray, basis: ProductBasis) -> list[DenseLevel]:
             groups.append([i])
 
     casimirs = {
-        "g1": casimir(basis.combined_triple(("s_e", "I_p"))),
-        "g2": casimir(basis.combined_triple(("s_e", "I_p", "I_d"))),
+        "g1": casimir(combined_triple(basis, ("s_e", "I_p"))),
+        "g2": casimir(combined_triple(basis, ("s_e", "I_p", "I_d"))),
         "f": f2,
     }
     max_multiplet = 2 * (2 + basis.n_rot) + 1
@@ -127,4 +144,4 @@ def eigenlevels(h: np.ndarray, basis: ProductBasis) -> list[DenseLevel]:
 def build_zeeman(couplings: ZeemanCouplings, basis: ProductBasis, b_field: float) -> np.ndarray:
     """Zeeman Hamiltonian (kHz) at field b_field in gauss: diagonal in the product basis."""
     c = {"s_e": couplings.c_e, "I_p": couplings.c_p, "I_d": couplings.c_d, "N": couplings.c_n}
-    return b_field * sum(c[slot] * basis.triple(slot)[0] for slot in c)
+    return b_field * sum(c[slot] * triple(basis, slot)[0] for slot in c)

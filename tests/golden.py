@@ -1,11 +1,13 @@
 """The committed reports of every command on the bundled inputs, and how a rerun is compared with them.
 
 `runs()` are the benchmark's bundled operations, with `--format csv` for
-the three commands that have it, and one more run of `zeeman-coeffs`, on
-line 12 at m_F 0 -> 0, whose m_F blocks hold 4 and 10 states: it pins
-the second-order sum and the truncation of blocks of more than one
-state.  `tests/reports/` holds what they write; a second run of a
-command commits its reports under its `PREFIXES` entry.
+the three commands that have it, and two more runs of `zeeman-coeffs`
+on line 12, whose m_F blocks hold more than one state.  At m_F 0 -> 0
+(blocks of 4 and 10 states) the run pins the second-order sum and the
+truncation of such blocks; at m_F 1 -> 1 the linear term is not 0, so
+it pins the diagonal <J_z> of those blocks too.  `tests/reports/` holds
+what they write; a further run of a command commits its reports under
+its `PREFIXES` entry.
 `scripts/write_golden_reports.py` rewrites that directory, and
 `tests/test_golden_reports.py` reruns each command and compares.
 
@@ -40,8 +42,8 @@ from hdspec.cli import main
 
 REPORTS = Path(__file__).resolve().parent / "reports"
 
-# run name -> what the names of its committed reports start with, for a second run of one command
-PREFIXES = {"zeeman-coeffs-12": "line12_m0_"}
+# run name -> what the names of its committed reports start with, for a further run of one command
+PREFIXES = {"zeeman-coeffs-12": "line12_m0_", "zeeman-coeffs-12-m1": "line12_m1_"}
 
 
 def runs() -> dict[str, tuple[list[str], list[str]]]:
@@ -56,6 +58,10 @@ def runs() -> dict[str, tuple[list[str], list[str]]]:
         "zeeman-coeffs-12": (
             ["zeeman-coeffs", "--demo", "--transition", "12", "--lower-mf", "0", "--upper-mf", "0"],
             ["line12_m0_zeeman_coeffs.json"],
+        ),
+        "zeeman-coeffs-12-m1": (
+            ["zeeman-coeffs", "--demo", "--transition", "12", "--lower-mf", "1", "--upper-mf", "1"],
+            ["line12_m1_zeeman_coeffs.json"],
         ),
         "extrapolate-b": (["extrapolate-b", "--input", str(data("line12_zeeman.csv"))], ["extrapolate_b.json"]),
         "fit-line": (

@@ -31,7 +31,7 @@ from hdspec.angular import (
 )
 from hdspec.zeeman import ZeemanCouplings, transition_coeffs, zeeman_map
 
-from dense_oracle import build_zeeman, eigenlevels, product_index, round_to_j
+from dense_oracle import build_zeeman, combined_triple, eigenlevels, product_index, round_to_j, triple
 from eigh_reference import reference_levels
 
 coeff_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -78,7 +78,7 @@ def test_index_rejects_invalid_m(basis0):
 
 
 def test_embedded_slots_commute(basis1):
-    se, ip = basis1.triple("s_e"), basis1.triple("I_p")
+    se, ip = triple(basis1, "s_e"), triple(basis1, "I_p")
     for a in se:
         for b in ip:
             assert np.allclose(a @ b - b @ a, 0.0, atol=1e-12)
@@ -89,8 +89,18 @@ def test_f_squared_commutes_with_f_z(basis1):
     assert np.allclose(f2 @ fz - fz @ f2, 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("n_rot", range(6))
+def test_f_z_and_f_squared_are_the_oracles_embedded_sums(n_rot):
+    # the program builds F_z and F^2 from `_term_table`-style slot strings, the oracle by embedding each slot
+    # with identities; the two agree bit for bit
+    basis = ProductBasis(n_rot)
+    f = combined_triple(basis, angular.SLOT_NAMES)
+    assert np.array_equal(basis.f_z(), f[0])
+    assert np.array_equal(basis.f_squared(), casimir(f))
+
+
 def test_dot_is_symmetric_matrix(basis1):
-    op = dot(basis1.triple("I_p"), basis1.triple("s_e"))
+    op = dot(triple(basis1, "I_p"), triple(basis1, "s_e"))
     assert np.array_equal(op, op.T)
 
 
@@ -567,7 +577,7 @@ def test_m_values_are_the_embedded_jz_diagonal(n_rot):
         for slot, table in zip(angular.SLOT_NAMES, blocks.jz(m), strict=True):
             t = np.array(table)
             assert np.array_equal(t, t.T)
-            assert np.max(np.abs(t - c.T @ basis.triple(slot)[0] @ c)) <= 8 * math.ulp(max(1.0, n_rot))
+            assert np.max(np.abs(t - c.T @ triple(basis, slot)[0] @ c)) <= 8 * math.ulp(max(1.0, n_rot))
 
 
 # ---------------------------------------------------------------------------
@@ -1079,8 +1089,8 @@ def test_coupled_states_diagonalize_the_dense_momenta(n_rot):
     for op, diagonal in (
         (basis.f_z(), m_f),
         (basis.f_squared(), f * (f + 1)),
-        (casimir(basis.combined_triple(("s_e", "I_p"))), g1 * (g1 + 1)),
-        (casimir(basis.combined_triple(("s_e", "I_p", "I_d"))), g2 * (g2 + 1)),
+        (casimir(combined_triple(basis, ("s_e", "I_p"))), g1 * (g1 + 1)),
+        (casimir(combined_triple(basis, ("s_e", "I_p", "I_d"))), g2 * (g2 + 1)),
     ):
         assert np.max(np.abs(u.T @ op @ u - np.diag(diagonal))) <= 8 * math.ulp(np.max(np.abs(diagonal)))
     other = (f[:, None] != f[None, :]) | (m_f[:, None] != m_f[None, :])
@@ -1094,7 +1104,7 @@ def test_term_operators_commute_with_f_z_and_f_plus(n_rot):
     # the symmetry the F-block solve rests on, checked once per N in place
     # of a commutator check on every Hamiltonian
     basis = ProductBasis(n_rot)
-    f_z, f_plus, _ = basis.combined_triple(angular.SLOT_NAMES)
+    f_z, f_plus, _ = combined_triple(basis, angular.SLOT_NAMES)
     m_f = np.rint(np.diag(f_z)).astype(int)
     other_block = m_f[:, None] != m_f[None, :]
     for k in angular.COEFF_INDICES:
@@ -1156,7 +1166,7 @@ def test_m_states_are_the_field_free_eigenstates_of_each_m_block(n_rot):
             w = np.array([column for _, column in columns]).T
             assert np.max(np.abs(w - states.T @ h_z[np.ix_(index, index)] @ states)) <= 8 * math.ulp(cpl.c_e)
             for slot, jz in zip(angular.SLOT_NAMES, zip(*(diagonal for diagonal, _ in columns)), strict=True):
-                z = basis.triple(slot)[0][np.ix_(index, index)]
+                z = triple(basis, slot)[0][np.ix_(index, index)]
                 assert np.max(np.abs(np.array(jz) - np.diag(states.T @ z @ states))) <= 8 * math.ulp(max(1.0, n_rot))
 
 

@@ -29,7 +29,7 @@ from hdspec.zeeman import (
 )
 from hdspec.systematics import extrapolate_to_zero_field, read_field_scan_csv
 
-from dense_oracle import build_zeeman, eigenlevels, product_index
+from dense_oracle import build_zeeman, eigenlevels, product_index, triple
 
 STRETCHED_12 = (1, 2, 2)
 STRETCHED_16 = (1, 2, 3)
@@ -77,10 +77,10 @@ def test_zero_field_column_is_exactly_field_free(demo_sets):
 def test_build_zeeman_matches_embedded_projections(basis1):
     cpl = ZeemanCouplings()
     dense = 0.3 * (
-        cpl.c_e * basis1.triple("s_e")[0]
-        + cpl.c_p * basis1.triple("I_p")[0]
-        + cpl.c_d * basis1.triple("I_d")[0]
-        + cpl.c_n * basis1.triple("N")[0]
+        cpl.c_e * triple(basis1, "s_e")[0]
+        + cpl.c_p * triple(basis1, "I_p")[0]
+        + cpl.c_d * triple(basis1, "I_d")[0]
+        + cpl.c_n * triple(basis1, "N")[0]
     )
     assert np.array_equal(build_zeeman(cpl, basis1, 0.3), dense)
 
