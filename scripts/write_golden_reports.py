@@ -1,14 +1,14 @@
 """Rewrite tests/reports/, the committed reports of every command on the bundled inputs.
 
     PYTHONPATH=src python scripts/write_golden_reports.py
-    PYTHONPATH=src python scripts/write_golden_reports.py --check [--rtol 1e-9]
+    PYTHONPATH=src python scripts/write_golden_reports.py --check
 
 The first form reruns each command of `tests/golden.py` and replaces the
 directory with what they write: a change that moves a report runs it, so
 the move shows in the change's own diff.  `--check` writes nothing; it
-compares a rerun with the committed reports (byte for byte, or numbers
-within `--rtol` relative), prints the largest absolute and relative
-difference of the numbers, and exits 1 on a mismatch.
+compares a rerun with the committed reports byte for byte, prints the
+largest absolute and relative difference of the numbers, and exits 1 on
+a mismatch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import golden  # noqa: E402
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true", help="compare with the committed reports, write nothing")
-    parser.add_argument("--rtol", type=float, default=0.0, help="relative bound on each number with --check (default: bytes)")
     args = parser.parse_args()
     names = sorted(f for _, files in golden.runs().values() for f in files)
     with tempfile.TemporaryDirectory() as tmp:
@@ -35,7 +34,7 @@ def main() -> int:
         if sorted(p.name for p in out.iterdir()) != names:
             sys.exit(f"the commands wrote {sorted(p.name for p in out.iterdir())}, expected {names}")
         if args.check:
-            faults, abs_max, rel_max = golden.compare_files(golden.REPORTS, out, names, args.rtol)
+            faults, abs_max, rel_max = golden.compare_files(golden.REPORTS, out, names)
             print(f"{len(names)} reports; largest difference {abs_max:.3g} absolute, {rel_max:.3g} relative")
             for fault in faults:
                 print(fault)

@@ -198,7 +198,8 @@ def _csv_lines(rows: Iterable[list]):
     A row of Python ints and floats is rendered with `repr` and joined by
     commas: a number never needs quoting.  Any other row goes through
     `csv.writer` (its quoting rules for str cells, None as an empty cell),
-    with floats, numpy's float64 among them, rendered as `repr(float(x))`.
+    which writes each float, numpy's float64 among them, as `str(x)`: the
+    text of `repr(float(x))`.
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -206,7 +207,7 @@ def _csv_lines(rows: Iterable[list]):
         if _NUMBER_TYPES.issuperset(map(type, row)):
             yield ",".join(map(repr, row)) + "\r\n"
         else:
-            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+            writer.writerow(row)
             yield buf.getvalue()
             buf.seek(0)
             buf.truncate()

@@ -310,9 +310,7 @@ def read_contribution_csv(path: str | Path) -> ContributionTable:
     cols = read_table(path, {"value_khz": FINITE, "u_khz": OPTIONAL_NON_NEGATIVE, "bookkeeping": FLAG, "name": TEXT})
     return ContributionTable(tuple(
         Contribution(name, value, 0.0 if math.isnan(u) else u, bookkeeping == 1)
-        for name, value, u, bookkeeping in zip(
-            cols["name"], cols["value_khz"].tolist(), cols["u_khz"].tolist(), cols["bookkeeping"].tolist()
-        )
+        for name, value, u, bookkeeping in zip(cols["name"], cols["value_khz"], cols["u_khz"], cols["bookkeeping"])
     ))
 
 

@@ -14,13 +14,12 @@ center error.
 Everything here runs on Python floats.  A spectrum has tens to a few
 hundred points and the fit four parameters, so its normal equations are
 4 x 4: importing numpy would cost more than the whole fit.  `read_table`
-reads every decay scan row by row into `array.array('d')` columns, so
+reads every decay scan row by row into lists of Python floats, so
 `fit-line` starts without numpy at any input size.
 """
 
 from __future__ import annotations
 
-import array
 import math
 import operator
 import sys
@@ -47,35 +46,18 @@ class DecayScan:
     """Decay records as columns, one entry per record in file order.
 
     `detuning` (kHz, finite), `laser_on` (1.0 with the spectroscopy
-    radiation, 0.0 for background) and `depletion` (in [0, 1]) are
-    `array.array('d')` columns of one length, the number of records,
-    which `len` gives.  The constructor takes any sequences, converts
-    and checks them; `read_decay_csv` hands over the columns that
-    `read_table` has checked, without a second pass over the records.
+    radiation, 0.0 for background) and `depletion` (in [0, 1]) are lists
+    of Python floats of one length, the number of records, which `len`
+    gives.  The columns are taken as given: `read_decay_csv` hands over
+    the ones that `read_table` has checked.
     """
 
     __slots__ = ("detuning", "laser_on", "depletion")
 
-    def __init__(self, detuning: Sequence[float], laser_on: Sequence[float], depletion: Sequence[float]) -> None:
-        detuning = array.array("d", detuning)
-        laser_on = array.array("d", map(bool, laser_on))
-        depletion = array.array("d", depletion)
-        if not len(detuning) == len(laser_on) == len(depletion):
-            raise ValueError("decay columns must be of one length")
-        for name, column, rule in (("detuning", detuning, FINITE), ("depletion", depletion, UNIT_INTERVAL)):
-            for value in column:
-                if not rule.accepts(value):  # NaN fails every rule
-                    raise ValueError(f"{name} {rule.requirement}, got {value}")
+    def __init__(self, detuning: list[float], laser_on: list[float], depletion: list[float]) -> None:
         self.detuning = detuning
         self.laser_on = laser_on
         self.depletion = depletion
-
-    @classmethod
-    def _of_checked(cls, detuning, laser_on, depletion) -> DecayScan:
-        """The scan of `read_table`'s `array.array('d')` columns, which already hold what `__init__` checks."""
-        scan = object.__new__(cls)
-        scan.detuning, scan.laser_on, scan.depletion = detuning, laser_on, depletion
-        return scan
 
     def __len__(self) -> int:
         return len(self.detuning)
@@ -121,9 +103,9 @@ def build_spectrum(scan: DecayScan) -> list[SpectrumPoint]:
     the one the file has first.  The lowest detuning that lacks a class
     raises ValueError naming it.
     """
-    detuning = scan.detuning.tolist()
+    detuning = scan.detuning
     on, off = defaultdict(list), defaultdict(list)  # detuning -> depletions; -0.0 and 0.0 are one key
-    for key, laser_on, value in zip(detuning, scan.laser_on.tolist(), scan.depletion.tolist()):
+    for key, laser_on, value in zip(detuning, scan.laser_on, scan.depletion):
         (on if laser_on else off)[key].append(value)
     points = []
     for key in sorted(on.keys() | off.keys()):
@@ -382,7 +364,7 @@ def read_decay_csv(path: str | Path) -> DecayScan:
     kept.  Faults are `read_table`'s.
     """
     cols = read_table(path, {"detuning_khz": FINITE, "depletion": UNIT_INTERVAL, "laser_on": FLAG, "run_id": UNUSED_TEXT})
-    return DecayScan._of_checked(cols["detuning_khz"], cols["laser_on"], cols["depletion"])
+    return DecayScan(cols["detuning_khz"], cols["laser_on"], cols["depletion"])
 
 
 def fit_report(fit: LineFit) -> dict:

@@ -111,9 +111,9 @@ class FrequencyTimeSeries:
     Samples are dimensionless fractional frequencies, or absolute Hz
     when carrier_hz is declared, in which case they are converted before
     any deviation statistics.  They are a numpy array, or any other
-    float sequence (`read_table`'s `array.array` among them), which is
-    analysed on Python floats.  A declared carrier must be finite and
-    positive.
+    float sequence (`read_table`'s list of Python floats among them),
+    which is analysed on Python floats.  A declared carrier must be finite
+    and positive.
     """
 
     __slots__ = ("tau0", "samples", "carrier_hz")

@@ -14,15 +14,15 @@ one reader per format: `read_table` (CSV), `read_keys` (`key = value`) or
 `read_json`.  The first two read the lines of `input_lines`, which end at
 CR, LF or CR LF, with a Rule per column or key; the third a shape built of
 Rules.  A fault is one ValueError that names the file.  `read_table` reads
-every table row by row into `array.array('d')` columns, and a `Rule`
-checks one float at a time.  Arithmetic that leaves float64, in numpy or
-on Python floats, is one ValueError that names its step: each step that
-can leave float64 runs under the one guard, `overflow_as_value_error`.
+every table row by row into columns that are lists of Python floats, and
+a `Rule` checks one float at a time.  Arithmetic that leaves float64, in
+numpy or on Python floats, is one ValueError that names its step: each
+step that can leave float64 runs under the one guard,
+`overflow_as_value_error`.
 """
 
 from __future__ import annotations
 
-import array
 import contextlib
 import csv
 import io
@@ -312,16 +312,16 @@ def input_lines(path: str | Path, data: bytes | None = None) -> io.TextIOWrapper
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
-def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, array.array | list[str]]:
+def read_table(path: str | Path, columns: Mapping[str, Rule]) -> dict[str, list[float] | list[str]]:
     """`parse_table` of the CSV file at `path`."""
     return parse_table(path, input_bytes(path), columns)
 
 
-def parse_table(path: str | Path, data: bytes, columns: Mapping[str, Rule]) -> dict[str, array.array | list[str]]:
+def parse_table(path: str | Path, data: bytes, columns: Mapping[str, Rule]) -> dict[str, list[float] | list[str]]:
     """Read and check the named columns of the CSV bytes of the file at `path`, with a header row, row by row.
 
     `columns` maps each column name to its Rule.  Returns each numeric
-    column as an `array.array('d')` and each kept text column as a list
+    column as a list of Python floats and each kept text column as a list
     of stripped strings, one entry per data row; blank lines are skipped.
     A text column that is not kept is checked (the column and a cell in
     every row) and left out.  An optional text column that the header
@@ -390,7 +390,7 @@ def parse_table(path: str | Path, data: bytes, columns: Mapping[str, Rule]) -> d
         raise ValueError(f"{path}: no data rows")
     for name in absent:
         out[name] = [""] * n_rows
-    return {n: v if columns[n].accepts is None else array.array("d", v) for n, v in out.items()}
+    return out
 
 
 def _row_fault(path, line: int, row: list[str], columns: Mapping[str, Rule], index: dict[str, int]) -> NoReturn:

@@ -125,9 +125,7 @@ def apply_ledger(raw: Quantity, entries: Sequence[ShiftEntry]) -> ShiftLedger:
         u_exp = math.sqrt(raw.component("exp") ** 2 + sum(e.uncertainty ** 2 for e in entries))
         finite("corrected value", value)
         finite("exp uncertainty", u_exp)
-    corrected = raw.with_component("exp", u_exp)
-    corrected = Quantity(value, raw.unit, corrected.components)
-    return ShiftLedger(raw, corrected, tuple(entries))
+    return ShiftLedger(raw, Quantity(value, raw.unit, {**raw.components, "exp": u_exp}), tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +333,7 @@ def read_amplitude_csv(path: str | Path) -> list[tuple[float, Quantity]]:
     cols = read_table(path, {"amplitude": FINITE, "f_khz": FINITE, "u_khz": OPTIONAL_NON_NEGATIVE})
     return [
         (amplitude, Quantity(f, "kHz", {} if math.isnan(u) else {"exp": u}))
-        for amplitude, f, u in zip(cols["amplitude"].tolist(), cols["f_khz"].tolist(), cols["u_khz"].tolist())
+        for amplitude, f, u in zip(cols["amplitude"], cols["f_khz"], cols["u_khz"])
     ]
 
 
@@ -346,4 +344,4 @@ def read_field_scan_csv(path: str | Path) -> tuple[list[float], list[float], lis
     Faults are `read_table`'s.
     """
     cols = read_table(path, {"B_gauss": FINITE, "f_khz": FINITE, "u_khz": POSITIVE})
-    return cols["B_gauss"].tolist(), cols["f_khz"].tolist(), cols["u_khz"].tolist()
+    return cols["B_gauss"], cols["f_khz"], cols["u_khz"]

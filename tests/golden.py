@@ -11,15 +11,15 @@ its `PREFIXES` entry.
 `scripts/write_golden_reports.py` rewrites that directory, and
 `tests/test_golden_reports.py` reruns each command and compares.
 
-`compare` reads both files as text and numbers: it splits the text at
-every number, so JSON, CSV and the numbers inside strings are read
-alike.  With `rtol` 0 the files must be equal byte for byte; with a
-bound, the text between numbers must be equal and each number x within
-`rtol * max(1, |x|)` of the committed one: relative for the numbers
-that carry a unit's scale, absolute for those below 1 in magnitude
-(roundoff residuals such as a 4e-11 kHz truncation among them).  A
-mismatch names the file, the first differing JSON key path or CSV cell,
-and the largest absolute and relative difference of the numbers.
+`compare` holds a rerun report to the committed one byte for byte.  No
+golden run loads numpy, so no numpy or LAPACK version can move a byte
+of them (`tests/test_golden_reports.py` checks that in a fresh
+interpreter).  To say where a mismatch is, it reads both files as text
+and numbers: it splits the text at every number, so JSON, CSV and the
+numbers inside strings are read alike.  A mismatch names the file, the
+first differing JSON key path or CSV cell, and the largest absolute and
+relative difference of the numbers, or that the text between them
+differs.
 
 `assert_complete_reports` checks what a command wrote on an exit 0, on
 any input: at least one report, and no empty row list but those of
@@ -116,17 +116,16 @@ def write_reports(out_dir: Path, names=None) -> None:
 _NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
 
 
-def _differences(want: list[str], got: list[str]) -> tuple[float, float, float]:
-    """The largest absolute and relative difference of the numbers at matching places, and of |x - y| / max(1, |x|, |y|)."""
-    abs_max = rel_max = scaled_max = 0.0
+def _differences(want: list[str], got: list[str]) -> tuple[float, float]:
+    """The largest absolute and relative difference of the numbers at matching places."""
+    abs_max = rel_max = 0.0
     for a, b in zip(want[1::2], got[1::2]):
         x, y = float(a), float(b)
         d = abs(x - y)
         if d:
             abs_max = max(abs_max, d)
             rel_max = max(rel_max, d / max(abs(x), abs(y)))
-            scaled_max = max(scaled_max, d / max(1.0, abs(x), abs(y)))
-    return abs_max, rel_max, scaled_max
+    return abs_max, rel_max
 
 
 def _first_json_difference(want, got, where: str = "") -> str | None:
@@ -163,29 +162,27 @@ def _first_csv_difference(want: str, got: str) -> str | None:
     return f"rows {len(a)} -> {len(b)}" if len(a) != len(b) else None
 
 
-def compare(name: str, want: str, got: str, rtol: float = 0.0) -> tuple[str | None, float, float]:
+def compare(name: str, want: str, got: str) -> tuple[str | None, float, float]:
     """(fault or None, largest absolute, largest relative number difference) of a rerun report against the committed one."""
+    if want == got:
+        return None, 0.0, 0.0
     tokens_want, tokens_got = _NUMBER.split(want), _NUMBER.split(got)
     same_text = tokens_want[0::2] == tokens_got[0::2]
-    abs_max, rel_max, scaled_max = _differences(tokens_want, tokens_got) if same_text else (math.inf,) * 3
-    ok = want == got or (rtol > 0.0 and scaled_max <= rtol)
-    if ok:
-        return None, abs_max, rel_max
+    abs_max, rel_max = _differences(tokens_want, tokens_got) if same_text else (math.inf, math.inf)
     if name.endswith(".json"):
         where = _first_json_difference(json.loads(want), json.loads(got)) or "text only"
     else:
         where = _first_csv_difference(want, got) or "text only"
-    bound = f" (bound {rtol:g} x max(1, |x|))" if rtol else ""
-    numbers = f"largest difference {abs_max:.3g} absolute, {rel_max:.3g} relative{bound}" if same_text else "text differs"
+    numbers = f"largest difference {abs_max:.3g} absolute, {rel_max:.3g} relative" if same_text else "text differs"
     return f"{name}: first difference at {where}; {numbers}", abs_max, rel_max
 
 
-def compare_files(want_dir: Path, got_dir: Path, names, rtol: float = 0.0) -> tuple[list[str], float, float]:
+def compare_files(want_dir: Path, got_dir: Path, names) -> tuple[list[str], float, float]:
     """(faults, largest absolute, largest relative difference) over the reports `names` of two directories."""
     faults, abs_max, rel_max = [], 0.0, 0.0
     for name in names:
         want, got = ((d / name).read_bytes().decode("utf-8") for d in (want_dir, got_dir))  # line ends as written
-        fault, a, r = compare(name, want, got, rtol)
+        fault, a, r = compare(name, want, got)
         if fault:
             faults.append(fault)
         if math.isfinite(a):

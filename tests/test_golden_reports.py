@@ -1,10 +1,9 @@
-"""Every command's reports on the bundled inputs are the committed ones in tests/reports/.
+"""Every command's reports on the bundled inputs are the committed ones in tests/reports/, byte for byte.
 
 A change that moves a report rewrites the directory with
 `scripts/write_golden_reports.py`, so the move shows in its own diff.
-Where HDSPEC_REPORTS_RTOL is set (the CI job on the oldest numpy and
-LAPACK), each number x may differ by that bound times max(1, |x|), and
-the text between the numbers must not differ.
+No golden run loads numpy, which a fresh interpreter running them all
+checks here, so the bytes hold on every numpy and LAPACK version.
 """
 
 import json
@@ -17,7 +16,6 @@ import pytest
 
 import golden
 
-RTOL = float(os.environ.get("HDSPEC_REPORTS_RTOL", "0"))
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -26,7 +24,7 @@ def test_reports_are_the_committed_ones(tmp_path, name):
     golden.write_reports(tmp_path, [name])
     files = golden.runs()[name][1]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
-    faults, _, _ = golden.compare_files(golden.REPORTS, tmp_path, files, RTOL)
+    faults, _, _ = golden.compare_files(golden.REPORTS, tmp_path, files)
     assert not faults, "\n".join(faults)
 
 
@@ -40,7 +38,27 @@ def test_reports_of_a_fresh_interpreter_are_the_committed_ones(tmp_path, name):
     proc = subprocess.run([sys.executable, "-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    faults, _, _ = golden.compare_files(golden.REPORTS, tmp_path, files, RTOL)
+    faults, _, _ = golden.compare_files(golden.REPORTS, tmp_path, files)
+    assert not faults, "\n".join(faults)
+
+
+def test_every_golden_run_in_one_fresh_interpreter_leaves_numpy_unloaded(tmp_path):
+    """No golden run imports numpy, so no numpy version can move their bytes; and what they write is committed."""
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        f"sys.path.insert(0, {str(Path(golden.__file__).parent)!r})\n"
+        "import golden\n"
+        "golden.write_reports(Path(sys.argv[1]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    files = sorted(f for _, files in golden.runs().values() for f in files)
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    faults, _, _ = golden.compare_files(golden.REPORTS, tmp_path, files)
     assert not faults, "\n".join(faults)
 
 
@@ -58,12 +76,7 @@ def test_a_json_mismatch_names_the_key_path_and_the_largest_difference():
         "largest difference 2e-09 absolute, 5e-10 relative"
     )
     assert (abs_max, rel_max) == pytest.approx((2e-9, 5e-10), rel=1e-6)
-    assert golden.compare("fit_line.json", want, got, rtol=1e-9)[0] is None
-    assert golden.compare("fit_line.json", want, got, rtol=1e-10)[0].endswith("5e-10 relative (bound 1e-10 x max(1, |x|))")
-    # below 1 in magnitude the bound is absolute: 1e-10 on 0.25 is within 1e-9, though 4e-10 relative
-    assert golden.compare("fit_line.json", want, got.replace("0.2500000001", "0.2500000011"), rtol=1e-9)[0].startswith(
-        "fit_line.json: first difference at fit.center_khz: 0.25 -> 0.2500000011;"
-    )
+    assert golden.compare("fit_line.json", want, want) == (None, 0.0, 0.0)
 
 
 def test_a_csv_mismatch_names_the_row_and_column():
@@ -73,8 +86,9 @@ def test_a_csv_mismatch_names_the_row_and_column():
 
 
 def test_text_between_numbers_must_match_under_any_bound():
+    """A difference of text, not of numbers, is named as such."""
     want = '{\n  "status": "pass"\n}\n'
-    fault, _, _ = golden.compare("r.json", want, want.replace("pass", "fail"), rtol=1.0)
+    fault, _, _ = golden.compare("r.json", want, want.replace("pass", "fail"))
     assert fault == "r.json: first difference at status: 'pass' -> 'fail'; text differs"
     # a line end is text too
-    assert golden.compare("a.csv", "a\r\n1\r\n", "a\n1\n", rtol=1.0)[0] == "a.csv: first difference at text only; text differs"
+    assert golden.compare("a.csv", "a\r\n1\r\n", "a\n1\n")[0] == "a.csv: first difference at text only; text differs"

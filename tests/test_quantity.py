@@ -16,7 +16,7 @@ from hdspec.carrier import CarrierModel
 from hdspec.coefficients import HyperfineCoefficients, SensitivityTable, SpinUncertaintyParams, TransitionSensitivities
 from hdspec.composite import CompositeInput
 from hdspec.constants import Constant, ScalingModel
-from hdspec.lineshape import DecayScan, SpectrumPoint
+from hdspec.lineshape import SpectrumPoint
 from hdspec.metrology import CombParams, FrequencyTimeSeries, LaserLock
 from hdspec.quantity import Quantity, combine_linear, finite, overflow_as_value_error, parenthetical
 from hdspec.systematics import ShiftEntry
@@ -226,9 +226,6 @@ CONSTRUCTOR_FAULTS = [
     ),
     (lambda: ShiftEntry("x", 0.0, -0.1, "theoretical-bound"), "entry uncertainty must be >= 0"),
     (lambda: ShiftEntry("x", 0.1, 0.1, "set-to-zero"), "set-to-zero entries carry no correction"),
-    (lambda: DecayScan([0.0], [1, 0], [0.5]), "decay columns must be of one length"),
-    (lambda: DecayScan([math.inf], [1], [0.5]), "detuning must be finite, got inf"),
-    (lambda: DecayScan([0.0], [1], [1.5]), "depletion must be in [0, 1], got 1.5"),
     (lambda: SpectrumPoint(0.0, 0.1, -1.0), "sem must be >= 0"),
     (lambda: LaserLock(0, 1.0, 1, 1), "mode number must be a positive integer, got 0"),
     (lambda: LaserLock(1.5, 1.0, 1, 1), "mode number must be a positive integer, got 1.5"),

@@ -1,6 +1,5 @@
 """Validated CSV tables: each reader against csv.DictReader, the counter log's numpy read, and the CLI on bad tables."""
 
-import array
 import contextlib
 import csv
 import io
@@ -28,12 +27,12 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 def _counter(path):
     s = metrology.read_counter_csv(path)
-    return (s.tau0, s.samples.tolist(), s.carrier_hz)
+    return (s.tau0, list(map(float, s.samples)), s.carrier_hz)  # numpy's float64 as Python floats
 
 
 def _decay(path):
     s = lineshape.read_decay_csv(path)
-    return (s.detuning.tolist(), s.laser_on.tolist(), s.depletion.tolist())
+    return (s.detuning, s.laser_on, s.depletion)
 
 
 def dict_reader_table(path, columns):
@@ -72,7 +71,7 @@ def dict_reader_table(path, columns):
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not n_rows:
         raise ValueError(f"{path}: no data rows")
-    return {n: v if columns[n].accepts is None else array.array("d", v) for n, v in out.items()}
+    return out
 
 
 @contextlib.contextmanager
@@ -317,11 +316,33 @@ def test_read_table_returns_arrays_and_stripped_text(tmp_path):
     path = write(tmp_path, "b,a,flag,name,b\n9,1.5,1, x ,2\n9,-0.0,0,y,3\n")
     columns = {"a": FINITE, "b": FINITE, "flag": FLAG, "name": TEXT, "u": OPTIONAL_NON_NEGATIVE}
     cols = read_table(path, columns)
-    assert all(isinstance(cols[n], array.array) for n in ("a", "b", "flag", "u"))
-    assert cols["a"].tolist() == [1.5, -0.0] and math.copysign(1.0, cols["a"][1]) == -1.0
-    assert cols["b"].tolist() == [2.0, 3.0]  # the last of a duplicated name
-    assert cols["flag"].tolist() == [1.0, 0.0] and cols["name"] == ["x", "y"]
+    assert all(type(cols[n]) is list for n in cols)
+    assert cols["a"] == [1.5, -0.0] and math.copysign(1.0, cols["a"][1]) == -1.0
+    assert cols["b"] == [2.0, 3.0]  # the last of a duplicated name
+    assert cols["flag"] == [1.0, 0.0] and cols["name"] == ["x", "y"]
     assert all(map(math.isnan, cols["u"])) and len(cols["u"]) == 2
+
+
+def test_every_table_reader_gives_its_numbers_as_python_floats_in_lists(tmp_path):
+    """`read_table`'s numeric columns are lists of Python floats, and each reader hands on those floats."""
+
+    def floats(values):
+        return type(values) is list and all(type(v) is float for v in values)
+
+    cols = read_table(write(tmp_path, CLEAN["rf"]), {"amplitude": FINITE, "f_khz": FINITE, "u_khz": OPTIONAL_NON_NEGATIVE})
+    assert list(cols) == ["amplitude", "f_khz", "u_khz"] and all(map(floats, cols.values()))
+    scan = lineshape.read_decay_csv(write(tmp_path, CLEAN["decay"]))
+    assert all(map(floats, (scan.detuning, scan.laser_on, scan.depletion)))
+    field = systematics.read_field_scan_csv(write(tmp_path, CLEAN["field"]))
+    assert len(field) == 3 and all(map(floats, field))
+    points = systematics.read_amplitude_csv(write(tmp_path, CLEAN["rf"]))
+    assert floats([a for a, _ in points]) and floats([q.value for _, q in points])
+    assert floats([u for _, q in points for u in q.components.values()])
+    rows = constants.read_contribution_csv(write(tmp_path, CLEAN["contribution"])).rows
+    assert floats([r.value for r in rows]) and floats([r.uncertainty for r in rows])
+    log = write(tmp_path, CLEAN["counter"])
+    assert log.stat().st_size < metrology._NUMPY_MIN_BYTES
+    assert floats(metrology.read_counter_csv(log).samples)
 
 
 def test_an_absent_optional_text_column_reads_as_a_blank_cell(tmp_path):
@@ -329,7 +350,7 @@ def test_an_absent_optional_text_column_reads_as_a_blank_cell(tmp_path):
     absent, blank = write(tmp_path, "a\n1\n\n2\n"), tmp_path / "blank.csv"
     blank.write_text("a,note,u\n1,,\n\n2, ,\n", encoding="utf-8")
     cols = read_table(absent, columns)
-    assert cols["a"].tolist() == [1.0, 2.0] and cols["note"] == ["", ""] and len(cols["u"]) == 2
+    assert cols["a"] == [1.0, 2.0] and cols["note"] == ["", ""] and len(cols["u"]) == 2
     assert repr(cols) == repr(read_table(blank, columns))
     assert repr(cols) == repr(dict_reader_table(absent, columns))
     # a fault in another column is still that column's, not the absent one's
@@ -419,7 +440,7 @@ def test_fast_path_scans_every_chunk_and_needs_the_whole_header_in_the_first(tmp
     # a header of 128 KiB, up to a second f_hz, the one that counts
     path = write(tmp_path, "t_s,f_hz," + "x" * (1 << 17) + ",f_hz\n" + "1,2,0,4\n" * (n // 2))
     got, want = metrology._loadtxt_columns(path, path.read_bytes()), read_table(path, columns)
-    assert {n: c.tolist() for n, c in got.items()} == {n: c.tolist() for n, c in want.items()}
+    assert {n: c.tolist() for n, c in got.items()} == want
     assert got["f_hz"].tolist() == [4.0] * (n // 2)
 
 
@@ -438,7 +459,7 @@ def test_file_size_alone_picks_the_counter_log_numpy_read(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["array False", "ndarray True", "array"]
+    assert proc.stdout.splitlines() == ["list False", "ndarray True", "list"]
 
 
 def test_an_unused_text_column_is_checked_and_left_out(tmp_path):
@@ -446,7 +467,7 @@ def test_an_unused_text_column_is_checked_and_left_out(tmp_path):
     # wherever the column is, before the read columns or after them
     for text in ("id,a\nx,1\ny,2\n", "a,id\n1,x\n2,\n"):
         cols = read_table(write(tmp_path, text), columns)
-        assert list(cols) == ["a"] and cols["a"].tolist() == [1.0, 2.0]
+        assert list(cols) == ["a"] and cols["a"] == [1.0, 2.0]
     # a short row: the cell is missing
     with pytest.raises(ValueError, match=r"table\.csv:3: id is missing$"):
         read_table(write(tmp_path, "a,id\n1,x\n2\n"), columns)
@@ -458,7 +479,7 @@ def test_row_path_accepts_what_float_accepts(tmp_path):
     path = write(tmp_path, "t_s,f_hz\n1_0,１\n" + "1,2\n" * 300)
     with mock.patch.object(metrology, "_NUMPY_MIN_BYTES", 0):
         assert metrology._loadtxt_columns(path, path.read_bytes()) is None
-    assert read_table(path, {"t_s": FINITE, "f_hz": FINITE})["t_s"].tolist()[:2] == [10.0, 1.0]
+    assert read_table(path, {"t_s": FINITE, "f_hz": FINITE})["t_s"][:2] == [10.0, 1.0]
 
 
 @pytest.mark.parametrize(
