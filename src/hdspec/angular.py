@@ -38,7 +38,8 @@ The field-free states have one form: each level's F-block eigenvector
 over the coupled states of its F, which the level carries with its F
 block.  The Zeeman interaction is taken in it too: once per N and m_F,
 J_z of each slot between the coupled states of that m_F (`_Blocks.jz`),
-in Python floats, which `_zeeman_row` takes between the levels.  numpy
+in Python floats, which `_zeeman_row` takes between the levels.  One
+routine, `_apply`, applies J_z and each T_k to a coupled state.  numpy
 is imported only where an array is built: a level's product-basis
 `vectors` and the dense product-basis API (`ProductBasis`, `jmatrices`,
 `casimir`, `build_hfs`, `term_operator`).  One routine, `_dense`, builds
@@ -349,10 +350,15 @@ def _slot_action(ops: str, j2: int) -> tuple[tuple[int, float] | None, ...]:
     return tuple(out)
 
 
-def _apply(n_rot: int, k: int, state: Mapping[Key, float]) -> dict[Key, float]:
-    """T_k on a sparse state, by the products of `_term_table`."""
+def _apply(n_rot: int, products: Sequence[Term], state: Mapping[Key, float]) -> dict[Key, float]:
+    """The sum of the (c, slot strings) `products` on a sparse state of level N, states sent to 0 left out.
+
+    The one routine that applies an operator to a coupled state:
+    `_block_terms` passes the products of `_term_table`, `_Blocks.jz`
+    one product of `_total("z")` at a time.
+    """
     out: dict[Key, float] = {}
-    for c, ops in _term_table(k, n_rot):
+    for c, ops in products:
         act_e, act_p, act_d, act_n = (_slot_action(s, j2) for s, j2 in zip(ops, (1, 1, 2, 2 * n_rot)))
         for (e, p, d, n), x in state.items():
             if (to_n := act_n[n]) and (to_d := act_d[d]) and (to_p := act_p[p]) and (to_e := act_e[e]):
@@ -381,7 +387,7 @@ def _between(states: Sequence[Mapping[Key, float]], moved: Sequence[Sequence[Map
 def _block_terms(n_rot: int, f: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple[tuple[float, ...], ...], ...]:
     """T_1..T_9 between the coupled states (G1, G2, F, m_F = F) of `pairs`, each an exactly symmetric n x n."""
     states = [_coupled_state(n_rot, g1, g2, f, f) for g1, g2 in pairs]
-    return _between(states, [[_apply(n_rot, k, ket) for ket in states] for k in COEFF_INDICES])
+    return _between(states, [[_apply(n_rot, _term_table(k, n_rot), ket) for ket in states] for k in COEFF_INDICES])
 
 
 class _FBlock:
@@ -442,14 +448,13 @@ class _Blocks:
         """J_z of each slot (SLOT_NAMES order) between the coupled states of m_F, each an exactly symmetric n x n.
 
         The states are those of the F blocks with F >= |m_F| (the last of
-        `f_blocks`), F by F and (G1, G2) ascending.  J_z is diagonal in the
-        product states: it multiplies each amplitude by m = j - i of its slot.
+        `f_blocks`), F by F and (G1, G2) ascending.  Each slot's J_z is its
+        product of `_total("z")`, applied by `_apply`.
         """
         if m_f not in self._jz:
             states = [_coupled_state(self.n_rot, g1, g2, block.f, m_f)
                       for block in self.f_blocks if block.f >= abs(m_f) for g1, g2 in block.pairs]
-            self._jz[m_f] = _between(states, [[{key: (j - key[s]) * x for key, x in state.items()} for state in states]
-                                              for s, j in enumerate((0.5, 0.5, 1.0, self.n_rot))])
+            self._jz[m_f] = _between(states, [[_apply(self.n_rot, (p,), state) for state in states] for p in _total("z")])
         return self._jz[m_f]
 
 
@@ -841,22 +846,22 @@ def sensitivities_fd(
     basis: ProductBasis,
     label: tuple[int, int, int],
     ks: Sequence[int] | None = None,
-    step: float = 1e-5,
 ) -> dict[int, float]:
-    """Central-finite-difference cross-check of :func:`sensitivities`.
+    """Central-finite-difference cross-check of :func:`sensitivities`, over the E_k of `ks` (default: each that acts at N).
 
-    The step is `step` times the largest coefficient magnitude, so the
-    eigensolver's backward error (eps times the matrix norm) stays well
-    below the difference quotient. Levels are re-identified by label
-    after each perturbation; a label that fails to resolve (level
-    crossing at the perturbed point) raises TrackingError.  The
+    The step is a fixed 1e-5 times the largest coefficient magnitude (at
+    least 1), so the eigensolver's backward error (eps times the matrix
+    norm) stays well below the difference quotient.  Levels are
+    re-identified by label after each perturbation; a label that fails
+    to resolve (level crossing at the perturbed point) raises
+    TrackingError.  The
     perturbed sets are solved directly, past the level-set cache, so
     they do not push useful entries out of it.
     """
     _check_basis(coeffs, basis)
     if ks is None:
         ks = CONTACT_COEFFS if basis.n_rot == 0 else COEFF_INDICES
-    h = step * max(1.0, max((abs(v) for v in coeffs.values.values()), default=1.0))
+    h = 1e-5 * max(1.0, max((abs(v) for v in coeffs.values.values()), default=1.0))
     out = {}
     for k in ks:
         energies = []

@@ -195,22 +195,18 @@ def _write_json(out_dir: Path, stem: str, payload: dict) -> Path:
 def _csv_lines(rows: Iterable[list]):
     """Each of `rows` as a CSV line with a CRLF end, as `csv.writer` writes it, one line at a time.
 
-    A row of Python ints and floats is rendered with `repr` and joined by
-    commas: a number never needs quoting.  Any other row goes through
-    `csv.writer` (its quoting rules for str cells, None as an empty cell),
-    which writes each float, numpy's float64 among them, as `str(x)`: the
-    text of `repr(float(x))`.
+    Every row goes through `csv.writer` (its quoting rules for str cells,
+    None as an empty cell).  It writes each int and float, numpy's
+    float64 among them, as `str(x)`, for a float the text of
+    `repr(float(x))`: a row of numbers is its `repr`s joined by commas.
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
     for row in rows:
-        if _NUMBER_TYPES.issuperset(map(type, row)):
-            yield ",".join(map(repr, row)) + "\r\n"
-        else:
-            writer.writerow(row)
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
+        writer.writerow(row)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
 def _write_csv(out_dir: Path, stem: str, header: list[str], rows: Iterable[list]) -> Path:
@@ -229,7 +225,8 @@ def _write_csv_grid(
     x_cells = [f"{x}," for x in xs.texts]
     parts = list(_csv_lines([header]))
     for lead, ys in zip(leads, columns):
-        start = next(_csv_lines([[*lead, 0.0]]))[: -len("0.0\r\n")]  # the lead's cells and a comma
+        # the lead's cells and a comma, rendered before a cell: on its own, csv writes one empty cell as '""'
+        start = next(_csv_lines([[*lead, 0.0]]))[: -len("0.0\r\n")]
         lines = list(map(str.__add__, x_cells, ys.texts))
         if lines:
             parts.append(start + ("\r\n" + start).join(lines) + "\r\n")

@@ -122,9 +122,9 @@ def build_spectrum(scan: DecayScan) -> list[SpectrumPoint]:
 
 
 class LineFit:
-    __slots__ = (
-        "center", "fwhm", "amplitude", "offset", "covariance", "residual_norm", "converged", "n_iter", "cost_trace",
-    )
+    """A converged Lorentzian fit: `fit_lorentzian` returns no other, and raises FitError where a fit does not converge."""
+
+    __slots__ = ("center", "fwhm", "amplitude", "offset", "covariance", "residual_norm", "n_iter", "cost_trace")
 
     def __init__(
         self,
@@ -134,7 +134,6 @@ class LineFit:
         offset: float,
         covariance: tuple[tuple[float, ...], ...],  # 4 x 4, in PARAM_NAMES order
         residual_norm: float,
-        converged: bool,
         n_iter: int = 0,
         cost_trace: tuple[float, ...] = (),
     ) -> None:
@@ -144,7 +143,6 @@ class LineFit:
         self.offset = offset
         self.covariance = covariance
         self.residual_norm = residual_norm
-        self.converged = converged
         self.n_iter = n_iter
         self.cost_trace = cost_trace
 
@@ -334,21 +332,18 @@ def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
         offset=p[3],
         covariance=covariance,
         residual_norm=math.sqrt(cost),
-        converged=True,
         n_iter=n_iter,
         cost_trace=tuple(trace),
     )
 
 
 def line_frequency(fit: LineFit, absolute_offset: float) -> Quantity:
-    """Absolute line-center frequency with the half-linewidth convention.
+    """Absolute line-center frequency of a fit (each `LineFit` has converged), with the half-linewidth convention.
 
     The `exp` component is fwhm/2 regardless of the covariance-based
     center error; this deliberately conservative rule is what enters the
     systematic-shift ledgers downstream.
     """
-    if not fit.converged:
-        raise FitError("cannot assign a line frequency to an unconverged fit")
     return Quantity(absolute_offset + fit.center, "kHz", {"exp": fit.fwhm / 2.0})
 
 
@@ -368,7 +363,7 @@ def read_decay_csv(path: str | Path) -> DecayScan:
 
 
 def fit_report(fit: LineFit) -> dict:
-    """All fit fields as a JSON-ready mapping."""
+    """All fit fields as a JSON-ready mapping; `converged` is true, as it is for every `LineFit`."""
     return {
         "center_khz": fit.center,
         "fwhm_khz": fit.fwhm,
@@ -376,6 +371,6 @@ def fit_report(fit: LineFit) -> dict:
         "offset": fit.offset,
         "covariance": [[float(v) for v in row] for row in fit.covariance],
         "residual_norm": fit.residual_norm,
-        "converged": fit.converged,
+        "converged": True,
         "n_iter": fit.n_iter,
     }

@@ -73,7 +73,7 @@ class Quantity(Record):
 
     Components are absolute (same unit as the value).  No method changes
     an instance, and two are equal when value, unit and components are;
-    derive modified ones with :meth:`with_component`.
+    a changed quantity is a new one, built from the changed components.
     """
 
     __slots__ = ("value", "unit", "components")
@@ -88,11 +88,6 @@ class Quantity(Record):
     def component(self, name: str) -> float:
         """Return one component's uncertainty, 0 if absent."""
         return self.components.get(name, 0.0)
-
-    def with_component(self, name: str, u: float) -> "Quantity":
-        comps = dict(self.components)
-        comps[name] = u
-        return Quantity(self.value, self.unit, comps)
 
     def total_uncertainty(self, mode: str = "quadrature") -> float:
         """Combine all components into one number.
@@ -201,10 +196,11 @@ def parenthetical(q: Quantity) -> str:
     """Render ``58605013478.03(19)_exp kHz``-style text.
 
     Each component is scaled to the least significant digit of the
-    rounded value.  From 1e15 on, the value or the largest component
-    switches the text to exponent form, ``1.223899e+300(1.5e-01)_exp
-    kHz``: the value to 7 digits and each component to 2, bounded for any
-    float.  Purely a display helper; no rounding feeds back into the
+    rounded value: an exact 0 prints as (0), and a non-zero component
+    that rounds to 0 as (1).  From 1e15 on, the value or the largest
+    component switches the text to exponent form,
+    ``1.223899e+300(1.5e-01)_exp kHz``: the value to 7 digits and each
+    component to 2, bounded for any float.  Purely a display helper; no rounding feeds back into the
     analysis.
     """
     if not q.components:
@@ -220,7 +216,7 @@ def parenthetical(q: Quantity) -> str:
         decimals = max(0, _DIGITS - 1 - math.floor(math.log10(max_u)))
     scale = 10 ** decimals
     parts = "".join(
-        f"({max(1, round(u * scale))})_{name}" for name, u in sorted(q.components.items())
+        f"({max(1, round(u * scale)) if u else 0})_{name}" for name, u in sorted(q.components.items())
     )
     return f"{q.value:.{decimals}f}{parts} {q.unit}"
 

@@ -712,7 +712,7 @@ CSV_CELLS = st.one_of(
 @settings(max_examples=200)
 @given(rows=st.lists(st.lists(CSV_CELLS, max_size=5), max_size=6))
 def test_csv_writer_renders_what_csv_writer_renders(rows):
-    """Numeric rows by repr and a comma join; every row as csv.writer with repr(float(x)) cells writes it."""
+    """Every row as csv.writer with repr(float(x)) cells writes it."""
     header = ["a", "b,c", 'd"e']
     want = io.StringIO()
     writer = csv.writer(want)
@@ -722,6 +722,20 @@ def test_csv_writer_renders_what_csv_writer_renders(rows):
         path = _write_csv(Path(d), "t", header, rows)
         got = path.read_bytes().decode("utf-8")
     assert got == want.getvalue()
+
+
+NUMBER_CELLS = st.one_of(
+    st.integers(-2**80, 2**80),
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, sys.float_info.max, -sys.float_info.max, 2**63, -2**63 - 1, 2**64]),
+)
+
+
+@settings(max_examples=200)
+@given(rows=st.lists(st.lists(NUMBER_CELLS, max_size=5), max_size=6))
+def test_csv_lines_write_a_number_row_as_its_reprs_joined(rows):
+    """Each row of Python ints and floats is the bytes `",".join(map(repr, row))` and CR LF, through csv.writer."""
+    assert list(cli._csv_lines(rows)) == [",".join(map(repr, row)) + "\r\n" for row in rows]
 
 
 NUMBERS = st.one_of(

@@ -52,9 +52,6 @@ def test_components_are_read_through_accessor():
     q = Quantity(1.0, "kHz", {"exp": 0.1})
     assert q.component("exp") == 0.1
     assert q.component("theor_QED") == 0.0
-    q2 = q.with_component("theor_QED", 0.5)
-    assert q2.component("theor_QED") == 0.5
-    assert q.component("theor_QED") == 0.0
 
 
 def test_open_component_names_flow_through():
@@ -88,7 +85,7 @@ def test_combine_linear_weights_components_in_quadrature():
     a = Quantity(10.0, "kHz", {"exp": 0.19})
     b = Quantity(20.0, "kHz", {"exp": 0.26})
     q = combine_linear([(0.5, a), (0.5, b)])
-    assert q.value == pytest.approx(15.0)
+    assert q.value == 15.0
     assert q.component("exp") == pytest.approx(math.hypot(0.19 / 2, 0.26 / 2))
     assert q.component("exp") == pytest.approx(0.16101, abs=1e-5)
 
@@ -97,9 +94,9 @@ def test_combine_linear_keeps_channels_separate():
     a = Quantity(1.0, "kHz", {"exp": 0.1, "theor_QED": 0.5})
     b = Quantity(2.0, "kHz", {"exp": 0.2})
     q = combine_linear([(1.0, a), (-1.0, b)])
-    assert q.value == pytest.approx(-1.0)
+    assert q.value == -1.0
     assert q.component("exp") == pytest.approx(math.hypot(0.1, 0.2))
-    assert q.component("theor_QED") == pytest.approx(0.5)
+    assert q.component("theor_QED") == 0.5  # sqrt((1.0 * 0.5) ** 2 + 0.0)
 
 
 def test_combine_linear_rejects_mixed_units_and_empty():
@@ -138,6 +135,14 @@ def test_parenthetical_switches_to_exponent_form_from_1e15():
         "5.860000e+10(1.6e-01)_exp(1.0e+15)_theor_spin kHz"
     )
     assert parenthetical(Quantity(-1.7e308, "kHz", {"exp": 1.7e308})) == "-1.700000e+308(1.7e+308)_exp kHz"
+
+
+def test_parenthetical_prints_an_exact_zero_component_as_zero():
+    assert parenthetical(Quantity(1.0, "kHz", {"exp": 0.0})) == "1.00(0)_exp kHz"
+    # a non-zero component below the last digit still shows one unit of it
+    assert parenthetical(Quantity(1.0, "kHz", {"exp": 0.1, "theor_QED": 1e-9, "theor_spin": 0.0})) == (
+        "1.00(10)_exp(1)_theor_QED(0)_theor_spin kHz"
+    )
 
 
 def test_parenthetical_orders_components_by_name():
