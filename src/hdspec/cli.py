@@ -518,9 +518,9 @@ def _cmd_extrapolate_rf(args) -> int:
 def _cmd_ledger(args) -> int:
     from . import systematics
 
-    entries = systematics.read_entries(args.entries) if args.entries else []
-    if args.include_negligible:
-        entries.extend(systematics.negligible_entries())
+    negligible = systematics.negligible_entries() if args.include_negligible else ()
+    entries = systematics.read_entries(args.entries, negligible) if args.entries else []
+    entries.extend(negligible)
     if args.raw_u_khz < 0:
         raise ConfigFailure(f"--raw-u-khz must be >= 0, got {args.raw_u_khz!r}")
     raw = Quantity(args.raw_khz, "kHz", {"exp": args.raw_u_khz})

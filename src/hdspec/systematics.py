@@ -77,21 +77,26 @@ class ShiftEntry(Record):
         }
 
 
-def read_entries(path: str | Path) -> list[ShiftEntry]:
-    """The entries of a JSON list of `ShiftEntry.report()` objects.
+def read_entries(path: str | Path, also: Sequence[ShiftEntry] = ()) -> list[ShiftEntry]:
+    """The entries of a JSON list of `ShiftEntry.report()` objects, for a ledger that also holds `also`.
 
     correction_khz (finite), uncertainty_khz (finite, >= 0) and note may
     be absent, and read as 0, 0 and empty; a set-to-zero entry must carry
-    no correction.  Faults are `read_json`'s, or `path: [i].correction_khz
-    must be 0 for a set-to-zero entry`.
+    no correction, and no name may repeat a name of the file or of `also`.
+    Faults are `read_json`'s, `path: [i].correction_khz must be 0 for a
+    set-to-zero entry`, or `path: [i].name: duplicate ledger entry name 'x'`.
     """
     basis = Rule(f"must be one of {', '.join(ENTRY_BASES)}", choices=frozenset(ENTRY_BASES))
     shape = {"name": TEXT, "correction_khz": OPTIONAL_FINITE, "uncertainty_khz": OPTIONAL_NON_NEGATIVE,
              "basis": basis, "note": OPTIONAL_TEXT}
     entries = read_json(path, [shape])
+    names = {e.name for e in also}
     for i, e in enumerate(entries):
         if e["basis"] == "set-to-zero" and e.get("correction_khz", 0.0) != 0.0:
             raise ValueError(f"{path}: [{i}].correction_khz must be 0 for a set-to-zero entry")
+        if e["name"] in names:
+            raise ValueError(f"{path}: [{i}].name: duplicate ledger entry name {e['name']!r}")
+        names.add(e["name"])
     return [ShiftEntry(e["name"], e.get("correction_khz", 0.0), e.get("uncertainty_khz", 0.0), e["basis"],
                        e.get("note", "")) for e in entries]
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -10,7 +15,18 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+import hdspec  # noqa: E402
 from hdspec import angular, bundled  # noqa: E402
+
+# the directory the tests import hdspec from: a checkout's src/, or the site-packages of an install
+HDSPEC_PATH = str(Path(hdspec.__file__).resolve().parents[1])
+
+
+def run_python(*argv, timeout=120, **env):
+    """Run `python *argv` in a fresh interpreter that imports the hdspec these tests import, with `env` set."""
+    path = os.pathsep.join(p for p in (HDSPEC_PATH, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

@@ -1037,7 +1037,7 @@ def test_contact_only_n1_set_keeps_its_order_and_labels_at_any_scale(e4):
 def test_level_set_tolerance_is_ulps_of_the_bound_on_h(demo_sets):
     # 2^10 ulps of max |E_k| times h_bound: near 1e-6 kHz at the bundled scale, and above zero for the all-zero set
     for coeffs, expected in ((demo_sets[(0, 0)], 1.49e-7), (demo_sets[(1, 1)], 6.97e-7)):
-        assert angular._LevelSet(coeffs).tolerance == pytest.approx(expected, rel=1e-3)
+        assert angular._LevelSet(coeffs).tolerance == pytest.approx(expected, rel=1e-3, abs=0)
         assert angular._LevelSet(scaled(coeffs, 2.0 ** -30)).tolerance == 2.0 ** -30 * angular._LevelSet(coeffs).tolerance
     zero = angular._LevelSet(zero_coeffs(1))
     assert zero.tolerance == angular._ULPS * math.ulp(0.0) * angular._blocks(1).h_bound > 0.0

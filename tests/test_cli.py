@@ -8,9 +8,7 @@ import csv
 import io
 import json
 import math
-import os
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -23,11 +21,10 @@ from hypothesis import strategies as st
 
 import golden
 import hdspec
+from conftest import run_python
 from hdspec import bundled, cli, lineshape, metrology, quantity
 from hdspec.cli import DataFailure, _Floats, _sweep_grid, _write_csv, _write_csv_grid, _write_json, main
 from hdspec.quantity import Quantity
-
-SRC = str(Path(hdspec.__file__).resolve().parents[1])
 
 SUBCOMMANDS = (
     "spin-structure",
@@ -53,13 +50,6 @@ def run(tmp_path, *argv):
 
 def load_json(tmp_path, stem):
     return json.loads((tmp_path / f"{stem}.json").read_text())
-
-
-def run_python(*argv):
-    """Run a fresh interpreter with this checkout's package on the path."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
 
 
 def assert_one_line_error(proc):
@@ -311,6 +301,30 @@ def test_spin_structure_of_the_demo_coefficients_x_1e302_is_the_unscaled_report_
         for side in ("gamma_lower", "gamma_upper"):
             assert got[side].keys() == want[side].keys()
             assert all(abs(got[side][k] - want[side][k]) <= 64 * math.ulp(1.0) for k in want[side])
+
+
+@pytest.mark.parametrize("exponent", [-30, 30])
+def test_spin_structure_of_the_demo_coefficients_x_2_to_the_30_is_the_unscaled_report_scaled_exactly(
+    tmp_path, capsys, exponent
+):
+    """The levels carry no origin and no threshold in kHz, and a power of 2 scales each sum, product, quotient
+    and square root of the level solve exactly: labels, F, degeneracies and order are those of the unscaled
+    report, each energy and f_spin is the unscaled one x 2^e, and each gamma_k the unscaled one.  u_spin is not
+    compared: its E1' term is an absolute 0.05 kHz that does not scale."""
+    factor = 2.0 ** exponent
+    coefficients = tmp_path / "coefficients.conf"
+    coefficients.write_text(scaled_demo_coefficients(factor))
+    assert run(tmp_path, "spin-structure", "--coefficients", str(coefficients)) == 0
+    assert capsys.readouterr().err == ""
+    got = load_json(tmp_path, "spin_structure")
+    want = json.loads((golden.REPORTS / "spin_structure.json").read_text())
+    for level in (level for levels in want["sections"].values() for level in levels):
+        level["energy_khz"] *= factor
+    for transition in want["transitions"].values():
+        transition["f_spin_khz"] *= factor
+    for transition in (*want["transitions"].values(), *got["transitions"].values()):
+        del transition["u_spin_khz"]
+    assert got == want
 
 
 @pytest.mark.parametrize("factor", [1.0, 1e302])
@@ -1491,7 +1505,7 @@ def test_ledger_with_negligible_rows(tmp_path):
         == 0
     )
     payload = load_json(tmp_path, "ledger")
-    assert payload["corrected"]["value_khz"] == pytest.approx(100.0)
+    assert payload["corrected"]["value_khz"] == 100.0  # the negligible rows correct by 0.0
     assert len(payload["entries"]) == 3
 
 
@@ -1567,6 +1581,16 @@ MALFORMED_JSON = {
         ["ledger", *RAW, "--entries"],
         [{"name": "z", "correction_khz": 0.1, "basis": "set-to-zero"}],
         "[0].correction_khz must be 0 for a set-to-zero entry",
+    ),
+    "repeated-entry-name": (
+        ["ledger", *RAW, "--entries"],
+        [{"name": "x", "basis": "measured-extrapolation"}, {"name": "x", "basis": "theoretical-bound"}],
+        "[1].name: duplicate ledger entry name 'x'",
+    ),
+    "entry-named-as-a-negligible-one": (
+        ["ledger", *RAW, "--include-negligible", "--entries"],
+        [{"name": "black-body radiation", "basis": "set-to-zero"}],
+        "[0].name: duplicate ledger entry name 'black-body radiation'",
     ),
     "value-true": (
         ["compare", "--input"],
@@ -1647,6 +1671,12 @@ def test_zeeman_coeffs_on_multi_state_blocks_loads_no_numpy(tmp_path):
     """In a fresh interpreter: line 12 at m_F 0 -> 0, whose blocks hold 4 and 10 states, solved in Python floats."""
     assert not numpy_in_fresh_run(ZEEMAN_COEFFS_12, tmp_path)
     assert load_json(tmp_path, "zeeman_coeffs")["truncation_khz"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [["composite"], ["extract", "--demo"]], ids=["composite-tableless", "extract-demo"])
+def test_composite_without_a_table_and_extract_of_the_demo_sets_load_no_numpy(tmp_path, argv):
+    """In a fresh interpreter: the one-term model of the line uncertainties, and the F-block solve of the demo sets."""
+    assert not numpy_in_fresh_run(argv, tmp_path)
 
 
 FINE_FIELDS = ",".join(f"{i / 10000:.4f}" for i in range(2001))  # 0-0.2 G in 0.1 mG steps

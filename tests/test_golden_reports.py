@@ -4,19 +4,27 @@ A change that moves a report rewrites the directory with
 `scripts/write_golden_reports.py`, so the move shows in its own diff.
 No golden run loads numpy, which a fresh interpreter running them all
 checks here, so the bytes hold on every numpy and LAPACK version.
+The bundled files passed by their flags give the same reports, runs
+whose reports are not committed give the same bytes in two fresh
+interpreters of different hash seeds, and every JSON report is the text
+`json.dumps` writes for its content.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import golden
+from conftest import run_python
+from hdspec import bundled
+from hdspec.cli import main
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+def assert_json_dumps_text(path: Path) -> None:
+    text = path.read_text(encoding="utf-8")
+    same = text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"  # no diff of megabytes on a failure
+    assert same, f"{path} is not the text json.dumps(json.loads(text), sort_keys=True, indent=2) plus a newline"
 
 
 @pytest.mark.parametrize("name", golden.runs())
@@ -34,10 +42,8 @@ def test_reports_of_a_fresh_interpreter_are_the_committed_ones(tmp_path, name):
     inputs row by row, `spin-structure` and `composite` solve the F blocks of the demo sets, and `zeeman-map`
     and `zeeman-coeffs` their m_F blocks over the default field grid."""
     argv, files = golden.runs()[name]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_python("-m", "hdspec.cli", *argv, "--out-dir", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     faults, _, _ = golden.compare_files(golden.REPORTS, tmp_path, files)
     assert not faults, "\n".join(faults)
 
@@ -52,9 +58,8 @@ def test_every_golden_run_in_one_fresh_interpreter_leaves_numpy_unloaded(tmp_pat
         "golden.write_reports(Path(sys.argv[1]))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_python("-c", script, str(tmp_path), timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     assert proc.stdout == "[]\n"
     files = sorted(f for _, files in golden.runs().values() for f in files)
     assert sorted(p.name for p in tmp_path.iterdir()) == files
@@ -67,6 +72,84 @@ def test_every_committed_report_has_its_command():
     assert sorted(p.name for p in golden.REPORTS.iterdir()) == written
 
 
+def test_every_committed_json_report_is_the_text_json_dumps_writes():
+    paths = sorted(golden.REPORTS.glob("*.json"))
+    assert paths
+    for path in paths:
+        assert_json_dumps_text(path)
+
+
+# golden runs with the bundled file they read by default passed by its flag, and without --demo where that would
+# supply the file instead
+EXPLICIT_FILE_RUNS = {
+    "spin-structure": ["spin-structure", "--coefficients", str(bundled.data_path("demo_coefficients.conf")), "--format", "csv"],
+    "zeeman-coeffs": [*golden.runs()["zeeman-coeffs"][0], "--couplings", str(bundled.data_path("zeeman_couplings.txt"))],
+    "composite": [*golden.runs()["composite"][0], "--lines", str(bundled.data_path("measured_lines.json"))],
+    "compare": ["compare", "--input", str(bundled.data_path("determinations_mp_over_me.json"))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_FILE_RUNS))
+def test_bundled_files_passed_by_their_flags_give_the_committed_reports(tmp_path, capsys, name):
+    assert main([*EXPLICIT_FILE_RUNS[name], "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    files = golden.runs()[name][1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    faults, _, _ = golden.compare_files(golden.REPORTS, tmp_path, files)
+    assert not faults, "\n".join(faults)
+
+
+FINE_FIELDS = ",".join(f"{i / 10000:.4f}" for i in range(2001))  # 0-0.2 G in 0.1 mG steps
+RF = str(bundled.data_path("line12_rf.csv"))
+# runs whose reports are not committed, with the reports each writes: a grid long enough to take numpy, the flags
+# that select a model, a reference, a profile or a sign, composite without a sensitivity table, and a ledger of the
+# entry that extrapolate-rf reports ({entries})
+FURTHER_RUNS = {
+    "zeeman-map-2001": (["zeeman-map", "--demo", "--b-values", FINE_FIELDS], ["zeeman_map.csv", "zeeman_map.json"]),
+    "extract-penning": (["extract", "--constants-profile", "penning", "--format", "csv"],
+                        ["extract.json", "extract_components.csv"]),
+    "extrapolate-rf-linear": (["extrapolate-rf", "--input", RF, "--nominal-amplitude", "1.0", "--linear"],
+                              ["extrapolate_rf.json"]),
+    "fit-line-absolute": (
+        ["fit-line", "--input", str(bundled.data_path("line12_depletion.csv")), "--absolute-offset-khz", "58605013478.0"],
+        ["fit_line.json", "fit_line_spectrum.csv"],
+    ),
+    "compare-reference": (["compare", "--reference", "Penning-trap masses"], ["compare.csv", "compare.json"]),
+    "dfg-signs": (
+        [
+            "dfg", "--f-rep-hz", "80e6", "--f-ceo-hz", "35e6", "--n1", "3521728", "--n2", "2789120", "--beat1-hz", "20e6",
+            "--beat2-hz=-10e6", "--beat-sign1", "-1", "--ceo-sign1", "-1", "--ceo-sign2", "-1",
+            "--maser-fractional-offset", "3e-13",
+        ],
+        ["dfg.json"],
+    ),
+    "composite-tableless": (["composite"], ["composite.json", "composite_profile.csv"]),
+    "ledger-entries": (
+        ["ledger", "--raw-khz", "58605013478.33", "--raw-u-khz", "0.15", "--entries", "{entries}", "--format", "csv"],
+        ["ledger.csv", "ledger.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FURTHER_RUNS))
+def test_further_runs_write_the_same_bytes_under_two_hash_seeds(tmp_path, name):
+    """Each in two fresh interpreters, whose str hashes and so set orders differ: exit 0, nothing on stderr, the
+    same report bytes, and each JSON report the text json.dumps writes."""
+    entries = tmp_path / "entries.json"
+    entries.write_text(json.dumps([json.loads((golden.REPORTS / "extrapolate_rf.json").read_text())["entry"]]))
+    argv, files = FURTHER_RUNS[name]
+    argv = [arg.format(entries=entries) for arg in argv]
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        proc = run_python("-m", "hdspec.cli", *argv, "--out-dir", str(out), PYTHONHASHSEED=seed)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    faults, _, _ = golden.compare_files(tmp_path / "seed1", tmp_path / "seed2", files)
+    assert not faults, "\n".join(faults)
+    for path in (tmp_path / "seed1").glob("*.json"):
+        assert_json_dumps_text(path)
+
+
 def test_a_json_mismatch_names_the_key_path_and_the_largest_difference():
     want = json.dumps({"fit": {"center_khz": 0.25, "covariance": [[1.0, 2.0], [3.0, 4.0]]}, "n": 3}, indent=2)
     got = want.replace("3.0", "3.0000000003").replace("4.0", "4.000000002").replace("0.25", "0.2500000001")
@@ -75,7 +158,7 @@ def test_a_json_mismatch_names_the_key_path_and_the_largest_difference():
         "fit_line.json: first difference at fit.center_khz: 0.25 -> 0.2500000001; "
         "largest difference 2e-09 absolute, 5e-10 relative"
     )
-    assert (abs_max, rel_max) == pytest.approx((2e-9, 5e-10), rel=1e-6)
+    assert (abs_max, rel_max) == pytest.approx((2e-9, 5e-10), rel=1e-6, abs=0)
     assert golden.compare("fit_line.json", want, want) == (None, 0.0, 0.0)
 
 

@@ -1,17 +1,13 @@
 """Uncertainty bookkeeping primitives."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdspec import quantity
+from conftest import run_python
 from hdspec.carrier import CarrierModel
 from hdspec.coefficients import HyperfineCoefficients, SensitivityTable, SpinUncertaintyParams, TransitionSensitivities
 from hdspec.composite import CompositeInput
@@ -195,9 +191,7 @@ def test_overflow_guard_does_not_load_numpy():
         "    print(exc)\n"
         "print('numpy' in sys.modules)\n"
     )
-    src = str(Path(quantity.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    proc = run_python("-c", script)
     assert proc.stdout == "the step overflows float64 (x = inf)\nFalse\n", proc.stderr
 
 

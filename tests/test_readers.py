@@ -481,8 +481,13 @@ def test_key_and_constants_files_are_read_in_the_lines_open_reads(name, data):
         ("coefficients", "[v=0,N=0]\n# note\fcontinued\nE4 = 1\nE5 = 2\n", "[v=0,N=0]\nE4 = 1\nE5 = 2\n"),
         ("couplings", "c_e = 2802.5\v7\nc_p = 1\nc_d = 1\nc_N = 1\n", "<file>:1: c_e has a bad numeric value '2802.5\\x0b7'"),
         ("constants", "# page\fbreak\n" + bundled_text("constants_codata2018.txt"), bundled_text("constants_codata2018.txt")),
+        (
+            "coefficients",
+            "# page\fbreak\x85next\r\n" + bundled_text("demo_coefficients.conf").replace("\n", "\r\n"),
+            bundled_text("demo_coefficients.conf"),
+        ),
     ],
-    ids=["form-feed-comment", "vertical-tab-value", "form-feed-first-line"],
+    ids=["form-feed-comment", "vertical-tab-value", "form-feed-first-line", "crlf-form-feed-and-nel-first-line"],
 )
 def test_a_line_like_character_is_part_of_its_line(tmp_path, name, text, want):
     """A form feed in a comment is comment text, and a vertical tab in a value is a bad value on its own line."""

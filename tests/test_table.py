@@ -4,9 +4,6 @@ import contextlib
 import csv
 import io
 import math
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -16,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+from conftest import run_python
 from hdspec import constants, lineshape, metrology, quantity, systematics
 from hdspec.cli import main
 from hdspec.quantity import (
     FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, OPTIONAL_TEXT, POSITIVE, TEXT, UNIT_INTERVAL, UNUSED_TEXT, read_table,
 )
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _counter(path):
@@ -456,8 +452,7 @@ def test_file_size_alone_picks_the_counter_log_numpy_read(tmp_path):
         f"print(type(metrology.read_counter_csv({str(large)!r}).samples).__name__, 'numpy' in sys.modules)\n"
         f"print(type(metrology.read_counter_csv({str(small)!r}).samples).__name__)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["list False", "ndarray True", "list"]
 

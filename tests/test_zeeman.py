@@ -672,13 +672,13 @@ def test_bundled_field_scans_reproduce_reference_numbers():
     fit = extrapolate_to_zero_field(b, f, u)
     # scan rows are stored rounded to 1e-3 kHz, limiting the roundtrip
     assert fit.intercept.value == pytest.approx(58605013478.330, abs=5e-4)
-    assert fit.intercept.component("exp") == pytest.approx(0.15, rel=1e-9)
+    assert fit.intercept.component("exp") == pytest.approx(0.15, rel=1e-9, abs=0)
     assert fit.curvature.value == pytest.approx(-2.9, abs=1e-3)
 
     b, f, u = read_field_scan_csv(bundled.data_path("line16_zeeman.csv"))
     fit = extrapolate_to_zero_field(b, f, u)
     assert fit.intercept.value == pytest.approx(58605054772.380, abs=5e-4)
-    assert fit.intercept.component("exp") == pytest.approx(0.20, rel=1e-9)
+    assert fit.intercept.component("exp") == pytest.approx(0.20, rel=1e-9, abs=0)
     assert fit.curvature.value == pytest.approx(-117.0, abs=1e-3)
 
 
