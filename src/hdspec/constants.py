@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .quantity import (
     FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, Quantity, Record, checked_field, finite,
-    input_lines, overflow_as_value_error, read_keys, read_table,
+    input_lines, overflow_as_value_error, quadrature, read_keys, read_table,
 )
 
 MANDATORY_CONTRIBUTIONS = (
@@ -94,11 +94,9 @@ def theory_frequency(table: ContributionTable) -> Quantity:
     for mandatory in MANDATORY_CONTRIBUTIONS:
         if mandatory not in names:
             raise ValueError(f"contribution table is missing the {mandatory!r} term")
-    value = sum(r.value for r in table.rows if not r.bookkeeping)
+    value = math.fsum(r.value for r in table.rows if not r.bookkeeping)
     u_codata = table.row("alpha^0").uncertainty
-    u_qed = math.sqrt(
-        sum(r.uncertainty ** 2 for r in table.rows if not r.bookkeeping and r.name != "alpha^0")
-    )
+    u_qed = quadrature(r.uncertainty for r in table.rows if not r.bookkeeping and r.name != "alpha^0")
     return Quantity(value, "kHz", {"theor_QED": u_qed, "CODATA": u_codata})
 
 
@@ -154,7 +152,7 @@ class ExtractionResult:
 
     @property
     def total_uncertainty(self) -> float:
-        return math.sqrt(sum(u * u for u in self.components.values()))
+        return quadrature(self.components.values())
 
     @property
     def total_fractional(self) -> float:

@@ -30,7 +30,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 def _validated_components(components: Mapping[str, float]) -> dict[str, float]:
@@ -96,9 +96,9 @@ class Quantity(Record):
         is the conservative bound used by the spin-theory error model.
         """
         if mode == "quadrature":
-            return math.sqrt(sum(u * u for u in self.components.values()))
+            return quadrature(self.components.values())
         if mode == "absolute-sum":
-            return sum(self.components.values())
+            return math.fsum(self.components.values())
         raise ValueError(f"unknown combination mode {mode!r}")
 
     def report(self) -> dict:
@@ -131,15 +131,25 @@ def combine_linear(terms: Sequence[tuple[float, Quantity]]) -> Quantity:
     units = {q.unit for _, q in terms}
     if len(units) > 1:
         raise ValueError(f"mixed units in combination: {sorted(units)}")
-    value = sum(c * q.value for c, q in terms)
+    value = math.fsum(c * q.value for c, q in terms)
     names: set[str] = set()
     for _, q in terms:
         names.update(q.components)
-    comps = {
-        name: math.sqrt(sum((c * q.component(name)) ** 2 for c, q in terms))
-        for name in names
-    }
+    comps = {name: quadrature(c * q.component(name) for c, q in terms) for name in names}
     return Quantity(value, terms[0][1].unit, comps)
+
+
+def quadrature(values: Iterable[float]) -> float:
+    """The root of the sum of squares of `values`, inf where that sum leaves float64.
+
+    Every sum of floats in this package is `math.fsum`, correctly rounded:
+    builtin sum() of floats rounds by the Python version's rule
+    (compensated from 3.12 on), so its last bit would depend on it.
+    """
+    try:
+        return math.sqrt(math.fsum(u * u for u in values))
+    except OverflowError:  # finite squares whose sum leaves float64
+        return math.inf
 
 
 @contextlib.contextmanager
@@ -221,19 +231,19 @@ def parenthetical(q: Quantity) -> str:
     return f"{q.value:.{decimals}f}{parts} {q.unit}"
 
 
-def parse_field(text: str | None, path, lineno: int, name: str) -> float:
-    """One numeric field of an input file; a missing or unparseable one names `path:line` and the field."""
+def checked_field(text: str | None, rule: Rule, path, lineno: int, name: str) -> float:
+    """One numeric field of an input file that `rule` accepts.
+
+    A missing or unparseable field, or a value the rule refuses, is
+    ValueError `path:line: <name> ...`: the field and what is wrong.
+    """
     try:
-        return float(text)
+        x = float(text)
     except (TypeError, ValueError):
         raise ValueError(f"{path}:{lineno}: {name} has a bad numeric value {text!r}") from None
-
-
-def checked_field(text: str, rule: Rule, path, lineno: int, name: str) -> float:
-    """`parse_field`, then `rule`; a value the rule refuses names `path:line`, the field and the requirement."""
-    x = parse_field(text, path, lineno, name)
     if not rule.accepts(x):
-        raise ValueError(_fault(path, lineno, name, rule, x))
+        got = f", got {x!r}" if rule.shows_value else ""
+        raise ValueError(f"{path}:{lineno}: {name} {rule.requirement}{got}") from None
     return x
 
 
@@ -251,8 +261,8 @@ class Rule:
     <requirement>`, and `shows_value` appends the offending value.  An
     `optional` numeric CSV column may be absent or hold an empty (or
     blank) cell, read as NaN; an optional key may be absent.  A CSV text
-    column that is not `kept` must be there, with a cell in every row,
-    but `read_table` does not return it.
+    column, optional or not, must be there with a cell in every row; one
+    that is not `kept` is checked, but `read_table` does not return it.
     """
 
     __slots__ = ("requirement", "accepts", "choices", "shows_value", "optional", "kept")
@@ -319,56 +329,40 @@ def parse_table(path: str | Path, data: bytes, columns: Mapping[str, Rule]) -> d
     `columns` maps each column name to its Rule.  Returns each numeric
     column as a list of Python floats and each kept text column as a list
     of stripped strings, one entry per data row; blank lines are skipped.
-    A text column that is not kept is checked (the column and a cell in
-    every row) and left out.  An optional text column that the header
-    lacks reads as a blank cell in every row.  The header is read as `csv.DictReader`
-    reads it (names not stripped, the last of a duplicated name wins); a
-    required column it lacks is `path:1: missing column <name>`, a bad
-    cell `path:line: <column> ...` (see `_row_fault`), and a file without
-    data rows `path: no data rows`.  Lines are numbered as `DictReader`
-    numbers them: a row at the physical line that ends it, also after
-    blank lines (its `fieldnames` property resets `line_num` once the
-    blanks are skipped), and a `csv.Error` at the last row read, or at
-    the first blank line after it.
+    A text column, kept or not, must be there with a cell in every row;
+    one that is not kept is left out.  The header is read as
+    `csv.DictReader` reads it (names not stripped, the last of a
+    duplicated name wins); a column it lacks, other than an optional
+    numeric one, is `path:1: missing column <name>`, and a file without
+    data rows `path: no data rows`.  A row is read once, and its first
+    fault is `path:line: <column> ...` at the cell that holds it: the
+    cells are checked required numeric columns first, then optional
+    numeric columns, then text columns, each in the order of `columns`.
+    A line is the physical line `csv.reader` has read up to: a row's last
+    line, or, for a `csv.Error`, the line it stopped on.
     """
     out: dict = {n: [] for n, rule in columns.items() if rule.kept}
-    n_rows = line = blank = 0  # line: that of the last row read; blank: that of the first blank line since
+    n_rows = 0
     reader = csv.reader(input_lines(path, data))  # each line with its end, for csv
     try:
         index = {name: i for i, name in enumerate(next(reader, ()))}
-        line = reader.line_num
+        required, optional, texts = [], [], []  # (index, accepts, append, name, rule) of each column, in check order
         for name, rule in columns.items():
-            if not (rule.optional or name in index):
+            optional_number = rule.optional and rule.accepts is not None
+            if not (optional_number or name in index):
                 raise ValueError(f"{path}:1: missing column {name}")
-        numeric, optional, texts, width = [], [], [], 0  # a row shorter than `width` lacks a cell it needs
-        absent = [n for n, rule in columns.items() if rule.accepts is None and rule.kept and n not in index]
-        for name, rule in columns.items():
-            i = index.get(name, math.inf)  # only an optional column may be absent
-            if rule.accepts is not None and rule.optional:
-                optional.append((i, rule.accepts, out[name].append))
-                continue
-            if i == math.inf:  # an absent optional text column, blank in every row (`absent`)
-                continue
-            width = max(width, i + 1)
-            if rule.accepts is not None:
-                numeric.append((i, rule.accepts, out[name].append))
-            elif rule.kept:
-                texts.append((i, out[name].append))
-        # this loop must refuse exactly the rows that `_row_fault` words a fault for
+            plans = optional if optional_number else texts if rule.accepts is None else required
+            plans.append((index.get(name, math.inf), rule.accepts, out[name].append if rule.kept else None, name, rule))
         for row in reader:
             if not row:
-                blank = blank or reader.line_num
                 continue
-            line, blank = reader.line_num, 0
             n_rows += 1
             try:
-                if len(row) < width:
-                    raise IndexError
-                for i, accepts, append in numeric:
+                for i, accepts, append, name, rule in required:
                     if not accepts(x := float(row[i])):
                         raise ValueError
                     append(x)
-                for i, accepts, append in optional:
+                for i, accepts, append, name, rule in optional:
                     cell = row[i] if i < len(row) else ""
                     if not cell.strip():  # a blank or missing cell is NaN, unchecked
                         append(math.nan)
@@ -376,48 +370,19 @@ def parse_table(path: str | Path, data: bytes, columns: Mapping[str, Rule]) -> d
                         append(x)
                     else:
                         raise ValueError
-                for i, append in texts:
-                    append(row[i].strip())
-            except (IndexError, ValueError):
-                _row_fault(path, line, row, columns, index)
+                for i, accepts, append, name, rule in texts:
+                    cell = row[i]
+                    if append:
+                        append(cell.strip())
+            except (IndexError, ValueError):  # the cell of the plan in hand: `checked_field` words a numeric one
+                if accepts is None:
+                    raise ValueError(f"{path}:{reader.line_num}: {name} {rule.requirement}") from None
+                checked_field(row[i] if i < len(row) else None, rule, path, reader.line_num, name)
     except csv.Error as exc:
-        raise ValueError(f"{path}:{blank or line}: {exc}") from None
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not n_rows:
         raise ValueError(f"{path}: no data rows")
-    for name in absent:
-        out[name] = [""] * n_rows
     return out
-
-
-def _row_fault(path, line: int, row: list[str], columns: Mapping[str, Rule], index: dict[str, int]) -> NoReturn:
-    """Raise the first fault of a row that `read_table` refused, as ValueError `path:line: <column> ...`.
-
-    Every required numeric cell is parsed, in column order, before any
-    rule is checked; then each column in order: a cell missing from a
-    short row `is missing` (or, numeric, `has a bad numeric value None`),
-    and a value its rule refuses breaks the rule.
-    """
-    def cell(name: str) -> str | None:
-        i = index.get(name, math.inf)
-        return row[i] if i < len(row) else None
-
-    required = [n for n, rule in columns.items() if rule.accepts is not None and not rule.optional]
-    values = {n: parse_field(cell(n), path, line, n) for n in required}
-    for name, rule in columns.items():
-        text = cell(name)
-        if rule.accepts is None:
-            if text is None and name in index:
-                raise ValueError(f"{path}:{line}: {name} {rule.requirement}") from None
-        elif name in values or (text or "").strip():
-            x = values[name] if name in values else parse_field(text, path, line, name)
-            if not rule.accepts(x):
-                raise ValueError(_fault(path, line, name, rule, x)) from None
-    raise AssertionError(f"{path}:{line}: a row refused without a fault")
-
-
-def _fault(path, line: int, name: str, rule: Rule, value) -> str:
-    got = f", got {value!r}" if rule.shows_value else ""
-    return f"{path}:{line}: {name} {rule.requirement}{got}"
 
 
 # ---------------------------------------------------------------------------

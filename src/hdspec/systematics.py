@@ -33,6 +33,7 @@ from .quantity import (
     Rule,
     finite,
     overflow_as_value_error,
+    quadrature,
     read_json,
     read_table,
 )
@@ -126,8 +127,8 @@ def apply_ledger(raw: Quantity, entries: Sequence[ShiftEntry]) -> ShiftLedger:
         dup = next(n for n in names if names.count(n) > 1)
         raise ValueError(f"duplicate ledger entry name {dup!r}")
     with overflow_as_value_error("systematic-shift ledger"):
-        value = raw.value + sum(e.correction for e in entries)
-        u_exp = math.sqrt(raw.component("exp") ** 2 + sum(e.uncertainty ** 2 for e in entries))
+        value = raw.value + math.fsum(e.correction for e in entries)
+        u_exp = quadrature([raw.component("exp"), *(e.uncertainty for e in entries)])
         finite("corrected value", value)
         finite("exp uncertainty", u_exp)
     return ShiftLedger(raw, Quantity(value, raw.unit, {**raw.components, "exp": u_exp}), tuple(entries))

@@ -554,7 +554,7 @@ def test_overflowing_ledger_dfg_and_carrier_are_one_line_data_errors_naming_the_
         {"label": "a", "value": -1.7e308, "u": 1e-300}, {"label": "b", "value": 1.7e308, "u": 1}]}))
     cases = [
         (["ledger", "--raw-khz", "1", "--raw-u-khz", "1e308"],
-         "systematic-shift ledger overflows float64 (Numerical result out of range)"),
+         "systematic-shift ledger overflows float64 (exp uncertainty = inf)"),
         (["ledger", "--raw-khz", "1e308", "--raw-u-khz", "1", "--entries", str(entries), "--format", "csv"],
          "systematic-shift ledger overflows float64 (corrected value = inf)"),
         ([*dfg, "--f-rep-hz", "1e308"], "laser 1 frequency overflows float64 (f1 = inf)"),

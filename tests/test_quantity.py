@@ -1,12 +1,16 @@
 """Uncertainty bookkeeping primitives."""
 
+import ast
+import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdspec
 from conftest import run_python
 from hdspec.carrier import CarrierModel
 from hdspec.coefficients import HyperfineCoefficients, SensitivityTable, SpinUncertaintyParams, TransitionSensitivities
@@ -42,6 +46,34 @@ def test_total_uncertainty_modes():
     assert q.total_uncertainty("absolute-sum") == pytest.approx(0.7)
     with pytest.raises(ValueError, match="unknown combination mode"):
         q.total_uncertainty("vibes")
+
+
+def test_total_uncertainty_does_not_depend_on_the_order_of_the_components():
+    """Equal quantities have equal totals: each sum is correctly rounded, whatever order the components came in."""
+    abc = Quantity(0.0, "kHz", {"a": 1e-16, "b": 1.0, "c": 1e-16})
+    acb = Quantity(0.0, "kHz", {"a": 1e-16, "c": 1e-16, "b": 1.0})
+    assert abc == acb
+    for mode in ("absolute-sum", "quadrature"):
+        assert abc.total_uncertainty(mode) == acb.total_uncertainty(mode)
+    assert abc.total_uncertainty("absolute-sum") == 1.0000000000000002
+
+
+# the builtin sum() calls of src/hdspec, by module and innermost function: each adds Python ints, or
+# booleans, which it adds exactly on every Python version
+INTEGER_SUMS = {("angular.py", "_cg"): 1, ("cli.py", "_cmd_reproduce_paper"): 1, ("zeeman.py", "_on_python_floats"): 2}
+
+
+def test_builtin_sum_adds_only_integers():
+    """Every sum of floats is `math.fsum`: builtin sum() of floats rounds by the Python version's rule."""
+    calls = collections.Counter()
+    for path in Path(hdspec.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+                around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                calls[path.name, max(around, key=lambda f: f.lineno).name if around else "<module>"] += 1
+    assert calls == INTEGER_SUMS
 
 
 def test_components_are_read_through_accessor():

@@ -32,8 +32,13 @@ def _decay(path):
 
 
 def dict_reader_table(path, columns):
-    """`read_table`'s values and faults as `csv.DictReader` gave them, row by row: the oracle of its messages."""
-    required = [n for n, rule in columns.items() if rule.accepts is not None and not rule.optional]
+    """`read_table`'s values and faults as `csv.DictReader` gives them, row by row: the oracle of its messages.
+
+    A row's cells are checked required numeric columns first, then optional
+    numeric columns, then text columns, each in the order of `columns`; a
+    line is the physical line that DictReader's `csv.reader` has read up to.
+    """
+    order = sorted(columns, key=lambda n: 2 if columns[n].accepts is None else int(columns[n].optional))
     out = {n: [] for n, rule in columns.items() if rule.kept}
     n_rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
@@ -41,30 +46,26 @@ def dict_reader_table(path, columns):
         try:
             header = reader.fieldnames or ()
             for name, rule in columns.items():
-                if not (rule.optional or name in header):
+                if name not in header and not (rule.optional and rule.accepts is not None):
                     raise ValueError(f"{path}:1: missing column {name}")
             for row in reader:
                 n_rows += 1
-                line = reader.line_num
-                values = {n: quantity.parse_field(row[n], path, line, n) for n in required}
-                for name, rule in columns.items():
-                    cell = row.get(name)
+                line = reader.reader.line_num
+                values = {}
+                for name in order:
+                    rule, cell = columns[name], row.get(name)  # None: a short row, or an absent optional column
                     if rule.accepts is None:
-                        if cell is None and name in header:  # a short row
+                        if cell is None:
                             raise ValueError(f"{path}:{line}: {name} {rule.requirement}")
-                        if rule.kept:  # an optional text column the header lacks reads as blank
-                            values[name] = (cell or "").strip()
+                        values[name] = cell.strip()
                     elif rule.optional and not (cell or "").strip():
                         values[name] = math.nan
                     else:
-                        if rule.optional:
-                            values[name] = quantity.parse_field(cell, path, line, name)
-                        if not rule.accepts(values[name]):
-                            raise ValueError(quantity._fault(path, line, name, rule, values[name]))
-                for n, v in values.items():
-                    out[n].append(v)
+                        values[name] = quantity.checked_field(cell, rule, path, line, name)
+                for n in out:
+                    out[n].append(values[n])
         except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
     if not n_rows:
         raise ValueError(f"{path}: no data rows")
     return out
@@ -225,7 +226,7 @@ def write(directory, text):
 @settings(max_examples=300)
 @given(data=st.data())
 def test_fast_path_and_row_path_agree(name, data):
-    """Whatever the text, each reader gives what csv.DictReader row by row gave: the same values or the same message.
+    """Whatever the text, each reader gives what csv.DictReader gives row by row: the same values or the same message.
 
     A counter log goes to its numpy read wherever that can read it.
     """
@@ -261,7 +262,7 @@ VARIANTS = [
 @pytest.mark.parametrize("variant", range(len(VARIANTS)))
 @pytest.mark.parametrize("name", sorted(CLEAN))
 def test_fast_path_reads_clean_tables_as_the_row_path_does(tmp_path, name, variant):
-    """Each reader reads the variants as csv.DictReader did; the counter log's numpy read reads them itself."""
+    """Each reader reads the variants as csv.DictReader does; the counter log's numpy read reads them itself."""
     read, _ = READERS[name]
     text = VARIANTS[variant](CLEAN[name])
     path = write(tmp_path, text)
@@ -341,19 +342,11 @@ def test_every_table_reader_gives_its_numbers_as_python_floats_in_lists(tmp_path
     assert floats(metrology.read_counter_csv(log).samples)
 
 
-def test_an_absent_optional_text_column_reads_as_a_blank_cell(tmp_path):
-    columns = {"a": FINITE, "note": OPTIONAL_TEXT, "u": OPTIONAL_NON_NEGATIVE}
-    absent, blank = write(tmp_path, "a\n1\n\n2\n"), tmp_path / "blank.csv"
-    blank.write_text("a,note,u\n1,,\n\n2, ,\n", encoding="utf-8")
-    cols = read_table(absent, columns)
-    assert cols["a"] == [1.0, 2.0] and cols["note"] == ["", ""] and len(cols["u"]) == 2
-    assert repr(cols) == repr(read_table(blank, columns))
-    assert repr(cols) == repr(dict_reader_table(absent, columns))
-    # a fault in another column is still that column's, not the absent one's
-    bad = write(tmp_path, "a\n1\nx\n")
+def test_a_text_column_is_required_even_where_its_rule_is_optional(tmp_path):
+    """Only a numeric column may be absent: a text column's cell is checked in every row."""
     for read in (read_table, dict_reader_table):
-        with pytest.raises(ValueError, match=r":3: a has a bad numeric value 'x'$"):
-            read(bad, columns)
+        with pytest.raises(ValueError, match=r"table\.csv:1: missing column note$"):
+            read(write(tmp_path, "a\n1\n"), {"a": FINITE, "note": OPTIONAL_TEXT})
 
 
 @pytest.mark.parametrize(
@@ -367,12 +360,15 @@ def test_an_absent_optional_text_column_reads_as_a_blank_cell(tmp_path):
         ("a,b\n1,x\n2\n", {"a": FINITE, "b": TEXT}, "t.csv:3: b is missing"),
         ("a\n1\n1_0x\n", {"a": FINITE}, "t.csv:3: a has a bad numeric value '1_0x'"),
         ("a,u\n1,\n2,-1\n", {"a": FINITE, "u": OPTIONAL_NON_NEGATIVE}, "t.csv:3: u must be finite and >= 0"),
-        # required numeric cells are parsed before any rule is checked
-        ("a,b\nnan,x\n", {"a": FINITE, "b": POSITIVE}, "t.csv:2: b has a bad numeric value 'x'"),
-        # a row after blank lines is at its own line, as DictReader numbered it
+        # two faults: the first required numeric column in the reader's order is named
+        ("a,b\nnan,x\n", {"a": FINITE, "b": POSITIVE}, "t.csv:2: a must be finite"),
+        # a row after blank lines is at its own physical line
         ("a,b\n0,1\n\n1,nan\n", {"a": FINITE, "b": FINITE}, "t.csv:4: b must be finite"),
         ("a,b\n\n\n1,2\n3\n", {"a": FINITE, "b": TEXT}, "t.csv:5: b is missing"),
         ("a\n\n\nx\n", {"a": FINITE}, "t.csv:4: a has a bad numeric value 'x'"),
+        # two faults: required numeric, then optional numeric, then text columns, whatever the order of `columns`
+        ("n,a\nx\n", {"n": TEXT, "a": FINITE}, "t.csv:2: a has a bad numeric value None"),
+        ("a,u,n\n1,-1\n", {"n": TEXT, "u": OPTIONAL_NON_NEGATIVE, "a": FINITE}, "t.csv:2: u must be finite and >= 0"),
     ],
 )
 def test_row_path_names_the_first_fault(tmp_path, text, columns, message):
@@ -390,16 +386,16 @@ BIG = "x" * (csv.field_size_limit() + 1)
 @pytest.mark.parametrize(
     "text, line",
     [
-        (f"{BIG},b\n1,2\n", 0),
-        (f"a,b\n{BIG},1\n", 1),
-        (f"a,b\n1,2\n{BIG}\n", 2),
-        (f"a,b\n1,2\n\n\n{BIG},1\n", 3),
-        (f'a,b\n"1\n",3\n\n"{BIG}\n', 4),
+        (f"{BIG},b\n1,2\n", 1),
+        (f"a,b\n{BIG},1\n", 2),
+        (f"a,b\n1,2\n{BIG}\n", 3),
+        (f"a,b\n1,2\n\n\n{BIG},1\n", 5),
+        (f'a,b\n"1\n",3\n\n"{BIG}\n', 5),
     ],
     ids=["header", "first-row", "after-a-row", "after-blank-lines", "after-a-two-line-row"],
 )
 def test_csv_error_names_the_line_dict_reader_named(tmp_path, text, line):
-    """A csv.Error is `path:line: ...` at the last row read, or the first blank line after it."""
+    """A csv.Error is `path:line: ...` at the physical line csv stopped on, in the header and after blank lines too."""
     path = write(tmp_path, text)
     columns = {"a": FINITE, "b": FINITE}
     with pytest.raises(ValueError, match=rf"table\.csv:{line}: field larger than field limit"):
