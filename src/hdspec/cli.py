@@ -31,18 +31,22 @@ TypeError that escapes a handler before its block into one.  A failure
 while computing is a data error: the block turns a ValueError,
 LookupError, RuntimeError or ArithmeticError into one.
 
-The commands are one table, `COMMANDS`.  A handler, and each helper it
-calls, imports the analysis modules it runs, so a command loads only
-those, and numpy only if one of them builds arrays: spin-structure,
-composite, carrier, dfg, ledger, compare, extract, extrapolate-b,
-extrapolate-rf and fit-line start without it at any input size,
-zeeman-map and zeeman-coeffs where the map of each level set they
-solve is within `zeeman._PYTHON_WORK` over the grid (the default grid
-at every N up to 5, N = 1 up to 69 points, N = 0 up to 1271), and
+The commands are one table, `COMMANDS`.  `main` parses a well-formed
+`hdspec <command> ...` with that command's parser alone, and anything
+else (no command, top-level `--help`, an unknown command, an argument
+the command does not know) with the full tree of every command's parser,
+so help and usage errors are argparse's own (`_parse_args`).  A handler,
+and each helper it calls, imports the analysis modules it runs, so a
+command loads only those, and numpy only if one of them builds arrays:
+spin-structure, composite, carrier, dfg, ledger, compare, extract,
+extrapolate-b, extrapolate-rf and fit-line start without it at any input
+size, zeeman-map and zeeman-coeffs where the map of each level set they
+solve is within `zeeman._PYTHON_WORK` over the grid (the default grid at
+every N up to 5, N = 1 up to 69 points, N = 0 up to 1271), and
 zeeman-coeffs on a stretched pair, whose blocks hold one state, on any
-grid, adev on a counter log under 512 KiB (the bundled one among
-them), and reproduce-paper while
-`hfs_coefficients.conf` ships as a template only.
+grid, adev on a counter log under 512 KiB (the bundled one among them),
+and reproduce-paper while `hfs_coefficients.conf` ships as a template
+only.
 `--help` and the parser defaults read nothing beyond `bundled` and
 `quantity`.
 """
@@ -1081,14 +1085,8 @@ def _fill_command_parser(p: argparse.ArgumentParser, shared, add_arguments, hand
     p.set_defaults(handler=handler)
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of every command, with the options of `command` alone.
-
-    Each command is registered by name and help line, which is all the
-    top-level help, the usage line and an invalid-choice error show.
-    argparse hands the arguments after the command to the parser of that
-    command only, so only `command`'s parser gets options.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser, with every command's parser filled under its name and help line."""
     parser = argparse.ArgumentParser(
         prog="hdspec",
         description="Analysis chain for one-photon mid-infrared spectroscopy of the fundamental vibrational "
@@ -1096,27 +1094,41 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, shared, add_arguments, handler in COMMANDS:
-        if name != command:
-            sub.add_parser(name, help=help_text, add_help=False)
-            continue
         _fill_command_parser(sub.add_parser(name, help=help_text), shared, add_arguments, handler)
     return parser
 
 
-def _named_command(argv: list[str]) -> str | None:
-    """The first argument that does not start with '-': the command argparse runs, if it names one.
+# each command's shared option groups, builder of its own arguments and handler, by its name
+_COMMANDS_BY_NAME = {name: rest for name, _, *rest in COMMANDS}
 
-    The top-level parser has no option that takes a value, so no other
-    argument can be the command.
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What `_build_parser().parse_args(argv)` gives, with one parser where `argv` is a well-formed command.
+
+    The top-level parser has no option that takes a value, and it hands
+    every argument after the command to that command's parser, whose
+    namespace it takes over next to `command`.  So where `argv` starts
+    with a command name, that command's parser alone parses the rest,
+    and `command` is set as the sub-parsers action sets it.  Where that
+    parse leaves arguments it does not know, or `argv` starts with no
+    command name, the full tree parses `argv`, so help, usage errors and
+    `unrecognized arguments` are argparse's own words.
     """
-    return next((arg for arg in argv if not arg.startswith("-")), None)
+    command = _COMMANDS_BY_NAME.get(argv[0]) if argv else None
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"hdspec {argv[0]}")  # the prog and defaults `add_parser` gives it
+        _fill_command_parser(parser, *command)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(_named_command(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.handler(args)
     except (_Failure, OSError, ValueError, LookupError, TypeError) as exc:
         code = exc.exit_code if isinstance(exc, _Failure) else 2  # the others escaped before the handler's `_computing` block

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .quantity import (
-    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, Quantity, Record, checked_field, finite,
-    input_lines, overflow_as_value_error, quadrature, read_keys, read_table,
+    FINITE, FLAG, NON_NEGATIVE, OPTIONAL_NON_NEGATIVE, POSITIVE, TEXT, Quantity, Record, checked_field, exact_sum,
+    finite, input_lines, overflow_as_value_error, quadrature, read_keys, read_table,
 )
 
 MANDATORY_CONTRIBUTIONS = (
@@ -94,7 +94,7 @@ def theory_frequency(table: ContributionTable) -> Quantity:
     for mandatory in MANDATORY_CONTRIBUTIONS:
         if mandatory not in names:
             raise ValueError(f"contribution table is missing the {mandatory!r} term")
-    value = math.fsum(r.value for r in table.rows if not r.bookkeeping)
+    value = exact_sum(r.value for r in table.rows if not r.bookkeeping)
     u_codata = table.row("alpha^0").uncertainty
     u_qed = quadrature(r.uncertainty for r in table.rows if not r.bookkeeping and r.name != "alpha^0")
     return Quantity(value, "kHz", {"theor_QED": u_qed, "CODATA": u_codata})

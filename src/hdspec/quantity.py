@@ -131,7 +131,7 @@ def combine_linear(terms: Sequence[tuple[float, Quantity]]) -> Quantity:
     units = {q.unit for _, q in terms}
     if len(units) > 1:
         raise ValueError(f"mixed units in combination: {sorted(units)}")
-    value = math.fsum(c * q.value for c, q in terms)
+    value = exact_sum(c * q.value for c, q in terms)
     names: set[str] = set()
     for _, q in terms:
         names.update(q.components)
@@ -139,12 +139,38 @@ def combine_linear(terms: Sequence[tuple[float, Quantity]]) -> Quantity:
     return Quantity(value, terms[0][1].unit, comps)
 
 
+def exact_sum(values: Iterable[float]) -> float:
+    """`math.fsum` of `values`, also where its running total leaves float64 on the way to a finite sum.
+
+    `math.fsum` raises OverflowError `intermediate overflow in fsum`
+    where a partial sum overflows, whatever the total.  Where every value
+    is finite, their exact sum is then taken in `fractions.Fraction` and
+    rounded once; a sum beyond float64 raises that OverflowError.
+    """
+    values = list(values)
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
+        if not all(map(math.isfinite, values)):
+            raise
+        from fractions import Fraction
+
+        total = Fraction(0)
+        for v in values:
+            total += Fraction(v)
+        try:
+            return float(total)
+        except OverflowError:
+            raise exc from None
+
+
 def quadrature(values: Iterable[float]) -> float:
     """The root of the sum of squares of `values`, inf where that sum leaves float64.
 
-    Every sum of floats in this package is `math.fsum`, correctly rounded:
-    builtin sum() of floats rounds by the Python version's rule
-    (compensated from 3.12 on), so its last bit would depend on it.
+    Every sum of floats in this package is correctly rounded, by
+    `math.fsum` or `exact_sum`: builtin sum() of floats rounds by the
+    Python version's rule (compensated from 3.12 on), so its last bit
+    would depend on it.
     """
     try:
         return math.sqrt(math.fsum(u * u for u in values))

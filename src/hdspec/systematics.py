@@ -31,6 +31,7 @@ from .quantity import (
     Quantity,
     Record,
     Rule,
+    exact_sum,
     finite,
     overflow_as_value_error,
     quadrature,
@@ -127,7 +128,7 @@ def apply_ledger(raw: Quantity, entries: Sequence[ShiftEntry]) -> ShiftLedger:
         dup = next(n for n in names if names.count(n) > 1)
         raise ValueError(f"duplicate ledger entry name {dup!r}")
     with overflow_as_value_error("systematic-shift ledger"):
-        value = raw.value + math.fsum(e.correction for e in entries)
+        value = raw.value + exact_sum(e.correction for e in entries)
         u_exp = quadrature([raw.component("exp"), *(e.uncertainty for e in entries)])
         finite("corrected value", value)
         finite("exp uncertainty", u_exp)
@@ -139,10 +140,10 @@ def apply_ledger(raw: Quantity, entries: Sequence[ShiftEntry]) -> ShiftLedger:
 
 
 def _fsum(name: str, terms: Iterable[float]) -> float:
-    """`math.fsum` of `terms`, each of which must be finite (see `quantity.finite`)."""
+    """`quantity.exact_sum` of `terms`, each of which must be finite (see `quantity.finite`)."""
     terms = list(terms)
     finite(name, *terms)
-    return math.fsum(terms)
+    return exact_sum(terms)
 
 
 def line_fit(
@@ -153,7 +154,7 @@ def line_fit(
     The weights are a priori inverse variances, so the variances are the
     diagonal of (X^T W X)^-1, not rescaled by the reduced chi-square.
     The normal equations are solved about the weighted mean x_m of x
-    (y_m that of y) with exactly rounded sums (`math.fsum`):
+    (y_m that of y) with correctly rounded sums (`quantity.exact_sum`):
     b = sum w (x - x_m)(y - y_m) / S, a = y_m - b x_m, var b = 1 / S and
     var a = 1 / sum w + x_m^2 / S, with S = sum w (x - x_m)^2.  S = 0 is
     a singular design, ValueError `singular <what>`; a sum or a result

@@ -48,7 +48,7 @@ DEFAULT_B_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 
 # A level set whose map work, field points times the sum of n^3 over its m_F blocks of n > 1 states, is at most this
 # is solved field by field in Python floats, a costlier one by numpy's stacked eigvalsh, whose import costs a fresh
-# process 60 to 75 ms; a block of one state is E + B w, field by field, on either path and counts nothing.  In Python
+# process 60 to 75 ms; a block of one state is E + B w, in one pass, on either path and counts nothing.  In Python
 # floats a unit costs `zeeman_map` about 0.45 us at N = 0 and 0.33 us at N = 1 and 5 (blocks of up to 12 states).
 # Fresh processes (bytecode cached, medians of 9, a line fitted to each path) break even at 1.5e5 units at N = 0
 # (1290 points), 1.8e5 at N = 2 (33), 2.0e5 at N = 1 (91) and at N = 5 (13); the smallest is the bound.  It keeps
@@ -171,13 +171,10 @@ def _field_block(energies: Sequence[float], w: Sequence[Sequence[float]], b: flo
 def _eigenvalues(h: list[list[float]]) -> list[float]:
     """Ascending eigenvalues of a block by `angular._eigen`, solved at a power of two below its scale beyond `_JACOBI_LIMIT`.
 
-    A 1 x 1 block is its entry, with no solve.  Jacobi takes a matrix
-    times a power of two to its eigenvalues times that power, so the
-    scaled solve loses nothing; an eigenvalue that leaves float64 on the
-    way back raises OverflowError.
+    Jacobi takes a matrix times a power of two to its eigenvalues times
+    that power, so the scaled solve loses nothing; an eigenvalue that
+    leaves float64 on the way back raises OverflowError.
     """
-    if len(h) == 1:
-        return h[0]
     scale = max(abs(x) for row in h for x in row)
     if len(h) * scale <= _JACOBI_LIMIT:
         return angular._eigen(h, vectors=False)[0]
@@ -201,24 +198,33 @@ def _sublevels(
     H0 + H_Z commutes with F_z, so the m_F block is solved on its own,
     as diag(E) + B W: E are the energies of the levels with F >= |m_F|,
     in level order, and W the Zeeman operator per gauss in the
-    field-free states that they carry (`angular._zeeman_row`).  It is
-    solved field by field in Python floats (`_eigenvalues`) if it holds
-    one state, E + B w with no solve, or if the map of its level set
-    takes Python floats over the grid (`_on_python_floats`), else in one
-    stacked `eigvalsh`.
+    field-free states that they carry (`angular._zeeman_row`).  A block
+    of one state is E + B w, in one pass over the grid with no solve.  A
+    larger one is solved field by field in Python floats (`_eigenvalues`)
+    if the map of its level set takes Python floats over the grid
+    (`_on_python_floats`), else in one stacked `eigvalsh`.
     Levels in one block do not cross (von Neumann-Wigner; Bakalov,
     Korobov & Schiller, J. Phys. B 44, 025003 (2011)), so at every B the
     k-th lowest energy belongs to the k-th lowest of those levels; the
     rows come in that order.  A B = 0 column is E exactly.  W, summed on
     Python floats (OverflowError `W = ...`), diag(E) + B W before either
-    solve (`_field_block`) and the energies of either are checked finite.
+    solve (`_field_block`, at the first field that leaves float64 for a
+    block of one state) and the energies of either are checked finite.
     """
     levels = _level_set(coeffs).levels
     members = [lv for lv in levels if lv.f >= abs(m_f)]
     w = [_zeeman_row(lv, members, m_f, couplings.per_slot)[1] for lv in members]
     finite("W", *itertools.chain.from_iterable(w))
     energies = [lv.energy for lv in members]
-    if len(members) == 1 or _on_python_floats(len(b_values), levels):
+    if len(members) == 1:
+        (e,), ((x,),) = energies, w
+        row = [e + b * x for b in b_values]
+        if not math.isfinite(row[-1]):  # B w and E + B w are monotone in B: the first field to leave float64 raises
+            _field_block(energies, w, next(b for b, y in zip(b_values, row) if not math.isfinite(y)))
+        if b_values[0] == 0.0:
+            row[0] = e
+        return [tuple(row)]
+    if _on_python_floats(len(b_values), levels):
         columns = [energies if b == 0.0 else _eigenvalues(_field_block(energies, w, b)) for b in b_values]
         return list(zip(*columns))
     # B W and E + B W are monotone in B: on an ascending grid they leave float64 only if they do at one of its ends

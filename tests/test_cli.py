@@ -72,8 +72,8 @@ def test_top_level_help():
 
 
 def parser_with_every_command():
-    """Every command's parser with its options, as `hdspec` would be parsed if it filled them all."""
-    top = cli._build_parser(None)
+    """The top-level parser with every command's parser filled under it, built here: the oracle of `main`'s parsing."""
+    top = cli._build_parser()
     parser = argparse.ArgumentParser(prog=top.prog, description=top.description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, shared, add_arguments, handler in cli.COMMANDS:
@@ -117,7 +117,17 @@ def test_a_flag_of_another_command_is_a_usage_error(name, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["reproduce-paper", "--out-dir", "."], ["carrier", "--help"], ["extract", "--bogus"], ["bogus"], ["--help"]]
+    "argv",
+    [
+        ["reproduce-paper", "--out-dir", "."],
+        ["carrier", "--help"],
+        ["extract", "--bogus"],
+        ["bogus"],
+        ["--help"],
+        ["extract", "--n1", "3"],
+        [],
+        ["composite", "--opt", "--demo", "--out-dir", "."],
+    ],
 )
 def test_main_fills_the_parser_of_the_named_command_only(argv, tmp_path, monkeypatch, capsys):
     built = []
@@ -131,10 +141,12 @@ def test_main_fills_the_parser_of_the_named_command_only(argv, tmp_path, monkeyp
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     with contextlib.suppress(SystemExit):
         main(argv)
-    named = argv[0] if argv[0] in SUBCOMMANDS else None
-    # the top level and one parser per command, no option-group parents; only the named one has options
-    assert [p.prog for p in built] == ["hdspec", *(f"hdspec {name}" for name, *_ in cli.COMMANDS)]
-    assert [p.prog for p in built[1:] if p._actions] == ([f"hdspec {named}"] if named else [])
+    named = [f"hdspec {argv[0]}"] if argv and argv[0] in SUBCOMMANDS else []
+    full_tree = ["hdspec", *(f"hdspec {name}" for name, *_ in cli.COMMANDS)]
+    # a well-formed command builds its own parser alone; anything else then builds the full tree, every command filled
+    well_formed = argv[:1] in (["reproduce-paper"], ["carrier"], ["composite"])
+    assert [p.prog for p in built] == named + ([] if well_formed else full_tree)
+    assert all(p._actions for p in built)
 
 
 def test_reproduce_paper_looks_up_each_bundled_file_once(tmp_path, monkeypatch, capsys):
@@ -160,10 +172,14 @@ ARGV_TOKENS = st.sampled_from(
 
 @given(argv=st.lists(ARGV_TOKENS, max_size=5))
 @example(argv=["composite", "--b12", "spin-structure"])
+@example(argv=["extract", "--n1", "3"])  # a flag of another command, with its value
+@example(argv=["composite", "--opt", "--demo"])  # an abbreviation
+@example(argv=["extract", "--", "--demo"])
+@example(argv=["bogus", "-h"])
+@example(argv=["extract", "--bogus", "-h"])
 def test_parsing_matches_a_parser_with_every_command(argv):
-    # the command argparse runs is the one `main` fills, whatever the arguments
-    lean = cli._build_parser(cli._named_command(argv))
-    assert parse_outcome(lean.parse_args, argv) == parse_outcome(parser_with_every_command().parse_args, argv)
+    # what `main` parses with, on the command's parser alone or on the full tree, is what the full tree parses
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(parser_with_every_command().parse_args, argv)
 
 
 # --- exit-code contract -------------------------------------------------------
@@ -573,6 +589,16 @@ def test_overflowing_ledger_dfg_and_carrier_are_one_line_data_errors_naming_the_
         assert proc.stderr == f"data error: {message}\n"
         assert proc.stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_ledger_entries_whose_running_total_leaves_float64_give_their_finite_sum(tmp_path, capsys):
+    entries = tmp_path / "entries.json"
+    entries.write_text(json.dumps([
+        {"name": name, "correction_khz": c, "uncertainty_khz": 0.0, "basis": "measured-extrapolation"}
+        for name, c in (("a", 1e308), ("b", 1e308), ("c", -1e308))
+    ]))
+    assert run(tmp_path, "ledger", "--raw-khz", "1", "--raw-u-khz", "0", "--entries", str(entries)) == 0
+    assert load_json(tmp_path, "ledger")["corrected"]["value_khz"] == 1e308
 
 
 def test_adev_carrier_that_no_sample_is_near_is_a_config_error(tmp_path):

@@ -3,6 +3,8 @@
 import ast
 import collections
 import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from hdspec.composite import CompositeInput
 from hdspec.constants import Constant, ScalingModel
 from hdspec.lineshape import SpectrumPoint
 from hdspec.metrology import CombParams, FrequencyTimeSeries, LaserLock
-from hdspec.quantity import Quantity, combine_linear, finite, overflow_as_value_error, parenthetical
+from hdspec.quantity import Quantity, combine_linear, exact_sum, finite, overflow_as_value_error, parenthetical
 from hdspec.systematics import ShiftEntry
 
 components_st = st.dictionaries(
@@ -56,6 +58,43 @@ def test_total_uncertainty_does_not_depend_on_the_order_of_the_components():
     for mode in ("absolute-sum", "quadrature"):
         assert abc.total_uncertainty(mode) == acb.total_uncertainty(mode)
     assert abc.total_uncertainty("absolute-sum") == 1.0000000000000002
+
+
+@given(st.lists(st.floats(), max_size=8))
+def test_exact_sum_is_math_fsum_wherever_fsum_gives_a_sum(values):
+    try:
+        want = math.fsum(values)
+    except ValueError as exc:  # inf - inf
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            exact_sum(values)
+        return
+    except OverflowError:  # a running total beyond float64: the exact sum in fractions, rounded once, or that error
+        exact = sum(map(Fraction, values)) if all(map(math.isfinite, values)) else None
+        if exact is None or abs(exact) >= Fraction(2) ** 1024 - Fraction(2) ** 970:  # rounds beyond float64
+            with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+                exact_sum(values)
+        else:
+            assert exact_sum(values) == float(exact)
+        return
+    assert str(exact_sum(values)) == str(want)  # the same bits, -0.0 and infinities among them
+
+
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ([1e308, 1e308, -1e308], 1e308),
+        ([1e308, 1e308, -1e308, -1e308, 5e-324], 5e-324),
+        ((1.7e308, 1.7e308, -1.7e308, 0.1), 1.7e308),
+    ],
+)
+def test_exact_sum_of_finite_values_whose_running_total_overflows_is_their_sum_rounded_once(values, want):
+    assert exact_sum(values) == want
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, 1e308, math.inf], [1e308, 1e308, -math.inf]])
+def test_exact_sum_beyond_float64_or_of_an_infinity_after_the_overflow_raises_as_fsum(values):
+    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+        exact_sum(values)
 
 
 # the builtin sum() calls of src/hdspec, by module and innermost function: each adds Python ints, or

@@ -41,6 +41,14 @@ def test_apply_ledger_sums_corrections_and_quadratures_uncertainties():
     assert len(ledger.entries) == 2
 
 
+def test_apply_ledger_sums_corrections_whose_running_total_leaves_float64_to_their_finite_sum():
+    raw = Quantity(1.0, "kHz", {"exp": 0.1})
+    ledger = apply_ledger(raw, [entry("a", 1e308, 0.0), entry("b", 1e308, 0.0), entry("c", -1e308, 0.0)])
+    assert ledger.corrected.value == 1e308
+    with pytest.raises(ValueError, match=r"^systematic-shift ledger overflows float64 \(intermediate overflow in fsum\)$"):
+        apply_ledger(raw, [entry("a", 1e308, 0.0), entry("b", 1e308, 0.0)])
+
+
 @settings(max_examples=30)
 @given(
     corrections=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),

@@ -460,6 +460,45 @@ def test_a_truncation_that_leaves_float64_names_its_step_on_both_paths(b, step, 
             transition_truncation(*states, b_values=(0.0, b))
 
 
+def _one_state_block_per_field(coeffs, couplings, m_f, grid):
+    """The sublevel of a one-state m_F block field by field, E at B = 0 and `_field_block` (checked) at every other B."""
+    levels = angular._level_set(coeffs).levels
+    (level,) = [lv for lv in levels if lv.f >= abs(m_f)]
+    w = [angular._zeeman_row(level, [level], m_f, couplings.per_slot)[1]]
+    return [tuple(level.energy if b == 0.0 else zeeman._field_block([level.energy], w, b)[0][0] for b in grid)]
+
+
+def _stretched(coeffs):
+    f_max = coeffs.n_rot + 2
+    return (-f_max, f_max)
+
+
+def test_a_one_state_block_over_the_fine_grid_is_its_field_by_field_sublevel_bit_for_bit(demo_sets):
+    cpl, grid = ZeemanCouplings(), tuple(FINE_GRID.tolist())
+    for coeffs in demo_sets.values():
+        for m in _stretched(coeffs):
+            got = _sublevels(coeffs, cpl, m, grid)
+            assert got == _one_state_block_per_field(coeffs, cpl, m, grid)  # E exactly at B = 0
+            assert all(type(e) is float for e in got[0])
+
+
+@pytest.mark.parametrize(
+    "scale, grid, step",
+    [
+        (1.0, (0.0, 1.0, 1e300, 1.3e305, 1e308), "multiply"),
+        # E = 3.0e307 kHz at m_F = 2: E + B w leaves float64 from 1.07e305 G, B w from 1.29e305 G
+        (1e302, (0.0, 1e305, 1.1e305, 1.3e305, 1e308), "add"),
+        (1e302, (0.0, 1.3e305, 1e308), "multiply"),
+    ],
+)
+def test_a_one_state_block_that_leaves_float64_names_the_step_of_its_first_such_field(scale, grid, step, demo_sets):
+    base, cpl = demo_sets[(0, 0)], ZeemanCouplings()
+    coeffs = HyperfineCoefficients(base.v, base.n_rot, {k: e * scale for k, e in base.values.items()})
+    for call in (_sublevels, _one_state_block_per_field):
+        with pytest.raises(OverflowError, match=rf"^overflow encountered in {step}$"):
+            call(coeffs, cpl, 2, grid)
+
+
 @pytest.mark.parametrize("lower_mf, upper_mf", [(2, 3), (-2, -3), (0, 0), (1, 1)])
 def test_exact_coefficients_make_no_eigen_solve_past_the_level_solve(lower_mf, upper_mf, eigen_solves, eigvalsh_calls, demo_sets):
     # one-state blocks (the stretched pairs) need no solve at all, and the
