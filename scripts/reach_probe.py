@@ -15,7 +15,7 @@ What it cannot see, so a listed name is not necessarily dead code:
   refuses malformed input or flags shows as never called;
 - other options: each command runs with the flags of its golden run
   only (for example no `--b-values`, `ledger --entries` or
-  `--absolute-offset-khz`);
+  `adev --tau-list`);
 - large inputs: paths taken only above a size threshold, such as the
   counter log of 512 KiB or more, or a field grid past the Python-float
   work bound;

@@ -5,7 +5,9 @@ the three commands that have it, and two more runs of `zeeman-coeffs`
 on line 12, whose m_F blocks hold more than one state.  At m_F 0 -> 0
 (blocks of 4 and 10 states) the run pins the second-order sum and the
 truncation of such blocks; at m_F 1 -> 1 the linear term is not 0, so
-it pins the diagonal <J_z> of those blocks too.  `tests/reports/` holds
+it pins the diagonal <J_z> of those blocks too.  A run of `fit-line`
+with `--absolute-offset-khz` pins the line frequency that
+`lineshape.line_frequency` reports.  `tests/reports/` holds
 what they write; a further run of a command commits its reports under
 its `PREFIXES` entry.
 `scripts/write_golden_reports.py` rewrites that directory, and
@@ -43,7 +45,7 @@ from hdspec.cli import main
 REPORTS = Path(__file__).resolve().parent / "reports"
 
 # run name -> what the names of its committed reports start with, for a further run of one command
-PREFIXES = {"zeeman-coeffs-12": "line12_m0_", "zeeman-coeffs-12-m1": "line12_m1_"}
+PREFIXES = {"zeeman-coeffs-12": "line12_m0_", "zeeman-coeffs-12-m1": "line12_m1_", "fit-line-absolute": "absolute_"}
 
 
 def runs() -> dict[str, tuple[list[str], list[str]]]:
@@ -66,6 +68,10 @@ def runs() -> dict[str, tuple[list[str], list[str]]]:
         "extrapolate-b": (["extrapolate-b", "--input", str(data("line12_zeeman.csv"))], ["extrapolate_b.json"]),
         "fit-line": (
             ["fit-line", "--input", str(data("line12_depletion.csv"))], ["fit_line.json", "fit_line_spectrum.csv"]
+        ),
+        "fit-line-absolute": (
+            ["fit-line", "--input", str(data("line12_depletion.csv")), "--absolute-offset-khz", "58605013478.0"],
+            ["absolute_fit_line.json", "absolute_fit_line_spectrum.csv"],
         ),
         "extrapolate-rf": (
             ["extrapolate-rf", "--input", str(data("line12_rf.csv")), "--nominal-amplitude", "1.0"], ["extrapolate_rf.json"]

@@ -7,9 +7,11 @@ checks here, so the bytes hold on every numpy and LAPACK version.
 The bundled files passed by their flags give the same reports, runs
 whose reports are not committed give the same bytes in two fresh
 interpreters of different hash seeds, and every JSON report is the text
-`json.dumps` writes for its content.
+`json.dumps` writes for its content.  The bundled demo inputs of
+`fit-line` and `adev` are what `scripts/make_demo_data.py` writes.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -99,6 +101,20 @@ def test_bundled_files_passed_by_their_flags_give_the_committed_reports(tmp_path
     assert not faults, "\n".join(faults)
 
 
+def test_the_demo_data_script_writes_the_bundled_files_byte_for_byte(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_demo_data.py"
+    spec = importlib.util.spec_from_file_location("make_demo_data", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "DATA_DIR", tmp_path)
+    script.main()
+    assert capsys.readouterr().out == f"wrote demo data into {tmp_path}\n"
+    names = ["demo_counter.csv", "line12_depletion.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == bundled.data_path(name).read_bytes(), name
+
+
 FINE_FIELDS = ",".join(f"{i / 10000:.4f}" for i in range(2001))  # 0-0.2 G in 0.1 mG steps
 RF = str(bundled.data_path("line12_rf.csv"))
 # runs whose reports are not committed, with the reports each writes: a grid long enough to take numpy, the flags
@@ -110,10 +126,6 @@ FURTHER_RUNS = {
                         ["extract.json", "extract_components.csv"]),
     "extrapolate-rf-linear": (["extrapolate-rf", "--input", RF, "--nominal-amplitude", "1.0", "--linear"],
                               ["extrapolate_rf.json"]),
-    "fit-line-absolute": (
-        ["fit-line", "--input", str(bundled.data_path("line12_depletion.csv")), "--absolute-offset-khz", "58605013478.0"],
-        ["fit_line.json", "fit_line_spectrum.csv"],
-    ),
     "compare-reference": (["compare", "--reference", "Penning-trap masses"], ["compare.csv", "compare.json"]),
     "dfg-signs": (
         [
