@@ -13,9 +13,8 @@ name`.  Module and class bodies run on import and are not counted.
 What it cannot see, so a listed name is not necessarily dead code:
 - error paths: only well-formed bundled inputs run, so the code that
   refuses malformed input or flags shows as never called;
-- other options: each command runs with the flags of its golden run
-  only (for example no `--b-values`, `ledger --entries` or
-  `adev --tau-list`);
+- other option values: every flag of every command is in some golden
+  run, but each with the values of that run only;
 - large inputs: paths taken only above a size threshold, such as the
   counter log of 512 KiB or more, or a field grid past the Python-float
   work bound;
@@ -44,7 +43,7 @@ import pytest  # noqa: E402
 
 BLIND_SPOTS = (
     "error paths (only well-formed bundled inputs run)",
-    "other options (each command runs with its golden flags only)",
+    "other option values (every flag runs, with its golden values only)",
     "large inputs (size-gated paths such as the large counter log or a long field grid)",
 )
 

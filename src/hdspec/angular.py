@@ -428,7 +428,6 @@ class _Blocks:
 
     def __init__(self, n_rot: int):
         self.n_rot = n_rot
-        self.dim = 12 * (2 * n_rot + 1)
         f_max = n_rot + 2
         # G1 = s_e + I_p, G2 = G1 + I_d, F = G2 + N: the (G1, G2) of the levels of each F that has levels, ascending
         self.pairs = {f: f_pairs for f in range(f_max + 1) if (f_pairs := tuple(
@@ -610,7 +609,7 @@ class SpinLevel:
         import numpy as np
 
         block, f, n_rot = self.block, self.f, self.block.n_rot
-        out = np.zeros((_blocks(n_rot).dim, 2 * f + 1))
+        out = np.zeros((12 * (2 * n_rot + 1), 2 * f + 1))  # the product basis: 2 x 2 x 3 spin states times 2N + 1
         for column, m in enumerate(range(f, -f - 1, -1)):
             for (g1, g2), amp in zip(block.pairs, self.eigenvector):
                 for (e, p, d, i), c in _coupled_state(n_rot, g1, g2, f, m).items():

@@ -9,9 +9,9 @@ background-subtracted signal is fit to
 
 by variable projection: amplitude and offset are linear, so they are
 solved in closed form at each (center, FWHM), and damped Newton steps
-search those two alone.  The statistical uncertainty assigned to a line
-center is half the fitted FWHM by convention, not the covariance-based
-center error.
+on the exact Hessian of the projected cost search those two alone.
+The statistical uncertainty assigned to a line center is half the
+fitted FWHM by convention, not the covariance-based center error.
 
 Everything here runs on Python floats.  A spectrum has tens to a few
 hundred points; the fit's steps are 2 x 2 and its covariance 4 x 4, so
@@ -227,9 +227,8 @@ def _projected_step(p: list[float], state, w: list[float], total: float, lam: fl
     minus half the gradient of the cost.  The exact Hessian of the
     projected cost is H = M - amplitude <r, d2q> + amplitude (s sigma^T +
     sigma s^T) - s s^T / <qc, qc>.  The step solves (H + lam diag M) step
-    = g where that matrix is positive definite, else (M + lam diag M) step
-    = g; None where neither is.  A zero column of M keeps its parameter
-    where it is (the minimum-norm step).
+    = g; None where that matrix is not positive definite.  A zero column
+    of M keeps its parameter where it is (the minimum-norm step).
     """
     _, gamma, amp, _ = p
     u, denom, qc, wqc, sqq, r = state
@@ -260,10 +259,7 @@ def _projected_step(p: list[float], state, w: list[float], total: float, lam: fl
     finite("normal matrix", m00, m01, m11, n00, n01, n11, g0, g1)
     if not (m00 > 0.0 and m11 > 0.0):  # a zero column: its parameter stays, the other takes Marquardt's step alone
         return (g0 / m00 / (1.0 + lam) if m00 else 0.0), (g1 / m11 / (1.0 + lam) if m11 else 0.0)
-    return (
-        _damped_solve(n00, n01, n11, g0, g1, lam * m00, lam * m11)
-        or _damped_solve(m00, m01, m11, g0, g1, lam * m00, lam * m11)
-    )
+    return _damped_solve(n00, n01, n11, g0, g1, lam * m00, lam * m11)
 
 
 def _normal_matrix(p: list[float], x: list[float], w: list[float]) -> list[list[float]]:
@@ -352,10 +348,10 @@ def fit_lorentzian(points: Sequence[SpectrumPoint]) -> LineFit:
     Amplitude and offset enter the model linearly: at each trial center
     and FWHM they are the closed-form weighted least-squares solution
     (`_linear_fit`), so the search runs over (center, FWHM) alone.  Each
-    step solves a damped 2 x 2 system in closed form (`_projected_step`):
-    Newton's, on the exact Hessian of that projected cost, where it is
-    positive definite, else Marquardt's, on Kaufman's projected normal
-    matrix.  The damping factor starts at 1e-3, shrinks by 10 on each
+    step is Newton's on the exact Hessian of that projected cost, damped
+    and solved in closed form (`_projected_step`); a step whose damped
+    matrix is not positive definite is rejected, as is one that raises
+    the cost.  The damping factor starts at 1e-3, shrinks by 10 on each
     accepted step and grows by 10 on each rejected one.  The search starts
     at the extremal point with the width of its half-height crossings
     (`_initial_guess`).  Convergence requires a relative cost change below

@@ -26,9 +26,10 @@ costs less than the numpy import, each field is one eigenvalues-only
 F-block Jacobi in Python floats (`angular._eigen`), else numpy is
 imported for one stacked `eigvalsh` per block.  Each side of a
 truncation takes the path of its set's map, so the two give the same
-floats on any grid.  Grids, energies and the truncation come back as
-Python floats either way.  The zero-field extrapolation of measured
-line positions is `systematics.extrapolate_to_zero_field`.
+floats on any grid, and word an overflow alike.  Grids, energies and
+the truncation come back as Python floats either way.  The zero-field
+extrapolation of measured line positions is
+`systematics.extrapolate_to_zero_field`.
 """
 
 from __future__ import annotations
@@ -173,14 +174,16 @@ def _eigenvalues(h: list[list[float]]) -> list[float]:
 
     Jacobi takes a matrix times a power of two to its eigenvalues times
     that power, so the scaled solve loses nothing; an eigenvalue that
-    leaves float64 on the way back raises OverflowError.
+    leaves float64 on the way back raises `sublevel energy = ...`.
     """
     scale = max(abs(x) for row in h for x in row)
     if len(h) * scale <= _JACOBI_LIMIT:
         return angular._eigen(h, vectors=False)[0]
     k = math.frexp(scale)[1]
     evals, _ = angular._eigen([[math.ldexp(x, -k) for x in row] for row in h], vectors=False)
-    return [math.ldexp(e, k) for e in evals]
+    evals = [e * 2.0 ** (k - 1) * 2.0 for e in evals]  # 2^k in two exact factors: 2^1024 is no float
+    finite("sublevel energy", *evals)
+    return evals
 
 
 def _on_python_floats(points: int, levels: Sequence[SpinLevel]) -> bool:
@@ -207,29 +210,30 @@ def _sublevels(
     Korobov & Schiller, J. Phys. B 44, 025003 (2011)), so at every B the
     k-th lowest energy belongs to the k-th lowest of those levels; the
     rows come in that order.  A B = 0 column is E exactly.  W, summed on
-    Python floats (OverflowError `W = ...`), diag(E) + B W before either
-    solve (`_field_block`, at the first field that leaves float64 for a
-    block of one state) and the energies of either are checked finite.
+    Python floats (OverflowError `W = ...`), diag(E) + B W before any
+    solve (`_field_block`, at the first field that leaves float64) and
+    the energies of either solve are checked finite.
     """
     levels = _level_set(coeffs).levels
     members = [lv for lv in levels if lv.f >= abs(m_f)]
     w = [_zeeman_row(lv, members, m_f, couplings.per_slot)[1] for lv in members]
     finite("W", *itertools.chain.from_iterable(w))
     energies = [lv.energy for lv in members]
+    try:
+        _field_block(energies, w, b_values[-1])
+    except OverflowError:  # B W and E + B W are monotone in B: past the first field that leaves float64, all do
+        for b in b_values:
+            _field_block(energies, w, b)
+        raise
     if len(members) == 1:
         (e,), ((x,),) = energies, w
         row = [e + b * x for b in b_values]
-        if not math.isfinite(row[-1]):  # B w and E + B w are monotone in B: the first field to leave float64 raises
-            _field_block(energies, w, next(b for b, y in zip(b_values, row) if not math.isfinite(y)))
         if b_values[0] == 0.0:
             row[0] = e
         return [tuple(row)]
     if _on_python_floats(len(b_values), levels):
         columns = [energies if b == 0.0 else _eigenvalues(_field_block(energies, w, b)) for b in b_values]
         return list(zip(*columns))
-    # B W and E + B W are monotone in B: on an ascending grid they leave float64 only if they do at one of its ends
-    _field_block(energies, w, b_values[0])
-    _field_block(energies, w, b_values[-1])
     import numpy as np
 
     out = np.linalg.eigvalsh(np.diag(energies) + np.array(b_values)[:, None, None] * np.array(w)).T
@@ -351,23 +355,18 @@ def transition_truncation(
 
     The truncation is the largest |df(B) - (a B + c B^2)| in kHz, with
     the shift df(B) relative to zero field taken from the sublevels of
-    `_sublevels`, the same floats that `zeeman_map` gives, and each step
-    checked finite (`finite_step`).  Each side takes the path of its
-    set's map (`_on_python_floats`), so sides of two sets may take
-    different paths.  The grid is checked before any solve and must
-    start at B = 0.
+    `_sublevels`, the same floats that `zeeman_map` gives; a step that
+    leaves float64 leaves a residual that is not finite, which is
+    checked.  Each side takes the path of its set's map
+    (`_on_python_floats`), so sides of two sets may take different
+    paths.  The grid is checked before any solve and must start at B = 0.
     """
     with overflow_as_value_error("Zeeman coefficient solve"):
         b = truncation_grid(b_values)
         couplings = couplings or ZeemanCouplings()
         model = transition_coeffs(lower, upper, couplings)
         lo, up = (_sublevels(coeffs, couplings, label[3], b)[_member(coeffs, label)[1]] for coeffs, label in (lower, upper))
-        # df(B) - (a B + c B^2) step by step, in the order and the words of the numpy expression it replaces
-        df = finite_step("subtract", list(map(operator.sub, up, lo)))
-        df = finite_step("subtract", [d - df[0] for d in df])
-        linear = finite_step("multiply", [model.linear * x for x in b])
-        b2 = finite_step("square", [x * x for x in b])
-        quadratic = finite_step("multiply", [model.quadratic * x for x in b2])
-        fit = finite_step("add", list(map(operator.add, linear, quadratic)))
-        residuals = finite_step("subtract", list(map(operator.sub, df, fit)))
+        a, c, d0 = model.linear, model.quadratic, up[0] - lo[0]
+        residuals = [((u - l) - d0) - (a * x + c * (x * x)) for l, u, x in zip(lo, up, b)]
+        finite("truncation residual", *residuals)
         return model, max(map(abs, residuals))

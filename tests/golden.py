@@ -1,15 +1,24 @@
 """The committed reports of every command on the bundled inputs, and how a rerun is compared with them.
 
 `runs()` are the benchmark's bundled operations, with `--format csv` for
-the three commands that have it, and two more runs of `zeeman-coeffs`
-on line 12, whose m_F blocks hold more than one state.  At m_F 0 -> 0
-(blocks of 4 and 10 states) the run pins the second-order sum and the
-truncation of such blocks; at m_F 1 -> 1 the linear term is not 0, so
-it pins the diagonal <J_z> of those blocks too.  A run of `fit-line`
-with `--absolute-offset-khz` pins the line frequency that
-`lineshape.line_frequency` reports.  `tests/reports/` holds
-what they write; a further run of a command commits its reports under
-its `PREFIXES` entry.
+the three commands that have it, and further runs of one command that
+take every option some command has:
+- two runs of `zeeman-coeffs` on line 12, whose m_F blocks hold more
+  than one state.  At m_F 0 -> 0 (blocks of 4 and 10 states) the run
+  pins the second-order sum and the truncation of such blocks; at m_F
+  1 -> 1 the linear term is not 0, so it pins the diagonal <J_z> of
+  those blocks too;
+- `zeeman-map` of the demo file by `--coefficients`, at `--level 0,0`
+  with the bundled `--couplings` over a short `--b-values` grid;
+- `fit-line --absolute-offset-khz`, the line frequency that
+  `lineshape.line_frequency` reports;
+- `extrapolate-rf --linear`, `ledger --entries` (`ledger_entries.json`
+  here), `composite` without a sensitivity table and at `--b12` with
+  `--lines`, `extract --constants-profile penning`, `compare
+  --reference`, `adev --tau-list`, and `dfg` with its CEO signs and a
+  maser offset.
+`tests/reports/` holds what they write; a further run of a command
+commits its reports under its `PREFIXES` entry.
 `scripts/write_golden_reports.py` rewrites that directory, and
 `tests/test_golden_reports.py` reruns each command and compares.
 
@@ -43,9 +52,23 @@ from hdspec import bundled
 from hdspec.cli import main
 
 REPORTS = Path(__file__).resolve().parent / "reports"
+LEDGER_ENTRIES = Path(__file__).resolve().parent / "ledger_entries.json"
 
 # run name -> what the names of its committed reports start with, for a further run of one command
-PREFIXES = {"zeeman-coeffs-12": "line12_m0_", "zeeman-coeffs-12-m1": "line12_m1_", "fit-line-absolute": "absolute_"}
+PREFIXES = {
+    "zeeman-coeffs-12": "line12_m0_",
+    "zeeman-coeffs-12-m1": "line12_m1_",
+    "zeeman-map-level": "level00_",
+    "fit-line-absolute": "absolute_",
+    "extrapolate-rf-linear": "linear_",
+    "ledger-entries": "entries_",
+    "composite-tableless": "tableless_",
+    "composite-b12": "b12_",
+    "extract-penning": "penning_",
+    "compare-reference": "reference_",
+    "adev-tau-list": "tau_",
+    "dfg-signs": "signs_",
+}
 
 
 def runs() -> dict[str, tuple[list[str], list[str]]]:
@@ -54,6 +77,13 @@ def runs() -> dict[str, tuple[list[str], list[str]]]:
     return {
         "spin-structure": (["spin-structure", "--demo", "--format", "csv"], ["spin_structure.csv", "spin_structure.json"]),
         "zeeman-map": (["zeeman-map", "--demo"], ["zeeman_map.csv", "zeeman_map.json"]),
+        "zeeman-map-level": (
+            [
+                "zeeman-map", "--coefficients", str(data("demo_coefficients.conf")), "--level", "0,0",
+                "--couplings", str(data("zeeman_couplings.txt")), "--b-values", "0,0.5,1,2,5",
+            ],
+            ["level00_zeeman_map.csv", "level00_zeeman_map.json"],
+        ),
         "zeeman-coeffs": (
             ["zeeman-coeffs", "--demo", "--transition", "16", "--lower-mf", "2", "--upper-mf", "3"], ["zeeman_coeffs.json"]
         ),
@@ -76,15 +106,38 @@ def runs() -> dict[str, tuple[list[str], list[str]]]:
         "extrapolate-rf": (
             ["extrapolate-rf", "--input", str(data("line12_rf.csv")), "--nominal-amplitude", "1.0"], ["extrapolate_rf.json"]
         ),
+        "extrapolate-rf-linear": (
+            ["extrapolate-rf", "--input", str(data("line12_rf.csv")), "--nominal-amplitude", "1.0", "--linear"],
+            ["linear_extrapolate_rf.json"],
+        ),
         "ledger": (
             ["ledger", "--raw-khz", "58605013478.33", "--raw-u-khz", "0.15", "--include-negligible", "--format", "csv"],
             ["ledger.csv", "ledger.json"],
         ),
+        "ledger-entries": (
+            ["ledger", "--raw-khz", "58605013478.33", "--raw-u-khz", "0.15", "--entries", str(LEDGER_ENTRIES), "--format", "csv"],
+            ["entries_ledger.csv", "entries_ledger.json"],
+        ),
         "composite": (["composite", "--optimize", "--demo"], ["composite.json", "composite_profile.csv"]),
+        "composite-tableless": (["composite"], ["tableless_composite.json", "tableless_composite_profile.csv"]),
+        "composite-b12": (
+            ["composite", "--demo", "--b12", "0.25", "--lines", str(data("measured_lines.json"))],
+            ["b12_composite.json", "b12_composite_profile.csv"],
+        ),
         "extract": (["extract", "--format", "csv"], ["extract.json", "extract_components.csv"]),
+        "extract-penning": (
+            ["extract", "--constants-profile", "penning", "--format", "csv"],
+            ["penning_extract.json", "penning_extract_components.csv"],
+        ),
         "compare": (["compare"], ["compare.csv", "compare.json"]),
+        "compare-reference": (
+            ["compare", "--reference", "Penning-trap masses"], ["reference_compare.csv", "reference_compare.json"]
+        ),
         "adev": (
             ["adev", "--input", str(data("demo_counter.csv")), "--carrier-hz", "58605052164258.0"], ["adev.csv", "adev.json"]
+        ),
+        "adev-tau-list": (
+            ["adev", "--input", str(data("demo_counter.csv")), "--tau-list", "1,3,10,30"], ["tau_adev.csv", "tau_adev.json"]
         ),
         "dfg": (
             [
@@ -92,6 +145,14 @@ def runs() -> dict[str, tuple[list[str], list[str]]]:
                 "--beat1-hz", "31250000", "--beat2-hz", "27500000", "--beat-sign1", "1", "--beat-sign2", "-1",
             ],
             ["dfg.json"],
+        ),
+        "dfg-signs": (
+            [
+                "dfg", "--f-rep-hz", "80e6", "--f-ceo-hz", "35e6", "--n1", "3521728", "--n2", "2789120", "--beat1-hz", "20e6",
+                "--beat2-hz=-10e6", "--beat-sign1", "-1", "--ceo-sign1", "-1", "--ceo-sign2", "-1",
+                "--maser-fractional-offset", "3e-13",
+            ],
+            ["signs_dfg.json"],
         ),
         "carrier": (
             ["carrier", "--delta-rho-um", "2.0", "--lambda-um", repr(4.0 * math.pi), "--sweep", "1:12:23"],

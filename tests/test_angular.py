@@ -1067,14 +1067,14 @@ def coupled_basis(blocks):
     """Every coupled state of `blocks` (`_coupled_state`) as one orthogonal matrix over the product basis, and its
     (G1, G2, F, m_F): m_F ascending, then F by F and (G1, G2) ascending, as `_Blocks.jz` takes them."""
     basis = ProductBasis(blocks.n_rot)
-    u, labels = np.zeros((blocks.dim, blocks.dim)), []
+    u, labels = np.zeros((basis.dim, basis.dim)), []
     for m in range(-(blocks.n_rot + 2), blocks.n_rot + 3):
         for b in blocks.f_blocks:
             for pair in b.pairs if b.f >= abs(m) else ():
                 for (e, p, d, i), amp in angular._coupled_state(blocks.n_rot, *pair, b.f, m).items():
                     u[product_index(basis, 0.5 - e, 0.5 - p, 1 - d, blocks.n_rot - i), len(labels)] = amp
                 labels.append((*pair, b.f, m))
-    assert len(labels) == blocks.dim
+    assert len(labels) == basis.dim
     return u, np.array(labels, dtype=float).T
 
 
@@ -1085,7 +1085,7 @@ def test_coupled_states_diagonalize_the_dense_momenta(n_rot):
     basis = ProductBasis(n_rot)
     blocks = angular._blocks(n_rot)
     u, (g1, g2, f, m_f) = coupled_basis(blocks)
-    assert np.allclose(u.T @ u, np.eye(blocks.dim), rtol=0, atol=8 * math.ulp(1.0))
+    assert np.allclose(u.T @ u, np.eye(basis.dim), rtol=0, atol=8 * math.ulp(1.0))
     for op, diagonal in (
         (basis.f_z(), m_f),
         (basis.f_squared(), f * (f + 1)),
@@ -1183,7 +1183,7 @@ def test_vectors_are_the_f_block_eigenvectors_over_the_coupled_states(n_rot):
     for coeffs in [perturbed(base, n_rot, rng) for _ in range(5)]:
         for lv in level_structure(coeffs):
             block, x = lv.block, lv.eigenvector
-            assert lv.vectors.shape == (blocks.dim, lv.degeneracy)
+            assert lv.vectors.shape == (ProductBasis(n_rot).dim, lv.degeneracy)
             for c, m in enumerate(range(lv.f, -lv.f - 1, -1)):
                 want = u[:, [column_of[(*pair, lv.f, m)] for pair in block.pairs]] @ np.array(x)
                 assert np.max(np.abs(lv.vectors[:, c] - want)) <= 4 * math.ulp(1.0)

@@ -4,10 +4,11 @@ A change that moves a report rewrites the directory with
 `scripts/write_golden_reports.py`, so the move shows in its own diff.
 No golden run loads numpy, which a fresh interpreter running them all
 checks here, so the bytes hold on every numpy and LAPACK version.
-The bundled files passed by their flags give the same reports, runs
-whose reports are not committed give the same bytes in two fresh
-interpreters of different hash seeds, and every JSON report is the text
-`json.dumps` writes for its content.  The bundled demo inputs of
+The bundled files passed by their flags give the same reports, the runs
+whose bytes could follow a set's order, and a grid long enough to take
+numpy, give the same bytes in two fresh interpreters of different hash
+seeds, and every JSON report is the text `json.dumps` writes for its
+content.  The bundled demo inputs of
 `fit-line` and `adev` are what `scripts/make_demo_data.py` writes.
 """
 
@@ -116,41 +117,25 @@ def test_the_demo_data_script_writes_the_bundled_files_byte_for_byte(tmp_path, m
 
 
 FINE_FIELDS = ",".join(f"{i / 10000:.4f}" for i in range(2001))  # 0-0.2 G in 0.1 mG steps
-RF = str(bundled.data_path("line12_rf.csv"))
-# runs whose reports are not committed, with the reports each writes: a grid long enough to take numpy, the flags
-# that select a model, a reference, a profile or a sign, composite without a sensitivity table, and a ledger of the
-# entry that extrapolate-rf reports ({entries})
-FURTHER_RUNS = {
+# runs in two fresh interpreters of different hash seeds, with the reports each writes: the further golden runs that
+# select a model, a reference, a profile or a sign, composite without a sensitivity table and a ledger of entries;
+# and a grid long enough to take numpy, whose reports are not committed
+HASH_SEED_RUNS = {
+    **{
+        name: (argv, [f.removeprefix(golden.PREFIXES[name]) for f in files])
+        for name, (argv, files) in golden.runs().items()
+        if name in ("extract-penning", "extrapolate-rf-linear", "compare-reference", "dfg-signs", "composite-tableless",
+                    "ledger-entries")
+    },
     "zeeman-map-2001": (["zeeman-map", "--demo", "--b-values", FINE_FIELDS], ["zeeman_map.csv", "zeeman_map.json"]),
-    "extract-penning": (["extract", "--constants-profile", "penning", "--format", "csv"],
-                        ["extract.json", "extract_components.csv"]),
-    "extrapolate-rf-linear": (["extrapolate-rf", "--input", RF, "--nominal-amplitude", "1.0", "--linear"],
-                              ["extrapolate_rf.json"]),
-    "compare-reference": (["compare", "--reference", "Penning-trap masses"], ["compare.csv", "compare.json"]),
-    "dfg-signs": (
-        [
-            "dfg", "--f-rep-hz", "80e6", "--f-ceo-hz", "35e6", "--n1", "3521728", "--n2", "2789120", "--beat1-hz", "20e6",
-            "--beat2-hz=-10e6", "--beat-sign1", "-1", "--ceo-sign1", "-1", "--ceo-sign2", "-1",
-            "--maser-fractional-offset", "3e-13",
-        ],
-        ["dfg.json"],
-    ),
-    "composite-tableless": (["composite"], ["composite.json", "composite_profile.csv"]),
-    "ledger-entries": (
-        ["ledger", "--raw-khz", "58605013478.33", "--raw-u-khz", "0.15", "--entries", "{entries}", "--format", "csv"],
-        ["ledger.csv", "ledger.json"],
-    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(FURTHER_RUNS))
+@pytest.mark.parametrize("name", sorted(HASH_SEED_RUNS))
 def test_further_runs_write_the_same_bytes_under_two_hash_seeds(tmp_path, name):
     """Each in two fresh interpreters, whose str hashes and so set orders differ: exit 0, nothing on stderr, the
     same report bytes, and each JSON report the text json.dumps writes."""
-    entries = tmp_path / "entries.json"
-    entries.write_text(json.dumps([json.loads((golden.REPORTS / "extrapolate_rf.json").read_text())["entry"]]))
-    argv, files = FURTHER_RUNS[name]
-    argv = [arg.format(entries=entries) for arg in argv]
+    argv, files = HASH_SEED_RUNS[name]
     for seed in ("1", "2"):
         out = tmp_path / f"seed{seed}"
         proc = run_python("-m", "hdspec.cli", *argv, "--out-dir", str(out), PYTHONHASHSEED=seed)
