@@ -10,7 +10,8 @@ m_F block is taken in its field-free states, the F-block eigenvectors X
 that the levels with F >= |m_F| carry: W = sum_s c_s X^T Z_s X per
 gauss, Z_s the J_z of slot s between the coupled states of that m_F
 (`angular._Blocks.jz`), one row per level (`angular._zeeman_row`), in
-Python floats.  The linear and quadratic Zeeman coefficients of a
+Python floats, the upper triangle the mirror of the lower one
+(`_zeeman_block`).  The linear and quadratic Zeeman coefficients of a
 transition are exact at B = 0: Hellmann-Feynman gives the linear term,
 sum_s c_s (<J_z^s>_upper - <J_z^s>_lower), each slot subtracted before
 it is weighted, and second-order perturbation theory the quadratic
@@ -193,6 +194,20 @@ def _on_python_floats(points: int, levels: Sequence[SpinLevel]) -> bool:
     return points * sum(n ** 3 for n in sizes if n > 1) <= _PYTHON_WORK
 
 
+def _zeeman_block(members: Sequence[SpinLevel], m_f: int, couplings: ZeemanCouplings) -> list[list[float]]:
+    """W of the m_F block of `members` (`angular._zeeman_row`), exactly symmetric.
+
+    Row i of `_zeeman_row` is x_j (Z x_i) over j, which differs from
+    x_i (Z x_j) in the last bits.  The upper triangle is the mirror of
+    the lower one, the triangle `eigvalsh` reads, so Jacobi, which reads
+    both, and the stacked solve see one matrix.
+    """
+    w = [_zeeman_row(lv, members, m_f, couplings.per_slot)[1] for lv in members]
+    for i, row in enumerate(w):
+        row[i + 1:] = [lower[i] for lower in w[i + 1:]]
+    return w
+
+
 def _sublevels(
     coeffs: HyperfineCoefficients, couplings: ZeemanCouplings, m_f: int, b_values: tuple[float, ...]
 ) -> list[tuple[float, ...]]:
@@ -201,7 +216,7 @@ def _sublevels(
     H0 + H_Z commutes with F_z, so the m_F block is solved on its own,
     as diag(E) + B W: E are the energies of the levels with F >= |m_F|,
     in level order, and W the Zeeman operator per gauss in the
-    field-free states that they carry (`angular._zeeman_row`).  A block
+    field-free states that they carry (`_zeeman_block`).  A block
     of one state is E + B w, in one pass over the grid with no solve.  A
     larger one is solved field by field in Python floats (`_eigenvalues`)
     if the map of its level set takes Python floats over the grid
@@ -216,7 +231,7 @@ def _sublevels(
     """
     levels = _level_set(coeffs).levels
     members = [lv for lv in levels if lv.f >= abs(m_f)]
-    w = [_zeeman_row(lv, members, m_f, couplings.per_slot)[1] for lv in members]
+    w = _zeeman_block(members, m_f, couplings)
     finite("W", *itertools.chain.from_iterable(w))
     energies = [lv.energy for lv in members]
     try:

@@ -1,14 +1,17 @@
 """Weighted combination of the two measured hyperfine components."""
 
+import contextlib
 import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdspec import bundled
+from hdspec import bundled, composite
 from hdspec.angular import (
     COEFF_INDICES,
     HyperfineCoefficients,
@@ -18,14 +21,16 @@ from hdspec.angular import (
     spin_uncertainty,
     transition_table,
 )
+from hdspec.coefficients import read_coefficient_file, spin_profile
 from hdspec.composite import (
     CompositeInput,
     composite_frequency,
     composite_spin_uncertainty,
     optimize_weight,
     splitting_comparison,
+    weight_profile,
 )
-from hdspec.quantity import Quantity
+from hdspec.quantity import Quantity, overflow_as_value_error
 
 
 def two_line_table(g12_lower, g12_upper, g16_lower, g16_upper):
@@ -117,8 +122,9 @@ def test_constant_profile_when_rows_are_identical():
 )
 def test_weight_profile_and_optimum_equal_one_float_call_per_b12(z, overrides):
     # spin-mc-style draws (each demo coefficient moved by 1 % times z);
-    # optimize_weight evaluates grid and candidates in one array pass,
-    # which must give each value bit for bit as a float call does
+    # numpy is loaded, so optimize_weight evaluates the grid as numpy
+    # lanes and the candidates in one float call, which must give each
+    # value bit for bit as one float call per b12 does
     demo = bundled.load_demo_coefficients()
     moved = lambda c, zs, eps: HyperfineCoefficients(
         c.v, c.n_rot, {k: e * (1.0 + 0.01 * zk) for (k, e), zk in zip(sorted(c.values.items()), zs)}, eps
@@ -137,6 +143,50 @@ def test_weight_profile_and_optimum_equal_one_float_call_per_b12(z, overrides):
         candidates |= {g16[k] / (g16[k] - g12[k]) for k in g12 if g16[k] != g12[k]}
     best = min(sorted(b for b in candidates if 0.0 <= b <= 1.0), key=u)
     assert repr((weight.b_star, weight.u_star)) == repr((best, u(best)))
+
+
+sensitivity = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+scale = st.floats(-1e6, 1e6)
+
+
+@given(
+    terms=st.lists(
+        st.tuples(
+            sensitivity, sensitivity, st.tuples(scale, st.one_of(st.just(1.0), scale), st.floats(1e-12, 1e6))
+        ),
+        min_size=1,
+        max_size=13,
+    )
+)
+@example(terms=[(0.8, 0.9, (1.0, 1.0, 1.0))])  # the tableless term: the per-line uncertainties (u12, u16)
+def test_grid_lanes_are_the_floats_of_the_scalar_loop(terms):
+    # zeros, negative sensitivities and scales, q != 1 as with an eps_E1 override, one term or many
+    terms = tuple(terms)
+    lanes = composite._grid_lanes(np, terms)
+    scalar = spin_profile(terms, composite._PROFILE_GRID)
+    assert lanes == scalar and repr(lanes) == repr(scalar)
+    assert weight_profile(terms).profile == tuple(zip(composite._PROFILE_GRID, scalar))
+
+
+def test_weight_profile_of_no_terms_is_zero():
+    assert weight_profile(()).profile == tuple((b, 0.0) for b in composite._PROFILE_GRID)
+
+
+def test_a_grid_beyond_float64_is_worded_by_the_scalar_path(tmp_path):
+    """The demo coefficients with eps_E4 = 1e308 on [v=1,N=1], in-process with numpy loaded, as `composite` words them."""
+    path = tmp_path / "coefficients.conf"
+    path.write_text(bundled.data_path("demo_coefficients.conf").read_text() + "eps_E4 = 1e308\n")
+    sets = read_coefficient_file(path)
+    table = transition_table(sets[(0, 0)], sets[(1, 1)], bundled.TRANSITION_LEVELS)
+    params = SpinUncertaintyParams()
+    assert "numpy" in sys.modules
+    assert composite._grid_lanes(np, table.spin_terms(params, "12", "16")) is None
+    for guard in (contextlib.nullcontext(), overflow_as_value_error("composite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails
+            with pytest.raises(ValueError) as exc, guard:
+                optimize_weight(table, params)
+        assert str(exc.value) == "spin-theory uncertainty overflows float64 (u_spin = inf)"
 
 
 def test_optimize_weight_beats_grid(demo_table):
@@ -175,8 +225,8 @@ def perturbed_tables():
 
 @pytest.mark.parametrize("params", [SpinUncertaintyParams(), SpinUncertaintyParams(3e-6, 2e-5, 0.2)])
 def test_optimize_weight_equals_one_call_per_weight(params):
-    # the array pass over the grid and the candidates gives, bit for bit,
-    # what one float call of the error model per b12 gives
+    # the grid's numpy lanes and the candidates' float call give, bit for
+    # bit, what one float call of the error model per b12 gives
     eps1_branches = set()
     # the last two: one interior minimum, and identical rows (every b12 ties)
     ties = [two_line_table({}, {1: 1.0}, {}, {1: -1.0}), two_line_table({4: 0.5}, {1: 1.0}, {4: 0.5}, {1: 1.0})]

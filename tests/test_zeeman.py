@@ -22,6 +22,7 @@ from hdspec.zeeman import (
     _member,
     _state_coeffs,
     _sublevels,
+    _zeeman_block,
     read_couplings_file,
     transition_coeffs,
     transition_truncation,
@@ -206,6 +207,16 @@ def test_coarse_grid_matches_fine_overlap_tracking(key, demo_sets):
     assert [st_.label for st_ in zmap.states] == labels
     got = np.array([st_.energies for st_ in zmap.states])
     assert np.allclose(got, ref[:, ::50], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("n_rot", range(6))
+def test_every_m_f_block_operator_is_exactly_symmetric(n_rot, demo_sets):
+    # so Jacobi, which reads both triangles, and the stacked eigvalsh, which reads the lower one, solve one matrix
+    base = demo_sets[(0, 0)] if n_rot == 0 else demo_sets[(1, 1)]
+    levels = angular._level_set(HyperfineCoefficients(1, n_rot, base.values)).levels
+    for m in range(-(n_rot + 2), n_rot + 3):
+        w = _zeeman_block([lv for lv in levels if lv.f >= abs(m)], m, ZeemanCouplings())
+        assert w == [list(column) for column in zip(*w)]
 
 
 @pytest.mark.parametrize("n_rot", range(6))
