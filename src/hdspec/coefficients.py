@@ -8,9 +8,7 @@ sensitivities x1, x2 (from gamma_k = dE_level/dE_k of the transitions'
 levels) and its scale (p, q, r), and `spin_profile` sums
 |(b x1 + (1 - b) x2) p q| r over the terms at each weight b.  A line's
 uncertainty is the pair (t, t) at b = 1, the composite's the pair
-(12, 16) at b12.  Nothing here builds an array or imports numpy;
-`composite.weight_profile` evaluates its grid as numpy lanes, to the
-floats of `spin_profile`, where numpy is already loaded.
+(12, 16) at b12.  Nothing here builds an array or imports numpy.
 """
 
 from __future__ import annotations
@@ -189,8 +187,6 @@ def spin_profile(terms: tuple, weights: Iterable[float]) -> list[float]:
     and terms are Python floats (a numpy scalar would warn where Python
     overflows silently), so the sum is checked: a value beyond float64
     raises ValueError `spin-theory uncertainty overflows float64 (u_spin = ...)`.
-    This loop is the reference: the numpy lanes of
-    `composite.weight_profile`'s grid give its floats bit for bit.
     """
     out = []
     for b in weights:

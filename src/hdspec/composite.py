@@ -14,15 +14,10 @@ composite, the weight profile and its optimum all evaluate those terms.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 
 from .coefficients import DEFAULT_PARAMS, SensitivityTable, SpinUncertaintyParams, spin_profile
 from .quantity import Quantity
-
-# Python floats, and no numpy import: where numpy is already loaded, only the weight profile's 0.01 grid is evaluated
-# on it (`_grid_lanes`), to the same floats
 
 TRANSITION_IDS = ("12", "16")
 
@@ -81,36 +76,23 @@ _PROFILE_GRID = tuple(round(0.01 * i, 2) for i in range(101))
 
 
 class WeightProfile:
-    __slots__ = ("b_star", "u_star", "profile")
+    """The least spin-theory uncertainty `u_star` of `terms` over b12 in [0, 1], at `b_star`.
 
-    def __init__(self, b_star: float, u_star: float, profile: tuple[tuple[float, float], ...]) -> None:
+    `profile`, the (b12, u_spin) pairs of the 0.01 flatness grid, is
+    evaluated by `spin_profile` when it is read: each read recomputes
+    the grid, and a value beyond float64 raises there.
+    """
+
+    __slots__ = ("b_star", "u_star", "terms")
+
+    def __init__(self, b_star: float, u_star: float, terms: tuple) -> None:
         self.b_star = b_star
         self.u_star = u_star
-        self.profile = profile
+        self.terms = terms
 
-
-@functools.cache
-def _grid_weights(np) -> tuple:
-    """b and 1 - b of `_PROFILE_GRID` as (101, 1) arrays, built once per process."""
-    b = np.array(_PROFILE_GRID)[:, None]
-    return b, 1.0 - b
-
-
-def _grid_lanes(np, terms: tuple) -> list[float] | None:
-    """`spin_profile` of `terms` over `_PROFILE_GRID`, the same floats, on numpy; None if a value is not finite.
-
-    Each term |((b x1 + (1 - b) x2) p) q| r is formed elementwise on a
-    (101, terms) array, in the operations and order of `spin_profile`,
-    and the terms add left to right by a running sum (`np.add.accumulate`,
-    not the pairwise `np.sum`).  So each value is, bit for bit, the one of
-    the scalar loop.  Overflow is left to `spin_profile` to word.
-    """
-    b, b2 = _grid_weights(np)
-    x1, x2, scales = zip(*terms)
-    p, q, r = zip(*scales)
-    with np.errstate(all="ignore"):
-        u = np.add.accumulate(np.abs(((b * x1 + b2 * x2) * p) * q) * r, axis=1)[:, -1]
-    return u.tolist() if np.isfinite(u).all() else None
+    @property
+    def profile(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(_PROFILE_GRID, spin_profile(self.terms, _PROFILE_GRID)))
 
 
 def weight_profile(terms: tuple) -> WeightProfile:
@@ -121,13 +103,10 @@ def weight_profile(terms: tuple) -> WeightProfile:
     hence convex piecewise-linear; the exact minimum sits at a
     breakpoint (the zero crossing x16 / (x16 - x12) of one term) or an
     endpoint, and the first of the sorted candidates with the least
-    uncertainty wins.  A 0.01-spaced grid is returned as the flatness
-    profile.  Each value is the `theor_spin` of `composite_frequency` at
-    that b12.  The candidates take `spin_profile`; so does the grid,
-    unless numpy is already loaded (this module never imports it): then
-    the grid is evaluated as numpy lanes (`_grid_lanes`), to the same
-    floats, and re-evaluated by `spin_profile` if a value is not finite,
-    which words the overflow.
+    uncertainty wins.  Only the candidates are evaluated here; the
+    0.01-spaced flatness profile is evaluated when it is read
+    (`WeightProfile.profile`).  Each value is the `theor_spin` of
+    `composite_frequency` at that b12.
     """
     candidates = {0.0, 1.0}
     for x12, x16, _ in terms:
@@ -137,13 +116,9 @@ def weight_profile(terms: tuple) -> WeightProfile:
             if 0.0 < b < 1.0:
                 candidates.add(b)
     candidates = sorted(candidates)
-    np = sys.modules.get("numpy")
-    grid = _grid_lanes(np, terms) if np is not None and terms else None
-    if grid is None:
-        grid = spin_profile(terms, _PROFILE_GRID)
     u = spin_profile(terms, candidates)
     best = min(range(len(candidates)), key=u.__getitem__)  # the first of the least
-    return WeightProfile(candidates[best], u[best], tuple(zip(_PROFILE_GRID, grid)))
+    return WeightProfile(candidates[best], u[best], terms)
 
 
 def optimize_weight(tables: SensitivityTable, params: SpinUncertaintyParams) -> WeightProfile:

@@ -314,8 +314,10 @@ def _state_coeffs(coeffs: HyperfineCoefficients, label: Sequence[int], couplings
 
     Hellmann-Feynman gives the linear coefficient sum_s c_s <i|J_z^s|i>,
     which `transition_coeffs` forms, and second-order perturbation theory
-    c = sum_{j != i} W_ji^2 / (E_i - E_j), over the field-free states of
-    the m_F block (`angular._zeeman_row`).  A block of one state is
+    c = sum_{j != i} W_ij^2 / (E_i - E_j), over the field-free states of
+    the m_F block, with W the matrix that `_sublevels` solves
+    (`_zeeman_block`): W_ij is row i of `angular._zeeman_row` for j < i,
+    and the mirrored row j's entry i for j > i.  A block of one state is
     exactly linear (c = 0), its <J_z^s> the entries of J_z between its one
     coupled state; under m_F -> -m_F every <J_z^s> changes sign, so in an
     m_F = 0 block they are 0 and E(B) is even.  Each second-order term is checked
@@ -326,7 +328,8 @@ def _state_coeffs(coeffs: HyperfineCoefficients, label: Sequence[int], couplings
     if len(members) == 1:
         return [zs[0][0] for zs in _blocks(coeffs.n_rot).jz(m_f)], 0.0
     level = members[row]
-    jz, w = _zeeman_row(level, members, m_f, couplings.per_slot)
+    jz, w = _zeeman_row(level, members[:row + 1], m_f, couplings.per_slot)
+    w += [_zeeman_row(lv, (level,), m_f, couplings.per_slot)[1][0] for lv in members[row + 1:]]
     terms = [w_j * (w_j / (level.energy - lv.energy)) for j, (w_j, lv) in enumerate(zip(w, members)) if j != row]
     finite("second-order term", *terms)
     return ((0.0,) * 4 if m_f == 0 else jz), _fsum(terms)

@@ -3,7 +3,6 @@
 import contextlib
 import itertools
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -122,8 +121,8 @@ def test_constant_profile_when_rows_are_identical():
 )
 def test_weight_profile_and_optimum_equal_one_float_call_per_b12(z, overrides):
     # spin-mc-style draws (each demo coefficient moved by 1 % times z);
-    # numpy is loaded, so optimize_weight evaluates the grid as numpy
-    # lanes and the candidates in one float call, which must give each
+    # optimize_weight evaluates the candidates in one float call and the
+    # profile, when read, the grid in another, which must give each
     # value bit for bit as one float call per b12 does
     demo = bundled.load_demo_coefficients()
     moved = lambda c, zs, eps: HyperfineCoefficients(
@@ -159,13 +158,29 @@ scale = st.floats(-1e6, 1e6)
     )
 )
 @example(terms=[(0.8, 0.9, (1.0, 1.0, 1.0))])  # the tableless term: the per-line uncertainties (u12, u16)
-def test_grid_lanes_are_the_floats_of_the_scalar_loop(terms):
+def test_the_profile_is_the_scalar_loop_over_the_grid(terms):
     # zeros, negative sensitivities and scales, q != 1 as with an eps_E1 override, one term or many
     terms = tuple(terms)
-    lanes = composite._grid_lanes(np, terms)
     scalar = spin_profile(terms, composite._PROFILE_GRID)
-    assert lanes == scalar and repr(lanes) == repr(scalar)
     assert weight_profile(terms).profile == tuple(zip(composite._PROFILE_GRID, scalar))
+
+
+def test_the_profile_is_evaluated_when_it_is_read(demo_table, monkeypatch):
+    # weight_profile evaluates the candidates alone; each read of `profile` evaluates the grid once
+    grids = []
+
+    def counted(terms, weights):
+        grids.append(weights is composite._PROFILE_GRID)
+        return spin_profile(terms, weights)
+
+    monkeypatch.setattr(composite, "spin_profile", counted)
+    terms = demo_table.spin_terms(SpinUncertaintyParams(), "12", "16")
+    weight = weight_profile(terms)
+    assert grids == [False]
+    profile = weight.profile
+    assert grids == [False, True]
+    assert weight.profile == profile == tuple(zip(composite._PROFILE_GRID, spin_profile(terms, composite._PROFILE_GRID)))
+    assert grids == [False, True, True]
 
 
 def test_weight_profile_of_no_terms_is_zero():
@@ -173,14 +188,16 @@ def test_weight_profile_of_no_terms_is_zero():
 
 
 def test_a_grid_beyond_float64_is_worded_by_the_scalar_path(tmp_path):
-    """The demo coefficients with eps_E4 = 1e308 on [v=1,N=1], in-process with numpy loaded, as `composite` words them."""
+    """The demo coefficients with eps_E4 = 1e308 on [v=1,N=1], in-process, as `composite` words them.
+
+    The sum is convex in b12, so its largest grid value is at an endpoint:
+    the candidates b12 = 0 and 1 already leave float64.
+    """
     path = tmp_path / "coefficients.conf"
     path.write_text(bundled.data_path("demo_coefficients.conf").read_text() + "eps_E4 = 1e308\n")
     sets = read_coefficient_file(path)
     table = transition_table(sets[(0, 0)], sets[(1, 1)], bundled.TRANSITION_LEVELS)
     params = SpinUncertaintyParams()
-    assert "numpy" in sys.modules
-    assert composite._grid_lanes(np, table.spin_terms(params, "12", "16")) is None
     for guard in (contextlib.nullcontext(), overflow_as_value_error("composite")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning fails
@@ -225,8 +242,8 @@ def perturbed_tables():
 
 @pytest.mark.parametrize("params", [SpinUncertaintyParams(), SpinUncertaintyParams(3e-6, 2e-5, 0.2)])
 def test_optimize_weight_equals_one_call_per_weight(params):
-    # the grid's numpy lanes and the candidates' float call give, bit for
-    # bit, what one float call of the error model per b12 gives
+    # the grid's float call, when the profile is read, and the candidates'
+    # give, bit for bit, what one float call of the error model per b12 gives
     eps1_branches = set()
     # the last two: one interior minimum, and identical rows (every b12 ties)
     ties = [two_line_table({}, {1: 1.0}, {}, {1: -1.0}), two_line_table({4: 0.5}, {1: 1.0}, {4: 0.5}, {1: 1.0})]

@@ -130,16 +130,16 @@ def test_default_couplings_give_published_linear_coefficient(demo_sets):
 @pytest.mark.parametrize(
     ("transition", "lower_mf", "upper_mf", "want"),
     [
-        ("12", 0, 0, (0.0, -123.67864814824637)),
+        ("12", 0, 0, (0.0, -123.67864814824642)),
         ("16", 0, 0, (0.0, 104.67400570171428)),
-        ("12", 2, 1, (-339.19850044539544, -90.68312738767851)),
-        ("12", -1, 0, (699.2337750000002, -122.43961228860597)),
+        ("12", 2, 1, (-339.19850044539544, -90.6831273876785)),
+        ("12", -1, 0, (699.2337750000002, -122.43961228860603)),
     ],
 )
 def test_multi_state_m_blocks_give_the_pinned_coefficients(demo_sets, transition, lower_mf, upper_mf, want):
     # upper m_F blocks of 8 or 10 levels, lower ones of 1, 3 or 4 (the stretched pair of the golden report has
     # one level in each block): the F-block eigenvectors, J_z between the coupled states and the second-order
-    # sum give exactly these values
+    # sum over the block's W, upper triangle mirrored, give exactly these values
     lower, upper = bundled.TRANSITION_LEVELS[transition]
     model = transition_coeffs(
         (demo_sets[(0, 0)], (*lower, lower_mf)),
@@ -217,6 +217,25 @@ def test_every_m_f_block_operator_is_exactly_symmetric(n_rot, demo_sets):
     for m in range(-(n_rot + 2), n_rot + 3):
         w = _zeeman_block([lv for lv in levels if lv.f >= abs(m)], m, ZeemanCouplings())
         assert w == [list(column) for column in zip(*w)]
+
+
+@pytest.mark.parametrize(("key", "sublevels"), [((0, 0), 10), ((1, 1), 34)])
+def test_the_second_order_sum_reads_the_w_that_the_map_solves(key, sublevels, demo_sets):
+    # every sublevel of a block of more than one state: the quadratic coefficient sums its row of `_zeeman_block`,
+    # whose upper triangle mirrors the lower one, each term in the program's order W (W / dE)
+    coeffs, cpl = demo_sets[key], ZeemanCouplings()
+    checked = 0
+    for lv in angular._level_set(coeffs).levels:
+        for m in range(-lv.f, lv.f + 1):
+            label = (lv.g1, lv.g2, lv.f, m)
+            members, row = _member(coeffs, label)
+            if len(members) == 1:
+                continue
+            w, e = _zeeman_block(members, m, cpl)[row], members[row].energy
+            want = math.fsum(x * (x / (e - other.energy)) for j, (x, other) in enumerate(zip(w, members)) if j != row)
+            assert _state_coeffs(coeffs, label, cpl)[1] == want
+            checked += 1
+    assert checked == sublevels
 
 
 @pytest.mark.parametrize("n_rot", range(6))
