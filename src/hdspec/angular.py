@@ -41,10 +41,11 @@ J_z of each slot between the coupled states of that m_F (`_Blocks.jz`),
 in Python floats, which `_zeeman_row` takes between the levels.  One
 routine, `_apply`, applies J_z and each T_k to a coupled state.  numpy
 is imported only where an array is built: a level's product-basis
-`vectors` and the dense product-basis API (`ProductBasis`, `jmatrices`,
-`casimir`, `build_hfs`, `term_operator`).  One routine, `_dense`, builds
-every dense product-basis operator, each T_k and the F_z and F^2 of
-`ProductBasis`, as a sum of Kronecker products of slot factors.
+`vectors`, `jmatrices` and the dense product-basis operators
+(`build_hfs`, `term_operator`, `ProductBasis.f_z` and `f_squared`); a
+`ProductBasis` itself holds only its spins and dimensions.  One routine,
+`_dense`, builds every dense product-basis operator as a sum of
+Kronecker products of slot factors, from the `jmatrices` of each slot.
 
 The coefficient sets, their file format and the spin-theory error model
 live in `coefficients`, which builds no arrays; their names are
@@ -86,11 +87,6 @@ class TrackingError(RuntimeError):
     """A perturbed spectrum could not be matched level-by-level."""
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _refuse_write(self, name: str, *value) -> None:
     """`__setattr__` and `__delattr__` of an object that a cache hands to every caller."""
     raise AttributeError(f"{type(self).__name__} is shared and read-only: cannot set or delete {name!r}")
@@ -101,31 +97,20 @@ def _refuse_write(self, name: str, *value) -> None:
 
 
 class AngularMomentumSet:
-    """Real (J_z, J_+, J_-) matrices for one angular momentum j (read-only, as `jmatrices` shares them)."""
+    """Real (J_z, J_+, J_-) matrices for one angular momentum j, and their dimension 2j + 1."""
 
-    __slots__ = ("j", "jz", "jplus", "jminus")
-    __setattr__ = __delattr__ = _refuse_write
+    __slots__ = ("j", "jz", "jplus", "jminus", "dim")
 
     def __init__(self, j: float, jz: np.ndarray, jplus: np.ndarray, jminus: np.ndarray) -> None:
-        for name, value in zip(self.__slots__, (j, jz, jplus, jminus)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def dim(self) -> int:
-        return self.jz.shape[0]
+        self.j, self.jz, self.jplus, self.jminus = j, jz, jplus, jminus
+        self.dim = jz.shape[0]
 
 
 def jmatrices(j: float) -> AngularMomentumSet:
-    """Ladder-operator matrices in the |j, m> basis, m = j, j-1, ..., -j (shared, read-only)."""
+    """Ladder-operator matrices in the |j, m> basis, m = j, j-1, ..., -j, built on each call."""
     twoj = round(2 * j)
     if twoj < 0 or abs(2 * j - twoj) > 1e-12:
         raise ValueError(f"j must be a non-negative half-integer, got {j}")
-    return _jmatrices(twoj)
-
-
-@functools.lru_cache(maxsize=16)
-def _jmatrices(twoj: int) -> AngularMomentumSet:
-    """The matrices of j = twoj / 2, kept for the 16 most recent j."""
     import numpy as np
 
     j = twoj / 2.0
@@ -136,7 +121,7 @@ def _jmatrices(twoj: int) -> AngularMomentumSet:
     for i in range(1, dim):
         # raises |j, m[i]> to |j, m[i] + 1> = row i-1
         jplus[i - 1, i] = math.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
-    return AngularMomentumSet(j, _read_only(jz), _read_only(jplus), _read_only(jplus.T.copy()))
+    return AngularMomentumSet(j, jz, jplus, jplus.T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +135,8 @@ class ProductBasis:
     """Product basis s_e (1/2) x I_p (1/2) x I_d (1) x N.
 
     Basis states are ordered by per-slot index i = j - m (m descending),
-    with s_e slowest and N fastest.
+    with s_e slowest and N fastest.  The basis builds no matrix: `_dense`
+    makes each slot's `jmatrices` where it builds an operator.
     """
 
     def __init__(self, n_rot: int):
@@ -158,8 +144,7 @@ class ProductBasis:
             raise ValueError(f"rotational quantum number must be a non-negative integer, got {n_rot}")
         self.n_rot = int(n_rot)
         self.js = {"s_e": 0.5, "I_p": 0.5, "I_d": 1.0, "N": float(n_rot)}
-        self._single = {name: jmatrices(j) for name, j in self.js.items()}
-        self.dims = tuple(self._single[name].dim for name in SLOT_NAMES)
+        self.dims = tuple(round(2 * self.js[name]) + 1 for name in SLOT_NAMES)
         self.dim = math.prod(self.dims)
 
     def f_z(self) -> np.ndarray:
@@ -247,7 +232,8 @@ def _dense(basis: ProductBasis, products: Sequence[Term]) -> np.ndarray:
     """
     import numpy as np
 
-    matrices = [{"z": s.jz, "+": s.jplus, "-": s.jminus} for s in map(basis._single.__getitem__, SLOT_NAMES)]
+    singles = (jmatrices(basis.js[name]) for name in SLOT_NAMES)
+    matrices = [{"z": s.jz, "+": s.jplus, "-": s.jminus} for s in singles]
     op = np.zeros((basis.dim, basis.dim))
     for c, ops in products:
         factors = [functools.reduce(operator.matmul, map(m.__getitem__, s), np.eye(dim))
@@ -614,7 +600,8 @@ class SpinLevel:
             for (g1, g2), amp in zip(block.pairs, self.eigenvector):
                 for (e, p, d, i), c in _coupled_state(n_rot, g1, g2, f, m).items():
                     out[((2 * e + p) * 3 + d) * (2 * n_rot + 1) + i, column] += amp * c
-        return _read_only(out)
+        out.flags.writeable = False
+        return out
 
 
 def _zeeman_row(

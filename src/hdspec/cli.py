@@ -284,7 +284,7 @@ def _resolve_coefficients(args) -> dict | None:
         if not sets:
             raise ConfigFailure(f"{args.coefficients}: no [v=..,N=..] section with coefficients")
         return sets
-    if getattr(args, "demo", False):
+    if args.demo:
         return bundled.load_demo_coefficients()
     return bundled.load_coefficients()
 

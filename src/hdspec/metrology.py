@@ -183,7 +183,7 @@ def allan_deviation(
         ms = bin_sizes(series, taus)
         y = series.fractional
         n = len(y)
-        variance = _python_variance(y) if isinstance(y, list) else _numpy_variance(y)
+        variance = _numpy_variance(y) if _is_ndarray(y) else _python_variance(y)
         out = []
         for tau, m in zip(taus, ms):
             adev = math.sqrt(variance(m))

@@ -195,16 +195,14 @@ def _on_python_floats(points: int, levels: Sequence[SpinLevel]) -> bool:
 
 
 def _zeeman_block(members: Sequence[SpinLevel], m_f: int, couplings: ZeemanCouplings) -> list[list[float]]:
-    """W of the m_F block of `members` (`angular._zeeman_row`), exactly symmetric.
+    """W of the m_F block of `members`, exactly symmetric: W_ij = x_j (Z x_i) (`angular._zeeman_row`) for j <= i.
 
-    Row i of `_zeeman_row` is x_j (Z x_i) over j, which differs from
-    x_i (Z x_j) in the last bits.  The upper triangle is the mirror of
-    the lower one, the triangle `eigvalsh` reads, so Jacobi, which reads
-    both, and the stacked solve see one matrix.
+    x_i (Z x_j) differs from it in the last bits, so the upper triangle
+    is the mirror of the lower one, the triangle `eigvalsh` reads.
     """
-    w = [_zeeman_row(lv, members, m_f, couplings.per_slot)[1] for lv in members]
+    w = [_zeeman_row(lv, members[:i + 1], m_f, couplings.per_slot)[1] for i, lv in enumerate(members)]
     for i, row in enumerate(w):
-        row[i + 1:] = [lower[i] for lower in w[i + 1:]]
+        row += [lower[i] for lower in w[i + 1:]]
     return w
 
 
@@ -316,12 +314,11 @@ def _state_coeffs(coeffs: HyperfineCoefficients, label: Sequence[int], couplings
     which `transition_coeffs` forms, and second-order perturbation theory
     c = sum_{j != i} W_ij^2 / (E_i - E_j), over the field-free states of
     the m_F block, with W the matrix that `_sublevels` solves
-    (`_zeeman_block`): W_ij is row i of `angular._zeeman_row` for j < i,
-    and the mirrored row j's entry i for j > i.  A block of one state is
-    exactly linear (c = 0), its <J_z^s> the entries of J_z between its one
-    coupled state; under m_F -> -m_F every <J_z^s> changes sign, so in an
-    m_F = 0 block they are 0 and E(B) is even.  Each second-order term is checked
-    finite (OverflowError `second-order term = ...`).
+    (`_zeeman_block`).  A block of one state is exactly linear (c = 0),
+    its <J_z^s> the entries of J_z between its one coupled state; under
+    m_F -> -m_F every <J_z^s> changes sign, so in an m_F = 0 block they
+    are 0 and E(B) is even.  Each second-order term is checked finite
+    (OverflowError `second-order term = ...`).
     """
     members, row = _member(coeffs, label)
     m_f = label[3]

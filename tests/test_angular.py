@@ -31,6 +31,7 @@ from hdspec.angular import (
 )
 from hdspec.zeeman import ZeemanCouplings, transition_coeffs, zeeman_map
 
+from conftest import run_python
 from dense_oracle import build_zeeman, combined_triple, eigenlevels, product_index, round_to_j, triple
 from eigh_reference import reference_levels
 
@@ -1046,21 +1047,34 @@ def test_level_set_tolerance_is_ulps_of_the_bound_on_h(demo_sets):
 
 @pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 1.5, 2.0, 5.0])
 def test_cached_single_momentum_matrices_equal_fresh_builds(j):
-    cached = jmatrices(j)
-    assert jmatrices(j) is cached
-    fresh = angular._jmatrices.__wrapped__(round(2 * j))
-    m = j - np.arange(cached.dim)
+    # every call builds its own matrices, bit for bit those of the last call
+    built, fresh = jmatrices(j), jmatrices(j)
+    m = j - np.arange(built.dim)
     for name in ("jz", "jplus", "jminus"):
-        a = getattr(cached, name)
+        a = getattr(built, name)
         assert a.dtype == getattr(fresh, name).dtype and a.tobytes() == getattr(fresh, name).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1.0
-        with pytest.raises(AttributeError, match="read-only"):
-            setattr(cached, name, a.copy())
-    with pytest.raises(AttributeError, match="read-only"):
-        del cached.j
-    assert np.array_equal(cached.jz, np.diag(m))
-    assert np.allclose(np.diag(cached.jplus, 1), np.sqrt((j - m[1:]) * (j + m[1:] + 1)), rtol=0, atol=1e-15)
+    assert np.array_equal(built.jz, np.diag(m))
+    assert np.allclose(np.diag(built.jplus, 1), np.sqrt((j - m[1:]) * (j + m[1:] + 1)), rtol=0, atol=1e-15)
+
+
+def test_a_product_basis_and_the_level_solve_on_it_load_no_numpy():
+    """In a fresh interpreter: `ProductBasis(n)` for N = 0..5, and `level_structure` and `sensitivities` on one."""
+    script = (
+        "import sys\n"
+        "from hdspec import angular, bundled\n"
+        "print([angular.ProductBasis(n).dims for n in range(6)])\n"
+        "coeffs, basis = bundled.load_demo_coefficients()[(1, 1)], angular.ProductBasis(1)\n"
+        "levels = angular.level_structure(coeffs, basis)\n"
+        "print(len(levels), len(angular.sensitivities(coeffs, basis, levels[0].label)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        str([(2, 2, 3, 2 * n + 1) for n in range(6)]),
+        f"{len(level_structure(bundled.load_demo_coefficients()[(1, 1)]))} 9",
+        "[]",
+    ]
 
 
 def coupled_basis(blocks):

@@ -786,7 +786,9 @@ def test_field_scan_csv_names_a_non_numeric_cell(tmp_path):
 
 
 def test_bundled_couplings_file_parses():
+    # the file that every command reads holds the defaults that `ZeemanCouplings()` takes, all four
     cpl = read_couplings_file(bundled.data_path("zeeman_couplings.txt"))
+    assert cpl.per_slot == ZeemanCouplings().per_slot
     assert cpl.c_e == 2802.5
     assert cpl.c_n == -0.55
 
